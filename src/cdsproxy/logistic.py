@@ -6,7 +6,11 @@ Each machine maximises the ridge-penalised Bernoulli log-likelihood
 
 with p_i = sigmoid(beta' z_i) on intercept-augmented rows; the intercept is
 not penalised. Fitting is by damped Newton steps: each proposed step is
-halved until the penalised log-likelihood does not decrease. Multiclass
+halved until the penalised log-likelihood does not decrease. The fit stops
+when the gradient norm reaches its tolerance, or when the Newton decrement
+g'H^-1 g falls below the rounding level of L, where comparing L values can
+no longer judge a step; the fit then takes that last full Newton step and
+stops (Boyd & Vandenberghe, Convex Optimization, 9.5.1). Multiclass
 scores are the per-class probabilities of the one-vs-rest machines.
 """
 from __future__ import annotations
@@ -60,9 +64,11 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
                         grad_tol: float = DEFAULT_GRAD_TOL) -> np.ndarray:
     """Newton-with-halving fit on already intercept-augmented rows z.
 
-    Returns the coefficient vector. Raises NoConvergence when the gradient
-    norm still exceeds grad_tol after max_iter Newton steps, and
-    SingularDesign when the (unridged) Hessian is singular.
+    Returns the coefficient vector once the gradient norm is at most
+    grad_tol, or after a full Newton step whose decrement is below the
+    rounding level of the penalised log-likelihood. Raises NoConvergence when neither holds after
+    max_iter Newton steps, and SingularDesign when the (unridged) Hessian
+    is singular.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float).reshape(-1)
@@ -87,6 +93,10 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
         except NotPositiveDefinite as exc:
             raise SingularDesign(
                 "logistic Hessian is singular; add a ridge penalty") from exc
+        if float(grad @ step) <= np.finfo(float).eps * abs(ll):
+            # the step's gain is below what ll resolves, so the halving test
+            # cannot judge it; the quadratic model can, and it ends the fit
+            return beta + step
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             candidate = beta + scale * step

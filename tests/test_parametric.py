@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,7 +120,37 @@ class TestBinaryLogistic:
         assert abs(large[1]) < abs(small[1])
 
 
+# Fits the training rows of folds 4 and 5 of a 20-name x 250-day FS1 panel.
+# With one BLAS thread, two of their machines used to stall: the full Newton
+# step was lost to rounding, with gradient norms stuck at 1.09e-6 and
+# 2.85e-6, just above the tolerance.
+_DECREMENT_STALL_SCRIPT = """
+from cdsproxy import core, datagen
+from cdsproxy.evaluation import stratified_folds
+from cdsproxy.logistic import fit_logistic_multiclass
+panel = datagen.generate_panel(
+    datagen.GeneratorConfig(n_counterparties=20, n_days=250, seed=1))
+ds = core.build_dataset(panel, core.FeatureSelection.FS1)
+plan = stratified_folds(ds, 10, seed=1)
+for fold in (4, 5):
+    fit_logistic_multiclass(ds.subset(plan.training_rows(fold)))
+"""
+
+
 class TestMulticlassLogistic:
+    def test_rounding_stall_ends_at_the_newton_decrement(self):
+        # BLAS reads its thread count when numpy loads, hence the subprocess
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _DECREMENT_STALL_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+
+
     def test_two_class_reduction_is_half_threshold(self):
         train = make_blobs([[0.0, 0.0], [2.0, 1.0]], 15, scale=0.9, seed=19)
         model = fit_logistic_multiclass(train)
