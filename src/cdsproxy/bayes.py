@@ -88,9 +88,6 @@ class LdaClassifier(ClassifierModel):
     offsets: np.ndarray          # (N,)
     class_names: tuple[str, ...]
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ np.asarray(x, dtype=float) + self.offsets
-
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.weights.T + self.offsets
 
@@ -133,16 +130,13 @@ class QdaClassifier(ClassifierModel):
     log_dets: np.ndarray               # (N,)
     class_names: tuple[str, ...]
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         n_classes = self.means.shape[0]
         out = np.empty((x.shape[0], n_classes))
         for j in range(n_classes):
             diff = (x - self.means[j]).T
-            z = nm.solve_lower_triangular(self.chol_factors[j], diff)
+            z = np.linalg.solve(self.chol_factors[j], diff)
             mahal_sq = (z * z).sum(axis=0)
             out[:, j] = -0.5 * (self.log_dets[j] + mahal_sq) + self.priors.log_pi[j]
         return out
@@ -190,9 +184,6 @@ class NbClassifier(ClassifierModel):
     priors: ClassPriors
     class_names: tuple[str, ...]
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.empty((x.shape[0], len(self.class_samples)))
@@ -221,49 +212,3 @@ def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
     return NbClassifier(class_samples=samples, kernel=KernelKind(kernel),
                         bandwidth=float(bandwidth), priors=priors,
                         class_names=train.class_names)
-
-
-@dataclass
-class GaussianNbClassifier(ClassifierModel):
-    """Parametric naive Bayes: one normal density per class and feature.
-
-    Uses the same ridged per-class variances as the diagonal quadratic
-    discriminant, so its predictions coincide with that model exactly
-    (the scores differ by a constant).
-    """
-
-    family = "NB"
-    means: np.ndarray       # (N, d)
-    variances: np.ndarray   # (N, d), ridged
-    priors: ClassPriors
-    class_names: tuple[str, ...]
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        diff = x[:, None, :] - self.means[None, :, :]
-        log_pdf = -0.5 * (np.log(2.0 * np.pi * self.variances) + diff * diff / self.variances)
-        return log_pdf.sum(axis=2) + self.priors.log_pi
-
-    def describe(self) -> dict:
-        return {"family": self.family, "kernel": "gaussian-parametric"}
-
-
-def fit_nb_gaussian(train: Dataset, uniform_priors: bool = False) -> GaussianNbClassifier:
-    """Fit the parametric normal variant of naive Bayes."""
-    _validate_train(train)
-    priors = class_priors(train.y, train.n_classes, uniform=uniform_priors)
-    n_classes, d = train.n_classes, train.d
-    means = np.empty((n_classes, d))
-    variances = np.empty((n_classes, d))
-    for j in range(n_classes):
-        rows = train.x[train.y == j]
-        if rows.shape[0] < 2:
-            raise ClassTooSmall(f"class {j} has {rows.shape[0]} samples; need >= 2")
-        est = nm.sample_mean_covariance(rows, nm.CovMode.DIAGONAL)
-        means[j] = est.mean
-        variances[j] = nm.add_ridge(est.matrix).diagonal()
-    return GaussianNbClassifier(means=means, variances=variances, priors=priors,
-                                class_names=train.class_names)

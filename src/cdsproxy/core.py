@@ -214,20 +214,20 @@ def map_decision(scores: np.ndarray) -> int:
 class ClassifierModel(abc.ABC):
     """Contract shared by every trained classifier.
 
-    scores(x) returns one real score per class; classify picks the lowest
-    index among the maximal scores. Families override scores_batch with a
-    vectorised version where it matters.
+    A family implements one method, scores_batch, mapping an (n, d) array of
+    rows to an (n, N) array of real class scores. The per-row scores and
+    classify and the batch classify_batch derive from it; classification
+    picks the lowest index among the maximal scores.
     """
 
     family: str = "base"
 
     @abc.abstractmethod
-    def scores(self, x: np.ndarray) -> np.ndarray:
+    def scores_batch(self, x: np.ndarray) -> np.ndarray:
         ...
 
-    def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.stack([self.scores(row) for row in x])
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def classify(self, x: np.ndarray) -> int:
         return map_decision(self.scores(x))

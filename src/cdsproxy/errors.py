@@ -104,10 +104,6 @@ class NoValidSplit(CdsProxyError):
     """No candidate threshold separates the node's samples."""
 
 
-class UnknownLabel(CdsProxyError):
-    """A classifier label is not in the registry."""
-
-
 # --- evaluation -------------------------------------------------------------
 
 class EmptyClass(CdsProxyError):

@@ -10,6 +10,7 @@ mean and population standard deviation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -31,7 +32,7 @@ from .errors import (
 from .logistic import fit_logistic_multiclass
 from .neighbors import Metric, fit_knn
 from .neuralnet import Activation, TrainConfig, fit_neural_net
-from .svm import KernelSpec, MulticlassStrategy, SvmKernel, fit_svm_multiclass
+from .svm import KernelSpec, SvmKernel, fit_svm_multiclass
 from .trees import SplitCriterion, fit_bagged, fit_tree
 
 DEFAULT_FOLDS = 10
@@ -95,111 +96,67 @@ class ClassifierSpec:
                 **dict(self.params)}
 
 
-def _spec_factories() -> dict:
-    def lda(mode):
-        return lambda train, seed: fit_lda(train, mode=mode)
-
-    def qda(mode):
-        return lambda train, seed: fit_qda(train, mode=mode)
-
-    def nb(kernel, bandwidth):
-        return lambda train, seed: fit_nb(train, kernel=kernel,
-                                          bandwidth=bandwidth)
-
-    def knn(metric, k, standardize):
-        return lambda train, seed: fit_knn(train, k=k, metric=metric,
-                                           standardize=standardize)
-
-    def logistic(ridge):
-        return lambda train, seed: fit_logistic_multiclass(train, ridge=ridge)
-
-    def tree(criterion, max_splits):
-        return lambda train, seed: fit_tree(train, criterion=criterion,
-                                            max_splits=max_splits)
-
-    def svm(kind, cost, degree, strategy):
-        kernel = KernelSpec(kind=kind, degree=degree)
-        return lambda train, seed: fit_svm_multiclass(
-            train, kernel=kernel, cost=cost, strategy=strategy)
-
-    def net(activation, hidden):
-        return lambda train, seed: fit_neural_net(
-            train, hidden_units=hidden, activation=activation,
-            config=TrainConfig(seed=seed))
-
-    def bagged(criterion, n_trees, max_splits):
-        return lambda train, seed: fit_bagged(train, n_trees=n_trees,
-                                              criterion=criterion,
-                                              max_splits=max_splits, seed=seed)
-
-    return {"lda": lda, "qda": qda, "nb": nb, "knn": knn, "logistic": logistic,
-            "tree": tree, "svm": svm, "net": net, "bagged": bagged}
+# label -> (family, fit function, fixed parameters)
+_CLASSIFIERS: dict[str, tuple[str, Callable[..., ClassifierModel], dict]] = {
+    "LDA-FullCov": ("DA", fit_lda, {"mode": nm.CovMode.FULL}),
+    "LDA-DiagonalCov": ("DA", fit_lda, {"mode": nm.CovMode.DIAGONAL}),
+    "QDA-FullCov": ("DA", fit_qda, {"mode": nm.CovMode.FULL}),
+    "QDA-DiagonalCov": ("DA", fit_qda, {"mode": nm.CovMode.DIAGONAL}),
+    "NB-norm-kernel": ("NB", fit_nb, {"kernel": KernelKind.NORMAL}),
+    "NB-tria-kernel": ("NB", fit_nb, {"kernel": KernelKind.TRIANGULAR}),
+    "NB-epan-kernel": ("NB", fit_nb, {"kernel": KernelKind.EPANECHNIKOV}),
+    "KNN-Euclidean": ("KNN", fit_knn, {"metric": Metric.EUCLIDEAN}),
+    "KNN-CityBlock": ("KNN", fit_knn, {"metric": Metric.CITYBLOCK}),
+    "KNN-Mahalanobis": ("KNN", fit_knn, {"metric": Metric.MAHALANOBIS}),
+    "LR": ("LR", fit_logistic_multiclass, {}),
+    "DT-Gini": ("DT", fit_tree, {"criterion": SplitCriterion.GINI}),
+    "DT-Entropy": ("DT", fit_tree, {"criterion": SplitCriterion.ENTROPY}),
+    "DT-Twoing": ("DT", fit_tree, {"criterion": SplitCriterion.TWOING}),
+    "SVM-Linear": ("SVM", fit_svm_multiclass,
+                   {"kernel": KernelSpec(SvmKernel.LINEAR)}),
+    "SVM-Gaussian": ("SVM", fit_svm_multiclass,
+                     {"kernel": KernelSpec(SvmKernel.GAUSSIAN)}),
+    "SVM-Poly": ("SVM", fit_svm_multiclass,
+                 {"kernel": KernelSpec(SvmKernel.POLYNOMIAL)}),
+    "NN-Tangent": ("NN", fit_neural_net, {"activation": Activation.TAN_SIGMOID}),
+    "NN-Linear": ("NN", fit_neural_net, {"activation": Activation.LINEAR}),
+    "NN-Elliot": ("NN", fit_neural_net, {"activation": Activation.ELLIOT_SIGMOID}),
+    "BaggedTree": ("BaggedTree", fit_bagged, {"criterion": SplitCriterion.GINI}),
+    "BaggedTree-Entropy": ("BaggedTree", fit_bagged,
+                           {"criterion": SplitCriterion.ENTROPY}),
+    "BaggedTree-Twoing": ("BaggedTree", fit_bagged,
+                          {"criterion": SplitCriterion.TWOING}),
+}
 
 
-def make_classifier_spec(label: str, *, bandwidth: float = 0.2, k: int = 9,
-                         max_splits: int = 20, n_trees: int = 30,
-                         cost: float = 1.0, degree: int = 3,
-                         hidden_units: int = 10,
-                         svm_strategy: MulticlassStrategy = MulticlassStrategy.ONE_VS_REST,
-                         knn_standardize: bool | None = None) -> ClassifierSpec:
-    """Resolve a grid label (e.g. 'QDA-FullCov') plus hyperparameter
-    overrides into a fit callable."""
-    f = _spec_factories()
-    table: dict[str, tuple] = {
-        "LDA-FullCov": ("DA", f["lda"](nm.CovMode.FULL), ()),
-        "LDA-DiagonalCov": ("DA", f["lda"](nm.CovMode.DIAGONAL), ()),
-        "QDA-FullCov": ("DA", f["qda"](nm.CovMode.FULL), ()),
-        "QDA-DiagonalCov": ("DA", f["qda"](nm.CovMode.DIAGONAL), ()),
-        "NB-norm-kernel": ("NB", f["nb"](KernelKind.NORMAL, bandwidth),
-                           (("bandwidth", bandwidth),)),
-        "NB-tria-kernel": ("NB", f["nb"](KernelKind.TRIANGULAR, bandwidth),
-                           (("bandwidth", bandwidth),)),
-        "NB-epan-kernel": ("NB", f["nb"](KernelKind.EPANECHNIKOV, bandwidth),
-                           (("bandwidth", bandwidth),)),
-        "KNN-Euclidean": ("KNN", f["knn"](Metric.EUCLIDEAN, k, knn_standardize),
-                          (("k", k),)),
-        "KNN-CityBlock": ("KNN", f["knn"](Metric.CITYBLOCK, k, knn_standardize),
-                          (("k", k),)),
-        "KNN-Mahalanobis": ("KNN", f["knn"](Metric.MAHALANOBIS, k, knn_standardize),
-                            (("k", k),)),
-        "LR": ("LR", f["logistic"](1e-4), ()),
-        "DT-Gini": ("DT", f["tree"](SplitCriterion.GINI, max_splits),
-                    (("max_splits", max_splits),)),
-        "DT-Entropy": ("DT", f["tree"](SplitCriterion.ENTROPY, max_splits),
-                       (("max_splits", max_splits),)),
-        "DT-Twoing": ("DT", f["tree"](SplitCriterion.TWOING, max_splits),
-                      (("max_splits", max_splits),)),
-        "SVM-Linear": ("SVM", f["svm"](SvmKernel.LINEAR, cost, degree, svm_strategy),
-                       (("cost", cost),)),
-        "SVM-Gaussian": ("SVM", f["svm"](SvmKernel.GAUSSIAN, cost, degree, svm_strategy),
-                         (("cost", cost),)),
-        "SVM-Poly": ("SVM", f["svm"](SvmKernel.POLYNOMIAL, cost, degree, svm_strategy),
-                     (("cost", cost), ("degree", degree))),
-        "NN-Tangent": ("NN", f["net"](Activation.TAN_SIGMOID, hidden_units),
-                       (("hidden_units", hidden_units),)),
-        "NN-Linear": ("NN", f["net"](Activation.LINEAR, hidden_units),
-                      (("hidden_units", hidden_units),)),
-        "NN-Elliot": ("NN", f["net"](Activation.ELLIOT_SIGMOID, hidden_units),
-                      (("hidden_units", hidden_units),)),
-        "BaggedTree": ("BaggedTree",
-                       f["bagged"](SplitCriterion.GINI, n_trees, max_splits),
-                       (("n_trees", n_trees), ("max_splits", max_splits))),
-        "BaggedTree-Gini": ("BaggedTree",
-                            f["bagged"](SplitCriterion.GINI, n_trees, max_splits),
-                            (("n_trees", n_trees), ("max_splits", max_splits))),
-        "BaggedTree-Entropy": ("BaggedTree",
-                               f["bagged"](SplitCriterion.ENTROPY, n_trees, max_splits),
-                               (("n_trees", n_trees), ("max_splits", max_splits))),
-        "BaggedTree-Twoing": ("BaggedTree",
-                              f["bagged"](SplitCriterion.TWOING, n_trees, max_splits),
-                              (("n_trees", n_trees), ("max_splits", max_splits))),
-    }
-    if label not in table:
+def _fit_entry(family: str, fit: Callable[..., ClassifierModel], params: dict,
+               train: Dataset, seed: int) -> ClassifierModel:
+    """Fit one table entry; only the NN and BaggedTree families draw random
+    numbers, so only they take the fold seed.
+
+    The fit function is looked up by name in this module when it runs, so a
+    wrapper installed on that name (perfbench's tracer) sees every fit.
+    """
+    fit = globals()[fit.__name__]
+    if family == "NN":
+        return fit(train, config=TrainConfig(seed=seed), **params)
+    if family == "BaggedTree":
+        return fit(train, seed=seed, **params)
+    return fit(train, **params)
+
+
+_SPECS = {label: ClassifierSpec(label=label, family=family,
+                                fitter=functools.partial(_fit_entry, family, fit, params),
+                                params=tuple(params.items()))
+          for label, (family, fit, params) in _CLASSIFIERS.items()}
+
+
+def make_classifier_spec(label: str) -> ClassifierSpec:
+    """The grid entry of a label such as 'QDA-FullCov'."""
+    if label not in _SPECS:
         raise BadConfig(f"unknown classifier label {label!r}; "
-                        f"known labels: {', '.join(sorted(table))}")
-    family, fitter, params = table[label]
-    return ClassifierSpec(label=label, family=family, fitter=fitter,
-                          params=params)
+                        f"known labels: {', '.join(sorted(_SPECS))}")
+    return _SPECS[label]
 
 
 DEFAULT_GRID: tuple[str, ...] = (

@@ -134,9 +134,6 @@ class LogisticClassifier(ClassifierModel):
     scheme: str = "one-vs-rest"
     standardizer: nm.Standardizer | None = None
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(x, dtype=float))
         if self.standardizer is not None:

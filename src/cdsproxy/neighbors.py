@@ -40,7 +40,7 @@ def distance(metric: Metric, x: np.ndarray, y: np.ndarray,
         return float(np.abs(x - y).sum())
     if chol_factor is None:
         raise SingularCovariance("Mahalanobis distance needs a covariance factor")
-    z = nm.solve_lower_triangular(chol_factor, x - y)
+    z = np.linalg.solve(chol_factor, x - y)
     return float(np.sqrt((z * z).sum()))
 
 
@@ -71,11 +71,8 @@ class KnnClassifier(ClassifierModel):
         if self.metric is Metric.CITYBLOCK:
             return np.abs(diff).sum(axis=-1)
         m, n, d = diff.shape
-        z = nm.solve_lower_triangular(self.chol_factor, diff.reshape(-1, d).T)
+        z = np.linalg.solve(self.chol_factor, diff.reshape(-1, d).T)
         return np.sqrt((z * z).sum(axis=0)).reshape(m, n)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = self._query_matrix(x)

@@ -194,9 +194,6 @@ class NeuralNetClassifier(ClassifierModel):
     warning: str | None = None
     loss_history: tuple = field(default=(), repr=False)
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(x, dtype=float))
         if self.standardizer is not None:

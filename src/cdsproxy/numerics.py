@@ -1,9 +1,10 @@
 """Dense numerical kernels used by the classifiers.
 
 Everything here is written against small dimensions (d <= a few dozen):
-unbiased covariance estimation, a cyclic Jacobi eigensolver for symmetric
-matrices, Cholesky factorisation/solves for SPD systems, principal-component
-analysis and feature standardisation.
+unbiased covariance estimation, the symmetric eigendecomposition, Cholesky
+factorisation and SPD solves (all three by numpy's LAPACK routines, behind
+this module's NotSymmetric / NotPositiveDefinite / DimensionMismatch
+checks), principal-component analysis and feature standardisation.
 """
 from __future__ import annotations
 
@@ -16,14 +17,11 @@ from .errors import (
     BadComponentCount,
     DimensionMismatch,
     FewerThanTwoSamples,
-    NoConvergence,
     NotPositiveDefinite,
     NotSymmetric,
 )
 
 RIDGE_FACTOR = 1e-8
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-12
 
 
 class CovMode(str, enum.Enum):
@@ -71,10 +69,6 @@ class Standardizer:
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x - self.means) / self.scales
-
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z * self.scales + self.means
 
 
 def _as_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -130,106 +124,19 @@ def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def eigen_symmetric(matrix: np.ndarray,
-                    max_sweeps: int = JACOBI_MAX_SWEEPS,
-                    tol: float = JACOBI_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps the strict upper triangle in row-major order, rotating each
-    off-diagonal entry to zero, until the off-diagonal Frobenius norm falls
-    below tol relative to the matrix norm. Deterministic; raises
-    NoConvergence after max_sweeps sweeps.
-    """
-    a = _check_symmetric(matrix).copy()
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 1:
-        return EigenDecomposition(eigenvalues=a.diagonal().copy(), eigenvectors=v)
-    norm = float(np.sqrt((a * a).sum()))
-    threshold = tol * max(norm, 1.0)
-
-    def off_norm(m: np.ndarray) -> float:
-        off = m - np.diag(m.diagonal())
-        return float(np.sqrt((off * off).sum()))
-
-    converged = off_norm(a) <= threshold
-    sweeps = 0
-    while not converged:
-        if sweeps >= max_sweeps:
-            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J applied as column then row rotation
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = c * v[:, p] - s * v[:, q]
-                vcol_q = s * v[:, p] + c * v[:, q]
-                v[:, p] = vcol_p
-                v[:, q] = vcol_q
-        sweeps += 1
-        converged = off_norm(a) <= threshold
-
-    values = a.diagonal().copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(eigenvalues=values[order], eigenvectors=v[:, order])
+def eigen_symmetric(matrix: np.ndarray) -> EigenDecomposition:
+    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix."""
+    values, vectors = np.linalg.eigh(_check_symmetric(matrix))
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
 def cholesky_spd(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix; NotPositiveDefinite on pivot <= 0."""
+    """Lower Cholesky factor of an SPD matrix; NotPositiveDefinite otherwise."""
     a = _check_symmetric(matrix)
-    d = a.shape[0]
-    lower = np.zeros((d, d))
-    for j in range(d):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= 0.0:
-            raise NotPositiveDefinite(f"non-positive pivot at column {j}")
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < d:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
-def solve_lower_triangular(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution; rhs may be a vector or a matrix of columns."""
-    d = lower.shape[0]
-    b = np.asarray(rhs, dtype=float)
-    single = b.ndim == 1
-    x = np.array(b if not single else b[:, None], dtype=float, copy=True)
-    for i in range(d):
-        if i:
-            x[i] -= lower[i, :i] @ x[:i]
-        x[i] /= lower[i, i]
-    return x[:, 0] if single else x
-
-
-def solve_upper_triangular(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Back substitution; rhs may be a vector or a matrix of columns."""
-    d = upper.shape[0]
-    b = np.asarray(rhs, dtype=float)
-    single = b.ndim == 1
-    x = np.array(b if not single else b[:, None], dtype=float, copy=True)
-    for i in range(d - 1, -1, -1):
-        if i + 1 < d:
-            x[i] -= upper[i, i + 1:] @ x[i + 1:]
-        x[i] /= upper[i, i]
-    return x[:, 0] if single else x
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -239,13 +146,7 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix order {a.shape[0]}")
     lower = cholesky_spd(a)
-    return solve_upper_triangular(lower.T, solve_lower_triangular(lower, b))
-
-
-def log_det_spd(matrix: np.ndarray) -> float:
-    """log-determinant of an SPD matrix via its Cholesky factor."""
-    lower = cholesky_spd(matrix)
-    return 2.0 * float(np.log(lower.diagonal()).sum())
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def pca_fit(vectors: np.ndarray) -> PrincipalComponentBasis:
@@ -259,11 +160,10 @@ def pca_fit(vectors: np.ndarray) -> PrincipalComponentBasis:
     eig = eigen_symmetric(est.matrix)
     order = np.argsort(-eig.eigenvalues, kind="stable")
     values = np.clip(eig.eigenvalues[order], 0.0, None)
-    components = eig.eigenvectors[:, order].copy()
-    for i in range(components.shape[1]):
-        anchor = int(np.argmax(np.abs(components[:, i])))
-        if components[anchor, i] < 0.0:
-            components[:, i] = -components[:, i]
+    components = eig.eigenvectors[:, order]
+    anchors = np.argmax(np.abs(components), axis=0)
+    flip = components[anchors, np.arange(components.shape[1])] < 0.0
+    components = np.where(flip, -components, components)
     total = float(values.sum())
     if total > 0.0:
         explained = np.cumsum(values) / total

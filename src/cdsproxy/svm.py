@@ -20,6 +20,7 @@ import numpy as np
 from . import numerics as nm
 from .core import ClassifierModel, Dataset
 from .errors import BadConfig, EmptyTrainingSet, NoConvergence, SingleClassInput
+from .logistic import sigmoid
 
 DEFAULT_COST = 1.0
 DEFAULT_POLY_DEGREE = 3
@@ -99,9 +100,6 @@ class BinarySvm:
             return np.full(np.atleast_2d(x).shape[0], self.bias)
         k = self.kernel.gram(np.atleast_2d(x), self.x_train[sv])
         return k @ (self.alpha[sv] * self.y_train[sv]) + self.bias
-
-    def decision(self, x: np.ndarray) -> float:
-        return float(self.decision_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def dual_objective(self, gram: np.ndarray | None = None) -> float:
         if gram is None:
@@ -210,15 +208,6 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      cost=cost, kkt_gap=float(gap), n_updates=updates)
 
 
-def _logistic(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    nonneg = v >= 0
-    out[nonneg] = 1.0 / (1.0 + np.exp(-v[nonneg]))
-    ev = np.exp(v[~nonneg])
-    out[~nonneg] = ev / (1.0 + ev)
-    return out
-
-
 @dataclass
 class SvmClassifier(ClassifierModel):
     """Multiclass wrapper around binary machines.
@@ -238,9 +227,6 @@ class SvmClassifier(ClassifierModel):
     cost: float
     standardizer: nm.Standardizer | None = None
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(x, dtype=float))
         if self.standardizer is not None:
@@ -256,7 +242,7 @@ class SvmClassifier(ClassifierModel):
             votes[~towards_a, b] += 1.0
             sums[:, a] += dec
             sums[:, b] -= dec
-        return votes + _logistic(sums)
+        return votes + sigmoid(sums)
 
     def describe(self) -> dict:
         return {"family": self.family, "kernel": self.kernel.kind.value,

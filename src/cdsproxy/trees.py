@@ -15,11 +15,11 @@ majority vote over the committee.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassifierModel, Dataset, map_decision
+from .core import ClassifierModel, Dataset
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -154,29 +154,23 @@ class DecisionTreeModel(ClassifierModel):
     class_names: tuple[str, ...]
     n_features: int
 
-    def route(self, x: np.ndarray) -> int:
-        """Index of the leaf that x falls into."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.n_features:
-            raise DimensionMismatch(
-                f"row has {x.shape[0]} features, tree expects {self.n_features}")
-        at = 0
-        while not self.nodes[at].is_leaf:
-            node = self.nodes[at]
-            at = node.left if x[node.feature] < node.threshold else node.right
-        return at
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_classes)
-        out[self.nodes[self.route(x)].label] = 1.0
-        return out
-
-    def classify(self, x: np.ndarray) -> int:
-        return int(self.nodes[self.route(x)].label)
-
-    def classify_batch(self, x: np.ndarray) -> np.ndarray:
+    def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.array([self.classify(row) for row in q], dtype=int)
+        if q.shape[1] != self.n_features:
+            raise DimensionMismatch(
+                f"rows have {q.shape[1]} features, tree expects {self.n_features}")
+        # children are appended after their parent, so one pass in node
+        # order moves every row from the root down to its leaf
+        at = np.zeros(q.shape[0], dtype=int)
+        for i, node in enumerate(self.nodes):
+            if not node.is_leaf:
+                here = at == i
+                at[here] = np.where(q[here, node.feature] < node.threshold,
+                                    node.left, node.right)
+        labels = np.array([node.label for node in self.nodes])[at]
+        out = np.zeros((q.shape[0], self.n_classes))
+        out[np.arange(q.shape[0]), labels] = 1.0
+        return out
 
     def internal_count(self) -> int:
         return sum(1 for node in self.nodes if not node.is_leaf)
@@ -270,20 +264,9 @@ class BaggedTreeClassifier(ClassifierModel):
     class_names: tuple[str, ...]
     seed: int = 0
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(x, dtype=float))
-        votes = np.zeros((q.shape[0], self.n_classes))
-        for tree in self.trees:
-            labels = tree.classify_batch(q)
-            votes[np.arange(q.shape[0]), labels] += 1.0
-        return votes
-
-    def classify_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.array([map_decision(row) for row in self.scores_batch(x)],
-                        dtype=int)
+        return sum(tree.scores_batch(q) for tree in self.trees)
 
     def describe(self) -> dict:
         return {"family": self.family, "criterion": self.criterion.value,

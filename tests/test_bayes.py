@@ -12,7 +12,6 @@ from cdsproxy.bayes import (
     QdaClassifier,
     fit_lda,
     fit_nb,
-    fit_nb_gaussian,
     fit_qda,
     kde_log_density,
     kernel_values,
@@ -276,17 +275,3 @@ class TestNaiveBayes:
         with pytest.raises(NonpositiveBandwidth):
             fit_nb(train, bandwidth=-0.1)
 
-
-class TestGaussianNbReduction:
-    def test_predictions_equal_diagonal_qda(self):
-        rng = np.random.default_rng(31)
-        for trial in range(10):
-            train = make_blobs(rng.normal(size=(3, 4)) * 2, 25, scale=1.0,
-                               seed=200 + trial)
-            nb = fit_nb_gaussian(train)
-            qda = fit_qda(train, mode=nm.CovMode.DIAGONAL)
-            grid = rng.normal(size=(80, 4)) * 2.5
-            assert np.array_equal(nb.classify_batch(grid), qda.classify_batch(grid))
-            # scores differ by the constant d/2 * log(2 pi)
-            gap = nb.scores_batch(grid) - qda.scores_batch(grid)
-            assert np.allclose(gap, gap[0, 0], atol=1e-9)

@@ -13,6 +13,8 @@ import pytest
 
 import cdsproxy.numerics as nm
 from cdsproxy.bayes import fit_lda
+from cdsproxy.neighbors import fit_knn
+from cdsproxy.trees import fit_bagged
 from cdsproxy.core import ClassifierModel, Dataset, FeatureSelection
 from cdsproxy.errors import (
     BadConfig,
@@ -63,9 +65,9 @@ class ConstantModel(ClassifierModel):
     def __init__(self, n_classes):
         self.n_classes = n_classes
 
-    def scores(self, x):
-        out = np.zeros(self.n_classes)
-        out[0] = 1.0
+    def scores_batch(self, x):
+        out = np.zeros((len(x), self.n_classes))
+        out[:, 0] = 1.0
         return out
 
 
@@ -169,7 +171,9 @@ class TestCvStatistics:
         assert sd == 0.5  # population: sqrt(((0.5)^2 + (0.5)^2) / 2)
 
     def test_stochastic_learners_replay_bit_identically(self, blob3):
-        spec = make_classifier_spec("BaggedTree", n_trees=5)
+        spec = ClassifierSpec(
+            label="BaggedTree", family="BaggedTree",
+            fitter=lambda train, seed: fit_bagged(train, n_trees=5, seed=seed))
         a = cross_validate(spec, blob3, k=5, seed=3)
         b = cross_validate(spec, blob3, k=5, seed=3)
         assert a == b
@@ -238,23 +242,20 @@ class TestClassifierGrid:
         model = spec.fit(ds, seed=1)
         predictions = model.classify_batch(ds.x[:5])
         assert predictions.shape == (5,)
+        # the per-row methods derive from the batch contract
+        scores = model.scores_batch(ds.x[:5])
+        for i, row in enumerate(ds.x[:5]):
+            assert model.classify(row) == predictions[i]
+            assert np.allclose(model.scores(row), scores[i])
 
     def test_unknown_label_rejected(self):
         with pytest.raises(BadConfig, match="unknown classifier label"):
             make_classifier_spec("SVM-Quadratic")
 
-    def test_hyperparameter_overrides_reach_the_model(self, blob3):
-        knn = make_classifier_spec("KNN-Euclidean", k=5).fit(blob3)
-        assert knn.k == 5
-        tree = make_classifier_spec("DT-Gini", max_splits=3).fit(blob3)
-        assert tree.internal_count() <= 3
-        bag = make_classifier_spec("BaggedTree", n_trees=4).fit(blob3)
-        assert len(bag.trees) == 4
-        nb = make_classifier_spec("NB-norm-kernel", bandwidth=0.5).fit(blob3)
-        assert nb.bandwidth == 0.5
-
     def test_describe_includes_label_and_parameters(self):
-        spec = make_classifier_spec("KNN-Euclidean", k=7)
+        spec = ClassifierSpec(
+            label="KNN-Euclidean", family="KNN",
+            fitter=lambda train, seed: fit_knn(train, k=7), params=(("k", 7),))
         desc = spec.describe()
         assert desc["label"] == "KNN-Euclidean"
         assert desc["k"] == 7
@@ -314,8 +315,9 @@ class TestPcaStudy:
         # preserves, so using all d components must reproduce the raw run.
         ds = make_blobs(centers=[(0, 0), (3, 3), (-3, 3)], n_per_class=12,
                         scale=0.8, seed=31)
-        spec = make_classifier_spec("KNN-Euclidean", k=3,
-                                    knn_standardize=False)
+        spec = ClassifierSpec(
+            label="KNN-Euclidean", family="KNN",
+            fitter=lambda train, seed: fit_knn(train, k=3, standardize=False))
         study = pca_study(spec, ds, k=4, seed=6)
         assert study.component_errors[-1] == study.raw_error
 

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cdsproxy import numerics as nm
 from cdsproxy.errors import (
     BadComponentCount,
     DimensionMismatch,
     FewerThanTwoSamples,
-    NoConvergence,
     NotPositiveDefinite,
     NotSymmetric,
 )
@@ -97,11 +94,6 @@ class TestJacobi:
         with pytest.raises(NotSymmetric):
             nm.eigen_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_sweep_cap(self):
-        a = np.array([[1.0, 0.5], [0.5, 2.0]])
-        with pytest.raises(NoConvergence):
-            nm.eigen_symmetric(a, max_sweeps=0)
-
 
 class TestSpdSolve:
     def test_identity_exact(self):
@@ -132,14 +124,6 @@ class TestSpdSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             nm.solve_spd(np.eye(3), np.ones(2))
-
-    def test_log_det_matches_slogdet(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            a = random_spd(rng, int(rng.integers(1, 10)))
-            sign, ref = np.linalg.slogdet(a)
-            assert sign > 0
-            assert abs(nm.log_det_spd(a) - ref) < 1e-9 * max(abs(ref), 1.0)
 
     def test_ridge_value(self):
         assert nm.ridge_value(np.eye(4)) == pytest.approx(1e-8)
@@ -201,13 +185,6 @@ class TestStandardizer:
         s = nm.standardizer_fit(np.full((5, 2), 7.0))
         assert np.all(s.scales == nm.SCALE_FLOOR)
         assert np.all(s.apply(np.full((3, 2), 7.0)) == 0.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(2, 20), st.integers(1, 6), st.integers(0, 10_000))
-    def test_roundtrip(self, n, d, seed):
-        x = np.random.default_rng(seed).normal(size=(n, d)) * 3.0 + 1.0
-        s = nm.standardizer_fit(x)
-        assert np.allclose(s.invert(s.apply(x)), x, rtol=1e-10, atol=1e-10)
 
     def test_unit_moments(self):
         x = np.random.default_rng(10).normal(size=(200, 4)) * 5.0 - 2.0
