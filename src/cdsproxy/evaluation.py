@@ -145,18 +145,15 @@ def _fit_entry(family: str, fit: Callable[..., ClassifierModel], params: dict,
     return fit(train, **params)
 
 
-_SPECS = {label: ClassifierSpec(label=label, family=family,
-                                fitter=functools.partial(_fit_entry, family, fit, params),
-                                params=tuple(params.items()))
-          for label, (family, fit, params) in _CLASSIFIERS.items()}
-
-
 def make_classifier_spec(label: str) -> ClassifierSpec:
     """The grid entry of a label such as 'QDA-FullCov'."""
-    if label not in _SPECS:
+    if label not in _CLASSIFIERS:
         raise BadConfig(f"unknown classifier label {label!r}; "
-                        f"known labels: {', '.join(sorted(_SPECS))}")
-    return _SPECS[label]
+                        f"known labels: {', '.join(sorted(_CLASSIFIERS))}")
+    family, fit, params = _CLASSIFIERS[label]
+    return ClassifierSpec(label=label, family=family,
+                          fitter=functools.partial(_fit_entry, family, fit, params),
+                          params=tuple(params.items()))
 
 
 DEFAULT_GRID: tuple[str, ...] = (

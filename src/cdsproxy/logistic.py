@@ -66,9 +66,9 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
 
     Returns the coefficient vector once the gradient norm is at most
     grad_tol, or after a full Newton step whose decrement is below the
-    rounding level of the penalised log-likelihood. Raises NoConvergence when neither holds after
-    max_iter Newton steps, and SingularDesign when the (unridged) Hessian
-    is singular.
+    rounding level of the penalised log-likelihood. Raises NoConvergence
+    when neither holds after max_iter Newton steps, and SingularDesign when
+    the (unridged) Hessian is singular.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float).reshape(-1)
