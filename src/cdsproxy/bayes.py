@@ -89,7 +89,7 @@ class LdaClassifier(ClassifierModel):
     class_names: tuple[str, ...]
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.weights.T + self.offsets
+        return nm.as_rows(x, self.weights.shape[1]) @ self.weights.T + self.offsets
 
     def describe(self) -> dict:
         return {"family": self.family, "kind": "linear", "mode": self.mode.value}
@@ -131,7 +131,7 @@ class QdaClassifier(ClassifierModel):
     class_names: tuple[str, ...]
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = nm.as_rows(x, self.means.shape[1])
         n_classes = self.means.shape[0]
         out = np.empty((x.shape[0], n_classes))
         for j in range(n_classes):
@@ -175,7 +175,12 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL,
 
 @dataclass
 class NbClassifier(ClassifierModel):
-    """Naive Bayes with per-feature kernel density estimates."""
+    """Naive Bayes with per-feature kernel density estimates.
+
+    Each class scores the queries in blocks whose (queries x class rows x d)
+    kernel temporaries hold at most numerics.BLOCK_BYTES (256 KB) each, or
+    one query where a single query needs more.
+    """
 
     family = "NB"
     class_samples: list[np.ndarray]    # per class (n_j, d)
@@ -185,14 +190,15 @@ class NbClassifier(ClassifierModel):
     class_names: tuple[str, ...]
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = nm.as_rows(x, self.class_samples[0].shape[1])
         out = np.empty((x.shape[0], len(self.class_samples)))
         for j, samples in enumerate(self.class_samples):
-            u = (x[:, None, :] - samples[None, :, :]) / self.bandwidth
-            dens = kernel_values(self.kernel, u).mean(axis=1) / self.bandwidth
-            with np.errstate(divide="ignore"):
-                logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
-            out[:, j] = logs.sum(axis=1) + self.priors.log_pi[j]
+            for rows in nm.row_blocks(x.shape[0], samples.nbytes):
+                u = (x[rows, None, :] - samples[None, :, :]) / self.bandwidth
+                dens = kernel_values(self.kernel, u).mean(axis=1) / self.bandwidth
+                with np.errstate(divide="ignore"):
+                    logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
+                out[rows, j] = logs.sum(axis=1) + self.priors.log_pi[j]
         return out
 
     def describe(self) -> dict:

@@ -3,9 +3,14 @@
 Distances: Euclidean, city-block, and Mahalanobis with the (ridged) full
 covariance of the training rows. Euclidean and city-block variants work on
 standardised features by default; the Mahalanobis variant is scale
-invariant and always uses raw features. Class scores are the vote counts
-among the k nearest neighbours; distance ties resolve to the lower
-training index, label ties to the lower class index.
+invariant and always uses raw features: the fit whitens the training rows
+once with the covariance's Cholesky factor L (rows L^-1 x), each predict
+whitens its queries the same way, and the Euclidean distance between
+whitened rows is the Mahalanobis distance. Queries are scored in blocks
+sized by numerics.BLOCK_BYTES, so a predict's memory does not grow with
+queries x training rows. Class scores are the vote counts among the k
+nearest neighbours; distance ties resolve to the lower training index,
+label ties to the lower class index.
 """
 from __future__ import annotations
 
@@ -46,41 +51,48 @@ def distance(metric: Metric, x: np.ndarray, y: np.ndarray,
 
 @dataclass
 class KnnClassifier(ClassifierModel):
-    """Lazy nearest-neighbour model; stores the (possibly standardised) rows."""
+    """Lazy nearest-neighbour model; stores the standardised, whitened or raw rows."""
 
     family = "KNN"
     k: int
     metric: Metric
-    x_train: np.ndarray
+    x_train: np.ndarray          # standardised, whitened (Mahalanobis) or raw rows
     y_train: np.ndarray
     n_classes: int
     class_names: tuple[str, ...]
     standardizer: nm.Standardizer | None = None
-    chol_factor: np.ndarray | None = None
+    chol_factor: np.ndarray | None = None  # Mahalanobis only: whitens the queries
 
     def _query_matrix(self, x: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(x, dtype=float))
+        q = nm.as_rows(x, self.x_train.shape[1])
         if self.standardizer is not None:
             q = self.standardizer.apply(q)
+        if self.chol_factor is not None:
+            q = np.linalg.solve(self.chol_factor, q.T).T
         return q
 
     def _distances(self, q: np.ndarray) -> np.ndarray:
         diff = q[:, None, :] - self.x_train[None, :, :]
-        if self.metric is Metric.EUCLIDEAN:
-            return np.sqrt((diff * diff).sum(axis=-1))
         if self.metric is Metric.CITYBLOCK:
-            return np.abs(diff).sum(axis=-1)
-        m, n, d = diff.shape
-        z = np.linalg.solve(self.chol_factor, diff.reshape(-1, d).T)
-        return np.sqrt((z * z).sum(axis=0)).reshape(m, n)
+            return np.abs(diff, out=diff).sum(axis=-1)
+        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = self._query_matrix(x)
-        dists = self._distances(q)
+        k = self.k
         out = np.empty((q.shape[0], self.n_classes))
-        for i in range(q.shape[0]):
-            order = np.argsort(dists[i], kind="stable")[:self.k]
-            out[i] = np.bincount(self.y_train[order], minlength=self.n_classes)
+        for rows in nm.row_blocks(q.shape[0], self.x_train.nbytes):
+            dists = self._distances(q[rows])
+            nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
+            # the k nearest are one set unless rows beyond the k-th tie with
+            # it; there a stable sort hands the tie to the lower index
+            kth = np.take_along_axis(dists, nearest[:, k - 1:], axis=1)
+            for i in np.flatnonzero((dists <= kth).sum(axis=1) != k):
+                nearest[i] = np.argsort(dists[i], kind="stable")[:k]
+            n = nearest.shape[0]
+            slots = self.y_train[nearest] + self.n_classes * np.arange(n)[:, None]
+            out[rows] = np.bincount(slots.ravel(), minlength=n * self.n_classes
+                                    ).reshape(n, self.n_classes)
         return out
 
     def describe(self) -> dict:
@@ -116,7 +128,8 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K, metric: Metric = Metric.EUCLIDEA
             chol = nm.cholesky_spd(cov)
         except NotPositiveDefinite as exc:
             raise SingularCovariance(f"training covariance not invertible: {exc}") from exc
-    return KnnClassifier(k=k, metric=metric, x_train=np.array(x, dtype=float),
+        x = np.linalg.solve(chol, train.x.T).T
+    return KnnClassifier(k=k, metric=metric, x_train=np.array(x, dtype=float, order="C"),
                          y_train=np.asarray(train.y, dtype=int),
                          n_classes=train.n_classes, class_names=train.class_names,
                          standardizer=standardizer, chol_factor=chol)

@@ -4,11 +4,14 @@ Everything here is written against small dimensions (d <= a few dozen):
 unbiased covariance estimation, the symmetric eigendecomposition, Cholesky
 factorisation and SPD solves (all three by numpy's LAPACK routines, behind
 this module's NotSymmetric / NotPositiveDefinite / DimensionMismatch
-checks), principal-component analysis and feature standardisation.
+checks), principal-component analysis and feature standardisation, plus
+the query-row checks and the block slicing that the instance-based
+classifiers (kNN, kernel naive Bayes) use to keep their temporaries small.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,7 @@ from .errors import (
 )
 
 RIDGE_FACTOR = 1e-8
+BLOCK_BYTES = 1 << 18  # 256 KB: budget of one per-block scoring temporary
 
 
 class CovMode(str, enum.Enum):
@@ -68,7 +72,25 @@ class Standardizer:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self.means.shape:
+            raise DimensionMismatch(
+                f"rows of shape {x.shape} do not have {self.means.size} features")
         return (x - self.means) / self.scales
+
+
+def as_rows(x: np.ndarray, d: int) -> np.ndarray:
+    """Query rows as an (n, d) float array; DimensionMismatch for any other width."""
+    q = np.atleast_2d(np.asarray(x, dtype=float))
+    if q.ndim != 2 or q.shape[1] != d:
+        raise DimensionMismatch(f"rows of shape {q.shape} do not have {d} features")
+    return q
+
+
+def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices covering range(n_rows), each holding as many rows as
+    fit in BLOCK_BYTES at row_bytes per row, and at least one."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
 
 
 def _as_matrix(vectors: np.ndarray) -> np.ndarray:

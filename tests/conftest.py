@@ -25,6 +25,14 @@ def make_blobs(centers, n_per_class, scale=1.0, seed=0, names=None):
                    feature_names=tuple(f"f{i}" for i in range(d)))
 
 
+def random_dataset(n, d, n_classes, seed=0):
+    """Standard-normal rows with balanced labels in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    return Dataset(x=rng.normal(size=(n, d)), y=rng.permutation(np.arange(n) % n_classes),
+                   class_names=tuple(f"c{j}" for j in range(n_classes)),
+                   feature_names=tuple(f"f{i}" for i in range(d)))
+
+
 def tiny_panel(seed=0, n_cp=3, n_days=10, missing_s=()):
     """Small hand-rolled panel with values in their admissible ranges.
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import make_blobs, random_dataset
 from cdsproxy import numerics as nm
 from cdsproxy.bayes import (
     DEFAULT_BANDWIDTH,
@@ -275,3 +276,34 @@ class TestNaiveBayes:
         with pytest.raises(NonpositiveBandwidth):
             fit_nb(train, bandwidth=-0.1)
 
+
+
+class TestBlockedNaiveBayes:
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_block_size_does_not_change_scores(self, kind, monkeypatch):
+        # 400 rows x 5 features per class take 16 KB per query, so the
+        # default budget splits the 43 queries into 3 blocks
+        train = random_dataset(800, 5, 2, seed=22)
+        queries = np.random.default_rng(23).normal(size=(43, 5))
+        model = fit_nb(train, kernel=kind, bandwidth=0.3)
+        default = model.scores_batch(queries)
+        monkeypatch.setattr(nm, "BLOCK_BYTES", 1)
+        one_per_block = model.scores_batch(queries)
+        monkeypatch.setattr(nm, "BLOCK_BYTES", 1 << 40)
+        one_block = model.scores_batch(queries)
+        assert np.array_equal(default, one_block)
+        assert np.array_equal(one_per_block, one_block)
+
+    def test_predict_memory_stays_bounded(self):
+        # one whole-batch (queries x class rows x d) tensor would take 58 MB
+        # per class, and the kernel evaluation makes several
+        train = random_dataset(4500, 16, 5, seed=24)
+        queries = np.random.default_rng(25).normal(size=(500, 16))
+        model = fit_nb(train, kernel=KernelKind.NORMAL)
+        tracemalloc.start()
+        try:
+            model.scores_batch(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

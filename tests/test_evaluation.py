@@ -19,6 +19,7 @@ from cdsproxy.core import ClassifierModel, Dataset, FeatureSelection
 from cdsproxy.errors import (
     BadConfig,
     BadK,
+    DimensionMismatch,
     EmptyClass,
     FitFailure,
     MissingCell,
@@ -247,6 +248,15 @@ class TestClassifierGrid:
         for i, row in enumerate(ds.x[:5]):
             assert model.classify(row) == predictions[i]
             assert np.allclose(model.scores(row), scores[i])
+
+    @pytest.mark.parametrize("label", DEFAULT_GRID)
+    def test_every_default_label_rejects_rows_of_another_width(self, label):
+        ds = make_blobs(centers=[(0, 0, 0), (4, 4, 1), (-4, 4, -1)], n_per_class=12,
+                        scale=0.6, seed=13)
+        model = make_classifier_spec(label).fit(ds, seed=1)
+        for width in (1, ds.d + 1):
+            with pytest.raises(DimensionMismatch):
+                model.classify_batch(np.zeros((4, width)))
 
     def test_unknown_label_rejected(self):
         with pytest.raises(BadConfig, match="unknown classifier label"):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import make_blobs, random_dataset
 from cdsproxy import numerics as nm
 from cdsproxy.core import Dataset
 from cdsproxy.errors import BadK
@@ -151,3 +152,68 @@ class TestValidationAndPolicy:
         queries = np.random.default_rng(11).normal(size=(25, 2)) * 2
         assert np.array_equal(a.classify_batch(queries),
                               b.classify_batch(queries * 37.0))
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_block_size_does_not_change_scores(self, metric, monkeypatch):
+        # 600 x 4 rows take 19 KB per query, so the default budget splits
+        # the 41 queries into 3 blocks
+        train = random_dataset(600, 4, 3, seed=12)
+        queries = np.random.default_rng(13).normal(size=(41, 4))
+        model = fit_knn(train, k=7, metric=metric)
+        default = model.scores_batch(queries)
+        monkeypatch.setattr(nm, "BLOCK_BYTES", 1)
+        one_per_block = model.scores_batch(queries)
+        monkeypatch.setattr(nm, "BLOCK_BYTES", 1 << 40)
+        one_block = model.scores_batch(queries)
+        assert np.array_equal(default, one_block)
+        assert np.array_equal(one_per_block, one_block)
+
+    def test_empty_query_batch(self):
+        model = fit_knn(random_dataset(20, 3, 2, seed=14), k=3)
+        assert model.scores_batch(np.empty((0, 3))).shape == (0, 2)
+
+    def test_predict_memory_stays_bounded(self):
+        # one whole-batch (queries x rows x d) tensor would take 288 MB
+        train = random_dataset(4500, 16, 5, seed=15)
+        queries = np.random.default_rng(16).normal(size=(500, 16))
+        model = fit_knn(train, metric=Metric.MAHALANOBIS)
+        tracemalloc.start()
+        try:
+            model.scores_batch(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestExactTiesThroughPartition:
+    """Integer-grid rows give exactly equal distances at the k-th rank."""
+
+    @staticmethod
+    def votes(train_x, train_y, n_classes, k, metric, query, prefer_lower=True):
+        diff = query - train_x
+        dists = (np.abs(diff).sum(axis=1) if metric is Metric.CITYBLOCK
+                 else np.sqrt((diff * diff).sum(axis=1)))
+        index = np.arange(len(dists))
+        order = np.lexsort((index if prefer_lower else -index, dists))[:k]
+        return np.bincount(train_y[order], minlength=n_classes)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.CITYBLOCK])
+    def test_matches_stable_argsort_for_every_odd_k(self, metric):
+        rng = np.random.default_rng(17)
+        grid = np.array([(a, b) for a in range(-2, 3) for b in range(-2, 3)], dtype=float)
+        train = Dataset(x=grid[rng.permutation(len(grid))], y=np.arange(25) % 3,
+                        class_names=("a", "b", "c"), feature_names=("f", "g"))
+        queries = np.array([(a, b) for a in np.arange(-3.0, 3.5, 0.5)
+                            for b in np.arange(-3.0, 3.5, 0.5)])
+        decided_by_index = 0
+        for k in range(1, train.n + 1, 2):  # k == n included
+            got = fit_knn(train, k=k, metric=metric, standardize=False).scores_batch(queries)
+            for q, row in zip(queries, got):
+                want = self.votes(train.x, train.y, 3, k, metric, q)
+                assert np.array_equal(row, want)
+                flipped = self.votes(train.x, train.y, 3, k, metric, q, prefer_lower=False)
+                decided_by_index += int(np.argmax(want) != np.argmax(flipped))
+        assert decided_by_index > 0
