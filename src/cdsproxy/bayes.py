@@ -95,8 +95,7 @@ class LdaClassifier(ClassifierModel):
         return {"family": self.family, "kind": "linear", "mode": self.mode.value}
 
 
-def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL,
-            uniform_priors: bool = False) -> LdaClassifier:
+def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier:
     """Fit linear discriminant analysis.
 
     The shared covariance is the sample covariance of *all* training rows
@@ -104,7 +103,7 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL,
     """
     _validate_train(train)
     mode = nm.CovMode(mode)
-    priors = class_priors(train.y, train.n_classes, uniform=uniform_priors)
+    priors = class_priors(train.y, train.n_classes)
     means = np.stack([train.x[train.y == j].mean(axis=0) for j in range(train.n_classes)])
     cov = nm.add_ridge(nm.sample_mean_covariance(train.x, mode).matrix)
     try:
@@ -145,12 +144,11 @@ class QdaClassifier(ClassifierModel):
         return {"family": self.family, "kind": "quadratic", "mode": self.mode.value}
 
 
-def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL,
-            uniform_priors: bool = False) -> QdaClassifier:
+def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier:
     """Fit quadratic discriminant analysis (class-specific covariances)."""
     _validate_train(train)
     mode = nm.CovMode(mode)
-    priors = class_priors(train.y, train.n_classes, uniform=uniform_priors)
+    priors = class_priors(train.y, train.n_classes)
     n_classes, d = train.n_classes, train.d
     means = np.empty((n_classes, d))
     covs = np.empty((n_classes, d, d))
@@ -207,13 +205,12 @@ class NbClassifier(ClassifierModel):
 
 
 def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
-           bandwidth: float = DEFAULT_BANDWIDTH,
-           uniform_priors: bool = False) -> NbClassifier:
+           bandwidth: float = DEFAULT_BANDWIDTH) -> NbClassifier:
     """Fit kernel naive Bayes; the same bandwidth is used for every feature."""
     _validate_train(train)
     if not bandwidth > 0.0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
-    priors = class_priors(train.y, train.n_classes, uniform=uniform_priors)
+    priors = class_priors(train.y, train.n_classes)
     samples = [train.x[train.y == j].copy() for j in range(train.n_classes)]
     return NbClassifier(class_samples=samples, kernel=KernelKind(kernel),
                         bandwidth=float(bandwidth), priors=priors,

@@ -195,10 +195,8 @@ class ClassPriors:
         return np.log(self.pi)
 
 
-def class_priors(y: np.ndarray, n_classes: int, uniform: bool = False) -> ClassPriors:
-    """Empirical priors n_j / n, or uniform when requested."""
-    if uniform:
-        return ClassPriors(pi=np.full(n_classes, 1.0 / n_classes))
+def class_priors(y: np.ndarray, n_classes: int) -> ClassPriors:
+    """Empirical priors n_j / n."""
     counts = np.bincount(np.asarray(y, dtype=int), minlength=n_classes)
     if np.any(counts == 0):
         empty = [j for j, c in enumerate(counts) if c == 0]

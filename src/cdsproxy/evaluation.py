@@ -122,10 +122,6 @@ _CLASSIFIERS: dict[str, tuple[str, Callable[..., ClassifierModel], dict]] = {
     "NN-Linear": ("NN", fit_neural_net, {"activation": Activation.LINEAR}),
     "NN-Elliot": ("NN", fit_neural_net, {"activation": Activation.ELLIOT_SIGMOID}),
     "BaggedTree": ("BaggedTree", fit_bagged, {"criterion": SplitCriterion.GINI}),
-    "BaggedTree-Entropy": ("BaggedTree", fit_bagged,
-                           {"criterion": SplitCriterion.ENTROPY}),
-    "BaggedTree-Twoing": ("BaggedTree", fit_bagged,
-                          {"criterion": SplitCriterion.TWOING}),
 }
 
 
@@ -156,16 +152,7 @@ def make_classifier_spec(label: str) -> ClassifierSpec:
                           params=tuple(params.items()))
 
 
-DEFAULT_GRID: tuple[str, ...] = (
-    "LDA-FullCov", "LDA-DiagonalCov", "QDA-FullCov", "QDA-DiagonalCov",
-    "NB-norm-kernel", "NB-tria-kernel", "NB-epan-kernel",
-    "KNN-Euclidean", "KNN-CityBlock", "KNN-Mahalanobis",
-    "LR",
-    "DT-Gini", "DT-Entropy", "DT-Twoing",
-    "SVM-Linear", "SVM-Gaussian", "SVM-Poly",
-    "NN-Tangent", "NN-Linear", "NN-Elliot",
-    "BaggedTree",
-)
+DEFAULT_GRID: tuple[str, ...] = tuple(_CLASSIFIERS)
 
 
 # ------------------------------------------------------------------ CV
@@ -200,29 +187,37 @@ def fold_seed(seed: int, fold: int) -> int:
     return seed * _FOLD_SEED_STRIDE + fold
 
 
+def _holdout_error(spec: ClassifierSpec, train: Dataset, holdout_x: np.ndarray,
+                   holdout_y: np.ndarray, seed: int, where: str) -> float:
+    """Fit on train and return the misclassification rate on the holdout
+    rows; a fit error is re-raised as FitFailure naming the label and where."""
+    try:
+        model = spec.fit(train, seed)
+    except CdsProxyError as exc:
+        raise FitFailure(f"{spec.label} on {where}: {exc}") from exc
+    return float(np.mean(model.classify_batch(holdout_x) != holdout_y))
+
+
 def cross_validate(spec: ClassifierSpec, dataset: Dataset,
                    k: int = DEFAULT_FOLDS, seed: int = 0,
                    plan: FoldPlan | None = None) -> CvResult:
     """Fit on each K-1 training split, score its holdout fold.
 
-    Any error raised while fitting a fold is re-raised as FitFailure with
-    the fold index; no partial result is returned.
+    Any error raised while fitting a fold is re-raised as FitFailure naming
+    the label, the feature selection and the fold index; no partial result
+    is returned.
     """
     if plan is None:
         plan = stratified_folds(dataset, k, seed)
+    selection = dataset.selection.value if dataset.selection else ""
     errors = []
     for fold in range(plan.k):
-        train = dataset.subset(plan.training_rows(fold))
         holdout = plan.holdout_rows(fold)
-        try:
-            model = spec.fit(train, fold_seed(seed, fold))
-        except CdsProxyError as exc:
-            raise FitFailure(
-                f"{spec.label} on fold {fold}: {exc}") from exc
-        predicted = model.classify_batch(dataset.x[holdout])
-        errors.append(float(np.mean(predicted != dataset.y[holdout])))
+        errors.append(_holdout_error(
+            spec, dataset.subset(plan.training_rows(fold)), dataset.x[holdout],
+            dataset.y[holdout], fold_seed(seed, fold),
+            f"{selection or 'no selection'} fold {fold}"))
     mean, sd = summarize_errors(errors)
-    selection = dataset.selection.value if dataset.selection else ""
     return CvResult(label=spec.label, selection=selection,
                     k=plan.k, seed=seed, fold_errors=tuple(errors),
                     mean_error=mean, sd_error=sd)
@@ -297,6 +292,7 @@ def pca_study(spec: ClassifierSpec, dataset: Dataset,
     if dataset.d < 2:
         raise BadConfig("component study needs at least two features")
     plan = stratified_folds(dataset, k, seed)
+    selection = dataset.selection.value if dataset.selection else "no selection"
     fold_bases = []
     for fold in range(plan.k):
         train_rows = plan.training_rows(fold)
@@ -313,15 +309,10 @@ def pca_study(spec: ClassifierSpec, dataset: Dataset,
                             y=dataset.y[train_rows],
                             class_names=dataset.class_names,
                             feature_names=names)
-            try:
-                model = spec.fit(train, fold_seed(seed, fold))
-            except CdsProxyError as exc:
-                raise FitFailure(
-                    f"{spec.label} with {m} components on fold {fold}: {exc}"
-                ) from exc
-            predicted = model.classify_batch(
-                nm.pca_transform(basis, dataset.x[holdout], m))
-            errors.append(float(np.mean(predicted != dataset.y[holdout])))
+            errors.append(_holdout_error(
+                spec, train, nm.pca_transform(basis, dataset.x[holdout], m),
+                dataset.y[holdout], fold_seed(seed, fold),
+                f"{selection} with {m} components, fold {fold}"))
         component_errors.append(summarize_errors(errors)[0])
     raw = cross_validate(spec, dataset, k=k, seed=seed, plan=plan)
     full_basis = nm.pca_fit(dataset.x)

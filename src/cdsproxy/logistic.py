@@ -131,40 +131,30 @@ class LogisticClassifier(ClassifierModel):
     n_classes: int
     class_names: tuple[str, ...]
     ridge: float
-    scheme: str = "one-vs-rest"
-    standardizer: nm.Standardizer | None = None
+    standardizer: nm.Standardizer
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.standardizer is not None:
-            q = self.standardizer.apply(q)
+        q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
         z = np.column_stack([np.ones(q.shape[0]), q])
         return sigmoid(z @ self.coefficients.T)
 
     def describe(self) -> dict:
-        return {"family": self.family, "ridge": self.ridge,
-                "scheme": self.scheme}
+        return {"family": self.family, "ridge": self.ridge}
 
 
-def fit_logistic_multiclass(train: Dataset, ridge: float = DEFAULT_RIDGE,
-                            max_iter: int = DEFAULT_MAX_ITER,
-                            grad_tol: float = DEFAULT_GRAD_TOL,
-                            standardize: bool = True) -> LogisticClassifier:
-    """Fit one regularised machine per class against the rest."""
+def fit_logistic_multiclass(train: Dataset) -> LogisticClassifier:
+    """Fit one regularised machine per class against the rest on
+    standardised rows."""
     if train.n == 0:
         raise EmptyTrainingSet("cannot fit on zero samples")
     if np.unique(train.y).size < 2:
         raise SingleClassInput("logistic fit needs at least two classes present")
-    standardizer = nm.standardizer_fit(train.x) if standardize else None
-    x = standardizer.apply(train.x) if standardizer is not None else train.x
-    z = np.column_stack([np.ones(train.n), x])
+    standardizer = nm.standardizer_fit(train.x)
+    z = np.column_stack([np.ones(train.n), standardizer.apply(train.x)])
     coefficients = np.empty((train.n_classes, z.shape[1]))
     for j in range(train.n_classes):
-        t = (train.y == j).astype(float)
-        coefficients[j] = fit_logistic_binary(z, t, ridge=ridge,
-                                              max_iter=max_iter,
-                                              grad_tol=grad_tol)
+        coefficients[j] = fit_logistic_binary(z, (train.y == j).astype(float))
     return LogisticClassifier(coefficients=coefficients,
                               n_classes=train.n_classes,
-                              class_names=train.class_names, ridge=ridge,
+                              class_names=train.class_names, ridge=DEFAULT_RIDGE,
                               standardizer=standardizer)

@@ -2,15 +2,14 @@
 
 Distances: Euclidean, city-block, and Mahalanobis with the (ridged) full
 covariance of the training rows. Euclidean and city-block variants work on
-standardised features by default; the Mahalanobis variant is scale
-invariant and always uses raw features: the fit whitens the training rows
-once with the covariance's Cholesky factor L (rows L^-1 x), each predict
-whitens its queries the same way, and the Euclidean distance between
-whitened rows is the Mahalanobis distance. Queries are scored in blocks
-sized by numerics.BLOCK_BYTES, so a predict's memory does not grow with
-queries x training rows. Class scores are the vote counts among the k
-nearest neighbours; distance ties resolve to the lower training index,
-label ties to the lower class index.
+standardised features; the Mahalanobis variant is scale invariant and uses
+raw features: the fit whitens the training rows once with the covariance's
+Cholesky factor L (rows L^-1 x), each predict whitens its queries the same
+way, and the Euclidean distance between whitened rows is the Mahalanobis
+distance. Queries are scored in blocks sized by numerics.BLOCK_BYTES, so a
+predict's memory does not grow with queries x training rows. Class scores
+are the vote counts among the k nearest neighbours; distance ties resolve
+to the lower training index, label ties to the lower class index.
 """
 from __future__ import annotations
 
@@ -100,13 +99,13 @@ class KnnClassifier(ClassifierModel):
                 "standardized": self.standardizer is not None}
 
 
-def fit_knn(train: Dataset, k: int = DEFAULT_K, metric: Metric = Metric.EUCLIDEAN,
-            standardize: bool | None = None) -> KnnClassifier:
+def fit_knn(train: Dataset, k: int = DEFAULT_K,
+            metric: Metric = Metric.EUCLIDEAN) -> KnnClassifier:
     """Store the training rows for majority-vote classification.
 
     k must be odd (vote-tie hygiene) and no larger than the training size.
-    standardize=None applies the family policy: on for Euclidean/city-block,
-    never for Mahalanobis.
+    Euclidean and city-block store standardised rows, Mahalanobis whitened
+    ones.
     """
     if train.n == 0:
         raise EmptyTrainingSet("cannot fit on zero samples")
@@ -116,12 +115,7 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K, metric: Metric = Metric.EUCLIDEA
         raise BadK(f"k={k} outside 1..{train.n}")
     if k % 2 == 0:
         raise BadK(f"k must be odd to avoid vote ties, got {k}")
-    standardizer = None
-    x = train.x
-    if metric is not Metric.MAHALANOBIS and (standardize or standardize is None):
-        standardizer = nm.standardizer_fit(train.x)
-        x = standardizer.apply(train.x)
-    chol = None
+    standardizer = chol = None
     if metric is Metric.MAHALANOBIS:
         cov = nm.add_ridge(nm.sample_mean_covariance(train.x).matrix)
         try:
@@ -129,6 +123,9 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K, metric: Metric = Metric.EUCLIDEA
         except NotPositiveDefinite as exc:
             raise SingularCovariance(f"training covariance not invertible: {exc}") from exc
         x = np.linalg.solve(chol, train.x.T).T
+    else:
+        standardizer = nm.standardizer_fit(train.x)
+        x = standardizer.apply(train.x)
     return KnnClassifier(k=k, metric=metric, x_train=np.array(x, dtype=float, order="C"),
                          y_train=np.asarray(train.y, dtype=int),
                          n_classes=train.n_classes, class_names=train.class_names,

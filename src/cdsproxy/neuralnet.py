@@ -5,8 +5,10 @@ rational sigmoid x/(1+|x|)); the output layer turns logits into class
 probabilities with a softmax. Training minimises the mean cross-entropy of
 the training rows by full-batch gradient descent with a backtracking line
 search: the step size is halved until the loss strictly decreases, down to
-a floor, and training stops early once the gradient norm is tiny. All
-randomness (weight initialisation) comes from the seed in TrainConfig.
+a floor, and training stops early once the gradient norm is tiny. The
+network always trains on standardised rows, and a predict standardises its
+queries with the same map. All randomness (weight initialisation) comes
+from the seed in TrainConfig.
 """
 from __future__ import annotations
 
@@ -64,7 +66,6 @@ class TrainConfig:
     learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = DEFAULT_EPOCHS
     seed: int = 0
-    penalty: float = 0.0
     grad_tol: float = DEFAULT_GRAD_TOL
 
     def __post_init__(self):
@@ -72,8 +73,6 @@ class TrainConfig:
             raise BadConfig(f"learning rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise BadConfig(f"epochs must be >= 1, got {self.epochs}")
-        if self.penalty < 0.0:
-            raise BadConfig(f"penalty must be >= 0, got {self.penalty}")
         if not self.grad_tol >= 0.0:
             raise BadConfig(f"gradient tolerance must be >= 0, got {self.grad_tol}")
 
@@ -94,10 +93,6 @@ class NetParams:
     def step(self, grad: "NetParams", eta: float) -> "NetParams":
         return NetParams(w1=self.w1 - eta * grad.w1, b1=self.b1 - eta * grad.b1,
                          w2=self.w2 - eta * grad.w2, b2=self.b2 - eta * grad.b2)
-
-    def copy(self) -> "NetParams":
-        return NetParams(self.w1.copy(), self.b1.copy(),
-                         self.w2.copy(), self.b2.copy())
 
 
 def initial_params(d: int, h: int, k: int, seed: int) -> NetParams:
@@ -188,16 +183,14 @@ class NeuralNetClassifier(ClassifierModel):
     n_classes: int
     class_names: tuple[str, ...]
     config: TrainConfig
-    standardizer: nm.Standardizer | None = None
+    standardizer: nm.Standardizer
     epochs_run: int = 0
     final_grad_norm: float = float("nan")
     warning: str | None = None
     loss_history: tuple = field(default=(), repr=False)
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.standardizer is not None:
-            q = self.standardizer.apply(q)
+        q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
         return nn_forward(self.params, self.activation, q)
 
     def describe(self) -> dict:
@@ -208,8 +201,7 @@ class NeuralNetClassifier(ClassifierModel):
 
 def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
                    activation: Activation = Activation.TAN_SIGMOID,
-                   config: TrainConfig = TrainConfig(),
-                   standardize: bool = True) -> NeuralNetClassifier:
+                   config: TrainConfig = TrainConfig()) -> NeuralNetClassifier:
     """Full-batch descent with per-epoch backtracking from the base rate.
 
     Stops early when the gradient norm falls below config.grad_tol. When no
@@ -223,9 +215,8 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     if hidden_units < 1:
         raise BadConfig(f"hidden_units must be >= 1, got {hidden_units}")
     activation = Activation(activation)
-    standardizer = nm.standardizer_fit(train.x) if standardize else None
-    x = standardizer.apply(train.x) if standardizer is not None else train.x
-    x = np.ascontiguousarray(x, dtype=float)
+    standardizer = nm.standardizer_fit(train.x)
+    x = np.ascontiguousarray(standardizer.apply(train.x), dtype=float)
     y = np.asarray(train.y, dtype=int)
     rows = np.arange(train.n)
     params = initial_params(train.d, hidden_units, train.n_classes, config.seed)

@@ -7,8 +7,8 @@ The binary machine maximises the usual dual
 subject to 0 <= alpha_i <= C and sum_i alpha_i y_i = 0, by pairwise
 coordinate ascent: the first index of each working pair is the steepest
 feasible ascent direction, the second maximises the second-order gain, the
-pair is solved in closed form and clipped to the box. Multiclass wrappers
-combine binary machines one-vs-rest (default) or one-vs-one.
+pair is solved in closed form and clipped to the box. The multiclass model
+trains one machine per class against the rest on standardised rows.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import numpy as np
 from . import numerics as nm
 from .core import ClassifierModel, Dataset
 from .errors import BadConfig, EmptyTrainingSet, NoConvergence, SingleClassInput
-from .logistic import sigmoid
 
 DEFAULT_COST = 1.0
 DEFAULT_POLY_DEGREE = 3
@@ -33,11 +32,6 @@ class SvmKernel(str, enum.Enum):
     LINEAR = "linear"
     GAUSSIAN = "gaussian"
     POLYNOMIAL = "polynomial"
-
-
-class MulticlassStrategy(str, enum.Enum):
-    ONE_VS_REST = "one-vs-rest"
-    ONE_VS_ONE = "one-vs-one"
 
 
 def default_gaussian_scale(d: int) -> float:
@@ -100,12 +94,6 @@ class BinarySvm:
             return np.full(np.atleast_2d(x).shape[0], self.bias)
         k = self.kernel.gram(np.atleast_2d(x), self.x_train[sv])
         return k @ (self.alpha[sv] * self.y_train[sv]) + self.bias
-
-    def dual_objective(self, gram: np.ndarray | None = None) -> float:
-        if gram is None:
-            gram = self.kernel.gram(self.x_train, self.x_train)
-        v = self.alpha * self.y_train
-        return float(self.alpha.sum() - 0.5 * v @ gram @ v)
 
 
 def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
@@ -190,12 +178,10 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     if free.any():
         bias = float((y[free] - u[free]).mean())
     else:
-        lower = max([y[t] - u[t] for t in range(n)
-                     if (pos[t] and alpha[t] <= eps) or (not pos[t] and alpha[t] >= cost - eps)],
-                    default=-np.inf)
-        upper = min([y[t] - u[t] for t in range(n)
-                     if (pos[t] and alpha[t] >= cost - eps) or (not pos[t] and alpha[t] <= eps)],
-                    default=np.inf)
+        at_zero, at_cost = alpha <= eps, alpha >= cost - eps
+        b_vals = y - u
+        lower = b_vals[np.where(pos, at_zero, at_cost)].max(initial=-np.inf)
+        upper = b_vals[np.where(pos, at_cost, at_zero)].min(initial=np.inf)
         if np.isfinite(lower) and np.isfinite(upper):
             bias = 0.5 * (lower + upper)
         elif np.isfinite(lower):
@@ -210,77 +196,39 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
 
 @dataclass
 class SvmClassifier(ClassifierModel):
-    """Multiclass wrapper around binary machines.
-
-    One-vs-rest scores are the raw decision values. One-vs-one scores are
-    vote counts plus a (0, 1) logistic squash of the signed decision-value
-    sums, so votes dominate and the sums only break vote ties.
-    """
+    """One-vs-rest machines; scores are the raw decision values."""
 
     family = "SVM"
     machines: list
-    strategy: MulticlassStrategy
-    pairs: list[tuple[int, int]]
     n_classes: int
     class_names: tuple[str, ...]
     kernel: KernelSpec
     cost: float
-    standardizer: nm.Standardizer | None = None
+    standardizer: nm.Standardizer
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.standardizer is not None:
-            q = self.standardizer.apply(q)
-        if self.strategy is MulticlassStrategy.ONE_VS_REST:
-            return np.column_stack([m.decision_batch(q) for m in self.machines])
-        votes = np.zeros((q.shape[0], self.n_classes))
-        sums = np.zeros((q.shape[0], self.n_classes))
-        for (a, b), machine in zip(self.pairs, self.machines):
-            dec = machine.decision_batch(q)
-            towards_a = dec > 0.0
-            votes[towards_a, a] += 1.0
-            votes[~towards_a, b] += 1.0
-            sums[:, a] += dec
-            sums[:, b] -= dec
-        return votes + sigmoid(sums)
+        q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
+        return np.column_stack([m.decision_batch(q) for m in self.machines])
 
     def describe(self) -> dict:
         return {"family": self.family, "kernel": self.kernel.kind.value,
-                "strategy": self.strategy.value, "cost": self.cost}
+                "cost": self.cost}
 
 
-def fit_svm_multiclass(train: Dataset, kernel: KernelSpec = KernelSpec(),
-                       cost: float = DEFAULT_COST,
-                       strategy: MulticlassStrategy = MulticlassStrategy.ONE_VS_REST,
-                       tol: float = DEFAULT_KKT_TOL,
-                       max_updates: int = DEFAULT_MAX_UPDATES,
-                       standardize: bool = True) -> SvmClassifier:
-    """Train one machine per class (one-vs-rest) or per pair (one-vs-one)."""
+def fit_svm_multiclass(train: Dataset,
+                       kernel: KernelSpec = KernelSpec()) -> SvmClassifier:
+    """Train one machine per class against the rest on standardised rows."""
     if train.n == 0:
         raise EmptyTrainingSet("cannot fit on zero samples")
     if np.unique(train.y).size < 2:
         raise SingleClassInput("multiclass fit needs at least two classes present")
-    strategy = MulticlassStrategy(strategy)
-    standardizer = nm.standardizer_fit(train.x) if standardize else None
-    x = standardizer.apply(train.x) if standardizer is not None else train.x
+    standardizer = nm.standardizer_fit(train.x)
+    x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)
     gram = kernel.gram(x, x)
-    machines, pairs = [], []
-    if strategy is MulticlassStrategy.ONE_VS_REST:
-        for j in range(train.n_classes):
-            y_pm = np.where(train.y == j, 1.0, -1.0)
-            machines.append(fit_svm_binary(x, y_pm, kernel, cost=cost, tol=tol,
-                                           max_updates=max_updates, gram=gram))
-    else:
-        for a in range(train.n_classes):
-            for b in range(a + 1, train.n_classes):
-                idx = np.flatnonzero((train.y == a) | (train.y == b))
-                y_pm = np.where(train.y[idx] == a, 1.0, -1.0)
-                sub_gram = gram[np.ix_(idx, idx)]
-                machines.append(fit_svm_binary(x[idx], y_pm, kernel, cost=cost,
-                                               tol=tol, max_updates=max_updates,
-                                               gram=sub_gram))
-                pairs.append((a, b))
-    return SvmClassifier(machines=machines, strategy=strategy, pairs=pairs,
-                         n_classes=train.n_classes, class_names=train.class_names,
-                         kernel=kernel, cost=cost, standardizer=standardizer)
+    machines = [fit_svm_binary(x, np.where(train.y == j, 1.0, -1.0), kernel,
+                               gram=gram)
+                for j in range(train.n_classes)]
+    return SvmClassifier(machines=machines, n_classes=train.n_classes,
+                         class_names=train.class_names, kernel=kernel,
+                         cost=DEFAULT_COST, standardizer=standardizer)

@@ -175,29 +175,6 @@ class DecisionTreeModel(ClassifierModel):
     def internal_count(self) -> int:
         return sum(1 for node in self.nodes if not node.is_leaf)
 
-    def rule_table(self) -> list[dict]:
-        """One row per node: id, condition or label, child ids."""
-        rows = []
-        for i, node in enumerate(self.nodes):
-            if node.is_leaf:
-                rows.append({"node": i, "kind": "leaf",
-                             "label": self.class_names[node.label]})
-            else:
-                rows.append({"node": i, "kind": "split",
-                             "condition": f"x[{node.feature}] < {node.threshold!r}",
-                             "left": node.left, "right": node.right})
-        return rows
-
-    def format_rules(self) -> str:
-        lines = []
-        for row in self.rule_table():
-            if row["kind"] == "leaf":
-                lines.append(f"{row['node']:>4}  leaf  -> {row['label']}")
-            else:
-                lines.append(f"{row['node']:>4}  if {row['condition']}"
-                             f" then {row['left']} else {row['right']}")
-        return "\n".join(lines)
-
     def describe(self) -> dict:
         return {"family": self.family, "criterion": self.criterion.value,
                 "max_splits": self.max_splits,

@@ -122,14 +122,6 @@ class TestLda:
         assert model.classify(np.array([xstar - 1e-4])) == 0
         assert model.classify(np.array([xstar + 1e-4])) == 1
 
-    def test_uniform_priors_option(self):
-        train = make_blobs([[0.0], [3.0]], 10, scale=0.5, seed=1)
-        skewed = train.subset(np.arange(train.n) != 0)  # 9 vs 10 samples
-        emp = fit_lda(skewed)
-        uni = fit_lda(skewed, uniform_priors=True)
-        assert not np.allclose(emp.offsets, uni.offsets)
-        assert np.allclose(uni.priors.pi, 0.5)
-
     def test_single_class_rejected(self):
         ds = Dataset(x=np.random.default_rng(0).normal(size=(8, 2)),
                      y=np.zeros(8, dtype=int), class_names=("a",),

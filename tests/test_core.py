@@ -147,10 +147,6 @@ class TestClassPriors:
         assert np.allclose(pri.pi, [0.5, 1 / 6, 1 / 3])
         assert abs(pri.pi.sum() - 1.0) < 1e-12
 
-    def test_uniform_option(self):
-        pri = class_priors(np.array([0, 1]), 4, uniform=True)
-        assert np.allclose(pri.pi, 0.25)
-
     def test_empty_class_rejected(self):
         with pytest.raises(EmptyClass):
             class_priors(np.array([0, 0, 2]), 3)

@@ -211,6 +211,24 @@ class TestCvStatistics:
         with pytest.raises(FitFailure, match="fold 0"):
             cross_validate(spec, blob3, k=5, seed=0)
 
+    def test_fit_failure_names_label_selection_and_fold(self, blob3):
+        def failing_fitter(train, seed):
+            raise EmptyClass("boom")
+
+        ds = Dataset(x=blob3.x, y=blob3.y, class_names=blob3.class_names,
+                     feature_names=blob3.feature_names,
+                     selection=FeatureSelection.FS2)
+        spec = ClassifierSpec(label="Broken", family="probe",
+                              fitter=failing_fitter)
+        for run in (lambda: cross_validate(spec, ds, k=5, seed=0),
+                    lambda: pca_study(spec, ds, k=5, seed=0)):
+            with pytest.raises(FitFailure) as caught:
+                run()
+            message = str(caught.value)
+            assert "Broken" in message
+            assert "FS2" in message
+            assert "fold 0" in message
+
     def test_separable_blobs_are_nearly_perfect_for_lda(self):
         ds = make_blobs(centers=[(0, 0), (8, 8), (-8, 8)], n_per_class=15,
                         scale=0.5, seed=21)
@@ -320,14 +338,12 @@ class TestRanking:
 
 class TestPcaStudy:
     def test_rotation_invariant_classifier_matches_raw_at_full_dimension(self):
-        # k-NN with Euclidean distances on unstandardized features depends
-        # only on pairwise distances, which an orthonormal change of basis
-        # preserves, so using all d components must reproduce the raw run.
+        # Mahalanobis distances are invariant under any invertible affine
+        # map, an orthonormal change of basis included, so using all d
+        # components must reproduce the raw run.
         ds = make_blobs(centers=[(0, 0), (3, 3), (-3, 3)], n_per_class=12,
                         scale=0.8, seed=31)
-        spec = ClassifierSpec(
-            label="KNN-Euclidean", family="KNN",
-            fitter=lambda train, seed: fit_knn(train, k=3, standardize=False))
+        spec = make_classifier_spec("KNN-Mahalanobis")
         study = pca_study(spec, ds, k=4, seed=6)
         assert study.component_errors[-1] == study.raw_error
 

@@ -65,9 +65,11 @@ class TestKnnAgainstOracle:
             cov = nm.add_ridge(nm.sample_mean_covariance(train.x).matrix)
         queries = rng.normal(size=(20, 4)) * 2.0
         for k in range(1, train.n + 1, 2):
-            model = fit_knn(train, k=k, metric=metric, standardize=False)
+            model = fit_knn(train, k=k, metric=metric)
+            # Euclidean and city-block compare standardised rows
+            scale = model.standardizer.apply if model.standardizer else np.asarray
             got = model.classify_batch(queries)
-            want = [knn_oracle(train.x, train.y, 3, k, metric, q, cov)
+            want = [knn_oracle(scale(train.x), train.y, 3, k, metric, scale(q), cov)
                     for q in queries]
             assert np.array_equal(got, np.array(want))
 
@@ -87,14 +89,14 @@ class TestTieRules:
     def test_distance_tie_prefers_lower_training_index(self):
         train = Dataset(x=np.array([[0.0], [0.0], [5.0]]), y=np.array([1, 0, 0]),
                         class_names=("a", "b"), feature_names=("f",))
-        model = fit_knn(train, k=1, standardize=False)
+        model = fit_knn(train, k=1)
         # both index 0 (class b) and index 1 (class a) sit at distance zero
         assert model.classify(np.array([0.0])) == 1
 
     def test_vote_tie_prefers_lower_class_index(self):
         train = Dataset(x=np.array([[0.0], [1.0], [2.0]]), y=np.array([2, 1, 0]),
                         class_names=("a", "b", "c"), feature_names=("f",))
-        model = fit_knn(train, k=3, standardize=False)
+        model = fit_knn(train, k=3)
         scores = model.scores(np.array([1.0]))
         assert np.array_equal(scores, [1.0, 1.0, 1.0])
         assert model.classify(np.array([1.0])) == 0
@@ -103,7 +105,7 @@ class TestTieRules:
         train = Dataset(x=np.arange(7, dtype=float)[:, None],
                         y=np.array([0, 0, 0, 0, 1, 1, 1]),
                         class_names=("a", "b"), feature_names=("f",))
-        model = fit_knn(train, k=7, standardize=False)
+        model = fit_knn(train, k=7)
         for q in (-100.0, 0.0, 100.0):
             assert model.classify(np.array([q])) == 0
 
@@ -208,12 +210,16 @@ class TestExactTiesThroughPartition:
                         class_names=("a", "b", "c"), feature_names=("f", "g"))
         queries = np.array([(a, b) for a in np.arange(-3.0, 3.5, 0.5)
                             for b in np.arange(-3.0, 3.5, 0.5)])
+        # both columns hold -2..2 five times each, so the standardised grid is
+        # the integer grid times one scale and keeps its exact distance ties
+        scale = fit_knn(train, k=1, metric=metric).standardizer.apply
+        zs_train, zs_queries = scale(train.x), scale(queries)
         decided_by_index = 0
         for k in range(1, train.n + 1, 2):  # k == n included
-            got = fit_knn(train, k=k, metric=metric, standardize=False).scores_batch(queries)
-            for q, row in zip(queries, got):
-                want = self.votes(train.x, train.y, 3, k, metric, q)
+            got = fit_knn(train, k=k, metric=metric).scores_batch(queries)
+            for q, row in zip(zs_queries, got):
+                want = self.votes(zs_train, train.y, 3, k, metric, q)
                 assert np.array_equal(row, want)
-                flipped = self.votes(train.x, train.y, 3, k, metric, q, prefer_lower=False)
+                flipped = self.votes(zs_train, train.y, 3, k, metric, q, prefer_lower=False)
                 decided_by_index += int(np.argmax(want) != np.argmax(flipped))
         assert decided_by_index > 0

@@ -197,7 +197,7 @@ class TestMulticlassLogistic:
         model = fit_logistic_multiclass(train)
         assert isinstance(model, LogisticClassifier)
         assert model.coefficients.shape == (2, 2)
-        assert model.describe()["scheme"] == "one-vs-rest"
+        assert model.describe() == {"family": "LR", "ridge": DEFAULT_RIDGE}
 
 
 # ------------------------------------------------------------------ network
@@ -413,7 +413,7 @@ class TestTraining:
         x = np.array([[0.0], [0.0]])
         train = Dataset(x=x, y=np.array([0, 1]), class_names=("a", "b"),
                         feature_names=("f",))
-        model = fit_neural_net(train, hidden_units=2, standardize=False,
+        model = fit_neural_net(train, hidden_units=2,
                                config=TrainConfig(epochs=2000, seed=2))
         assert model.epochs_run < 2000
         assert model.final_grad_norm <= 1e-6
@@ -430,21 +430,22 @@ class TestTraining:
     def test_capacity_nesting_linear_activation(self):
         train = make_blobs([[0.0, 0.0], [1.6, 0.0], [0.0, 1.6]], 20,
                            scale=1.0, seed=45)
-        coef, opt_loss = multinomial_logit_oracle(train.x, train.y, 3)
         d, k = 2, 3
         h = max(d, k)
+        model = fit_neural_net(train, hidden_units=h,
+                               activation=Activation.LINEAR,
+                               config=TrainConfig(epochs=2000, seed=4))
+        # the network trains on standardised rows, so the oracle does too
+        z = model.standardizer.apply(train.x)
+        coef, opt_loss = multinomial_logit_oracle(z, train.y, k)
         w1 = np.zeros((h, d))
         w1[:d, :d] = np.eye(d)
         w2 = np.zeros((k, h))
         w2[:-1, :d] = coef[:, 1:]
         b2 = np.concatenate([coef[:, 0], [0.0]])
         embedded = NetParams(w1, np.zeros(h), w2, b2)
-        emb_loss = nn_loss(embedded, Activation.LINEAR, train.x, train.y)
+        emb_loss = nn_loss(embedded, Activation.LINEAR, z, train.y)
         assert emb_loss == pytest.approx(opt_loss, abs=1e-12)
-        model = fit_neural_net(train, hidden_units=h,
-                               activation=Activation.LINEAR,
-                               standardize=False,
-                               config=TrainConfig(epochs=2000, seed=4))
         trained_loss = model.loss_history[-1]
         assert trained_loss >= opt_loss - 1e-9
         assert trained_loss <= opt_loss + 0.02
@@ -454,8 +455,6 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(BadConfig):
             TrainConfig(epochs=0)
-        with pytest.raises(BadConfig):
-            TrainConfig(penalty=-1.0)
         train = make_blobs([[0.0], [1.0]], 4, scale=0.2, seed=46)
         with pytest.raises(BadConfig):
             fit_neural_net(train, hidden_units=0)

@@ -7,7 +7,6 @@ from cdsproxy.errors import BadConfig, NoConvergence, SingleClassInput
 from cdsproxy.svm import (
     DEFAULT_COST,
     KernelSpec,
-    MulticlassStrategy,
     SvmKernel,
     default_gaussian_scale,
     fit_svm_binary,
@@ -111,7 +110,7 @@ class TestBinarySvm:
         gram = spec.gram(x, x)
         ref = reference_dual_solution(gram, y, DEFAULT_COST)
         w_ref = dual_objective(ref, gram, y)
-        w_got = model.dual_objective()
+        w_got = dual_objective(model.alpha, gram, y)
         assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -152,6 +151,24 @@ class TestBinarySvm:
             fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR),
                            cost=DEFAULT_COST, max_updates=3)
 
+    def test_bias_without_free_vectors_is_the_feasible_midpoint(self):
+        # a cost this small puts every alpha at C, so no vector is free
+        x, y = binary_problem(71, 12, 2, 0.3)
+        cost = 1e-3
+        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=cost)
+        at_zero = model.alpha <= 1e-12 * cost
+        at_cost = model.alpha >= cost - 1e-12 * cost
+        assert np.all(at_zero | at_cost)
+        u = model.decision_batch(x) - model.bias
+        lower, upper = -np.inf, np.inf
+        for t in range(len(y)):
+            if (y[t] > 0 and at_zero[t]) or (y[t] < 0 and at_cost[t]):
+                lower = max(lower, y[t] - u[t])
+            if (y[t] > 0 and at_cost[t]) or (y[t] < 0 and at_zero[t]):
+                upper = min(upper, y[t] - u[t])
+        assert np.isfinite(lower) and np.isfinite(upper)
+        assert model.bias == pytest.approx(0.5 * (lower + upper), abs=1e-12)
+
     def test_rejects_bad_labels_and_costs(self):
         x = np.ones((4, 2))
         with pytest.raises(BadConfig):
@@ -167,53 +184,25 @@ class TestBinarySvm:
 class TestMulticlass:
     def test_one_vs_rest_two_classes_matches_binary(self):
         train = make_blobs([[0.0, 0.0], [3.0, 3.0]], 10, scale=0.6, seed=61)
-        model = fit_svm_multiclass(train, standardize=False)
+        model = fit_svm_multiclass(train)
+        scale = model.standardizer.apply
         spec = KernelSpec(SvmKernel.LINEAR)
         y_pm = np.where(train.y == 0, 1.0, -1.0)
-        binary = fit_svm_binary(train.x, y_pm, spec, cost=DEFAULT_COST)
+        binary = fit_svm_binary(scale(train.x), y_pm, spec, cost=DEFAULT_COST)
         queries = np.random.default_rng(62).normal(size=(30, 2)) * 2 + 1.5
-        dec = binary.decision_batch(queries)
+        dec = binary.decision_batch(scale(queries))
         got = model.classify_batch(queries)
         want = np.where(dec > 0, 0, 1)
         both = model.scores_batch(queries)
         assert np.allclose(both[:, 0], -both[:, 1], atol=1e-9)
         assert np.array_equal(got[np.abs(dec) > 1e-9], want[np.abs(dec) > 1e-9])
 
-    def test_one_vs_one_two_classes_matches_binary_sign(self):
-        train = make_blobs([[0.0, 0.0], [3.0, 3.0]], 10, scale=0.6, seed=63)
-        model = fit_svm_multiclass(train, strategy=MulticlassStrategy.ONE_VS_ONE,
-                                   standardize=False)
-        y_pm = np.where(train.y == 0, 1.0, -1.0)
-        binary = fit_svm_binary(train.x, y_pm, KernelSpec(SvmKernel.LINEAR),
-                                cost=DEFAULT_COST)
-        queries = np.random.default_rng(64).normal(size=(30, 2)) * 2 + 1.5
-        dec = binary.decision_batch(queries)
-        got = model.classify_batch(queries)
-        mask = np.abs(dec) > 1e-9
-        assert np.array_equal(got[mask], np.where(dec > 0, 0, 1)[mask])
-
-    @pytest.mark.parametrize("strategy", list(MulticlassStrategy))
-    def test_three_class_blobs_high_accuracy(self, strategy):
+    def test_three_class_blobs_high_accuracy(self):
         train = make_blobs([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], 15,
                            scale=0.5, seed=65)
-        model = fit_svm_multiclass(train, strategy=strategy)
+        model = fit_svm_multiclass(train)
         acc = float(np.mean(model.classify_batch(train.x) == train.y))
         assert acc >= 0.95
-
-    def test_one_vs_one_machine_count(self):
-        train = make_blobs([[0.0], [2.0], [4.0], [6.0]], 6, scale=0.2, seed=66)
-        model = fit_svm_multiclass(train, strategy=MulticlassStrategy.ONE_VS_ONE)
-        assert len(model.machines) == 6
-        assert model.pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-    def test_one_vs_one_vote_scores_include_tiebreak(self):
-        train = make_blobs([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 8,
-                           scale=0.4, seed=67)
-        model = fit_svm_multiclass(train, strategy=MulticlassStrategy.ONE_VS_ONE)
-        scores = model.scores(train.x[0])
-        votes = np.floor(scores)
-        assert votes.sum() == 3  # one vote per machine among 3 pairs
-        assert np.all(scores - votes >= 0) and np.all(scores - votes < 1)
 
     def test_standardization_default_makes_scaling_irrelevant(self):
         train = make_blobs([[0.0, 0.0], [2.0, 1.0]], 12, scale=0.5, seed=68)

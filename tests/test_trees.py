@@ -297,22 +297,6 @@ class TestClassifyAndExport:
         s = model.scores(np.array([0.1]))
         assert sorted(s.tolist()) == [0.0, 1.0]
 
-    def test_rule_table_structure(self):
-        train = make_blobs([[0.0, 0.0], [2.0, 2.0]], 10, scale=0.4, seed=18)
-        model = fit_tree(train, max_splits=3)
-        rows = model.rule_table()
-        assert rows[0]["node"] == 0
-        kinds = {row["kind"] for row in rows}
-        assert kinds == {"split", "leaf"}
-        for row in rows:
-            if row["kind"] == "split":
-                assert "<" in row["condition"]
-                assert model.nodes[row["left"]] is not None
-            else:
-                assert row["label"] in train.class_names
-        text = model.format_rules()
-        assert "if x[" in text and "leaf" in text
-
 
 class TestBagged:
     def test_single_tree_committee_equals_its_tree(self):
