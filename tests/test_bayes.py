@@ -28,6 +28,17 @@ from cdsproxy.errors import (
 KERNELS = list(KernelKind)
 
 
+@pytest.mark.parametrize("fitter", [fit_lda, fit_qda, fit_nb])
+def test_priors_are_training_class_frequencies(fitter):
+    train = make_blobs([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 12, scale=0.6, seed=5)
+    skewed = train.subset(np.arange(train.n) % 12 >= np.repeat([0, 3, 7], 12))
+    counts = np.bincount(skewed.y, minlength=3)
+    assert counts.tolist() == [12, 9, 5]
+    model = fitter(skewed)
+    assert np.allclose(model.priors.pi, counts / skewed.n, rtol=0, atol=1e-15)
+    assert np.allclose(model.priors.log_pi, np.log(counts / skewed.n), rtol=0, atol=1e-14)
+
+
 def ridged(matrix):
     d = matrix.shape[0]
     return matrix + 1e-8 * np.trace(matrix) / d * np.eye(d)

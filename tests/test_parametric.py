@@ -166,6 +166,21 @@ class TestMulticlassLogistic:
         model = fit_logistic_multiclass(train)
         assert np.all(model.classify_batch(train.x) == train.y)
 
+    def test_standardization_makes_feature_scaling_irrelevant(self):
+        train = make_blobs([[0.0, 0.0], [2.0, 1.0], [0.0, 2.5]], 12,
+                           scale=0.7, seed=24)
+        factors = np.array([1000.0, 0.01])
+        scaled = Dataset(x=train.x * factors, y=train.y,
+                         class_names=train.class_names,
+                         feature_names=train.feature_names)
+        a = fit_logistic_multiclass(train)
+        b = fit_logistic_multiclass(scaled)
+        queries = np.random.default_rng(25).normal(size=(40, 2)) * 1.5 + 1.0
+        assert np.allclose(a.scores_batch(queries),
+                           b.scores_batch(queries * factors), atol=1e-9)
+        assert np.array_equal(a.classify_batch(queries),
+                              b.classify_batch(queries * factors))
+
     def test_single_point_per_class_memorized(self):
         train = Dataset(x=np.array([[0.0], [1.0], [2.0]]), y=np.array([0, 1, 2]),
                         class_names=("a", "b", "c"), feature_names=("f",))
@@ -401,6 +416,23 @@ class TestTraining:
         assert a.loss_history == b.loss_history
         c = fit_neural_net(train, config=TrainConfig(epochs=50, seed=8))
         assert not np.array_equal(a.params.w1, c.params.w1)
+
+    def test_standardization_makes_feature_scaling_irrelevant(self):
+        train = make_blobs([[0.0, 0.0], [2.0, 1.0], [0.0, 2.5]], 12,
+                           scale=0.7, seed=43)
+        factors = np.array([1000.0, 0.01])
+        scaled = Dataset(x=train.x * factors, y=train.y,
+                         class_names=train.class_names,
+                         feature_names=train.feature_names)
+        cfg = TrainConfig(epochs=300, seed=8)
+        a = fit_neural_net(train, config=cfg)
+        b = fit_neural_net(scaled, config=cfg)
+        assert a.epochs_run == b.epochs_run
+        queries = np.random.default_rng(44).normal(size=(40, 2)) * 1.5 + 1.0
+        assert np.allclose(a.scores_batch(queries),
+                           b.scores_batch(queries * factors), atol=1e-9)
+        assert np.array_equal(a.classify_batch(queries),
+                              b.classify_batch(queries * factors))
 
     def test_loss_history_non_increasing(self):
         train = make_blobs([[0.0, 0.0], [1.5, 0.5], [0.5, 1.5]], 12,

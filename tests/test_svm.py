@@ -204,6 +204,23 @@ class TestMulticlass:
         acc = float(np.mean(model.classify_batch(train.x) == train.y))
         assert acc >= 0.95
 
+    @pytest.mark.parametrize("kind", [SvmKernel.LINEAR, SvmKernel.GAUSSIAN])
+    def test_scores_are_one_vs_rest_decision_columns(self, kind):
+        # column j is machine j's decision: class j against the other three,
+        # trained and queried on the model's standardised rows
+        train = make_blobs([[0.0], [2.0], [4.0], [6.0]], 6, scale=0.2, seed=66)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
+        assert len(model.machines) == train.n_classes
+        scale = model.standardizer.apply
+        kernel = KernelSpec(kind).resolve(train.d)
+        queries = np.random.default_rng(67).normal(size=(25, 1)) * 3 + 3
+        scores = model.scores_batch(queries)
+        assert scores.shape == (25, train.n_classes)
+        for j in range(train.n_classes):
+            y_pm = np.where(train.y == j, 1.0, -1.0)
+            machine = fit_svm_binary(scale(train.x), y_pm, kernel, cost=DEFAULT_COST)
+            assert np.array_equal(scores[:, j], machine.decision_batch(scale(queries)))
+
     def test_standardization_default_makes_scaling_irrelevant(self):
         train = make_blobs([[0.0, 0.0], [2.0, 1.0]], 12, scale=0.5, seed=68)
         from cdsproxy.core import Dataset
