@@ -128,9 +128,7 @@ class LogisticClassifier(ClassifierModel):
 
     family = "LR"
     coefficients: np.ndarray       # (n_classes, d + 1); column 0 = intercept
-    n_classes: int
     class_names: tuple[str, ...]
-    ridge: float
     standardizer: nm.Standardizer
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
@@ -139,7 +137,7 @@ class LogisticClassifier(ClassifierModel):
         return sigmoid(z @ self.coefficients.T)
 
     def describe(self) -> dict:
-        return {"family": self.family, "ridge": self.ridge}
+        return {"family": self.family, "ridge": DEFAULT_RIDGE}
 
 
 def fit_logistic_multiclass(train: Dataset) -> LogisticClassifier:
@@ -155,6 +153,5 @@ def fit_logistic_multiclass(train: Dataset) -> LogisticClassifier:
     for j in range(train.n_classes):
         coefficients[j] = fit_logistic_binary(z, (train.y == j).astype(float))
     return LogisticClassifier(coefficients=coefficients,
-                              n_classes=train.n_classes,
-                              class_names=train.class_names, ridge=DEFAULT_RIDGE,
+                              class_names=train.class_names,
                               standardizer=standardizer)

@@ -9,6 +9,13 @@ coordinate ascent: the first index of each working pair is the steepest
 feasible ascent direction, the second maximises the second-order gain, the
 pair is solved in closed form and clipped to the box. The multiclass model
 trains one machine per class against the rest on standardised rows.
+
+Each multiclass machine is solved in two stages. Pairwise ascent first runs
+under an update budget that grows with the row count n; a machine that does
+not converge within it is solved again on the shared Gram matrix by a
+Mehrotra predictor-corrector interior-point method (Mehrotra, SIAM J. Optim.
+2(4), 1992), whose alpha is snapped onto the bounds and polished by the same
+pairwise ascent, so every machine ends on the same KKT test.
 """
 from __future__ import annotations
 
@@ -26,6 +33,10 @@ DEFAULT_POLY_DEGREE = 3
 DEFAULT_KKT_TOL = 1e-4
 DEFAULT_MAX_UPDATES = 100_000
 _TAU = 1e-12
+_IP_TOL = 1e-9             # interior-point stop on residuals and mu / C
+_IP_MAX_ITERATIONS = 100
+_IP_STEP = 0.995           # share of the way to the boundary per step
+_SNAP = 1e-7               # alphas this share of C from a bound go onto it
 
 
 class SvmKernel(str, enum.Enum):
@@ -82,7 +93,8 @@ class BinarySvm:
     kernel: KernelSpec
     cost: float
     kkt_gap: float
-    n_updates: int
+    n_updates: int             # pair updates that produced alpha
+    ip_iterations: int         # interior-point iterations; 0 on pure ascent
     support_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -120,11 +132,20 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise BadConfig(f"cost must be > 0, got {cost}")
     kernel = kernel.resolve(x.shape[1])
     k_mat = kernel.gram(x, x) if gram is None else gram
+    return _pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat,
+                            np.zeros(n), ip_iterations=0)
+
+
+def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
+                     cost: float, tol: float, max_updates: int,
+                     k_mat: np.ndarray, alpha: np.ndarray,
+                     ip_iterations: int) -> BinarySvm:
+    """Run pairwise ascent from a feasible alpha, which it updates in place,
+    and build the machine; ip_iterations records how that alpha was found."""
     q = (y[:, None] * y[None, :]) * k_mat
     k_diag = np.diag(k_mat).copy()
 
-    alpha = np.zeros(n)
-    grad = np.full(n, -1.0)          # gradient of 1/2 a'Qa - sum a
+    grad = q @ alpha - 1.0           # gradient of 1/2 a'Qa - sum a
     pos = y > 0.0
     eps = 1e-12 * cost
     updates = 0
@@ -191,7 +212,78 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         else:
             bias = 0.0
     return BinarySvm(alpha=alpha, bias=bias, x_train=x, y_train=y, kernel=kernel,
-                     cost=cost, kkt_gap=float(gap), n_updates=updates)
+                     cost=cost, kkt_gap=float(gap), n_updates=updates,
+                     ip_iterations=ip_iterations)
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest t with v + t dv >= 0, for v > 0 (inf if dv >= 0)."""
+    down = dv < 0.0
+    return float((-v[down] / dv[down]).min(initial=np.inf))
+
+
+def _interior_point(k_mat: np.ndarray, y: np.ndarray,
+                    cost: float) -> tuple[np.ndarray, int]:
+    """Solve the dual by Mehrotra's predictor-corrector interior-point
+    method; return alpha on the box with y'alpha = 0, and the iterations.
+
+    Minimises 1/2 a'Qa - sum a with slacks s = C - a and multipliers z of
+    a >= 0, w of a <= C and b of y'a = 0, all of a, s, z, w kept positive.
+    Each direction solves (Q + diag(z/a + w/s)) [u, v] = [g, y] once and
+    takes db = (y'u + y'a) / y'v, da = u - v db, so the step toward
+    y'a = 0 is eliminated in closed form. At the end every alpha within
+    _SNAP * C of a bound goes onto it and y'alpha = 0 is restored on the
+    free set.
+    """
+    n = y.size
+    q = (y[:, None] * y[None, :]) * k_mat
+    alpha = np.full(n, 0.5 * cost)
+    s = alpha.copy()
+    z, w = np.ones(n), np.ones(n)
+    b = 0.0
+    iterations = 0
+    while iterations < _IP_MAX_ITERATIONS:
+        r_dual = q @ alpha - 1.0 + b * y - z + w
+        r_eq = float(y @ alpha)
+        mu = float(alpha @ z + s @ w) / (2 * n)
+        if max(float(np.abs(r_dual).max()), abs(r_eq) / cost,
+               mu / cost) <= _IP_TOL:
+            break
+        h = q.copy()
+        h.flat[::n + 1] += z / alpha + w / s
+
+        def direction(sigma_mu, c_z, c_w):
+            # complementarity targets alpha*z = s*w = sigma_mu, less the
+            # corrector's second-order terms c_z and c_w
+            t_z, t_w = (sigma_mu - c_z) / alpha, (sigma_mu - c_w) / s
+            g = -r_dual + t_z - z - t_w + w
+            u, v = np.linalg.solve(h, np.column_stack([g, y])).T
+            db = (y @ u + r_eq) / (y @ v)
+            da = u - v * db
+            return da, db, t_z - z - z / alpha * da, t_w - w + w / s * da
+
+        def step(da, dz, dw):
+            return min(_max_step(alpha, da), _max_step(s, -da),
+                       _max_step(z, dz), _max_step(w, dw))
+
+        da, db, dz, dw = direction(0.0, 0.0, 0.0)
+        t = min(1.0, step(da, dz, dw))
+        mu_aff = float((alpha + t * da) @ (z + t * dz)
+                       + (s - t * da) @ (w + t * dw)) / (2 * n)
+        da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
+        t = min(1.0, _IP_STEP * step(da, dz, dw))
+        alpha += t * da
+        s -= t * da
+        z += t * dz
+        w += t * dw
+        b += t * db
+        iterations += 1
+    at_zero, at_cost = alpha <= _SNAP * cost, s <= _SNAP * cost
+    alpha[at_zero], alpha[at_cost] = 0.0, cost
+    free = ~(at_zero | at_cost)
+    if free.any():
+        alpha[free] -= y[free] * (float(y @ alpha) / np.count_nonzero(free))
+    return np.clip(alpha, 0.0, cost, out=alpha), iterations
 
 
 @dataclass
@@ -200,10 +292,8 @@ class SvmClassifier(ClassifierModel):
 
     family = "SVM"
     machines: list
-    n_classes: int
     class_names: tuple[str, ...]
     kernel: KernelSpec
-    cost: float
     standardizer: nm.Standardizer
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
@@ -212,12 +302,42 @@ class SvmClassifier(ClassifierModel):
 
     def describe(self) -> dict:
         return {"family": self.family, "kernel": self.kernel.kind.value,
-                "cost": self.cost}
+                "cost": DEFAULT_COST,
+                "kkt_gap": max(m.kkt_gap for m in self.machines),
+                "n_updates": sum(m.n_updates for m in self.machines),
+                "ip_iterations": sum(m.ip_iterations for m in self.machines)}
+
+
+def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
+                 gram: np.ndarray) -> BinarySvm:
+    """Pairwise ascent within its budget, else interior point plus ascent."""
+    n = y.size
+    budget = min(DEFAULT_MAX_UPDATES, n * max(10, n // 100))
+    try:
+        # by keyword: perfbench's tracer reads max_updates from kwargs
+        return fit_svm_binary(x, y, kernel, gram=gram, max_updates=budget)
+    except NoConvergence:
+        alpha, iterations = _interior_point(gram, y, DEFAULT_COST)
+    return _pairwise_ascent(x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
+                            DEFAULT_MAX_UPDATES, gram, alpha, iterations)
 
 
 def fit_svm_multiclass(train: Dataset,
                        kernel: KernelSpec = KernelSpec()) -> SvmClassifier:
-    """Train one machine per class against the rest on standardised rows."""
+    """Train one machine per class against the rest on standardised rows.
+
+    Each machine first runs pairwise ascent with a budget of
+    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. At
+    n = 450 an update costs about 57 us, nearly all numpy call overhead,
+    and one interior-point solve about 0.2 s, so ascent gets 10 n updates;
+    above n = 1,000 the interior point's dense O(n^3) iterations outgrow
+    the O(n) update, so the budget grows as n^2 / 100, and from n ~ 3,200
+    it is DEFAULT_MAX_UPDATES, where the interior point runs only for
+    machines ascent alone would fail. A machine over its budget is solved
+    by the interior point on the shared Gram matrix, then polished by
+    pairwise ascent from that alpha, which ends at DEFAULT_KKT_TOL or
+    raises NoConvergence after DEFAULT_MAX_UPDATES updates.
+    """
     if train.n == 0:
         raise EmptyTrainingSet("cannot fit on zero samples")
     if np.unique(train.y).size < 2:
@@ -226,9 +346,7 @@ def fit_svm_multiclass(train: Dataset,
     x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)
     gram = kernel.gram(x, x)
-    machines = [fit_svm_binary(x, np.where(train.y == j, 1.0, -1.0), kernel,
-                               gram=gram)
+    machines = [_fit_machine(x, np.where(train.y == j, 1.0, -1.0), kernel, gram)
                 for j in range(train.n_classes)]
-    return SvmClassifier(machines=machines, n_classes=train.n_classes,
-                         class_names=train.class_names, kernel=kernel,
-                         cost=DEFAULT_COST, standardizer=standardizer)
+    return SvmClassifier(machines=machines, class_names=train.class_names,
+                         kernel=kernel, standardizer=standardizer)

@@ -3,9 +3,15 @@ import pytest
 
 from conftest import make_blobs
 from qp_reference import dual_objective, project_box_simplex, reference_dual_solution
+from cdsproxy import svm
+from cdsproxy.core import FeatureSelection, build_dataset
+from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import BadConfig, NoConvergence, SingleClassInput
+from cdsproxy.evaluation import stratified_folds
 from cdsproxy.svm import (
     DEFAULT_COST,
+    DEFAULT_KKT_TOL,
+    DEFAULT_MAX_UPDATES,
     KernelSpec,
     SvmKernel,
     default_gaussian_scale,
@@ -179,6 +185,75 @@ class TestBinarySvm:
         with pytest.raises(BadConfig):
             fit_svm_binary(x, np.array([1.0, -1.0, 1.0, -1.0]),
                            KernelSpec(SvmKernel.LINEAR), cost=0.0)
+
+
+def interior_point_then_ascent(x, y, spec, cost):
+    """The fallback path of one multiclass machine, on a binary problem."""
+    gram = spec.gram(x, x)
+    alpha, iterations = svm._interior_point(gram, y, cost)
+    return svm._pairwise_ascent(x, y, spec, cost, DEFAULT_KKT_TOL,
+                                DEFAULT_MAX_UPDATES, gram, alpha, iterations)
+
+
+class TestInteriorPoint:
+    @pytest.mark.parametrize("kind", list(SvmKernel))
+    @pytest.mark.parametrize("seed,n_per_side,separation", [(11, 12, 1.0), (12, 20, 0.4)])
+    def test_matches_projected_gradient_reference(self, kind, seed, n_per_side,
+                                                  separation):
+        x, y = binary_problem(seed, n_per_side, 3, separation)
+        spec = KernelSpec(kind, degree=3).resolve(3)
+        model = interior_point_then_ascent(x, y, spec, DEFAULT_COST)
+        gram = spec.gram(x, x)
+        ref = reference_dual_solution(gram, y, DEFAULT_COST)
+        w_ref = dual_objective(ref, gram, y)
+        assert model.ip_iterations > 0
+        assert abs(dual_objective(model.alpha, gram, y) - w_ref) <= 1e-4 * max(
+            1.0, abs(w_ref))
+        assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
+        assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
+        assert model.kkt_gap <= DEFAULT_KKT_TOL
+
+    def test_every_alpha_at_cost_raises_no_warning(self):
+        # a cost this small puts every alpha at C; s = C - alpha and z head
+        # to zero, and no division in the solve may warn on the way
+        x, y = binary_problem(71, 12, 2, 0.3)
+        cost = 1e-3
+        model = interior_point_then_ascent(x, y, KernelSpec(SvmKernel.LINEAR), cost)
+        assert model.ip_iterations > 0
+        assert np.all(model.alpha == cost)
+        assert model.n_updates == 0
+        assert model.kkt_gap <= DEFAULT_KKT_TOL
+        ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=cost)
+        assert np.array_equal(model.alpha, ascent.alpha)
+
+    def test_fallback_still_raises_at_the_update_cap(self, monkeypatch):
+        # with no updates allowed and a tolerance no alpha meets, the
+        # ascent after the interior point must give up as the plain one does
+        monkeypatch.setattr(svm, "DEFAULT_MAX_UPDATES", 0)
+        monkeypatch.setattr(svm, "DEFAULT_KKT_TOL", 0.0)
+        train = make_blobs([[0.0, 0.0], [1.0, 1.0]], 10, scale=0.8, seed=63)
+        with pytest.raises(NoConvergence):
+            fit_svm_multiclass(train)
+
+    def test_fold_fit_that_stalls_pairwise_ascent_converges(self):
+        # SVM-Linear on FS4 fold 0 of the default panel: under pairwise
+        # ascent alone a machine stops at DEFAULT_MAX_UPDATES with a KKT
+        # gap of 7.1e-4
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS4)
+        plan = stratified_folds(dataset, 10, seed=0)
+        train = dataset.subset(plan.training_rows(0))
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.LINEAR))
+        assert all(m.kkt_gap <= DEFAULT_KKT_TOL for m in model.machines)
+        assert any(m.ip_iterations > 0 for m in model.machines)
+        budget = train.n * max(10, train.n // 100)
+        assert all(m.n_updates <= budget for m in model.machines
+                   if m.ip_iterations == 0)
+        summary = model.describe()
+        assert summary["kkt_gap"] == max(m.kkt_gap for m in model.machines)
+        assert summary["n_updates"] == sum(m.n_updates for m in model.machines)
+        assert summary["ip_iterations"] == sum(m.ip_iterations
+                                               for m in model.machines)
 
 
 class TestMulticlass:
