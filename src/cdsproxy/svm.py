@@ -33,7 +33,7 @@ DEFAULT_POLY_DEGREE = 3
 DEFAULT_KKT_TOL = 1e-4
 DEFAULT_MAX_UPDATES = 100_000
 _TAU = 1e-12
-_IP_TOL = 1e-9             # interior-point stop on residuals and mu / C
+_IP_TOL = 1e-9             # interior-point stop on scaled residuals and mu / C
 _IP_MAX_ITERATIONS = 100
 _IP_STEP = 0.995           # share of the way to the boundary per step
 _SNAP = 1e-7               # alphas this share of C from a bound go onto it
@@ -133,16 +133,21 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     kernel = kernel.resolve(x.shape[1])
     k_mat = kernel.gram(x, x) if gram is None else gram
     return _pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat,
-                            np.zeros(n), ip_iterations=0)
+                            _label_product(y, k_mat), np.zeros(n),
+                            ip_iterations=0)
+
+
+def _label_product(y: np.ndarray, k_mat: np.ndarray) -> np.ndarray:
+    """Q = yy' * K, the Hessian of the dual."""
+    return (y[:, None] * y[None, :]) * k_mat
 
 
 def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      cost: float, tol: float, max_updates: int,
-                     k_mat: np.ndarray, alpha: np.ndarray,
+                     k_mat: np.ndarray, q: np.ndarray, alpha: np.ndarray,
                      ip_iterations: int) -> BinarySvm:
     """Run pairwise ascent from a feasible alpha, which it updates in place,
     and build the machine; ip_iterations records how that alpha was found."""
-    q = (y[:, None] * y[None, :]) * k_mat
     k_diag = np.diag(k_mat).copy()
 
     grad = q @ alpha - 1.0           # gradient of 1/2 a'Qa - sum a
@@ -222,7 +227,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((-v[down] / dv[down]).min(initial=np.inf))
 
 
-def _interior_point(k_mat: np.ndarray, y: np.ndarray,
+def _interior_point(q: np.ndarray, y: np.ndarray,
                     cost: float) -> tuple[np.ndarray, int]:
     """Solve the dual by Mehrotra's predictor-corrector interior-point
     method; return alpha on the box with y'alpha = 0, and the iterations.
@@ -231,33 +236,43 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
     a >= 0, w of a <= C and b of y'a = 0, all of a, s, z, w kept positive.
     Each direction solves (Q + diag(z/a + w/s)) [u, v] = [g, y] once and
     takes db = (y'u + y'a) / y'v, da = u - v db, so the step toward
-    y'a = 0 is eliminated in closed form. At the end every alpha within
-    _SNAP * C of a bound goes onto it and y'alpha = 0 is restored on the
-    free set.
+    y'a = 0 is eliminated in closed form; the added diagonal goes onto q's
+    own for the two solves of an iteration and is taken off again. At the
+    end every alpha within _SNAP * C of a bound goes onto it and
+    y'alpha = 0 is restored on the free set. Raises NoConvergence if
+    _IP_MAX_ITERATIONS pass first, or if that restored alpha leaves the
+    box, so that the clip back into it breaks y'alpha = 0.
     """
     n = y.size
-    q = (y[:, None] * y[None, :]) * k_mat
+    q_diag = q.diagonal().copy()
+    # the dual residual is measured against the size of its terms, as
+    # |Q_ij| <= max_i Q_ii for a positive semidefinite Q, so that rounding
+    # in Q alpha at large n or large kernel values cannot hold it above tol
+    r_scale = 1.0 + cost * float(q_diag.max())
     alpha = np.full(n, 0.5 * cost)
     s = alpha.copy()
     z, w = np.ones(n), np.ones(n)
     b = 0.0
     iterations = 0
-    while iterations < _IP_MAX_ITERATIONS:
+    while True:
         r_dual = q @ alpha - 1.0 + b * y - z + w
         r_eq = float(y @ alpha)
         mu = float(alpha @ z + s @ w) / (2 * n)
-        if max(float(np.abs(r_dual).max()), abs(r_eq) / cost,
-               mu / cost) <= _IP_TOL:
+        residual = max(float(np.abs(r_dual).max()) / r_scale, abs(r_eq) / cost,
+                       mu / cost)
+        if residual <= _IP_TOL:
             break
-        h = q.copy()
-        h.flat[::n + 1] += z / alpha + w / s
+        if iterations == _IP_MAX_ITERATIONS:
+            raise NoConvergence(f"interior point residual {residual:.3e} > "
+                                f"{_IP_TOL} after {iterations} iterations")
+        q.flat[::n + 1] += z / alpha + w / s
 
         def direction(sigma_mu, c_z, c_w):
             # complementarity targets alpha*z = s*w = sigma_mu, less the
             # corrector's second-order terms c_z and c_w
             t_z, t_w = (sigma_mu - c_z) / alpha, (sigma_mu - c_w) / s
             g = -r_dual + t_z - z - t_w + w
-            u, v = np.linalg.solve(h, np.column_stack([g, y])).T
+            u, v = np.linalg.solve(q, np.column_stack([g, y])).T
             db = (y @ u + r_eq) / (y @ v)
             da = u - v * db
             return da, db, t_z - z - z / alpha * da, t_w - w + w / s * da
@@ -271,6 +286,7 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
         mu_aff = float((alpha + t * da) @ (z + t * dz)
                        + (s - t * da) @ (w + t * dw)) / (2 * n)
         da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
+        q.flat[::n + 1] = q_diag
         t = min(1.0, _IP_STEP * step(da, dz, dw))
         alpha += t * da
         s -= t * da
@@ -283,7 +299,11 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
     free = ~(at_zero | at_cost)
     if free.any():
         alpha[free] -= y[free] * (float(y @ alpha) / np.count_nonzero(free))
-    return np.clip(alpha, 0.0, cost, out=alpha), iterations
+    np.clip(alpha, 0.0, cost, out=alpha)
+    if abs(float(y @ alpha)) > 1e-12 * cost * n:
+        raise NoConvergence(f"interior point alpha breaks y'alpha = 0 by "
+                            f"{float(y @ alpha):.3e} after snapping to the box")
+    return alpha, iterations
 
 
 @dataclass
@@ -317,9 +337,11 @@ def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         # by keyword: perfbench's tracer reads max_updates from kwargs
         return fit_svm_binary(x, y, kernel, gram=gram, max_updates=budget)
     except NoConvergence:
-        alpha, iterations = _interior_point(gram, y, DEFAULT_COST)
+        pass
+    q = _label_product(y, gram)
+    alpha, iterations = _interior_point(q, y, DEFAULT_COST)
     return _pairwise_ascent(x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
-                            DEFAULT_MAX_UPDATES, gram, alpha, iterations)
+                            DEFAULT_MAX_UPDATES, gram, q, alpha, iterations)
 
 
 def fit_svm_multiclass(train: Dataset,
@@ -327,16 +349,21 @@ def fit_svm_multiclass(train: Dataset,
     """Train one machine per class against the rest on standardised rows.
 
     Each machine first runs pairwise ascent with a budget of
-    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. At
-    n = 450 an update costs about 57 us, nearly all numpy call overhead,
-    and one interior-point solve about 0.2 s, so ascent gets 10 n updates;
-    above n = 1,000 the interior point's dense O(n^3) iterations outgrow
-    the O(n) update, so the budget grows as n^2 / 100, and from n ~ 3,200
-    it is DEFAULT_MAX_UPDATES, where the interior point runs only for
-    machines ascent alone would fail. A machine over its budget is solved
-    by the interior point on the shared Gram matrix, then polished by
-    pairwise ascent from that alpha, which ends at DEFAULT_KKT_TOL or
-    raises NoConvergence after DEFAULT_MAX_UPDATES updates.
+    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows,
+    which keeps the budget within about a factor of 2 of the number of
+    updates that cost as much as one interior-point solve. On FS4
+    one-vs-rest machines of the default panel with more or fewer days (one
+    BLAS thread) that break-even was 6-7 n updates at n = 450, 13-24 n at
+    n = 1,000, 24-32 n at n = 2,000, 40-60 n at n = 3,000 and 53-54 n at
+    n = 4,000, as the O(n^3) solve outgrows the O(n) update; from
+    n ~ 3,200 the budget is DEFAULT_MAX_UPDATES, so the interior point runs
+    only for machines ascent alone would fail. A
+    machine over its budget is solved by the interior point on the shared
+    Gram matrix, then polished by pairwise ascent from that alpha, which
+    ends at DEFAULT_KKT_TOL or raises NoConvergence after
+    DEFAULT_MAX_UPDATES updates. A machine that converges within its
+    budget is the one fit_svm_binary returns; one over it may end at
+    another alpha inside the same tolerance.
     """
     if train.n == 0:
         raise EmptyTrainingSet("cannot fit on zero samples")

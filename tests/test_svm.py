@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import make_blobs, random_dataset
 from qp_reference import dual_objective, project_box_simplex, reference_dual_solution
 from cdsproxy import svm
 from cdsproxy.core import FeatureSelection, build_dataset
@@ -190,9 +190,10 @@ class TestBinarySvm:
 def interior_point_then_ascent(x, y, spec, cost):
     """The fallback path of one multiclass machine, on a binary problem."""
     gram = spec.gram(x, x)
-    alpha, iterations = svm._interior_point(gram, y, cost)
+    q = svm._label_product(y, gram)
+    alpha, iterations = svm._interior_point(q, y, cost)
     return svm._pairwise_ascent(x, y, spec, cost, DEFAULT_KKT_TOL,
-                                DEFAULT_MAX_UPDATES, gram, alpha, iterations)
+                                DEFAULT_MAX_UPDATES, gram, q, alpha, iterations)
 
 
 class TestInteriorPoint:
@@ -226,6 +227,13 @@ class TestInteriorPoint:
         ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=cost)
         assert np.array_equal(model.alpha, ascent.alpha)
 
+    def test_interior_point_raises_at_its_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(svm, "_IP_MAX_ITERATIONS", 2)
+        x, y = binary_problem(11, 12, 3, 1.0)
+        with pytest.raises(NoConvergence):
+            interior_point_then_ascent(x, y, KernelSpec(SvmKernel.LINEAR),
+                                       DEFAULT_COST)
+
     def test_fallback_still_raises_at_the_update_cap(self, monkeypatch):
         # with no updates allowed and a tolerance no alpha meets, the
         # ascent after the interior point must give up as the plain one does
@@ -234,6 +242,31 @@ class TestInteriorPoint:
         train = make_blobs([[0.0, 0.0], [1.0, 1.0]], 10, scale=0.8, seed=63)
         with pytest.raises(NoConvergence):
             fit_svm_multiclass(train)
+
+    def test_machine_over_its_budget_matches_pairwise_ascent(self):
+        # under pairwise ascent alone the first machine converges after
+        # 1,036 updates, over its budget of 10 n = 600 but under
+        # DEFAULT_MAX_UPDATES, so it now takes the interior point; the
+        # second converges after 114 and keeps the ascent path bit for bit
+        train = random_dataset(60, 2, 2, seed=0)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.LINEAR))
+        x = model.standardizer.apply(train.x)
+        gram = model.kernel.gram(x, x)
+        first, second = model.machines
+        ascent = [fit_svm_binary(x, m.y_train, model.kernel)
+                  for m in model.machines]
+        assert 10 * train.n < ascent[0].n_updates < DEFAULT_MAX_UPDATES
+        assert first.ip_iterations > 0 and first.kkt_gap <= DEFAULT_KKT_TOL
+        y = first.y_train
+        assert abs(dual_objective(first.alpha, gram, y)
+                   - dual_objective(ascent[0].alpha, gram, y)) <= 1e-6
+        f_ip, f_ascent = first.decision_batch(x), ascent[0].decision_batch(x)
+        assert np.abs(f_ip - f_ascent).max() <= 1e-3
+        assert np.array_equal(np.sign(f_ip), np.sign(f_ascent))
+        assert second.ip_iterations == 0
+        assert np.array_equal(second.alpha, ascent[1].alpha)
+        assert second.bias == ascent[1].bias
+        assert second.n_updates == ascent[1].n_updates
 
     def test_fold_fit_that_stalls_pairwise_ascent_converges(self):
         # SVM-Linear on FS4 fold 0 of the default panel: under pairwise
