@@ -76,7 +76,8 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
     penalty_mask[0] = 0.0                  # intercept is not penalised
     beta = np.zeros(z.shape[1])
     ll = _log_likelihood(z, t, beta, ridge)
-    for _ in range(max_iter):
+    stop = f"after {max_iter} Newton updates"
+    for iteration in range(max_iter):
         p = sigmoid(z @ beta)
         if ridge == 0.0 and float(np.max(np.abs(t - p))) < _SEPARATION_RESIDUAL:
             raise NoConvergence(
@@ -108,6 +109,9 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
         else:
             # no acceptable step; treat current point as converged if the
             # gradient is already tiny, otherwise report failure below
+            stop = (f"at Newton iteration {iteration + 1}, where no step "
+                    f"halved up to {_MAX_HALVINGS} times raised the "
+                    f"log-likelihood")
             break
     p = sigmoid(z @ beta)
     if ridge == 0.0 and float(np.max(np.abs(t - p))) < _SEPARATION_RESIDUAL:
@@ -119,7 +123,7 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
         return beta
     raise NoConvergence(
         f"logistic fit: gradient norm {float(np.sqrt(grad @ grad)):.3e} "
-        f"> {grad_tol} after {max_iter} updates")
+        f"> {grad_tol} {stop}")
 
 
 @dataclass

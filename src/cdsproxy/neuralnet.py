@@ -42,13 +42,13 @@ def activation_value(kind: Activation, v: np.ndarray) -> np.ndarray:
     return v / (1.0 + np.abs(v))
 
 
-def activation_derivative(kind: Activation, v: np.ndarray) -> np.ndarray:
+def activation_derivative(kind: Activation, pre: np.ndarray,
+                          hidden: np.ndarray) -> np.ndarray:
+    """f'(pre) for the two nonlinear activations, given hidden = f(pre);
+    the linear activation's derivative is 1 and is never formed."""
     if kind is Activation.TAN_SIGMOID:
-        t = np.tanh(v)
-        return 1.0 - t * t
-    if kind is Activation.LINEAR:
-        return np.ones_like(v)
-    return 1.0 / (1.0 + np.abs(v)) ** 2
+        return 1.0 - hidden * hidden
+    return 1.0 / (1.0 + np.abs(pre)) ** 2
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -120,31 +120,45 @@ def nn_forward(params: NetParams, activation: Activation,
     return softmax(hidden @ params.w2.T + params.b2)
 
 
+def _true_class_picks(y: np.ndarray, n: int, n_classes: int) -> np.ndarray:
+    """Flat positions of the true-class entries of an (n, n_classes) array;
+    a flat gather is several times faster than indexing by (rows, y)."""
+    y = np.asarray(y, dtype=int).reshape(-1)
+    return np.ravel_multi_index((np.arange(n), y), (n, n_classes))
+
+
 def _forward_state(params: NetParams, activation: Activation, x: np.ndarray,
-                   rows: np.ndarray, y: np.ndarray) -> tuple:
+                   picks: np.ndarray) -> tuple:
     """One full forward pass: loss plus everything backprop needs."""
     pre = x @ params.w1.T + params.b1
     hidden = activation_value(activation, pre)
     logits = hidden @ params.w2.T + params.b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # a column loop of np.maximum is several times faster than
+    # logits.max(axis=1) over so few classes, and max does not round
+    row_max = logits[:, 0].copy()
+    for column in logits.T[1:]:
+        np.maximum(row_max, column, out=row_max)
+    shifted = logits - row_max[:, None]
     expd = np.exp(shifted)
     norm = expd.sum(axis=1)
-    loss = float((np.log(norm) - shifted[rows, y]).mean())
+    loss = float((np.log(norm) - shifted.take(picks)).mean())
     return loss, pre, hidden, expd, norm
 
 
 def _gradient_from_state(params: NetParams, activation: Activation,
-                         x: np.ndarray, rows: np.ndarray, y: np.ndarray,
+                         x: np.ndarray, picks: np.ndarray,
                          state: tuple) -> NetParams:
     """Reverse accumulation reusing a stored forward pass."""
     _, pre, hidden, expd, norm = state
     n = x.shape[0]
     d_logits = expd / norm[:, None]
-    d_logits[rows, y] -= 1.0
+    d_logits.reshape(-1)[picks] -= 1.0
     d_logits /= n
     g_w2 = d_logits.T @ hidden
     g_b2 = d_logits.sum(axis=0)
-    d_pre = (d_logits @ params.w2) * activation_derivative(activation, pre)
+    d_pre = d_logits @ params.w2
+    if activation is not Activation.LINEAR:
+        d_pre *= activation_derivative(activation, pre, hidden)
     g_w1 = d_pre.T @ x
     g_b1 = d_pre.sum(axis=0)
     return NetParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
@@ -154,21 +168,19 @@ def nn_loss(params: NetParams, activation: Activation, x: np.ndarray,
             y: np.ndarray) -> float:
     """Mean cross-entropy of the true classes."""
     x = _check_width(params, x)
-    y = np.asarray(y, dtype=int).reshape(-1)
-    rows = np.arange(x.shape[0])
-    return _forward_state(params, activation, x, rows, y)[0]
+    picks = _true_class_picks(y, x.shape[0], params.b2.size)
+    return _forward_state(params, activation, x, picks)[0]
 
 
 def nn_loss_gradient(params: NetParams, activation: Activation, x: np.ndarray,
                      y: np.ndarray) -> tuple[float, NetParams]:
     """Loss and its exact gradient by reverse accumulation."""
     x = _check_width(params, x)
-    y = np.asarray(y, dtype=int).reshape(-1)
     if x.shape[0] == 0:
         raise EmptyTrainingSet("gradient needs a non-empty batch")
-    rows = np.arange(x.shape[0])
-    state = _forward_state(params, activation, x, rows, y)
-    grad = _gradient_from_state(params, activation, x, rows, y, state)
+    picks = _true_class_picks(y, x.shape[0], params.b2.size)
+    state = _forward_state(params, activation, x, picks)
+    grad = _gradient_from_state(params, activation, x, picks, state)
     return state[0], grad
 
 
@@ -196,7 +208,8 @@ class NeuralNetClassifier(ClassifierModel):
     def describe(self) -> dict:
         return {"family": self.family, "activation": self.activation.value,
                 "hidden_units": self.hidden_units,
-                "epochs_run": self.epochs_run, "warning": self.warning}
+                "epochs_run": self.epochs_run,
+                "final_grad_norm": self.final_grad_norm, "warning": self.warning}
 
 
 def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
@@ -217,12 +230,11 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     activation = Activation(activation)
     standardizer = nm.standardizer_fit(train.x)
     x = np.ascontiguousarray(standardizer.apply(train.x), dtype=float)
-    y = np.asarray(train.y, dtype=int)
-    rows = np.arange(train.n)
+    picks = _true_class_picks(train.y, train.n, train.n_classes)
     params = initial_params(train.d, hidden_units, train.n_classes, config.seed)
-    state = _forward_state(params, activation, x, rows, y)
+    state = _forward_state(params, activation, x, picks)
     loss = state[0]
-    grad = _gradient_from_state(params, activation, x, rows, y, state)
+    grad = _gradient_from_state(params, activation, x, picks, state)
     history = [loss]
     warning = None
     grad_norm = grad.norm()
@@ -234,7 +246,7 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
         accepted = False
         while eta >= STEP_FLOOR:
             candidate = params.step(grad, eta)
-            new_state = _forward_state(candidate, activation, x, rows, y)
+            new_state = _forward_state(candidate, activation, x, picks)
             if new_state[0] < loss:
                 params, state, loss = candidate, new_state, new_state[0]
                 accepted = True
@@ -246,7 +258,7 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
                        f"the loss at epoch {epoch}")
             history.append(loss)
             break
-        grad = _gradient_from_state(params, activation, x, rows, y, state)
+        grad = _gradient_from_state(params, activation, x, picks, state)
         history.append(loss)
         grad_norm = grad.norm()
     return NeuralNetClassifier(params=params, activation=activation,

@@ -20,6 +20,7 @@ pairwise ascent, so every machine ends on the same KKT test.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,64 +148,82 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      k_mat: np.ndarray, q: np.ndarray, alpha: np.ndarray,
                      ip_iterations: int) -> BinarySvm:
     """Run pairwise ascent from a feasible alpha, which it updates in place,
-    and build the machine; ip_iterations records how that alpha was found."""
-    k_diag = np.diag(k_mat).copy()
+    and build the machine; ip_iterations records how that alpha was found.
 
-    grad = q @ alpha - 1.0           # gradient of 1/2 a'Qa - sum a
+    The loop keeps minus_yg = -y * grad, where grad is the gradient of
+    1/2 a'Qa - sum a. As y = +-1 and Q_ki = y_k y_i K_ki, the update
+    minus_yg += -y_i da_i K[:, i] - y_j da_j K[:, j] rounds to exactly -y
+    times the updated gradient, so grad itself is never formed. The up and
+    low index sets change only at the two updated indices. Raises
+    NoConvergence at max_updates updates, and when the gap is not finite
+    or no partner index exists.
+    """
+    k_diag = np.diag(k_mat).copy()
     pos = y > 0.0
     eps = 1e-12 * cost
+    top = cost - eps
+    minus_yg = -y * (q @ alpha - 1.0)
+    up = np.where(pos, alpha < top, alpha > eps)
+    low = np.where(pos, alpha > eps, alpha < top)
     updates = 0
-    gap = np.inf
     while True:
-        up = np.where(pos, alpha < cost - eps, alpha > eps)
-        low = np.where(pos, alpha > eps, alpha < cost - eps)
-        minus_yg = -y * grad
         up_vals = np.where(up, minus_yg, -np.inf)
-        i = int(np.argmax(up_vals))
+        i = int(up_vals.argmax())
         m_val = up_vals[i]
-        low_vals = np.where(low, minus_yg, np.inf)
-        big_m = float(low_vals.min())
-        gap = m_val - big_m
+        # m_val - minus_yg on the low set and -inf off it, so its maximum is
+        # the gap and the partner candidates are where it is positive
+        b_vec = m_val - np.where(low, minus_yg, np.inf)
+        gap = float(b_vec.max())
+        if not math.isfinite(gap):
+            raise NoConvergence(
+                f"KKT gap {gap} is not finite after {updates} pair updates")
         if gap <= tol:
             break
         if updates >= max_updates:
             raise NoConvergence(
                 f"KKT gap {gap:.3e} > {tol} after {max_updates} pair updates")
         # second-order choice of the partner index
-        cand = low & (minus_yg < m_val)
-        b_vec = m_val - minus_yg
+        cand = b_vec > 0.0
         a_vec = np.maximum(k_diag[i] + k_diag - 2.0 * k_mat[i], _TAU)
         gain = np.where(cand, b_vec * b_vec / a_vec, -np.inf)
-        j = int(np.argmax(gain))
+        j = int(gain.argmax())
         if not cand[j]:
-            break
-        ai_old, aj_old = alpha[i], alpha[j]
+            raise NoConvergence(f"KKT gap {gap:.3e} > {tol} but no index pairs "
+                                f"with {i} after {updates} pair updates")
+        # the pair's scalars as Python floats, which round as numpy's do
+        ai_old, aj_old = alpha.item(i), alpha.item(j)
+        yi, yj = y.item(i), y.item(j)
         # curvature along the constraint-preserving direction is the same
-        # for both label patterns
-        quad = max(k_diag[i] + k_diag[j] - 2.0 * k_mat[i, j], _TAU)
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
+        # for both label patterns, and so is the unclipped step of alpha_i
+        quad = max(k_diag.item(i) + k_diag.item(j) - 2.0 * k_mat.item(i, j), _TAU)
+        delta = yi * (minus_yg.item(i) - minus_yg.item(j)) / quad
+        if yi != yj:
             diff = ai_old - aj_old
             lo_b, hi_b = max(0.0, diff), min(cost, cost + diff)
             ai_new = min(max(ai_old + delta, lo_b), hi_b)
             aj_new = ai_new - diff
         else:
-            delta = (grad[i] - grad[j]) / quad
             total = ai_old + aj_old
             lo_b, hi_b = max(0.0, total - cost), min(cost, total)
-            ai_new = min(max(ai_old - delta, lo_b), hi_b)
+            ai_new = min(max(ai_old + delta, lo_b), hi_b)
             aj_new = total - ai_new
         alpha[i], alpha[j] = ai_new, aj_new
-        grad += q[:, i] * (ai_new - ai_old) + q[:, j] * (aj_new - aj_old)
+        minus_yg += (k_mat[:, i] * (-yi * (ai_new - ai_old))
+                     + k_mat[:, j] * (-yj * (aj_new - aj_old)))
+        for t, a_t, y_t in ((i, ai_new, yi), (j, aj_new, yj)):
+            below_cost, above_zero = a_t < top, a_t > eps
+            up[t], low[t] = ((below_cost, above_zero) if y_t > 0.0
+                             else (above_zero, below_cost))
         updates += 1
 
-    # bias from the free vectors, else the midpoint of the feasible interval
-    u = y * (grad + 1.0)             # decision values without bias
-    free = (alpha > eps) & (alpha < cost - eps)
+    # bias from the free vectors, else the midpoint of the feasible interval;
+    # u = y * (grad + 1), the decision values without bias, is y - minus_yg
+    u = y - minus_yg
+    free = (alpha > eps) & (alpha < top)
     if free.any():
         bias = float((y[free] - u[free]).mean())
     else:
-        at_zero, at_cost = alpha <= eps, alpha >= cost - eps
+        at_zero, at_cost = alpha <= eps, alpha >= top
         b_vals = y - u
         lower = b_vals[np.where(pos, at_zero, at_cost)].max(initial=-np.inf)
         upper = b_vals[np.where(pos, at_cost, at_zero)].min(initial=np.inf)
@@ -349,19 +368,21 @@ def fit_svm_multiclass(train: Dataset,
     """Train one machine per class against the rest on standardised rows.
 
     Each machine first runs pairwise ascent with a budget of
-    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows,
-    which keeps the budget within about a factor of 2 of the number of
-    updates that cost as much as one interior-point solve. On FS4
-    one-vs-rest machines of the default panel with more or fewer days (one
-    BLAS thread) that break-even was 6-7 n updates at n = 450, 13-24 n at
-    n = 1,000, 24-32 n at n = 2,000, 40-60 n at n = 3,000 and 53-54 n at
-    n = 4,000, as the O(n^3) solve outgrows the O(n) update; from
-    n ~ 3,200 the budget is DEFAULT_MAX_UPDATES, so the interior point runs
-    only for machines ascent alone would fail. A
-    machine over its budget is solved by the interior point on the shared
-    Gram matrix, then polished by pairwise ascent from that alpha, which
-    ends at DEFAULT_KKT_TOL or raises NoConvergence after
-    DEFAULT_MAX_UPDATES updates. A machine that converges within its
+    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. On
+    FS4 one-vs-rest machines of the default panel with more or fewer days
+    (one BLAS thread), one pair update cost 34-37 us at n = 450, 39-52 us at
+    n = 1,000, 79-80 us at n = 2,000, 114-121 us at n = 3,000 and
+    163-181 us at n = 4,000, and one interior-point solve cost as much as
+    9-11 n updates at n = 450, 22-36 n at n = 1,000 and 37-65 n at
+    n = 2,000, as the O(n^3) solve outgrows the O(n) update. So the budget
+    is near that break-even at n = 450, the size of the study's fold fits,
+    and 2-4 times below it at n = 1,000-2,000, where a machine turns to the
+    interior point sooner than cost alone asks; from n ~ 3,200 the budget
+    is DEFAULT_MAX_UPDATES, so the interior point runs only for machines
+    ascent alone would fail. A machine over its budget is solved by the
+    interior point on the shared Gram matrix, then polished by pairwise
+    ascent from that alpha, which ends at DEFAULT_KKT_TOL or raises
+    NoConvergence after DEFAULT_MAX_UPDATES updates. A machine that converges within its
     budget is the one fit_svm_binary returns; one over it may end at
     another alpha inside the same tolerance.
     """

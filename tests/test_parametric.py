@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
+from cdsproxy import logistic
 from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     BadConfig,
@@ -111,6 +112,25 @@ class TestBinaryLogistic:
         t = np.repeat([0.0, 1.0], 4)
         with pytest.raises(NoConvergence):
             fit_logistic_binary(z, t, ridge=0.0)
+
+    def test_update_cap_message_counts_the_newton_updates(self):
+        z = np.column_stack([np.ones(8), np.repeat([-2.0, 2.0], 4)])
+        t = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        with pytest.raises(NoConvergence, match=r"> 1e-06 after 1 Newton updates$"):
+            fit_logistic_binary(z, t, max_iter=1)
+
+    def test_halving_stop_names_its_newton_iteration(self, monkeypatch):
+        # with no halvings allowed the first Newton step is never tried, so
+        # the fit stops at iteration 1 of its 100, and must say so
+        monkeypatch.setattr(logistic, "_MAX_HALVINGS", 0)
+        z = np.column_stack([np.ones(8), np.repeat([-2.0, 2.0], 4)])
+        t = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        with pytest.raises(NoConvergence) as info:
+            fit_logistic_binary(z, t)
+        message = str(info.value)
+        assert "at Newton iteration 1," in message
+        assert "raised the log-likelihood" in message
+        assert "after 100" not in message
 
     def test_penalty_shrinks_coefficients(self):
         z = np.column_stack([np.ones(8), np.repeat([-2.0, 2.0], 4)])
@@ -481,6 +501,15 @@ class TestTraining:
         trained_loss = model.loss_history[-1]
         assert trained_loss >= opt_loss - 1e-9
         assert trained_loss <= opt_loss + 0.02
+
+    def test_describe_reports_the_convergence_diagnostics(self):
+        train = make_blobs([[0.0, 0.0], [2.0, 2.0]], 10, scale=0.8, seed=42)
+        model = fit_neural_net(train, config=TrainConfig(epochs=20, seed=7))
+        assert model.describe() == {
+            "family": "NN", "activation": "tan-sigmoid",
+            "hidden_units": DEFAULT_HIDDEN_UNITS, "epochs_run": 20,
+            "final_grad_norm": model.final_grad_norm, "warning": None}
+        assert 0.0 < model.final_grad_norm < math.inf
 
     def test_config_validation(self):
         with pytest.raises(BadConfig):

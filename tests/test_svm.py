@@ -157,6 +157,28 @@ class TestBinarySvm:
             fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR),
                            cost=DEFAULT_COST, max_updates=3)
 
+    def test_non_finite_kernel_values_raise(self):
+        # (1 + 1e200^2)^3 overflows, so the gradient and the KKT gap are
+        # NaN from the start; the ascent used to return alpha = 0, bias 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoConvergence, match="KKT gap nan is not finite"):
+                fit_svm_binary([[0.0], [1.0], [1e200], [3.0]],
+                               [1.0, 1.0, -1.0, -1.0],
+                               KernelSpec(SvmKernel.POLYNOMIAL))
+            x, y = binary_problem(52, 6, 2, 1.0)
+            gram = x @ x.T
+            gram[2, 7] = np.nan
+            with pytest.raises(NoConvergence, match="KKT gap nan is not finite"):
+                fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), gram=gram)
+
+    def test_no_partner_index_raises(self):
+        # below a negative tolerance the ascent runs on to a point where no
+        # index can pair with the steepest one; it used to return there
+        x = np.array([[0.0], [1.0], [3.0], [4.0]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        with pytest.raises(NoConvergence, match="but no index pairs with"):
+            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), tol=-1.0)
+
     def test_bias_without_free_vectors_is_the_feasible_midpoint(self):
         # a cost this small puts every alpha at C, so no vector is free
         x, y = binary_problem(71, 12, 2, 0.3)
