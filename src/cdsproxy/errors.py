@@ -92,10 +92,6 @@ class BadK(CdsProxyError):
     """A neighbour count or fold count is out of range."""
 
 
-class NotAProbabilityVector(CdsProxyError):
-    """Class proportions must be non-negative and sum to one."""
-
-
 class PureNode(CdsProxyError):
     """A tree node holds one class only and cannot be split."""
 

@@ -133,9 +133,13 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise BadConfig(f"cost must be > 0, got {cost}")
     kernel = kernel.resolve(x.shape[1])
     k_mat = kernel.gram(x, x) if gram is None else gram
+    if not np.isfinite(k_mat).all():
+        # the gradient Q 0 - 1 is NaN on any row of K that is not finite
+        raise NoConvergence("KKT gap nan is not finite after 0 pair updates")
+    # at alpha = 0, grad = Q 0 - 1 = -1 and so -y * grad = y, copied as
+    # the loop updates it in place
     return _pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat,
-                            _label_product(y, k_mat), np.zeros(n),
-                            ip_iterations=0)
+                            y.copy(), np.zeros(n), ip_iterations=0)
 
 
 def _label_product(y: np.ndarray, k_mat: np.ndarray) -> np.ndarray:
@@ -145,13 +149,14 @@ def _label_product(y: np.ndarray, k_mat: np.ndarray) -> np.ndarray:
 
 def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      cost: float, tol: float, max_updates: int,
-                     k_mat: np.ndarray, q: np.ndarray, alpha: np.ndarray,
-                     ip_iterations: int) -> BinarySvm:
-    """Run pairwise ascent from a feasible alpha, which it updates in place,
-    and build the machine; ip_iterations records how that alpha was found.
+                     k_mat: np.ndarray, minus_yg: np.ndarray,
+                     alpha: np.ndarray, ip_iterations: int) -> BinarySvm:
+    """Run pairwise ascent from a feasible alpha and minus_yg = -y * grad at
+    that alpha, both of which it updates in place, and build the machine;
+    ip_iterations records how that alpha was found.
 
-    The loop keeps minus_yg = -y * grad, where grad is the gradient of
-    1/2 a'Qa - sum a. As y = +-1 and Q_ki = y_k y_i K_ki, the update
+    grad is the gradient of 1/2 a'Qa - sum a, with Q = yy' * K. As y = +-1
+    and Q_ki = y_k y_i K_ki, the update
     minus_yg += -y_i da_i K[:, i] - y_j da_j K[:, j] rounds to exactly -y
     times the updated gradient, so grad itself is never formed. The up and
     low index sets change only at the two updated indices. Raises
@@ -162,7 +167,6 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     pos = y > 0.0
     eps = 1e-12 * cost
     top = cost - eps
-    minus_yg = -y * (q @ alpha - 1.0)
     up = np.where(pos, alpha < top, alpha > eps)
     low = np.where(pos, alpha > eps, alpha < top)
     updates = 0
@@ -360,7 +364,8 @@ def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     q = _label_product(y, gram)
     alpha, iterations = _interior_point(q, y, DEFAULT_COST)
     return _pairwise_ascent(x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
-                            DEFAULT_MAX_UPDATES, gram, q, alpha, iterations)
+                            DEFAULT_MAX_UPDATES, gram, -y * (q @ alpha - 1.0),
+                            alpha, iterations)
 
 
 def fit_svm_multiclass(train: Dataset,

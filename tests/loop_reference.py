@@ -1,24 +1,45 @@
-"""Straightforward versions of the SVM and NN inner loops, used only by tests.
+"""Straightforward versions of the SVM, NN and tree inner loops, used only
+by tests.
 
-Each function rebuilds its whole state on every iteration, as the loops in
-`cdsproxy.svm` and `cdsproxy.neuralnet` did before they were made to
-update only what changes. The tests swap them in and require the fitted
-models to agree bit for bit.
+Each SVM and NN function rebuilds its whole state on every iteration, as
+the loops in `cdsproxy.svm` and `cdsproxy.neuralnet` did before they were
+made to update only what changes. `best_split` and `fit_tree` sort every
+feature at every node and evaluate the float score of every candidate, as
+`cdsproxy.trees` did before it presorted once per fit and screened the
+candidates by integer counts. The tests swap them in and require the
+fitted models to agree bit for bit.
 """
 import numpy as np
 
-from cdsproxy.errors import NoConvergence
+from cdsproxy.core import Dataset
+from cdsproxy.errors import (
+    BadConfig,
+    EmptyTrainingSet,
+    NoConvergence,
+    NoValidSplit,
+    PureNode,
+)
 from cdsproxy.neuralnet import Activation, NetParams, activation_value
 from cdsproxy.svm import _TAU, BinarySvm
+from cdsproxy.trees import (
+    _GAIN_SLACK,
+    DEFAULT_MAX_SPLITS,
+    DecisionTreeModel,
+    SplitCriterion,
+    SplitRule,
+    TreeNode,
+)
 
 
-def pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat, q, alpha,
-                    ip_iterations):
-    """Pairwise ascent that rebuilds the gradient sign, the index sets and
+def pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat, minus_yg,
+                    alpha, ip_iterations):
+    """Pairwise ascent that forms Q = yy' * K and updates the gradient
+    through it, and rebuilds the gradient sign, the index sets and
     -y * grad with whole-vector numpy calls on every update."""
     k_diag = np.diag(k_mat).copy()
+    q = (y[:, None] * y[None, :]) * k_mat
 
-    grad = q @ alpha - 1.0
+    grad = -y * minus_yg
     pos = y > 0.0
     eps = 1e-12 * cost
     updates = 0
@@ -123,3 +144,112 @@ def gradient_from_state(params, activation, x, picks, state):
     g_w1 = d_pre.T @ x
     g_b1 = d_pre.sum(axis=0)
     return NetParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+
+
+def _gini_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    frac = counts / totals[:, None]
+    return 1.0 - (frac * frac).sum(axis=1)
+
+
+def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    frac = counts / totals[:, None]
+    terms = np.where(frac > 0.0, frac * np.log(np.where(frac > 0.0, frac, 1.0)), 0.0)
+    return -terms.sum(axis=1)
+
+
+def best_split(x: np.ndarray, y: np.ndarray, n_classes: int,
+               criterion: SplitCriterion) -> tuple[SplitRule, float]:
+    """Exhaustive scan of every (feature, midpoint) candidate.
+
+    Returns the maximal-score rule; score ties go to the lower feature
+    index, then the lower threshold. Raises PureNode for single-class input
+    and NoValidSplit when no feature has two distinct values.
+    """
+    criterion = SplitCriterion(criterion)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = x.shape[0]
+    if n < 2 or np.all(y == y[0]):
+        raise PureNode("node already holds a single class")
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    parent_counts = onehot.sum(axis=0)
+    if criterion is SplitCriterion.GINI:
+        parent_score = _gini_from_counts(parent_counts[None, :], np.array([float(n)]))[0]
+    elif criterion is SplitCriterion.ENTROPY:
+        parent_score = _entropy_from_counts(parent_counts[None, :], np.array([float(n)]))[0]
+    best: tuple[SplitRule, float] | None = None
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        values = x[order, f]
+        boundaries = np.flatnonzero(values[:-1] < values[1:])
+        if boundaries.size == 0:
+            continue
+        left_counts = np.cumsum(onehot[order], axis=0)[boundaries]
+        right_counts = parent_counts[None, :] - left_counts
+        n_left = boundaries + 1.0
+        n_right = n - n_left
+        if criterion is SplitCriterion.TWOING:
+            diff = np.abs(right_counts / n_right[:, None]
+                          - left_counts / n_left[:, None]).sum(axis=1)
+            scores = (n_left / n) * (n_right / n) * diff * diff
+        else:
+            child = (_gini_from_counts if criterion is SplitCriterion.GINI
+                     else _entropy_from_counts)
+            scores = parent_score - ((n_left / n) * child(left_counts, n_left)
+                                     + (n_right / n) * child(right_counts, n_right))
+        k = int(np.argmax(scores))        # first (lowest threshold) maximum
+        if best is None or scores[k] > best[1]:
+            thr = 0.5 * (values[boundaries[k]] + values[boundaries[k] + 1])
+            best = (SplitRule(feature=f, threshold=float(thr)), float(scores[k]))
+    if best is None:
+        raise NoValidSplit("every feature is constant on this node")
+    return best
+
+
+def _majority_label(y: np.ndarray, n_classes: int) -> int:
+    return int(np.argmax(np.bincount(y, minlength=n_classes)))
+
+
+def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
+             max_splits: int = DEFAULT_MAX_SPLITS) -> DecisionTreeModel:
+    """Greedy breadth-first growth under a budget of internal nodes."""
+    if train.n == 0:
+        raise EmptyTrainingSet("cannot fit on zero samples")
+    if max_splits < 1:
+        raise BadConfig(f"max_splits must be >= 1, got {max_splits}")
+    criterion = SplitCriterion(criterion)
+    nodes: list[TreeNode] = [TreeNode()]      # placeholder for the root
+    queue: list[tuple[int, np.ndarray]] = [(0, np.arange(train.n))]
+    splits_used = 0
+    at = 0
+    while at < len(queue):
+        node_id, rows = queue[at]
+        at += 1
+        y_node = train.y[rows]
+        if splits_used < max_splits:
+            try:
+                rule, score = best_split(train.x[rows], y_node,
+                                         train.n_classes, criterion)
+            except (PureNode, NoValidSplit):
+                rule = None
+            if rule is not None:
+                if criterion is not SplitCriterion.TWOING:
+                    assert score >= -_GAIN_SLACK, (
+                        f"negative purity gain {score} during growth")
+                go_left = train.x[rows, rule.feature] < rule.threshold
+                left_id, right_id = len(nodes), len(nodes) + 1
+                nodes[node_id] = TreeNode(feature=rule.feature,
+                                          threshold=rule.threshold,
+                                          left=left_id, right=right_id)
+                nodes.append(TreeNode())
+                nodes.append(TreeNode())
+                queue.append((left_id, rows[go_left]))
+                queue.append((right_id, rows[~go_left]))
+                splits_used += 1
+                continue
+        nodes[node_id] = TreeNode(label=_majority_label(y_node, train.n_classes))
+    return DecisionTreeModel(nodes=nodes, criterion=criterion,
+                             max_splits=max_splits, n_classes=train.n_classes,
+                             class_names=train.class_names,
+                             n_features=train.d)

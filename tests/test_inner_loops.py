@@ -1,18 +1,23 @@
-"""The SVM and NN inner loops against their straightforward versions.
+"""The SVM, NN and tree inner loops against their straightforward versions.
 
-`loop_reference` rebuilds every vector on every iteration; the loops in
-`cdsproxy` update only what changes. Swapped in, the reference must give
-the same fitted models bit for bit.
+`loop_reference` rebuilds every vector on every iteration, and sorts and
+scores every split candidate at every tree node; the loops in `cdsproxy`
+update only what changes, and trees presort once per fit and screen
+candidates by integer counts. Swapped in, the reference must give the same
+fitted models bit for bit.
 """
 import numpy as np
 import pytest
 
 import loop_reference as ref
 from conftest import make_blobs, random_dataset
-from cdsproxy import neuralnet, svm
+from cdsproxy import evaluation, neuralnet, svm, trees
+from cdsproxy.core import Dataset, FeatureSelection, build_dataset
+from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import NoConvergence
 from cdsproxy.neuralnet import Activation, TrainConfig, fit_neural_net
 from cdsproxy.svm import DEFAULT_COST, DEFAULT_KKT_TOL, KernelSpec, SvmKernel
+from cdsproxy.trees import SplitCriterion, bootstrap_rows, fit_tree
 
 
 def overlapping_problem(seed, n_per_side=40, d=3):
@@ -27,11 +32,13 @@ def overlapping_problem(seed, n_per_side=40, d=3):
 
 def run_both(ascent_args, alpha):
     """Both loops from copies of one alpha: (result or error) per loop."""
+    y, gram = ascent_args[1], ascent_args[6]
+    minus_yg = -y * (svm._label_product(y, gram) @ alpha - 1.0)
     outcomes = []
     for loop in (svm._pairwise_ascent, ref.pairwise_ascent):
         start = alpha.copy()
         try:
-            outcomes.append(loop(*ascent_args, start, 0))
+            outcomes.append(loop(*ascent_args, minus_yg.copy(), start, 0))
         except NoConvergence as exc:
             outcomes.append((str(exc), start))
     return outcomes
@@ -54,21 +61,34 @@ class TestPairwiseAscent:
         x, y = overlapping_problem(seed)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 100_000, gram,
-                svm._label_product(y, gram))
+        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 100_000, gram)
         got, want = run_both(args, np.zeros(y.size))
         assert got.n_updates > 50
         assert_same_machine(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cold_start_from_y_matches_the_start_through_q(self, kind):
+        # fit_svm_binary starts from minus_yg = y, which -y * (Q 0 - 1)
+        # equals bit for bit on a finite Gram matrix
+        x, y = overlapping_problem(5)
+        spec = KernelSpec(kind).resolve(x.shape[1])
+        gram = spec.gram(x, x)
+        alpha = np.zeros(y.size)
+        start = -y * (svm._label_product(y, gram) @ alpha - 1.0)
+        assert np.array_equal(start, y)
+        want = svm._pairwise_ascent(x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL,
+                                    100_000, gram, start, alpha, 0)
+        assert_same_machine(svm.fit_svm_binary(x, y, spec), want)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_interior_point_start_matches_reference(self, kind):
         x, y = overlapping_problem(3)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        q = svm._label_product(y, gram)
-        alpha, _ = svm._interior_point(q, y, DEFAULT_COST)
+        alpha, _ = svm._interior_point(svm._label_product(y, gram), y,
+                                       DEFAULT_COST)
         # a tolerance below the interior point's leaves polishing to do
-        args = (x, y, spec, DEFAULT_COST, 1e-9, 100_000, gram, q)
+        args = (x, y, spec, DEFAULT_COST, 1e-9, 100_000, gram)
         got, want = run_both(args, alpha)
         assert got.n_updates > 0
         assert_same_machine(got, want)
@@ -78,8 +98,7 @@ class TestPairwiseAscent:
         x, y = overlapping_problem(4)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 37, gram,
-                svm._label_product(y, gram))
+        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 37, gram)
         (got_msg, got_alpha), (want_msg, want_alpha) = run_both(
             args, np.zeros(y.size))
         assert got_msg == want_msg
@@ -136,3 +155,68 @@ class TestNetworkTraining:
         assert got.final_grad_norm == want.final_grad_norm
         assert got.warning == want.warning
         assert np.array_equal(got.params.w1, want.params.w1)
+
+
+def assert_same_tree_fit(train, criterion, max_splits=20):
+    got = fit_tree(train, criterion=criterion, max_splits=max_splits)
+    want = ref.fit_tree(train, criterion=criterion, max_splits=max_splits)
+    assert got.nodes == want.nodes
+    return got
+
+
+CLASS_COUNTS = [2, 3, 5, 8, 12, 20]
+
+
+class TestTreeFits:
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    @pytest.mark.parametrize("n_classes", CLASS_COUNTS)
+    def test_continuous_rows(self, criterion, n_classes):
+        train = random_dataset(30 * n_classes, 5, n_classes, seed=n_classes)
+        model = assert_same_tree_fit(train, criterion)
+        assert model.internal_count() > 10
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    @pytest.mark.parametrize("n_classes", CLASS_COUNTS)
+    def test_integer_grid_rows_with_heavy_ties(self, criterion, n_classes):
+        # four values per column, and the last column repeats the first,
+        # so most candidates tie another in real arithmetic
+        rng = np.random.default_rng(100 + n_classes)
+        n = 25 * n_classes
+        x = rng.integers(0, 4, size=(n, 4)).astype(float)
+        x[:, 3] = x[:, 0]
+        train = Dataset(x=x, y=rng.integers(0, n_classes, size=n),
+                        class_names=tuple(f"c{j}" for j in range(n_classes)),
+                        feature_names=tuple(f"f{i}" for i in range(4)))
+        assert_same_tree_fit(train, criterion, max_splits=40)
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    @pytest.mark.parametrize("n_classes", CLASS_COUNTS)
+    def test_bootstrap_draws_with_duplicate_rows(self, criterion, n_classes):
+        base = random_dataset(20 * n_classes, 4, n_classes, seed=200 + n_classes)
+        for t in range(3):
+            train = base.subset(bootstrap_rows(base.n, seed=n_classes, tree_index=t))
+            assert np.unique(train.x[:, 0]).size < train.n
+            assert_same_tree_fit(train, criterion)
+
+    @pytest.fixture(scope="class")
+    def default_panel(self):
+        return generate_panel(GeneratorConfig())
+
+    @pytest.mark.parametrize("selection", list(FeatureSelection))
+    def test_one_fold_of_every_selection(self, monkeypatch, default_panel,
+                                         selection):
+        dataset = build_dataset(default_panel, selection)
+        plan = evaluation.stratified_folds(dataset, 10, seed=0)
+        train = dataset.subset(plan.training_rows(0))
+        labels = ("DT-Gini", "DT-Entropy", "DT-Twoing", "BaggedTree")
+        got = [evaluation.make_classifier_spec(label).fit(train, seed=3)
+               for label in labels]
+        monkeypatch.setattr(evaluation, "fit_tree", ref.fit_tree)
+        monkeypatch.setattr(trees, "fit_tree", ref.fit_tree)
+        want = [evaluation.make_classifier_spec(label).fit(train, seed=3)
+                for label in labels]
+        for a, b in zip(got[:3], want[:3]):
+            assert a.nodes == b.nodes
+        assert len(got[3].trees) == len(want[3].trees) == trees.DEFAULT_BAG_SIZE
+        for a, b in zip(got[3].trees, want[3].trees):
+            assert a.nodes == b.nodes

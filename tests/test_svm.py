@@ -215,7 +215,8 @@ def interior_point_then_ascent(x, y, spec, cost):
     q = svm._label_product(y, gram)
     alpha, iterations = svm._interior_point(q, y, cost)
     return svm._pairwise_ascent(x, y, spec, cost, DEFAULT_KKT_TOL,
-                                DEFAULT_MAX_UPDATES, gram, q, alpha, iterations)
+                                DEFAULT_MAX_UPDATES, gram, -y * (q @ alpha - 1.0),
+                                alpha, iterations)
 
 
 class TestInteriorPoint:

@@ -1,30 +1,31 @@
-import math
-
 import numpy as np
 import pytest
 
 from conftest import make_blobs
+from cdsproxy import trees
 from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     BadConfig,
     DimensionMismatch,
     EmptyTrainingSet,
     NoValidSplit,
-    NotAProbabilityVector,
     PureNode,
 )
 from cdsproxy.trees import (
     DEFAULT_BAG_SIZE,
     DEFAULT_MAX_SPLITS,
-    Impurity,
     SplitCriterion,
     SplitRule,
     best_split,
     bootstrap_rows,
     fit_bagged,
     fit_tree,
-    impurity,
 )
+
+
+def column_orders(x):
+    """(d x n) stable argsort of every column, as best_split takes it."""
+    return np.argsort(x, axis=0, kind="stable").T
 
 
 def split_oracle(x, y, n_classes, criterion):
@@ -69,47 +70,18 @@ def split_oracle(x, y, n_classes, criterion):
     return best
 
 
-class TestImpurity:
-    def test_pure_node_is_zero(self):
-        assert impurity(Impurity.GINI, np.array([1.0, 0.0])) == 0.0
-        assert impurity(Impurity.ENTROPY, np.array([0.0, 1.0, 0.0])) == 0.0
-
-    def test_two_class_maximum(self):
-        assert impurity(Impurity.GINI, np.array([0.5, 0.5])) == 0.5
-        assert impurity(Impurity.ENTROPY, np.array([0.5, 0.5])) == (
-            pytest.approx(math.log(2.0), rel=1e-15))
-
-    def test_uniform_three_class(self):
-        got = impurity(Impurity.GINI, np.array([1 / 3, 1 / 3, 1 / 3]))
-        assert got == pytest.approx(2 / 3, rel=1e-12)
-
-    def test_zero_iff_one_hot(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(4))
-            if p.max() < 1.0 - 1e-9:
-                assert impurity(Impurity.GINI, p) > 0.0
-                assert impurity(Impurity.ENTROPY, p) > 0.0
-
-    def test_rejects_bad_vectors(self):
-        with pytest.raises(NotAProbabilityVector):
-            impurity(Impurity.GINI, np.array([0.5, -0.5, 1.0]))
-        with pytest.raises(NotAProbabilityVector):
-            impurity(Impurity.ENTROPY, np.array([0.6, 0.6]))
-
-
 class TestBestSplit:
     def test_perfect_split_gini_gain(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        rule, score = best_split(x, y, 2, SplitCriterion.GINI)
+        rule, score = best_split(x, y, 2, SplitCriterion.GINI, column_orders(x))
         assert rule == SplitRule(feature=0, threshold=1.5)
         assert score == pytest.approx(0.5, abs=1e-15)
 
     def test_perfect_split_twoing_score(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        rule, score = best_split(x, y, 2, SplitCriterion.TWOING)
+        rule, score = best_split(x, y, 2, SplitCriterion.TWOING, column_orders(x))
         assert rule == SplitRule(feature=0, threshold=1.5)
         assert score == pytest.approx(1.0, abs=1e-15)
 
@@ -122,7 +94,7 @@ class TestBestSplit:
             y = rng.integers(0, 3, size=n)
             if np.unique(y).size < 2:
                 continue
-            rule, score = best_split(x, y, 3, criterion)
+            rule, score = best_split(x, y, 3, criterion, column_orders(x))
             f, thr, want = split_oracle(x, y, 3, criterion)
             assert (rule.feature, rule.threshold) == (f, thr), f"trial {trial}"
             assert score == pytest.approx(want, rel=1e-12)
@@ -131,7 +103,7 @@ class TestBestSplit:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(12, 3))
         y = rng.integers(0, 2, size=12)
-        rule, _ = best_split(x, y, 2, SplitCriterion.GINI)
+        rule, _ = best_split(x, y, 2, SplitCriterion.GINI, column_orders(x))
         col = np.sort(x[:, rule.feature])
         below = col[col < rule.threshold]
         above = col[col >= rule.threshold]
@@ -140,14 +112,208 @@ class TestBestSplit:
 
     def test_pure_node_rejected(self):
         with pytest.raises(PureNode):
-            best_split(np.arange(4.0)[:, None], np.zeros(4, dtype=int), 2,
-                       SplitCriterion.GINI)
+            x = np.arange(4.0)[:, None]
+            best_split(x, np.zeros(4, dtype=int), 2, SplitCriterion.GINI,
+                       column_orders(x))
 
     def test_identical_rows_rejected(self):
         x = np.ones((5, 2))
         y = np.array([0, 1, 0, 1, 0])
         with pytest.raises(NoValidSplit):
-            best_split(x, y, 2, SplitCriterion.GINI)
+            best_split(x, y, 2, SplitCriterion.GINI, column_orders(x))
+
+    def test_order_of_another_width_rejected(self):
+        x = np.arange(8.0).reshape(4, 2)
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(DimensionMismatch):
+            best_split(x, y, 2, SplitCriterion.GINI, column_orders(x)[:1])
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_order_of_a_subset_scores_only_those_rows(self, criterion):
+        # a node's order lists its rows only; the other rows of x and y
+        # take no part, as when best_split has the node's rows alone
+        rng = np.random.default_rng(8)
+        x = np.round(rng.normal(size=(40, 3)), 1)
+        y = rng.integers(0, 3, size=40)
+        rows = np.flatnonzero(rng.random(40) < 0.5)
+        order = rows[column_orders(x[rows])]
+        assert best_split(x, y, 3, criterion, order) == best_split(
+            x[rows], y[rows], 3, criterion, column_orders(x[rows]))
+
+
+def full_scan_scores(x, y, n_classes, criterion):
+    """(d x m-1) float scores of every (feature, position) candidate, by the
+    expressions best_split evaluates, with -inf where no boundary is."""
+    m, d = x.shape
+    order = column_orders(x)
+    onehot = np.eye(n_classes)[y]
+    out = np.full((d, m - 1), -np.inf)
+    for f in range(d):
+        values = x[order[f], f]
+        at = np.flatnonzero(values[:-1] < values[1:])
+        left = np.cumsum(onehot[order[f]], axis=0)[at]
+        out[f, at] = trees._float_scores(criterion, left, at + 1.0,
+                                         onehot.sum(axis=0), m)
+    return out
+
+
+def screened(x, y, n_classes, criterion):
+    """Set of (feature, position) candidates the screen keeps."""
+    feature, at, _ = trees._screen(criterion, x, y,
+                                   np.bincount(y, minlength=n_classes),
+                                   column_orders(x))
+    return set(zip(feature.tolist(), at.tolist()))
+
+
+def relabelled_pair(rng, m, n_classes):
+    """Two features whose label sequences differ by a cyclic relabelling of
+    balanced classes: at every position the class counts of one are a
+    permutation of the other's, so their scores tie in real arithmetic but
+    sum the class terms in different orders."""
+    y = rng.permutation(np.arange(m) % n_classes)
+    sigma = np.roll(np.arange(n_classes), 1)
+    pools = [list(np.flatnonzero(y == k)) for k in range(n_classes)]
+    x1 = np.empty(m)
+    for i in range(m):
+        x1[pools[sigma[y[i]]].pop(0)] = i
+    return np.column_stack([np.arange(m, dtype=float), x1]), y
+
+
+def mirrored_labels(rng, m, n_classes):
+    """Labels with y[m-1-i] = sigma(y[i]) for the swap sigma of the first
+    and last class, so the boundary after row b and the one after row
+    m-2-b have mirrored and permuted class counts: tied in real arithmetic,
+    not always in float, as the class terms are summed in another order."""
+    sigma = np.arange(n_classes)
+    sigma[[0, -1]] = [n_classes - 1, 0]
+    half = rng.integers(0, n_classes, size=m // 2)
+    return np.concatenate([half, sigma[half][::-1]])
+
+
+class TestSplitScreen:
+    def assert_full_scan_choice(self, x, y, n_classes, criterion):
+        """best_split picks the first float maximum in (feature, position)
+        order, and the screen keeps every float maximum."""
+        scores = full_scan_scores(x, y, n_classes, criterion)
+        top = scores.max()
+        maxima = set(zip(*(a.tolist() for a in np.nonzero(scores == top))))
+        assert maxima <= screened(x, y, n_classes, criterion)
+        f, b = min(maxima)
+        rule, score = best_split(x, y, n_classes, criterion, column_orders(x))
+        values = np.sort(x[:, f])
+        assert (rule.feature, rule.threshold) == (f, 0.5 * (values[b] + values[b + 1]))
+        assert score == top
+        return scores
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_relabelled_features_tie_in_real_arithmetic(self, criterion):
+        rng = np.random.default_rng(30)
+        rounding_decides = lower_wins = 0
+        for _ in range(60):
+            n_classes = int(rng.integers(3, 8))
+            x, y = relabelled_pair(rng, n_classes * int(rng.integers(3, 30)),
+                                   n_classes)
+            scores = self.assert_full_scan_choice(x, y, n_classes, criterion)
+            best0, best1 = scores[0].max(), scores[1].max()
+            rounding_decides += best0 != best1
+            lower_wins += best0 == best1
+        # both outcomes occur: the float maxima of the two features differ
+        # by rounding alone, and they agree, so the lower feature must win
+        assert rounding_decides > 0 and lower_wins > 0
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_mirrored_boundaries_tie_in_real_arithmetic(self, criterion):
+        rng = np.random.default_rng(31)
+        rounding_decides = 0
+        for _ in range(60):
+            n_classes = int(rng.integers(3, 8))
+            m = 2 * int(rng.integers(4, 40))
+            y = mirrored_labels(rng, m, n_classes)
+            if np.unique(y).size < 2:
+                continue
+            x = np.arange(m, dtype=float)[:, None]
+            scores = self.assert_full_scan_choice(x, y, n_classes, criterion)[0]
+            rounding_decides += np.any(scores[:m // 2 - 1]
+                                       != scores[m // 2:][::-1])
+        assert rounding_decides > 0
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_duplicated_columns_go_to_the_lower_feature(self, criterion):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            n_classes = int(rng.integers(2, 6))
+            m = int(rng.integers(6, 60))
+            base = rng.integers(0, 5, size=m).astype(float)
+            x = np.column_stack([rng.normal(size=m) * 1e-3 + 10.0, base, base,
+                                 -base])
+            y = rng.integers(0, n_classes, size=m)
+            if np.unique(y).size < 2 or np.unique(base).size < 2:
+                continue
+            self.assert_full_scan_choice(x, y, n_classes, criterion)
+            rule, _ = best_split(x, y, n_classes, criterion, column_orders(x))
+            assert rule.feature != 2
+
+    def test_proxy_rounding_cannot_drop_the_float_maximum(self):
+        # 40 rows of each of 3 classes; feature 0 puts left counts
+        # (16, 19, 20) below its one boundary, feature 1 (38, 36, 36). The
+        # Gini proxies tie in real arithmetic (4432/110 = 28808/715), but
+        # feature 0 has the larger float proxy and the smaller float score,
+        # so a screen with no margin would return feature 0
+        y = np.repeat(np.arange(3), 40)
+        x = np.ones((120, 2))
+        for f, left in enumerate([(16, 19, 20), (38, 36, 36)]):
+            for k, count in enumerate(left):
+                x[40 * k:40 * k + count, f] = 0.0
+        kept = screened(x, y, 3, SplitCriterion.GINI)
+        assert kept == {(0, 54), (1, 109)}
+        self.assert_full_scan_choice(x, y, 3, SplitCriterion.GINI)
+        rule, _ = best_split(x, y, 3, SplitCriterion.GINI, column_orders(x))
+        assert rule == SplitRule(feature=1, threshold=0.5)
+
+    def test_margin_exceeds_the_worst_proxy_error_at_1e5_rows(self):
+        # the written bound on each proxy's rounding error, and so the
+        # margin, must cover the proxy's actual error, measured against
+        # 64-bit-mantissa long double arithmetic
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        m = 100_000
+        rng = np.random.default_rng(33)
+        draws = [rng.choice(3, size=m, p=[0.9, 0.07, 0.03]),
+                 rng.integers(0, 8, size=m)]
+        for y in draws:
+            n_classes = int(y.max()) + 1
+            class_n = np.bincount(y, minlength=n_classes)
+            onehot = np.eye(n_classes, dtype=np.int64)[y]
+            counts = np.cumsum(onehot, axis=0)
+            rank = (counts[np.arange(m), y] - 1)[None, :]
+            left = counts[:-1].astype(np.longdouble)
+            right = class_n.astype(np.longdouble) - left
+            n_left = np.arange(1, m, dtype=np.longdouble)
+            n_right = m - n_left
+
+            def xlogx(v):
+                return v * np.log(np.where(v > 0, v, 1))
+
+            exact = {
+                SplitCriterion.GINI: (left ** 2).sum(axis=1) / n_left
+                + (right ** 2).sum(axis=1) / n_right,
+                SplitCriterion.ENTROPY: xlogx(left).sum(axis=1)
+                + xlogx(right).sum(axis=1) - xlogx(n_left) - xlogx(n_right),
+                SplitCriterion.TWOING: np.abs(
+                    np.outer(n_left, class_n) - m * left).sum(axis=1) ** 2
+                / (n_left * n_right),
+            }
+            for criterion, want in exact.items():
+                if criterion is SplitCriterion.TWOING:
+                    got = trees._twoing_proxy(y[None, :], class_n)
+                else:
+                    proxy_of = (trees._gini_proxy
+                                if criterion is SplitCriterion.GINI
+                                else trees._entropy_proxy)
+                    got = proxy_of(rank, y[None, :], class_n)
+                worst = float(np.abs(got[0] - want).max())
+                assert 0.0 < worst <= trees._proxy_error(criterion, m)
+                assert 2.0 * worst < trees._margin(criterion, m, n_classes)
 
 
 class TestFitTree:
