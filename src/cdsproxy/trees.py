@@ -87,10 +87,10 @@ def _score_error(n_classes: int) -> float:
     all candidates of a node share (the parent term's).
 
     Standard error analysis (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3-4) of the expressions in
-    `_float_scores` gives (K + 9)u for Gini, (2K + 8)u for Twoing and
-    ((K + 5 + L) log K + 1.02)u for Entropy, with u the unit roundoff and
-    L u the relative error of np.log; this one formula covers all three.
+    Algorithms, ch. 3-4) of the expressions in `_float_scores` gives
+    (K + 9)u for Gini, (2K + 8)u for Twoing and ((K + 5 + L) log K + 1.02)u
+    for Entropy, with u the unit roundoff and L u the relative error of
+    np.log; this one formula covers all three.
     """
     return (2 * n_classes + 10 + _LOG_ERROR) * (1.0 + math.log(n_classes)) * _U
 
