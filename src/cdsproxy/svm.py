@@ -12,15 +12,21 @@ trains one machine per class against the rest on standardised rows.
 
 Each multiclass machine is solved in two stages. Pairwise ascent first runs
 under an update budget that grows with the row count n; a machine that does
-not converge within it is solved again on the shared Gram matrix by a
+not converge within it is solved again on the shared Gram matrix K by a
 Mehrotra predictor-corrector interior-point method (Mehrotra, SIAM J. Optim.
 2(4), 1992), whose alpha is snapped onto the bounds and polished by the same
-pairwise ascent, so every machine ends on the same KKT test.
+pairwise ascent, so every machine ends on the same KKT test. The interior
+point's Newton systems are solved against K with label-flipped right-hand
+sides, so Q = yy' * K is never formed. When the first machine of a fit
+falls back, K is factored as GG' with G of rank r, and if r is low enough
+(a linear kernel has r <= d) each Newton system is solved through G by the
+Sherman-Morrison-Woodbury identity in O(n r^2) instead of O(n^3).
 """
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,30 +142,27 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     if not np.isfinite(k_mat).all():
         # the gradient Q 0 - 1 is NaN on any row of K that is not finite
         raise NoConvergence("KKT gap nan is not finite after 0 pair updates")
-    # at alpha = 0, grad = Q 0 - 1 = -1 and so -y * grad = y, copied as
-    # the loop updates it in place
+    # at alpha = 0, grad = Q 0 - 1 = -1 and so -y * grad = y
     return _pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat,
-                            y.copy(), np.zeros(n), ip_iterations=0)
-
-
-def _label_product(y: np.ndarray, k_mat: np.ndarray) -> np.ndarray:
-    """Q = yy' * K, the Hessian of the dual."""
-    return (y[:, None] * y[None, :]) * k_mat
+                            y, np.zeros(n), ip_iterations=0)
 
 
 def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      cost: float, tol: float, max_updates: int,
                      k_mat: np.ndarray, minus_yg: np.ndarray,
                      alpha: np.ndarray, ip_iterations: int) -> BinarySvm:
-    """Run pairwise ascent from a feasible alpha and minus_yg = -y * grad at
-    that alpha, both of which it updates in place, and build the machine;
+    """Run pairwise ascent from a feasible alpha, which it updates in place,
+    and minus_yg = -y * grad at that alpha, and build the machine;
     ip_iterations records how that alpha was found.
 
     grad is the gradient of 1/2 a'Qa - sum a, with Q = yy' * K. As y = +-1
-    and Q_ki = y_k y_i K_ki, the update
-    minus_yg += -y_i da_i K[:, i] - y_j da_j K[:, j] rounds to exactly -y
-    times the updated gradient, so grad itself is never formed. The up and
-    low index sets change only at the two updated indices. Raises
+    and Q_ki = y_k y_i K_ki, adding the step -y_i da_i K[:, i] - y_j da_j K[:, j]
+    to minus_yg rounds to exactly -y times the updated gradient, so grad
+    itself is never formed. The loop keeps minus_yg only as two masked
+    copies, up_vals on the up set (-inf off it) and low_vals on the low set
+    (+inf off it): both take the same step, which leaves the infinities as
+    they are, and the sets change only at the two updated indices. Every
+    other per-update vector is written into a buffer made once. Raises
     NoConvergence at max_updates updates, and when the gap is not finite
     or no partner index exists.
     """
@@ -168,15 +171,16 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     eps = 1e-12 * cost
     top = cost - eps
     up = np.where(pos, alpha < top, alpha > eps)
-    low = np.where(pos, alpha > eps, alpha < top)
+    up_vals = np.where(up, minus_yg, -np.inf)
+    low_vals = np.where(np.where(pos, alpha > eps, alpha < top), minus_yg, np.inf)
+    b_vec, a_vec, gain, step, term = (np.empty(y.size) for _ in range(5))
     updates = 0
     while True:
-        up_vals = np.where(up, minus_yg, -np.inf)
         i = int(up_vals.argmax())
-        m_val = up_vals[i]
+        m_val = up_vals.item(i)
         # m_val - minus_yg on the low set and -inf off it, so its maximum is
         # the gap and the partner candidates are where it is positive
-        b_vec = m_val - np.where(low, minus_yg, np.inf)
+        np.subtract(m_val, low_vals, out=b_vec)
         gap = float(b_vec.max())
         if not math.isfinite(gap):
             raise NoConvergence(
@@ -186,21 +190,27 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         if updates >= max_updates:
             raise NoConvergence(
                 f"KKT gap {gap:.3e} > {tol} after {max_updates} pair updates")
-        # second-order choice of the partner index
-        cand = b_vec > 0.0
-        a_vec = np.maximum(k_diag[i] + k_diag - 2.0 * k_mat[i], _TAU)
-        gain = np.where(cand, b_vec * b_vec / a_vec, -np.inf)
+        # second-order choice of the partner index; a gain over max(b, 0)
+        # is 0 off the candidates and positive on them
+        np.add(k_diag, k_diag.item(i), out=a_vec)
+        np.multiply(k_mat[i], 2.0, out=term)
+        np.subtract(a_vec, term, out=a_vec)
+        np.maximum(a_vec, _TAU, out=a_vec)
+        np.maximum(b_vec, 0.0, out=gain)
+        np.multiply(gain, gain, out=gain)
+        np.divide(gain, a_vec, out=gain)
         j = int(gain.argmax())
-        if not cand[j]:
+        if not b_vec.item(j) > 0.0:
             raise NoConvergence(f"KKT gap {gap:.3e} > {tol} but no index pairs "
                                 f"with {i} after {updates} pair updates")
-        # the pair's scalars as Python floats, which round as numpy's do
+        # the pair's scalars as Python floats, which round as numpy's do;
+        # i is on the up set and j, a candidate, on the low set
         ai_old, aj_old = alpha.item(i), alpha.item(j)
         yi, yj = y.item(i), y.item(j)
         # curvature along the constraint-preserving direction is the same
         # for both label patterns, and so is the unclipped step of alpha_i
         quad = max(k_diag.item(i) + k_diag.item(j) - 2.0 * k_mat.item(i, j), _TAU)
-        delta = yi * (minus_yg.item(i) - minus_yg.item(j)) / quad
+        delta = yi * (m_val - low_vals.item(j)) / quad
         if yi != yj:
             diff = ai_old - aj_old
             lo_b, hi_b = max(0.0, diff), min(cost, cost + diff)
@@ -212,17 +222,25 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
             ai_new = min(max(ai_old + delta, lo_b), hi_b)
             aj_new = total - ai_new
         alpha[i], alpha[j] = ai_new, aj_new
-        minus_yg += (k_mat[:, i] * (-yi * (ai_new - ai_old))
-                     + k_mat[:, j] * (-yj * (aj_new - aj_old)))
-        for t, a_t, y_t in ((i, ai_new, yi), (j, aj_new, yj)):
+        np.multiply(k_mat[:, i], -yi * (ai_new - ai_old), out=step)
+        np.multiply(k_mat[:, j], -yj * (aj_new - aj_old), out=term)
+        step += term
+        up_vals += step
+        low_vals += step
+        for t, value, a_t, y_t in ((i, up_vals.item(i), ai_new, yi),
+                                   (j, low_vals.item(j), aj_new, yj)):
             below_cost, above_zero = a_t < top, a_t > eps
-            up[t], low[t] = ((below_cost, above_zero) if y_t > 0.0
+            in_up, in_low = ((below_cost, above_zero) if y_t > 0.0
                              else (above_zero, below_cost))
+            up[t] = in_up
+            up_vals[t] = value if in_up else -np.inf
+            low_vals[t] = value if in_low else np.inf
         updates += 1
 
     # bias from the free vectors, else the midpoint of the feasible interval;
-    # u = y * (grad + 1), the decision values without bias, is y - minus_yg
-    u = y - minus_yg
+    # every index is on the up or the low set, and u = y * (grad + 1), the
+    # decision values without bias, is y - minus_yg
+    u = y - np.where(up, up_vals, low_vals)
     free = (alpha > eps) & (alpha < top)
     if free.any():
         bias = float((y[free] - u[free]).mean())
@@ -250,35 +268,65 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((-v[down] / dv[down]).min(initial=np.inf))
 
 
-def _interior_point(q: np.ndarray, y: np.ndarray,
-                    cost: float) -> tuple[np.ndarray, int]:
+def _low_rank_factor(k_mat: np.ndarray) -> np.ndarray | None:
+    """G (n x r) with GG' = K up to rounding, or None when r is too large
+    for the Sherman-Morrison-Woodbury solve to pay.
+
+    G holds the eigenvectors of K scaled by the square roots of the
+    eigenvalues above n * eps * lambda_max, numpy's matrix_rank tolerance.
+    An interior-point iteration costs about n r^2 + 4/3 r^3 flops through
+    G (the product P'P and two r x r LU solves) against 4/3 n^3 for its
+    two dense LU solves, so G is returned only while 3 n r^2 + 4 r^3 <
+    4 n^3, that is r below about 0.8 n.
+    """
+    n = k_mat.shape[0]
+    eig = nm.eigen_symmetric(k_mat)
+    values = eig.eigenvalues
+    keep = values > n * np.finfo(float).eps * values[-1]
+    r = int(np.count_nonzero(keep))
+    if 3 * n * r * r + 4 * r ** 3 >= 4 * n ** 3:
+        return None
+    return eig.eigenvectors[:, keep] * np.sqrt(values[keep])
+
+
+def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
+                    factor: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Solve the dual by Mehrotra's predictor-corrector interior-point
     method; return alpha on the box with y'alpha = 0, and the iterations.
 
-    Minimises 1/2 a'Qa - sum a with slacks s = C - a and multipliers z of
-    a >= 0, w of a <= C and b of y'a = 0, all of a, s, z, w kept positive.
-    Each direction solves (Q + diag(z/a + w/s)) [u, v] = [g, y] once and
-    takes db = (y'u + y'a) / y'v, da = u - v db, so the step toward
-    y'a = 0 is eliminated in closed form; the added diagonal goes onto q's
-    own for the two solves of an iteration and is taken off again. At the
-    end every alpha within _SNAP * C of a bound goes onto it and
-    y'alpha = 0 is restored on the free set. Raises NoConvergence if
-    _IP_MAX_ITERATIONS pass first, or if that restored alpha leaves the
-    box, so that the clip back into it breaks y'alpha = 0.
+    Minimises 1/2 a'Qa - sum a, Q = yy' * K, with slacks s = C - a and
+    multipliers z of a >= 0, w of a <= C and b of y'a = 0, all of a, s, z,
+    w kept positive. Each direction solves (Q + D) [u, v] = [g, y] for
+    D = diag(z/a + w/s) once, as (K + D) [y*u, y*v] = [y*g, 1], which
+    rounds to the same u and v as y = +-1, and takes
+    db = (y'u + y'a) / y'v, da = u - v db, so the step toward y'a = 0 is
+    eliminated in closed form. With factor = None the two solves of an
+    iteration are dense, D going onto k_mat's own diagonal and coming off
+    it again; with a factor G, GG' = K, they go through the
+    Sherman-Morrison-Woodbury identity on the scaled P = D^-1/2 G,
+    (K + D)^-1 = D^-1/2 (I - P (I + P'P)^-1 P') D^-1/2, and share one
+    r x r matrix I + P'P (Fine and Scheinberg, JMLR 2, 2001; Ferris and
+    Munson, SIAM J. Optim. 13(3), 2002). The residuals, and so the stop
+    test, are always taken on k_mat itself. At the end every alpha within
+    _SNAP * C of a bound goes onto it and y'alpha = 0 is restored on the
+    free set. Raises NoConvergence if _IP_MAX_ITERATIONS pass first, or if
+    that restored alpha leaves the box, so that the clip back into it
+    breaks y'alpha = 0.
     """
     n = y.size
-    q_diag = q.diagonal().copy()
+    k_diag = k_mat.diagonal().copy()
     # the dual residual is measured against the size of its terms, as
-    # |Q_ij| <= max_i Q_ii for a positive semidefinite Q, so that rounding
+    # |K_ij| <= max_i K_ii for a positive semidefinite K, so that rounding
     # in Q alpha at large n or large kernel values cannot hold it above tol
-    r_scale = 1.0 + cost * float(q_diag.max())
+    r_scale = 1.0 + cost * float(k_diag.max())
+    ones = np.ones(n)
     alpha = np.full(n, 0.5 * cost)
     s = alpha.copy()
     z, w = np.ones(n), np.ones(n)
     b = 0.0
     iterations = 0
     while True:
-        r_dual = q @ alpha - 1.0 + b * y - z + w
+        r_dual = y * (k_mat @ (y * alpha)) - 1.0 + b * y - z + w
         r_eq = float(y @ alpha)
         mu = float(alpha @ z + s @ w) / (2 * n)
         residual = max(float(np.abs(r_dual).max()) / r_scale, abs(r_eq) / cost,
@@ -288,14 +336,28 @@ def _interior_point(q: np.ndarray, y: np.ndarray,
         if iterations == _IP_MAX_ITERATIONS:
             raise NoConvergence(f"interior point residual {residual:.3e} > "
                                 f"{_IP_TOL} after {iterations} iterations")
-        q.flat[::n + 1] += z / alpha + w / s
+        diag = z / alpha + w / s
+        if factor is None:
+            k_mat.flat[::n + 1] += diag
+
+            def solve(rhs):
+                return np.linalg.solve(k_mat, rhs)
+        else:
+            scale = (1.0 / np.sqrt(diag))[:, None]
+            p = factor * scale
+            m_mat = p.T @ p
+            m_mat.flat[::m_mat.shape[0] + 1] += 1.0
+
+            def solve(rhs):
+                rhs = rhs * scale
+                return (rhs - p @ np.linalg.solve(m_mat, p.T @ rhs)) * scale
 
         def direction(sigma_mu, c_z, c_w):
             # complementarity targets alpha*z = s*w = sigma_mu, less the
             # corrector's second-order terms c_z and c_w
             t_z, t_w = (sigma_mu - c_z) / alpha, (sigma_mu - c_w) / s
             g = -r_dual + t_z - z - t_w + w
-            u, v = np.linalg.solve(q, np.column_stack([g, y])).T
+            u, v = y * solve(np.column_stack([y * g, ones])).T
             db = (y @ u + r_eq) / (y @ v)
             da = u - v * db
             return da, db, t_z - z - z / alpha * da, t_w - w + w / s * da
@@ -304,12 +366,15 @@ def _interior_point(q: np.ndarray, y: np.ndarray,
             return min(_max_step(alpha, da), _max_step(s, -da),
                        _max_step(z, dz), _max_step(w, dw))
 
-        da, db, dz, dw = direction(0.0, 0.0, 0.0)
-        t = min(1.0, step(da, dz, dw))
-        mu_aff = float((alpha + t * da) @ (z + t * dz)
-                       + (s - t * da) @ (w + t * dw)) / (2 * n)
-        da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
-        q.flat[::n + 1] = q_diag
+        try:
+            da, db, dz, dw = direction(0.0, 0.0, 0.0)
+            t = min(1.0, step(da, dz, dw))
+            mu_aff = float((alpha + t * da) @ (z + t * dz)
+                           + (s - t * da) @ (w + t * dw)) / (2 * n)
+            da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
+        finally:
+            if factor is None:
+                k_mat.flat[::n + 1] = k_diag
         t = min(1.0, _IP_STEP * step(da, dz, dw))
         alpha += t * da
         s -= t * da
@@ -331,13 +396,19 @@ def _interior_point(q: np.ndarray, y: np.ndarray,
 
 @dataclass
 class SvmClassifier(ClassifierModel):
-    """One-vs-rest machines; scores are the raw decision values."""
+    """One-vs-rest machines; scores are the raw decision values.
+
+    gram_rank is the rank r of the Gram factor the interior point of the
+    fallback machines solved through: n if they took dense solves, 0 if
+    no machine fell back.
+    """
 
     family = "SVM"
     machines: list
     class_names: tuple[str, ...]
     kernel: KernelSpec
     standardizer: nm.Standardizer
+    gram_rank: int
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
@@ -348,12 +419,16 @@ class SvmClassifier(ClassifierModel):
                 "cost": DEFAULT_COST,
                 "kkt_gap": max(m.kkt_gap for m in self.machines),
                 "n_updates": sum(m.n_updates for m in self.machines),
-                "ip_iterations": sum(m.ip_iterations for m in self.machines)}
+                "ip_iterations": sum(m.ip_iterations for m in self.machines),
+                "gram_rank": self.gram_rank}
 
 
 def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                 gram: np.ndarray) -> BinarySvm:
-    """Pairwise ascent within its budget, else interior point plus ascent."""
+                 gram: np.ndarray,
+                 factor: Callable[[], np.ndarray | None]) -> BinarySvm:
+    """Pairwise ascent within its budget, else interior point plus ascent;
+    factor() gives the interior point the low-rank factor of gram, or None
+    for dense solves."""
     n = y.size
     budget = min(DEFAULT_MAX_UPDATES, n * max(10, n // 100))
     try:
@@ -361,10 +436,10 @@ def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         return fit_svm_binary(x, y, kernel, gram=gram, max_updates=budget)
     except NoConvergence:
         pass
-    q = _label_product(y, gram)
-    alpha, iterations = _interior_point(q, y, DEFAULT_COST)
+    alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor())
+    # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
     return _pairwise_ascent(x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
-                            DEFAULT_MAX_UPDATES, gram, -y * (q @ alpha - 1.0),
+                            DEFAULT_MAX_UPDATES, gram, y - gram @ (y * alpha),
                             alpha, iterations)
 
 
@@ -373,23 +448,33 @@ def fit_svm_multiclass(train: Dataset,
     """Train one machine per class against the rest on standardised rows.
 
     Each machine first runs pairwise ascent with a budget of
-    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. On
-    FS4 one-vs-rest machines of the default panel with more or fewer days
-    (one BLAS thread), one pair update cost 34-37 us at n = 450, 39-52 us at
-    n = 1,000, 79-80 us at n = 2,000, 114-121 us at n = 3,000 and
-    163-181 us at n = 4,000, and one interior-point solve cost as much as
-    9-11 n updates at n = 450, 22-36 n at n = 1,000 and 37-65 n at
-    n = 2,000, as the O(n^3) solve outgrows the O(n) update. So the budget
-    is near that break-even at n = 450, the size of the study's fold fits,
-    and 2-4 times below it at n = 1,000-2,000, where a machine turns to the
-    interior point sooner than cost alone asks; from n ~ 3,200 the budget
-    is DEFAULT_MAX_UPDATES, so the interior point runs only for machines
-    ascent alone would fail. A machine over its budget is solved by the
-    interior point on the shared Gram matrix, then polished by pairwise
-    ascent from that alpha, which ends at DEFAULT_KKT_TOL or raises
-    NoConvergence after DEFAULT_MAX_UPDATES updates. A machine that converges within its
-    budget is the one fit_svm_binary returns; one over it may end at
-    another alpha inside the same tolerance.
+    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. A
+    machine over its budget is solved by the interior point on the shared
+    Gram matrix K, then polished by pairwise ascent from that alpha, which
+    ends at DEFAULT_KKT_TOL or raises NoConvergence after
+    DEFAULT_MAX_UPDATES updates. When the first machine falls back, K is
+    factored once for the fit (_low_rank_factor); if its rank r is low
+    enough, every fallback machine's interior point solves through that
+    factor, else by dense LU. A linear K has r <= d, a polynomial one
+    r <= C(d + p, p): with p = 3, 35, 10, 20 and 10 on FS2, FS3, FS5 and
+    FS6.
+
+    On the class-0 FS4 machine of the default panel with more days (one
+    BLAS thread), one pair update cost 18-23 us at n = 450, 25-32 us at
+    n = 1,000 and 39-56 us at n = 2,000. One interior-point solve cost
+    6, 16 and 44 ms through the rank-15 factor of the linear K, under n
+    updates, after one eigendecomposition per fit of 0.02, 0.17 and 1.5 s;
+    for the polynomial K (r = 450, 741 and 762) it cost 0.14 s by dense LU
+    and 1.1 and 2.0 s through the factor, against 1.3 and 9.1 s by dense
+    LU, as much as 13, 35 and 18 n updates. The budget was set near the
+    dense break-even at n = 450, the size of the study's fold fits, and is
+    kept, as a change would move machines that converge within it; a
+    low-rank machine now spends far more on its capped attempt than on its
+    interior-point solve. From n ~ 3,200 the budget is DEFAULT_MAX_UPDATES,
+    so the interior point runs only for machines ascent alone would fail.
+    A machine that converges within its budget is the one fit_svm_binary
+    returns; one over it may end at another alpha inside the same
+    tolerance.
     """
     if train.n == 0:
         raise EmptyTrainingSet("cannot fit on zero samples")
@@ -399,7 +484,20 @@ def fit_svm_multiclass(train: Dataset,
     x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)
     gram = kernel.gram(x, x)
-    machines = [_fit_machine(x, np.where(train.y == j, 1.0, -1.0), kernel, gram)
+    factored = []      # made once, when the first machine falls back
+
+    def factor():
+        if not factored:
+            factored.append(_low_rank_factor(gram))
+        return factored[0]
+
+    machines = [_fit_machine(x, np.where(train.y == j, 1.0, -1.0), kernel,
+                             gram, factor)
                 for j in range(train.n_classes)]
+    if not factored:
+        gram_rank = 0
+    else:
+        gram_rank = train.n if factored[0] is None else factored[0].shape[1]
     return SvmClassifier(machines=machines, class_names=train.class_names,
-                         kernel=kernel, standardizer=standardizer)
+                         kernel=kernel, standardizer=standardizer,
+                         gram_rank=gram_rank)

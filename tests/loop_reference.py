@@ -1,9 +1,11 @@
 """Straightforward versions of the SVM, NN and tree inner loops, used only
 by tests.
 
-Each SVM and NN function rebuilds its whole state on every iteration, as
-the loops in `cdsproxy.svm` and `cdsproxy.neuralnet` did before they were
-made to update only what changes. `best_split` and `fit_tree` sort every
+`pairwise_ascent` and the NN passes rebuild their whole state on every
+iteration, as the loops in `cdsproxy.svm` and `cdsproxy.neuralnet` did
+before they were made to update only what changes. `interior_point` solves its Newton
+systems against Q = yy' * K (`label_product`), as `cdsproxy.svm` did before
+it solved them against K. `best_split` and `fit_tree` sort every
 feature at every node and evaluate the float score of every candidate, as
 `cdsproxy.trees` did before it presorted once per fit and screened the
 candidates by integer counts. The tests swap them in and require the
@@ -20,7 +22,15 @@ from cdsproxy.errors import (
     PureNode,
 )
 from cdsproxy.neuralnet import Activation, NetParams, activation_value
-from cdsproxy.svm import _TAU, BinarySvm
+from cdsproxy.svm import (
+    _IP_MAX_ITERATIONS,
+    _IP_STEP,
+    _IP_TOL,
+    _SNAP,
+    _TAU,
+    BinarySvm,
+    _max_step,
+)
 from cdsproxy.trees import (
     _GAIN_SLACK,
     DEFAULT_MAX_SPLITS,
@@ -104,6 +114,70 @@ def pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat, minus_yg,
     return BinarySvm(alpha=alpha, bias=bias, x_train=x, y_train=y, kernel=kernel,
                      cost=cost, kkt_gap=float(gap), n_updates=updates,
                      ip_iterations=ip_iterations)
+
+
+def label_product(y, k_mat):
+    """Q = yy' * K, the Hessian of the dual."""
+    return (y[:, None] * y[None, :]) * k_mat
+
+
+def interior_point(q, y, cost):
+    """The dense interior point on Q: each direction solves
+    (Q + diag(z/a + w/s)) [u, v] = [g, y], the diagonal going onto q's own
+    for the two solves of an iteration."""
+    n = y.size
+    q_diag = q.diagonal().copy()
+    r_scale = 1.0 + cost * float(q_diag.max())
+    alpha = np.full(n, 0.5 * cost)
+    s = alpha.copy()
+    z, w = np.ones(n), np.ones(n)
+    b = 0.0
+    iterations = 0
+    while True:
+        r_dual = q @ alpha - 1.0 + b * y - z + w
+        r_eq = float(y @ alpha)
+        mu = float(alpha @ z + s @ w) / (2 * n)
+        residual = max(float(np.abs(r_dual).max()) / r_scale, abs(r_eq) / cost,
+                       mu / cost)
+        if residual <= _IP_TOL:
+            break
+        if iterations == _IP_MAX_ITERATIONS:
+            raise NoConvergence(f"interior point residual {residual:.3e} > "
+                                f"{_IP_TOL} after {iterations} iterations")
+        q.flat[::n + 1] += z / alpha + w / s
+
+        def direction(sigma_mu, c_z, c_w):
+            t_z, t_w = (sigma_mu - c_z) / alpha, (sigma_mu - c_w) / s
+            g = -r_dual + t_z - z - t_w + w
+            u, v = np.linalg.solve(q, np.column_stack([g, y])).T
+            db = (y @ u + r_eq) / (y @ v)
+            da = u - v * db
+            return da, db, t_z - z - z / alpha * da, t_w - w + w / s * da
+
+        def step(da, dz, dw):
+            return min(_max_step(alpha, da), _max_step(s, -da),
+                       _max_step(z, dz), _max_step(w, dw))
+
+        da, db, dz, dw = direction(0.0, 0.0, 0.0)
+        t = min(1.0, step(da, dz, dw))
+        mu_aff = float((alpha + t * da) @ (z + t * dz)
+                       + (s - t * da) @ (w + t * dw)) / (2 * n)
+        da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
+        q.flat[::n + 1] = q_diag
+        t = min(1.0, _IP_STEP * step(da, dz, dw))
+        alpha += t * da
+        s -= t * da
+        z += t * dz
+        w += t * dw
+        b += t * db
+        iterations += 1
+    at_zero, at_cost = alpha <= _SNAP * cost, s <= _SNAP * cost
+    alpha[at_zero], alpha[at_cost] = 0.0, cost
+    free = ~(at_zero | at_cost)
+    if free.any():
+        alpha[free] -= y[free] * (float(y @ alpha) / np.count_nonzero(free))
+    np.clip(alpha, 0.0, cost, out=alpha)
+    return alpha, iterations
 
 
 def _activation_derivative(kind, v):

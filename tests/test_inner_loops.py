@@ -1,8 +1,9 @@
 """The SVM, NN and tree inner loops against their straightforward versions.
 
-`loop_reference` rebuilds every vector on every iteration, and sorts and
-scores every split candidate at every tree node; the loops in `cdsproxy`
-update only what changes, and trees presort once per fit and screen
+`loop_reference` rebuilds every vector on every iteration, solves the
+interior point's Newton systems on Q = yy' * K, and sorts and scores every
+split candidate at every tree node; the loops in `cdsproxy` update only
+what changes, solve on K, and trees presort once per fit and screen
 candidates by integer counts. Swapped in, the reference must give the same
 fitted models bit for bit.
 """
@@ -33,7 +34,7 @@ def overlapping_problem(seed, n_per_side=40, d=3):
 def run_both(ascent_args, alpha):
     """Both loops from copies of one alpha: (result or error) per loop."""
     y, gram = ascent_args[1], ascent_args[6]
-    minus_yg = -y * (svm._label_product(y, gram) @ alpha - 1.0)
+    minus_yg = -y * (ref.label_product(y, gram) @ alpha - 1.0)
     outcomes = []
     for loop in (svm._pairwise_ascent, ref.pairwise_ascent):
         start = alpha.copy()
@@ -74,7 +75,7 @@ class TestPairwiseAscent:
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
         alpha = np.zeros(y.size)
-        start = -y * (svm._label_product(y, gram) @ alpha - 1.0)
+        start = -y * (ref.label_product(y, gram) @ alpha - 1.0)
         assert np.array_equal(start, y)
         want = svm._pairwise_ascent(x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL,
                                     100_000, gram, start, alpha, 0)
@@ -82,16 +83,18 @@ class TestPairwiseAscent:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_interior_point_start_matches_reference(self, kind):
+        # from the dense solve's alpha, then from the one through the
+        # low-rank factor, which is None for the full-rank gaussian K
         x, y = overlapping_problem(3)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        alpha, _ = svm._interior_point(svm._label_product(y, gram), y,
-                                       DEFAULT_COST)
-        # a tolerance below the interior point's leaves polishing to do
-        args = (x, y, spec, DEFAULT_COST, 1e-9, 100_000, gram)
-        got, want = run_both(args, alpha)
-        assert got.n_updates > 0
-        assert_same_machine(got, want)
+        for factor in (None, svm._low_rank_factor(gram)):
+            alpha, _ = svm._interior_point(gram, y, DEFAULT_COST, factor)
+            # a tolerance below the interior point's leaves polishing to do
+            args = (x, y, spec, DEFAULT_COST, 1e-9, 100_000, gram)
+            got, want = run_both(args, alpha)
+            assert got.n_updates > 0
+            assert_same_machine(got, want)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_capped_attempt_raises_at_the_same_update(self, kind):
@@ -105,6 +108,23 @@ class TestPairwiseAscent:
         assert "after 37 pair updates" in got_msg
         assert np.array_equal(got_alpha, want_alpha)
 
+    def test_partners_tied_on_gain_go_to_the_lower_index(self):
+        # from alpha = 0 the steepest index is 0, and rows 1 and 2 mirror
+        # each other about it: the same b and the same curvature, so the
+        # same gain, and the first update must pair 0 with 1
+        x = np.array([[0.0], [-1.0], [1.0], [3.0]])
+        y = np.array([1.0, -1.0, -1.0, 1.0])
+        spec = KernelSpec(SvmKernel.LINEAR)
+        gram = spec.gram(x, x)
+        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 1, gram)
+        (got_msg, got_alpha), (want_msg, want_alpha) = run_both(
+            args, np.zeros(y.size))
+        assert got_msg == want_msg
+        assert np.array_equal(got_alpha, want_alpha)
+        assert got_alpha[1] > 0.0 and got_alpha[2] == 0.0
+        got, want = run_both(args[:5] + (1_000,) + args[6:], np.zeros(y.size))
+        assert_same_machine(got, want)
+
     def test_multiclass_fit_with_fallback_machines_matches_reference(
             self, monkeypatch):
         # machine 0 goes over its budget and onto the interior point
@@ -114,6 +134,45 @@ class TestPairwiseAscent:
         monkeypatch.setattr(svm, "_pairwise_ascent", ref.pairwise_ascent)
         want = svm.fit_svm_multiclass(train, kernel=spec)
         assert got.machines[0].ip_iterations > 0
+        for a, b in zip(got.machines, want.machines):
+            assert_same_machine(a, b)
+            assert a.ip_iterations == b.ip_iterations
+
+
+class TestDenseInteriorPoint:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solve_on_k_matches_the_solve_on_q(self, kind, seed):
+        # (Q + D) u = g and (K + D)(y * u) = y * g round alike for y = +-1
+        x, y = overlapping_problem(seed)
+        gram = KernelSpec(kind).resolve(x.shape[1]).gram(x, x)
+        q = ref.label_product(y, gram)
+        alpha, iterations = svm._interior_point(gram, y, DEFAULT_COST)
+        want_alpha, want_iterations = ref.interior_point(q, y, DEFAULT_COST)
+        assert iterations == want_iterations > 0
+        assert np.array_equal(alpha, want_alpha)
+        # the polish starts from y - K (y * alpha) = -y * (Q alpha - 1)
+        assert np.array_equal(y - gram @ (y * alpha), -y * (q @ alpha - 1.0))
+
+    def test_fold_fit_with_dense_fallback_machines_matches_reference(
+            self, monkeypatch):
+        # SVM-Poly on FS1 fold 0 of the 3-name x 30-day panel: K has full
+        # rank, and two machines fall back to the dense solve
+        panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30,
+                                               seed=0))
+        dataset = build_dataset(panel, FeatureSelection.FS1)
+        train = dataset.subset(
+            evaluation.stratified_folds(dataset, 2, seed=0).training_rows(0))
+        spec = KernelSpec(SvmKernel.POLYNOMIAL)
+        got = svm.fit_svm_multiclass(train, kernel=spec)
+        monkeypatch.setattr(
+            svm, "_interior_point",
+            lambda k_mat, y, cost, factor: ref.interior_point(
+                ref.label_product(y, k_mat), y, cost))
+        monkeypatch.setattr(svm, "_pairwise_ascent", ref.pairwise_ascent)
+        want = svm.fit_svm_multiclass(train, kernel=spec)
+        assert got.gram_rank == train.n
+        assert sum(m.ip_iterations > 0 for m in got.machines) == 2
         for a, b in zip(got.machines, want.machines):
             assert_same_machine(a, b)
             assert a.ip_iterations == b.ip_iterations

@@ -209,13 +209,15 @@ class TestBinarySvm:
                            KernelSpec(SvmKernel.LINEAR), cost=0.0)
 
 
-def interior_point_then_ascent(x, y, spec, cost):
-    """The fallback path of one multiclass machine, on a binary problem."""
+def interior_point_then_ascent(x, y, spec, cost, factored=False):
+    """The fallback path of one multiclass machine, on a binary problem;
+    factored passes the interior point the Gram matrix's low-rank factor,
+    which is None when the matrix is numerically of too high a rank."""
     gram = spec.gram(x, x)
-    q = svm._label_product(y, gram)
-    alpha, iterations = svm._interior_point(q, y, cost)
+    factor = svm._low_rank_factor(gram) if factored else None
+    alpha, iterations = svm._interior_point(gram, y, cost, factor)
     return svm._pairwise_ascent(x, y, spec, cost, DEFAULT_KKT_TOL,
-                                DEFAULT_MAX_UPDATES, gram, -y * (q @ alpha - 1.0),
+                                DEFAULT_MAX_UPDATES, gram, y - gram @ (y * alpha),
                                 alpha, iterations)
 
 
@@ -226,16 +228,19 @@ class TestInteriorPoint:
                                                   separation):
         x, y = binary_problem(seed, n_per_side, 3, separation)
         spec = KernelSpec(kind, degree=3).resolve(3)
-        model = interior_point_then_ascent(x, y, spec, DEFAULT_COST)
         gram = spec.gram(x, x)
         ref = reference_dual_solution(gram, y, DEFAULT_COST)
         w_ref = dual_objective(ref, gram, y)
-        assert model.ip_iterations > 0
-        assert abs(dual_objective(model.alpha, gram, y) - w_ref) <= 1e-4 * max(
-            1.0, abs(w_ref))
-        assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
-        assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
-        assert model.kkt_gap <= DEFAULT_KKT_TOL
+        # dense solves, then solves through the low-rank factor where the
+        # Gram matrix has one (linear, and polynomial at n = 40)
+        for factored in (False, True):
+            model = interior_point_then_ascent(x, y, spec, DEFAULT_COST, factored)
+            assert model.ip_iterations > 0
+            w_got = dual_objective(model.alpha, gram, y)
+            assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
+            assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
+            assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
+            assert model.kkt_gap <= DEFAULT_KKT_TOL
 
     def test_every_alpha_at_cost_raises_no_warning(self):
         # a cost this small puts every alpha at C; s = C - alpha and z head
@@ -310,6 +315,101 @@ class TestInteriorPoint:
         assert summary["n_updates"] == sum(m.n_updates for m in model.machines)
         assert summary["ip_iterations"] == sum(m.ip_iterations
                                                for m in model.machines)
+
+
+def golden_fold(selection, fold):
+    """A training fold of the 3-name x 30-day panel of test_golden.py."""
+    panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30, seed=0))
+    dataset = build_dataset(panel, selection)
+    return dataset.subset(stratified_folds(dataset, 2, seed=0).training_rows(fold))
+
+
+class TestLowRankInteriorPoint:
+    @pytest.mark.parametrize("kind,d,rank", [(SvmKernel.LINEAR, 4, 4),
+                                             (SvmKernel.POLYNOMIAL, 2, 10),
+                                             (SvmKernel.POLYNOMIAL, 4, 35)])
+    def test_factor_has_the_kernel_rank(self, kind, d, rank):
+        # linear: r = d; polynomial of degree 3: r = C(d + 3, 3)
+        x, _ = binary_problem(81, 60, d, 0.5)
+        gram = KernelSpec(kind).resolve(d).gram(x, x)
+        factor = svm._low_rank_factor(gram)
+        assert factor.shape == (x.shape[0], rank)
+        assert np.abs(factor @ factor.T - gram).max() <= 1e-12 * gram.max()
+
+    @pytest.mark.parametrize("kind,d", [(SvmKernel.LINEAR, 4),
+                                        (SvmKernel.LINEAR, 8),
+                                        (SvmKernel.POLYNOMIAL, 2),
+                                        (SvmKernel.POLYNOMIAL, 4)])
+    @pytest.mark.parametrize("seed,n_per_side,separation", [(82, 30, 0.2),
+                                                            (83, 60, 0.5),
+                                                            (84, 100, 1.0)])
+    def test_factored_solve_matches_the_dense_one(self, kind, d, seed,
+                                                  n_per_side, separation):
+        x, y = binary_problem(seed, n_per_side, d, separation)
+        gram = KernelSpec(kind).resolve(d).gram(x, x)
+        factor = svm._low_rank_factor(gram)
+        assert factor is not None
+        dense, dense_iterations = svm._interior_point(gram, y, DEFAULT_COST)
+        alpha, iterations = svm._interior_point(gram, y, DEFAULT_COST, factor)
+        assert iterations == dense_iterations
+        assert np.array_equal(alpha == 0.0, dense == 0.0)
+        assert np.array_equal(alpha == DEFAULT_COST, dense == DEFAULT_COST)
+        assert np.abs(alpha - dense).max() <= 1e-6 * DEFAULT_COST
+
+    def test_dense_solve_leaves_the_gram_matrix_as_it_was(self):
+        x, y = binary_problem(85, 20, 3, 0.3)
+        gram = KernelSpec(SvmKernel.GAUSSIAN).resolve(3).gram(x, x)
+        kept = gram.copy()
+        svm._interior_point(gram, y, DEFAULT_COST)
+        assert np.array_equal(gram, kept)
+
+    def test_full_rank_gram_matrices_take_the_dense_solve(self):
+        rng = np.random.default_rng(86)
+        x = rng.normal(size=(120, 4))
+        gaussian = KernelSpec(SvmKernel.GAUSSIAN).resolve(4).gram(x, x)
+        assert svm._low_rank_factor(gaussian) is None
+        # C(16 + 3, 3) = 969 monomials exceed the 450 rows
+        x = rng.normal(size=(450, 16))
+        poly = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
+        assert svm._low_rank_factor(poly) is None
+
+    def test_factor_only_below_the_flop_break_even(self):
+        # n = 10: 3 n r^2 + 4 r^3 = 3,968 < 4 n^3 at r = 8, 5,346 at r = 9
+        x = np.random.default_rng(88).normal(size=(10, 9))
+        assert svm._low_rank_factor(x[:, :8] @ x[:, :8].T).shape == (10, 8)
+        assert svm._low_rank_factor(x @ x.T) is None
+
+    def test_factor_made_once_per_fit_and_only_on_fallback(self, monkeypatch):
+        calls = []
+
+        def counted(k_mat):
+            calls.append(k_mat.shape)
+            return factor(k_mat)
+
+        factor = svm._low_rank_factor
+        monkeypatch.setattr(svm, "_low_rank_factor", counted)
+        # every one of the three machines falls back
+        model = fit_svm_multiclass(random_dataset(90, 3, 3, seed=1),
+                                   kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        assert all(m.ip_iterations > 0 for m in model.machines)
+        assert calls == [(90, 90)]
+        calls.clear()
+        model = fit_svm_multiclass(make_blobs([[0.0, 0.0], [4.0, 4.0]], 10,
+                                              scale=0.5, seed=87))
+        assert all(m.ip_iterations == 0 for m in model.machines)
+        assert calls == []
+
+    def test_describe_reports_the_rank_the_fallback_machines_used(self):
+        blobs = make_blobs([[0.0, 0.0], [4.0, 4.0]], 10, scale=0.5, seed=87)
+        assert fit_svm_multiclass(blobs).describe()["gram_rank"] == 0
+        low = fit_svm_multiclass(random_dataset(90, 3, 3, seed=1),
+                                 kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        assert low.describe()["gram_rank"] == 20
+        # SVM-Poly on FS1: 16 features and 45 rows, so K has full rank
+        train = golden_fold(FeatureSelection.FS1, 0)
+        dense = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        assert any(m.ip_iterations > 0 for m in dense.machines)
+        assert dense.describe()["gram_rank"] == train.n == 45
 
 
 class TestMulticlass:
