@@ -131,9 +131,6 @@ class CrossSectionalModel:
     def predict(self, categories: Mapping[str, str]) -> float:
         return math.exp(self.log_spread(categories))
 
-    def predict_record(self, record: CdsContractRecord) -> float:
-        return self.predict(record.categories())
-
 
 def _level_table(records: Sequence[CdsContractRecord],
                  ) -> dict[str, list[str]]:

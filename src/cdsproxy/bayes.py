@@ -17,7 +17,6 @@ from . import numerics as nm
 from .core import ClassifierModel, ClassPriors, Dataset, class_priors
 from .errors import (
     ClassTooSmall,
-    EmptySample,
     EmptyTrainingSet,
     NonpositiveBandwidth,
     NotPositiveDefinite,
@@ -46,26 +45,6 @@ def kernel_values(kind: KernelKind, u: np.ndarray) -> np.ndarray:
     if kind is KernelKind.TRIANGULAR:
         return np.maximum(0.0, 1.0 - np.abs(u))
     return 0.75 * np.maximum(0.0, 1.0 - u * u)
-
-
-def kde_log_density(samples: np.ndarray, kernel: KernelKind, bandwidth: float,
-                    x) -> np.ndarray | float:
-    """Log of the kernel density estimate (1/(n b)) sum K((x - x_i)/b).
-
-    Floored at LOG_DENSITY_FLOOR so empty kernel support cannot produce
-    -inf. x may be a scalar or an array; the result matches its shape.
-    """
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    if samples.size == 0:
-        raise EmptySample("kernel density estimate needs at least one sample")
-    if not bandwidth > 0.0:
-        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
-    arr = np.asarray(x, dtype=float)
-    u = (arr[..., None] - samples) / bandwidth
-    dens = kernel_values(kernel, u).mean(axis=-1) / bandwidth
-    with np.errstate(divide="ignore"):
-        out = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def _validate_train(train: Dataset) -> None:

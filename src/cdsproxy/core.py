@@ -149,9 +149,6 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         return replace(self, x=self.x[indices], y=self.y[indices])
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.y, minlength=self.n_classes)
-
 
 def build_dataset(panel: MarketPanel, selection: FeatureSelection) -> Dataset:
     """Flatten a panel into samples for one feature selection.
@@ -204,18 +201,12 @@ def class_priors(y: np.ndarray, n_classes: int) -> ClassPriors:
     return ClassPriors(pi=counts / counts.sum())
 
 
-def map_decision(scores: np.ndarray) -> int:
-    """Maximum-a-posteriori label: the lowest class index among the argmax."""
-    return int(np.argmax(scores))
-
-
 class ClassifierModel(abc.ABC):
     """Contract shared by every trained classifier.
 
     A family implements one method, scores_batch, mapping an (n, d) array of
-    rows to an (n, N) array of real class scores. The per-row scores and
-    classify and the batch classify_batch derive from it; classification
-    picks the lowest index among the maximal scores.
+    rows to an (n, N) array of real class scores. classify_batch derives
+    from it and picks, per row, the lowest index among the maximal scores.
     """
 
     family: str = "base"
@@ -223,12 +214,6 @@ class ClassifierModel(abc.ABC):
     @abc.abstractmethod
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         ...
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.scores_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def classify(self, x: np.ndarray) -> int:
-        return map_decision(self.scores(x))
 
     def classify_batch(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores_batch(x), axis=1)

@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import csv
 import datetime
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -285,38 +286,45 @@ def read_panel(path) -> MarketPanel:
         if extra:
             raise SchemaViolation(f"panel file has unknown columns: {extra}")
         position = {c: header.index(c) for c in header}
-        cells: dict[tuple[str, str], dict[str, float]] = {}
+        fields = [position.get(col) for col in PANEL_COLUMNS]
+        # every row's parsed cells in one flat buffer, in PANEL_COLUMNS
+        # order, and each (name, date) key's row in it
+        cells = array("d")
+        row_of: dict[tuple[str, str], int] = {}
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaViolation(
                     f"row {row_number}: expected {len(header)} fields, "
                     f"got {len(row)}")
             key = (row[position["counterparty"]], row[position["date"]])
-            if key in cells:
+            if key in row_of:
                 raise SchemaViolation(
                     f"row {row_number}: duplicate observation for {key}")
-            record = {}
-            for col in PANEL_COLUMNS:
-                if col in position:
-                    record[col] = _parse_cell(row[position[col]],
-                                              row_number, col)
-                else:
-                    record[col] = float("nan")
-            cells[key] = record
-    if not cells:
+            row_of[key] = len(row_of)
+            for col, field in zip(PANEL_COLUMNS, fields):
+                cells.append(float("nan") if field is None
+                             else _parse_cell(row[field], row_number, col))
+    if not row_of:
         raise SchemaViolation("panel file has no observations")
-    names = tuple(sorted({k[0] for k in cells}))
-    dates = tuple(sorted({k[1] for k in cells}))
-    values = {col: np.full((len(names), len(dates)), np.nan)
-              for col in PANEL_COLUMNS}
-    for i, name in enumerate(names):
-        for j, date in enumerate(dates):
-            if (name, date) not in cells:
-                raise SchemaViolation(
-                    f"missing observation for counterparty {name!r} on "
-                    f"{date}")
-            for col in PANEL_COLUMNS:
-                values[col][i, j] = cells[(name, date)][col]
+    names = tuple(sorted({k[0] for k in row_of}))
+    dates = tuple(sorted({k[1] for k in row_of}))
+    if len(row_of) != len(names) * len(dates):
+        for name in names:
+            for date in dates:
+                if (name, date) not in row_of:
+                    raise SchemaViolation(
+                        f"missing observation for counterparty {name!r} on "
+                        f"{date}")
+    # the keys are distinct and fill the grid, so every cell is written once
+    name_at = {name: i for i, name in enumerate(names)}
+    date_at = {date: j for j, date in enumerate(dates)}
+    flat = np.frombuffer(cells).reshape(len(row_of), len(PANEL_COLUMNS))
+    at = (np.fromiter((name_at[k[0]] for k in row_of), int, len(row_of)),
+          np.fromiter((date_at[k[1]] for k in row_of), int, len(row_of)))
+    values = {}
+    for c, col in enumerate(PANEL_COLUMNS):
+        values[col] = np.empty((len(names), len(dates)))
+        values[col][at] = flat[:, c]
     return MarketPanel(counterparties=names, dates=dates, values=values)
 
 
@@ -363,45 +371,4 @@ def records_from_panel(panel: MarketPanel,
             counterparty=name, spread=float(rates[observed[-1]]),
             region=cats["region"], sector=cats["sector"],
             rating=cats["rating"], seniority=cats["seniority"]))
-    return records
-
-
-_RECORD_HEADER = ("counterparty", "spread", "region", "sector", "rating",
-                  "seniority")
-
-
-def write_records(records: Iterable[CdsContractRecord], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_RECORD_HEADER)
-        for r in records:
-            writer.writerow([r.counterparty, repr(float(r.spread)), r.region,
-                             r.sector, r.rating, r.seniority])
-
-
-def read_records(path) -> list[CdsContractRecord]:
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaViolation("records file is empty") from None
-        if tuple(header) != _RECORD_HEADER:
-            raise SchemaViolation(
-                f"records file header {header} != {list(_RECORD_HEADER)}")
-        records = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(_RECORD_HEADER):
-                raise SchemaViolation(
-                    f"row {row_number}: expected {len(_RECORD_HEADER)} "
-                    f"fields, got {len(row)}")
-            try:
-                spread = float(row[1])
-            except ValueError as exc:
-                raise SchemaViolation(
-                    f"row {row_number}, column spread: not a number: "
-                    f"{row[1]!r}") from exc
-            records.append(CdsContractRecord(
-                counterparty=row[0], spread=spread, region=row[2],
-                sector=row[3], rating=row[4], seniority=row[5]))
     return records

@@ -80,10 +80,6 @@ class SingularCovariance(CdsProxyError):
     """A covariance matrix is singular beyond what the ridge repairs."""
 
 
-class EmptySample(CdsProxyError):
-    """A density estimate was requested from zero samples."""
-
-
 class NonpositiveBandwidth(CdsProxyError):
     """A kernel bandwidth must be strictly positive."""
 

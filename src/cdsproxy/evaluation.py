@@ -277,9 +277,6 @@ class PcaStudyResult:
     raw_error: float                        # untransformed features
     variance_explained: tuple[float, ...]   # cumulative share, full data
 
-    def component_accuracies(self) -> tuple[float, ...]:
-        return tuple(1.0 - e for e in self.component_errors)
-
 
 def pca_study(spec: ClassifierSpec, dataset: Dataset,
               k: int = DEFAULT_FOLDS, seed: int = 0) -> PcaStudyResult:
@@ -331,11 +328,6 @@ class CorrelationHistogram:
     counts: tuple[int, ...]                 # 20 bins
     values: tuple[float, ...]               # defined pairwise correlations
     undefined_pairs: int
-
-    def fraction_above(self, threshold: float) -> float:
-        if not self.values:
-            return 0.0
-        return float(np.mean(np.asarray(self.values) > threshold))
 
 
 def correlation_histogram(dataset: Dataset) -> CorrelationHistogram:

@@ -31,23 +31,6 @@ class Metric(str, enum.Enum):
     MAHALANOBIS = "mahalanobis"
 
 
-def distance(metric: Metric, x: np.ndarray, y: np.ndarray,
-             chol_factor: np.ndarray | None = None) -> float:
-    """Distance between two vectors; Mahalanobis needs a Cholesky factor."""
-    metric = Metric(metric)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if metric is Metric.EUCLIDEAN:
-        diff = x - y
-        return float(np.sqrt((diff * diff).sum()))
-    if metric is Metric.CITYBLOCK:
-        return float(np.abs(x - y).sum())
-    if chol_factor is None:
-        raise SingularCovariance("Mahalanobis distance needs a covariance factor")
-    z = np.linalg.solve(chol_factor, x - y)
-    return float(np.sqrt((z * z).sum()))
-
-
 @dataclass
 class KnnClassifier(ClassifierModel):
     """Lazy nearest-neighbour model; stores the standardised, whitened or raw rows."""

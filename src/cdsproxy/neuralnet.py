@@ -8,7 +8,9 @@ search: the step size is halved until the loss strictly decreases, down to
 a floor, and training stops early once the gradient norm is tiny. The
 network always trains on standardised rows, and a predict standardises its
 queries with the same map. All randomness (weight initialisation) comes
-from the seed in TrainConfig.
+from the seed in TrainConfig. Training and scoring run the same forward
+pass, so a model's class probabilities are the softmax its training loss
+was computed from.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset
-from .errors import BadConfig, DimensionMismatch, EmptyTrainingSet, SingleClassInput
+from .errors import BadConfig, EmptyTrainingSet, SingleClassInput
 
 DEFAULT_HIDDEN_UNITS = 10
 DEFAULT_LEARNING_RATE = 1.0
@@ -49,14 +51,6 @@ def activation_derivative(kind: Activation, pre: np.ndarray,
     if kind is Activation.TAN_SIGMOID:
         return 1.0 - hidden * hidden
     return 1.0 / (1.0 + np.abs(pre)) ** 2
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Rowwise softmax computed with the max-shift trick."""
-    z = np.asarray(logits, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -104,22 +98,6 @@ def initial_params(d: int, h: int, k: int, seed: int) -> NetParams:
                      w2=rng.uniform(-r2, r2, size=(k, h)), b2=np.zeros(k))
 
 
-def _check_width(params: NetParams, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != params.w1.shape[1]:
-        raise DimensionMismatch(
-            f"rows have {x.shape[1]} features, network expects {params.w1.shape[1]}")
-    return x
-
-
-def nn_forward(params: NetParams, activation: Activation,
-               x: np.ndarray) -> np.ndarray:
-    """Class-probability rows p = softmax(W2 f(W1 x + b1) + b2)."""
-    x = _check_width(params, x)
-    hidden = activation_value(activation, x @ params.w1.T + params.b1)
-    return softmax(hidden @ params.w2.T + params.b2)
-
-
 def _true_class_picks(y: np.ndarray, n: int, n_classes: int) -> np.ndarray:
     """Flat positions of the true-class entries of an (n, n_classes) array;
     a flat gather is several times faster than indexing by (rows, y)."""
@@ -127,9 +105,11 @@ def _true_class_picks(y: np.ndarray, n: int, n_classes: int) -> np.ndarray:
     return np.ravel_multi_index((np.arange(n), y), (n, n_classes))
 
 
-def _forward_state(params: NetParams, activation: Activation, x: np.ndarray,
-                   picks: np.ndarray) -> tuple:
-    """One full forward pass: loss plus everything backprop needs."""
+def _forward(params: NetParams, activation: Activation,
+             x: np.ndarray) -> tuple:
+    """One forward pass: pre-activations, hidden values, max-shifted logits,
+    their exponentials and the row sums of those, so that the class
+    probabilities are expd / norm[:, None]."""
     pre = x @ params.w1.T + params.b1
     hidden = activation_value(activation, pre)
     logits = hidden @ params.w2.T + params.b2
@@ -140,7 +120,13 @@ def _forward_state(params: NetParams, activation: Activation, x: np.ndarray,
         np.maximum(row_max, column, out=row_max)
     shifted = logits - row_max[:, None]
     expd = np.exp(shifted)
-    norm = expd.sum(axis=1)
+    return pre, hidden, shifted, expd, expd.sum(axis=1)
+
+
+def _forward_state(params: NetParams, activation: Activation, x: np.ndarray,
+                   picks: np.ndarray) -> tuple:
+    """One full forward pass: loss plus everything backprop needs."""
+    pre, hidden, shifted, expd, norm = _forward(params, activation, x)
     loss = float((np.log(norm) - shifted.take(picks)).mean())
     return loss, pre, hidden, expd, norm
 
@@ -164,26 +150,6 @@ def _gradient_from_state(params: NetParams, activation: Activation,
     return NetParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
-def nn_loss(params: NetParams, activation: Activation, x: np.ndarray,
-            y: np.ndarray) -> float:
-    """Mean cross-entropy of the true classes."""
-    x = _check_width(params, x)
-    picks = _true_class_picks(y, x.shape[0], params.b2.size)
-    return _forward_state(params, activation, x, picks)[0]
-
-
-def nn_loss_gradient(params: NetParams, activation: Activation, x: np.ndarray,
-                     y: np.ndarray) -> tuple[float, NetParams]:
-    """Loss and its exact gradient by reverse accumulation."""
-    x = _check_width(params, x)
-    if x.shape[0] == 0:
-        raise EmptyTrainingSet("gradient needs a non-empty batch")
-    picks = _true_class_picks(y, x.shape[0], params.b2.size)
-    state = _forward_state(params, activation, x, picks)
-    grad = _gradient_from_state(params, activation, x, picks, state)
-    return state[0], grad
-
-
 @dataclass
 class NeuralNetClassifier(ClassifierModel):
     """Trained network; scores are the output-layer class probabilities."""
@@ -203,7 +169,8 @@ class NeuralNetClassifier(ClassifierModel):
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
-        return nn_forward(self.params, self.activation, q)
+        _, _, _, expd, norm = _forward(self.params, self.activation, q)
+        return expd / norm[:, None]
 
     def describe(self) -> dict:
         return {"family": self.family, "activation": self.activation.value,

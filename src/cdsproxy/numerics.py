@@ -41,8 +41,6 @@ class CovarianceEstimate:
 
     mean: np.ndarray
     matrix: np.ndarray  # d x d; off-diagonal zero in DIAGONAL mode
-    mode: CovMode
-    count: int
 
 
 @dataclass(frozen=True)
@@ -119,20 +117,14 @@ def sample_mean_covariance(vectors: np.ndarray, mode: CovMode = CovMode.FULL) ->
         matrix = 0.5 * (matrix + matrix.T)
     else:
         matrix = np.diag((centered * centered).sum(axis=0) / (n - 1))
-    return CovarianceEstimate(mean=mean, matrix=matrix, mode=mode, count=n)
-
-
-def ridge_value(matrix: np.ndarray) -> float:
-    """Diagonal ridge proportional to the mean eigenvalue: 1e-8 * trace/d."""
-    m = np.asarray(matrix, dtype=float)
-    d = m.shape[0]
-    return RIDGE_FACTOR * float(np.trace(m)) / d
+    return CovarianceEstimate(mean=mean, matrix=matrix)
 
 
 def add_ridge(matrix: np.ndarray) -> np.ndarray:
-    """Return matrix + ridge_value(matrix) * I."""
+    """Return matrix + r * I, with the ridge r = 1e-8 * trace/d proportional
+    to the mean eigenvalue."""
     m = np.array(matrix, dtype=float, copy=True)
-    m[np.diag_indices_from(m)] += ridge_value(m)
+    m[np.diag_indices_from(m)] += RIDGE_FACTOR * float(np.trace(m)) / m.shape[0]
     return m
 
 

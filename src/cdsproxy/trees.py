@@ -350,10 +350,7 @@ class DecisionTreeModel(ClassifierModel):
     n_features: int
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(x, dtype=float))
-        if q.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"rows have {q.shape[1]} features, tree expects {self.n_features}")
+        q = nm.as_rows(x, self.n_features)
         # children are appended after their parent, so one pass in node
         # order moves every row from the root down to its leaf
         at = np.zeros(q.shape[0], dtype=int)
@@ -466,8 +463,7 @@ class BaggedTreeClassifier(ClassifierModel):
     seed: int = 0
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(x, dtype=float))
-        return sum(tree.scores_batch(q) for tree in self.trees)
+        return sum(tree.scores_batch(x) for tree in self.trees)
 
     def describe(self) -> dict:
         return {"family": self.family, "criterion": self.criterion.value,

@@ -135,8 +135,8 @@ class TestCrossSectional:
     def test_noiseless_one_combination_reproduces_the_spread(self):
         records = [record("A", 123.0), record("B", 123.0)]
         model = fit_cross_sectional(records)
-        assert model.predict_record(records[0]) == pytest.approx(123.0,
-                                                                 rel=1e-10)
+        assert model.predict(records[0].categories()) == pytest.approx(
+            123.0, rel=1e-10)
 
     def test_known_coefficients_recovered_exactly(self):
         coef = {"Europe": 0.4, "Utilities": -0.3, "BB": 0.8,
@@ -172,7 +172,7 @@ class TestCrossSectional:
         for query_record in records[:4]:
             expected, _ = model_prediction_oracle(records,
                                                   query_record.categories())
-            assert model.predict_record(query_record) == pytest.approx(
+            assert model.predict(query_record.categories()) == pytest.approx(
                 expected, rel=1e-8)
 
     def test_aliased_categories_rejected(self):
@@ -205,8 +205,8 @@ class TestCrossSectional:
         for a, b in [(0, 1), (2, 3)]:
             assert bucket_key(records[a]) == bucket_key(records[b])
             assert table[bucket_key(records[a])] == table[bucket_key(records[b])]
-            assert model.predict_record(records[a]) == model.predict_record(
-                records[b])
+            assert (model.predict(records[a].categories())
+                    == model.predict(records[b].categories()))
 
     def test_median_matches_statistics_module(self):
         rng = np.random.default_rng(13)

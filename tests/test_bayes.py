@@ -14,13 +14,11 @@ from cdsproxy.bayes import (
     fit_lda,
     fit_nb,
     fit_qda,
-    kde_log_density,
     kernel_values,
 )
 from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     ClassTooSmall,
-    EmptySample,
     NonpositiveBandwidth,
     SingleClassInput,
 )
@@ -99,7 +97,8 @@ class TestLda:
             model = fit_lda(train)
             for _ in range(5):
                 x = rng.normal(size=4) * 2
-                assert rel_err(model.scores(x), lda_scores_oracle(train, x)).max() < 1e-8
+                got = model.scores_batch(x[None])[0]
+                assert rel_err(got, lda_scores_oracle(train, x)).max() < 1e-8
 
     def test_symmetric_boundary_and_tie(self):
         x0 = np.array([-1.5, -0.5, -1.5, -0.5, -1.5, -0.5])
@@ -108,12 +107,12 @@ class TestLda:
                         y=np.repeat([0, 1], 6), class_names=("a", "b"),
                         feature_names=("f",))
         model = fit_lda(train)
-        assert model.classify(np.array([-0.1])) == 0
-        assert model.classify(np.array([0.1])) == 1
+        assert model.classify_batch(np.array([[-0.1]]))[0] == 0
+        assert model.classify_batch(np.array([[0.1]]))[0] == 1
         # exactly on the boundary the scores tie; MAP picks the lower index
-        s = model.scores(np.array([0.0]))
+        s = model.scores_batch(np.array([[0.0]]))[0]
         assert s[0] == s[1]
-        assert model.classify(np.array([0.0])) == 0
+        assert model.classify_batch(np.array([[0.0]]))[0] == 0
 
     def test_prior_shift_moves_boundary(self):
         # 18 points near -1, 2 points near +1: the boundary moves toward the
@@ -128,10 +127,10 @@ class TestLda:
         model = fit_lda(train)
         v = float(model.covariance[0, 0])
         xstar = v * math.log(9.0) / 2.0
-        s = model.scores(np.array([xstar]))
+        s = model.scores_batch(np.array([[xstar]]))[0]
         assert abs(s[0] - s[1]) < 1e-9
-        assert model.classify(np.array([xstar - 1e-4])) == 0
-        assert model.classify(np.array([xstar + 1e-4])) == 1
+        assert model.classify_batch(np.array([[xstar - 1e-4]]))[0] == 0
+        assert model.classify_batch(np.array([[xstar + 1e-4]]))[0] == 1
 
     def test_single_class_rejected(self):
         ds = Dataset(x=np.random.default_rng(0).normal(size=(8, 2)),
@@ -150,7 +149,7 @@ class TestQda:
             model = fit_qda(train, mode=nm.CovMode(mode))
             for _ in range(5):
                 x = rng.normal(size=3) * 2
-                got = model.scores(x)
+                got = model.scores_batch(x[None])[0]
                 want = qda_scores_oracle(train, x, mode=mode)
                 assert rel_err(got, want).max() < 1e-8
 
@@ -165,11 +164,11 @@ class TestQda:
         model = fit_qda(train)
         v0, v1 = model.covariances[0, 0, 0], model.covariances[1, 0, 0]
         xstar = math.sqrt(math.log(v1 / v0) * v0 * v1 / (v1 - v0))
-        s = model.scores(np.array([xstar]))
+        s = model.scores_batch(np.array([[xstar]]))[0]
         assert abs(s[0] - s[1]) < 1e-9
-        assert model.classify(np.array([xstar - 1e-4])) == 0
-        assert model.classify(np.array([xstar + 1e-4])) == 1
-        assert model.classify(np.array([-xstar - 1e-4])) == 1
+        assert model.classify_batch(np.array([[xstar - 1e-4]]))[0] == 0
+        assert model.classify_batch(np.array([[xstar + 1e-4]]))[0] == 1
+        assert model.classify_batch(np.array([[-xstar - 1e-4]]))[0] == 1
 
     def test_equalized_covariances_reduce_to_lda(self):
         rng = np.random.default_rng(9)
@@ -198,25 +197,41 @@ class TestQda:
             fit_qda(ds)
 
 
+def kde_log_densities(class_samples, kind, b, x):
+    """Each class's log KDE at the scalar x, read off the scores of a
+    one-feature naive Bayes model whose class j holds class_samples[j]."""
+    sizes = [len(samples) for samples in class_samples]
+    train = Dataset(x=np.concatenate(class_samples)[:, None],
+                    y=np.repeat(np.arange(len(sizes)), sizes),
+                    class_names=tuple(f"c{j}" for j in range(len(sizes))),
+                    feature_names=("f",))
+    model = fit_nb(train, kernel=kind, bandwidth=b)
+    return model.scores_batch(np.array([[x]]))[0] - model.priors.log_pi
+
+
 class TestKde:
     def test_hand_values_at_zero(self):
-        samples = np.array([0.0])
-        assert kde_log_density(samples, KernelKind.NORMAL, 1.0, 0.0) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-12)
-        assert kde_log_density(samples, KernelKind.TRIANGULAR, 1.0, 0.0) == pytest.approx(0.0)
-        assert kde_log_density(samples, KernelKind.EPANECHNIKOV, 1.0, 0.0) == pytest.approx(
-            math.log(0.75), abs=1e-12)
+        classes = [np.array([0.0]), np.array([3.0])]
+        normal, triangular, epanechnikov = (
+            kde_log_densities(classes, kind, 1.0, 0.0)[0]
+            for kind in (KernelKind.NORMAL, KernelKind.TRIANGULAR,
+                         KernelKind.EPANECHNIKOV))
+        assert normal == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+        assert triangular == pytest.approx(0.0, abs=1e-12)
+        assert epanechnikov == pytest.approx(math.log(0.75), abs=1e-12)
 
     @pytest.mark.parametrize("kind", KERNELS)
     def test_matches_loop_oracle(self, kind):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            samples = rng.normal(size=int(rng.integers(1, 25))) * 2
+            classes = [rng.normal(size=int(rng.integers(1, 25))) * 2,
+                       rng.normal(size=1) * 2]
             b = float(rng.uniform(0.05, 2.0))
             x = float(rng.normal() * 2)
-            got = kde_log_density(samples, kind, b, x)
-            want = kde_oracle(samples, kind, b, x)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+            got = kde_log_densities(classes, kind, b, x)
+            for j, samples in enumerate(classes):
+                want = kde_oracle(samples, kind, b, x)
+                assert got[j] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("kind", KERNELS)
     def test_unit_integral(self, kind):
@@ -226,14 +241,10 @@ class TestKde:
         assert integral == pytest.approx(1.0, abs=1e-6)
 
     def test_floor_outside_support(self):
-        val = kde_log_density(np.array([0.0]), KernelKind.TRIANGULAR, 0.5, 10.0)
-        assert val == LOG_DENSITY_FLOOR
-
-    def test_errors(self):
-        with pytest.raises(EmptySample):
-            kde_log_density(np.array([]), KernelKind.NORMAL, 1.0, 0.0)
-        with pytest.raises(NonpositiveBandwidth):
-            kde_log_density(np.array([1.0]), KernelKind.NORMAL, 0.0, 0.0)
+        classes = [np.array([0.0]), np.array([10.0])]
+        got = kde_log_densities(classes, KernelKind.TRIANGULAR, 0.5, 10.0)
+        assert got[0] == pytest.approx(LOG_DENSITY_FLOOR, rel=1e-15)
+        assert got[1] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 class TestNaiveBayes:
@@ -242,14 +253,14 @@ class TestNaiveBayes:
         rng = np.random.default_rng(21)
         train = make_blobs([[0.0, 0.0], [1.0, 2.0], [2.0, 0.5]], 12, scale=0.7, seed=2)
         model = fit_nb(train, kernel=kind, bandwidth=0.4)
-        counts = train.class_counts()
+        counts = np.bincount(train.y, minlength=3)
         for _ in range(20):
             x = rng.normal(size=2) * 1.5
             want = np.array([
                 sum(kde_oracle(train.x[train.y == j][:, v], kind, 0.4, x[v])
                     for v in range(2)) + math.log(counts[j] / train.n)
                 for j in range(3)])
-            assert rel_err(model.scores(x), want).max() < 1e-8
+            assert rel_err(model.scores_batch(x[None])[0], want).max() < 1e-8
 
     def test_default_bandwidth(self):
         train = make_blobs([[0.0], [5.0]], 8, scale=0.3, seed=3)
@@ -264,7 +275,8 @@ class TestNaiveBayes:
         a = fit_nb(train, bandwidth=0.3)
         b = fit_nb(permuted, bandwidth=0.3)
         x = np.array([0.5, 0.7, 1.4])
-        assert np.allclose(a.scores(x), b.scores(x[perm]), rtol=1e-12)
+        assert np.allclose(a.scores_batch(x[None]), b.scores_batch(x[None, perm]),
+                           rtol=1e-12)
 
     def test_batch_matches_single(self):
         train = make_blobs([[0.0, 0.0], [3.0, 3.0]], 10, scale=0.5, seed=5)
@@ -272,12 +284,13 @@ class TestNaiveBayes:
         grid = np.random.default_rng(6).normal(size=(15, 2)) * 2
         batch = model.scores_batch(grid)
         for i, x in enumerate(grid):
-            assert np.allclose(batch[i], model.scores(x), rtol=1e-12)
+            assert np.allclose(batch[i], model.scores_batch(x[None])[0], rtol=1e-12)
 
-    def test_bad_bandwidth(self):
+    @pytest.mark.parametrize("bandwidth", [-0.1, 0.0])
+    def test_bad_bandwidth(self, bandwidth):
         train = make_blobs([[0.0], [2.0]], 5, scale=0.2, seed=7)
         with pytest.raises(NonpositiveBandwidth):
-            fit_nb(train, bandwidth=-0.1)
+            fit_nb(train, bandwidth=bandwidth)
 
 
 

@@ -7,13 +7,13 @@ from conftest import tiny_panel
 from cdsproxy.core import (
     ALL_SELECTIONS,
     PANEL_COLUMNS,
+    ClassifierModel,
     Dataset,
     FeatureSelection,
     MarketPanel,
     build_dataset,
     class_priors,
     impute_five_year_rate,
-    map_decision,
 )
 from cdsproxy.errors import (
     BadConfig,
@@ -126,10 +126,18 @@ class TestPanelValidation:
         assert PANEL_COLUMNS[0] == "s"
 
 
-class TestMapDecision:
+class FixedScores(ClassifierModel):
+    """A model whose class scores are its query rows."""
+
+    def scores_batch(self, x):
+        return np.asarray(x, dtype=float)
+
+
+class TestClassifyBatch:
     def test_tie_goes_to_lowest_index(self):
-        assert map_decision(np.array([1.0, 3.0, 3.0])) == 1
-        assert map_decision(np.array([2.0, 2.0, 2.0])) == 0
+        model = FixedScores()
+        rows = np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0], [5.0, 1.0, 5.0]])
+        assert model.classify_batch(rows).tolist() == [1, 0, 0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=8),
@@ -137,8 +145,9 @@ class TestMapDecision:
     def test_invariant_under_constant_shift(self, scores, shift):
         # integer-valued floats keep the addition exact, so the mathematical
         # invariance is observable without rounding collapsing near-ties
-        s = np.array(scores, dtype=float)
-        assert map_decision(s) == map_decision(s + float(shift))
+        s = np.array([scores], dtype=float)
+        model = FixedScores()
+        assert model.classify_batch(s)[0] == model.classify_batch(s + float(shift))[0]
 
 
 class TestClassPriors:

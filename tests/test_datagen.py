@@ -21,10 +21,8 @@ from cdsproxy.datagen import (
     counterparty_names,
     generate_panel,
     read_panel,
-    read_records,
     records_from_panel,
     write_panel,
-    write_records,
 )
 from cdsproxy.errors import (
     BadConfig,
@@ -155,6 +153,29 @@ class TestPanelCsv:
         panel = read_panel(path)
         assert np.all(panel.missing_s_mask())
 
+    def test_row_and_column_order_do_not_matter(self, tmp_path):
+        panel = generate_panel(GeneratorConfig(n_counterparties=4, n_days=6,
+                                               seed=15))
+        s = panel.values["s"].copy()
+        s[3, 1:4] = np.nan
+        panel.values["s"] = s
+        path = tmp_path / "panel.csv"
+        write_panel(panel, path)
+        header, *rows = path.read_text().splitlines()
+        rng = np.random.default_rng(16)
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        columns = rng.permutation(len(header.split(",")))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join(
+            ",".join(np.array(line.split(","), dtype=object)[columns])
+            for line in [header, *rows]) + "\n")
+        loaded, reordered = read_panel(path), read_panel(shuffled)
+        assert reordered.counterparties == loaded.counterparties
+        assert reordered.dates == loaded.dates
+        for col in PANEL_COLUMNS:
+            assert np.array_equal(reordered.values[col], loaded.values[col],
+                                  equal_nan=True)
+
     def write_grid(self, path, rows, header=None):
         if header is None:
             header = ",".join(("counterparty", "date", *PANEL_COLUMNS))
@@ -201,6 +222,14 @@ class TestPanelCsv:
         with pytest.raises(SchemaViolation, match="mystery"):
             read_panel(path)
 
+    def test_wrong_field_count_names_the_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        self.write_grid(path, [self.good_row(),
+                               self.good_row(date="2023-01-03") + ",0.3"])
+        with pytest.raises(SchemaViolation,
+                           match="row 3: expected 18 fields, got 19"):
+            read_panel(path)
+
     def test_duplicate_observation_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         self.write_grid(path, [self.good_row(), self.good_row()])
@@ -214,13 +243,20 @@ class TestPanelCsv:
             self.good_row("A", "2023-01-03"),
             self.good_row("B", "2023-01-02"),
         ])
-        with pytest.raises(SchemaViolation, match="missing observation"):
+        with pytest.raises(SchemaViolation, match="missing observation for "
+                           "counterparty 'B' on 2023-01-03"):
             read_panel(path)
 
     def test_empty_non_rate_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         self.write_grid(path, [self.good_row(pd_6m="")])
         with pytest.raises(SchemaViolation, match="pd_6m"):
+            read_panel(path)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        self.write_grid(path, [])
+        with pytest.raises(SchemaViolation, match="no observations"):
             read_panel(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -281,19 +317,6 @@ class TestCategoriesAndRecords:
         panel.values["s"] = s
         with pytest.raises(MissingFiveYearRate, match="CP000"):
             records_from_panel(panel)
-
-    def test_record_csv_round_trip(self, tmp_path):
-        panel = generate_panel(GeneratorConfig(seed=13))
-        records = records_from_panel(panel)
-        path = tmp_path / "records.csv"
-        write_records(records, path)
-        assert read_records(path) == records
-
-    def test_record_csv_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "records.csv"
-        path.write_text("who,what\n")
-        with pytest.raises(SchemaViolation):
-            read_records(path)
 
     def test_default_records_support_the_regression_baseline(self):
         # the generated category design must be full rank so the

@@ -8,7 +8,7 @@ from conftest import make_blobs, random_dataset
 from cdsproxy import numerics as nm
 from cdsproxy.core import Dataset
 from cdsproxy.errors import BadK
-from cdsproxy.neighbors import DEFAULT_K, KnnClassifier, Metric, distance, fit_knn
+from cdsproxy.neighbors import DEFAULT_K, KnnClassifier, Metric, fit_knn
 
 
 def dist_oracle(metric, a, b, cov=None):
@@ -27,32 +27,6 @@ def knn_oracle(train_x, train_y, n_classes, k, metric, query, cov=None):
     for t in order[:k]:
         votes[train_y[t]] += 1
     return votes.index(max(votes))
-
-
-class TestDistance:
-    def test_formulas_match_oracle(self):
-        rng = np.random.default_rng(0)
-        cov_rows = rng.normal(size=(40, 3))
-        cov = np.cov(cov_rows, rowvar=False)
-        cov = cov + 1e-8 * np.trace(cov) / 3 * np.eye(3)
-        chol = nm.cholesky_spd(cov)
-        for _ in range(50):
-            a, b = rng.normal(size=3), rng.normal(size=3)
-            for metric in (Metric.EUCLIDEAN, Metric.CITYBLOCK):
-                assert distance(metric, a, b) == pytest.approx(
-                    dist_oracle(metric, a, b), rel=1e-12)
-            assert distance(Metric.MAHALANOBIS, a, b, chol) == pytest.approx(
-                dist_oracle(Metric.MAHALANOBIS, a, b, cov), rel=1e-10)
-
-    def test_metric_axioms_spotcheck(self):
-        rng = np.random.default_rng(1)
-        for metric in (Metric.EUCLIDEAN, Metric.CITYBLOCK):
-            for _ in range(20):
-                a, b, c = rng.normal(size=(3, 4))
-                dab = distance(metric, a, b)
-                assert dab >= 0
-                assert dab == pytest.approx(distance(metric, b, a), rel=1e-12)
-                assert distance(metric, a, c) <= dab + distance(metric, b, c) + 1e-12
 
 
 class TestKnnAgainstOracle:
@@ -82,7 +56,7 @@ class TestKnnAgainstOracle:
         zs_train = (train.x - mu) / sd
         for q in queries:
             want = knn_oracle(zs_train, train.y, 2, 5, Metric.EUCLIDEAN, (q - mu) / sd)
-            assert model.classify(q) == want
+            assert model.classify_batch(q[None])[0] == want
 
 
 class TestTieRules:
@@ -91,15 +65,15 @@ class TestTieRules:
                         class_names=("a", "b"), feature_names=("f",))
         model = fit_knn(train, k=1)
         # both index 0 (class b) and index 1 (class a) sit at distance zero
-        assert model.classify(np.array([0.0])) == 1
+        assert model.classify_batch(np.array([[0.0]]))[0] == 1
 
     def test_vote_tie_prefers_lower_class_index(self):
         train = Dataset(x=np.array([[0.0], [1.0], [2.0]]), y=np.array([2, 1, 0]),
                         class_names=("a", "b", "c"), feature_names=("f",))
         model = fit_knn(train, k=3)
-        scores = model.scores(np.array([1.0]))
+        scores = model.scores_batch(np.array([[1.0]]))[0]
         assert np.array_equal(scores, [1.0, 1.0, 1.0])
-        assert model.classify(np.array([1.0])) == 0
+        assert model.classify_batch(np.array([[1.0]]))[0] == 0
 
     def test_k_equals_n_returns_majority(self):
         train = Dataset(x=np.arange(7, dtype=float)[:, None],
@@ -107,7 +81,7 @@ class TestTieRules:
                         class_names=("a", "b"), feature_names=("f",))
         model = fit_knn(train, k=7)
         for q in (-100.0, 0.0, 100.0):
-            assert model.classify(np.array([q])) == 0
+            assert model.classify_batch(np.array([[q]]))[0] == 0
 
 
 class TestValidationAndPolicy:

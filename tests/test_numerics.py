@@ -125,8 +125,8 @@ class TestSpdSolve:
         with pytest.raises(DimensionMismatch):
             nm.solve_spd(np.eye(3), np.ones(2))
 
-    def test_ridge_value(self):
-        assert nm.ridge_value(np.eye(4)) == pytest.approx(1e-8)
+    def test_add_ridge(self):
+        assert np.array_equal(nm.add_ridge(np.eye(4)), np.eye(4) * (1.0 + 1e-8))
         ridged = nm.add_ridge(np.eye(4) * 2.0)
         assert np.allclose(np.diag(ridged), 2.0 + 2e-8)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from cdsproxy import logistic
+from cdsproxy import logistic, neuralnet
 from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     BadConfig,
@@ -27,14 +27,12 @@ from cdsproxy.neuralnet import (
     Activation,
     DEFAULT_HIDDEN_UNITS,
     NetParams,
+    NeuralNetClassifier,
     TrainConfig,
     fit_neural_net,
     initial_params,
-    nn_forward,
-    nn_loss,
-    nn_loss_gradient,
-    softmax,
 )
+from cdsproxy.numerics import Standardizer
 
 
 # ---------------------------------------------------------------- logistic
@@ -238,25 +236,52 @@ class TestMulticlassLogistic:
 # ------------------------------------------------------------------ network
 
 
+def softmax_rows(logits):
+    z = np.asarray(logits, dtype=float)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def net_model(params, activation):
+    """A network model with the given weights and an identity standardiser."""
+    d, k = params.w1.shape[1], params.b2.size
+    return NeuralNetClassifier(
+        params=params, activation=activation, hidden_units=params.b1.size,
+        n_classes=k, class_names=tuple(f"c{j}" for j in range(k)),
+        config=TrainConfig(),
+        standardizer=Standardizer(means=np.zeros(d), scales=np.ones(d)))
+
+
+def identity_net(k):
+    """A linear network whose logits are its query rows, so that its scores
+    are the softmax of those rows."""
+    eye = np.eye(k)
+    return net_model(NetParams(eye, np.zeros(k), eye, np.zeros(k)),
+                     Activation.LINEAR)
+
+
 class TestSoftmax:
     def test_uniform(self):
-        assert np.allclose(softmax(np.zeros(4)), 0.25, atol=1e-15)
+        got = identity_net(4).scores_batch(np.zeros((1, 4)))
+        assert np.allclose(got, 0.25, atol=1e-15)
 
     def test_exact_ratios(self):
-        got = softmax(np.array([0.0, math.log(2.0), math.log(3.0)]))
-        assert np.allclose(got, [1 / 6, 1 / 3, 1 / 2], atol=1e-15)
+        got = identity_net(3).scores_batch(
+            np.array([[0.0, math.log(2.0), math.log(3.0)]]))
+        assert np.allclose(got, [[1 / 6, 1 / 3, 1 / 2]], atol=1e-15)
 
     def test_shift_invariance_and_sum(self):
-        rng = np.random.default_rng(30)
-        for _ in range(20):
-            v = rng.normal(size=5) * 10
-            a, b = softmax(v), softmax(v + 7.3)
-            assert np.max(np.abs(a - b)) <= 1e-12
-            assert abs(a.sum() - 1.0) <= 1e-12
+        v = np.random.default_rng(30).normal(size=(20, 5)) * 10
+        model = identity_net(5)
+        a, b = model.scores_batch(v), model.scores_batch(v + 7.3)
+        assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.max(np.abs(a.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_extreme_logits_stable(self):
-        got = softmax(np.array([1000.0, 0.0, -1000.0]))
-        assert np.isfinite(got).all() and got[0] == pytest.approx(1.0)
+        got = identity_net(3).scores_batch(np.array([[1000.0, 0.0, -1000.0],
+                                                     [-1000.0, -1000.0, 1000.0]]))
+        assert np.isfinite(got).all()
+        assert got[0, 0] == pytest.approx(1.0) and got[1, 2] == pytest.approx(1.0)
 
 
 def manual_forward(params, activation, x):
@@ -281,9 +306,9 @@ def manual_forward(params, activation, x):
 
 class TestForward:
     def test_zero_network_is_uniform(self):
-        params = NetParams(np.zeros((3, 2)), np.zeros(3), np.zeros(4, ).reshape(4, 1) * np.zeros((4, 3)), np.zeros(4))
         params = NetParams(np.zeros((3, 2)), np.zeros(3), np.zeros((4, 3)), np.zeros(4))
-        got = nn_forward(params, Activation.TAN_SIGMOID, np.array([1.5, -2.0]))
+        got = net_model(params, Activation.TAN_SIGMOID).scores_batch(
+            np.array([[1.5, -2.0]]))
         assert np.array_equal(got[0], np.full(4, 0.25))
 
     def test_linear_collapse_to_multinomial_logit(self):
@@ -293,24 +318,24 @@ class TestForward:
         b2 = rng.normal(size=4)
         params = NetParams(np.eye(d), np.zeros(d), w2, b2)
         x = rng.normal(size=(6, d))
-        got = nn_forward(params, Activation.LINEAR, x)
-        want = softmax(x @ w2.T + b2)
+        got = net_model(params, Activation.LINEAR).scores_batch(x)
+        want = softmax_rows(x @ w2.T + b2)
         assert np.allclose(got, want, atol=1e-14)
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_matches_layerwise_recomputation(self, activation):
-        params = initial_params(d=4, h=5, k=3, seed=32)
+        model = net_model(initial_params(d=4, h=5, k=3, seed=32), activation)
         rng = np.random.default_rng(33)
         for _ in range(10):
             x = rng.normal(size=4)
-            got = nn_forward(params, activation, x)[0]
-            want = manual_forward(params, activation, x)
+            got = model.scores_batch(x[None])[0]
+            want = manual_forward(model.params, activation, x)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_dimension_mismatch(self):
-        params = initial_params(d=4, h=5, k=3, seed=34)
+        model = net_model(initial_params(d=4, h=5, k=3, seed=34), Activation.LINEAR)
         with pytest.raises(DimensionMismatch):
-            nn_forward(params, Activation.LINEAR, np.ones(3))
+            model.scores_batch(np.ones((1, 3)))
 
 
 def flatten_params(p):
@@ -327,6 +352,29 @@ def unflatten_like(vec, p):
     return NetParams(w1.copy(), b1.copy(), w2.copy(), b2.copy())
 
 
+def loss_oracle(params, activation, x, y):
+    """Mean cross-entropy of the true classes, by log-sum-exp."""
+    pre = x @ params.w1.T + params.b1
+    if activation is Activation.TAN_SIGMOID:
+        hidden = np.tanh(pre)
+    elif activation is Activation.LINEAR:
+        hidden = pre
+    else:
+        hidden = pre / (1.0 + np.abs(pre))
+    logits = hidden @ params.w2.T + params.b2
+    top = logits.max(axis=1)
+    log_norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    return float((log_norm - logits[np.arange(len(y)), y]).mean())
+
+
+def loss_and_gradient(params, activation, x, y):
+    """The trainer's loss and gradient, from its forward-pass state."""
+    picks = neuralnet._true_class_picks(y, x.shape[0], params.b2.size)
+    state = neuralnet._forward_state(params, activation, x, picks)
+    return state[0], neuralnet._gradient_from_state(params, activation, x,
+                                                    picks, state)
+
+
 def central_difference(params, activation, x, y, step=1e-5):
     theta = flatten_params(params)
     grad = np.empty_like(theta)
@@ -334,8 +382,9 @@ def central_difference(params, activation, x, y, step=1e-5):
         up, down = theta.copy(), theta.copy()
         up[i] += step
         down[i] -= step
-        grad[i] = (nn_loss(unflatten_like(up, params), activation, x, y)
-                   - nn_loss(unflatten_like(down, params), activation, x, y)) / (2 * step)
+        grad[i] = (loss_oracle(unflatten_like(up, params), activation, x, y)
+                   - loss_oracle(unflatten_like(down, params), activation, x, y)
+                   ) / (2 * step)
     return grad
 
 
@@ -343,8 +392,8 @@ class TestGradient:
     def test_zero_net_output_bias_gradient(self):
         params = NetParams(np.zeros((2, 2)), np.zeros(2), np.zeros((3, 2)),
                            np.zeros(3))
-        _, grad = nn_loss_gradient(params, Activation.TAN_SIGMOID,
-                                   np.array([[1.0, 2.0]]), np.array([1]))
+        _, grad = loss_and_gradient(params, Activation.TAN_SIGMOID,
+                                    np.array([[1.0, 2.0]]), np.array([1]))
         want = np.full(3, 1 / 3)
         want[1] -= 1.0
         assert np.allclose(grad.b2, want, atol=1e-15)
@@ -355,9 +404,9 @@ class TestGradient:
         rng = np.random.default_rng(36)
         x = rng.normal(size=(5, 3))
         y = np.array([0, 2, 1, 1, 0])
-        _, g1 = nn_loss_gradient(params, Activation.ELLIOT_SIGMOID, x, y)
-        _, g2 = nn_loss_gradient(params, Activation.ELLIOT_SIGMOID,
-                                 np.vstack([x, x]), np.concatenate([y, y]))
+        _, g1 = loss_and_gradient(params, Activation.ELLIOT_SIGMOID, x, y)
+        _, g2 = loss_and_gradient(params, Activation.ELLIOT_SIGMOID,
+                                  np.vstack([x, x]), np.concatenate([y, y]))
         for a, b in zip((g1.w1, g1.b1, g1.w2, g1.b2), (g2.w1, g2.b1, g2.w2, g2.b2)):
             assert np.allclose(a, b, atol=1e-14)
 
@@ -368,19 +417,20 @@ class TestGradient:
             params = initial_params(d=2, h=3, k=3, seed=100 + trial)
             x = rng.normal(size=(6, 2))
             y = rng.integers(0, 3, size=6)
-            _, grad = nn_loss_gradient(params, activation, x, y)
+            _, grad = loss_and_gradient(params, activation, x, y)
             ana = flatten_params(grad)
             num = central_difference(params, activation, x, y)
             rel = np.abs(ana - num) / np.maximum(1.0, np.abs(ana))
             assert rel.max() <= 1e-5
 
-    def test_loss_matches_gradient_loss(self):
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_loss_matches_oracle(self, activation):
         params = initial_params(d=2, h=3, k=2, seed=38)
         x = np.random.default_rng(39).normal(size=(7, 2))
         y = np.array([0, 1, 1, 0, 1, 0, 0])
-        loss, _ = nn_loss_gradient(params, Activation.TAN_SIGMOID, x, y)
-        assert loss == pytest.approx(nn_loss(params, Activation.TAN_SIGMOID, x, y),
-                                     rel=1e-15)
+        loss, _ = loss_and_gradient(params, activation, x, y)
+        assert loss == pytest.approx(loss_oracle(params, activation, x, y),
+                                     rel=1e-12)
 
 
 def multinomial_logit_oracle(x, y, k):
@@ -392,7 +442,7 @@ def multinomial_logit_oracle(x, y, k):
     onehot = np.eye(k)[y][:, :-1]
     for _ in range(60):
         logits = np.column_stack([z @ theta.reshape(k - 1, m).T, np.zeros(n)])
-        p = softmax(logits)
+        p = softmax_rows(logits)
         grad = (z.T @ (p[:, :-1] - onehot)).T.ravel() / n
         if np.sqrt(grad @ grad) < 1e-12:
             break
@@ -404,7 +454,7 @@ def multinomial_logit_oracle(x, y, k):
                     (z * w[:, None]).T @ z / n)
         theta = theta - np.linalg.solve(hess + 1e-10 * np.eye(len(theta)), grad)
     logits = np.column_stack([z @ theta.reshape(k - 1, m).T, np.zeros(n)])
-    p = softmax(logits)
+    p = softmax_rows(logits)
     loss = float(-np.log(p[np.arange(n), y]).mean())
     coef = theta.reshape(k - 1, m)
     return coef, loss
@@ -477,7 +527,7 @@ class TestTraining:
             learning_rate=1e-30, epochs=50, seed=3))
         assert model.warning is not None
         assert model.epochs_run == 1
-        assert model.scores(np.array([0.0])).shape == (2,)
+        assert model.scores_batch(np.array([[0.0]]))[0].shape == (2,)
 
     def test_capacity_nesting_linear_activation(self):
         train = make_blobs([[0.0, 0.0], [1.6, 0.0], [0.0, 1.6]], 20,
@@ -496,7 +546,7 @@ class TestTraining:
         w2[:-1, :d] = coef[:, 1:]
         b2 = np.concatenate([coef[:, 0], [0.0]])
         embedded = NetParams(w1, np.zeros(h), w2, b2)
-        emb_loss = nn_loss(embedded, Activation.LINEAR, z, train.y)
+        emb_loss, _ = loss_and_gradient(embedded, Activation.LINEAR, z, train.y)
         assert emb_loss == pytest.approx(opt_loss, abs=1e-12)
         trained_loss = model.loss_history[-1]
         assert trained_loss >= opt_loss - 1e-9

@@ -322,7 +322,7 @@ class TestFitTree:
                         class_names=("a", "b"), feature_names=("f",))
         model = fit_tree(train)
         assert len(model.nodes) == 1 and model.nodes[0].is_leaf
-        assert model.classify(np.array([99.0])) == 0
+        assert model.classify_batch(np.array([[99.0]]))[0] == 0
 
     def test_four_quadrants(self):
         rng = np.random.default_rng(7)
@@ -385,15 +385,15 @@ class TestFitTree:
         train = Dataset(x=x, y=y, class_names=("a", "b"), feature_names=("f",))
         model = fit_tree(train)
         # the left child {0,0,0} has labels {1,1,0}: majority 1
-        assert model.classify(np.array([0.0])) == 1
-        assert model.classify(np.array([1.0])) == 0
+        assert model.classify_batch(np.array([[0.0]]))[0] == 1
+        assert model.classify_batch(np.array([[1.0]]))[0] == 0
 
     def test_majority_tie_takes_lower_class(self):
         x = np.array([[0.0], [0.0]])
         y = np.array([1, 0])
         train = Dataset(x=x, y=y, class_names=("a", "b"), feature_names=("f",))
         model = fit_tree(train)
-        assert model.classify(np.array([0.0])) == 0
+        assert model.classify_batch(np.array([[0.0]]))[0] == 0
 
     def test_empty_and_bad_budget(self):
         train = make_blobs([[0.0], [2.0]], 4, scale=0.3, seed=11)
@@ -440,7 +440,7 @@ class TestClassifyAndExport:
             while not model.nodes[at].is_leaf:
                 node = model.nodes[at]
                 at = node.left if q[node.feature] < node.threshold else node.right
-            assert model.classify(q) == model.nodes[at].label
+            assert model.classify_batch(q[None])[0] == model.nodes[at].label
 
     def test_memorization(self):
         rng = np.random.default_rng(15)
@@ -455,12 +455,12 @@ class TestClassifyAndExport:
         train = make_blobs([[0.0, 0.0], [2.0, 2.0]], 5, scale=0.4, seed=16)
         model = fit_tree(train)
         with pytest.raises(DimensionMismatch):
-            model.classify(np.array([1.0]))
+            model.classify_batch(np.array([[1.0]]))
 
     def test_scores_are_one_hot(self):
         train = make_blobs([[0.0], [2.0]], 6, scale=0.3, seed=17)
         model = fit_tree(train)
-        s = model.scores(np.array([0.1]))
+        s = model.scores_batch(np.array([[0.1]]))[0]
         assert sorted(s.tolist()) == [0.0, 1.0]
 
 
@@ -484,7 +484,7 @@ class TestBagged:
         for i, q in enumerate(queries):
             recount = np.zeros(3)
             for tree in bag.trees:
-                recount[tree.classify(q)] += 1
+                recount[tree.classify_batch(q[None])[0]] += 1
             assert np.array_equal(votes[i], recount)
 
     def test_tree_order_permutation_invariance(self):
