@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, ClassPriors, Dataset, class_priors
+from .core import ClassifierModel, ClassPriors, Dataset, check_training_set, class_priors
 from .errors import (
     ClassTooSmall,
-    EmptyTrainingSet,
     NonpositiveBandwidth,
     NotPositiveDefinite,
-    SingleClassInput,
     SingularCovariance,
 )
 
@@ -45,13 +43,6 @@ def kernel_values(kind: KernelKind, u: np.ndarray) -> np.ndarray:
     if kind is KernelKind.TRIANGULAR:
         return np.maximum(0.0, 1.0 - np.abs(u))
     return 0.75 * np.maximum(0.0, 1.0 - u * u)
-
-
-def _validate_train(train: Dataset) -> None:
-    if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
-    if np.unique(train.y).size < 2:
-        raise SingleClassInput("training data holds a single class")
 
 
 @dataclass
@@ -80,7 +71,7 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier
     The shared covariance is the sample covariance of *all* training rows
     (not the within-class pooled matrix), ridged before inversion.
     """
-    _validate_train(train)
+    check_training_set(train)
     mode = nm.CovMode(mode)
     priors = class_priors(train.y, train.n_classes)
     means = np.stack([train.x[train.y == j].mean(axis=0) for j in range(train.n_classes)])
@@ -125,7 +116,7 @@ class QdaClassifier(ClassifierModel):
 
 def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier:
     """Fit quadratic discriminant analysis (class-specific covariances)."""
-    _validate_train(train)
+    check_training_set(train)
     mode = nm.CovMode(mode)
     priors = class_priors(train.y, train.n_classes)
     n_classes, d = train.n_classes, train.d
@@ -186,7 +177,7 @@ class NbClassifier(ClassifierModel):
 def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
            bandwidth: float = DEFAULT_BANDWIDTH) -> NbClassifier:
     """Fit kernel naive Bayes; the same bandwidth is used for every feature."""
-    _validate_train(train)
+    check_training_set(train)
     if not bandwidth > 0.0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     priors = class_priors(train.y, train.n_classes)

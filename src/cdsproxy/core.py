@@ -18,12 +18,14 @@ from . import numerics as nm
 from .errors import (
     BadConfig,
     EmptyClass,
+    EmptyTrainingSet,
     InsufficientObservedRates,
     MissingColumn,
     MissingFiveYearRate,
     NotPositiveDefinite,
     RangeViolation,
     SchemaViolation,
+    SingleClassInput,
     SingularDesign,
 )
 
@@ -61,6 +63,31 @@ _SELECTION_COLUMNS = {
 ALL_SELECTIONS = tuple(FeatureSelection)
 
 
+def first_inadmissible(column: str, values: np.ndarray) -> tuple[int, type, str] | None:
+    """The first value of a panel column, in C order, that the column does
+    not admit, as (flat index, exception class, message), or None: every
+    column admits finite values >= 0, probabilities only those in [0, 1],
+    and s also NaN (a missing rate). Elsewhere NaN or +-inf is a missing
+    value, a SchemaViolation; any other fault is a RangeViolation."""
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    upper = 1.0 if column in PD_COLUMNS else np.finfo(float).max
+    bad = ~((flat >= 0.0) & (flat <= upper))
+    if column == S_COLUMN:
+        bad &= ~np.isnan(flat)
+    hits = np.flatnonzero(bad)
+    if hits.size == 0:
+        return None
+    at, value = int(hits[0]), float(flat[hits[0]])
+    if column == S_COLUMN:
+        rule = "must be finite" if np.isinf(value) else "must be >= 0"
+        return at, RangeViolation, f"spread {rule}, got {value}"
+    if not np.isfinite(value):
+        return at, SchemaViolation, f"missing value: {value}"
+    if column in PD_COLUMNS:
+        return at, RangeViolation, f"probability outside [0, 1]: {value}"
+    return at, RangeViolation, f"volatility must be >= 0, got {value}"
+
+
 @dataclass(frozen=True)
 class MarketPanel:
     """Daily market observations per counterparty.
@@ -89,18 +116,12 @@ class MarketPanel:
             arr = self.values[col]
             if arr.shape != shape:
                 raise SchemaViolation(f"column {col!r} has shape {arr.shape}, expected {shape}")
-            if col != S_COLUMN and not np.all(np.isfinite(arr)):
-                raise SchemaViolation(f"column {col!r} has missing values")
-        svals = self.values[S_COLUMN]
-        if np.any(svals[np.isfinite(svals)] < 0.0):
-            raise RangeViolation("s must be >= 0 where observed")
-        for col in PD_COLUMNS:
-            arr = self.values[col]
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise RangeViolation(f"{col} outside [0, 1]")
-        for col in IV_COLUMNS + HV_COLUMNS:
-            if np.any(self.values[col] < 0.0):
-                raise RangeViolation(f"{col} must be >= 0")
+            fault = first_inadmissible(col, arr)
+            if fault is not None:
+                at, kind, message = fault
+                i, j = divmod(at, shape[1])
+                raise kind(f"column {col!r}, counterparty {self.counterparties[i]!r}, "
+                           f"date {self.dates[j]}: {message}")
 
     @property
     def n_counterparties(self) -> int:
@@ -173,6 +194,15 @@ def build_dataset(panel: MarketPanel, selection: FeatureSelection) -> Dataset:
     y = np.repeat(np.arange(n_cp), n_days)
     return Dataset(x=x, y=y, class_names=tuple(panel.counterparties),
                    feature_names=tuple(cols), selection=selection)
+
+
+def check_training_set(train: Dataset, two_classes: bool = True) -> None:
+    """Raise EmptyTrainingSet on a training set without rows and, when
+    two_classes, SingleClassInput on one whose rows hold a single class."""
+    if train.n == 0:
+        raise EmptyTrainingSet("cannot fit on zero samples")
+    if two_classes and np.unique(train.y).size < 2:
+        raise SingleClassInput("training data holds a single class")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -56,8 +57,9 @@ from .core import (
     PD_COLUMNS,
     S_COLUMN,
     MarketPanel,
+    first_inadmissible,
 )
-from .errors import BadConfig, MissingFiveYearRate, RangeViolation, SchemaViolation
+from .errors import BadConfig, MissingFiveYearRate, SchemaViolation
 
 REGIONS = ("Asia", "Europe", "LatinAmerica", "NorthAmerica")
 SECTORS = ("Energy", "Financials", "Industrials", "Technology", "Utilities")
@@ -224,46 +226,50 @@ _PANEL_HEADER = ("counterparty", "date") + PANEL_COLUMNS
 
 
 def write_panel(panel: MarketPanel, path) -> None:
+    """One row per (counterparty, date); a non-finite value is an empty cell."""
+    columns = []
+    for col in PANEL_COLUMNS:
+        flat = panel.values[col].ravel()
+        columns.append([repr(v) if finite else "" for v, finite
+                        in zip(flat.tolist(), np.isfinite(flat).tolist())])
+    keys = itertools.product(panel.counterparties, panel.dates)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_PANEL_HEADER)
-        for i, name in enumerate(panel.counterparties):
-            for j, date in enumerate(panel.dates):
-                row = [name, date]
-                for col in PANEL_COLUMNS:
-                    v = panel.values[col][i, j]
-                    row.append("" if not np.isfinite(v) else repr(float(v)))
-                writer.writerow(row)
+        writer.writerows(key + cells for key, cells in zip(keys, zip(*columns)))
 
 
-def _parse_cell(text: str, row_number: int, column: str) -> float:
-    if text == "":
-        if column == S_COLUMN:
-            return float("nan")
-        raise SchemaViolation(
-            f"row {row_number}, column {column}: empty value")
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise SchemaViolation(
-            f"row {row_number}, column {column}: not a number: {text!r}"
-        ) from exc
-    if column == S_COLUMN:
-        if not np.isnan(value) and value < 0.0:
-            raise RangeViolation(
-                f"row {row_number}, column {column}: spread must be >= 0, "
-                f"got {value}")
-    elif column in PD_COLUMNS:
-        if not 0.0 <= value <= 1.0:
-            raise RangeViolation(
-                f"row {row_number}, column {column}: probability outside "
-                f"[0, 1]: {value}")
-    else:
-        if not value >= 0.0:
-            raise RangeViolation(
-                f"row {row_number}, column {column}: volatility must be "
-                f">= 0, got {value}")
-    return value
+# rows converted at a time; their text stays smaller than the panel built
+_BLOCK_ROWS = 512
+
+
+def _append_block(block: list[tuple[int, list[str]]], fields: list[int | None],
+                  columns: list[array]) -> None:
+    """Append a block of numbered CSV rows to the column buffers, a column
+    at a time: cells convert with Python's float, an empty s cell is NaN,
+    and each column must pass first_inadmissible. Raises the fault of the
+    first bad cell, in row and then PANEL_COLUMNS order."""
+    faults = []
+    for c, (col, field) in enumerate(zip(PANEL_COLUMNS, fields)):
+        # only s may lack a field: a file without rates
+        texts = ([""] * len(block) if field is None
+                 else [row[field] for _, row in block])
+        if col == S_COLUMN:
+            texts = [text or "nan" for text in texts]
+        values = array("d")
+        try:
+            values.extend(map(float, texts))
+        except ValueError:       # extend keeps the cells before the bad one
+            text = texts[len(values)]
+            faults.append((len(values), c, SchemaViolation, "empty value"
+                           if text == "" else f"not a number: {text!r}"))
+        fault = first_inadmissible(col, np.frombuffer(values))
+        if fault is not None:
+            faults.append((fault[0], c, *fault[1:]))
+        columns[c].extend(values)
+    if faults:
+        at, c, kind, message = min(faults)
+        raise kind(f"row {block[at][0]}, column {PANEL_COLUMNS[c]}: {message}")
 
 
 def read_panel(path) -> MarketPanel:
@@ -272,6 +278,11 @@ def read_panel(path) -> MarketPanel:
     A file without the s column still loads (its five-year rates are
     simply missing); any other absent column is a schema violation, as is
     an incomplete (counterparty, date) grid.
+
+    Faults are raised in file order: the header's; then, row by row, a
+    row's field count, its (counterparty, date) key if already seen, and
+    its cells in PANEL_COLUMNS order; then a file without rows; then the
+    first missing (counterparty, date) in sorted order.
     """
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
@@ -287,44 +298,47 @@ def read_panel(path) -> MarketPanel:
             raise SchemaViolation(f"panel file has unknown columns: {extra}")
         position = {c: header.index(c) for c in header}
         fields = [position.get(col) for col in PANEL_COLUMNS]
-        # every row's parsed cells in one flat buffer, in PANEL_COLUMNS
-        # order, and each (name, date) key's row in it
-        cells = array("d")
+        # each column's parsed cells in row order, and each (name, date)
+        # key's row in them; rows wait, numbered, in block until converted
+        columns = [array("d") for _ in PANEL_COLUMNS]
         row_of: dict[tuple[str, str], int] = {}
+        block: list[tuple[int, list[str]]] = []
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
+                _append_block(block, fields, columns)
                 raise SchemaViolation(
                     f"row {row_number}: expected {len(header)} fields, "
                     f"got {len(row)}")
             key = (row[position["counterparty"]], row[position["date"]])
             if key in row_of:
+                _append_block(block, fields, columns)
                 raise SchemaViolation(
                     f"row {row_number}: duplicate observation for {key}")
             row_of[key] = len(row_of)
-            for col, field in zip(PANEL_COLUMNS, fields):
-                cells.append(float("nan") if field is None
-                             else _parse_cell(row[field], row_number, col))
+            block.append((row_number, row))
+            if len(block) == _BLOCK_ROWS:
+                _append_block(block, fields, columns)
+                block.clear()
+        _append_block(block, fields, columns)
+        block.clear()
     if not row_of:
         raise SchemaViolation("panel file has no observations")
     names = tuple(sorted({k[0] for k in row_of}))
     dates = tuple(sorted({k[1] for k in row_of}))
     if len(row_of) != len(names) * len(dates):
-        for name in names:
-            for date in dates:
-                if (name, date) not in row_of:
-                    raise SchemaViolation(
-                        f"missing observation for counterparty {name!r} on "
-                        f"{date}")
+        for name, date in itertools.product(names, dates):
+            if (name, date) not in row_of:
+                raise SchemaViolation(
+                    f"missing observation for counterparty {name!r} on {date}")
     # the keys are distinct and fill the grid, so every cell is written once
     name_at = {name: i for i, name in enumerate(names)}
     date_at = {date: j for j, date in enumerate(dates)}
-    flat = np.frombuffer(cells).reshape(len(row_of), len(PANEL_COLUMNS))
     at = (np.fromiter((name_at[k[0]] for k in row_of), int, len(row_of)),
           np.fromiter((date_at[k[1]] for k in row_of), int, len(row_of)))
     values = {}
-    for c, col in enumerate(PANEL_COLUMNS):
+    for col, cells in zip(PANEL_COLUMNS, columns):
         values[col] = np.empty((len(names), len(dates)))
-        values[col][at] = flat[:, c]
+        values[col][at] = np.frombuffer(cells)
     return MarketPanel(counterparties=names, dates=dates, values=values)
 
 

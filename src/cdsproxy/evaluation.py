@@ -63,16 +63,15 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
     if k < 2 or k > n:
         raise BadK(f"fold count must satisfy 2 <= K <= {n}, got {k}")
     rng = np.random.default_rng(seed)
-    assignment = np.full(n, -1, dtype=int)
-    counter = 0
+    dealt = []          # every class's rows, each class shuffled, in class order
     for j in range(dataset.n_classes):
         rows = np.flatnonzero(dataset.y == j)
         if rows.size == 0:
             raise EmptyClass(
                 f"class {dataset.class_names[j]!r} has no samples to deal")
-        for row in rows[rng.permutation(rows.size)]:
-            assignment[row] = counter % k
-            counter += 1
+        dealt.append(rows[rng.permutation(rows.size)])
+    assignment = np.empty(n, dtype=int)
+    assignment[np.concatenate(dealt)] = np.arange(n) % k
     return FoldPlan(k=k, assignment=assignment, seed=seed)
 
 

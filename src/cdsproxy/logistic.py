@@ -20,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, Dataset
-from .errors import (
-    EmptyTrainingSet,
-    NoConvergence,
-    NotPositiveDefinite,
-    SingleClassInput,
-    SingularDesign,
-)
+from .core import ClassifierModel, Dataset, check_training_set
+from .errors import NoConvergence, NotPositiveDefinite, SingularDesign
 
 DEFAULT_RIDGE = 1e-4
 DEFAULT_MAX_ITER = 100
@@ -76,8 +70,8 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
     penalty_mask[0] = 0.0                  # intercept is not penalised
     beta = np.zeros(z.shape[1])
     ll = _log_likelihood(z, t, beta, ridge)
-    stop = f"after {max_iter} Newton updates"
-    for iteration in range(max_iter):
+    # the last pass only tests the point that max_iter updates reached
+    for iteration in range(max_iter + 1):
         p = sigmoid(z @ beta)
         if ridge == 0.0 and float(np.max(np.abs(t - p))) < _SEPARATION_RESIDUAL:
             raise NoConvergence(
@@ -87,6 +81,10 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
         grad_norm = float(np.sqrt(grad @ grad))
         if grad_norm <= grad_tol:
             return beta
+        if iteration == max_iter:
+            raise NoConvergence(
+                f"logistic fit: gradient norm {grad_norm:.3e} > {grad_tol} "
+                f"after {max_iter} Newton updates")
         w = np.maximum(p * (1.0 - p), 0.0)
         hess = (z * w[:, None]).T @ z + 2.0 * ridge * np.diag(penalty_mask)
         try:
@@ -107,23 +105,11 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
                 break
             scale *= 0.5
         else:
-            # no acceptable step; treat current point as converged if the
-            # gradient is already tiny, otherwise report failure below
-            stop = (f"at Newton iteration {iteration + 1}, where no step "
-                    f"halved up to {_MAX_HALVINGS} times raised the "
-                    f"log-likelihood")
-            break
-    p = sigmoid(z @ beta)
-    if ridge == 0.0 and float(np.max(np.abs(t - p))) < _SEPARATION_RESIDUAL:
-        raise NoConvergence(
-            "the classes are linearly separated, so the unpenalised "
-            "likelihood has no maximiser; use a positive ridge penalty")
-    grad = z.T @ (t - p) - 2.0 * ridge * penalty_mask * beta
-    if float(np.sqrt(grad @ grad)) <= grad_tol:
-        return beta
-    raise NoConvergence(
-        f"logistic fit: gradient norm {float(np.sqrt(grad @ grad)):.3e} "
-        f"> {grad_tol} {stop}")
+            # beta has not moved, so grad_norm is its gradient norm
+            raise NoConvergence(
+                f"logistic fit: gradient norm {grad_norm:.3e} > {grad_tol} "
+                f"at Newton iteration {iteration + 1}, where no step halved "
+                f"up to {_MAX_HALVINGS} times raised the log-likelihood")
 
 
 @dataclass
@@ -147,10 +133,7 @@ class LogisticClassifier(ClassifierModel):
 def fit_logistic_multiclass(train: Dataset) -> LogisticClassifier:
     """Fit one regularised machine per class against the rest on
     standardised rows."""
-    if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
-    if np.unique(train.y).size < 2:
-        raise SingleClassInput("logistic fit needs at least two classes present")
+    check_training_set(train)
     standardizer = nm.standardizer_fit(train.x)
     z = np.column_stack([np.ones(train.n), standardizer.apply(train.x)])
     coefficients = np.empty((train.n_classes, z.shape[1]))

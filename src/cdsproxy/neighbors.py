@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, Dataset
-from .errors import BadK, EmptyTrainingSet, NotPositiveDefinite, SingularCovariance
+from .core import ClassifierModel, Dataset, check_training_set
+from .errors import BadK, NotPositiveDefinite, SingularCovariance
 
 DEFAULT_K = 9
 
@@ -90,8 +90,7 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K,
     Euclidean and city-block store standardised rows, Mahalanobis whitened
     ones.
     """
-    if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
+    check_training_set(train, two_classes=False)
     metric = Metric(metric)
     k = int(k)
     if k < 1 or k > train.n:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, Dataset
-from .errors import BadConfig, EmptyTrainingSet, SingleClassInput
+from .core import ClassifierModel, Dataset, check_training_set
+from .errors import BadConfig
 
 DEFAULT_HIDDEN_UNITS = 10
 DEFAULT_LEARNING_RATE = 1.0
@@ -188,10 +188,7 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     halved step improves the loss before the step floor, training stops and
     the returned model carries a warning string; it is still usable.
     """
-    if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
-    if np.unique(train.y).size < 2:
-        raise SingleClassInput("network fit needs at least two classes present")
+    check_training_set(train)
     if hidden_units < 1:
         raise BadConfig(f"hidden_units must be >= 1, got {hidden_units}")
     activation = Activation(activation)

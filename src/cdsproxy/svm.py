@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, Dataset
+from .core import ClassifierModel, Dataset, check_training_set
 from .errors import BadConfig, EmptyTrainingSet, NoConvergence, SingleClassInput
 
 DEFAULT_COST = 1.0
@@ -459,27 +459,16 @@ def fit_svm_multiclass(train: Dataset,
     r <= C(d + p, p): with p = 3, 35, 10, 20 and 10 on FS2, FS3, FS5 and
     FS6.
 
-    On the class-0 FS4 machine of the default panel with more days (one
-    BLAS thread), one pair update cost 18-23 us at n = 450, 25-32 us at
-    n = 1,000 and 39-56 us at n = 2,000. One interior-point solve cost
-    6, 16 and 44 ms through the rank-15 factor of the linear K, under n
-    updates, after one eigendecomposition per fit of 0.02, 0.17 and 1.5 s;
-    for the polynomial K (r = 450, 741 and 762) it cost 0.14 s by dense LU
-    and 1.1 and 2.0 s through the factor, against 1.3 and 9.1 s by dense
-    LU, as much as 13, 35 and 18 n updates. The budget was set near the
-    dense break-even at n = 450, the size of the study's fold fits, and is
-    kept, as a change would move machines that converge within it; a
-    low-rank machine now spends far more on its capped attempt than on its
-    interior-point solve. From n ~ 3,200 the budget is DEFAULT_MAX_UPDATES,
-    so the interior point runs only for machines ascent alone would fail.
-    A machine that converges within its budget is the one fit_svm_binary
-    returns; one over it may end at another alpha inside the same
-    tolerance.
+    The budget was set near the break-even of ascent and a dense
+    interior-point solve at n = 450, the size of the study's fold fits
+    (timings in CHANGES.md), and is kept, as a change would move machines
+    that converge within it. From n ~ 3,200 the budget is
+    DEFAULT_MAX_UPDATES, so the interior point runs only for machines
+    ascent alone would fail. A machine that converges within its budget
+    is the one fit_svm_binary returns; one over it may end at another
+    alpha inside the same tolerance.
     """
-    if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
-    if np.unique(train.y).size < 2:
-        raise SingleClassInput("multiclass fit needs at least two classes present")
+    check_training_set(train)
     standardizer = nm.standardizer_fit(train.x)
     x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)

@@ -41,11 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, Dataset
+from .core import ClassifierModel, Dataset, check_training_set
 from .errors import (
     BadConfig,
     DimensionMismatch,
-    EmptyTrainingSet,
     NoValidSplit,
     PureNode,
 )
@@ -402,8 +401,7 @@ def _partition(order: np.ndarray, go_left: np.ndarray) -> int:
 def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
              max_splits: int = DEFAULT_MAX_SPLITS) -> DecisionTreeModel:
     """Greedy breadth-first growth under a budget of internal nodes."""
-    if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
+    check_training_set(train, two_classes=False)
     if max_splits < 1:
         raise BadConfig(f"max_splits must be >= 1, got {max_splits}")
     criterion = SplitCriterion(criterion)
@@ -481,8 +479,7 @@ def fit_bagged(train: Dataset, n_trees: int = DEFAULT_BAG_SIZE,
                max_splits: int = DEFAULT_MAX_SPLITS,
                seed: int = 0) -> BaggedTreeClassifier:
     """Fit n_trees trees on independent seeded bootstrap draws."""
-    if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
+    check_training_set(train, two_classes=False)
     if n_trees < 1:
         raise BadConfig(f"n_trees must be >= 1, got {n_trees}")
     trees = []

@@ -327,3 +327,151 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
                              max_splits=max_splits, n_classes=train.n_classes,
                              class_names=train.class_names,
                              n_features=train.d)
+
+
+# ------------------------------------------------ panel CSV and fold dealing
+#
+# `write_panel`, `_parse_cell` and `read_panel` format and parse the panel CSV
+# one cell at a time, and `stratified_folds` deals each class's rows to the
+# folds one row at a time, as `cdsproxy.datagen` and `cdsproxy.evaluation`
+# did before they worked on whole columns and whole classes. The tests
+# require the same files, the same arrays, the same fold assignments and
+# the same faults.
+
+import csv  # noqa: E402
+from array import array  # noqa: E402
+
+from cdsproxy.core import (  # noqa: E402
+    PANEL_COLUMNS,
+    PD_COLUMNS,
+    S_COLUMN,
+    MarketPanel,
+)
+from cdsproxy.errors import BadK, EmptyClass, RangeViolation, SchemaViolation  # noqa: E402
+from cdsproxy.evaluation import FoldPlan  # noqa: E402
+
+_PANEL_HEADER = ("counterparty", "date") + PANEL_COLUMNS
+
+
+def write_panel(panel: MarketPanel, path) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_PANEL_HEADER)
+        for i, name in enumerate(panel.counterparties):
+            for j, date in enumerate(panel.dates):
+                row = [name, date]
+                for col in PANEL_COLUMNS:
+                    v = panel.values[col][i, j]
+                    row.append("" if not np.isfinite(v) else repr(float(v)))
+                writer.writerow(row)
+
+
+def _parse_cell(text: str, row_number: int, column: str) -> float:
+    if text == "":
+        if column == S_COLUMN:
+            return float("nan")
+        raise SchemaViolation(
+            f"row {row_number}, column {column}: empty value")
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise SchemaViolation(
+            f"row {row_number}, column {column}: not a number: {text!r}"
+        ) from exc
+    if column == S_COLUMN:
+        if not np.isnan(value) and value < 0.0:
+            raise RangeViolation(
+                f"row {row_number}, column {column}: spread must be >= 0, "
+                f"got {value}")
+    elif column in PD_COLUMNS:
+        if not 0.0 <= value <= 1.0:
+            raise RangeViolation(
+                f"row {row_number}, column {column}: probability outside "
+                f"[0, 1]: {value}")
+    else:
+        if not value >= 0.0:
+            raise RangeViolation(
+                f"row {row_number}, column {column}: volatility must be "
+                f">= 0, got {value}")
+    return value
+
+
+def read_panel(path) -> MarketPanel:
+    """Load and validate a panel written by write_panel.
+
+    A file without the s column still loads (its five-year rates are
+    simply missing); any other absent column is a schema violation, as is
+    an incomplete (counterparty, date) grid.
+    """
+    with open(path, "r", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaViolation("panel file is empty") from None
+        missing = [c for c in _PANEL_HEADER if c not in header]
+        if missing != [] and missing != [S_COLUMN]:
+            raise SchemaViolation(f"panel file lacks columns: {missing}")
+        extra = [c for c in header if c not in _PANEL_HEADER]
+        if extra:
+            raise SchemaViolation(f"panel file has unknown columns: {extra}")
+        position = {c: header.index(c) for c in header}
+        fields = [position.get(col) for col in PANEL_COLUMNS]
+        # every row's parsed cells in one flat buffer, in PANEL_COLUMNS
+        # order, and each (name, date) key's row in it
+        cells = array("d")
+        row_of: dict[tuple[str, str], int] = {}
+        for row_number, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SchemaViolation(
+                    f"row {row_number}: expected {len(header)} fields, "
+                    f"got {len(row)}")
+            key = (row[position["counterparty"]], row[position["date"]])
+            if key in row_of:
+                raise SchemaViolation(
+                    f"row {row_number}: duplicate observation for {key}")
+            row_of[key] = len(row_of)
+            for col, field in zip(PANEL_COLUMNS, fields):
+                cells.append(float("nan") if field is None
+                             else _parse_cell(row[field], row_number, col))
+    if not row_of:
+        raise SchemaViolation("panel file has no observations")
+    names = tuple(sorted({k[0] for k in row_of}))
+    dates = tuple(sorted({k[1] for k in row_of}))
+    if len(row_of) != len(names) * len(dates):
+        for name in names:
+            for date in dates:
+                if (name, date) not in row_of:
+                    raise SchemaViolation(
+                        f"missing observation for counterparty {name!r} on "
+                        f"{date}")
+    # the keys are distinct and fill the grid, so every cell is written once
+    name_at = {name: i for i, name in enumerate(names)}
+    date_at = {date: j for j, date in enumerate(dates)}
+    flat = np.frombuffer(cells).reshape(len(row_of), len(PANEL_COLUMNS))
+    at = (np.fromiter((name_at[k[0]] for k in row_of), int, len(row_of)),
+          np.fromiter((date_at[k[1]] for k in row_of), int, len(row_of)))
+    values = {}
+    for c, col in enumerate(PANEL_COLUMNS):
+        values[col] = np.empty((len(names), len(dates)))
+        values[col][at] = flat[:, c]
+    return MarketPanel(counterparties=names, dates=dates, values=values)
+
+
+def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
+    """Per-class seeded shuffle, then one global round-robin dealing pass."""
+    n = dataset.n
+    if k < 2 or k > n:
+        raise BadK(f"fold count must satisfy 2 <= K <= {n}, got {k}")
+    rng = np.random.default_rng(seed)
+    assignment = np.full(n, -1, dtype=int)
+    counter = 0
+    for j in range(dataset.n_classes):
+        rows = np.flatnonzero(dataset.y == j)
+        if rows.size == 0:
+            raise EmptyClass(
+                f"class {dataset.class_names[j]!r} has no samples to deal")
+        for row in rows[rng.permutation(rows.size)]:
+            assignment[row] = counter % k
+            counter += 1
+    return FoldPlan(k=k, assignment=assignment, seed=seed)

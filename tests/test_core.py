@@ -12,16 +12,20 @@ from cdsproxy.core import (
     FeatureSelection,
     MarketPanel,
     build_dataset,
+    check_training_set,
     class_priors,
+    first_inadmissible,
     impute_five_year_rate,
 )
 from cdsproxy.errors import (
     BadConfig,
     EmptyClass,
+    EmptyTrainingSet,
     InsufficientObservedRates,
     MissingFiveYearRate,
     RangeViolation,
     SchemaViolation,
+    SingleClassInput,
 )
 
 FS = FeatureSelection
@@ -121,9 +125,75 @@ class TestPanelValidation:
         with pytest.raises(SchemaViolation):
             MarketPanel(panel.counterparties, panel.dates, values)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_rate_rejected_with_its_cell(self, value):
+        panel = tiny_panel(seed=10)
+        values = dict(panel.values)
+        bad = values["s"].copy()
+        bad[1, 2] = value
+        values["s"] = bad
+        with pytest.raises(RangeViolation, match=(
+                r"^column 's', counterparty 'CP01', date 2008-06-03: spread "
+                r"must be finite, got -?inf$")):
+            MarketPanel(panel.counterparties, panel.dates, values)
+
+    def test_fault_names_column_counterparty_date_and_value(self):
+        panel = tiny_panel(seed=11)
+        values = dict(panel.values)
+        bad = values["pd_2y"].copy()
+        bad[2, 7] = 1.25
+        bad[2, 8] = np.nan
+        values["pd_2y"] = bad
+        with pytest.raises(RangeViolation, match=(
+                r"^column 'pd_2y', counterparty 'CP02', date 2008-06-08: "
+                r"probability outside \[0, 1\]: 1.25$")):
+            MarketPanel(panel.counterparties, panel.dates, values)
+
     def test_columns_constant(self):
         assert len(PANEL_COLUMNS) == 16
         assert PANEL_COLUMNS[0] == "s"
+
+
+class TestColumnRules:
+    @pytest.mark.parametrize("column, values", [
+        ("s", [0.0, 150.0, np.nan]),
+        ("pd_6m", [0.0, 0.5, 1.0]),
+        ("iv_3m", [0.0, 0.3, 1e300]),
+        ("hv_6m", [0.0, 2.0, 0.3]),
+    ])
+    def test_admissible_columns_pass(self, column, values):
+        assert first_inadmissible(column, np.array(values)) is None
+
+    @pytest.mark.parametrize("column, value, kind, message", [
+        ("s", -1.0, RangeViolation, "spread must be >= 0, got -1.0"),
+        ("s", np.inf, RangeViolation, "spread must be finite, got inf"),
+        ("s", -np.inf, RangeViolation, "spread must be finite, got -inf"),
+        ("pd_1y", 1.5, RangeViolation, "probability outside [0, 1]: 1.5"),
+        ("pd_1y", -0.0001, RangeViolation,
+         "probability outside [0, 1]: -0.0001"),
+        ("pd_1y", np.nan, SchemaViolation, "missing value: nan"),
+        ("pd_1y", np.inf, SchemaViolation, "missing value: inf"),
+        ("iv_18m", -0.5, RangeViolation, "volatility must be >= 0, got -0.5"),
+        ("hv_1m", -np.inf, SchemaViolation, "missing value: -inf"),
+        ("hv_1m", np.nan, SchemaViolation, "missing value: nan"),
+    ])
+    def test_first_bad_value_is_named(self, column, value, kind, message):
+        values = np.array([[0.1, 0.2, 0.3], [0.4, value, -2.0]])
+        assert first_inadmissible(column, values) == (4, kind, message)
+
+
+class TestTrainingSetCheck:
+    def test_empty_training_set_rejected(self, blob3):
+        for two_classes in (True, False):
+            with pytest.raises(EmptyTrainingSet):
+                check_training_set(blob3.subset(np.arange(0)), two_classes)
+
+    def test_single_class_rejected_only_where_two_are_needed(self, blob3):
+        one_class = blob3.subset(np.flatnonzero(blob3.y == 2))
+        check_training_set(one_class, two_classes=False)
+        with pytest.raises(SingleClassInput):
+            check_training_set(one_class)
+        check_training_set(blob3)
 
 
 class FixedScores(ClassifierModel):

@@ -1,4 +1,8 @@
 """Synthetic panel generation, CSV round trips, categories and records."""
+import functools
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -26,11 +30,14 @@ from cdsproxy.datagen import (
 )
 from cdsproxy.errors import (
     BadConfig,
+    CdsProxyError,
     MissingFiveYearRate,
     RangeViolation,
     SchemaViolation,
 )
 from cdsproxy.evaluation import correlation_histogram
+
+import loop_reference as ref
 
 
 def pooled_correlations(panel):
@@ -264,6 +271,171 @@ class TestPanelCsv:
         path.write_text("")
         with pytest.raises(SchemaViolation):
             read_panel(path)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "Infinity"])
+    def test_infinite_rate_rejected_with_its_cell(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        self.write_grid(path, [self.good_row(), self.good_row(
+            date="2023-01-03", s=text)])
+        with pytest.raises(RangeViolation, match=r"^row 3, column s: spread "
+                           r"must be finite, got -?inf$"):
+            read_panel(path)
+
+    @pytest.mark.parametrize("column", ["pd_1y", "iv_12m", "hv_2m"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_probability_or_volatility_is_a_missing_value(
+            self, tmp_path, column, text):
+        path = tmp_path / "bad.csv"
+        self.write_grid(path, [self.good_row(), self.good_row(
+            date="2023-01-03", **{column: text})])
+        with pytest.raises(SchemaViolation, match=rf"^row 3, column {column}: "
+                           rf"missing value: {text}$"):
+            read_panel(path)
+
+
+def read_outcome(read, path):
+    """The panel a reader returns, or the class and message it raises."""
+    try:
+        return read(path)
+    except CdsProxyError as exc:
+        return type(exc), str(exc)
+
+
+class TestPanelCsvAgainstLoopReference:
+    """read_panel and write_panel against cell-by-cell copies of their
+    earlier code (loop_reference): the same files, the same arrays and the
+    same first fault. Files hold 1,500 rows, so they span three of the
+    512-row blocks read_panel converts at a time (rows 2-513, 514-1025 and
+    1026-1501)."""
+
+    @staticmethod
+    @functools.cache
+    def panel(seed):
+        panel = generate_panel(GeneratorConfig(n_counterparties=6, n_days=250,
+                                               seed=seed))
+        s = panel.values["s"].copy()
+        rng = np.random.default_rng(seed)
+        s[rng.random(s.shape) < 0.2] = np.nan
+        s[1, :] = np.nan
+        panel.values["s"] = s
+        return panel
+
+    @staticmethod
+    @functools.cache
+    def text(seed):
+        with tempfile.TemporaryDirectory() as folder:
+            path = pathlib.Path(folder) / "panel.csv"
+            ref.write_panel(TestPanelCsvAgainstLoopReference.panel(seed), path)
+            return path.read_text()
+
+    def lines(self, tmp_path, seed=1):
+        return [line.split(",") for line in self.text(seed).splitlines()]
+
+    def assert_same_outcome(self, tmp_path, lines):
+        path = tmp_path / "case.csv"
+        path.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+        expected = read_outcome(ref.read_panel, path)
+        got = read_outcome(read_panel, path)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert got.counterparties == expected.counterparties
+        assert got.dates == expected.dates
+        for col in PANEL_COLUMNS:
+            assert np.array_equal(got.values[col], expected.values[col],
+                                  equal_nan=True)
+
+    @staticmethod
+    def set_cell(lines, row, column, text):
+        lines[row - 1][lines[0].index(column)] = text
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_files_are_byte_identical(self, tmp_path, seed):
+        panel = self.panel(seed)
+        write_panel(panel, tmp_path / "new.csv")
+        ref.write_panel(panel, tmp_path / "ref.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_files_read_to_the_same_arrays(self, tmp_path, seed):
+        lines = self.lines(tmp_path, seed)
+        self.assert_same_outcome(tmp_path, lines)
+        header, *rows = lines
+        order = np.random.default_rng(seed).permutation(len(rows))
+        self.assert_same_outcome(tmp_path, [header] + [rows[i] for i in order])
+
+    def test_file_without_rates_reads_to_the_same_arrays(self, tmp_path):
+        lines = self.lines(tmp_path)
+        at = lines[0].index("s")
+        self.assert_same_outcome(tmp_path,
+                                 [cells[:at] + cells[at + 1:] for cells in lines])
+
+    @pytest.mark.parametrize("row", [2, 513, 514, 1501])
+    @pytest.mark.parametrize("column, text", [
+        ("iv_3m", "oops"), ("pd_6m", ""), ("hv_6m", ""), ("pd_1y", "1.5"),
+        ("pd_5y", "-0.1"), ("hv_2m", "-0.4"), ("s", "-3.0"), ("s", "1e"),
+    ])
+    def test_bad_cell_raises_the_same_fault(self, tmp_path, row, column, text):
+        lines = self.lines(tmp_path)
+        self.set_cell(lines, row, column, text)
+        self.assert_same_outcome(tmp_path, lines)
+
+    @pytest.mark.parametrize("row", [2, 513, 514, 1501])
+    @pytest.mark.parametrize("fault", ["short", "long", "duplicate"])
+    def test_structural_fault_raises_the_same_fault(self, tmp_path, row,
+                                                    fault):
+        lines = self.lines(tmp_path)
+        if fault == "short":
+            lines[row - 1] = lines[row - 1][:-1]
+        elif fault == "long":
+            lines[row - 1] = lines[row - 1] + ["0.3"]
+        else:
+            lines[row - 1] = lines[row - 1 - 1] if row > 2 else lines[row]
+        self.assert_same_outcome(tmp_path, lines)
+
+    @pytest.mark.parametrize("cell_row, fault_row", [
+        (10, 12), (12, 10), (513, 514), (514, 513), (1024, 1027),
+        (1027, 1024), (1030, 1030), (2, 1501), (1501, 2),
+    ])
+    @pytest.mark.parametrize("fault", ["short", "duplicate"])
+    def test_first_of_a_bad_cell_and_a_structural_fault_is_raised(
+            self, tmp_path, cell_row, fault_row, fault):
+        lines = self.lines(tmp_path)
+        self.set_cell(lines, cell_row, "pd_2y", "x")
+        if fault == "short":
+            lines[fault_row - 1] = lines[fault_row - 1][:-2]
+        else:
+            lines[fault_row - 1] = list(lines[fault_row - 2 if fault_row > 2
+                                              else 2])
+        self.assert_same_outcome(tmp_path, lines)
+
+    @pytest.mark.parametrize("first, second", [
+        (("pd_1y", "1.5"), ("pd_1y", "oops")),
+        (("pd_1y", "oops"), ("pd_1y", "1.5")),
+        (("hv_1m", ""), ("iv_3m", "-1")),
+        (("s", "-1"), ("hv_6m", "x")),
+    ])
+    @pytest.mark.parametrize("rows", [(40, 50), (50, 40), (1025, 1026)])
+    def test_first_of_two_bad_cells_is_raised(self, tmp_path, first, second,
+                                              rows):
+        lines = self.lines(tmp_path)
+        self.set_cell(lines, rows[0], *first)
+        self.set_cell(lines, rows[1], *second)
+        self.assert_same_outcome(tmp_path, lines)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_bad_cells_in_one_row_under_a_permuted_header(self, tmp_path,
+                                                              seed):
+        lines = self.lines(tmp_path)
+        order = np.random.default_rng(seed).permutation(len(lines[0]))
+        lines = [[cells[i] for i in order] for cells in lines]
+        self.set_cell(lines, 700, "hv_2m", "oops")
+        self.set_cell(lines, 700, "pd_1y", "1.5")
+        self.assert_same_outcome(tmp_path, lines)
+        self.set_cell(lines, 700, "pd_1y", "0.5")
+        self.set_cell(lines, 700, "iv_6m", "")
+        self.assert_same_outcome(tmp_path, lines)
 
 
 class TestCategoriesAndRecords:

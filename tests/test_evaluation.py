@@ -15,14 +15,17 @@ import cdsproxy.numerics as nm
 from cdsproxy.bayes import fit_lda
 from cdsproxy.neighbors import fit_knn
 from cdsproxy.trees import fit_bagged
-from cdsproxy.core import ClassifierModel, Dataset, FeatureSelection
+from cdsproxy.core import ClassifierModel, Dataset, FeatureSelection, build_dataset
+from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import (
     BadConfig,
     BadK,
     DimensionMismatch,
     EmptyClass,
+    EmptyTrainingSet,
     FitFailure,
     MissingCell,
+    SingleClassInput,
     TooFewSamples,
 )
 from cdsproxy.evaluation import (
@@ -45,6 +48,7 @@ from cdsproxy.evaluation import (
     summarize_errors,
 )
 
+import loop_reference as ref
 from conftest import make_blobs
 
 
@@ -143,6 +147,29 @@ class TestStratifiedFolds:
         c = stratified_folds(ds, 4, seed=10)
         assert np.array_equal(a.assignment, b.assignment)
         assert not np.array_equal(a.assignment, c.assignment)
+
+    @pytest.mark.parametrize("counts", [
+        (5, 5), (7, 3), (9, 4, 2), (1, 1, 6), (3, 2, 1, 4), (2, 13),
+    ])
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_assignment_matches_the_row_by_row_deal(self, counts, k, seed):
+        y = np.concatenate([np.full(c, i) for i, c in enumerate(counts)])
+        y = np.random.default_rng(seed + 1).permutation(y)
+        ds = label_dataset(y, len(counts))
+        if k > ds.n:
+            pytest.skip("k exceeds n")
+        assert np.array_equal(stratified_folds(ds, k, seed).assignment,
+                              ref.stratified_folds(ds, k, seed).assignment)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_generated_panel_plans_match_the_row_by_row_deal(self, seed):
+        panel = generate_panel(GeneratorConfig(seed=seed))
+        for selection in FeatureSelection:
+            ds = build_dataset(panel, selection)
+            assert np.array_equal(
+                stratified_folds(ds, DEFAULT_FOLDS, seed).assignment,
+                ref.stratified_folds(ds, DEFAULT_FOLDS, seed).assignment)
 
 
 class TestCvStatistics:
@@ -274,6 +301,21 @@ class TestClassifierGrid:
         for width in (1, ds.d + 1):
             with pytest.raises(DimensionMismatch):
                 model.classify_batch(np.zeros((4, width)))
+
+    @pytest.mark.parametrize("label", DEFAULT_GRID)
+    def test_every_default_label_checks_its_training_set(self, label):
+        ds = make_blobs(centers=[(0, 0), (4, 4), (-4, 4)], n_per_class=12,
+                        scale=0.6, seed=13)
+        spec = make_classifier_spec(label)
+        with pytest.raises(EmptyTrainingSet):
+            spec.fit(ds.subset(np.arange(0)), seed=1)
+        one_class = ds.subset(np.flatnonzero(ds.y == 1))
+        if spec.family in ("KNN", "DT", "BaggedTree"):
+            assert np.all(spec.fit(one_class, seed=1)
+                          .classify_batch(one_class.x) == 1)
+        else:
+            with pytest.raises(SingleClassInput):
+                spec.fit(one_class, seed=1)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(BadConfig, match="unknown classifier label"):
