@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, ClassPriors, Dataset, check_training_set, class_priors
+from .core import ClassifierModel, Dataset, check_training_set, class_log_priors
 from .errors import (
     ClassTooSmall,
     NonpositiveBandwidth,
@@ -52,7 +52,7 @@ class LdaClassifier(ClassifierModel):
     family = "DA"
     means: np.ndarray            # (N, d)
     covariance: np.ndarray       # ridged, shared by all classes
-    priors: ClassPriors
+    log_priors: np.ndarray       # (N,)
     mode: nm.CovMode
     weights: np.ndarray          # (N, d) rows V^-1 mu_j
     offsets: np.ndarray          # (N,)
@@ -73,16 +73,16 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier
     """
     check_training_set(train)
     mode = nm.CovMode(mode)
-    priors = class_priors(train.y, train.n_classes)
+    log_priors = class_log_priors(train.y, train.n_classes)
     means = np.stack([train.x[train.y == j].mean(axis=0) for j in range(train.n_classes)])
     cov = nm.add_ridge(nm.sample_mean_covariance(train.x, mode).matrix)
     try:
         weights = nm.solve_spd(cov, means.T).T
     except NotPositiveDefinite as exc:
         raise SingularCovariance(f"shared covariance not invertible: {exc}") from exc
-    offsets = -0.5 * (weights * means).sum(axis=1) + priors.log_pi
-    return LdaClassifier(means=means, covariance=cov, priors=priors, mode=mode,
-                         weights=weights, offsets=offsets,
+    offsets = -0.5 * (weights * means).sum(axis=1) + log_priors
+    return LdaClassifier(means=means, covariance=cov, log_priors=log_priors,
+                         mode=mode, weights=weights, offsets=offsets,
                          class_names=train.class_names)
 
 
@@ -93,7 +93,7 @@ class QdaClassifier(ClassifierModel):
     family = "DA"
     means: np.ndarray                  # (N, d)
     covariances: np.ndarray            # (N, d, d), ridged
-    priors: ClassPriors
+    log_priors: np.ndarray             # (N,)
     mode: nm.CovMode
     chol_factors: np.ndarray           # (N, d, d) lower factors
     log_dets: np.ndarray               # (N,)
@@ -107,7 +107,7 @@ class QdaClassifier(ClassifierModel):
             diff = (x - self.means[j]).T
             z = np.linalg.solve(self.chol_factors[j], diff)
             mahal_sq = (z * z).sum(axis=0)
-            out[:, j] = -0.5 * (self.log_dets[j] + mahal_sq) + self.priors.log_pi[j]
+            out[:, j] = -0.5 * (self.log_dets[j] + mahal_sq) + self.log_priors[j]
         return out
 
     def describe(self) -> dict:
@@ -118,7 +118,7 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier
     """Fit quadratic discriminant analysis (class-specific covariances)."""
     check_training_set(train)
     mode = nm.CovMode(mode)
-    priors = class_priors(train.y, train.n_classes)
+    log_priors = class_log_priors(train.y, train.n_classes)
     n_classes, d = train.n_classes, train.d
     means = np.empty((n_classes, d))
     covs = np.empty((n_classes, d, d))
@@ -136,8 +136,8 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier
         except NotPositiveDefinite as exc:
             raise SingularCovariance(f"class {j} covariance not invertible: {exc}") from exc
         log_dets[j] = 2.0 * float(np.log(chols[j].diagonal()).sum())
-    return QdaClassifier(means=means, covariances=covs, priors=priors, mode=mode,
-                         chol_factors=chols, log_dets=log_dets,
+    return QdaClassifier(means=means, covariances=covs, log_priors=log_priors,
+                         mode=mode, chol_factors=chols, log_dets=log_dets,
                          class_names=train.class_names)
 
 
@@ -154,7 +154,7 @@ class NbClassifier(ClassifierModel):
     class_samples: list[np.ndarray]    # per class (n_j, d)
     kernel: KernelKind
     bandwidth: float
-    priors: ClassPriors
+    log_priors: np.ndarray             # (N,)
     class_names: tuple[str, ...]
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
@@ -166,7 +166,7 @@ class NbClassifier(ClassifierModel):
                 dens = kernel_values(self.kernel, u).mean(axis=1) / self.bandwidth
                 with np.errstate(divide="ignore"):
                     logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
-                out[rows, j] = logs.sum(axis=1) + self.priors.log_pi[j]
+                out[rows, j] = logs.sum(axis=1) + self.log_priors[j]
         return out
 
     def describe(self) -> dict:
@@ -180,8 +180,8 @@ def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
     check_training_set(train)
     if not bandwidth > 0.0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
-    priors = class_priors(train.y, train.n_classes)
+    log_priors = class_log_priors(train.y, train.n_classes)
     samples = [train.x[train.y == j].copy() for j in range(train.n_classes)]
     return NbClassifier(class_samples=samples, kernel=KernelKind(kernel),
-                        bandwidth=float(bandwidth), priors=priors,
+                        bandwidth=float(bandwidth), log_priors=log_priors,
                         class_names=train.class_names)

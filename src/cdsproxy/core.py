@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import abc
 import enum
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +22,6 @@ from .errors import (
     EmptyClass,
     EmptyTrainingSet,
     InsufficientObservedRates,
-    MissingColumn,
     MissingFiveYearRate,
     NotPositiveDefinite,
     RangeViolation,
@@ -100,7 +101,7 @@ class MarketPanel:
 
     counterparties: tuple[str, ...]
     dates: tuple[str, ...]
-    values: dict[str, np.ndarray]
+    values: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         if len(self.counterparties) < 1:
@@ -122,6 +123,9 @@ class MarketPanel:
                 i, j = divmod(at, shape[1])
                 raise kind(f"column {col!r}, counterparty {self.counterparties[i]!r}, "
                            f"date {self.dates[j]}: {message}")
+        # a read-only view, so that no column can be added, dropped or
+        # replaced without the checks above
+        object.__setattr__(self, "values", types.MappingProxyType(dict(self.values)))
 
     @property
     def n_counterparties(self) -> int:
@@ -180,9 +184,6 @@ def build_dataset(panel: MarketPanel, selection: FeatureSelection) -> Dataset:
     """
     selection = FeatureSelection(selection)
     cols = selection.columns
-    for col in cols:
-        if col not in panel.values:
-            raise MissingColumn(f"panel lacks column {col!r}")
     if S_COLUMN in cols and np.any(panel.missing_s_mask()):
         n_miss = int(panel.missing_s_mask().sum())
         raise MissingFiveYearRate(
@@ -205,30 +206,14 @@ def check_training_set(train: Dataset, two_classes: bool = True) -> None:
         raise SingleClassInput("training data holds a single class")
 
 
-@dataclass(frozen=True)
-class ClassPriors:
-    """Class prior probabilities; strictly positive, summing to one."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.pi <= 0.0):
-            raise EmptyClass("priors must be strictly positive")
-        if abs(float(self.pi.sum()) - 1.0) > 1e-12:
-            raise RangeViolation("priors must sum to one")
-
-    @property
-    def log_pi(self) -> np.ndarray:
-        return np.log(self.pi)
-
-
-def class_priors(y: np.ndarray, n_classes: int) -> ClassPriors:
-    """Empirical priors n_j / n."""
+def class_log_priors(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Logs of the empirical priors n_j / n; raises EmptyClass when a
+    class has no samples."""
     counts = np.bincount(np.asarray(y, dtype=int), minlength=n_classes)
     if np.any(counts == 0):
         empty = [j for j, c in enumerate(counts) if c == 0]
         raise EmptyClass(f"classes with no samples: {empty}")
-    return ClassPriors(pi=counts / counts.sum())
+    return np.log(counts / counts.sum())
 
 
 class ClassifierModel(abc.ABC):

@@ -44,7 +44,7 @@ import csv
 import datetime
 import itertools
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,12 +128,7 @@ class GeneratorConfig:
             raise BadConfig("base_spacing must be positive")
 
     def settings(self) -> dict:
-        return {"n_counterparties": self.n_counterparties,
-                "n_days": self.n_days,
-                "factor_loading": self.factor_loading,
-                "idiosyncratic_scale": self.idiosyncratic_scale,
-                "base_spacing": self.base_spacing,
-                "seed": self.seed}
+        return asdict(self)
 
 
 def counterparty_names(n: int) -> tuple[str, ...]:

@@ -46,10 +46,6 @@ class RangeViolation(CdsProxyError):
     """A panel value lies outside its admissible range."""
 
 
-class MissingColumn(CdsProxyError):
-    """A feature selection references a column the panel lacks."""
-
-
 class MissingFiveYearRate(CdsProxyError):
     """A feature selection needs the five-year rate but some values are missing."""
 

@@ -339,21 +339,17 @@ def correlation_histogram(dataset: Dataset) -> CorrelationHistogram:
     x = dataset.x
     centered = x - x.mean(axis=0)
     scales = np.sqrt((centered * centered).sum(axis=0))
-    values = []
-    undefined = 0
-    for a in range(dataset.d):
-        for b in range(a + 1, dataset.d):
-            if scales[a] == 0.0 or scales[b] == 0.0:
-                undefined += 1
-                continue
-            r = float(centered[:, a] @ centered[:, b] / (scales[a] * scales[b]))
-            values.append(min(1.0, max(-1.0, r)))
+    a, b = np.triu_indices(dataset.d, 1)
+    defined = (scales[a] != 0.0) & (scales[b] != 0.0)
+    a, b = a[defined], b[defined]
+    values = np.clip((centered.T @ centered)[a, b] / (scales[a] * scales[b]),
+                     -1.0, 1.0)
     edges = np.linspace(-1.0, 1.0, 21)
-    counts, _ = np.histogram(np.asarray(values), bins=edges)
+    counts, _ = np.histogram(values, bins=edges)
     return CorrelationHistogram(bin_edges=tuple(float(e) for e in edges),
                                 counts=tuple(int(c) for c in counts),
-                                values=tuple(values),
-                                undefined_pairs=undefined)
+                                values=tuple(values.tolist()),
+                                undefined_pairs=int(np.count_nonzero(~defined)))
 
 
 # ------------------------------------------------------------- CSV output

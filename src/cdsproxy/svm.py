@@ -10,23 +10,15 @@ feasible ascent direction, the second maximises the second-order gain, the
 pair is solved in closed form and clipped to the box. The multiclass model
 trains one machine per class against the rest on standardised rows.
 
-Each multiclass machine is solved in two stages. Pairwise ascent first runs
-under an update budget that grows with the row count n; a machine that does
-not converge within it is solved again on the shared Gram matrix K by a
-Mehrotra predictor-corrector interior-point method (Mehrotra, SIAM J. Optim.
-2(4), 1992), whose alpha is snapped onto the bounds and polished by the same
-pairwise ascent, so every machine ends on the same KKT test. The interior
-point's Newton systems are solved against K with label-flipped right-hand
-sides, so Q = yy' * K is never formed. When the first machine of a fit
-falls back, K is factored as GG' with G of rank r, and if r is low enough
-(a linear kernel has r <= d) each Newton system is solved through G by the
-Sherman-Morrison-Woodbury identity in O(n r^2) instead of O(n^3).
+Each multiclass machine is solved by pairwise ascent under an update
+budget, and one that stalls within it by a Mehrotra predictor-corrector
+interior-point method (Mehrotra, SIAM J. Optim. 2(4), 1992) polished by
+the same ascent; fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -423,41 +415,22 @@ class SvmClassifier(ClassifierModel):
                 "gram_rank": self.gram_rank}
 
 
-def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                 gram: np.ndarray,
-                 factor: Callable[[], np.ndarray | None]) -> BinarySvm:
-    """Pairwise ascent within its budget, else interior point plus ascent;
-    factor() gives the interior point the low-rank factor of gram, or None
-    for dense solves."""
-    n = y.size
-    budget = min(DEFAULT_MAX_UPDATES, n * max(10, n // 100))
-    try:
-        # by keyword: perfbench's tracer reads max_updates from kwargs
-        return fit_svm_binary(x, y, kernel, gram=gram, max_updates=budget)
-    except NoConvergence:
-        pass
-    alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor())
-    # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
-    return _pairwise_ascent(x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
-                            DEFAULT_MAX_UPDATES, gram, y - gram @ (y * alpha),
-                            alpha, iterations)
-
-
 def fit_svm_multiclass(train: Dataset,
                        kernel: KernelSpec = KernelSpec()) -> SvmClassifier:
     """Train one machine per class against the rest on standardised rows.
 
-    Each machine first runs pairwise ascent with a budget of
-    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. A
-    machine over its budget is solved by the interior point on the shared
-    Gram matrix K, then polished by pairwise ascent from that alpha, which
-    ends at DEFAULT_KKT_TOL or raises NoConvergence after
-    DEFAULT_MAX_UPDATES updates. When the first machine falls back, K is
-    factored once for the fit (_low_rank_factor); if its rank r is low
-    enough, every fallback machine's interior point solves through that
-    factor, else by dense LU. A linear K has r <= d, a polynomial one
-    r <= C(d + p, p): with p = 3, 35, 10, 20 and 10 on FS2, FS3, FS5 and
-    FS6.
+    Every machine first runs pairwise ascent with a budget of
+    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. If
+    any machine stalls within it, the shared Gram matrix K is factored once
+    for the fit (_low_rank_factor), and each stalled machine is solved by
+    the interior point on K, then polished by pairwise ascent from that
+    alpha, which ends at DEFAULT_KKT_TOL or raises NoConvergence after
+    DEFAULT_MAX_UPDATES updates. If the factor's rank r is low enough, the
+    interior point's Newton systems go through it by the Sherman-Morrison-
+    Woodbury identity in O(n r^2), else by dense LU in O(n^3). A linear K
+    has r <= d, a polynomial one r <= C(d + p, p): with p = 3, 35, 10, 20
+    and 10 on FS2, FS3, FS5 and FS6. The machines are independent, so
+    solving the stalled ones last changes no result.
 
     The budget was set near the break-even of ascent and a dense
     interior-point solve at n = 450, the size of the study's fold fits
@@ -473,20 +446,29 @@ def fit_svm_multiclass(train: Dataset,
     x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)
     gram = kernel.gram(x, x)
-    factored = []      # made once, when the first machine falls back
-
-    def factor():
-        if not factored:
-            factored.append(_low_rank_factor(gram))
-        return factored[0]
-
-    machines = [_fit_machine(x, np.where(train.y == j, 1.0, -1.0), kernel,
-                             gram, factor)
-                for j in range(train.n_classes)]
-    if not factored:
-        gram_rank = 0
-    else:
-        gram_rank = train.n if factored[0] is None else factored[0].shape[1]
+    budget = min(DEFAULT_MAX_UPDATES, train.n * max(10, train.n // 100))
+    labels = [np.where(train.y == j, 1.0, -1.0) for j in range(train.n_classes)]
+    machines = []
+    for y in labels:
+        try:
+            # by keyword: perfbench's tracer reads max_updates from kwargs
+            machines.append(fit_svm_binary(x, y, kernel, gram=gram,
+                                           max_updates=budget))
+        except NoConvergence:
+            machines.append(None)
+    stalled = [j for j, machine in enumerate(machines) if machine is None]
+    gram_rank = 0
+    if stalled:
+        factor = _low_rank_factor(gram)
+        gram_rank = train.n if factor is None else factor.shape[1]
+        for j in stalled:
+            y = labels[j]
+            alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor)
+            # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
+            machines[j] = _pairwise_ascent(x, y, kernel, DEFAULT_COST,
+                                           DEFAULT_KKT_TOL, DEFAULT_MAX_UPDATES,
+                                           gram, y - gram @ (y * alpha), alpha,
+                                           iterations)
     return SvmClassifier(machines=machines, class_names=train.class_names,
                          kernel=kernel, standardizer=standardizer,
                          gram_rank=gram_rank)

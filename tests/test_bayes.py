@@ -33,8 +33,7 @@ def test_priors_are_training_class_frequencies(fitter):
     counts = np.bincount(skewed.y, minlength=3)
     assert counts.tolist() == [12, 9, 5]
     model = fitter(skewed)
-    assert np.allclose(model.priors.pi, counts / skewed.n, rtol=0, atol=1e-15)
-    assert np.allclose(model.priors.log_pi, np.log(counts / skewed.n), rtol=0, atol=1e-14)
+    assert np.allclose(model.log_priors, np.log(counts / skewed.n), rtol=0, atol=1e-14)
 
 
 def ridged(matrix):
@@ -181,7 +180,7 @@ class TestQda:
             chol = nm.cholesky_spd(lda.covariance)
             log_det = 2.0 * float(np.log(chol.diagonal()).sum())
             equalized = QdaClassifier(
-                means=qda.means, covariances=shared, priors=qda.priors,
+                means=qda.means, covariances=shared, log_priors=qda.log_priors,
                 mode=qda.mode,
                 chol_factors=np.repeat(chol[None, :, :], train.n_classes, axis=0),
                 log_dets=np.full(train.n_classes, log_det),
@@ -206,7 +205,7 @@ def kde_log_densities(class_samples, kind, b, x):
                     class_names=tuple(f"c{j}" for j in range(len(sizes))),
                     feature_names=("f",))
     model = fit_nb(train, kernel=kind, bandwidth=b)
-    return model.scores_batch(np.array([[x]]))[0] - model.priors.log_pi
+    return model.scores_batch(np.array([[x]]))[0] - model.log_priors
 
 
 class TestKde:

@@ -13,7 +13,7 @@ from cdsproxy.core import (
     MarketPanel,
     build_dataset,
     check_training_set,
-    class_priors,
+    class_log_priors,
     first_inadmissible,
     impute_five_year_rate,
 )
@@ -149,6 +149,23 @@ class TestPanelValidation:
                 r"probability outside \[0, 1\]: 1.25$")):
             MarketPanel(panel.counterparties, panel.dates, values)
 
+    def test_columns_cannot_be_replaced_or_dropped(self):
+        panel = tiny_panel(seed=12)
+        with pytest.raises(TypeError):
+            panel.values["s"] = np.full(panel.values["s"].shape, np.inf)
+        with pytest.raises(TypeError):
+            del panel.values["pd_1y"]
+        assert set(panel.values) == set(PANEL_COLUMNS)
+
+    def test_later_changes_to_the_given_mapping_do_not_reach_the_panel(self):
+        base = tiny_panel(seed=13)
+        values = dict(base.values)
+        panel = MarketPanel(base.counterparties, base.dates, values)
+        del values["pd_1y"]
+        values["s"] = -values["s"]
+        assert "pd_1y" in panel.values
+        assert np.all(panel.values["s"] > 0.0)
+
     def test_columns_constant(self):
         assert len(PANEL_COLUMNS) == 16
         assert PANEL_COLUMNS[0] == "s"
@@ -222,13 +239,13 @@ class TestClassifyBatch:
 
 class TestClassPriors:
     def test_empirical_counts(self):
-        pri = class_priors(np.array([0, 0, 0, 1, 2, 2]), 3)
-        assert np.allclose(pri.pi, [0.5, 1 / 6, 1 / 3])
-        assert abs(pri.pi.sum() - 1.0) < 1e-12
+        log_pri = class_log_priors(np.array([0, 0, 0, 1, 2, 2]), 3)
+        assert np.allclose(log_pri, np.log([0.5, 1 / 6, 1 / 3]))
+        assert abs(np.exp(log_pri).sum() - 1.0) < 1e-12
 
     def test_empty_class_rejected(self):
         with pytest.raises(EmptyClass):
-            class_priors(np.array([0, 0, 2]), 3)
+            class_log_priors(np.array([0, 0, 2]), 3)
 
 
 class TestImputation:

@@ -13,6 +13,7 @@ from cdsproxy.core import (
     PANEL_COLUMNS,
     PD_COLUMNS,
     FeatureSelection,
+    MarketPanel,
     build_dataset,
 )
 from cdsproxy.datagen import (
@@ -138,7 +139,8 @@ class TestPanelCsv:
                                                seed=9))
         s = panel.values["s"].copy()
         s[1, :] = np.nan
-        panel.values["s"] = s
+        panel = MarketPanel(counterparties=panel.counterparties,
+                            dates=panel.dates, values={**panel.values, "s": s})
         path = tmp_path / "panel.csv"
         write_panel(panel, path)
         loaded = read_panel(path)
@@ -165,7 +167,8 @@ class TestPanelCsv:
                                                seed=15))
         s = panel.values["s"].copy()
         s[3, 1:4] = np.nan
-        panel.values["s"] = s
+        panel = MarketPanel(counterparties=panel.counterparties,
+                            dates=panel.dates, values={**panel.values, "s": s})
         path = tmp_path / "panel.csv"
         write_panel(panel, path)
         header, *rows = path.read_text().splitlines()
@@ -317,7 +320,8 @@ class TestPanelCsvAgainstLoopReference:
         rng = np.random.default_rng(seed)
         s[rng.random(s.shape) < 0.2] = np.nan
         s[1, :] = np.nan
-        panel.values["s"] = s
+        panel = MarketPanel(counterparties=panel.counterparties,
+                            dates=panel.dates, values={**panel.values, "s": s})
         return panel
 
     @staticmethod
@@ -477,7 +481,8 @@ class TestCategoriesAndRecords:
                                                seed=11))
         s = panel.values["s"].copy()
         s[2, -2:] = np.nan
-        panel.values["s"] = s
+        panel = MarketPanel(counterparties=panel.counterparties,
+                            dates=panel.dates, values={**panel.values, "s": s})
         records = records_from_panel(panel)
         assert records[2].spread == s[2, 2]
 
@@ -486,7 +491,8 @@ class TestCategoriesAndRecords:
                                                seed=12))
         s = panel.values["s"].copy()
         s[0, :] = np.nan
-        panel.values["s"] = s
+        panel = MarketPanel(counterparties=panel.counterparties,
+                            dates=panel.dates, values={**panel.values, "s": s})
         with pytest.raises(MissingFiveYearRate, match="CP000"):
             records_from_panel(panel)
 
