@@ -10,14 +10,18 @@ feasible ascent direction, the second maximises the second-order gain, the
 pair is solved in closed form and clipped to the box. The multiclass model
 trains one machine per class against the rest on standardised rows.
 
-Each multiclass machine is solved by pairwise ascent under an update
-budget, and one that stalls within it by a Mehrotra predictor-corrector
-interior-point method (Mehrotra, SIAM J. Optim. 2(4), 1992) polished by
-the same ascent; fit_svm_multiclass states that policy.
+Each multiclass machine is solved by a Mehrotra predictor-corrector
+interior-point method (Mehrotra, SIAM J. Optim. 2(4), 1992) through the
+kernel's exact feature map when that map is small (linear, low-degree
+polynomial), and otherwise by pairwise ascent under an update budget, with
+a dense interior-point solve for a machine that stalls within it; either
+solve is polished by the same ascent. fit_svm_multiclass states that
+policy.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -260,25 +264,37 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((-v[down] / dv[down]).min(initial=np.inf))
 
 
-def _low_rank_factor(k_mat: np.ndarray) -> np.ndarray | None:
-    """G (n x r) with GG' = K up to rounding, or None when r is too large
-    for the Sherman-Morrison-Woodbury solve to pay.
+def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
+    """G (n x r) with GG' = kernel.gram(x, x) up to rounding, built from the
+    kernel's exact feature map, or None for the gaussian kernel, whose map
+    has no finite r, and when r is too large for the Sherman-Morrison-
+    Woodbury solve to pay.
 
-    G holds the eigenvectors of K scaled by the square roots of the
-    eigenvalues above n * eps * lambda_max, numpy's matrix_rank tolerance.
-    An interior-point iteration costs about n r^2 + 4/3 r^3 flops through
-    G (the product P'P and two r x r LU solves) against 4/3 n^3 for its
-    two dense LU solves, so G is returned only while 3 n r^2 + 4 r^3 <
-    4 n^3, that is r below about 0.8 n.
+    Linear: G = x, r = d. Polynomial of degree p: one column per monomial
+    x^a with |a| <= p, scaled by sqrt(p! / ((p - |a|)! a!)), the root of
+    its coefficient in the expansion of (1 + x'y)^p, so r = C(d + p, p)
+    (Schoelkopf and Smola, Learning with Kernels, 2002). An interior-point
+    iteration costs about n r^2 + 4/3 r^3 flops through G (the product P'P
+    and two r x r LU solves) against 4/3 n^3 for its two dense LU solves,
+    so G is returned only while 3 n r^2 + 4 r^3 < 4 n^3, that is r below
+    about 0.8 n; r is counted before any column is built.
     """
-    n = k_mat.shape[0]
-    eig = nm.eigen_symmetric(k_mat)
-    values = eig.eigenvalues
-    keep = values > n * np.finfo(float).eps * values[-1]
-    r = int(np.count_nonzero(keep))
+    if kernel.kind is SvmKernel.GAUSSIAN:
+        return None
+    n, d = x.shape
+    p = int(kernel.degree)
+    r = d if kernel.kind is SvmKernel.LINEAR else math.comb(d + p, p)
     if 3 * n * r * r + 4 * r ** 3 >= 4 * n ** 3:
         return None
-    return eig.eigenvectors[:, keep] * np.sqrt(values[keep])
+    if kernel.kind is SvmKernel.LINEAR:
+        return x
+    columns = []
+    for k in range(p + 1):
+        for a in itertools.combinations_with_replacement(range(d), k):
+            a_factorial = math.prod(math.factorial(a.count(i)) for i in set(a))
+            coef = math.factorial(p) // (math.factorial(p - k) * a_factorial)
+            columns.append(math.sqrt(coef) * x[:, a].prod(axis=1))
+    return np.column_stack(columns)
 
 
 def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
@@ -390,9 +406,10 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
 class SvmClassifier(ClassifierModel):
     """One-vs-rest machines; scores are the raw decision values.
 
-    gram_rank is the rank r of the Gram factor the interior point of the
-    fallback machines solved through: n if they took dense solves, 0 if
-    no machine fell back.
+    gram_rank is the rank r of the Gram factor the interior point solved
+    through: the column count of the kernel's feature map when every
+    machine went through it, n when machines fell back to dense solves,
+    0 when pairwise ascent alone solved every machine.
     """
 
     family = "SVM"
@@ -419,18 +436,20 @@ def fit_svm_multiclass(train: Dataset,
                        kernel: KernelSpec = KernelSpec()) -> SvmClassifier:
     """Train one machine per class against the rest on standardised rows.
 
-    Every machine first runs pairwise ascent with a budget of
-    min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n rows. If
-    any machine stalls within it, the shared Gram matrix K is factored once
-    for the fit (_low_rank_factor), and each stalled machine is solved by
-    the interior point on K, then polished by pairwise ascent from that
-    alpha, which ends at DEFAULT_KKT_TOL or raises NoConvergence after
-    DEFAULT_MAX_UPDATES updates. If the factor's rank r is low enough, the
-    interior point's Newton systems go through it by the Sherman-Morrison-
-    Woodbury identity in O(n r^2), else by dense LU in O(n^3). A linear K
-    has r <= d, a polynomial one r <= C(d + p, p): with p = 3, 35, 10, 20
-    and 10 on FS2, FS3, FS5 and FS6. The machines are independent, so
-    solving the stalled ones last changes no result.
+    When the kernel's feature map gives an exact Gram factor G of r
+    columns that passes the flop rule of _kernel_factor (linear, and
+    polynomial with C(d + p, p) low enough: with p = 3, r = 35, 10, 20 and
+    10 on FS2, FS3, FS5 and FS6), every machine is solved by the interior
+    point on K, whose Newton systems go through G by the Sherman-Morrison-
+    Woodbury identity in O(n r^2), then polished by pairwise ascent from
+    that alpha. Otherwise (gaussian, and polynomial on FS1 and FS4, whose
+    969 and 816 monomials exceed the rows) every machine first runs
+    pairwise ascent with a budget of min(DEFAULT_MAX_UPDATES,
+    n * max(10, n // 100)) updates for n rows, and one that stalls within
+    it is solved by the interior point with dense LU solves in O(n^3), then
+    polished the same way. The polish ends at DEFAULT_KKT_TOL or raises
+    NoConvergence after DEFAULT_MAX_UPDATES updates. The machines are
+    independent, so solving the stalled ones last changes no result.
 
     The budget was set near the break-even of ascent and a dense
     interior-point solve at n = 450, the size of the study's fold fits
@@ -438,37 +457,39 @@ def fit_svm_multiclass(train: Dataset,
     that converge within it. From n ~ 3,200 the budget is
     DEFAULT_MAX_UPDATES, so the interior point runs only for machines
     ascent alone would fail. A machine that converges within its budget
-    is the one fit_svm_binary returns; one over it may end at another
-    alpha inside the same tolerance.
+    is the one fit_svm_binary returns; one over it, or one solved through
+    G, may end at another alpha inside the same tolerance.
     """
     check_training_set(train)
     standardizer = nm.standardizer_fit(train.x)
     x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)
     gram = kernel.gram(x, x)
-    budget = min(DEFAULT_MAX_UPDATES, train.n * max(10, train.n // 100))
+    factor = _kernel_factor(kernel, x)
     labels = [np.where(train.y == j, 1.0, -1.0) for j in range(train.n_classes)]
-    machines = []
-    for y in labels:
-        try:
-            # by keyword: perfbench's tracer reads max_updates from kwargs
-            machines.append(fit_svm_binary(x, y, kernel, gram=gram,
-                                           max_updates=budget))
-        except NoConvergence:
-            machines.append(None)
+    machines = [None] * train.n_classes
+    if factor is None:
+        budget = min(DEFAULT_MAX_UPDATES, train.n * max(10, train.n // 100))
+        for j, y in enumerate(labels):
+            try:
+                # by keyword: perfbench's tracer reads max_updates from kwargs
+                machines[j] = fit_svm_binary(x, y, kernel, gram=gram,
+                                             max_updates=budget)
+            except NoConvergence:
+                pass
     stalled = [j for j, machine in enumerate(machines) if machine is None]
-    gram_rank = 0
-    if stalled:
-        factor = _low_rank_factor(gram)
-        gram_rank = train.n if factor is None else factor.shape[1]
-        for j in stalled:
-            y = labels[j]
-            alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor)
-            # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
-            machines[j] = _pairwise_ascent(x, y, kernel, DEFAULT_COST,
-                                           DEFAULT_KKT_TOL, DEFAULT_MAX_UPDATES,
-                                           gram, y - gram @ (y * alpha), alpha,
-                                           iterations)
+    if factor is not None:
+        gram_rank = factor.shape[1]
+    else:
+        gram_rank = train.n if stalled else 0
+    for j in stalled:
+        y = labels[j]
+        alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor)
+        # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
+        machines[j] = _pairwise_ascent(x, y, kernel, DEFAULT_COST,
+                                       DEFAULT_KKT_TOL, DEFAULT_MAX_UPDATES,
+                                       gram, y - gram @ (y * alpha), alpha,
+                                       iterations)
     return SvmClassifier(machines=machines, class_names=train.class_names,
                          kernel=kernel, standardizer=standardizer,
                          gram_rank=gram_rank)

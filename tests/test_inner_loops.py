@@ -84,11 +84,11 @@ class TestPairwiseAscent:
     @pytest.mark.parametrize("kind", KINDS)
     def test_interior_point_start_matches_reference(self, kind):
         # from the dense solve's alpha, then from the one through the
-        # low-rank factor, which is None for the full-rank gaussian K
+        # kernel's feature-map factor, which is None for the gaussian kernel
         x, y = overlapping_problem(3)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        for factor in (None, svm._low_rank_factor(gram)):
+        for factor in (None, svm._kernel_factor(spec, x)):
             alpha, _ = svm._interior_point(gram, y, DEFAULT_COST, factor)
             # a tolerance below the interior point's leaves polishing to do
             args = (x, y, spec, DEFAULT_COST, 1e-9, 100_000, gram)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -210,11 +213,12 @@ class TestBinarySvm:
 
 
 def interior_point_then_ascent(x, y, spec, cost, factored=False):
-    """The fallback path of one multiclass machine, on a binary problem;
-    factored passes the interior point the Gram matrix's low-rank factor,
-    which is None when the matrix is numerically of too high a rank."""
+    """The interior-point path of one multiclass machine, on a binary
+    problem; factored passes the interior point the kernel's feature-map
+    factor, which is None for the gaussian kernel and for a map with too
+    many columns for the rows."""
     gram = spec.gram(x, x)
-    factor = svm._low_rank_factor(gram) if factored else None
+    factor = svm._kernel_factor(spec, x) if factored else None
     alpha, iterations = svm._interior_point(gram, y, cost, factor)
     return svm._pairwise_ascent(x, y, spec, cost, DEFAULT_KKT_TOL,
                                 DEFAULT_MAX_UPDATES, gram, y - gram @ (y * alpha),
@@ -231,8 +235,8 @@ class TestInteriorPoint:
         gram = spec.gram(x, x)
         ref = reference_dual_solution(gram, y, DEFAULT_COST)
         w_ref = dual_objective(ref, gram, y)
-        # dense solves, then solves through the low-rank factor where the
-        # Gram matrix has one (linear, and polynomial at n = 40)
+        # dense solves, then solves through the feature-map factor where
+        # the kernel has a small one (linear, and polynomial at n = 40)
         for factored in (False, True):
             model = interior_point_then_ascent(x, y, spec, DEFAULT_COST, factored)
             assert model.ip_iterations > 0
@@ -272,29 +276,57 @@ class TestInteriorPoint:
             fit_svm_multiclass(train)
 
     def test_machine_over_its_budget_matches_pairwise_ascent(self):
-        # under pairwise ascent alone the first machine converges after
-        # 1,036 updates, over its budget of 10 n = 600 but under
-        # DEFAULT_MAX_UPDATES, so it now takes the interior point; the
-        # second converges after 114 and keeps the ascent path bit for bit
+        # the gaussian kernel has no feature-map factor, so every machine
+        # first runs pairwise ascent: machine 1 converges after 825
+        # updates, over its budget of 10 n = 600 but under
+        # DEFAULT_MAX_UPDATES, so it takes the interior point; machines 0
+        # and 2 converge after 112 and 81 and keep the ascent path bit for bit
+        train = random_dataset(60, 2, 3, seed=6)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.GAUSSIAN))
+        x = model.standardizer.apply(train.x)
+        gram = model.kernel.gram(x, x)
+        ascent = [fit_svm_binary(x, m.y_train, model.kernel)
+                  for m in model.machines]
+        assert 10 * train.n < ascent[1].n_updates < DEFAULT_MAX_UPDATES
+        over = model.machines[1]
+        assert over.ip_iterations > 0 and over.kkt_gap <= DEFAULT_KKT_TOL
+        # the interior point's alpha is the nearer to the optimum: here its
+        # dual objective exceeds the ascent's by 1.4e-6, and it may not fall
+        # short of it by more than 1e-6
+        y = over.y_train
+        assert (dual_objective(over.alpha, gram, y)
+                >= dual_objective(ascent[1].alpha, gram, y) - 1e-6)
+        f_ip, f_ascent = over.decision_batch(x), ascent[1].decision_batch(x)
+        assert np.abs(f_ip - f_ascent).max() <= 1e-3
+        assert np.array_equal(np.sign(f_ip), np.sign(f_ascent))
+        for j in (0, 2):
+            assert model.machines[j].ip_iterations == 0
+            assert np.array_equal(model.machines[j].alpha, ascent[j].alpha)
+            assert model.machines[j].bias == ascent[j].bias
+            assert model.machines[j].n_updates == ascent[j].n_updates
+
+    def test_machines_through_the_feature_map_match_pairwise_ascent(self):
+        # under pairwise ascent alone the first linear machine converges
+        # after 1,036 updates and the second after 114; through the
+        # feature map both take the interior point and end at the same
+        # optimum within the tolerance
         train = random_dataset(60, 2, 2, seed=0)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.LINEAR))
         x = model.standardizer.apply(train.x)
         gram = model.kernel.gram(x, x)
-        first, second = model.machines
         ascent = [fit_svm_binary(x, m.y_train, model.kernel)
                   for m in model.machines]
         assert 10 * train.n < ascent[0].n_updates < DEFAULT_MAX_UPDATES
-        assert first.ip_iterations > 0 and first.kkt_gap <= DEFAULT_KKT_TOL
-        y = first.y_train
-        assert abs(dual_objective(first.alpha, gram, y)
-                   - dual_objective(ascent[0].alpha, gram, y)) <= 1e-6
-        f_ip, f_ascent = first.decision_batch(x), ascent[0].decision_batch(x)
-        assert np.abs(f_ip - f_ascent).max() <= 1e-3
-        assert np.array_equal(np.sign(f_ip), np.sign(f_ascent))
-        assert second.ip_iterations == 0
-        assert np.array_equal(second.alpha, ascent[1].alpha)
-        assert second.bias == ascent[1].bias
-        assert second.n_updates == ascent[1].n_updates
+        assert ascent[1].n_updates <= 10 * train.n
+        for machine, reference in zip(model.machines, ascent):
+            assert machine.ip_iterations > 0
+            assert machine.kkt_gap <= DEFAULT_KKT_TOL
+            y = machine.y_train
+            assert abs(dual_objective(machine.alpha, gram, y)
+                       - dual_objective(reference.alpha, gram, y)) <= 1e-6
+            f_ip, f_ascent = machine.decision_batch(x), reference.decision_batch(x)
+            assert np.abs(f_ip - f_ascent).max() <= 1e-3
+            assert np.array_equal(np.sign(f_ip), np.sign(f_ascent))
 
     def test_fold_fit_that_stalls_pairwise_ascent_converges(self):
         # SVM-Linear on FS4 fold 0 of the default panel: under pairwise
@@ -324,17 +356,33 @@ def golden_fold(selection, fold):
     return dataset.subset(stratified_folds(dataset, 2, seed=0).training_rows(fold))
 
 
-class TestLowRankInteriorPoint:
-    @pytest.mark.parametrize("kind,d,rank", [(SvmKernel.LINEAR, 4, 4),
-                                             (SvmKernel.POLYNOMIAL, 2, 10),
-                                             (SvmKernel.POLYNOMIAL, 4, 35)])
-    def test_factor_has_the_kernel_rank(self, kind, d, rank):
-        # linear: r = d; polynomial of degree 3: r = C(d + 3, 3)
-        x, _ = binary_problem(81, 60, d, 0.5)
-        gram = KernelSpec(kind).resolve(d).gram(x, x)
-        factor = svm._low_rank_factor(gram)
-        assert factor.shape == (x.shape[0], rank)
+def kkt_gap_from_alpha(alpha, y, gram, cost):
+    """The maximal KKT violation of alpha, recomputed from K alone."""
+    minus_yg = y - gram @ (y * alpha)
+    eps = 1e-12 * cost
+    up = np.where(y > 0, alpha < cost - eps, alpha > eps)
+    low = np.where(y > 0, alpha > eps, alpha < cost - eps)
+    return float(minus_yg[up].max() - minus_yg[low].min())
+
+
+class TestFeatureMapFactor:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_polynomial_map_reproduces_the_gram_matrix(self, degree, d):
+        # (1 + x'y)^p over the C(d + p, p) scaled monomials of degree <= p
+        x = np.random.default_rng(80 + d).normal(size=(200, d))
+        spec = KernelSpec(SvmKernel.POLYNOMIAL, degree=degree)
+        gram = spec.gram(x, x)
+        factor = svm._kernel_factor(spec, x)
+        assert factor.shape == (200, math.comb(d + degree, degree))
         assert np.abs(factor @ factor.T - gram).max() <= 1e-12 * gram.max()
+
+    def test_linear_map_is_the_rows(self):
+        x, _ = binary_problem(81, 60, 4, 0.5)
+        spec = KernelSpec(SvmKernel.LINEAR)
+        factor = svm._kernel_factor(spec, x)
+        assert factor.shape == (120, 4)
+        assert np.array_equal(factor @ factor.T, spec.gram(x, x))
 
     @pytest.mark.parametrize("kind,d", [(SvmKernel.LINEAR, 4),
                                         (SvmKernel.LINEAR, 8),
@@ -346,8 +394,9 @@ class TestLowRankInteriorPoint:
     def test_factored_solve_matches_the_dense_one(self, kind, d, seed,
                                                   n_per_side, separation):
         x, y = binary_problem(seed, n_per_side, d, separation)
-        gram = KernelSpec(kind).resolve(d).gram(x, x)
-        factor = svm._low_rank_factor(gram)
+        spec = KernelSpec(kind).resolve(d)
+        gram = spec.gram(x, x)
+        factor = svm._kernel_factor(spec, x)
         assert factor is not None
         dense, dense_iterations = svm._interior_point(gram, y, DEFAULT_COST)
         alpha, iterations = svm._interior_point(gram, y, DEFAULT_COST, factor)
@@ -363,49 +412,118 @@ class TestLowRankInteriorPoint:
         svm._interior_point(gram, y, DEFAULT_COST)
         assert np.array_equal(gram, kept)
 
-    def test_full_rank_gram_matrices_take_the_dense_solve(self):
+    def test_gaussian_and_large_maps_take_the_dense_solve(self, monkeypatch):
         rng = np.random.default_rng(86)
         x = rng.normal(size=(120, 4))
-        gaussian = KernelSpec(SvmKernel.GAUSSIAN).resolve(4).gram(x, x)
-        assert svm._low_rank_factor(gaussian) is None
-        # C(16 + 3, 3) = 969 monomials exceed the 450 rows
-        x = rng.normal(size=(450, 16))
-        poly = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
-        assert svm._low_rank_factor(poly) is None
+        assert svm._kernel_factor(KernelSpec(SvmKernel.GAUSSIAN).resolve(4),
+                                  x) is None
+
+        def no_monomials(*args):
+            raise AssertionError("a map over the flop rule was built")
+
+        # C(16 + 3, 3) = 969 and C(15 + 3, 3) = 816 monomials for 450
+        # rows, FS1 and FS4 of the study: r is counted, no column is built
+        monkeypatch.setattr(itertools, "combinations_with_replacement",
+                            no_monomials)
+        for d in (16, 15):
+            x = rng.normal(size=(450, d))
+            assert svm._kernel_factor(KernelSpec(SvmKernel.POLYNOMIAL), x) is None
 
     def test_factor_only_below_the_flop_break_even(self):
         # n = 10: 3 n r^2 + 4 r^3 = 3,968 < 4 n^3 at r = 8, 5,346 at r = 9
-        x = np.random.default_rng(88).normal(size=(10, 9))
-        assert svm._low_rank_factor(x[:, :8] @ x[:, :8].T).shape == (10, 8)
-        assert svm._low_rank_factor(x @ x.T) is None
+        x = np.random.default_rng(88).normal(size=(13, 9))
+        linear = KernelSpec(SvmKernel.LINEAR)
+        assert svm._kernel_factor(linear, x[:10, :8]).shape == (10, 8)
+        assert svm._kernel_factor(linear, x[:10]) is None
+        # d = 2, p = 3, r = 10: 7,600 >= 6,912 at n = 12, 7,900 < 8,788 at 13
+        poly = KernelSpec(SvmKernel.POLYNOMIAL)
+        assert svm._kernel_factor(poly, x[:12, :2]) is None
+        assert svm._kernel_factor(poly, x[:, :2]).shape == (13, 10)
 
-    def test_factor_made_once_per_fit_and_only_on_fallback(self, monkeypatch):
+    def test_factor_made_once_per_fit_before_any_solve(self, monkeypatch):
         calls = []
 
-        def counted(k_mat):
-            calls.append(k_mat.shape)
-            return factor(k_mat)
+        def counted(kernel, x):
+            calls.append(x.shape)
+            return factor(kernel, x)
 
-        factor = svm._low_rank_factor
-        monkeypatch.setattr(svm, "_low_rank_factor", counted)
-        # every one of the three machines falls back
+        factor = svm._kernel_factor
+        monkeypatch.setattr(svm, "_kernel_factor", counted)
+        # every one of the three machines goes through the 20 monomials
         model = fit_svm_multiclass(random_dataset(90, 3, 3, seed=1),
                                    kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert all(m.ip_iterations > 0 for m in model.machines)
-        assert calls == [(90, 90)]
+        assert calls == [(90, 3)]
         calls.clear()
+        # no gaussian factor: every machine converges by pairwise ascent
         model = fit_svm_multiclass(make_blobs([[0.0, 0.0], [4.0, 4.0]], 10,
-                                              scale=0.5, seed=87))
+                                              scale=0.5, seed=87),
+                                   kernel=KernelSpec(SvmKernel.GAUSSIAN))
         assert all(m.ip_iterations == 0 for m in model.machines)
-        assert calls == []
+        assert calls == [(20, 2)]
 
-    def test_describe_reports_the_rank_the_fallback_machines_used(self):
+    @pytest.mark.parametrize("kind", [SvmKernel.LINEAR, SvmKernel.POLYNOMIAL])
+    def test_routed_fit_makes_no_ascent_attempt_and_no_eigendecomposition(
+            self, monkeypatch, kind):
+        calls = []
+        monkeypatch.setattr(svm, "fit_svm_binary",
+                            lambda *args, **kwargs: calls.append("ascent"))
+        monkeypatch.setattr(svm.nm, "eigen_symmetric",
+                            lambda *args: calls.append("eigen"))
+        model = fit_svm_multiclass(random_dataset(90, 3, 3, seed=1),
+                                   kernel=KernelSpec(kind))
+        assert calls == []
+        assert all(m.ip_iterations > 0 for m in model.machines)
+
+    @pytest.mark.parametrize("selection,kind,rank", [
+        (FeatureSelection.FS1, SvmKernel.LINEAR, 16),
+        (FeatureSelection.FS2, SvmKernel.LINEAR, 4),
+        (FeatureSelection.FS3, SvmKernel.LINEAR, 2),
+        (FeatureSelection.FS4, SvmKernel.LINEAR, 15),
+        (FeatureSelection.FS5, SvmKernel.LINEAR, 3),
+        (FeatureSelection.FS6, SvmKernel.LINEAR, 2),
+        (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, 35),
+        (FeatureSelection.FS3, SvmKernel.POLYNOMIAL, 10),
+        (FeatureSelection.FS5, SvmKernel.POLYNOMIAL, 20),
+        (FeatureSelection.FS6, SvmKernel.POLYNOMIAL, 10)])
+    def test_routed_machines_meet_the_kkt_conditions(self, selection, kind,
+                                                     rank):
+        train = golden_fold(selection, 0)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
+        assert model.gram_rank == rank
+        x = model.standardizer.apply(train.x)
+        gram = model.kernel.gram(x, x)
+        for machine in model.machines:
+            alpha, y = machine.alpha, machine.y_train
+            assert machine.ip_iterations > 0
+            assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
+            assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
+            assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
+
+    def test_gaussian_fit_keeps_the_ascent_machines_bit_for_bit(self):
+        train = make_blobs([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 15,
+                           scale=0.8, seed=89)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.GAUSSIAN))
+        x = model.standardizer.apply(train.x)
+        for j, machine in enumerate(model.machines):
+            y = np.where(train.y == j, 1.0, -1.0)
+            ascent = fit_svm_binary(x, y, model.kernel)
+            assert machine.ip_iterations == 0
+            assert np.array_equal(machine.alpha, ascent.alpha)
+            assert machine.bias == ascent.bias
+            assert machine.n_updates == ascent.n_updates
+            assert machine.kkt_gap == ascent.kkt_gap
+
+    def test_describe_reports_the_rank_the_interior_point_used(self):
         blobs = make_blobs([[0.0, 0.0], [4.0, 4.0]], 10, scale=0.5, seed=87)
-        assert fit_svm_multiclass(blobs).describe()["gram_rank"] == 0
+        gaussian = fit_svm_multiclass(blobs, kernel=KernelSpec(SvmKernel.GAUSSIAN))
+        assert gaussian.describe()["gram_rank"] == 0
+        assert fit_svm_multiclass(blobs).describe()["gram_rank"] == 2
         low = fit_svm_multiclass(random_dataset(90, 3, 3, seed=1),
                                  kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert low.describe()["gram_rank"] == 20
-        # SVM-Poly on FS1: 16 features and 45 rows, so K has full rank
+        # SVM-Poly on FS1: 969 monomials for 45 rows, so the machines run
+        # pairwise ascent first and those that stall take dense solves
         train = golden_fold(FeatureSelection.FS1, 0)
         dense = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert any(m.ip_iterations > 0 for m in dense.machines)
@@ -438,7 +556,9 @@ class TestMulticlass:
     @pytest.mark.parametrize("kind", [SvmKernel.LINEAR, SvmKernel.GAUSSIAN])
     def test_scores_are_one_vs_rest_decision_columns(self, kind):
         # column j is machine j's decision: class j against the other three,
-        # trained and queried on the model's standardised rows
+        # trained and queried on the model's standardised rows; a linear
+        # machine is the interior point through the rows, polished by
+        # ascent, a gaussian one the plain ascent
         train = make_blobs([[0.0], [2.0], [4.0], [6.0]], 6, scale=0.2, seed=66)
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
         assert len(model.machines) == train.n_classes
@@ -449,7 +569,12 @@ class TestMulticlass:
         assert scores.shape == (25, train.n_classes)
         for j in range(train.n_classes):
             y_pm = np.where(train.y == j, 1.0, -1.0)
-            machine = fit_svm_binary(scale(train.x), y_pm, kernel, cost=DEFAULT_COST)
+            if kind is SvmKernel.LINEAR:
+                machine = interior_point_then_ascent(scale(train.x), y_pm, kernel,
+                                                     DEFAULT_COST, factored=True)
+            else:
+                machine = fit_svm_binary(scale(train.x), y_pm, kernel,
+                                         cost=DEFAULT_COST)
             assert np.array_equal(scores[:, j], machine.decision_batch(scale(queries)))
 
     def test_standardization_default_makes_scaling_irrelevant(self):
