@@ -84,12 +84,8 @@ class BadK(CdsProxyError):
     """A neighbour count or fold count is out of range."""
 
 
-class PureNode(CdsProxyError):
-    """A tree node holds one class only and cannot be split."""
-
-
-class NoValidSplit(CdsProxyError):
-    """No candidate threshold separates the node's samples."""
+class NegativeGain(CdsProxyError):
+    """A tree split's purity gain fell below zero during growth."""
 
 
 # --- evaluation -------------------------------------------------------------

@@ -12,24 +12,35 @@ take the majority class with the smallest-index tie rule. Bagging draws B
 bootstrap samples of size n from per-tree seeded streams and predicts by
 majority vote over the committee.
 
-Each fit sorts its columns once, as in CART (Breiman et al., 1984):
-`fit_tree` takes a stable argsort of every column at the root, and a
-child's per-feature order is its parent's with the other child's rows
-taken out, by a stable partition in place, so that every node's order is
-a view into the fit's one sorted array. A stable partition of a stable
-order is the stable order of the subset, so every node sees the orders a
-fresh stable sort of its rows would give, ties included.
+Every tree of a fit grows from one sorted array, as in CART's presort
+(Breiman et al., 1984). A fit is a committee of draws of the training
+rows: one draw of every row for `fit_tree`, one bootstrap draw per tree
+for `fit_bagged`. Row f of the fit's (d x total draw size) order array
+lists each draw sorted by x[:, f], draw after draw, as indices into the
+training rows, so every tree reads the same x and y. A node is a column
+range of that array, and a split partitions its range stably in place.
+So each node's range lists its rows in the order a fresh sort of its rows
+would give, up to the order among equal values, on which no split
+decision depends: a split is chosen from the class counts at boundaries
+between distinct values.
+
+The trees grow together, in rounds. A round takes from the front of each
+tree's breadth-first queue as many nodes as that tree has splits left,
+scores all of them in one `best_split` call and partitions every node
+that split in one pass. Each tree is thus node for node the tree that
+growing one node at a time would give: the same breadth-first order,
+budget and tie rules.
 
 `best_split` scores in two stages. It first computes, for every boundary
-of every feature at once, a proxy from exact integer class counts that in
-real arithmetic is an increasing function of the split score. It then
-evaluates the float score, by the same expressions as a full scan, only
-for candidates whose proxy lies within a margin of the best proxy. The
-margin is twice a written bound on the float score's rounding error plus
-twice a written bound on the proxy's, so every candidate whose float
-score could be the largest survives the screen, and the rule chosen among
-them (largest score, then lowest feature, then lowest threshold) and its
-score are those of a full float scan.
+of every feature of every node, a proxy from exact integer class counts
+that in real arithmetic is an increasing function of the split score. It
+then evaluates the float score, by the same expressions as a full scan,
+only for candidates whose proxy lies within a margin of the best proxy of
+their node. The margin is twice a written bound on the float score's
+rounding error plus twice a written bound on the proxy's, so every
+candidate whose float score could be the largest survives the screen, and
+the rule chosen among them (largest score, then lowest feature, then
+lowest threshold) and its score are those of a full float scan.
 """
 from __future__ import annotations
 
@@ -37,37 +48,27 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import (
-    BadConfig,
-    DimensionMismatch,
-    NoValidSplit,
-    PureNode,
-)
+from .errors import BadConfig, DimensionMismatch, NegativeGain
 
 DEFAULT_MAX_SPLITS = 20
 DEFAULT_BAG_SIZE = 30
-_GAIN_SLACK = 1e-9          # float slack on the gain >= 0 growth assertion
+_GAIN_SLACK = 1e-9          # float slack on the gain >= 0 growth check
 _U = np.finfo(float).eps / 2    # unit roundoff 2^-53
 _LOG_ERROR = 8              # np.log's relative error in units of _U (4 ulps)
+# added to a proxy: -inf where a feature's value does not change, else 0
+_NO_BOUNDARY = np.array([-np.inf, 0.0])
 
 
 class SplitCriterion(str, enum.Enum):
     GINI = "gini"
     ENTROPY = "entropy"
     TWOING = "twoing"
-
-
-@dataclass(frozen=True)
-class SplitRule:
-    """Route rows with x[feature] < threshold left, the rest right."""
-
-    feature: int
-    threshold: float
 
 
 def _gini_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -79,6 +80,12 @@ def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     frac = counts / totals[:, None]
     terms = np.where(frac > 0.0, frac * np.log(np.where(frac > 0.0, frac, 1.0)), 0.0)
     return -terms.sum(axis=1)
+
+
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """range(start[i], start[i] + size[i]) for every i, concatenated."""
+    return (np.repeat(start - (np.cumsum(size) - size), size)
+            + np.arange(size.sum()))
 
 
 def _score_error(n_classes: int) -> float:
@@ -94,174 +101,269 @@ def _score_error(n_classes: int) -> float:
     return (2 * n_classes + 10 + _LOG_ERROR) * (1.0 + math.log(n_classes)) * _U
 
 
-def _proxy_error(criterion: SplitCriterion, m: int) -> float:
-    """Bound on a proxy's rounding error at a node of m rows; see the
-    _*_proxy functions for each derivation."""
+def _proxy_error(criterion: SplitCriterion, m):
+    """Bound on a proxy's rounding error at a node of m rows alone in its
+    cumulative sum; see the _*_proxy methods of `_Run` for each derivation."""
     if criterion is SplitCriterion.GINI:
         return 3 * _U * m
     if criterion is SplitCriterion.TWOING:
         return 3 * _U * m * m
-    return (3 * _LOG_ERROR + 9) * _U * m * m * math.log(m)
+    return (4 * _LOG_ERROR + 9) * _U * m * m * np.log(m)
 
 
-def _margin(criterion: SplitCriterion, m: int, n_classes: int) -> float:
-    """How far below the best proxy a candidate may lie and still have the
-    largest float score: two score errors and two proxy errors."""
+def _margin(criterion: SplitCriterion, size: np.ndarray,
+            n_classes: int) -> np.ndarray:
+    """How far below the best proxy of its node a candidate may lie and
+    still have the largest float score, for nodes of the given sizes whose
+    columns share one cumulative sum: two score errors and two proxy
+    errors.
+
+    The Entropy cumsum runs on from one node into the next. Each node's
+    increments sum to 0 in real arithmetic, so a node starts from the
+    rounding error of the nodes before it, P, which enters its proxies
+    once and their roundings as u m P: its proxy error is within its own
+    bound plus 2P, and P, with the same factor on each earlier node, is
+    within twice the sum of their bounds (for u times the rows summed
+    below log 2).
+    """
+    size = np.asarray(size, dtype=float)
     # proxy units per unit of score: m for Gini and Entropy, m^2 for Twoing
-    scale = m * m if criterion is SplitCriterion.TWOING else m
-    return scale * 2 * _score_error(n_classes) + 2 * _proxy_error(criterion, m)
+    scale = size * size if criterion is SplitCriterion.TWOING else size
+    error = _proxy_error(criterion, size)
+    if criterion is SplitCriterion.ENTROPY:
+        error = error + 4 * (np.cumsum(error) - error)
+    return scale * 2 * _score_error(n_classes) + 2 * error
 
 
-def _gini_proxy(rank: np.ndarray, labels: np.ndarray,
-                class_n: np.ndarray) -> np.ndarray:
-    """P = sum_k cL_k^2 / nL + sum_k cR_k^2 / nR at every boundary; the
-    Gini gain is G(parent) - 1 + P / m.
+class _Run:
+    """Consecutive nodes laid end to end along the columns of a screen
+    block, from their (nodes x K) class counts, with what every block of
+    their columns shares.
 
-    A row of class k with rank r (earlier rows of class k) raises
-    sum_k cL_k^2 by 2r + 1 as it moves left, and sum_k cR_k^2 =
-    sum N_k^2 - 2 sum_k N_k cL_k + sum_k cL_k^2, all exact in int64 and in
-    float64 for m < 9e7. P then takes two divisions and an addition, so it
-    is within 3u m of the real P, as P <= m.
+    A proxy takes labels, each row of which lists the nodes' labels, every
+    node in one feature's order. The row's stable order by class (a radix
+    sort) lists every class's rows node after node, and within a node in
+    feature order. So the rank of the row at each place of it within its
+    class and node, and its node's count N_k of that class, are the same
+    for every row; the Gini and Entropy increments, which depend on those
+    alone, are laid out in that order once per run and put back in feature
+    order by each row's sort.
     """
-    m = rank.shape[1]
-    n_left = np.arange(1, m)
-    sq_left = 2 * rank
-    sq_left += 1
-    np.cumsum(sq_left, axis=1, out=sq_left)
-    sq_right = class_n[labels]
-    np.cumsum(sq_right, axis=1, out=sq_right)
-    sq_right *= -2
-    sq_right += int(class_n @ class_n)
-    sq_right += sq_left
-    proxy = sq_left[:, :-1] / n_left
-    proxy += sq_right[:, :-1] / (m - n_left)
-    return proxy
+
+    def __init__(self, class_n: np.ndarray):
+        self.class_n = class_n
+        self.size = size = class_n.sum(axis=1)
+        self.first = np.cumsum(size) - size
+        self.last = self.first + size - 1
+        self.node = np.repeat(np.arange(size.size), size)
+        # the rows left (nL) and right (nR) of the boundary after each
+        # column; a node's last column is no boundary, and its nR is set
+        # to 1 so that the proxies stay finite there
+        self.n_left = np.arange(1, size.sum() + 1) - self.first[self.node]
+        self.n_right = size[self.node] - self.n_left
+        self.n_right[self.last] = 1
+
+    def proxy(self, criterion: SplitCriterion, labels: np.ndarray) -> np.ndarray:
+        """The proxy at every column of every row of labels."""
+        if criterion is SplitCriterion.GINI:
+            return self._gini_proxy(labels)
+        if criterion is SplitCriterion.ENTROPY:
+            return self._entropy_proxy(labels)
+        return self._twoing_proxy(labels)
+
+    @cached_property
+    def _by_class(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rank r within its class and node, and N_k, at each place of
+        a row's order by class."""
+        counts = self.class_n.T.ravel()     # (class, node) groups, class first
+        rank = (np.arange(self.node.size)
+                - np.repeat(np.cumsum(counts) - counts, counts))
+        return rank, np.repeat(counts, counts)
+
+    def _in_feature_order(self, labels: np.ndarray,
+                          *steps: np.ndarray) -> list[np.ndarray]:
+        """Each of steps, given in order by class, put in the feature order
+        of every row of labels."""
+        rows, width = labels.shape
+        by_class = np.argsort(labels, axis=1, kind="stable")
+        by_class += width * np.arange(rows)[:, None]
+        places = by_class.ravel()
+        out = []
+        for step in steps:
+            placed = np.empty(labels.shape, dtype=step.dtype)
+            placed.ravel()[places] = np.tile(step, rows)
+            out.append(placed)
+        return out
+
+    @cached_property
+    def _gini_steps(self) -> tuple[np.ndarray, ...]:
+        rank, count = self._by_class
+        squares = (self.class_n * self.class_n).sum(axis=1)
+        earlier = np.cumsum(squares) - squares
+        left_step = 2 * rank + 1
+        return (left_step, left_step - 2 * count, np.repeat(earlier, self.size),
+                np.repeat(earlier + squares, self.size))
+
+    def _gini_proxy(self, labels: np.ndarray) -> np.ndarray:
+        """P = sum_k cL_k^2 / nL + sum_k cR_k^2 / nR at every column; the
+        Gini gain is G(parent) - 1 + P / m.
+
+        A row of class k with rank r raises sum_k cL_k^2 by 2r + 1 as it
+        moves left, and lowers sum_k cR_k^2 =
+        sum N_k^2 - 2 sum_k N_k cL_k + sum_k cL_k^2 by 2N_k - 2r - 1. A
+        whole node adds sum N_k^2 to the first sum and takes it from the
+        second, so each node's sums follow from one cumulative sum per
+        block row by an exact integer offset. All of this is exact in
+        int64 and in float64 for m < 9e7. P then takes two divisions and
+        an addition, so it is within 3u m of the real P, as P <= m.
+        """
+        left_step, right_step, left_base, right_base = self._gini_steps
+        sq_left, sq_right = self._in_feature_order(labels, left_step,
+                                                   right_step)
+        np.cumsum(sq_left, axis=1, out=sq_left)
+        np.cumsum(sq_right, axis=1, out=sq_right)
+        sq_left -= left_base
+        sq_right += right_base
+        proxy = sq_left / self.n_left
+        proxy += sq_right / self.n_right
+        return proxy
+
+    @cached_property
+    def _entropy_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        rank, count = self._by_class
+        xlogx = np.arange(self.size.max() + 1.0)
+        xlogx[1:] *= np.log(xlogx[1:])
+        step = np.diff(xlogx)
+        return (step[rank] - step[count - 1 - rank],
+                xlogx[self.n_left] + xlogx[self.n_right])
+
+    def _entropy_proxy(self, labels: np.ndarray) -> np.ndarray:
+        """Q = sum_k cL_k log cL_k + sum_k cR_k log cR_k - sum_k N_k log N_k
+        - nL log nL - nR log nR at every column; the entropy gain is
+        H(parent) + (Q + sum N log N) / m, so within a node Q orders the
+        candidates as the gain does.
+
+        As a row of class k and rank r moves left, the left sum grows by
+        s(r) = (r + 1) log(r + 1) - r log r and the right sum falls by
+        s(N_k - 1 - r), so Q is one cumulative sum of s(r) - s(N_k - 1 - r)
+        less the table terms of nL and nR. A whole node's increments sum
+        to 0 in real arithmetic, so the sum runs on from one node into the
+        next (`_margin` bounds what it carries). With the table j log j
+        within (L + 1)u of itself, each s is within (2L + 3)u (j + 1) log m,
+        and the j + 1 of the two table entries a row looks up add up to
+        N_k + 1, so the tables bring (2L + 3)u (m^2 + m) log m; the
+        differences and the cumulative sum, whose partial sums lie in
+        [-m log m, 0], bring u m (log m + 1) + u m^2 log m, and the two
+        table terms with the last two roundings (L + 4)u m log m. Q is
+        within (2L + 4)u m^2 log m + (3L + 10)u m log m, below
+        (4L + 9)u m^2 log m for m >= 2.
+        """
+        step, table_terms = self._entropy_steps
+        (proxy,) = self._in_feature_order(labels, step)
+        np.cumsum(proxy, axis=1, out=proxy)
+        proxy -= table_terms
+        return proxy
+
+    @cached_property
+    def _twoing_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        # N_k nL - m cL_k is the sum over the left rows of N_k, less m for
+        # each row of class k; over a whole node it returns to 0, and the
+        # dtype holds every such value
+        dtype = np.min_scalar_type(-int(self.size.max()) ** 2)
+        steps = np.take(self.class_n.T, self.node, axis=1).astype(dtype)
+        return steps, steps - self.size[self.node].astype(dtype)
+
+    def _twoing_proxy(self, labels: np.ndarray) -> np.ndarray:
+        """R = D^2 / (nL nR) with D = sum_k |N_k nL - m cL_k| at every
+        column; the Twoing score is R / m^2.
+
+        D = nL nR sum_k |pi_kR - pi_kL| is exact in int64 and in float64
+        for m < 6e7, and R takes a square and a division of exact
+        integers, so it is within 3u m^2, as R <= m^2.
+        """
+        steps, own_steps = self._twoing_steps
+        classes = np.arange(self.class_n.shape[1])[:, None]
+        spread = np.empty(labels.shape)
+        for f in range(labels.shape[0]):
+            dev = np.where(labels[f] == classes, own_steps, steps)
+            np.cumsum(dev, axis=1, out=dev)
+            spread[f] = np.abs(dev, out=dev).sum(axis=0, dtype=np.int64)
+        spread *= spread
+        spread /= self.n_left * self.n_right
+        return spread
 
 
-def _entropy_proxy(rank: np.ndarray, labels: np.ndarray,
-                   class_n: np.ndarray) -> np.ndarray:
-    """Q = sum_k cL_k log cL_k + sum_k cR_k log cR_k - nL log nL - nR log nR
-    at every boundary; the entropy gain is H(parent) + Q / m.
+def _groups(size: np.ndarray, column_bytes: int) -> list[tuple[int, int]]:
+    """Runs [a, b) of consecutive nodes whose columns, at column_bytes
+    each, fit in numerics.BLOCK_BYTES together; a larger node runs alone."""
+    cap = nm.BLOCK_BYTES // column_bytes
+    runs, a, held = [], 0, 0
+    for i, m in enumerate(size.tolist()):
+        if held and held + m > cap:
+            runs.append((a, i))
+            a, held = i, 0
+        held += m
+    runs.append((a, size.size))
+    return runs
 
-    Each side's sum is a cumulative sum of the increments
-    (c + 1) log(c + 1) - c log c over its rows, indexed by the row's rank
-    within its class counted from that side. With the table j log j
-    within (L + 1)u of itself, an increment is within (2L + 3)u (c + 1) log m,
-    and the ranks of one side add up to at most m^2 / 2, so the table
-    brings (L + 1.5)u m^2 log m per side and the cumulative sum
-    u m^2 log m; the subtracted table terms and three roundings stay
-    below u m^2 log m for m >= 2. Q is within (3L + 9)u m^2 log m.
+
+def _screen(criterion: SplitCriterion, xt: np.ndarray, labels_of: np.ndarray,
+            class_n: np.ndarray, order: np.ndarray, cols: np.ndarray,
+            size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates whose proxy is within the margin of their node's best.
+
+    The nodes hold size[i] columns each, cols names them in order, class_n
+    holds their class counts and xt is x transposed. Returns the kept
+    candidates' nodes, features and boundary indices (b for the boundary
+    after the b-th row of the feature's order), in (node, feature,
+    boundary) order. The proxies are built for runs of whole nodes, a
+    block of features at a time, so that one (features x columns) float64
+    temporary of a block holds about numerics.BLOCK_BYTES (as does
+    Twoing's K x columns count matrix); a block keeps the candidates
+    within the margin of each node's best proxy so far.
     """
-    m = rank.shape[1]
-    n_left = np.arange(1, m)
-    xlogx = np.arange(m + 1.0)
-    xlogx[1:] *= np.log(xlogx[1:])
-    step = np.diff(xlogx)
-    from_left = step[rank]
-    np.cumsum(from_left, axis=1, out=from_left)
-    later = class_n[labels]
-    later -= 1
-    later -= rank
-    from_right = step[later[:, ::-1]]
-    np.cumsum(from_right, axis=1, out=from_right)
-    proxy = from_left[:, :-1]
-    proxy += from_right[:, -2::-1]
-    proxy -= xlogx[n_left]
-    proxy -= xlogx[m - n_left]
-    return proxy
-
-
-def _twoing_proxy(labels: np.ndarray, class_n: np.ndarray) -> np.ndarray:
-    """R = D^2 / (nL nR) with D = sum_k |N_k nL - m cL_k| at every
-    boundary; the Twoing score is R / m^2.
-
-    D = nL nR sum_k |pi_kR - pi_kL| is exact in int64 and in float64 for
-    m < 6e7, and R takes a square and a division of exact integers, so it
-    is within 3u m^2, as R <= m^2.
-    """
-    d, m = labels.shape
-    dtype = np.min_scalar_type(-m * m)        # holds every N_k nL - m cL_k
-    # N_k nL - m cL_k is the sum over the left rows of N_k, less m for
-    # each row of class k
-    steps = class_n.astype(dtype)[:, None]
-    classes = np.arange(class_n.size)[:, None]
-    spread = np.empty((d, m - 1))
-    for f in range(d):
-        dev = np.where(labels[f, :-1] == classes, steps - m, steps)
-        np.cumsum(dev, axis=1, out=dev)
-        spread[f] = np.abs(dev, out=dev).sum(axis=0, dtype=np.int64)
-    n_left = np.arange(1, m)
-    spread *= spread
-    spread /= n_left * (m - n_left)
-    return spread
-
-
-def _screen(criterion: SplitCriterion, x: np.ndarray, y: np.ndarray,
-            class_n: np.ndarray,
-            order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates whose proxy is within the margin of the best proxy.
-
-    Returns the kept candidates' features, boundary indices (b for the
-    boundary after row b of the feature's order) and left class counts
-    (as floats), in (feature, boundary) order; raises NoValidSplit if no
-    feature has two distinct values. The proxies are built a block of
-    features at a time, so that a block's temporaries together hold about
-    numerics.BLOCK_BYTES (Twoing adds a K x m count matrix), and a block
-    keeps only the candidates within the margin of the best proxy so far.
-    """
-    d, m = order.shape
-    n_classes = class_n.size
-    labels_of = y.astype(np.min_scalar_type(n_classes - 1))
-    # the rank within its class of each position of the rows sorted by class
-    within = np.arange(m) - np.repeat(np.cumsum(class_n) - class_n, class_n)
-    margin = _margin(criterion, m, n_classes)
-    best = -np.inf
+    d, n = xt.shape
+    n_classes = class_n.shape[1]
+    wide = max(d, n_classes) if criterion is SplitCriterion.TWOING else d
+    first = np.cumsum(size) - size
+    best = np.full(size.size, -np.inf)
+    margin = np.empty(size.size)
     found = []
-    # up to eight (features x m) float64 or intp temporaries are alive at
-    # once, 8 m bytes per feature each
-    for feats in nm.row_blocks(d, 64 * m):
-        block_order = order[feats]
-        in_block = np.arange(block_order.shape[0])[:, None]
-        values = x[block_order, feats.start + in_block]
-        boundary = values[:, :-1] < values[:, 1:]
-        if not boundary.any():
-            continue
-        labels = labels_of[block_order]
-        if criterion is SplitCriterion.TWOING:
-            proxy = _twoing_proxy(labels, class_n)
-        else:
-            # rows grouped by class, in feature order within each class (a
-            # radix sort), give each row's rank within its class
-            rank = np.empty(labels.shape, dtype=np.intp)
-            rank[in_block, np.argsort(labels, axis=1, kind="stable")] = within
-            proxy_of = (_gini_proxy if criterion is SplitCriterion.GINI
-                        else _entropy_proxy)
-            proxy = proxy_of(rank, labels, class_n)
-        proxy[~boundary] = -np.inf
-        best = max(best, proxy.max())
-        feature, at = np.nonzero(proxy >= best - margin)
-        found.append((feature + feats.start, at, proxy[feature, at]))
-    if not found:
-        raise NoValidSplit("every feature is constant on this node")
-    if len(found) == 1:
-        feature, at, _ = found[0]
-    else:
-        feature, at, kept = (np.concatenate(parts) for parts in zip(*found))
-        close = kept >= best - margin
-        feature, at = feature[close], at[close]
-    left_counts = np.array([np.bincount(labels_of[order[f, :b + 1]],
-                                        minlength=n_classes)
-                            for f, b in zip(feature.tolist(), at.tolist())],
-                           dtype=float)
-    return feature, at, left_counts
+    for a, b in _groups(size, 8 * wide):
+        run = _Run(class_n[a:b])
+        margin[a:b] = _margin(criterion, run.size, n_classes)
+        run_cols = cols[first[a]:first[b - 1] + size[b - 1]]
+        for feats in nm.row_blocks(d, 8 * run_cols.size):
+            block = np.take(order[feats], run_cols, axis=1)
+            values = xt.take(block
+                             + n * np.arange(feats.start, feats.stop)[:, None])
+            boundary = np.zeros(block.shape, dtype=bool)
+            np.less(values[:, :-1], values[:, 1:], out=boundary[:, :-1])
+            boundary[:, run.last] = False
+            proxy = run.proxy(criterion, labels_of.take(block))
+            proxy += _NO_BOUNDARY.take(boundary.view(np.uint8))
+            top = np.maximum.reduceat(proxy, run.first, axis=1).max(axis=0)
+            run_best = np.maximum(best[a:b], top, out=best[a:b])
+            floor = np.where(run_best > -np.inf, run_best - margin[a:b], np.inf)
+            feature, col = np.divmod(np.flatnonzero(proxy >= floor[run.node]),
+                                     run_cols.size)
+            at_node = run.node[col]
+            found.append((at_node + a, feature + feats.start,
+                          col - run.first[at_node], proxy[feature, col]))
+    node, feature, at, kept = (np.concatenate(parts) for parts in zip(*found))
+    close = kept >= best[node] - margin[node]
+    node, feature, at = node[close], feature[close], at[close]
+    ranked = np.lexsort((at, feature, node))
+    return node[ranked], feature[ranked], at[ranked]
 
 
 def _float_scores(criterion: SplitCriterion, left_counts: np.ndarray,
                   n_left: np.ndarray, parent_counts: np.ndarray,
-                  n: int) -> np.ndarray:
+                  n: np.ndarray) -> np.ndarray:
     """Split scores of the given candidates, by the float expressions that
-    define them; every row's arithmetic is independent of the others'."""
-    right_counts = parent_counts[None, :] - left_counts
+    define them, from each candidate's parent class counts and size; every
+    row's arithmetic is independent of the others'."""
+    right_counts = parent_counts - left_counts
     n_right = n - n_left
     if criterion is SplitCriterion.TWOING:
         diff = np.abs(right_counts / n_right[:, None]
@@ -269,56 +371,82 @@ def _float_scores(criterion: SplitCriterion, left_counts: np.ndarray,
         return (n_left / n) * (n_right / n) * diff * diff
     child = (_gini_from_counts if criterion is SplitCriterion.GINI
              else _entropy_from_counts)
-    parent_score = child(parent_counts[None, :], np.array([float(n)]))[0]
-    return parent_score - ((n_left / n) * child(left_counts, n_left)
-                           + (n_right / n) * child(right_counts, n_right))
+    return child(parent_counts, n) - ((n_left / n) * child(left_counts, n_left)
+                                      + (n_right / n) * child(right_counts,
+                                                              n_right))
 
 
 def best_split(x: np.ndarray, y: np.ndarray, n_classes: int,
-               criterion: SplitCriterion,
-               order: np.ndarray) -> tuple[SplitRule, float]:
-    """Best (feature, midpoint) rule of a node and its score.
+               criterion: SplitCriterion, order: np.ndarray,
+               nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (feature, midpoint) rule of every node and its score.
 
-    order is (d x m) and names the node's m rows of x and y: order[f]
-    lists them sorted stably by x[:, f], ties in increasing row order
-    (the stable argsort of x[:, f] when the node holds every row). Returns
-    the maximal-score rule; score ties go to the lower feature index, then
-    the lower threshold. Raises PureNode for single-class input and
-    NoValidSplit when no feature has two distinct values.
+    order is (d x N) and names rows of x and y. nodes is a (k x 2) array
+    of [start, stop) column ranges of order, and order[f, start:stop]
+    lists a node's rows sorted by x[:, f], equal values in any order.
+    Returns the arrays feature, threshold and score, of length k: each
+    node's maximal-score rule, score ties going to the lower feature index,
+    then the lower threshold. A node of one class, or with no feature of
+    two distinct values, gets feature -1 and a NaN threshold and score.
 
     The scan has two stages. First, every boundary of every feature gets a
     proxy from exact integer class counts, which in real arithmetic is an
-    increasing function of the split score: sum c^2 per side for Gini,
-    sum c log c per side for Entropy, and D^2 / (nL nR) with
-    D = sum_k |N_k nL - m cL_k| for Twoing (see the _*_proxy functions).
-    Second, the float score is evaluated only for candidates whose proxy
-    is within a margin of the best proxy, and the rule above picks among
-    them. If every float score is within E of its real value (up to an
-    error shared by the node, `_score_error`) and every proxy within A of
-    its real value (`_proxy_error`), a candidate whose float score reaches
-    that of the best proxy's candidate has a real score at most 2E below
-    it, and so a proxy at most 2E (in proxy units) + 2A below the best
-    proxy. The margin is that sum, so the screen keeps every candidate a
-    full float scan could pick, ties included. In proxy units A grows with
-    m: as m u for Gini, m^2 log m u for Entropy and m^2 u for Twoing,
-    whose proxies are the score times m, m and m^2 plus a constant.
+    increasing function of the split score within its node: sum c^2 per
+    side for Gini, sum c log c per side for Entropy, and D^2 / (nL nR)
+    with D = sum_k |N_k nL - m cL_k| for Twoing (see the _*_proxy
+    methods of `_Run`). Second, the float score is evaluated only for candidates
+    whose proxy is within a margin of their node's best proxy, and the
+    rule above picks among them. If every float score is within E of its
+    real value (up to an error shared by the node, `_score_error`) and
+    every proxy within A of its real value (`_proxy_error`, `_margin`), a
+    candidate whose float score reaches that of the best proxy's candidate
+    has a real score at most 2E below it, and so a proxy at most 2E (in
+    proxy units) + 2A below the best proxy. The margin is that sum, so the
+    screen keeps every candidate a full float scan could pick, ties
+    included. In proxy units A grows with m: as m u for Gini,
+    m^2 log m u for Entropy and m^2 u for Twoing, whose proxies are the
+    score times m, m and m^2 plus a constant.
     """
     criterion = SplitCriterion(criterion)
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    d, m = order.shape
+    d = order.shape[0]
     if d != x.shape[1]:
         raise DimensionMismatch(f"order has {d} features, rows have {x.shape[1]}")
-    class_n = np.bincount(y[order[0]], minlength=n_classes)
-    if m < 2 or class_n.max() == m:
-        raise PureNode("node already holds a single class")
-    feature, at, left_counts = _screen(criterion, x, y, class_n, order)
+    start, stop = np.asarray(nodes, dtype=np.intp).reshape(-1, 2).T
+    size = stop - start
+    k = start.size
+    labels_of = np.asarray(y).astype(np.min_scalar_type(n_classes - 1))
+    cols = _ranges(start, size)
+    node_of = np.repeat(np.arange(k), size)
+    class_n = np.bincount(node_of * n_classes + labels_of[order[0, cols]],
+                          minlength=k * n_classes).reshape(k, n_classes)
+    feature = np.full(k, -1)
+    threshold = np.full(k, np.nan)
+    score = np.full(k, np.nan)
+    live = np.flatnonzero(class_n.max(axis=1) < size)
+    if live.size == 0:
+        return feature, threshold, score
+    node, feat, at = _screen(criterion, np.ascontiguousarray(x.T), labels_of,
+                             class_n[live], order,
+                             _ranges(start[live], size[live]), size[live])
+    node_start, node_n = start[live][node], class_n[live][node]
+    # each candidate's left class counts: its node's first at + 1 rows in
+    # the feature's order
+    lefts = order.ravel()[_ranges(feat * order.shape[1] + node_start, at + 1)]
+    slots = np.repeat(np.arange(node.size) * n_classes, at + 1) + labels_of[lefts]
+    left_counts = np.bincount(slots, minlength=node.size * n_classes).reshape(
+        node.size, n_classes).astype(float)
     scores = _float_scores(criterion, left_counts, at + 1.0,
-                           class_n.astype(float), m)
-    k = int(np.argmax(scores))        # lowest feature, then lowest threshold
-    f, b = int(feature[k]), int(at[k])
-    thr = 0.5 * (x[order[f, b], f] + x[order[f, b + 1], f])
-    return SplitRule(feature=f, threshold=float(thr)), float(scores[k])
+                           node_n.astype(float), size[live][node].astype(float))
+    # each node's first maximum: the lowest feature, then lowest threshold
+    ranked = np.lexsort((-scores, node))
+    pick = ranked[np.unique(node[ranked], return_index=True)[1]]
+    f, b, s = feat[pick], at[pick], node_start[pick]
+    found = live[node[pick]]
+    feature[found] = f
+    threshold[found] = 0.5 * (x[order[f, s + b], f] + x[order[f, s + b + 1], f])
+    score[found] = scores[pick]
+    return feature, threshold, score
 
 
 @dataclass(frozen=True)
@@ -348,7 +476,8 @@ class DecisionTreeModel(ClassifierModel):
     class_names: tuple[str, ...]
     n_features: int
 
-    def scores_batch(self, x: np.ndarray) -> np.ndarray:
+    def leaf_labels(self, x: np.ndarray) -> np.ndarray:
+        """The label of the leaf each row of x reaches."""
         q = nm.as_rows(x, self.n_features)
         # children are appended after their parent, so one pass in node
         # order moves every row from the root down to its leaf
@@ -358,9 +487,12 @@ class DecisionTreeModel(ClassifierModel):
                 here = at == i
                 at[here] = np.where(q[here, node.feature] < node.threshold,
                                     node.left, node.right)
-        labels = np.array([node.label for node in self.nodes])[at]
-        out = np.zeros((q.shape[0], self.n_classes))
-        out[np.arange(q.shape[0]), labels] = 1.0
+        return np.array([node.label for node in self.nodes])[at]
+
+    def scores_batch(self, x: np.ndarray) -> np.ndarray:
+        labels = self.leaf_labels(x)
+        out = np.zeros((labels.size, self.n_classes))
+        out[np.arange(labels.size), labels] = 1.0
         return out
 
     def internal_count(self) -> int:
@@ -372,76 +504,118 @@ class DecisionTreeModel(ClassifierModel):
                 "internal_nodes": self.internal_count()}
 
 
-def _majority_label(y: np.ndarray, n_classes: int) -> int:
-    return int(np.argmax(np.bincount(y, minlength=n_classes)))
+def _partition(xt: np.ndarray, order: np.ndarray, start: np.ndarray,
+               size: np.ndarray, feature: np.ndarray, threshold: np.ndarray,
+               owner: np.ndarray) -> np.ndarray:
+    """Reorder the columns [start, start + size) of every row of order in
+    place so that the node's rows with x[:, feature] < threshold come
+    first, each side keeping its order; return how many go left per node.
+    xt is x transposed, and owner names each node's tree, in whose sample
+    no row is in two nodes.
 
-
-def _partition(order: np.ndarray, go_left: np.ndarray) -> int:
-    """Reorder every row of order in place so that its rows with go_left
-    come first, each side keeping its order; return how many go left.
-
-    Each side is then its child's order: a stable partition of a stable
-    order is the stable order of the subset, so the children's orders are
-    views into the fit's one sorted array, as in CART's presort.
+    Each side is then its child's range: a stable partition of a sorted
+    order is the sorted order of the subset.
     """
-    d, m = order.shape
-    n_left = int(np.count_nonzero(go_left[order[0]]))
-    # a feature's row of the masks, the rows and the two sides takes about
-    # 16 m bytes
-    for feats in nm.row_blocks(d, 16 * m):
-        block = order[feats]
-        goes = go_left[block].ravel()
-        rows = block.ravel()
-        left, right = rows.compress(goes), rows.compress(~goes)
-        block[:, :n_left] = left.reshape(-1, n_left)
-        block[:, n_left:] = right.reshape(-1, m - n_left)
+    d, n = xt.shape
+    cols = _ranges(start, size)
+    node = np.repeat(np.arange(start.size), size)
+    rows = order[0].take(cols)
+    goes = xt.take(n * feature[node] + rows) < threshold[node]
+    n_left = np.bincount(node[goes], minlength=start.size)
+    # the side of every (tree, row) that a node holds
+    slot = n * owner[node]
+    left_of = np.zeros(n * (owner.max(initial=0) + 1), dtype=bool)
+    left_of[slot + rows] = goes
+    first = np.cumsum(size) - size
+    to_left = cols[_ranges(first, n_left)]
+    to_right = cols[_ranges(first + n_left, size - n_left)]
+    for f in range(d):
+        rows = order[f].take(cols)
+        goes = left_of.take(rows + slot)
+        order[f][to_left] = rows.compress(goes)
+        order[f][to_right] = rows.compress(~goes)
     return n_left
+
+
+def _grow(train: Dataset, criterion: SplitCriterion, max_splits: int,
+          draws: np.ndarray) -> list[list[TreeNode]]:
+    """Grow one tree per row of draws, the (trees x n) counts of each
+    training row in the tree's sample, under a budget of max_splits
+    internal nodes each, in lockstep rounds."""
+    if max_splits < 1:
+        raise BadConfig(f"max_splits must be >= 1, got {max_splits}")
+    n_trees = draws.shape[0]
+    # stored a column at a time, so that best_split's x.T is no copy
+    x = np.asfortranarray(train.x, dtype=float)
+    # every tree's sample, sorted by each feature: the training rows in
+    # stable argsort order, each repeated as often as the tree drew it,
+    # in the smallest integer type that indexes them, a column at a time
+    order = np.empty((train.d, int(draws.sum())),
+                     dtype=np.min_scalar_type(train.n - 1))
+    for f in range(train.d):
+        by_value = np.argsort(x[:, f], kind="stable")
+        order[f] = np.repeat(np.tile(by_value, n_trees),
+                             draws[:, by_value].ravel())
+    sizes = draws.sum(axis=1)
+    nodes = [[None] for _ in range(n_trees)]    # each tree's root, to come
+    # (node id, start, stop) of each tree's nodes still to be decided
+    queues = [deque([(0, end - size, end)]) for size, end
+              in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
+    splits_left = [max_splits] * n_trees
+    leaves = []
+    while True:
+        taken = [(t, *queue.popleft()) for t, queue in enumerate(queues)
+                 for _ in range(min(len(queue), splits_left[t]))]
+        if not taken:
+            break
+        ranges = np.array([(start, stop) for _, _, start, stop in taken])
+        feature, threshold, score = best_split(x, train.y,
+                                               train.n_classes, criterion,
+                                               order, ranges)
+        split = np.flatnonzero(feature >= 0)
+        if criterion is not SplitCriterion.TWOING:
+            low = score[split] < -_GAIN_SLACK
+            if low.any():
+                raise NegativeGain(
+                    f"negative purity gain {score[split][low][0]} during growth")
+        start, stop = ranges[split].T
+        owner = np.array([t for t, _, _, _ in taken])[split]
+        n_left = _partition(x.T, order, start, stop - start,
+                            feature[split], threshold[split], owner)
+        cuts = dict(zip(split.tolist(), (start + n_left).tolist()))
+        for i, (t, node_id, start, stop) in enumerate(taken):
+            if i not in cuts:
+                leaves.append((t, node_id, start, stop))
+                continue
+            tree = nodes[t]
+            left_id = len(tree)
+            tree[node_id] = TreeNode(feature=int(feature[i]),
+                                     threshold=float(threshold[i]),
+                                     left=left_id, right=left_id + 1)
+            tree += [None, None]
+            queues[t] += [(left_id, start, cuts[i]),
+                          (left_id + 1, cuts[i], stop)]
+            splits_left[t] -= 1
+    leaves += [(t, *entry) for t, queue in enumerate(queues) for entry in queue]
+    # each leaf's majority class, the smallest index on ties
+    _, _, start, stop = (np.array(part) for part in zip(*leaves))
+    slots = (np.repeat(np.arange(len(leaves)) * train.n_classes, stop - start)
+             + train.y[order[0, _ranges(start, stop - start)]])
+    labels = np.bincount(slots, minlength=len(leaves) * train.n_classes
+                         ).reshape(len(leaves), train.n_classes).argmax(axis=1)
+    for (t, node_id, _, _), label in zip(leaves, labels.tolist()):
+        nodes[t][node_id] = TreeNode(label=label)
+    return nodes
 
 
 def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
              max_splits: int = DEFAULT_MAX_SPLITS) -> DecisionTreeModel:
-    """Greedy breadth-first growth under a budget of internal nodes."""
+    """Greedy breadth-first growth under a budget of internal nodes: a
+    committee of one tree, drawn from every training row once."""
     check_training_set(train, two_classes=False)
-    if max_splits < 1:
-        raise BadConfig(f"max_splits must be >= 1, got {max_splits}")
     criterion = SplitCriterion(criterion)
-    nodes: list[TreeNode] = [TreeNode()]      # placeholder for the root
-    # (node id, the node's training rows in each feature's stable order);
-    # every node's order is a view into this one array, held in the
-    # smallest integer type that indexes the rows and sorted a column at
-    # a time, so that no copy of train.x is made
-    root_order = np.empty((train.d, train.n),
-                          dtype=np.min_scalar_type(train.n - 1))
-    for f in range(train.d):
-        root_order[f] = np.argsort(train.x[:, f], kind="stable")
-    queue = deque([(0, root_order)])
-    splits_used = 0
-    while queue:
-        node_id, order = queue.popleft()
-        if splits_used < max_splits:
-            try:
-                rule, score = best_split(train.x, train.y, train.n_classes,
-                                         criterion, order)
-            except (PureNode, NoValidSplit):
-                rule = None
-            if rule is not None:
-                if criterion is not SplitCriterion.TWOING:
-                    assert score >= -_GAIN_SLACK, (
-                        f"negative purity gain {score} during growth")
-                left_id, right_id = len(nodes), len(nodes) + 1
-                nodes[node_id] = TreeNode(feature=rule.feature,
-                                          threshold=rule.threshold,
-                                          left=left_id, right=right_id)
-                nodes.append(TreeNode())
-                nodes.append(TreeNode())
-                n_left = _partition(order,
-                                    train.x[:, rule.feature] < rule.threshold)
-                queue.append((left_id, order[:, :n_left]))
-                queue.append((right_id, order[:, n_left:]))
-                splits_used += 1
-                continue
-        nodes[node_id] = TreeNode(
-            label=_majority_label(train.y[order[0]], train.n_classes))
+    (nodes,) = _grow(train, criterion, max_splits,
+                     np.ones((1, train.n), dtype=np.intp))
     return DecisionTreeModel(nodes=nodes, criterion=criterion,
                              max_splits=max_splits, n_classes=train.n_classes,
                              class_names=train.class_names,
@@ -461,7 +635,11 @@ class BaggedTreeClassifier(ClassifierModel):
     seed: int = 0
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        return sum(tree.scores_batch(x) for tree in self.trees)
+        labels = np.array([tree.leaf_labels(x) for tree in self.trees])
+        q = labels.shape[1]
+        slots = labels + self.n_classes * np.arange(q)
+        return np.bincount(slots.ravel(), minlength=q * self.n_classes
+                           ).reshape(q, self.n_classes).astype(float)
 
     def describe(self) -> dict:
         return {"family": self.family, "criterion": self.criterion.value,
@@ -478,15 +656,20 @@ def fit_bagged(train: Dataset, n_trees: int = DEFAULT_BAG_SIZE,
                criterion: SplitCriterion = SplitCriterion.GINI,
                max_splits: int = DEFAULT_MAX_SPLITS,
                seed: int = 0) -> BaggedTreeClassifier:
-    """Fit n_trees trees on independent seeded bootstrap draws."""
+    """Fit n_trees trees on independent seeded bootstrap draws, grown
+    together from one sorted array of all the draws."""
     check_training_set(train, two_classes=False)
     if n_trees < 1:
         raise BadConfig(f"n_trees must be >= 1, got {n_trees}")
-    trees = []
-    for t in range(n_trees):
-        rows = bootstrap_rows(train.n, seed, t)
-        trees.append(fit_tree(train.subset(rows), criterion=criterion,
-                              max_splits=max_splits))
-    return BaggedTreeClassifier(trees=trees, criterion=SplitCriterion(criterion),
+    criterion = SplitCriterion(criterion)
+    draws = np.array([np.bincount(bootstrap_rows(train.n, seed, t),
+                                  minlength=train.n) for t in range(n_trees)])
+    trees = [DecisionTreeModel(nodes=nodes, criterion=criterion,
+                               max_splits=max_splits,
+                               n_classes=train.n_classes,
+                               class_names=train.class_names,
+                               n_features=train.d)
+             for nodes in _grow(train, criterion, max_splits, draws)]
+    return BaggedTreeClassifier(trees=trees, criterion=criterion,
                                 max_splits=max_splits, n_classes=train.n_classes,
                                 class_names=train.class_names, seed=seed)

@@ -18,8 +18,6 @@ from cdsproxy.errors import (
     BadConfig,
     EmptyTrainingSet,
     NoConvergence,
-    NoValidSplit,
-    PureNode,
 )
 from cdsproxy.neuralnet import Activation, NetParams, activation_value
 from cdsproxy.svm import (
@@ -36,7 +34,6 @@ from cdsproxy.trees import (
     DEFAULT_MAX_SPLITS,
     DecisionTreeModel,
     SplitCriterion,
-    SplitRule,
     TreeNode,
 )
 
@@ -232,19 +229,20 @@ def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def best_split(x: np.ndarray, y: np.ndarray, n_classes: int,
-               criterion: SplitCriterion) -> tuple[SplitRule, float]:
+               criterion: SplitCriterion) -> tuple[int, float, float] | None:
     """Exhaustive scan of every (feature, midpoint) candidate.
 
-    Returns the maximal-score rule; score ties go to the lower feature
-    index, then the lower threshold. Raises PureNode for single-class input
-    and NoValidSplit when no feature has two distinct values.
+    Returns the maximal-score rule as (feature, threshold, score); score
+    ties go to the lower feature index, then the lower threshold. Returns
+    None for single-class input and when no feature has two distinct
+    values.
     """
     criterion = SplitCriterion(criterion)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     n = x.shape[0]
     if n < 2 or np.all(y == y[0]):
-        raise PureNode("node already holds a single class")
+        return None
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
     parent_counts = onehot.sum(axis=0)
@@ -252,7 +250,7 @@ def best_split(x: np.ndarray, y: np.ndarray, n_classes: int,
         parent_score = _gini_from_counts(parent_counts[None, :], np.array([float(n)]))[0]
     elif criterion is SplitCriterion.ENTROPY:
         parent_score = _entropy_from_counts(parent_counts[None, :], np.array([float(n)]))[0]
-    best: tuple[SplitRule, float] | None = None
+    best: tuple[int, float, float] | None = None
     for f in range(x.shape[1]):
         order = np.argsort(x[:, f], kind="stable")
         values = x[order, f]
@@ -273,11 +271,9 @@ def best_split(x: np.ndarray, y: np.ndarray, n_classes: int,
             scores = parent_score - ((n_left / n) * child(left_counts, n_left)
                                      + (n_right / n) * child(right_counts, n_right))
         k = int(np.argmax(scores))        # first (lowest threshold) maximum
-        if best is None or scores[k] > best[1]:
+        if best is None or scores[k] > best[2]:
             thr = 0.5 * (values[boundaries[k]] + values[boundaries[k] + 1])
-            best = (SplitRule(feature=f, threshold=float(thr)), float(scores[k]))
-    if best is None:
-        raise NoValidSplit("every feature is constant on this node")
+            best = (f, float(thr), float(scores[k]))
     return best
 
 
@@ -302,19 +298,15 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
         at += 1
         y_node = train.y[rows]
         if splits_used < max_splits:
-            try:
-                rule, score = best_split(train.x[rows], y_node,
-                                         train.n_classes, criterion)
-            except (PureNode, NoValidSplit):
-                rule = None
+            rule = best_split(train.x[rows], y_node, train.n_classes, criterion)
             if rule is not None:
+                feature, threshold, score = rule
                 if criterion is not SplitCriterion.TWOING:
                     assert score >= -_GAIN_SLACK, (
                         f"negative purity gain {score} during growth")
-                go_left = train.x[rows, rule.feature] < rule.threshold
+                go_left = train.x[rows, feature] < threshold
                 left_id, right_id = len(nodes), len(nodes) + 1
-                nodes[node_id] = TreeNode(feature=rule.feature,
-                                          threshold=rule.threshold,
+                nodes[node_id] = TreeNode(feature=feature, threshold=threshold,
                                           left=left_id, right=right_id)
                 nodes.append(TreeNode())
                 nodes.append(TreeNode())

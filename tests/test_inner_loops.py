@@ -18,7 +18,7 @@ from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import NoConvergence
 from cdsproxy.neuralnet import Activation, TrainConfig, fit_neural_net
 from cdsproxy.svm import DEFAULT_COST, DEFAULT_KKT_TOL, KernelSpec, SvmKernel
-from cdsproxy.trees import SplitCriterion, bootstrap_rows, fit_tree
+from cdsproxy.trees import SplitCriterion, bootstrap_rows, fit_bagged, fit_tree
 
 
 def overlapping_problem(seed, n_per_side=40, d=3):
@@ -223,7 +223,34 @@ def assert_same_tree_fit(train, criterion, max_splits=20):
     return got
 
 
+def assert_same_committee(train, criterion, max_splits, n_trees, seed):
+    """Every tree of a committee, grown together, against the same tree
+    grown alone on its bootstrap draw."""
+    bag = fit_bagged(train, n_trees=n_trees, criterion=criterion,
+                     max_splits=max_splits, seed=seed)
+    assert len(bag.trees) == n_trees
+    for t, tree in enumerate(bag.trees):
+        draw = train.subset(bootstrap_rows(train.n, seed, t))
+        want = ref.fit_tree(draw, criterion=criterion, max_splits=max_splits)
+        assert tree.nodes == want.nodes, f"tree {t}"
+
+
+def integer_grid_rows(n, n_classes, seed):
+    """Four values per column, and the last column repeats the first, so
+    most candidates tie another in real arithmetic."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, size=(n, 4)).astype(float)
+    x[:, 3] = x[:, 0]
+    return Dataset(x=x, y=rng.integers(0, n_classes, size=n),
+                   class_names=tuple(f"c{j}" for j in range(n_classes)),
+                   feature_names=tuple(f"f{i}" for i in range(4)))
+
+
 CLASS_COUNTS = [2, 3, 5, 8, 12, 20]
+# budgets below, at and above a round's frontier: a frontier larger than
+# the splits left, nodes that are pure or unsplittable in mid-round, and
+# trees of one committee that finish in different rounds
+BUDGETS = [1, 2, 3, 7]
 
 
 class TestTreeFits:
@@ -237,16 +264,9 @@ class TestTreeFits:
     @pytest.mark.parametrize("criterion", list(SplitCriterion))
     @pytest.mark.parametrize("n_classes", CLASS_COUNTS)
     def test_integer_grid_rows_with_heavy_ties(self, criterion, n_classes):
-        # four values per column, and the last column repeats the first,
-        # so most candidates tie another in real arithmetic
-        rng = np.random.default_rng(100 + n_classes)
-        n = 25 * n_classes
-        x = rng.integers(0, 4, size=(n, 4)).astype(float)
-        x[:, 3] = x[:, 0]
-        train = Dataset(x=x, y=rng.integers(0, n_classes, size=n),
-                        class_names=tuple(f"c{j}" for j in range(n_classes)),
-                        feature_names=tuple(f"f{i}" for i in range(4)))
-        assert_same_tree_fit(train, criterion, max_splits=40)
+        train = integer_grid_rows(25 * n_classes, n_classes, 100 + n_classes)
+        for max_splits in BUDGETS + [40]:
+            assert_same_tree_fit(train, criterion, max_splits=max_splits)
 
     @pytest.mark.parametrize("criterion", list(SplitCriterion))
     @pytest.mark.parametrize("n_classes", CLASS_COUNTS)
@@ -255,27 +275,37 @@ class TestTreeFits:
         for t in range(3):
             train = base.subset(bootstrap_rows(base.n, seed=n_classes, tree_index=t))
             assert np.unique(train.x[:, 0]).size < train.n
-            assert_same_tree_fit(train, criterion)
+            for max_splits in BUDGETS + [20]:
+                assert_same_tree_fit(train, criterion, max_splits=max_splits)
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 30])
+    @pytest.mark.parametrize("max_splits", BUDGETS)
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_committee_matches_its_trees_grown_alone(self, criterion,
+                                                     max_splits, n_trees):
+        assert_same_committee(integer_grid_rows(60, 5, 300), criterion,
+                              max_splits, n_trees, seed=max_splits)
+        assert_same_committee(random_dataset(60, 3, 4, seed=301), criterion,
+                              max_splits, n_trees, seed=max_splits)
 
     @pytest.fixture(scope="class")
     def default_panel(self):
         return generate_panel(GeneratorConfig())
 
     @pytest.mark.parametrize("selection", list(FeatureSelection))
-    def test_one_fold_of_every_selection(self, monkeypatch, default_panel,
-                                         selection):
+    def test_one_fold_of_every_selection(self, default_panel, selection):
         dataset = build_dataset(default_panel, selection)
         plan = evaluation.stratified_folds(dataset, 10, seed=0)
         train = dataset.subset(plan.training_rows(0))
-        labels = ("DT-Gini", "DT-Entropy", "DT-Twoing", "BaggedTree")
-        got = [evaluation.make_classifier_spec(label).fit(train, seed=3)
-               for label in labels]
-        monkeypatch.setattr(evaluation, "fit_tree", ref.fit_tree)
-        monkeypatch.setattr(trees, "fit_tree", ref.fit_tree)
-        want = [evaluation.make_classifier_spec(label).fit(train, seed=3)
-                for label in labels]
-        for a, b in zip(got[:3], want[:3]):
-            assert a.nodes == b.nodes
-        assert len(got[3].trees) == len(want[3].trees) == trees.DEFAULT_BAG_SIZE
-        for a, b in zip(got[3].trees, want[3].trees):
-            assert a.nodes == b.nodes
+        for label, criterion in [("DT-Gini", SplitCriterion.GINI),
+                                 ("DT-Entropy", SplitCriterion.ENTROPY),
+                                 ("DT-Twoing", SplitCriterion.TWOING)]:
+            got = evaluation.make_classifier_spec(label).fit(train, seed=3)
+            assert got.nodes == ref.fit_tree(train, criterion=criterion).nodes
+        # the committee's reference is built tree by tree, each alone on
+        # its own bootstrap draw of the fold
+        bag = evaluation.make_classifier_spec("BaggedTree").fit(train, seed=3)
+        assert len(bag.trees) == trees.DEFAULT_BAG_SIZE
+        for t, tree in enumerate(bag.trees):
+            draw = train.subset(bootstrap_rows(train.n, 3, t))
+            assert tree.nodes == ref.fit_tree(draw).nodes

@@ -8,14 +8,12 @@ from cdsproxy.errors import (
     BadConfig,
     DimensionMismatch,
     EmptyTrainingSet,
-    NoValidSplit,
-    PureNode,
+    NegativeGain,
 )
 from cdsproxy.trees import (
     DEFAULT_BAG_SIZE,
     DEFAULT_MAX_SPLITS,
     SplitCriterion,
-    SplitRule,
     best_split,
     bootstrap_rows,
     fit_bagged,
@@ -26,6 +24,15 @@ from cdsproxy.trees import (
 def column_orders(x):
     """(d x n) stable argsort of every column, as best_split takes it."""
     return np.argsort(x, axis=0, kind="stable").T
+
+
+def split_of(x, y, n_classes, criterion, order=None):
+    """best_split of one node that holds every column of order (by default
+    every row of x): ((feature, threshold), score)."""
+    order = column_orders(x) if order is None else order
+    feature, threshold, score = best_split(x, y, n_classes, criterion, order,
+                                           [(0, order.shape[1])])
+    return (int(feature[0]), float(threshold[0])), float(score[0])
 
 
 def split_oracle(x, y, n_classes, criterion):
@@ -74,15 +81,15 @@ class TestBestSplit:
     def test_perfect_split_gini_gain(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        rule, score = best_split(x, y, 2, SplitCriterion.GINI, column_orders(x))
-        assert rule == SplitRule(feature=0, threshold=1.5)
+        rule, score = split_of(x, y, 2, SplitCriterion.GINI)
+        assert rule == (0, 1.5)
         assert score == pytest.approx(0.5, abs=1e-15)
 
     def test_perfect_split_twoing_score(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        rule, score = best_split(x, y, 2, SplitCriterion.TWOING, column_orders(x))
-        assert rule == SplitRule(feature=0, threshold=1.5)
+        rule, score = split_of(x, y, 2, SplitCriterion.TWOING)
+        assert rule == (0, 1.5)
         assert score == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("criterion", list(SplitCriterion))
@@ -94,39 +101,64 @@ class TestBestSplit:
             y = rng.integers(0, 3, size=n)
             if np.unique(y).size < 2:
                 continue
-            rule, score = best_split(x, y, 3, criterion, column_orders(x))
+            rule, score = split_of(x, y, 3, criterion)
             f, thr, want = split_oracle(x, y, 3, criterion)
-            assert (rule.feature, rule.threshold) == (f, thr), f"trial {trial}"
+            assert rule == (f, thr), f"trial {trial}"
             assert score == pytest.approx(want, rel=1e-12)
 
     def test_threshold_between_distinct_values(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(12, 3))
         y = rng.integers(0, 2, size=12)
-        rule, _ = best_split(x, y, 2, SplitCriterion.GINI, column_orders(x))
-        col = np.sort(x[:, rule.feature])
-        below = col[col < rule.threshold]
-        above = col[col >= rule.threshold]
+        (feature, threshold), _ = split_of(x, y, 2, SplitCriterion.GINI)
+        col = np.sort(x[:, feature])
+        below = col[col < threshold]
+        above = col[col >= threshold]
         assert below.size > 0 and above.size > 0
-        assert rule.threshold == 0.5 * (below.max() + above.min())
+        assert threshold == 0.5 * (below.max() + above.min())
 
     def test_pure_node_rejected(self):
-        with pytest.raises(PureNode):
-            x = np.arange(4.0)[:, None]
-            best_split(x, np.zeros(4, dtype=int), 2, SplitCriterion.GINI,
-                       column_orders(x))
+        x = np.arange(4.0)[:, None]
+        (feature, threshold), score = split_of(x, np.zeros(4, dtype=int), 2,
+                                               SplitCriterion.GINI)
+        assert feature == -1 and np.isnan(threshold) and np.isnan(score)
 
     def test_identical_rows_rejected(self):
         x = np.ones((5, 2))
         y = np.array([0, 1, 0, 1, 0])
-        with pytest.raises(NoValidSplit):
-            best_split(x, y, 2, SplitCriterion.GINI, column_orders(x))
+        (feature, threshold), score = split_of(x, y, 2, SplitCriterion.GINI)
+        assert feature == -1 and np.isnan(threshold) and np.isnan(score)
 
     def test_order_of_another_width_rejected(self):
         x = np.arange(8.0).reshape(4, 2)
         y = np.array([0, 1, 0, 1])
         with pytest.raises(DimensionMismatch):
-            best_split(x, y, 2, SplitCriterion.GINI, column_orders(x)[:1])
+            best_split(x, y, 2, SplitCriterion.GINI, column_orders(x)[:1],
+                       [(0, 4)])
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_nodes_of_one_call_match_the_nodes_alone(self, criterion):
+        # nodes of every size, pure and constant ones among them, laid
+        # side by side in one order array as a fit's rounds lay them
+        rng = np.random.default_rng(9)
+        sizes = [1, 2, 40, 7, 300, 5, 60, 3, 120, 2]
+        blocks, nodes, start = [], [], 0
+        x = np.round(rng.normal(size=(sum(sizes), 3)), 1)
+        y = rng.integers(0, 4, size=sum(sizes))
+        y[start + 1:start + 3] = 2                  # the 2-row node is pure
+        x[43:50] = 0.5                              # the 7-row node is constant
+        for m in sizes:
+            rows = np.arange(start, start + m)
+            blocks.append(rows[column_orders(x[rows])])
+            nodes.append((start, start + m))
+            start += m
+        order = np.concatenate(blocks, axis=1)
+        feature, threshold, score = best_split(x, y, 4, criterion, order, nodes)
+        for i, (a, b) in enumerate(nodes):
+            (f, thr), want = split_of(x, y, 4, criterion, order[:, a:b])
+            assert (feature[i], threshold[i], score[i]) == pytest.approx(
+                (f, thr, want), nan_ok=True)
+            assert (f == -1) == (i in (0, 1, 3))
 
     @pytest.mark.parametrize("criterion", list(SplitCriterion))
     def test_order_of_a_subset_scores_only_those_rows(self, criterion):
@@ -137,8 +169,8 @@ class TestBestSplit:
         y = rng.integers(0, 3, size=40)
         rows = np.flatnonzero(rng.random(40) < 0.5)
         order = rows[column_orders(x[rows])]
-        assert best_split(x, y, 3, criterion, order) == best_split(
-            x[rows], y[rows], 3, criterion, column_orders(x[rows]))
+        assert split_of(x, y, 3, criterion, order) == split_of(
+            x[rows], y[rows], 3, criterion)
 
 
 def full_scan_scores(x, y, n_classes, criterion):
@@ -152,16 +184,19 @@ def full_scan_scores(x, y, n_classes, criterion):
         values = x[order[f], f]
         at = np.flatnonzero(values[:-1] < values[1:])
         left = np.cumsum(onehot[order[f]], axis=0)[at]
-        out[f, at] = trees._float_scores(criterion, left, at + 1.0,
-                                         onehot.sum(axis=0), m)
+        out[f, at] = trees._float_scores(
+            criterion, left, at + 1.0, np.tile(onehot.sum(axis=0), (at.size, 1)),
+            np.full(at.size, float(m)))
     return out
 
 
 def screened(x, y, n_classes, criterion):
     """Set of (feature, position) candidates the screen keeps."""
-    feature, at, _ = trees._screen(criterion, x, y,
-                                   np.bincount(y, minlength=n_classes),
-                                   column_orders(x))
+    m = x.shape[0]
+    _, feature, at = trees._screen(
+        criterion, np.ascontiguousarray(x.T), y.astype(np.uint8),
+        np.bincount(y, minlength=n_classes)[None, :], column_orders(x),
+        np.arange(m), np.array([m]))
     return set(zip(feature.tolist(), at.tolist()))
 
 
@@ -199,9 +234,9 @@ class TestSplitScreen:
         maxima = set(zip(*(a.tolist() for a in np.nonzero(scores == top))))
         assert maxima <= screened(x, y, n_classes, criterion)
         f, b = min(maxima)
-        rule, score = best_split(x, y, n_classes, criterion, column_orders(x))
+        rule, score = split_of(x, y, n_classes, criterion)
         values = np.sort(x[:, f])
-        assert (rule.feature, rule.threshold) == (f, 0.5 * (values[b] + values[b + 1]))
+        assert rule == (f, 0.5 * (values[b] + values[b + 1]))
         assert score == top
         return scores
 
@@ -250,8 +285,8 @@ class TestSplitScreen:
             if np.unique(y).size < 2 or np.unique(base).size < 2:
                 continue
             self.assert_full_scan_choice(x, y, n_classes, criterion)
-            rule, _ = best_split(x, y, n_classes, criterion, column_orders(x))
-            assert rule.feature != 2
+            (feature, _), _ = split_of(x, y, n_classes, criterion)
+            assert feature != 2
 
     def test_proxy_rounding_cannot_drop_the_float_maximum(self):
         # 40 rows of each of 3 classes; feature 0 puts left counts
@@ -267,8 +302,8 @@ class TestSplitScreen:
         kept = screened(x, y, 3, SplitCriterion.GINI)
         assert kept == {(0, 54), (1, 109)}
         self.assert_full_scan_choice(x, y, 3, SplitCriterion.GINI)
-        rule, _ = best_split(x, y, 3, SplitCriterion.GINI, column_orders(x))
-        assert rule == SplitRule(feature=1, threshold=0.5)
+        rule, _ = split_of(x, y, 3, SplitCriterion.GINI)
+        assert rule == (1, 0.5)
 
     def test_margin_exceeds_the_worst_proxy_error_at_1e5_rows(self):
         # the written bound on each proxy's rounding error, and so the
@@ -284,9 +319,7 @@ class TestSplitScreen:
             n_classes = int(y.max()) + 1
             class_n = np.bincount(y, minlength=n_classes)
             onehot = np.eye(n_classes, dtype=np.int64)[y]
-            counts = np.cumsum(onehot, axis=0)
-            rank = (counts[np.arange(m), y] - 1)[None, :]
-            left = counts[:-1].astype(np.longdouble)
+            left = np.cumsum(onehot, axis=0)[:-1].astype(np.longdouble)
             right = class_n.astype(np.longdouble) - left
             n_left = np.arange(1, m, dtype=np.longdouble)
             n_right = m - n_left
@@ -298,22 +331,38 @@ class TestSplitScreen:
                 SplitCriterion.GINI: (left ** 2).sum(axis=1) / n_left
                 + (right ** 2).sum(axis=1) / n_right,
                 SplitCriterion.ENTROPY: xlogx(left).sum(axis=1)
-                + xlogx(right).sum(axis=1) - xlogx(n_left) - xlogx(n_right),
+                + xlogx(right).sum(axis=1) - xlogx(n_left) - xlogx(n_right)
+                - xlogx(class_n.astype(np.longdouble)).sum(),
                 SplitCriterion.TWOING: np.abs(
                     np.outer(n_left, class_n) - m * left).sum(axis=1) ** 2
                 / (n_left * n_right),
             }
+            run = trees._Run(class_n[None, :])
             for criterion, want in exact.items():
-                if criterion is SplitCriterion.TWOING:
-                    got = trees._twoing_proxy(y[None, :], class_n)
-                else:
-                    proxy_of = (trees._gini_proxy
-                                if criterion is SplitCriterion.GINI
-                                else trees._entropy_proxy)
-                    got = proxy_of(rank, y[None, :], class_n)
-                worst = float(np.abs(got[0] - want).max())
+                got = run.proxy(criterion, y[None, :].astype(np.uint8))[0, :-1]
+                worst = float(np.abs(got - want).max())
                 assert 0.0 < worst <= trees._proxy_error(criterion, m)
-                assert 2.0 * worst < trees._margin(criterion, m, n_classes)
+                assert 2.0 * worst < trees._margin(criterion, [m], n_classes)[0]
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_nodes_laid_end_to_end_stay_within_their_margins(self, criterion):
+        # the Entropy cumsum of a run carries each node's rounding into the
+        # next; every node's proxies stay within half its margin of the
+        # proxies it has alone
+        rng = np.random.default_rng(34)
+        sizes = [3000, 40, 5000, 2, 700]
+        labels = [rng.integers(0, 6, size=m) for m in sizes]
+        class_n = np.array([np.bincount(y, minlength=6) for y in labels])
+        together = trees._Run(class_n).proxy(
+            criterion, np.concatenate(labels)[None, :].astype(np.uint8))[0]
+        margin = trees._margin(criterion, class_n.sum(axis=1), 6)
+        at = 0
+        for j, y in enumerate(labels):
+            alone = trees._Run(class_n[j:j + 1]).proxy(
+                criterion, y[None, :].astype(np.uint8))[0]
+            drift = np.abs(together[at:at + y.size - 1] - alone[:-1])
+            assert drift.max(initial=0.0) <= margin[j] / 2
+            at += y.size
 
 
 class TestFitTree:
@@ -394,6 +443,24 @@ class TestFitTree:
         train = Dataset(x=x, y=y, class_names=("a", "b"), feature_names=("f",))
         model = fit_tree(train)
         assert model.classify_batch(np.array([[0.0]]))[0] == 0
+
+    @pytest.mark.parametrize("criterion", list(SplitCriterion))
+    def test_negative_gain_raises_a_typed_error(self, monkeypatch, criterion):
+        # a purity gain below zero can only come from a fault in the
+        # search; Twoing's score has no parent term and is not checked
+        train = make_blobs([[0.0], [2.0]], 6, scale=0.3, seed=18)
+        found = trees.best_split
+
+        def lowered(*args):
+            feature, threshold, score = found(*args)
+            return feature, threshold, score - 1.0
+
+        monkeypatch.setattr(trees, "best_split", lowered)
+        if criterion is SplitCriterion.TWOING:
+            assert fit_tree(train, criterion=criterion).internal_count() > 0
+        else:
+            with pytest.raises(NegativeGain, match="negative purity gain"):
+                fit_tree(train, criterion=criterion)
 
     def test_empty_and_bad_budget(self):
         train = make_blobs([[0.0], [2.0]], 4, scale=0.3, seed=11)
@@ -513,6 +580,33 @@ class TestBagged:
         for t in range(3):
             assert np.array_equal(small.trees[t].classify_batch(queries),
                                   large.trees[t].classify_batch(queries))
+
+    def test_committee_searches_once_per_round_and_draws_no_subsets(
+            self, monkeypatch):
+        # the trees grow together, so the committee makes one search per
+        # round, as many as its deepest tree alone, whatever its size
+        train = make_blobs([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]], 40,
+                           scale=0.9, seed=27)
+        calls = []
+        search, subset = trees.best_split, Dataset.subset
+        monkeypatch.setattr(trees, "best_split", lambda *args: (
+            calls.append("best_split") or search(*args)))
+        monkeypatch.setattr(Dataset, "subset", lambda self, rows: (
+            calls.append("subset") or subset(self, rows)))
+        rounds = []
+        for n_trees in (1, 5, 30):
+            calls.clear()
+            fit_bagged(train, n_trees=n_trees, seed=4)
+            assert calls == ["best_split"] * len(calls)
+            rounds.append(len(calls))
+        alone = []
+        for t in range(30):
+            sample = subset(train, bootstrap_rows(train.n, seed=4, tree_index=t))
+            calls.clear()
+            fit_tree(sample)
+            alone.append(len(calls))
+        assert rounds == [alone[0], max(alone[:5]), max(alone)]
+        assert max(alone) <= DEFAULT_MAX_SPLITS + 1
 
     def test_bad_committee_size(self):
         train = make_blobs([[0.0], [2.0]], 8, scale=0.5, seed=26)
