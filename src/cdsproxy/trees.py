@@ -196,13 +196,11 @@ class _Run:
         return out
 
     @cached_property
-    def _gini_steps(self) -> tuple[np.ndarray, ...]:
+    def _gini_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rank, count = self._by_class
-        squares = (self.class_n * self.class_n).sum(axis=1)
-        earlier = np.cumsum(squares) - squares
         left_step = 2 * rank + 1
-        return (left_step, left_step - 2 * count, np.repeat(earlier, self.size),
-                np.repeat(earlier + squares, self.size))
+        squares = (self.class_n * self.class_n).sum(axis=1)
+        return left_step, left_step - 2 * count, squares
 
     def _gini_proxy(self, labels: np.ndarray) -> np.ndarray:
         """P = sum_k cL_k^2 / nL + sum_k cR_k^2 / nR at every column; the
@@ -212,18 +210,20 @@ class _Run:
         moves left, and lowers sum_k cR_k^2 =
         sum N_k^2 - 2 sum_k N_k cL_k + sum_k cL_k^2 by 2N_k - 2r - 1. A
         whole node adds sum N_k^2 to the first sum and takes it from the
-        second, so each node's sums follow from one cumulative sum per
-        block row by an exact integer offset. All of this is exact in
-        int64 and in float64 for m < 9e7. P then takes two divisions and
-        an addition, so it is within 3u m of the real P, as P <= m.
+        second, so one cumulative sum per block row gives every node's
+        sums once each node's first column takes back what the node
+        before it added and starts the second sum at sum N_k^2. All of
+        this is exact in int64 and in float64 for m < 9e7. P then takes
+        two divisions and an addition, so it is within 3u m of the real
+        P, as P <= m.
         """
-        left_step, right_step, left_base, right_base = self._gini_steps
+        left_step, right_step, squares = self._gini_steps
         sq_left, sq_right = self._in_feature_order(labels, left_step,
                                                    right_step)
+        sq_left[:, self.first[1:]] -= squares[:-1]
+        sq_right[:, self.first] += squares
         np.cumsum(sq_left, axis=1, out=sq_left)
         np.cumsum(sq_right, axis=1, out=sq_right)
-        sq_left -= left_base
-        sq_right += right_base
         proxy = sq_left / self.n_left
         proxy += sq_right / self.n_right
         return proxy
