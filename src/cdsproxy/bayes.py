@@ -35,14 +35,30 @@ class KernelKind(str, enum.Enum):
 
 
 def kernel_values(kind: KernelKind, u: np.ndarray) -> np.ndarray:
-    """Evaluate a unit-integral kernel at scaled distances u."""
-    u = np.asarray(u, dtype=float)
+    """Evaluate a unit-integral kernel at scaled distances u, in place: the
+    float array u is overwritten with the values and returned.
+
+    The normal kernel is exp(-u^2 / 2) / sqrt(2 pi), with u^2 halved after
+    the square: halving is exact, so this rounds as -0.5 * u * u does
+    wherever u^2 / 2 is a normal number, and elsewhere exp gives 1 or 0
+    from either form.
+    """
     kind = KernelKind(kind)
     if kind is KernelKind.NORMAL:
-        return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+        np.multiply(u, u, out=u)
+        u *= -0.5
+        np.exp(u, out=u)
+        u /= np.sqrt(2.0 * np.pi)
+        return u
     if kind is KernelKind.TRIANGULAR:
-        return np.maximum(0.0, 1.0 - np.abs(u))
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+        np.abs(u, out=u)
+        np.subtract(1.0, u, out=u)
+        return np.maximum(u, 0.0, out=u)
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    u *= 0.75
+    return u
 
 
 @dataclass
@@ -145,9 +161,16 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier
 class NbClassifier(ClassifierModel):
     """Naive Bayes with per-feature kernel density estimates.
 
-    Each class scores the queries in blocks whose (queries x class rows x d)
-    kernel temporaries hold at most numerics.BLOCK_BYTES (256 KB) each, or
-    one query where a single query needs more.
+    Each class scores the queries in blocks whose kernel temporary holds at
+    most numerics.BLOCK_BYTES (256 KB), or one query where a single query
+    needs more. A block makes one temporary, laid out as (class rows,
+    queries, d): the scaled differences are written into it and the kernel
+    is evaluated there in place (`kernel_values`). Its mean over the class
+    rows is then a sequential sum, row after row, and lands as a contiguous
+    (queries x d) array, whose logs numpy sums pairwise over the features.
+    A lone feature's class rows are made contiguous first, so that numpy
+    sums them pairwise. These are the sums of the earlier (queries x class
+    rows x d) layout, so every score is the same bit for bit.
     """
 
     family = "NB"
@@ -162,8 +185,13 @@ class NbClassifier(ClassifierModel):
         out = np.empty((x.shape[0], len(self.class_samples)))
         for j, samples in enumerate(self.class_samples):
             for rows in nm.row_blocks(x.shape[0], samples.nbytes):
-                u = (x[rows, None, :] - samples[None, :, :]) / self.bandwidth
-                dens = kernel_values(self.kernel, u).mean(axis=1) / self.bandwidth
+                u = np.subtract(x[None, rows, :], samples[:, None, :])
+                u /= self.bandwidth
+                kernel_values(self.kernel, u)
+                if u.shape[2] == 1:
+                    u = np.ascontiguousarray(u.T).T
+                dens = u.mean(axis=0)
+                dens /= self.bandwidth
                 with np.errstate(divide="ignore"):
                     logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
                 out[rows, j] = logs.sum(axis=1) + self.log_priors[j]

@@ -6,10 +6,23 @@ standardised features; the Mahalanobis variant is scale invariant and uses
 raw features: the fit whitens the training rows once with the covariance's
 Cholesky factor L (rows L^-1 x), each predict whitens its queries the same
 way, and the Euclidean distance between whitened rows is the Mahalanobis
-distance. Queries are scored in blocks sized by numerics.BLOCK_BYTES, so a
-predict's memory does not grow with queries x training rows. Class scores
-are the vote counts among the k nearest neighbours; distance ties resolve
-to the lower training index, label ties to the lower class index.
+distance.
+
+A query's neighbours are the k training rows nearest by the elementwise
+distance (difference, square or absolute value, sum over the features,
+square root), distance ties resolved to the lower training index; class
+scores are the vote counts among them, label ties to the lower class
+index. City-block evaluates that distance for every pair. Euclidean and
+Mahalanobis screen first: one matrix product gives every squared distance
+as G = |q|^2 + |s|^2 - 2 q.s from the squared row norms stored at fit.
+Where exactly k training rows lie within a rounding margin of the k-th
+smallest G, those k are the elementwise neighbours; the margin is derived
+in `KnnClassifier._screen`. Only the other queries, among them every one
+with an exact tie or a duplicate row at the k-th rank, take the elementwise
+distances and a stable sort, so the scores are those of the elementwise
+distances bit for bit. Queries are scored in blocks sized by
+numerics.BLOCK_BYTES, so a predict's memory does not grow with queries x
+training rows.
 """
 from __future__ import annotations
 
@@ -23,6 +36,10 @@ from .core import ClassifierModel, Dataset, check_training_set
 from .errors import BadK, NotPositiveDefinite, SingularCovariance
 
 DEFAULT_K = 9
+
+_U = np.finfo(float).eps / 2       # unit roundoff
+_TINY = np.finfo(float).tiny       # smallest normal number
+_SAFE = np.finfo(float).max / 8    # below this no screen quantity overflows
 
 
 class Metric(str, enum.Enum):
@@ -44,6 +61,7 @@ class KnnClassifier(ClassifierModel):
     class_names: tuple[str, ...]
     standardizer: nm.Standardizer | None = None
     chol_factor: np.ndarray | None = None  # Mahalanobis only: whitens the queries
+    sq_norms: np.ndarray | None = None     # |s|^2 of each row; not for city-block
 
     def _query_matrix(self, x: np.ndarray) -> np.ndarray:
         q = nm.as_rows(x, self.x_train.shape[1])
@@ -59,18 +77,63 @@ class KnnClassifier(ClassifierModel):
             return np.abs(diff, out=diff).sum(axis=-1)
         return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
 
+    def _screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squared distances G = |q|^2 + |s|^2 - 2 q.s from query rows q to
+        every training row by one matrix product, and each query's margin.
+
+        With u the unit roundoff, g_n = n u / (1 - n u), d features, T the
+        exact squared distance of q to a row s and A = |q|^2 + max |s|^2
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        section 3.1):
+        - the squared norms are within g_d of themselves, and 2 q.s, summed
+          in any order, with or without fused multiply-adds, within
+          g_d 2|q||s| <= g_d A; the two additions add u of at most 2A
+          each, so |G - T| <= e = (2d + 5) u A;
+        - the elementwise squared distance E (a difference, a square and a
+          sum of d terms >= 0 per pair) is within g_(d+1) T of T;
+        - take j among the k smallest G and l with G_l > kth + m. Then
+          X = kth + e >= T_j, E_j <= (1 + g_(d+1)) X and
+          E_l > (1 - g_(d+1)) (X + m - 2e). E_l > (1 + 8u) E_j, which
+          keeps sqrt(E_l) > sqrt(E_j) through the square root's own
+          rounding, so that no tie can arise, holds once
+          m >= 2e + (2 g_(d+1) + 9u) X, with X <= 2A + e;
+        - that is (4d + 10) u A + (4d + 22) u A, and forming kth + m can
+          take 2 u A off it. m = (8d + 40) u A covers these and the
+          second-order terms for d below 10^7.
+        Roundings below the normal range err by at most 2^-1075 each,
+        which the term in the smallest normal number covers. A query whose
+        A is not below max/8 gets a NaN margin, which no key passes, so it
+        takes the elementwise path; the bound assumes finite rows.
+        """
+        qn = (q * q).sum(axis=1)
+        keys = q @ self.x_train.T
+        keys *= -2.0
+        keys += qn[:, None]
+        keys += self.sq_norms
+        scale = qn + self.sq_norms.max()
+        margin = (8 * q.shape[1] + 40) * _U * (scale + _TINY)
+        margin[~(scale < _SAFE)] = np.nan
+        return keys, margin[:, None]
+
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = self._query_matrix(x)
         k = self.k
         out = np.empty((q.shape[0], self.n_classes))
-        for rows in nm.row_blocks(q.shape[0], self.x_train.nbytes):
-            dists = self._distances(q[rows])
-            nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
-            # the k nearest are one set unless rows beyond the k-th tie with
-            # it; there a stable sort hands the tie to the lower index
-            kth = np.take_along_axis(dists, nearest[:, k - 1:], axis=1)
-            for i in np.flatnonzero((dists <= kth).sum(axis=1) != k):
-                nearest[i] = np.argsort(dists[i], kind="stable")[:k]
+        screened = self.sq_norms is not None
+        # a block's largest temporary: its keys, or its distance tensor
+        row_bytes = self.sq_norms.nbytes if screened else self.x_train.nbytes
+        for rows in nm.row_blocks(q.shape[0], row_bytes):
+            block = q[rows]
+            keys, margin = (self._screen(block) if screened
+                            else (self._distances(block), 0.0))
+            nearest = np.argpartition(keys, k - 1, axis=1)[:, :k]
+            # the k nearest are one set unless a key beyond the k-th lies
+            # within the margin of it; there the elementwise distances and
+            # a stable sort hand each tie to the lower index
+            kth = np.take_along_axis(keys, nearest[:, k - 1:], axis=1)
+            for i in np.flatnonzero((keys <= kth + margin).sum(axis=1) != k):
+                dists = self._distances(block[i:i + 1])[0] if screened else keys[i]
+                nearest[i] = np.argsort(dists, kind="stable")[:k]
             n = nearest.shape[0]
             slots = self.y_train[nearest] + self.n_classes * np.arange(n)[:, None]
             out[rows] = np.bincount(slots.ravel(), minlength=n * self.n_classes
@@ -88,7 +151,8 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K,
 
     k must be odd (vote-tie hygiene) and no larger than the training size.
     Euclidean and city-block store standardised rows, Mahalanobis whitened
-    ones.
+    ones; Euclidean and Mahalanobis also store the rows' squared norms for
+    the screen.
     """
     check_training_set(train, two_classes=False)
     metric = Metric(metric)
@@ -108,7 +172,9 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K,
     else:
         standardizer = nm.standardizer_fit(train.x)
         x = standardizer.apply(train.x)
-    return KnnClassifier(k=k, metric=metric, x_train=np.array(x, dtype=float, order="C"),
+    x = np.array(x, dtype=float, order="C")
+    return KnnClassifier(k=k, metric=metric, x_train=x,
                          y_train=np.asarray(train.y, dtype=int),
                          n_classes=train.n_classes, class_names=train.class_names,
-                         standardizer=standardizer, chol_factor=chol)
+                         standardizer=standardizer, chol_factor=chol,
+                         sq_norms=None if metric is Metric.CITYBLOCK else (x * x).sum(axis=1))

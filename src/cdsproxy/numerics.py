@@ -22,6 +22,7 @@ from .errors import (
     FewerThanTwoSamples,
     NotPositiveDefinite,
     NotSymmetric,
+    SchemaViolation,
 )
 
 RIDGE_FACTOR = 1e-8
@@ -77,10 +78,16 @@ class Standardizer:
 
 
 def as_rows(x: np.ndarray, d: int) -> np.ndarray:
-    """Query rows as an (n, d) float array; DimensionMismatch for any other width."""
+    """Query rows as an (n, d) float array; DimensionMismatch for any other
+    width, SchemaViolation naming the first row and column that is NaN or
+    infinite."""
     q = np.atleast_2d(np.asarray(x, dtype=float))
     if q.ndim != 2 or q.shape[1] != d:
         raise DimensionMismatch(f"rows of shape {q.shape} do not have {d} features")
+    if not np.isfinite(q).all():
+        row, column = np.argwhere(~np.isfinite(q))[0]
+        raise SchemaViolation(
+            f"query features must be finite: row {row}, column {column} is {q[row, column]}")
     return q
 
 

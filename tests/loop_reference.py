@@ -8,11 +8,16 @@ systems against Q = yy' * K (`label_product`), as `cdsproxy.svm` did before
 it solved them against K. `best_split` and `fit_tree` sort every
 feature at every node and evaluate the float score of every candidate, as
 `cdsproxy.trees` did before it presorted once per fit and screened the
-candidates by integer counts. The tests swap them in and require the
-fitted models to agree bit for bit.
+candidates by integer counts. `nb_scores_batch` scores naive Bayes on a
+(queries x class rows x d) tensor with a new array for every operation,
+as `cdsproxy.bayes` did before it evaluated its kernel in place in one
+temporary. The tests swap them in and require the fitted models, or the
+scores, to agree bit for bit.
 """
 import numpy as np
 
+from cdsproxy import numerics as nm
+from cdsproxy.bayes import LOG_DENSITY_FLOOR, KernelKind
 from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     BadConfig,
@@ -467,3 +472,26 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
             assignment[row] = counter % k
             counter += 1
     return FoldPlan(k=k, assignment=assignment, seed=seed)
+
+
+def _kernel_values(kind, u):
+    if kind is KernelKind.NORMAL:
+        return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+    if kind is KernelKind.TRIANGULAR:
+        return np.maximum(0.0, 1.0 - np.abs(u))
+    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+
+
+def nb_scores_batch(model, x):
+    """Kernel naive Bayes scores of an NbClassifier, block by block over a
+    (queries x class rows x d) tensor."""
+    x = nm.as_rows(x, model.class_samples[0].shape[1])
+    out = np.empty((x.shape[0], len(model.class_samples)))
+    for j, samples in enumerate(model.class_samples):
+        for rows in nm.row_blocks(x.shape[0], samples.nbytes):
+            u = (x[rows, None, :] - samples[None, :, :]) / model.bandwidth
+            dens = _kernel_values(model.kernel, u).mean(axis=1) / model.bandwidth
+            with np.errstate(divide="ignore"):
+                logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
+            out[rows, j] = logs.sum(axis=1) + model.log_priors[j]
+    return out

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from conftest import make_blobs, random_dataset
 from cdsproxy import numerics as nm
 from cdsproxy.bayes import (
@@ -236,7 +237,7 @@ class TestKde:
     def test_unit_integral(self, kind):
         lim = 12.0 if kind is KernelKind.NORMAL else 1.0
         u = np.linspace(-lim, lim, 200_001)
-        integral = np.trapezoid(kernel_values(kind, u), u)
+        integral = np.trapezoid(kernel_values(kind, u.copy()), u)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
     def test_floor_outside_support(self):
@@ -322,3 +323,39 @@ class TestBlockedNaiveBayes:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestAgainstFrozenLoop:
+    """The in-place scoring against the per-operation loop it replaced."""
+
+    @staticmethod
+    def rate_like(n, seed):
+        # five features; the first spreads like raw five-year rates in basis
+        # points, so at bandwidth 0.2 most of its normal-kernel terms
+        # underflow to zero and some to subnormal numbers
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 5))
+        x[:, 0] = 100.0 + 8.0 * x[:, 0]
+        return x
+
+    @pytest.mark.parametrize("block_bytes", [1, nm.BLOCK_BYTES, 1 << 40])
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_scores_equal_bit_for_bit(self, kind, block_bytes, monkeypatch):
+        train = random_dataset(600, 5, 3, seed=26)
+        train = Dataset(x=self.rate_like(600, seed=27), y=train.y,
+                        class_names=train.class_names,
+                        feature_names=train.feature_names)
+        queries = self.rate_like(43, seed=28)
+        lone = Dataset(x=train.x[:, :1], y=train.y, class_names=train.class_names,
+                       feature_names=train.feature_names[:1])
+        monkeypatch.setattr(nm, "BLOCK_BYTES", block_bytes)
+        for data, q in ((train, queries), (lone, queries[:, :1])):
+            model = fit_nb(data, kernel=kind)
+            assert np.array_equal(model.scores_batch(q), ref.nb_scores_batch(model, q))
+
+    def test_rate_column_underflows(self):
+        u = (self.rate_like(43, seed=28)[:, None, 0]
+             - self.rate_like(600, seed=27)[None, :, 0]) / DEFAULT_BANDWIDTH
+        terms = kernel_values(KernelKind.NORMAL, u)
+        assert np.mean(terms < np.finfo(float).tiny) > 0.5
+        assert np.any((terms > 0.0) & (terms < np.finfo(float).tiny))

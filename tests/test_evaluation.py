@@ -25,6 +25,7 @@ from cdsproxy.errors import (
     EmptyTrainingSet,
     FitFailure,
     MissingCell,
+    SchemaViolation,
     SingleClassInput,
     TooFewSamples,
 )
@@ -301,6 +302,20 @@ class TestClassifierGrid:
         for width in (1, ds.d + 1):
             with pytest.raises(DimensionMismatch):
                 model.classify_batch(np.zeros((4, width)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("label", DEFAULT_GRID)
+    def test_every_default_label_rejects_non_finite_queries(self, label, bad):
+        ds = make_blobs(centers=[(0, 0, 0), (4, 4, 1), (-4, 4, -1)], n_per_class=12,
+                        scale=0.6, seed=13)
+        model = make_classifier_spec(label).fit(ds, seed=1)
+        queries = ds.x[:4].copy()
+        queries[2, 1] = bad
+        queries[3, 0] = bad
+        with pytest.raises(SchemaViolation, match="row 2, column 1"):
+            model.scores_batch(queries)
+        with pytest.raises(SchemaViolation, match="row 0, column 2"):
+            model.classify_batch(np.where(np.arange(3) == 2, bad, 0.0))
 
     @pytest.mark.parametrize("label", DEFAULT_GRID)
     def test_every_default_label_checks_its_training_set(self, label):

@@ -164,19 +164,25 @@ class TestBlockedScoring:
         assert peak < 8 * 2**20
 
 
+def elementwise_distances(metric, train_x, query):
+    diff = query - train_x
+    return (np.abs(diff).sum(axis=1) if metric is Metric.CITYBLOCK
+            else np.sqrt((diff * diff).sum(axis=1)))
+
+
 class TestExactTiesThroughPartition:
-    """Integer-grid rows give exactly equal distances at the k-th rank."""
+    """Scores against the elementwise distances in a stable order, on rows
+    with exact distance ties at the k-th rank (an integer grid, duplicate
+    rows) and on rows whose screen cancels most of its digits."""
 
     @staticmethod
     def votes(train_x, train_y, n_classes, k, metric, query, prefer_lower=True):
-        diff = query - train_x
-        dists = (np.abs(diff).sum(axis=1) if metric is Metric.CITYBLOCK
-                 else np.sqrt((diff * diff).sum(axis=1)))
+        dists = elementwise_distances(metric, train_x, query)
         index = np.arange(len(dists))
         order = np.lexsort((index if prefer_lower else -index, dists))[:k]
         return np.bincount(train_y[order], minlength=n_classes)
 
-    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.CITYBLOCK])
+    @pytest.mark.parametrize("metric", list(Metric))
     def test_matches_stable_argsort_for_every_odd_k(self, metric):
         rng = np.random.default_rng(17)
         grid = np.array([(a, b) for a in range(-2, 3) for b in range(-2, 3)], dtype=float)
@@ -184,10 +190,11 @@ class TestExactTiesThroughPartition:
                         class_names=("a", "b", "c"), feature_names=("f", "g"))
         queries = np.array([(a, b) for a in np.arange(-3.0, 3.5, 0.5)
                             for b in np.arange(-3.0, 3.5, 0.5)])
-        # both columns hold -2..2 five times each, so the standardised grid is
-        # the integer grid times one scale and keeps its exact distance ties
-        scale = fit_knn(train, k=1, metric=metric).standardizer.apply
-        zs_train, zs_queries = scale(train.x), scale(queries)
+        # both columns hold -2..2 five times each and are uncorrelated, so the
+        # standardised or whitened grid is the integer grid times one scale
+        # and keeps its exact distance ties
+        model = fit_knn(train, k=1, metric=metric)
+        zs_train, zs_queries = model.x_train, model._query_matrix(queries)
         decided_by_index = 0
         for k in range(1, train.n + 1, 2):  # k == n included
             got = fit_knn(train, k=k, metric=metric).scores_batch(queries)
@@ -197,3 +204,78 @@ class TestExactTiesThroughPartition:
                 flipped = self.votes(zs_train, train.y, 3, k, metric, q, prefer_lower=False)
                 decided_by_index += int(np.argmax(want) != np.argmax(flipped))
         assert decided_by_index > 0
+
+    def check_every_odd_k(self, train, queries, metric):
+        model = fit_knn(train, k=1, metric=metric)
+        zs_train, zs_queries = model.x_train, model._query_matrix(queries)
+        for k in range(1, train.n + 1, 2):
+            got = fit_knn(train, k=k, metric=metric).scores_batch(queries)
+            want = np.array([self.votes(zs_train, train.y, train.n_classes, k, metric, q)
+                             for q in zs_queries])
+            assert np.array_equal(got, want)
+
+    def test_large_common_offset(self):
+        # whitened rows near 1e6 L^-1 1: G = |q|^2 + |s|^2 - 2 q.s cancels
+        # about twelve of its sixteen digits
+        train = random_dataset(60, 3, 3, seed=18)
+        train = Dataset(x=train.x + 1e6, y=train.y, class_names=train.class_names,
+                        feature_names=train.feature_names)
+        queries = np.random.default_rng(19).normal(size=(40, 3)) + 1e6
+        self.check_every_odd_k(train, queries, Metric.MAHALANOBIS)
+
+    @staticmethod
+    def duplicated(seed):
+        # 15 distinct rows, each three times with three labels, shuffled
+        rng = np.random.default_rng(seed)
+        x = np.repeat(rng.normal(size=(15, 3)), 3, axis=0)
+        order = rng.permutation(len(x))
+        return Dataset(x=x[order], y=(np.arange(45) % 3)[order],
+                       class_names=("a", "b", "c"), feature_names=("f", "g", "h"))
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.MAHALANOBIS])
+    def test_duplicate_rows_at_the_kth_rank(self, metric):
+        train = self.duplicated(seed=20)
+        queries = np.random.default_rng(21).normal(size=(30, 3))
+        self.check_every_odd_k(train, queries, metric)
+
+
+def count_elementwise_rows(monkeypatch):
+    """Record every query row that KnnClassifier._distances receives."""
+    seen = []
+    original = KnnClassifier._distances
+
+    def counting(self, q):
+        seen.append(q.copy())
+        return original(self, q)
+
+    monkeypatch.setattr(KnnClassifier, "_distances", counting)
+    return seen
+
+
+class TestScreen:
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.MAHALANOBIS])
+    def test_generic_rows_never_take_the_elementwise_path(self, metric, monkeypatch):
+        train = random_dataset(600, 4, 3, seed=12)
+        queries = np.random.default_rng(13).normal(size=(200, 4))
+        seen = count_elementwise_rows(monkeypatch)
+        for k in (1, 7, 31):
+            fit_knn(train, k=k, metric=metric).scores_batch(queries)
+        assert seen == []
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.MAHALANOBIS])
+    def test_duplicates_tied_at_the_kth_rank_take_it(self, metric, monkeypatch):
+        train = TestExactTiesThroughPartition.duplicated(seed=20)
+        queries = np.random.default_rng(21).normal(size=(30, 3))
+        seen = count_elementwise_rows(monkeypatch)
+        n_tied = 0
+        for k in range(1, train.n, 2):
+            model = fit_knn(train, k=k, metric=metric)
+            zs_queries = model._query_matrix(queries)
+            ranked = np.sort([elementwise_distances(metric, model.x_train, q)
+                              for q in zs_queries], axis=1)
+            tied = np.flatnonzero(ranked[:, k - 1] == ranked[:, k])
+            seen.clear()
+            model.scores_batch(queries)
+            assert np.array_equal(np.array(seen).reshape(-1, 3), zs_queries[tied])
+            n_tied += tied.size
+        assert n_tied > 0
