@@ -316,10 +316,12 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
     r x r matrix I + P'P (Fine and Scheinberg, JMLR 2, 2001; Ferris and
     Munson, SIAM J. Optim. 13(3), 2002). The residuals, and so the stop
     test, are always taken on k_mat itself. At the end every alpha within
-    _SNAP * C of a bound goes onto it and y'alpha = 0 is restored on the
-    free set. Raises NoConvergence if _IP_MAX_ITERATIONS pass first, or if
-    that restored alpha leaves the box, so that the clip back into it
-    breaks y'alpha = 0.
+    _SNAP * C of a bound goes onto it, and y'alpha = 0 is restored by one
+    equal shift of the free alphas along y, clipped back into the box;
+    while a clip leaves |y'alpha| above 1e-12 C n, the shift is repeated
+    over the alphas still strictly inside the box. Raises NoConvergence if
+    _IP_MAX_ITERATIONS pass first, or if no alpha is left inside the box
+    to restore y'alpha = 0.
     """
     n = y.size
     k_diag = k_mat.diagonal().copy()
@@ -392,11 +394,18 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
         iterations += 1
     at_zero, at_cost = alpha <= _SNAP * cost, s <= _SNAP * cost
     alpha[at_zero], alpha[at_cost] = 0.0, cost
+    bound = 1e-12 * cost * n
     free = ~(at_zero | at_cost)
-    if free.any():
+    while free.any():
         alpha[free] -= y[free] * (float(y @ alpha) / np.count_nonzero(free))
-    np.clip(alpha, 0.0, cost, out=alpha)
-    if abs(float(y @ alpha)) > 1e-12 * cost * n:
+        np.clip(alpha, 0.0, cost, out=alpha)
+        inside = (alpha > 0.0) & (alpha < cost)
+        # only a clip can leave |y'alpha| above the bound, and it moves at
+        # least one free alpha onto the box, so the free set shrinks
+        if abs(float(y @ alpha)) <= bound or np.array_equal(inside, free):
+            break
+        free = inside
+    if abs(float(y @ alpha)) > bound:
         raise NoConvergence(f"interior point alpha breaks y'alpha = 0 by "
                             f"{float(y @ alpha):.3e} after snapping to the box")
     return alpha, iterations

@@ -199,8 +199,8 @@ class TestNetworkTraining:
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_early_stop_matches_reference(self, monkeypatch, activation):
-        # blobs this far apart drive the loss and gradient towards 0, so the
-        # run ends on the gradient tolerance or on the step floor
+        # blobs this far apart drive the cross-entropy towards 0, so the run
+        # ends on the gradient tolerance well before the iteration cap
         train = make_blobs([[-6.0, 0.0], [6.0, 0.0], [0.0, 6.0]], 5,
                            scale=0.1, seed=5)
         config = TrainConfig(epochs=3000, seed=5, grad_tol=1e-3)

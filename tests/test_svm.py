@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_blobs, random_dataset
 from qp_reference import dual_objective, project_box_simplex, reference_dual_solution
-from cdsproxy import svm
+from cdsproxy import numerics, svm
 from cdsproxy.core import FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import BadConfig, NoConvergence, SingleClassInput
@@ -258,6 +258,24 @@ class TestInteriorPoint:
         assert model.kkt_gap <= DEFAULT_KKT_TOL
         ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=cost)
         assert np.array_equal(model.alpha, ascent.alpha)
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_restore_repeats_its_shift_after_a_clip(self, factored):
+        # machine 4 on FS6 fold 4 of the default panel, on rows scaled by
+        # 1/sqrt(d): one equal shift of the free alphas, clipped back into
+        # the box, left y'alpha at 1.2e-8, above the bound 4.5e-10
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS6)
+        train = dataset.subset(stratified_folds(dataset, 10, seed=0)
+                               .training_rows(4))
+        x = numerics.standardizer_fit(train.x).apply(train.x) / math.sqrt(train.d)
+        y = np.where(train.y == 4, 1.0, -1.0)
+        model = interior_point_then_ascent(
+            x, y, KernelSpec(SvmKernel.POLYNOMIAL), DEFAULT_COST, factored)
+        assert model.ip_iterations > 0
+        assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
+        assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
+        assert model.kkt_gap <= DEFAULT_KKT_TOL
 
     def test_interior_point_raises_at_its_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(svm, "_IP_MAX_ITERATIONS", 2)
