@@ -55,12 +55,13 @@ def _log_likelihood(z: np.ndarray, t: np.ndarray, beta: np.ndarray,
 
 def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RIDGE,
                         max_iter: int = DEFAULT_MAX_ITER,
-                        grad_tol: float = DEFAULT_GRAD_TOL) -> np.ndarray:
+                        grad_tol: float = DEFAULT_GRAD_TOL) -> tuple[np.ndarray, int]:
     """Newton-with-halving fit on already intercept-augmented rows z.
 
-    Returns the coefficient vector once the gradient norm is at most
-    grad_tol, or after a full Newton step whose decrement is below the
-    rounding level of the penalised log-likelihood. Raises NoConvergence
+    Returns the coefficient vector, with the number of Newton updates that
+    reached it, once the gradient norm is at most grad_tol, or after a
+    full Newton step whose decrement is below the rounding level of the
+    penalised log-likelihood. Raises NoConvergence
     when neither holds after max_iter Newton steps, and SingularDesign when
     the (unridged) Hessian is singular.
     """
@@ -80,7 +81,7 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
         grad = z.T @ (t - p) - 2.0 * ridge * penalty_mask * beta
         grad_norm = float(np.sqrt(grad @ grad))
         if grad_norm <= grad_tol:
-            return beta
+            return beta, iteration
         if iteration == max_iter:
             raise NoConvergence(
                 f"logistic fit: gradient norm {grad_norm:.3e} > {grad_tol} "
@@ -95,7 +96,7 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
         if float(grad @ step) <= np.finfo(float).eps * abs(ll):
             # the step's gain is below what ll resolves, so the halving test
             # cannot judge it; the quadratic model can, and it ends the fit
-            return beta + step
+            return beta + step, iteration + 1
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             candidate = beta + scale * step
@@ -120,6 +121,7 @@ class LogisticClassifier(ClassifierModel):
     coefficients: np.ndarray       # (n_classes, d + 1); column 0 = intercept
     class_names: tuple[str, ...]
     standardizer: nm.Standardizer
+    newton_iterations: tuple[int, ...]     # Newton updates of each machine
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
@@ -127,7 +129,8 @@ class LogisticClassifier(ClassifierModel):
         return sigmoid(z @ self.coefficients.T)
 
     def describe(self) -> dict:
-        return {"family": self.family, "ridge": DEFAULT_RIDGE}
+        return {"family": self.family, "ridge": DEFAULT_RIDGE,
+                "newton_iterations": self.newton_iterations}
 
 
 def fit_logistic_multiclass(train: Dataset) -> LogisticClassifier:
@@ -137,8 +140,12 @@ def fit_logistic_multiclass(train: Dataset) -> LogisticClassifier:
     standardizer = nm.standardizer_fit(train.x)
     z = np.column_stack([np.ones(train.n), standardizer.apply(train.x)])
     coefficients = np.empty((train.n_classes, z.shape[1]))
+    iterations = []
     for j in range(train.n_classes):
-        coefficients[j] = fit_logistic_binary(z, (train.y == j).astype(float))
+        coefficients[j], count = fit_logistic_binary(
+            z, (train.y == j).astype(float))
+        iterations.append(count)
     return LogisticClassifier(coefficients=coefficients,
                               class_names=train.class_names,
-                              standardizer=standardizer)
+                              standardizer=standardizer,
+                              newton_iterations=tuple(iterations))

@@ -1,9 +1,10 @@
 """Straightforward versions of the SVM, NN and tree inner loops, used only
 by tests.
 
-`pairwise_ascent` and the NN passes rebuild their whole state on every
-iteration, as the loops in `cdsproxy.svm` and `cdsproxy.neuralnet` did
-before they were made to update only what changes. `interior_point` solves its Newton
+`pairwise_ascent` rebuilds its whole state on every iteration, as the
+loop in `cdsproxy.svm` did before it was made to update only what
+changes. The NN passes make a new array for every operation, where
+`cdsproxy.neuralnet` works in place. `interior_point` solves its Newton
 systems against Q = yy' * K (`label_product`), as `cdsproxy.svm` did before
 it solved them against K. `best_split` and `fit_tree` sort every
 feature at every node and evaluate the float score of every candidate, as
@@ -13,6 +14,11 @@ candidates by integer counts. `nb_scores_batch` scores naive Bayes on a
 as `cdsproxy.bayes` did before it evaluated its kernel in place in one
 temporary. The tests swap them in and require the fitted models, or the
 scores, to agree bit for bit.
+
+`lbfgs_direction` is the two-loop L-BFGS recursion, which
+`cdsproxy.neuralnet` replaced by the compact form of the same inverse
+Hessian; the two round differently, so the tests require the directions
+to agree to a relative 1e-12.
 """
 import numpy as np
 
@@ -191,35 +197,55 @@ def _activation_derivative(kind, v):
     return 1.0 / (1.0 + np.abs(v)) ** 2
 
 
-def forward_state(params, activation, x, picks):
-    """Forward pass with the row maximum taken by logits.max(axis=1) and
-    the true-class entries by (rows, y) indexing."""
-    rows, y = np.divmod(picks, params.b2.size)
-    pre = x @ params.w1.T + params.b1
+def forward_state(params, activation, xt, picks):
+    """Class-major forward pass over the columns of xt, with a new array
+    for every operation and the true-class entries reached by (y, columns)
+    indexing."""
+    y, cols = np.divmod(picks, xt.shape[1])
+    pre = params.w1 @ xt + params.b1[:, None]
     hidden = activation_value(activation, pre)
-    logits = hidden @ params.w2.T + params.b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    logits = params.w2 @ hidden + params.b2[:, None]
+    shifted = logits - logits.max(axis=0)
     expd = np.exp(shifted)
-    norm = expd.sum(axis=1)
-    loss = float((np.log(norm) - shifted[rows, y]).mean())
+    norm = expd.sum(axis=0)
+    loss = float((np.log(norm) - shifted[y, cols]).mean())
     return loss, pre, hidden, expd, norm
 
 
-def gradient_from_state(params, activation, x, picks, state):
-    """Backward pass that evaluates f'(pre) from pre for every activation
-    and reaches the true-class entries by (rows, y) indexing."""
-    rows, y = np.divmod(picks, params.b2.size)
+def gradient_from_state(params, activation, xt, picks, state):
+    """Class-major backward pass that evaluates f'(pre) from pre for every
+    activation and reaches the true-class entries by (y, columns)
+    indexing."""
+    y, cols = np.divmod(picks, xt.shape[1])
     _, pre, hidden, expd, norm = state
-    n = x.shape[0]
-    d_logits = expd / norm[:, None]
-    d_logits[rows, y] -= 1.0
-    d_logits /= n
-    g_w2 = d_logits.T @ hidden
-    g_b2 = d_logits.sum(axis=0)
-    d_pre = (d_logits @ params.w2) * _activation_derivative(activation, pre)
-    g_w1 = d_pre.T @ x
-    g_b1 = d_pre.sum(axis=0)
+    n = xt.shape[1]
+    d_logits = expd / norm
+    d_logits[y, cols] -= 1.0
+    d_logits = d_logits / n
+    g_w2 = d_logits @ hidden.T
+    g_b2 = d_logits.sum(axis=1)
+    d_pre = (params.w2.T @ d_logits) * _activation_derivative(activation, pre)
+    g_w1 = d_pre @ xt.T
+    g_b1 = d_pre.sum(axis=1)
     return NetParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+
+
+def lbfgs_direction(g, pairs):
+    """-H g by the two-loop recursion over the stored (s, y, 1/s'y) pairs,
+    oldest first, with H0 = (s'y / y'y) I from the newest pair (Nocedal and
+    Wright, Numerical Optimization, 2006, Algorithm 7.4)."""
+    q = -g
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        coefs.append(a)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        q += (a - rho * float(y @ q)) * s
+    return q
 
 
 def _gini_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:

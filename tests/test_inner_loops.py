@@ -7,6 +7,8 @@ what changes, solve on K, and trees presort once per fit and screen
 candidates by integer counts. Swapped in, the reference must give the same
 fitted models bit for bit.
 """
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from cdsproxy import evaluation, neuralnet, svm, trees
 from cdsproxy.core import Dataset, FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import NoConvergence
-from cdsproxy.neuralnet import Activation, TrainConfig, fit_neural_net
+from cdsproxy.neuralnet import (
+    LBFGS_MEMORY,
+    Activation,
+    TrainConfig,
+    fit_neural_net,
+)
 from cdsproxy.svm import DEFAULT_COST, DEFAULT_KKT_TOL, KernelSpec, SvmKernel
 from cdsproxy.trees import SplitCriterion, bootstrap_rows, fit_bagged, fit_tree
 
@@ -214,6 +221,51 @@ class TestNetworkTraining:
         assert got.final_grad_norm == want.final_grad_norm
         assert got.warning == want.warning
         assert np.array_equal(got.params.w1, want.params.w1)
+
+
+class TestCompactDirection:
+    def test_matches_the_two_loop_recursion(self):
+        # pairs from a convex quadratic, with steps of very different
+        # lengths; pairs the s'y <= eps y'y rule rejects (negative and zero
+        # curvature); and enough accepted ones to drop the oldest many
+        # times and to move the window of stored pairs back to the front
+        # of its arrays twice
+        rng = np.random.default_rng(17)
+        size = 40
+        a = rng.normal(size=(size, size))
+        hessian = a @ a.T / size + 0.1 * np.eye(size)
+        memory = neuralnet._CompactMemory(size)
+        pairs = deque(maxlen=LBFGS_MEMORY)
+        fed = []
+        for i in range(2 * memory.sy.size + 3):
+            s = rng.normal(size=size) * 10.0 ** rng.uniform(-4, 1)
+            fed.append((s, hessian @ s))
+            if i in (2, 7, 50):
+                fed.append((s, -(hessian @ s)))
+        fed.append((np.eye(size)[0], np.eye(size)[1]))
+        checked = 0
+        for s, y in [(None, None)] + fed:
+            if s is not None:
+                memory.push(s, y)
+                sy = float(s @ y)
+                if sy > np.finfo(float).eps * float(y @ y):
+                    pairs.append((s, y, 1.0 / sy))
+            assert memory.m == len(pairs)
+            for _ in range(3):
+                g = rng.normal(size=size)
+                got = memory.direction(g)
+                want = ref.lbfgs_direction(g, pairs)
+                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert rel <= 1e-12, (len(pairs), rel)
+                checked += 1
+        assert len(pairs) == LBFGS_MEMORY and checked == 3 * (len(fed) + 1)
+        memory.clear()
+        g = rng.normal(size=size)
+        assert np.array_equal(memory.direction(g), -g)
+        s, y = fed[0]
+        memory.push(s, y)
+        want = ref.lbfgs_direction(g, [(s, y, 1.0 / float(s @ y))])
+        assert np.allclose(memory.direction(g), want, rtol=1e-12, atol=0.0)
 
 
 def assert_same_tree_fit(train, criterion, max_splits=20):

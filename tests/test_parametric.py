@@ -19,6 +19,7 @@ from cdsproxy.errors import (
 )
 from cdsproxy.evaluation import fold_seed, make_classifier_spec, stratified_folds
 from cdsproxy.logistic import (
+    DEFAULT_MAX_ITER,
     DEFAULT_RIDGE,
     LogisticClassifier,
     fit_logistic_binary,
@@ -87,7 +88,7 @@ class TestBinaryLogistic:
                        rng.normal(size=(20, 2)) + 0.8])
         t = np.repeat([0.0, 1.0], 20)
         z = np.column_stack([np.ones(40), x])
-        beta = fit_logistic_binary(z, t, ridge=DEFAULT_RIDGE)
+        beta, _ = fit_logistic_binary(z, t, ridge=DEFAULT_RIDGE)
         want = gradient_ascent_oracle(z, t, DEFAULT_RIDGE)
         assert np.max(np.abs(beta - want)) <= 1e-4
 
@@ -97,7 +98,7 @@ class TestBinaryLogistic:
                        rng.normal(size=(15, 3)) + 0.5])
         t = np.repeat([0.0, 1.0], 15)
         z = np.column_stack([np.ones(30), x])
-        beta = fit_logistic_binary(z, t, ridge=DEFAULT_RIDGE, grad_tol=1e-8)
+        beta, _ = fit_logistic_binary(z, t, ridge=DEFAULT_RIDGE, grad_tol=1e-8)
         p = sigmoid(z @ beta)
         mask = np.ones(4)
         mask[0] = 0.0
@@ -107,7 +108,7 @@ class TestBinaryLogistic:
     def test_symmetric_design_zero_intercept(self):
         z = np.column_stack([np.ones(20), np.tile([-1.0, 1.0], 10)])
         t = np.tile([0.0, 1.0], 10)
-        beta = fit_logistic_binary(z, t, ridge=0.01)
+        beta, _ = fit_logistic_binary(z, t, ridge=0.01)
         assert abs(beta[0]) <= 1e-6
 
     def test_separable_without_penalty_diverges(self):
@@ -135,11 +136,25 @@ class TestBinaryLogistic:
         assert "raised the log-likelihood" in message
         assert "after 100" not in message
 
+    def test_returns_the_number_of_newton_updates(self):
+        rng = np.random.default_rng(19)
+        x = np.vstack([rng.normal(size=(20, 2)) - 0.8,
+                       rng.normal(size=(20, 2)) + 0.8])
+        z = np.column_stack([np.ones(40), x])
+        t = np.repeat([0.0, 1.0], 20)
+        beta, count = fit_logistic_binary(z, t)
+        assert 1 <= count <= DEFAULT_MAX_ITER
+        again, same = fit_logistic_binary(z, t, max_iter=count)
+        assert same == count and np.array_equal(again, beta)
+        with pytest.raises(NoConvergence,
+                           match=rf"after {count - 1} Newton updates$"):
+            fit_logistic_binary(z, t, max_iter=count - 1)
+
     def test_penalty_shrinks_coefficients(self):
         z = np.column_stack([np.ones(8), np.repeat([-2.0, 2.0], 4)])
         t = np.repeat([0.0, 1.0], 4)
-        small = fit_logistic_binary(z, t, ridge=1e-3)
-        large = fit_logistic_binary(z, t, ridge=1.0)
+        small, _ = fit_logistic_binary(z, t, ridge=1e-3)
+        large, _ = fit_logistic_binary(z, t, ridge=1.0)
         assert abs(large[1]) < abs(small[1])
 
 
@@ -235,7 +250,17 @@ class TestMulticlassLogistic:
         model = fit_logistic_multiclass(train)
         assert isinstance(model, LogisticClassifier)
         assert model.coefficients.shape == (2, 2)
-        assert model.describe() == {"family": "LR", "ridge": DEFAULT_RIDGE}
+        assert model.describe() == {"family": "LR", "ridge": DEFAULT_RIDGE,
+                                    "newton_iterations": model.newton_iterations}
+
+    def test_describe_reports_each_machines_newton_updates(self):
+        panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30,
+                                               seed=0))
+        for selection in ALL_SELECTIONS:
+            train = build_dataset(panel, selection)
+            counts = fit_logistic_multiclass(train).describe()["newton_iterations"]
+            assert len(counts) == train.n_classes
+            assert all(1 <= c <= DEFAULT_MAX_ITER for c in counts)
 
 
 # ------------------------------------------------------------------ network
@@ -373,10 +398,11 @@ def loss_oracle(params, activation, x, y):
 
 
 def loss_and_gradient(params, activation, x, y):
-    """The trainer's loss and gradient, from its forward-pass state."""
-    picks = neuralnet._true_class_picks(y, x.shape[0], params.b2.size)
-    state = neuralnet._forward_state(params, activation, x, picks)
-    return state[0], neuralnet._gradient_from_state(params, activation, x,
+    """The trainer's loss and gradient, from its forward-pass state over
+    the rows of x as columns."""
+    picks = neuralnet._true_class_picks(y)
+    state = neuralnet._forward_state(params, activation, x.T, picks)
+    return state[0], neuralnet._gradient_from_state(params, activation, x.T,
                                                     picks, state)
 
 
@@ -401,9 +427,9 @@ def central_difference(params, activation, x, y, step=1e-5, oracle=loss_oracle):
 
 def objective_and_gradient(params, activation, x, y):
     """The trainer's penalised objective and its flat gradient."""
-    picks = neuralnet._true_class_picks(y, x.shape[0], params.b2.size)
+    picks = neuralnet._true_class_picks(y)
     shape = (params.w1.shape[1], params.b1.size, params.b2.size)
-    data = (activation, x, picks)
+    data = (activation, x.T, picks)
     value, at, state = neuralnet._objective(params.flat.copy(), shape, *data)
     return value, NetParams.of_flat(
         neuralnet._objective_gradient(at, state, *data), *shape)
