@@ -163,14 +163,17 @@ class NbClassifier(ClassifierModel):
 
     Each class scores the queries in blocks whose kernel temporary holds at
     most numerics.BLOCK_BYTES (256 KB), or one query where a single query
-    needs more. A block makes one temporary, laid out as (class rows,
-    queries, d): the scaled differences are written into it and the kernel
-    is evaluated there in place (`kernel_values`). Its mean over the class
-    rows is then a sequential sum, row after row, and lands as a contiguous
-    (queries x d) array, whose logs numpy sums pairwise over the features.
-    A lone feature's class rows are made contiguous first, so that numpy
-    sums them pairwise. These are the sums of the earlier (queries x class
-    rows x d) layout, so every score is the same bit for bit.
+    needs more. Per predict, each class's rows are tiled once along the
+    query axis, (class rows, block queries x d), so that a block's
+    differences are one subtract whose inner loop runs over its queries x d
+    flattened features. They land in one temporary, laid out as (class
+    rows, queries, d), which is scaled and where the kernel is evaluated in
+    place (`kernel_values`). Its mean over the class rows is then a
+    sequential sum, row after row, and lands as a contiguous (queries x d)
+    array, whose logs numpy sums pairwise over the features. A lone
+    feature's class rows are made contiguous first, so that numpy sums
+    them pairwise. These are the sums of the earlier (queries x class rows
+    x d) layout, so every score is the same bit for bit.
     """
 
     family = "NB"
@@ -181,14 +184,20 @@ class NbClassifier(ClassifierModel):
     class_names: tuple[str, ...]
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        x = nm.as_rows(x, self.class_samples[0].shape[1])
+        d = self.class_samples[0].shape[1]
+        x = nm.as_rows(x, d)
         out = np.empty((x.shape[0], len(self.class_samples)))
         for j, samples in enumerate(self.class_samples):
+            tiled = None
             for rows in nm.row_blocks(x.shape[0], samples.nbytes):
-                u = np.subtract(x[None, rows, :], samples[:, None, :])
+                block = x[rows]
+                if tiled is None:  # the first block is the widest
+                    tiled = np.tile(samples, (1, len(block)))
+                u = np.subtract(block.ravel(), tiled[:, :block.size]).reshape(
+                    len(samples), *block.shape)
                 u /= self.bandwidth
                 kernel_values(self.kernel, u)
-                if u.shape[2] == 1:
+                if d == 1:
                     u = np.ascontiguousarray(u.T).T
                 dens = u.mean(axis=0)
                 dens /= self.bandwidth

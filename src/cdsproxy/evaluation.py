@@ -175,8 +175,11 @@ class CvResult:
 
 
 def summarize_errors(errors: Sequence[float]) -> tuple[float, float]:
-    """Mean and population standard deviation (divide by K inside the root)."""
+    """Mean and population standard deviation (divide by K inside the root);
+    BadConfig for no errors."""
     k = len(errors)
+    if k == 0:
+        raise BadConfig("cannot summarise an empty sequence of errors")
     mean = math.fsum(errors) / k
     var = math.fsum((e - mean) ** 2 for e in errors) / k
     return mean, math.sqrt(var)
@@ -244,6 +247,8 @@ def rank_classifiers(results: Iterable[CvResult],
                      ) -> RankingTable:
     """Mean/sd of accuracy over the feature selections, best row first."""
     wanted = tuple(FeatureSelection(s).value for s in selections)
+    if not wanted:
+        raise BadConfig("ranking needs at least one feature selection")
     cells: dict[tuple[str, str], CvResult] = {}
     labels: list[str] = []
     for res in results:

@@ -12,12 +12,17 @@ A query's neighbours are the k training rows nearest by the elementwise
 distance (difference, square or absolute value, sum over the features,
 square root), distance ties resolved to the lower training index; class
 scores are the vote counts among them, label ties to the lower class
-index. City-block evaluates that distance for every pair. Euclidean and
-Mahalanobis screen first: one matrix product gives every squared distance
-as G = |q|^2 + |s|^2 - 2 q.s from the squared row norms stored at fit.
-Where exactly k training rows lie within a rounding margin of the k-th
-smallest G, those k are the elementwise neighbours; the margin is derived
-in `KnnClassifier._screen`. Only the other queries, among them every one
+index. City-block evaluates that distance for every pair. It is formed
+on the training rows feature-major, (d, n), transposed once per predict:
+a block's differences are a (d, queries, n) array whose inner loop runs
+over the n training rows, and `numerics.feature_sum` adds its d layers in
+the order in which numpy sums a contiguous d-vector, so every distance is
+the row-major (queries, n, d) difference's a.sum(axis=-1) bit for bit.
+Euclidean and Mahalanobis screen first: one matrix product gives every
+squared distance as G = |q|^2 + |s|^2 - 2 q.s from the squared row norms
+stored at fit. Where exactly k training rows lie within a rounding margin
+of the k-th smallest G, those k are the elementwise neighbours; the margin
+is derived in `KnnClassifier._screen`. Only the other queries, among them every one
 with an exact tie or a duplicate row at the k-th rank, take the elementwise
 distances and a stable sort, so the scores are those of the elementwise
 distances bit for bit. Queries are scored in blocks sized by
@@ -71,11 +76,14 @@ class KnnClassifier(ClassifierModel):
             q = np.linalg.solve(self.chol_factor, q.T).T
         return q
 
-    def _distances(self, q: np.ndarray) -> np.ndarray:
-        diff = q[:, None, :] - self.x_train[None, :, :]
+    def _distances(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
+        """Elementwise distances from query rows q to the training rows,
+        given feature-major as xt = x_train.T (contiguous)."""
+        diff = np.subtract(q.T[:, :, None], xt[:, None, :])
         if self.metric is Metric.CITYBLOCK:
-            return np.abs(diff, out=diff).sum(axis=-1)
-        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
+            # a copy, so that the (d, queries, n) temporary goes on return
+            return nm.feature_sum(np.abs(diff, out=diff)).copy()
+        return np.sqrt(nm.feature_sum(np.multiply(diff, diff, out=diff)))
 
     def _screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared distances G = |q|^2 + |s|^2 - 2 q.s from query rows q to
@@ -120,19 +128,24 @@ class KnnClassifier(ClassifierModel):
         k = self.k
         out = np.empty((q.shape[0], self.n_classes))
         screened = self.sq_norms is not None
+        # the feature-major rows; a screened predict makes them only if the
+        # screen leaves a query unresolved
+        xt = None if screened else np.ascontiguousarray(self.x_train.T)
         # a block's largest temporary: its keys, or its distance tensor
         row_bytes = self.sq_norms.nbytes if screened else self.x_train.nbytes
         for rows in nm.row_blocks(q.shape[0], row_bytes):
             block = q[rows]
             keys, margin = (self._screen(block) if screened
-                            else (self._distances(block), 0.0))
+                            else (self._distances(block, xt), 0.0))
             nearest = np.argpartition(keys, k - 1, axis=1)[:, :k]
             # the k nearest are one set unless a key beyond the k-th lies
             # within the margin of it; there the elementwise distances and
             # a stable sort hand each tie to the lower index
             kth = np.take_along_axis(keys, nearest[:, k - 1:], axis=1)
             for i in np.flatnonzero((keys <= kth + margin).sum(axis=1) != k):
-                dists = self._distances(block[i:i + 1])[0] if screened else keys[i]
+                if xt is None:
+                    xt = np.ascontiguousarray(self.x_train.T)
+                dists = self._distances(block[i:i + 1], xt)[0] if screened else keys[i]
                 nearest[i] = np.argsort(dists, kind="stable")[:k]
             n = nearest.shape[0]
             slots = self.y_train[nearest] + self.n_classes * np.arange(n)[:, None]

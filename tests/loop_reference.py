@@ -12,8 +12,11 @@ feature at every node and evaluate the float score of every candidate, as
 candidates by integer counts. `nb_scores_batch` scores naive Bayes on a
 (queries x class rows x d) tensor with a new array for every operation,
 as `cdsproxy.bayes` did before it evaluated its kernel in place in one
-temporary. The tests swap them in and require the fitted models, or the
-scores, to agree bit for bit.
+temporary. `knn_distances` and `knn_scores_batch` form the kNN distances
+row-major, as a (queries x training rows x d) difference summed over its
+last axis, as `cdsproxy.neighbors` did before it worked on feature-major
+rows, and rank every training row by a stable sort. The tests swap them
+in and require the fitted models, or the scores, to agree bit for bit.
 
 `lbfgs_direction` is the two-loop L-BFGS recursion, which
 `cdsproxy.neuralnet` replaced by the compact form of the same inverse
@@ -30,6 +33,7 @@ from cdsproxy.errors import (
     EmptyTrainingSet,
     NoConvergence,
 )
+from cdsproxy.neighbors import Metric
 from cdsproxy.neuralnet import Activation, NetParams, activation_value
 from cdsproxy.svm import (
     _IP_MAX_ITERATIONS,
@@ -521,3 +525,23 @@ def nb_scores_batch(model, x):
                 logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
             out[rows, j] = logs.sum(axis=1) + model.log_priors[j]
     return out
+
+
+def knn_distances(model, q):
+    """Elementwise distances from the prepared query rows q (standardised or
+    whitened as the model's training rows) to every training row. The
+    rows are made contiguous first, so that the difference is laid out in
+    C order and numpy sums each pair's d terms as one contiguous vector."""
+    diff = np.ascontiguousarray(q)[:, None, :] - model.x_train[None, :, :]
+    if model.metric is Metric.CITYBLOCK:
+        return np.abs(diff).sum(axis=-1)
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def knn_scores_batch(model, x):
+    """Vote counts among each query's k nearest training rows, every
+    distance tie to the lower training index."""
+    dists = knn_distances(model, model._query_matrix(x))
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :model.k]
+    return np.array([np.bincount(model.y_train[row], minlength=model.n_classes)
+                     for row in nearest], dtype=float).reshape(-1, model.n_classes)

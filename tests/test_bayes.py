@@ -353,6 +353,24 @@ class TestAgainstFrozenLoop:
             model = fit_nb(data, kernel=kind)
             assert np.array_equal(model.scores_batch(q), ref.nb_scores_batch(model, q))
 
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_partial_last_blocks(self, kind, monkeypatch):
+        # blocks of 2 to 42 queries leave a partial last block of the 43
+        # queries, a prime, in every class of both models
+        train = Dataset(x=self.rate_like(600, seed=27),
+                        y=random_dataset(600, 5, 3, seed=26).y,
+                        class_names=("c0", "c1", "c2"),
+                        feature_names=tuple(f"f{i}" for i in range(5)))
+        queries = self.rate_like(43, seed=28)
+        lone = Dataset(x=train.x[:, :1], y=train.y, class_names=train.class_names,
+                       feature_names=train.feature_names[:1])
+        for data, q in ((train, queries), (lone, queries[:, :1])):
+            model = fit_nb(data, kernel=kind)
+            sizes = [samples.nbytes for samples in model.class_samples]
+            monkeypatch.setattr(nm, "BLOCK_BYTES", 5 * max(sizes))
+            assert all(2 <= nm.BLOCK_BYTES // size <= 42 for size in sizes)
+            assert np.array_equal(model.scores_batch(q), ref.nb_scores_batch(model, q))
+
     def test_rate_column_underflows(self):
         u = (self.rate_like(43, seed=28)[:, None, 0]
              - self.rate_like(600, seed=27)[None, :, 0]) / DEFAULT_BANDWIDTH

@@ -198,6 +198,10 @@ class TestCvStatistics:
         assert mean == 0.5
         assert sd == 0.5  # population: sqrt(((0.5)^2 + (0.5)^2) / 2)
 
+    def test_no_errors_rejected(self):
+        with pytest.raises(BadConfig, match="empty sequence of errors"):
+            summarize_errors([])
+
     def test_stochastic_learners_replay_bit_identically(self, blob3):
         spec = ClassifierSpec(
             label="BaggedTree", family="BaggedTree",
@@ -295,6 +299,14 @@ class TestClassifierGrid:
             assert np.allclose(model.scores_batch(row[None])[0], scores[i])
 
     @pytest.mark.parametrize("label", DEFAULT_GRID)
+    def test_every_default_label_scores_zero_rows(self, label):
+        ds = make_blobs(centers=[(0, 0, 0), (4, 4, 1), (-4, 4, -1)], n_per_class=12,
+                        scale=0.6, seed=13)
+        model = make_classifier_spec(label).fit(ds, seed=1)
+        assert model.scores_batch(np.empty((0, ds.d))).shape == (0, ds.n_classes)
+        assert model.classify_batch(np.empty((0, ds.d))).shape == (0,)
+
+    @pytest.mark.parametrize("label", DEFAULT_GRID)
     def test_every_default_label_rejects_rows_of_another_width(self, label):
         ds = make_blobs(centers=[(0, 0, 0), (4, 4, 1), (-4, 4, -1)], n_per_class=12,
                         scale=0.6, seed=13)
@@ -390,6 +402,12 @@ class TestRanking:
         table = rank_classifiers(results, selections=("FS1", "FS2"))
         assert table.selections == ("FS1", "FS2")
         assert table.rows[0].accuracies == (0.6, 0.8)
+
+    @pytest.mark.parametrize("with_results", [True, False])
+    def test_no_selections_rejected(self, with_results):
+        results = [self.result("A", "FS1", 0.4)] if with_results else []
+        with pytest.raises(BadConfig, match="at least one feature selection"):
+            rank_classifiers(results, selections=())
 
 
 class TestPcaStudy:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from conftest import make_blobs, random_dataset
 from cdsproxy import numerics as nm
 from cdsproxy.core import Dataset
@@ -164,6 +165,43 @@ class TestBlockedScoring:
         assert peak < 8 * 2**20
 
 
+class TestAgainstRowMajorFormula:
+    """The feature-major distances against the (queries x training rows x d)
+    formula they replaced, on 2,400 x 16 training rows (300 KB, more than
+    one block) that come in identical pairs with different labels: every
+    odd rank is tied with the next, so every k-th neighbour is decided by
+    index."""
+
+    @staticmethod
+    def paired(seed):
+        rng = np.random.default_rng(seed)
+        x = np.repeat(rng.normal(size=(1200, 16)), 2, axis=0)
+        y = np.tile([0, 1], 1200)
+        order = rng.permutation(len(x))
+        return Dataset(x=x[order], y=y[order], class_names=("a", "b"),
+                       feature_names=tuple(f"f{i}" for i in range(16)))
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_distances_equal_bit_for_bit(self, metric):
+        train = self.paired(seed=30)
+        model = fit_knn(train, metric=metric)
+        q = model._query_matrix(np.random.default_rng(31).normal(size=(7, 16)))
+        got = model._distances(q, np.ascontiguousarray(model.x_train.T))
+        assert got.tobytes() == ref.knn_distances(model, q).tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [1, nm.BLOCK_BYTES, 1 << 40])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_scores_equal_bit_for_bit(self, metric, block_bytes, monkeypatch):
+        train = self.paired(seed=30)
+        queries = np.random.default_rng(31).normal(size=(25, 16))
+        queries[:5] = train.x[:5]
+        monkeypatch.setattr(nm, "BLOCK_BYTES", block_bytes)
+        for k in (1, 3, 9, 31):
+            model = fit_knn(train, k=k, metric=metric)
+            assert np.array_equal(model.scores_batch(queries),
+                                  ref.knn_scores_batch(model, queries))
+
+
 def elementwise_distances(metric, train_x, query):
     diff = query - train_x
     return (np.abs(diff).sum(axis=1) if metric is Metric.CITYBLOCK
@@ -244,9 +282,9 @@ def count_elementwise_rows(monkeypatch):
     seen = []
     original = KnnClassifier._distances
 
-    def counting(self, q):
+    def counting(self, q, xt):
         seen.append(q.copy())
-        return original(self, q)
+        return original(self, q, xt)
 
     monkeypatch.setattr(KnnClassifier, "_distances", counting)
     return seen
