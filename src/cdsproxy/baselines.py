@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import (
+    BadConfig,
     EmptyBucket,
     NotPositiveDefinite,
     RangeViolation,
@@ -125,6 +126,8 @@ class CrossSectionalModel:
     def log_spread(self, categories: Mapping[str, str]) -> float:
         total = self.intercept
         for field in CATEGORY_FIELDS:
+            if field not in categories:
+                raise BadConfig(f"categories lack the {field!r} field")
             total += self.coefficient(field, categories[field])
         return total
 

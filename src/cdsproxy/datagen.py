@@ -365,7 +365,8 @@ def records_from_panel(panel: MarketPanel,
                        categories: Mapping[str, Mapping[str, str]] | None = None,
                        ) -> list[CdsContractRecord]:
     """One record per counterparty: its latest observed five-year rate
-    plus category labels (generated deterministically when not given)."""
+    plus category labels (generated deterministically when not given);
+    BadConfig when the given labels lack a counterparty."""
     if categories is None:
         categories = assign_categories(panel.counterparties)
     records = []
@@ -375,6 +376,8 @@ def records_from_panel(panel: MarketPanel,
         if observed.size == 0:
             raise MissingFiveYearRate(
                 f"counterparty {name!r} has no observed five-year rate")
+        if name not in categories:
+            raise BadConfig(f"categories have no entry for counterparty {name!r}")
         cats = categories[name]
         records.append(CdsContractRecord(
             counterparty=name, spread=float(rates[observed[-1]]),

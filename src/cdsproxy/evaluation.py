@@ -207,10 +207,14 @@ def cross_validate(spec: ClassifierSpec, dataset: Dataset,
 
     Any error raised while fitting a fold is re-raised as FitFailure naming
     the label, the feature selection and the fold index; no partial result
-    is returned.
+    is returned. A given plan must assign every row of the dataset
+    (BadConfig otherwise).
     """
     if plan is None:
         plan = stratified_folds(dataset, k, seed)
+    elif plan.assignment.size != dataset.n:
+        raise BadConfig(f"fold plan assigns {plan.assignment.size} rows, "
+                        f"the dataset has {dataset.n}")
     selection = dataset.selection.value if dataset.selection else ""
     errors = []
     for fold in range(plan.k):
@@ -245,7 +249,10 @@ class RankingTable:
 def rank_classifiers(results: Iterable[CvResult],
                      selections: Sequence[FeatureSelection | str] = tuple(FeatureSelection),
                      ) -> RankingTable:
-    """Mean/sd of accuracy over the feature selections, best row first."""
+    """Mean/sd of accuracy over the feature selections, best row first.
+
+    BadConfig when two results share a label and a feature selection.
+    """
     wanted = tuple(FeatureSelection(s).value for s in selections)
     if not wanted:
         raise BadConfig("ranking needs at least one feature selection")
@@ -254,6 +261,8 @@ def rank_classifiers(results: Iterable[CvResult],
     for res in results:
         if res.label not in labels:
             labels.append(res.label)
+        if (res.label, res.selection) in cells:
+            raise BadConfig(f"two results for {res.label} on {res.selection}")
         cells[(res.label, res.selection)] = res
     rows = []
     for label in labels:

@@ -9,15 +9,13 @@ way, and the Euclidean distance between whitened rows is the Mahalanobis
 distance.
 
 A query's neighbours are the k training rows nearest by the elementwise
-distance (difference, square or absolute value, sum over the features,
-square root), distance ties resolved to the lower training index; class
-scores are the vote counts among them, label ties to the lower class
-index. City-block evaluates that distance for every pair. It is formed
-on the training rows feature-major, (d, n), transposed once per predict:
-a block's differences are a (d, queries, n) array whose inner loop runs
-over the n training rows, and `numerics.feature_sum` adds its d layers in
-the order in which numpy sums a contiguous d-vector, so every distance is
-the row-major (queries, n, d) difference's a.sum(axis=-1) bit for bit.
+distance (difference, square or absolute value, sum over the features in
+ascending feature order, square root), distance ties resolved to the
+lower training index; class scores are the vote counts among them, label
+ties to the lower class index. The fit stores the training rows once,
+feature-major, as a contiguous (d, n) array, so a block's differences are
+a (d, queries, n) array whose inner loop runs over the n training rows.
+City-block evaluates the elementwise distance for every pair.
 Euclidean and Mahalanobis screen first: one matrix product gives every
 squared distance as G = |q|^2 + |s|^2 - 2 q.s from the squared row norms
 stored at fit. Where exactly k training rows lie within a rounding margin
@@ -55,12 +53,12 @@ class Metric(str, enum.Enum):
 
 @dataclass
 class KnnClassifier(ClassifierModel):
-    """Lazy nearest-neighbour model; stores the standardised, whitened or raw rows."""
+    """Lazy nearest-neighbour model; stores the standardised or whitened rows."""
 
     family = "KNN"
     k: int
     metric: Metric
-    x_train: np.ndarray          # standardised, whitened (Mahalanobis) or raw rows
+    x_train: np.ndarray          # (d, n): the standardised or whitened rows, feature-major
     y_train: np.ndarray
     n_classes: int
     class_names: tuple[str, ...]
@@ -69,21 +67,25 @@ class KnnClassifier(ClassifierModel):
     sq_norms: np.ndarray | None = None     # |s|^2 of each row; not for city-block
 
     def _query_matrix(self, x: np.ndarray) -> np.ndarray:
-        q = nm.as_rows(x, self.x_train.shape[1])
+        q = nm.as_rows(x, self.x_train.shape[0])
         if self.standardizer is not None:
             q = self.standardizer.apply(q)
         if self.chol_factor is not None:
             q = np.linalg.solve(self.chol_factor, q.T).T
         return q
 
-    def _distances(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
-        """Elementwise distances from query rows q to the training rows,
-        given feature-major as xt = x_train.T (contiguous)."""
-        diff = np.subtract(q.T[:, :, None], xt[:, None, :])
+    def _distances(self, q: np.ndarray) -> np.ndarray:
+        """Elementwise distances from query rows q to every training row,
+        each pair's d terms added in ascending feature order."""
+        terms = np.subtract(q.T[:, :, None], self.x_train[:, None, :])
         if self.metric is Metric.CITYBLOCK:
-            # a copy, so that the (d, queries, n) temporary goes on return
-            return nm.feature_sum(np.abs(diff, out=diff)).copy()
-        return np.sqrt(nm.feature_sum(np.multiply(diff, diff, out=diff)))
+            np.abs(terms, out=terms)
+        else:
+            np.multiply(terms, terms, out=terms)
+        total = terms[0].copy()
+        for layer in terms[1:]:
+            total += layer
+        return total if self.metric is Metric.CITYBLOCK else np.sqrt(total, out=total)
 
     def _screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared distances G = |q|^2 + |s|^2 - 2 q.s from query rows q to
@@ -114,7 +116,7 @@ class KnnClassifier(ClassifierModel):
         takes the elementwise path; the bound assumes finite rows.
         """
         qn = (q * q).sum(axis=1)
-        keys = q @ self.x_train.T
+        keys = q @ self.x_train
         keys *= -2.0
         keys += qn[:, None]
         keys += self.sq_norms
@@ -128,24 +130,19 @@ class KnnClassifier(ClassifierModel):
         k = self.k
         out = np.empty((q.shape[0], self.n_classes))
         screened = self.sq_norms is not None
-        # the feature-major rows; a screened predict makes them only if the
-        # screen leaves a query unresolved
-        xt = None if screened else np.ascontiguousarray(self.x_train.T)
         # a block's largest temporary: its keys, or its distance tensor
         row_bytes = self.sq_norms.nbytes if screened else self.x_train.nbytes
         for rows in nm.row_blocks(q.shape[0], row_bytes):
             block = q[rows]
             keys, margin = (self._screen(block) if screened
-                            else (self._distances(block, xt), 0.0))
+                            else (self._distances(block), 0.0))
             nearest = np.argpartition(keys, k - 1, axis=1)[:, :k]
             # the k nearest are one set unless a key beyond the k-th lies
             # within the margin of it; there the elementwise distances and
             # a stable sort hand each tie to the lower index
             kth = np.take_along_axis(keys, nearest[:, k - 1:], axis=1)
             for i in np.flatnonzero((keys <= kth + margin).sum(axis=1) != k):
-                if xt is None:
-                    xt = np.ascontiguousarray(self.x_train.T)
-                dists = self._distances(block[i:i + 1], xt)[0] if screened else keys[i]
+                dists = self._distances(block[i:i + 1])[0] if screened else keys[i]
                 nearest[i] = np.argsort(dists, kind="stable")[:k]
             n = nearest.shape[0]
             slots = self.y_train[nearest] + self.n_classes * np.arange(n)[:, None]
@@ -181,13 +178,13 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K,
             chol = nm.cholesky_spd(cov)
         except NotPositiveDefinite as exc:
             raise SingularCovariance(f"training covariance not invertible: {exc}") from exc
-        x = np.linalg.solve(chol, train.x.T).T
+        x = np.linalg.solve(chol, train.x.T)
     else:
         standardizer = nm.standardizer_fit(train.x)
-        x = standardizer.apply(train.x)
-    x = np.array(x, dtype=float, order="C")
+        x = standardizer.apply(train.x).T
+    x = np.ascontiguousarray(x, dtype=float)
     return KnnClassifier(k=k, metric=metric, x_train=x,
                          y_train=np.asarray(train.y, dtype=int),
                          n_classes=train.n_classes, class_names=train.class_names,
                          standardizer=standardizer, chol_factor=chol,
-                         sq_norms=None if metric is Metric.CITYBLOCK else (x * x).sum(axis=1))
+                         sq_norms=None if metric is Metric.CITYBLOCK else (x * x).sum(axis=0))

@@ -6,8 +6,7 @@ factorisation and SPD solves (all three by numpy's LAPACK routines, behind
 this module's NotSymmetric / NotPositiveDefinite / DimensionMismatch
 checks), principal-component analysis and feature standardisation, plus
 the query-row checks and the block slicing that the instance-based
-classifiers (kNN, kernel naive Bayes) use to keep their temporaries small,
-and the feature sum in numpy's own order that the kNN distances use.
+classifiers (kNN, kernel naive Bayes) use to keep their temporaries small.
 """
 from __future__ import annotations
 
@@ -97,39 +96,6 @@ def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
     fit in BLOCK_BYTES at row_bytes per row, and at least one."""
     step = max(1, BLOCK_BYTES // max(1, row_bytes))
     return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
-
-
-def feature_sum(a: np.ndarray) -> np.ndarray:
-    """Sum a (d, ...) float array over its first axis, in place; returns a
-    view of a[0], and a is left overwritten.
-
-    The terms are added in the order numpy's add.reduce sums a contiguous
-    d-vector (its pairwise sum): d < 8 in order; d from 8 to 128 as eight
-    running sums r_k = a_k + a_(k+8) + ..., combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
-    d mod 8 terms in order; above 128, the two halves, split at a multiple
-    of 8, each so and then added. So a (d, n) array of feature-major rows
-    sums to what each row's a.sum(axis=-1) gives, bit for bit, with an
-    inner loop of n instead of d. (A sum of negative zeros alone stays
-    -0.0, where numpy's initial +0.0 turns it into +0.0.)
-    """
-    d = a.shape[0]
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        feature_sum(a[:half])
-        a[0] += feature_sum(a[half:])
-        return a[0]
-    rest = 1
-    if d >= 8:
-        rest = d - d % 8
-        for i in range(8, rest, 8):
-            a[:8] += a[i:i + 8]
-        a[0:8:2] += a[1:8:2]
-        a[0:8:4] += a[2:8:4]
-        a[0] += a[4]
-    for i in range(rest, d):
-        a[0] += a[i]
-    return a[0]
 
 
 def _as_matrix(vectors: np.ndarray) -> np.ndarray:

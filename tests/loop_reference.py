@@ -13,10 +13,11 @@ candidates by integer counts. `nb_scores_batch` scores naive Bayes on a
 (queries x class rows x d) tensor with a new array for every operation,
 as `cdsproxy.bayes` did before it evaluated its kernel in place in one
 temporary. `knn_distances` and `knn_scores_batch` form the kNN distances
-row-major, as a (queries x training rows x d) difference summed over its
-last axis, as `cdsproxy.neighbors` did before it worked on feature-major
-rows, and rank every training row by a stable sort. The tests swap them
-in and require the fitted models, or the scores, to agree bit for bit.
+row-major, as a (queries x training rows x d) difference whose last axis
+is summed in ascending feature order by an explicit loop, where
+`cdsproxy.neighbors` works on feature-major rows, and rank every training
+row by a stable sort. The tests swap them in and require the fitted
+models, or the scores, to agree bit for bit.
 
 `lbfgs_direction` is the two-loop L-BFGS recursion, which
 `cdsproxy.neuralnet` replaced by the compact form of the same inverse
@@ -529,13 +530,14 @@ def nb_scores_batch(model, x):
 
 def knn_distances(model, q):
     """Elementwise distances from the prepared query rows q (standardised or
-    whitened as the model's training rows) to every training row. The
-    rows are made contiguous first, so that the difference is laid out in
-    C order and numpy sums each pair's d terms as one contiguous vector."""
-    diff = np.ascontiguousarray(q)[:, None, :] - model.x_train[None, :, :]
-    if model.metric is Metric.CITYBLOCK:
-        return np.abs(diff).sum(axis=-1)
-    return np.sqrt((diff * diff).sum(axis=-1))
+    whitened as the model's training rows) to every training row, each
+    pair's d terms added in ascending feature order."""
+    diff = q[:, None, :] - model.x_train.T[None, :, :]
+    terms = np.abs(diff) if model.metric is Metric.CITYBLOCK else diff * diff
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total if model.metric is Metric.CITYBLOCK else np.sqrt(total)
 
 
 def knn_scores_batch(model, x):

@@ -19,6 +19,7 @@ from cdsproxy.baselines import (
     group_buckets,
 )
 from cdsproxy.errors import (
+    BadConfig,
     EmptyBucket,
     RangeViolation,
     RankDeficientDesign,
@@ -189,6 +190,14 @@ class TestCrossSectional:
         model = fit_cross_sectional(records)
         query = records[0].categories() | {"rating": "CCC"}
         with pytest.raises(UnknownCategoryLevel, match="rating"):
+            model.predict(query)
+
+    def test_missing_field_rejected_at_prediction(self):
+        records = [record("A", 100.0), record("B", 200.0, rating="BB")]
+        model = fit_cross_sectional(records)
+        query = records[0].categories()
+        del query["sector"]
+        with pytest.raises(BadConfig, match="sector"):
             model.predict(query)
 
     def test_no_records_rejected(self):

@@ -496,6 +496,14 @@ class TestCategoriesAndRecords:
         with pytest.raises(MissingFiveYearRate, match="CP000"):
             records_from_panel(panel)
 
+    def test_categories_without_a_counterparty_rejected(self):
+        panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=4,
+                                               seed=12))
+        categories = assign_categories(panel.counterparties)
+        del categories["CP001"]
+        with pytest.raises(BadConfig, match="CP001"):
+            records_from_panel(panel, categories)
+
     def test_default_records_support_the_regression_baseline(self):
         # the generated category design must be full rank so the
         # cross-sectional baseline runs on default panels

@@ -193,6 +193,16 @@ class TestCvStatistics:
         assert abs(res.mean_error - mean) <= 1e-12
         assert abs(res.sd_error - math.sqrt(var)) <= 1e-12
 
+    @pytest.mark.parametrize("per_class", [20, 40])
+    def test_plan_for_another_row_count_rejected(self, blob3, per_class):
+        # a 60-row plan would cross-validate only 60 of blob3's 90 rows,
+        # a 120-row plan would index past its end
+        other = make_blobs([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], per_class, seed=42)
+        plan = stratified_folds(other, 5, seed=7)
+        with pytest.raises(BadConfig, match=f"assigns {3 * per_class} rows, the dataset has 90"):
+            cross_validate(make_classifier_spec("KNN-Euclidean"), blob3, k=5, seed=7,
+                           plan=plan)
+
     def test_population_sd_convention(self):
         mean, sd = summarize_errors([0.0, 1.0])
         assert mean == 0.5
@@ -395,6 +405,12 @@ class TestRanking:
         results = [self.result("A", sel, 0.1)
                    for sel in self.selections()[:-1]]  # FS6 absent
         with pytest.raises(MissingCell, match="FS6"):
+            rank_classifiers(results)
+
+    def test_duplicate_cell_rejected(self):
+        results = [self.result("A", sel, 0.1) for sel in self.selections()]
+        results.append(self.result("A", "FS3", 0.5))
+        with pytest.raises(BadConfig, match="two results for A on FS3"):
             rank_classifiers(results)
 
     def test_restricted_selection_set(self):

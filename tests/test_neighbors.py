@@ -165,29 +165,62 @@ class TestBlockedScoring:
         assert peak < 8 * 2**20
 
 
-class TestAgainstRowMajorFormula:
+class TestAgainstRowMajorAscendingSum:
     """The feature-major distances against the (queries x training rows x d)
-    formula they replaced, on 2,400 x 16 training rows (300 KB, more than
-    one block) that come in identical pairs with different labels: every
-    odd rank is tied with the next, so every k-th neighbour is decided by
-    index."""
+    difference summed over its last axis in ascending feature order, on
+    2,400 training rows (300 KB at 16 features, more than one block) that
+    come in identical pairs with different labels: every odd rank is tied
+    with the next, so every k-th neighbour is decided by index."""
 
     @staticmethod
-    def paired(seed):
+    def paired(seed, d=16):
         rng = np.random.default_rng(seed)
-        x = np.repeat(rng.normal(size=(1200, 16)), 2, axis=0)
+        x = np.repeat(rng.normal(size=(1200, d)), 2, axis=0)
         y = np.tile([0, 1], 1200)
         order = rng.permutation(len(x))
         return Dataset(x=x[order], y=y[order], class_names=("a", "b"),
-                       feature_names=tuple(f"f{i}" for i in range(16)))
+                       feature_names=tuple(f"f{i}" for i in range(d)))
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 15, 16, 40])
     @pytest.mark.parametrize("metric", list(Metric))
-    def test_distances_equal_bit_for_bit(self, metric):
-        train = self.paired(seed=30)
-        model = fit_knn(train, metric=metric)
-        q = model._query_matrix(np.random.default_rng(31).normal(size=(7, 16)))
-        got = model._distances(q, np.ascontiguousarray(model.x_train.T))
+    def test_distances_equal_bit_for_bit(self, metric, d):
+        model = fit_knn(self.paired(seed=30, d=d), metric=metric)
+        assert model.x_train.shape == (d, 2400) and model.x_train.flags.c_contiguous
+        q = model._query_matrix(np.random.default_rng(31).normal(size=(7, d)))
+        got = model._distances(q)
+        assert got.shape == (7, 2400)
         assert got.tobytes() == ref.knn_distances(model, q).tobytes()
+
+    @pytest.mark.parametrize("d", [7, 16, 40])
+    def test_order_shows_in_the_rounding(self, d):
+        # the sums in descending feature order differ on some pairs, so the
+        # test above would catch a sum in another order
+        model = fit_knn(self.paired(seed=30, d=d), metric=Metric.CITYBLOCK)
+        q = model._query_matrix(np.random.default_rng(31).normal(size=(7, d)))
+        terms = np.abs(q.T[:, :, None] - model.x_train[:, None, :])
+        descending = terms[-1].copy()
+        for layer in terms[-2::-1]:
+            descending += layer
+        assert np.any(descending != model._distances(q))
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_ascending_sum_of_terms_spread_over_decades(self, d):
+        # signed features spread over 16 decades, so that the order of the
+        # additions shows in the rounded sums
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(407, d)) * 10.0 ** rng.uniform(-8, 8, size=(407, d))
+        train = Dataset(x=x[7:], y=np.arange(400) % 2, class_names=("a", "b"),
+                        feature_names=tuple(f"f{i}" for i in range(d)))
+        model = fit_knn(train, metric=Metric.CITYBLOCK)
+        q = model._query_matrix(x[:7])
+        got = model._distances(q)
+        assert got.tobytes() == ref.knn_distances(model, q).tobytes()
+        if d > 2:
+            terms = np.abs(q.T[:, :, None] - model.x_train[:, None, :])
+            descending = terms[-1].copy()
+            for layer in terms[-2::-1]:
+                descending += layer
+            assert np.any(descending != got)
 
     @pytest.mark.parametrize("block_bytes", [1, nm.BLOCK_BYTES, 1 << 40])
     @pytest.mark.parametrize("metric", list(Metric))
@@ -232,7 +265,7 @@ class TestExactTiesThroughPartition:
         # standardised or whitened grid is the integer grid times one scale
         # and keeps its exact distance ties
         model = fit_knn(train, k=1, metric=metric)
-        zs_train, zs_queries = model.x_train, model._query_matrix(queries)
+        zs_train, zs_queries = model.x_train.T, model._query_matrix(queries)
         decided_by_index = 0
         for k in range(1, train.n + 1, 2):  # k == n included
             got = fit_knn(train, k=k, metric=metric).scores_batch(queries)
@@ -245,7 +278,7 @@ class TestExactTiesThroughPartition:
 
     def check_every_odd_k(self, train, queries, metric):
         model = fit_knn(train, k=1, metric=metric)
-        zs_train, zs_queries = model.x_train, model._query_matrix(queries)
+        zs_train, zs_queries = model.x_train.T, model._query_matrix(queries)
         for k in range(1, train.n + 1, 2):
             got = fit_knn(train, k=k, metric=metric).scores_batch(queries)
             want = np.array([self.votes(zs_train, train.y, train.n_classes, k, metric, q)
@@ -282,9 +315,9 @@ def count_elementwise_rows(monkeypatch):
     seen = []
     original = KnnClassifier._distances
 
-    def counting(self, q, xt):
+    def counting(self, q):
         seen.append(q.copy())
-        return original(self, q, xt)
+        return original(self, q)
 
     monkeypatch.setattr(KnnClassifier, "_distances", counting)
     return seen
@@ -309,7 +342,7 @@ class TestScreen:
         for k in range(1, train.n, 2):
             model = fit_knn(train, k=k, metric=metric)
             zs_queries = model._query_matrix(queries)
-            ranked = np.sort([elementwise_distances(metric, model.x_train, q)
+            ranked = np.sort([elementwise_distances(metric, model.x_train.T, q)
                               for q in zs_queries], axis=1)
             tied = np.flatnonzero(ranked[:, k - 1] == ranked[:, k])
             seen.clear()

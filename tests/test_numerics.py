@@ -195,39 +195,3 @@ class TestStandardizer:
     def test_needs_two_rows(self):
         with pytest.raises(FewerThanTwoSamples):
             nm.standardizer_fit(np.ones((1, 2)))
-
-
-class TestFeatureSum:
-    """feature_sum must add in numpy's own order: if a numpy release changes
-    how add.reduce sums a contiguous vector, these tests fail rather than
-    the kNN distances moving."""
-
-    @staticmethod
-    def rows(d, seed):
-        # signed terms spread over 16 decades, so that the order of the
-        # additions shows in the rounded sums
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(400, d)) * 10.0 ** rng.uniform(-8, 8, size=(400, d))
-
-    @pytest.mark.parametrize("d", [*range(1, 41), 129, 300])
-    def test_equals_numpys_sum_of_contiguous_rows(self, d):
-        a = self.rows(d, seed=d)
-        feature_major = np.ascontiguousarray(a.T)
-        got = nm.feature_sum(feature_major)
-        assert got.shape == (400,)
-        assert got.tobytes() == a.sum(axis=-1).tobytes()
-
-    @pytest.mark.parametrize("d", [8, 16, 40, 300])
-    def test_order_shows_in_the_rounding(self, d):
-        # the sums in plain left-to-right order differ on some rows, so the
-        # test above would catch a wrong order
-        a = self.rows(d, seed=d)
-        in_order = a[:, 0].copy()
-        for column in a.T[1:]:
-            in_order += column
-        assert np.any(in_order != a.sum(axis=-1))
-
-    def test_sums_over_the_first_axis_of_any_trailing_shape(self):
-        a = self.rows(24, seed=5).reshape(20, 20, 24)
-        got = nm.feature_sum(np.ascontiguousarray(np.moveaxis(a, -1, 0)))
-        assert got.tobytes() == a.sum(axis=-1).tobytes()
