@@ -111,11 +111,13 @@ class CrossSectionalModel:
     references: tuple[tuple[str, str], ...]
 
     def coefficient(self, field: str, level: str) -> float:
-        table = dict(self.coefficients)[field]
         references = dict(self.references)
+        if field not in references:
+            raise BadConfig(f"{field!r} is not a category field; the fields "
+                            f"are {', '.join(CATEGORY_FIELDS)}")
         if level == references[field]:
             return 0.0
-        levels = dict(table)
+        levels = dict(dict(self.coefficients)[field])
         if level not in levels:
             known = sorted([references[field], *levels])
             raise UnknownCategoryLevel(

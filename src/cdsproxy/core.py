@@ -18,7 +18,6 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import (
-    BadConfig,
     EmptyClass,
     EmptyTrainingSet,
     InsufficientObservedRates,
@@ -240,30 +239,27 @@ class ClassifierModel(abc.ABC):
 IMPUTATION_RIDGE = 1e-8
 
 
-def impute_five_year_rate(panel: MarketPanel,
-                          basis: FeatureSelection = FeatureSelection.FS5) -> MarketPanel:
+def impute_five_year_rate(panel: MarketPanel) -> MarketPanel:
     """Fill missing five-year rates from a log-linear regression.
 
-    Regresses log(s) on the basis features (a selection without s) over the
-    rows where s is observed, then fills each missing rate with the
-    exponential of its fitted value. Observed rates are never modified;
-    a panel with no missing rates is returned unchanged.
+    Regresses log(s) on the FS5 features (FS2 without s) over the rows
+    where s is observed, then fills each missing rate with the exponential
+    of its fitted value. Observed rates are never modified; a panel with no
+    missing rates is returned unchanged.
     """
-    basis = FeatureSelection(basis)
-    if S_COLUMN in basis.columns:
-        raise BadConfig(f"imputation basis {basis.value} must not include s")
     miss = panel.missing_s_mask()
     if not miss.any():
         return panel
     flat_miss = miss.reshape(-1)
-    features = np.column_stack([panel.values[c].reshape(-1) for c in basis.columns])
+    features = np.column_stack([panel.values[c].reshape(-1)
+                                for c in FeatureSelection.FS5.columns])
     design = np.column_stack([np.ones(features.shape[0]), features])
     svals = panel.values[S_COLUMN].reshape(-1)
     obs = ~flat_miss
     n_obs, n_coef = int(obs.sum()), design.shape[1]
     if n_obs < n_coef + 1:
         raise InsufficientObservedRates(
-            f"{n_obs} observed rates < {n_coef + 1} needed for basis {basis.value}")
+            f"{n_obs} observed rates < {n_coef + 1} needed for basis FS5")
     target = np.log(np.maximum(svals[obs], 1e-12))
     xo = design[obs]
     normal = xo.T @ xo + IMPUTATION_RIDGE * np.eye(n_coef)

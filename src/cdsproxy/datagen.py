@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import CdsContractRecord
+from .baselines import CATEGORY_FIELDS, CdsContractRecord
 from .core import (
     HV_COLUMNS,
     IV_COLUMNS,
@@ -366,7 +366,7 @@ def records_from_panel(panel: MarketPanel,
                        ) -> list[CdsContractRecord]:
     """One record per counterparty: its latest observed five-year rate
     plus category labels (generated deterministically when not given);
-    BadConfig when the given labels lack a counterparty."""
+    BadConfig when the given labels lack a counterparty or a field."""
     if categories is None:
         categories = assign_categories(panel.counterparties)
     records = []
@@ -379,6 +379,10 @@ def records_from_panel(panel: MarketPanel,
         if name not in categories:
             raise BadConfig(f"categories have no entry for counterparty {name!r}")
         cats = categories[name]
+        missing = set(CATEGORY_FIELDS).difference(cats)
+        if missing:
+            raise BadConfig(f"categories of counterparty {name!r} lack the "
+                            f"fields {sorted(missing)}")
         records.append(CdsContractRecord(
             counterparty=name, spread=float(rates[observed[-1]]),
             region=cats["region"], sector=cats["sector"],

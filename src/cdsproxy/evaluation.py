@@ -120,7 +120,7 @@ _CLASSIFIERS: dict[str, tuple[str, Callable[..., ClassifierModel], dict]] = {
     "NN-Tangent": ("NN", fit_neural_net, {"activation": Activation.TAN_SIGMOID}),
     "NN-Linear": ("NN", fit_neural_net, {"activation": Activation.LINEAR}),
     "NN-Elliot": ("NN", fit_neural_net, {"activation": Activation.ELLIOT_SIGMOID}),
-    "BaggedTree": ("BaggedTree", fit_bagged, {"criterion": SplitCriterion.GINI}),
+    "BaggedTree": ("BaggedTree", fit_bagged, {}),
 }
 
 

@@ -4,14 +4,16 @@ Each machine maximises the ridge-penalised Bernoulli log-likelihood
 
     L(beta) = sum_i [ t_i log p_i + (1 - t_i) log(1 - p_i) ] - lambda ||beta_1:d||^2
 
-with p_i = sigmoid(beta' z_i) on intercept-augmented rows; the intercept is
-not penalised. Fitting is by damped Newton steps: each proposed step is
-halved until the penalised log-likelihood does not decrease. The fit stops
-when the gradient norm reaches its tolerance, or when the Newton decrement
-g'H^-1 g falls below the rounding level of L, where comparing L values can
-no longer judge a step; the fit then takes that last full Newton step and
-stops (Boyd & Vandenberghe, Convex Optimization, 9.5.1). Multiclass
-scores are the per-class probabilities of the one-vs-rest machines.
+with p_i = sigmoid(beta' z_i) on intercept-augmented rows and lambda =
+DEFAULT_RIDGE; the intercept is not penalised. Fitting is by damped Newton
+steps: each proposed step is halved until the penalised log-likelihood does
+not decrease. The fit stops when the gradient norm reaches DEFAULT_GRAD_TOL,
+or when the Newton decrement g'H^-1 g falls below the rounding level of L,
+where comparing L values can no longer judge a step; the fit then takes
+that last full Newton step and stops (Boyd & Vandenberghe, Convex
+Optimization, 9.5.1). It raises NoConvergence after DEFAULT_MAX_ITER
+Newton steps. Multiclass scores are the per-class probabilities of the
+one-vs-rest machines.
 """
 from __future__ import annotations
 
@@ -27,10 +29,6 @@ DEFAULT_RIDGE = 1e-4
 DEFAULT_MAX_ITER = 100
 DEFAULT_GRAD_TOL = 1e-6
 _MAX_HALVINGS = 50
-# an unpenalised fit where every |t - p| falls below this has classified
-# every point with a logit margin above ~9, certifying the classes are
-# linearly separated and the likelihood has no maximiser
-_SEPARATION_RESIDUAL = 1e-4
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
@@ -44,41 +42,35 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_likelihood(z: np.ndarray, t: np.ndarray, beta: np.ndarray,
-                    ridge: float) -> float:
+def _log_likelihood(z: np.ndarray, t: np.ndarray, beta: np.ndarray) -> float:
     margins = z @ beta
     # log p = -log(1+e^-m) for t=1, log(1-p) = -log(1+e^m) for t=0
     signed = np.where(t > 0.5, -margins, margins)
     ll = -np.logaddexp(0.0, signed).sum()
-    return float(ll - ridge * beta[1:] @ beta[1:])
+    return float(ll - DEFAULT_RIDGE * beta[1:] @ beta[1:])
 
 
-def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RIDGE,
-                        max_iter: int = DEFAULT_MAX_ITER,
-                        grad_tol: float = DEFAULT_GRAD_TOL) -> tuple[np.ndarray, int]:
+def fit_logistic_binary(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
     """Newton-with-halving fit on already intercept-augmented rows z.
 
     Returns the coefficient vector, with the number of Newton updates that
-    reached it, once the gradient norm is at most grad_tol, or after a
-    full Newton step whose decrement is below the rounding level of the
-    penalised log-likelihood. Raises NoConvergence
-    when neither holds after max_iter Newton steps, and SingularDesign when
-    the (unridged) Hessian is singular.
+    reached it, once the gradient norm is at most DEFAULT_GRAD_TOL, or
+    after a full Newton step whose decrement is below the rounding level of
+    the penalised log-likelihood. Raises NoConvergence when neither holds
+    after DEFAULT_MAX_ITER Newton steps, and SingularDesign when the
+    penalised Hessian is singular.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float).reshape(-1)
-    penalty_mask = np.ones(z.shape[1])
-    penalty_mask[0] = 0.0                  # intercept is not penalised
+    penalty = np.full(z.shape[1], 2.0 * DEFAULT_RIDGE)
+    penalty[0] = 0.0                       # intercept is not penalised
     beta = np.zeros(z.shape[1])
-    ll = _log_likelihood(z, t, beta, ridge)
+    ll = _log_likelihood(z, t, beta)
+    max_iter, grad_tol = DEFAULT_MAX_ITER, DEFAULT_GRAD_TOL
     # the last pass only tests the point that max_iter updates reached
     for iteration in range(max_iter + 1):
         p = sigmoid(z @ beta)
-        if ridge == 0.0 and float(np.max(np.abs(t - p))) < _SEPARATION_RESIDUAL:
-            raise NoConvergence(
-                "the classes are linearly separated, so the unpenalised "
-                "likelihood has no maximiser; use a positive ridge penalty")
-        grad = z.T @ (t - p) - 2.0 * ridge * penalty_mask * beta
+        grad = z.T @ (t - p) - penalty * beta
         grad_norm = float(np.sqrt(grad @ grad))
         if grad_norm <= grad_tol:
             return beta, iteration
@@ -87,12 +79,11 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
                 f"logistic fit: gradient norm {grad_norm:.3e} > {grad_tol} "
                 f"after {max_iter} Newton updates")
         w = np.maximum(p * (1.0 - p), 0.0)
-        hess = (z * w[:, None]).T @ z + 2.0 * ridge * np.diag(penalty_mask)
+        hess = (z * w[:, None]).T @ z + np.diag(penalty)
         try:
             step = nm.solve_spd(hess, grad)
         except NotPositiveDefinite as exc:
-            raise SingularDesign(
-                "logistic Hessian is singular; add a ridge penalty") from exc
+            raise SingularDesign("logistic Hessian is singular") from exc
         if float(grad @ step) <= np.finfo(float).eps * abs(ll):
             # the step's gain is below what ll resolves, so the halving test
             # cannot judge it; the quadratic model can, and it ends the fit
@@ -100,7 +91,7 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray, ridge: float = DEFAULT_RID
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             candidate = beta + scale * step
-            ll_new = _log_likelihood(z, t, candidate, ridge)
+            ll_new = _log_likelihood(z, t, candidate)
             if ll_new >= ll:
                 beta, ll = candidate, ll_new
                 break

@@ -8,15 +8,15 @@ probabilities with a softmax. Training minimises the penalised objective
 
 over the training rows, with the biases unpenalised, by L-BFGS (Liu and
 Nocedal, Math. Prog. 45, 1989) and stops once the objective's gradient
-norm is at most TrainConfig.grad_tol. Without the penalty a separable
-training set has no finite minimiser and the linear network's minimisers
-are not isolated, so a fit would end where its iteration cap happened to
-stop it; with it, every fit ends at a stationary point of one stated
-objective. WEIGHT_PENALTY was chosen on panels the study does not use:
-among the candidates whose every fold fit reaches the tolerance within
-the cap, the largest whose cross-validated error is within one standard
-error of the best (Hastie, Tibshirani and Friedman, Elements of
-Statistical Learning, 7.10).
+norm is at most DEFAULT_GRAD_TOL, or at the cap of DEFAULT_EPOCHS
+iterations. Without the penalty a separable training set has no finite
+minimiser and the linear network's minimisers are not isolated, so a fit
+would end where its iteration cap happened to stop it; with it, every fit
+ends at a stationary point of one stated objective. WEIGHT_PENALTY was
+chosen on panels the study does not use: among the candidates whose every
+fold fit reaches the tolerance within the cap, the largest whose
+cross-validated error is within one standard error of the best (Hastie,
+Tibshirani and Friedman, Elements of Statistical Learning, 7.10).
 
 On the study's arrays (at most 450 rows x 16 features) an L-BFGS iteration
 costs numpy's per-call overhead more than arithmetic, so it makes few
@@ -81,18 +81,9 @@ def activation_derivative(kind: Activation, pre: np.ndarray,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings of one network fit: the L-BFGS iteration cap, the seed of
-    the weight initialisation and the gradient-norm stop."""
+    """Settings of one network fit: the seed of the weight initialisation."""
 
-    epochs: int = DEFAULT_EPOCHS
     seed: int = 0
-    grad_tol: float = DEFAULT_GRAD_TOL
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise BadConfig(f"epochs must be >= 1, got {self.epochs}")
-        if not self.grad_tol >= 0.0:
-            raise BadConfig(f"gradient tolerance must be >= 0, got {self.grad_tol}")
 
 
 class NetParams:
@@ -343,10 +334,10 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     LBFGS_MEMORY curvature pairs, from a unit step (1/|g| on a steepest-
     descent step), halved until the Armijo condition holds; a pair with
     s'y <= eps y'y is not stored. Training stops when the gradient norm is
-    at most config.grad_tol. If a step halves until its predicted decrease
+    at most DEFAULT_GRAD_TOL. If a step halves until its predicted decrease
     is below the rounding of the objective, the memory is dropped and the
     iteration retried by steepest descent; if that fails too, or
-    config.epochs iterations pass first, training stops and the returned
+    DEFAULT_EPOCHS iterations pass first, training stops and the returned
     model carries a warning string; it is still usable. loss_history holds
     the penalised objective at the start and after each iteration.
     """
@@ -367,10 +358,11 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     memory = _CompactMemory(start.size)
     warning = None
     iteration = 0
-    while grad_norm > config.grad_tol:
-        if iteration == config.epochs:
-            warning = (f"stopped at the iteration cap {config.epochs} with "
-                       f"gradient norm {grad_norm:.3e} > {config.grad_tol}")
+    epochs, grad_tol = DEFAULT_EPOCHS, DEFAULT_GRAD_TOL
+    while grad_norm > grad_tol:
+        if iteration == epochs:
+            warning = (f"stopped at the iteration cap {epochs} with "
+                       f"gradient norm {grad_norm:.3e} > {grad_tol}")
             break
         direction = memory.direction(grad)
         slope = float(grad @ direction)

@@ -112,13 +112,13 @@ class BinarySvm:
 
 
 def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                   cost: float = DEFAULT_COST, tol: float = DEFAULT_KKT_TOL,
                    max_updates: int = DEFAULT_MAX_UPDATES,
                    gram: np.ndarray | None = None) -> BinarySvm:
-    """Solve the soft-margin dual by second-order pairwise ascent.
+    """Solve the soft-margin dual with C = DEFAULT_COST by second-order
+    pairwise ascent.
 
-    Stops when the maximal KKT violation falls below tol; raises
-    NoConvergence if max_updates pair updates do not get there. A
+    Stops when the maximal KKT violation falls below DEFAULT_KKT_TOL;
+    raises NoConvergence if max_updates pair updates do not get there. A
     precomputed Gram matrix of the rows may be passed to share work across
     machines trained on the same features.
     """
@@ -131,16 +131,14 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise BadConfig("binary labels must be -1 or +1")
     if np.all(y == y[0]):
         raise SingleClassInput("binary fit needs both labels present")
-    if not cost > 0.0:
-        raise BadConfig(f"cost must be > 0, got {cost}")
     kernel = kernel.resolve(x.shape[1])
     k_mat = kernel.gram(x, x) if gram is None else gram
     if not np.isfinite(k_mat).all():
         # the gradient Q 0 - 1 is NaN on any row of K that is not finite
         raise NoConvergence("KKT gap nan is not finite after 0 pair updates")
     # at alpha = 0, grad = Q 0 - 1 = -1 and so -y * grad = y
-    return _pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat,
-                            y, np.zeros(n), ip_iterations=0)
+    return _pairwise_ascent(x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
+                            max_updates, k_mat, y, np.zeros(n), ip_iterations=0)
 
 
 def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,

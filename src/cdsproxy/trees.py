@@ -628,7 +628,6 @@ class BaggedTreeClassifier(ClassifierModel):
 
     family = "BaggedTree"
     trees: list
-    criterion: SplitCriterion
     max_splits: int
     n_classes: int
     class_names: tuple[str, ...]
@@ -642,7 +641,7 @@ class BaggedTreeClassifier(ClassifierModel):
                            ).reshape(q, self.n_classes).astype(float)
 
     def describe(self) -> dict:
-        return {"family": self.family, "criterion": self.criterion.value,
+        return {"family": self.family, "criterion": SplitCriterion.GINI.value,
                 "trees": len(self.trees), "max_splits": self.max_splits}
 
 
@@ -653,23 +652,22 @@ def bootstrap_rows(n: int, seed: int, tree_index: int) -> np.ndarray:
 
 
 def fit_bagged(train: Dataset, n_trees: int = DEFAULT_BAG_SIZE,
-               criterion: SplitCriterion = SplitCriterion.GINI,
                max_splits: int = DEFAULT_MAX_SPLITS,
                seed: int = 0) -> BaggedTreeClassifier:
-    """Fit n_trees trees on independent seeded bootstrap draws, grown
+    """Fit n_trees Gini trees on independent seeded bootstrap draws, grown
     together from one sorted array of all the draws."""
     check_training_set(train, two_classes=False)
     if n_trees < 1:
         raise BadConfig(f"n_trees must be >= 1, got {n_trees}")
-    criterion = SplitCriterion(criterion)
     draws = np.array([np.bincount(bootstrap_rows(train.n, seed, t),
                                   minlength=train.n) for t in range(n_trees)])
-    trees = [DecisionTreeModel(nodes=nodes, criterion=criterion,
+    gini = SplitCriterion.GINI
+    trees = [DecisionTreeModel(nodes=nodes, criterion=gini,
                                max_splits=max_splits,
                                n_classes=train.n_classes,
                                class_names=train.class_names,
                                n_features=train.d)
-             for nodes in _grow(train, criterion, max_splits, draws)]
-    return BaggedTreeClassifier(trees=trees, criterion=criterion,
-                                max_splits=max_splits, n_classes=train.n_classes,
+             for nodes in _grow(train, gini, max_splits, draws)]
+    return BaggedTreeClassifier(trees=trees, max_splits=max_splits,
+                                n_classes=train.n_classes,
                                 class_names=train.class_names, seed=seed)

@@ -200,6 +200,12 @@ class TestCrossSectional:
         with pytest.raises(BadConfig, match="sector"):
             model.predict(query)
 
+    def test_unknown_field_rejected_by_coefficient(self):
+        model = fit_cross_sectional([record("A", 100.0),
+                                     record("B", 200.0, rating="BB")])
+        with pytest.raises(BadConfig, match="'currency' is not a category field"):
+            model.coefficient("currency", "USD")
+
     def test_no_records_rejected(self):
         with pytest.raises(EmptyBucket):
             fit_cross_sectional([])

@@ -18,7 +18,6 @@ from cdsproxy.core import (
     impute_five_year_rate,
 )
 from cdsproxy.errors import (
-    BadConfig,
     EmptyClass,
     EmptyTrainingSet,
     InsufficientObservedRates,
@@ -263,29 +262,33 @@ class TestImputation:
 
     def test_noiseless_recovery(self):
         panel, truth = self._panel_with_loglinear_s()
-        filled = impute_five_year_rate(panel, FS.FS5)
+        filled = impute_five_year_rate(panel)
         rel = np.abs(filled.values["s"] - truth) / truth
         assert rel.max() < 1e-8
 
     def test_observed_untouched_and_idempotent(self):
         panel, _ = self._panel_with_loglinear_s(seed=1)
         obs = ~panel.missing_s_mask()
-        filled = impute_five_year_rate(panel, FS.FS5)
+        filled = impute_five_year_rate(panel)
         assert np.array_equal(filled.values["s"][obs], panel.values["s"][obs])
-        again = impute_five_year_rate(filled, FS.FS5)
+        again = impute_five_year_rate(filled)
         assert again is filled  # nothing left to fill
 
-    def test_basis_must_exclude_s(self):
-        panel, _ = self._panel_with_loglinear_s()
-        with pytest.raises(BadConfig):
-            impute_five_year_rate(panel, FS.FS1)
+    def test_fills_from_the_fs5_columns_only(self):
+        panel, _ = self._panel_with_loglinear_s(seed=2)
+        filled = impute_five_year_rate(panel)
+        values = {c: v if c == "s" or c in FS.FS5.columns else v * 0.5
+                  for c, v in panel.values.items()}
+        moved = impute_five_year_rate(
+            MarketPanel(panel.counterparties, panel.dates, values))
+        assert np.array_equal(moved.values["s"], filled.values["s"])
 
     def test_insufficient_observed(self):
         panel = tiny_panel(seed=10, n_cp=1, n_days=5,
                            missing_s=[(0, t) for t in range(4)])
         with pytest.raises(InsufficientObservedRates):
-            impute_five_year_rate(panel, FS.FS5)
+            impute_five_year_rate(panel)
 
     def test_no_missing_returns_same_panel(self):
         panel = tiny_panel(seed=11)
-        assert impute_five_year_rate(panel, FS.FS5) is panel
+        assert impute_five_year_rate(panel) is panel

@@ -504,6 +504,16 @@ class TestCategoriesAndRecords:
         with pytest.raises(BadConfig, match="CP001"):
             records_from_panel(panel, categories)
 
+    def test_categories_without_a_field_rejected(self):
+        panel = generate_panel(GeneratorConfig(n_counterparties=4, n_days=4,
+                                               seed=1))
+        categories = assign_categories(panel.counterparties)
+        del categories["CP001"]["sector"]
+        del categories["CP001"]["rating"]
+        with pytest.raises(BadConfig, match=r"'CP001' lack the fields "
+                                            r"\['rating', 'sector'\]"):
+            records_from_panel(panel, categories)
+
     def test_default_records_support_the_regression_baseline(self):
         # the generated category design must be full rank so the
         # cross-sectional baseline runs on default panels

@@ -42,6 +42,7 @@ from cdsproxy.evaluation import (
     rank_classifiers,
     render_csv,
     render_cv_csv,
+    render_family_csv,
     render_histogram_csv,
     render_pca_csv,
     render_ranking_csv,
@@ -540,6 +541,24 @@ class TestCsvRendering:
         assert lines[2] == "0,0.0"
         assert lines[-2].startswith("mean,")
         assert lines[-1].startswith("sd,")
+
+    def test_family_csv_has_header_columns_and_exact_floats(self):
+        results = [
+            CvResult(label="LR", selection=s, k=3, seed=4,
+                     fold_errors=(0.1, 0.2, 0.3), mean_error=mean, sd_error=sd)
+            for s, mean, sd in [("FS1", 0.2, 0.08164965809277261),
+                                ("FS3", 1.0 / 3.0, 0.1 + 0.2),
+                                ("FS6", 2.0 ** -40, 1e-300)]]
+        text = render_family_csv(results, {"seed": 4, "k": 3, "command": "grid"})
+        lines = text.splitlines()
+        assert lines[:3] == ["# command=grid", "# k=3", "# seed=4"]
+        assert lines[3] == "classifier,feature_selection,mean_error,sd_error"
+        assert len(lines) == 4 + len(results)
+        for line, result in zip(lines[4:], results):
+            label, selection, mean, sd = line.split(",")
+            assert (label, selection) == (result.label, result.selection)
+            assert float(mean) == result.mean_error
+            assert float(sd) == result.sd_error
 
     def test_ranking_csv_columns(self):
         row_results = [TestRanking.result("A", s.value, 0.1)

@@ -191,7 +191,8 @@ class TestNetworkTraining:
     def test_training_matches_reference(self, monkeypatch, n_classes,
                                         activation):
         train = random_dataset(6 * n_classes, 4, n_classes, seed=n_classes)
-        config = TrainConfig(epochs=60, seed=n_classes)
+        monkeypatch.setattr(neuralnet, "DEFAULT_EPOCHS", 60)
+        config = TrainConfig(seed=n_classes)
         got = fit_neural_net(train, activation=activation, config=config)
         monkeypatch.setattr(neuralnet, "_forward_state", ref.forward_state)
         monkeypatch.setattr(neuralnet, "_gradient_from_state",
@@ -210,13 +211,14 @@ class TestNetworkTraining:
         # ends on the gradient tolerance well before the iteration cap
         train = make_blobs([[-6.0, 0.0], [6.0, 0.0], [0.0, 6.0]], 5,
                            scale=0.1, seed=5)
-        config = TrainConfig(epochs=3000, seed=5, grad_tol=1e-3)
+        monkeypatch.setattr(neuralnet, "DEFAULT_GRAD_TOL", 1e-3)
+        config = TrainConfig(seed=5)
         got = fit_neural_net(train, activation=activation, config=config)
         monkeypatch.setattr(neuralnet, "_forward_state", ref.forward_state)
         monkeypatch.setattr(neuralnet, "_gradient_from_state",
                             ref.gradient_from_state)
         want = fit_neural_net(train, activation=activation, config=config)
-        assert got.epochs_run == want.epochs_run < 3000
+        assert got.epochs_run == want.epochs_run < neuralnet.DEFAULT_EPOCHS
         assert got.loss_history == want.loss_history
         assert got.final_grad_norm == want.final_grad_norm
         assert got.warning == want.warning
@@ -277,14 +279,21 @@ def assert_same_tree_fit(train, criterion, max_splits=20):
 
 def assert_same_committee(train, criterion, max_splits, n_trees, seed):
     """Every tree of a committee, grown together, against the same tree
-    grown alone on its bootstrap draw."""
-    bag = fit_bagged(train, n_trees=n_trees, criterion=criterion,
-                     max_splits=max_splits, seed=seed)
-    assert len(bag.trees) == n_trees
-    for t, tree in enumerate(bag.trees):
+    grown alone on its bootstrap draw. fit_bagged grows Gini committees;
+    the lockstep growth it shares with fit_tree takes every criterion."""
+    if criterion is SplitCriterion.GINI:
+        grown = [tree.nodes for tree in fit_bagged(
+            train, n_trees=n_trees, max_splits=max_splits, seed=seed).trees]
+    else:
+        draws = np.array([np.bincount(bootstrap_rows(train.n, seed, t),
+                                      minlength=train.n)
+                          for t in range(n_trees)])
+        grown = trees._grow(train, criterion, max_splits, draws)
+    assert len(grown) == n_trees
+    for t, nodes in enumerate(grown):
         draw = train.subset(bootstrap_rows(train.n, seed, t))
         want = ref.fit_tree(draw, criterion=criterion, max_splits=max_splits)
-        assert tree.nodes == want.nodes, f"tree {t}"
+        assert nodes == want.nodes, f"tree {t}"
 
 
 def integer_grid_rows(n, n_classes, seed):

@@ -1,7 +1,8 @@
 """Every function, class and method in the package has a caller outside the
 tests: a name in src/cdsproxy, or a name or string in perfbench's code, whose
 tracer names the entry points it wraps as strings. A helper that only tests
-call is a second code path to keep in step; delete it instead.
+call is a second code path to keep in step; delete it instead. Likewise
+every parameter with a default is set by some caller outside the tests.
 """
 import ast
 from pathlib import Path
@@ -42,3 +43,85 @@ def test_every_definition_in_src_has_a_caller_outside_the_tests():
     unused = sorted((module, name) for module, name in defined
                     if name not in used and name not in EXEMPT)
     assert unused == []
+
+
+# the model parameters the paper varies to make its 156 classifiers; the
+# planned within-family sweep sets them (ROADMAP item 6)
+SWEPT = {"k", "bandwidth", "max_splits", "n_trees", "hidden_units", "degree",
+         "scale"}
+
+
+def _defaulted(src):
+    """(function, parameter, position) of every parameter with a default, in
+    the order declared; a method's positions do not count self, and a
+    keyword-only parameter has position None."""
+    found = []
+    for _, tree in src:
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if id(node) in methods and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in node.decorator_list):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, a.arg, i) for i, a in enumerate(positional)
+                      if i >= first]
+            found += [(node.name, a.arg, None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def _passed(trees):
+    """name -> (positions passed, keywords passed) over every call by that
+    name; a starred argument passes every later position."""
+    passed = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                count, keywords = passed.get(name, (0, set()))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                passed[name] = (
+                    max(count, float("inf") if starred else len(node.args)),
+                    keywords | {k.arg for k in node.keywords if k.arg})
+    return passed
+
+
+def _fit_settings(src):
+    """Keywords that reach every fit_* function: those passed in
+    evaluation._fit_entry, and the keys of the _CLASSIFIERS params dicts."""
+    (tree,) = [tree for path, tree in src if path.name == "evaluation.py"]
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_fit_entry":
+            keys |= {k.arg for call in ast.walk(node)
+                     if isinstance(call, ast.Call) for k in call.keywords}
+        elif (isinstance(node, ast.AnnAssign)
+              and getattr(node.target, "id", None) == "_CLASSIFIERS"):
+            keys |= {key.value for entry in node.value.values
+                     for params in entry.elts if isinstance(params, ast.Dict)
+                     for key in params.keys}
+    return keys
+
+
+def test_every_parameter_with_a_default_is_set_outside_the_tests():
+    """A default that no caller in src/cdsproxy or perfbench overrides is a
+    constant with a second path through the code: make it the constant."""
+    src = _trees(ROOT / "src" / "cdsproxy")
+    passed = _passed(src + _trees(ROOT / "perfbench"))
+    fit_settings = _fit_settings(src)
+    unset = {}
+    for function, name, position in _defaulted(src):
+        count, keywords = passed.get(function, (0, set()))
+        if not (name in SWEPT or name in keywords
+                or (position is not None and position < count)
+                or (function.startswith("fit_") and name in fit_settings)):
+            unset.setdefault(function, []).append(name)
+    assert sorted(f"{function}({', '.join(names)})"
+                  for function, names in unset.items()) == []

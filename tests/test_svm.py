@@ -96,7 +96,7 @@ class TestBinarySvm:
     def test_two_point_hard_margin(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=1e6)
+        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         assert model.alpha == pytest.approx([0.5, 0.5], abs=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
         dec = model.decision_batch(np.array([[-1.0], [0.0], [1.0], [3.0]]))
@@ -105,8 +105,7 @@ class TestBinarySvm:
     def test_xor_with_polynomial_kernel(self):
         x = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
-        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.POLYNOMIAL, degree=3),
-                               cost=10.0)
+        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.POLYNOMIAL, degree=3))
         assert np.all(np.sign(model.decision_batch(x)) == y)
 
     @pytest.mark.parametrize("kind", list(SvmKernel))
@@ -115,7 +114,7 @@ class TestBinarySvm:
                                                   separation):
         x, y = binary_problem(seed, n_per_side, 3, separation)
         spec = KernelSpec(kind, degree=3).resolve(3)
-        model = fit_svm_binary(x, y, spec, cost=DEFAULT_COST)
+        model = fit_svm_binary(x, y, spec)
         gram = spec.gram(x, x)
         ref = reference_dual_solution(gram, y, DEFAULT_COST)
         w_ref = dual_objective(ref, gram, y)
@@ -125,8 +124,7 @@ class TestBinarySvm:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_constraints_feasible(self, seed):
         x, y = binary_problem(seed, 15, 4, 0.7)
-        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.GAUSSIAN).resolve(4),
-                               cost=DEFAULT_COST)
+        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.GAUSSIAN).resolve(4))
         assert float(np.abs(model.alpha @ y)) <= 1e-6
         assert model.alpha.min() >= -1e-6
         assert model.alpha.max() <= DEFAULT_COST + 1e-6
@@ -134,7 +132,7 @@ class TestBinarySvm:
 
     def test_kkt_conditions_pointwise(self):
         x, y = binary_problem(31, 18, 2, 0.6)
-        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=DEFAULT_COST)
+        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         margins = y * model.decision_batch(x)
         tol = 5e-4
         for i in range(len(y)):
@@ -148,8 +146,8 @@ class TestBinarySvm:
     def test_deterministic(self):
         x, y = binary_problem(41, 10, 3, 0.8)
         spec = KernelSpec(SvmKernel.GAUSSIAN).resolve(3)
-        a = fit_svm_binary(x, y, spec, cost=DEFAULT_COST)
-        b = fit_svm_binary(x, y, spec, cost=DEFAULT_COST)
+        a = fit_svm_binary(x, y, spec)
+        b = fit_svm_binary(x, y, spec)
         assert np.array_equal(a.alpha, b.alpha)
         assert a.bias == b.bias
         assert a.n_updates == b.n_updates
@@ -158,7 +156,7 @@ class TestBinarySvm:
         x, y = binary_problem(51, 30, 3, 0.2)
         with pytest.raises(NoConvergence):
             fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR),
-                           cost=DEFAULT_COST, max_updates=3)
+                           max_updates=3)
 
     def test_non_finite_kernel_values_raise(self):
         # (1 + 1e200^2)^3 overflows, so the gradient and the KKT gap are
@@ -174,19 +172,21 @@ class TestBinarySvm:
             with pytest.raises(NoConvergence, match="KKT gap nan is not finite"):
                 fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), gram=gram)
 
-    def test_no_partner_index_raises(self):
+    def test_no_partner_index_raises(self, monkeypatch):
         # below a negative tolerance the ascent runs on to a point where no
         # index can pair with the steepest one; it used to return there
+        monkeypatch.setattr(svm, "DEFAULT_KKT_TOL", -1.0)
         x = np.array([[0.0], [1.0], [3.0], [4.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         with pytest.raises(NoConvergence, match="but no index pairs with"):
-            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), tol=-1.0)
+            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
 
-    def test_bias_without_free_vectors_is_the_feasible_midpoint(self):
+    def test_bias_without_free_vectors_is_the_feasible_midpoint(self, monkeypatch):
         # a cost this small puts every alpha at C, so no vector is free
         x, y = binary_problem(71, 12, 2, 0.3)
         cost = 1e-3
-        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=cost)
+        monkeypatch.setattr(svm, "DEFAULT_COST", cost)
+        model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         at_zero = model.alpha <= 1e-12 * cost
         at_cost = model.alpha >= cost - 1e-12 * cost
         assert np.all(at_zero | at_cost)
@@ -200,16 +200,13 @@ class TestBinarySvm:
         assert np.isfinite(lower) and np.isfinite(upper)
         assert model.bias == pytest.approx(0.5 * (lower + upper), abs=1e-12)
 
-    def test_rejects_bad_labels_and_costs(self):
+    def test_rejects_bad_labels(self):
         x = np.ones((4, 2))
         with pytest.raises(BadConfig):
             fit_svm_binary(x, np.array([0.0, 1.0, 1.0, 0.0]),
                            KernelSpec(SvmKernel.LINEAR))
         with pytest.raises(SingleClassInput):
             fit_svm_binary(x, np.ones(4), KernelSpec(SvmKernel.LINEAR))
-        with pytest.raises(BadConfig):
-            fit_svm_binary(x, np.array([1.0, -1.0, 1.0, -1.0]),
-                           KernelSpec(SvmKernel.LINEAR), cost=0.0)
 
 
 def interior_point_then_ascent(x, y, spec, cost, factored=False):
@@ -246,7 +243,7 @@ class TestInteriorPoint:
             assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
             assert model.kkt_gap <= DEFAULT_KKT_TOL
 
-    def test_every_alpha_at_cost_raises_no_warning(self):
+    def test_every_alpha_at_cost_raises_no_warning(self, monkeypatch):
         # a cost this small puts every alpha at C; s = C - alpha and z head
         # to zero, and no division in the solve may warn on the way
         x, y = binary_problem(71, 12, 2, 0.3)
@@ -256,7 +253,8 @@ class TestInteriorPoint:
         assert np.all(model.alpha == cost)
         assert model.n_updates == 0
         assert model.kkt_gap <= DEFAULT_KKT_TOL
-        ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), cost=cost)
+        monkeypatch.setattr(svm, "DEFAULT_COST", cost)
+        ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         assert np.array_equal(model.alpha, ascent.alpha)
 
     @pytest.mark.parametrize("factored", [False, True])
@@ -555,7 +553,7 @@ class TestMulticlass:
         scale = model.standardizer.apply
         spec = KernelSpec(SvmKernel.LINEAR)
         y_pm = np.where(train.y == 0, 1.0, -1.0)
-        binary = fit_svm_binary(scale(train.x), y_pm, spec, cost=DEFAULT_COST)
+        binary = fit_svm_binary(scale(train.x), y_pm, spec)
         queries = np.random.default_rng(62).normal(size=(30, 2)) * 2 + 1.5
         dec = binary.decision_batch(scale(queries))
         got = model.classify_batch(queries)
@@ -591,8 +589,7 @@ class TestMulticlass:
                 machine = interior_point_then_ascent(scale(train.x), y_pm, kernel,
                                                      DEFAULT_COST, factored=True)
             else:
-                machine = fit_svm_binary(scale(train.x), y_pm, kernel,
-                                         cost=DEFAULT_COST)
+                machine = fit_svm_binary(scale(train.x), y_pm, kernel)
             assert np.array_equal(scores[:, j], machine.decision_batch(scale(queries)))
 
     def test_standardization_default_makes_scaling_irrelevant(self):
