@@ -21,10 +21,9 @@ import numpy as np
 from . import numerics as nm
 from .errors import (
     BadConfig,
-    EmptyBucket,
     NotPositiveDefinite,
     RangeViolation,
-    RankDeficientDesign,
+    TooFewSamples,
     UnknownCategoryLevel,
 )
 
@@ -69,7 +68,7 @@ def curve_mapping_proxy(bucket: Sequence[float],
     statistic = ProxyStatistic(statistic)
     spreads = [float(s) for s in bucket]
     if not spreads:
-        raise EmptyBucket("curve mapping needs at least one spread")
+        raise TooFewSamples("curve mapping needs at least one spread")
     if statistic is ProxyStatistic.MEAN:
         return statistics.fmean(spreads)
     return float(statistics.median(spreads))
@@ -147,7 +146,7 @@ def fit_cross_sectional(records: Sequence[CdsContractRecord],
                         ) -> CrossSectionalModel:
     """Least squares on log spreads over intercept + level dummies."""
     if not records:
-        raise EmptyBucket("regression needs at least one record")
+        raise TooFewSamples("regression needs at least one record")
     levels = _level_table(records)
     columns: list[tuple[str, str]] = []       # (field, level) per dummy
     for field in CATEGORY_FIELDS:
@@ -162,7 +161,7 @@ def fit_cross_sectional(records: Sequence[CdsContractRecord],
     try:
         beta = nm.solve_spd(gram, design.T @ target)
     except NotPositiveDefinite as exc:
-        raise RankDeficientDesign(
+        raise NotPositiveDefinite(
             "category dummies are collinear after dropping reference "
             "levels; merge or drop the aliased levels") from exc
     grouped: dict[str, list[tuple[str, float]]] = {f: [] for f in CATEGORY_FIELDS}

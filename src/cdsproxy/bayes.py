@@ -15,12 +15,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set, class_log_priors
-from .errors import (
-    ClassTooSmall,
-    NonpositiveBandwidth,
-    NotPositiveDefinite,
-    SingularCovariance,
-)
+from .errors import BadConfig, NotPositiveDefinite, TooFewSamples
 
 LOG_DENSITY_FLOOR = -745.0
 DEFAULT_BANDWIDTH = 0.2
@@ -95,7 +90,7 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier
     try:
         weights = nm.solve_spd(cov, means.T).T
     except NotPositiveDefinite as exc:
-        raise SingularCovariance(f"shared covariance not invertible: {exc}") from exc
+        raise NotPositiveDefinite(f"shared covariance not invertible: {exc}") from exc
     offsets = -0.5 * (weights * means).sum(axis=1) + log_priors
     return LdaClassifier(means=means, covariance=cov, log_priors=log_priors,
                          mode=mode, weights=weights, offsets=offsets,
@@ -143,14 +138,14 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier
     for j in range(n_classes):
         rows = train.x[train.y == j]
         if rows.shape[0] < 2:
-            raise ClassTooSmall(f"class {j} has {rows.shape[0]} samples; need >= 2")
+            raise TooFewSamples(f"class {j} has {rows.shape[0]} samples; need >= 2")
         est = nm.sample_mean_covariance(rows, mode)
         means[j] = est.mean
         covs[j] = nm.add_ridge(est.matrix)
         try:
             chols[j] = nm.cholesky_spd(covs[j])
         except NotPositiveDefinite as exc:
-            raise SingularCovariance(f"class {j} covariance not invertible: {exc}") from exc
+            raise NotPositiveDefinite(f"class {j} covariance not invertible: {exc}") from exc
         log_dets[j] = 2.0 * float(np.log(chols[j].diagonal()).sum())
     return QdaClassifier(means=means, covariances=covs, log_priors=log_priors,
                          mode=mode, chol_factors=chols, log_dets=log_dets,
@@ -216,7 +211,7 @@ def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
     """Fit kernel naive Bayes; the same bandwidth is used for every feature."""
     check_training_set(train)
     if not bandwidth > 0.0:
-        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
+        raise BadConfig(f"bandwidth must be > 0, got {bandwidth}")
     log_priors = class_log_priors(train.y, train.n_classes)
     samples = [train.x[train.y == j].copy() for j in range(train.n_classes)]
     return NbClassifier(class_samples=samples, kernel=KernelKind(kernel),

@@ -19,14 +19,11 @@ import numpy as np
 from . import numerics as nm
 from .errors import (
     EmptyClass,
-    EmptyTrainingSet,
-    InsufficientObservedRates,
     MissingFiveYearRate,
     NotPositiveDefinite,
     RangeViolation,
     SchemaViolation,
-    SingleClassInput,
-    SingularDesign,
+    TooFewSamples,
 )
 
 S_COLUMN = "s"
@@ -197,12 +194,12 @@ def build_dataset(panel: MarketPanel, selection: FeatureSelection) -> Dataset:
 
 
 def check_training_set(train: Dataset, two_classes: bool = True) -> None:
-    """Raise EmptyTrainingSet on a training set without rows and, when
-    two_classes, SingleClassInput on one whose rows hold a single class."""
+    """Raise TooFewSamples on a training set without rows and, when
+    two_classes, EmptyClass on one whose rows hold a single class."""
     if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
+        raise TooFewSamples("cannot fit on zero samples")
     if two_classes and np.unique(train.y).size < 2:
-        raise SingleClassInput("training data holds a single class")
+        raise EmptyClass("training data holds a single class")
 
 
 def class_log_priors(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -258,7 +255,7 @@ def impute_five_year_rate(panel: MarketPanel) -> MarketPanel:
     obs = ~flat_miss
     n_obs, n_coef = int(obs.sum()), design.shape[1]
     if n_obs < n_coef + 1:
-        raise InsufficientObservedRates(
+        raise TooFewSamples(
             f"{n_obs} observed rates < {n_coef + 1} needed for basis FS5")
     target = np.log(np.maximum(svals[obs], 1e-12))
     xo = design[obs]
@@ -266,7 +263,7 @@ def impute_five_year_rate(panel: MarketPanel) -> MarketPanel:
     try:
         beta = nm.solve_spd(normal, xo.T @ target)
     except NotPositiveDefinite as exc:
-        raise SingularDesign(f"imputation design is singular: {exc}") from exc
+        raise NotPositiveDefinite(f"imputation design is singular: {exc}") from exc
     filled = svals.copy()
     filled[flat_miss] = np.exp(design[flat_miss] @ beta)
     values = dict(panel.values)

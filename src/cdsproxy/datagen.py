@@ -79,6 +79,8 @@ _HV_BASE = 0.28
 _VOL_SCALE = 0.12
 
 # latent model shape
+_IDIOSYNCRATIC_SCALE = 0.15  # standard deviation of the idiosyncratic noise
+_BASE_SPACING = 0.5        # scales the pair-code amplitude
 _RISK_SCALE = 2.2          # spread of the per-counterparty risk levels
 _ALIGN_LOW, _ALIGN_HIGH = 0.8, 1.2     # per-feature risk sensitivity
 # every other column reacts hard to the daily factor, the rest are stable
@@ -90,7 +92,7 @@ _TAIL_WIDTH = 3.0          # scale multiplier on wide-noise cells
 # the two stable columns carrying the pair code; every other column tracks
 # the risk level and the daily factor only
 _CODE_COLUMNS = (8, 14)    # iv_6m, hv_4m
-_CODE_AMPLITUDE = 1.5      # code mode offset per unit of base_spacing
+_CODE_AMPLITUDE = 1.5      # code mode offset per unit of _BASE_SPACING
 _RESPONSE_CODE = 0.08      # code columns barely react to the daily factor
 _STATE_BIAS = 0.60         # how strongly a name leans toward its usual state
 _QUIET_PROBABILITY = 0.15  # chance a day's code swing is muted market-wide
@@ -101,18 +103,13 @@ _QUIET_FACTOR = 0.25       # code amplitude multiplier on quiet days
 class GeneratorConfig:
     """Knobs of the synthetic panel.
 
-    base_spacing scales the pair-code amplitude and is the difficulty
-    dial: wide spacing separates the code modes cleanly, narrow spacing
-    drowns them in noise. factor_loading (rho) scales every shared
-    component — risk levels, pair codes and the daily common factor — and
-    is the correlation dial.
+    factor_loading (rho) scales every shared component — risk levels,
+    pair codes and the daily common factor — and is the correlation dial.
     """
 
     n_counterparties: int = 5
     n_days: int = 100
     factor_loading: float = 0.96
-    idiosyncratic_scale: float = 0.15
-    base_spacing: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -122,10 +119,6 @@ class GeneratorConfig:
             raise BadConfig("need at least one day")
         if not 0.0 <= self.factor_loading < 1.0:
             raise BadConfig("factor_loading must lie in [0, 1)")
-        if self.idiosyncratic_scale <= 0.0:
-            raise BadConfig("idiosyncratic_scale must be positive")
-        if self.base_spacing <= 0.0:
-            raise BadConfig("base_spacing must be positive")
 
     def settings(self) -> dict:
         return asdict(self)
@@ -170,7 +163,7 @@ def generate_panel(config: GeneratorConfig) -> MarketPanel:
     # mode positions do not
     lean = np.where(np.arange(n) % 2 == 0, _STATE_BIAS, 1.0 - _STATE_BIAS)
     bit = np.where(rng.random(size=(n, t)) < lean[:, None], 1.0, -1.0)
-    idio = rng.normal(0.0, config.idiosyncratic_scale, size=(n, t, d))
+    idio = rng.normal(0.0, _IDIOSYNCRATIC_SCALE, size=(n, t, d))
     lively_col = np.arange(d) % 2 == 1
     idio = np.where(lively_col, _LIVELY_NOISE * idio, idio)
     wide = (rng.random(size=(n, t, d)) < _TAIL_PROBABILITY) & lively_col
@@ -185,7 +178,7 @@ def generate_panel(config: GeneratorConfig) -> MarketPanel:
     # occasional quiet days mute the code swing market-wide, leaving the
     # state readable only through fine cross-column geometry
     quiet = rng.random(size=t) < _QUIET_PROBABILITY
-    swing = (_CODE_AMPLITUDE * config.base_spacing
+    swing = (_CODE_AMPLITUDE * _BASE_SPACING
              * np.where(quiet, _QUIET_FACTOR, 1.0))            # (t,)
     orientation = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     code = np.zeros((n, t, d))

@@ -2,7 +2,30 @@
 
 Every error raised by the library derives from :class:`CdsProxyError` so
 callers (in particular the CLI) can catch one base class and report a
-structured failure.
+structured failure. There is one class per kind of failure:
+
+- ``BadConfig``: a setting outside its documented range (generator
+  settings, neighbour, fold and component counts, kernel bandwidth and
+  scale, tree and network sizes, classifier labels, category fields).
+- ``TooFewSamples``: an estimate was given fewer rows than it needs
+  (sample covariance and standardiser, the imputation regression, a QDA
+  class, a fit on zero rows, a bucket or regression without records,
+  correlations).
+- ``EmptyClass``: a class the method needs has no rows (a fold plan or
+  class prior over an empty class, a two-class fit given one class).
+- ``NotPositiveDefinite``: a matrix that must be positive definite is
+  not (a Cholesky pivot, a discriminant or Mahalanobis covariance, the
+  logistic Hessian, the imputation and cross-sectional designs).
+- ``DimensionMismatch`` and ``NotSymmetric``: an operand of the wrong
+  shape, or a matrix argument that is not symmetric.
+- ``NoConvergence``: an iterative routine hit its cap before tolerance.
+- ``SchemaViolation``: a panel, dataset or query rows break their schema.
+- ``RangeViolation``: a panel value or spread outside its admissible range.
+- ``MissingFiveYearRate``: the five-year rate is missing where it is needed.
+- ``UnknownCategoryLevel``: a category level absent at fit time.
+- ``NegativeGain``: a tree split's purity gain fell below zero.
+- ``FitFailure``: a per-fold fit failed; wraps the cause.
+- ``MissingCell``: a ranking over an incomplete grid of results.
 """
 
 
@@ -10,10 +33,20 @@ class CdsProxyError(Exception):
     """Base class for all toolkit errors."""
 
 
-# --- numerics ---------------------------------------------------------------
+class BadConfig(CdsProxyError):
+    """A configuration value is out of its documented range."""
 
-class FewerThanTwoSamples(CdsProxyError):
-    """A sample statistic needing n >= 2 was asked of fewer rows."""
+
+class TooFewSamples(CdsProxyError):
+    """An estimate was given fewer rows than it needs."""
+
+
+class EmptyClass(CdsProxyError):
+    """A class that the method needs has no samples."""
+
+
+class NotPositiveDefinite(CdsProxyError):
+    """A matrix that must be positive definite is not."""
 
 
 class DimensionMismatch(CdsProxyError):
@@ -28,18 +61,8 @@ class NoConvergence(CdsProxyError):
     """An iterative routine hit its cap before reaching tolerance."""
 
 
-class NotPositiveDefinite(CdsProxyError):
-    """A Cholesky pivot was non-positive."""
-
-
-class BadComponentCount(CdsProxyError):
-    """A principal-component count outside 1..d was requested."""
-
-
-# --- panel / dataset --------------------------------------------------------
-
 class SchemaViolation(CdsProxyError):
-    """A CSV file does not match the declared panel schema."""
+    """A panel, a dataset or query rows do not match their declared schema."""
 
 
 class RangeViolation(CdsProxyError):
@@ -50,48 +73,12 @@ class MissingFiveYearRate(CdsProxyError):
     """A feature selection needs the five-year rate but some values are missing."""
 
 
-class InsufficientObservedRates(CdsProxyError):
-    """Too few observed rates to fit the imputation regression."""
-
-
-class SingularDesign(CdsProxyError):
-    """A regression design matrix is singular."""
-
-
-# --- classifiers ------------------------------------------------------------
-
-class EmptyTrainingSet(CdsProxyError):
-    """A classifier was fitted on zero samples."""
-
-
-class SingleClassInput(CdsProxyError):
-    """A binary fit received samples of one class only."""
-
-
-class ClassTooSmall(CdsProxyError):
-    """A class has too few samples for the requested estimate."""
-
-
-class SingularCovariance(CdsProxyError):
-    """A covariance matrix is singular beyond what the ridge repairs."""
-
-
-class NonpositiveBandwidth(CdsProxyError):
-    """A kernel bandwidth must be strictly positive."""
-
-
-class BadK(CdsProxyError):
-    """A neighbour count or fold count is out of range."""
+class UnknownCategoryLevel(CdsProxyError):
+    """Prediction was requested for a category level absent at fit time."""
 
 
 class NegativeGain(CdsProxyError):
     """A tree split's purity gain fell below zero during growth."""
-
-
-# --- evaluation -------------------------------------------------------------
-
-class EmptyClass(CdsProxyError):
-    """A dataset class has no samples."""
 
 
 class FitFailure(CdsProxyError):
@@ -100,27 +87,3 @@ class FitFailure(CdsProxyError):
 
 class MissingCell(CdsProxyError):
     """A ranking was requested from an incomplete grid of results."""
-
-
-# --- baselines --------------------------------------------------------------
-
-class TooFewSamples(CdsProxyError):
-    """A regression has fewer rows than coefficients."""
-
-
-class EmptyBucket(CdsProxyError):
-    """A bucket statistic was requested from zero spreads."""
-
-
-class RankDeficientDesign(CdsProxyError):
-    """The dummy-coded design matrix is rank deficient."""
-
-
-class UnknownCategoryLevel(CdsProxyError):
-    """Prediction was requested for a category level absent at fit time."""
-
-
-# --- datagen / cli ----------------------------------------------------------
-
-class BadConfig(CdsProxyError):
-    """A configuration value is out of its documented range."""

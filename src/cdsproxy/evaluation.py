@@ -22,7 +22,6 @@ from .bayes import KernelKind, fit_lda, fit_nb, fit_qda
 from .core import ClassifierModel, Dataset, FeatureSelection
 from .errors import (
     BadConfig,
-    BadK,
     CdsProxyError,
     EmptyClass,
     FitFailure,
@@ -61,7 +60,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
     """Per-class seeded shuffle, then one global round-robin dealing pass."""
     n = dataset.n
     if k < 2 or k > n:
-        raise BadK(f"fold count must satisfy 2 <= K <= {n}, got {k}")
+        raise BadConfig(f"fold count must satisfy 2 <= K <= {n}, got {k}")
     rng = np.random.default_rng(seed)
     dealt = []          # every class's rows, each class shuffled, in class order
     for j in range(dataset.n_classes):

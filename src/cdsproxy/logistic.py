@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import NoConvergence, NotPositiveDefinite, SingularDesign
+from .errors import NoConvergence, NotPositiveDefinite
 
 DEFAULT_RIDGE = 1e-4
 DEFAULT_MAX_ITER = 100
@@ -57,7 +57,7 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
     reached it, once the gradient norm is at most DEFAULT_GRAD_TOL, or
     after a full Newton step whose decrement is below the rounding level of
     the penalised log-likelihood. Raises NoConvergence when neither holds
-    after DEFAULT_MAX_ITER Newton steps, and SingularDesign when the
+    after DEFAULT_MAX_ITER Newton steps, and NotPositiveDefinite when the
     penalised Hessian is singular.
     """
     z = np.asarray(z, dtype=float)
@@ -83,7 +83,7 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
         try:
             step = nm.solve_spd(hess, grad)
         except NotPositiveDefinite as exc:
-            raise SingularDesign("logistic Hessian is singular") from exc
+            raise NotPositiveDefinite("logistic Hessian is singular") from exc
         if float(grad @ step) <= np.finfo(float).eps * abs(ll):
             # the step's gain is below what ll resolves, so the halving test
             # cannot judge it; the quadratic model can, and it ends the fit

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import BadK, NotPositiveDefinite, SingularCovariance
+from .errors import BadConfig, NotPositiveDefinite
 
 DEFAULT_K = 9
 
@@ -168,16 +168,16 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K,
     metric = Metric(metric)
     k = int(k)
     if k < 1 or k > train.n:
-        raise BadK(f"k={k} outside 1..{train.n}")
+        raise BadConfig(f"k={k} outside 1..{train.n}")
     if k % 2 == 0:
-        raise BadK(f"k must be odd to avoid vote ties, got {k}")
+        raise BadConfig(f"k must be odd to avoid vote ties, got {k}")
     standardizer = chol = None
     if metric is Metric.MAHALANOBIS:
         cov = nm.add_ridge(nm.sample_mean_covariance(train.x).matrix)
         try:
             chol = nm.cholesky_spd(cov)
         except NotPositiveDefinite as exc:
-            raise SingularCovariance(f"training covariance not invertible: {exc}") from exc
+            raise NotPositiveDefinite(f"training covariance not invertible: {exc}") from exc
         x = np.linalg.solve(chol, train.x.T)
     else:
         standardizer = nm.standardizer_fit(train.x)

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadComponentCount,
+    BadConfig,
     DimensionMismatch,
-    FewerThanTwoSamples,
     NotPositiveDefinite,
     NotSymmetric,
     SchemaViolation,
+    TooFewSamples,
 )
 
 RIDGE_FACTOR = 1e-8
@@ -110,12 +110,12 @@ def _as_matrix(vectors: np.ndarray) -> np.ndarray:
 def sample_mean_covariance(vectors: np.ndarray, mode: CovMode = CovMode.FULL) -> CovarianceEstimate:
     """Unbiased sample mean/covariance of row vectors.
 
-    Raises FewerThanTwoSamples when n < 2 (the n-1 denominator needs two rows).
+    Raises TooFewSamples when n < 2 (the n-1 denominator needs two rows).
     """
     x = _as_matrix(vectors)
     n, d = x.shape
     if n < 2:
-        raise FewerThanTwoSamples(f"covariance needs >= 2 samples, got {n}")
+        raise TooFewSamples(f"covariance needs >= 2 samples, got {n}")
     mode = CovMode(mode)
     mean = x.mean(axis=0)
     centered = x - mean
@@ -198,7 +198,7 @@ def pca_transform(basis: PrincipalComponentBasis, x: np.ndarray, m: int) -> np.n
     """Coordinates of x (a vector or rows) on the first m components."""
     d = basis.components.shape[0]
     if not 1 <= int(m) <= d:
-        raise BadComponentCount(f"component count {m} outside 1..{d}")
+        raise BadConfig(f"component count {m} outside 1..{d}")
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1] != d:
         raise DimensionMismatch(f"vector length {arr.shape[-1]} != basis dimension {d}")
@@ -212,7 +212,7 @@ def standardizer_fit(vectors: np.ndarray) -> Standardizer:
     """Fit per-feature means and (n-1) standard deviations, clamped below."""
     x = _as_matrix(vectors)
     if x.shape[0] < 2:
-        raise FewerThanTwoSamples(f"standardizer needs >= 2 samples, got {x.shape[0]}")
+        raise TooFewSamples(f"standardizer needs >= 2 samples, got {x.shape[0]}")
     means = x.mean(axis=0)
     centered = x - means
     scales = np.sqrt((centered * centered).sum(axis=0) / (x.shape[0] - 1))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import BadConfig, EmptyTrainingSet, NoConvergence, SingleClassInput
+from .errors import BadConfig, EmptyClass, NoConvergence, TooFewSamples
 
 DEFAULT_COST = 1.0
 DEFAULT_POLY_DEGREE = 3
@@ -126,11 +126,11 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     y = np.asarray(y, dtype=float).reshape(-1)
     n = x.shape[0]
     if n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
+        raise TooFewSamples("cannot fit on zero samples")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise BadConfig("binary labels must be -1 or +1")
     if np.all(y == y[0]):
-        raise SingleClassInput("binary fit needs both labels present")
+        raise EmptyClass("binary fit needs both labels present")
     kernel = kernel.resolve(x.shape[1])
     k_mat = kernel.gram(x, x) if gram is None else gram
     if not np.isfinite(k_mat).all():

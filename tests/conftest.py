@@ -4,9 +4,9 @@ import pytest
 from cdsproxy.core import (
     HV_COLUMNS,
     IV_COLUMNS,
-    PANEL_COLUMNS,
     PD_COLUMNS,
     Dataset,
+    FeatureSelection,
     MarketPanel,
 )
 
@@ -31,6 +31,16 @@ def random_dataset(n, d, n_classes, seed=0):
     return Dataset(x=rng.normal(size=(n, d)), y=rng.permutation(np.arange(n) % n_classes),
                    class_names=tuple(f"c{j}" for j in range(n_classes)),
                    feature_names=tuple(f"f{i}" for i in range(d)))
+
+
+def identical_rows():
+    """Twenty copies of one FS5 row, ten in each of two classes. The values
+    are dyadic, so every sample mean is exact and every covariance estimated
+    from the rows is zero, which the ridge cannot repair."""
+    return Dataset(x=np.tile([0.0625, 0.25, 0.5], (20, 1)), y=np.repeat([0, 1], 10),
+                   class_names=("CP00", "CP01"),
+                   feature_names=FeatureSelection.FS5.columns,
+                   selection=FeatureSelection.FS5)
 
 
 def tiny_panel(seed=0, n_cp=3, n_days=10, missing_s=()):

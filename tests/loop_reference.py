@@ -31,8 +31,8 @@ from cdsproxy.bayes import LOG_DENSITY_FLOOR, KernelKind
 from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     BadConfig,
-    EmptyTrainingSet,
     NoConvergence,
+    TooFewSamples,
 )
 from cdsproxy.neighbors import Metric
 from cdsproxy.neuralnet import Activation, NetParams, activation_value
@@ -321,7 +321,7 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
              max_splits: int = DEFAULT_MAX_SPLITS) -> DecisionTreeModel:
     """Greedy breadth-first growth under a budget of internal nodes."""
     if train.n == 0:
-        raise EmptyTrainingSet("cannot fit on zero samples")
+        raise TooFewSamples("cannot fit on zero samples")
     if max_splits < 1:
         raise BadConfig(f"max_splits must be >= 1, got {max_splits}")
     criterion = SplitCriterion(criterion)
@@ -375,7 +375,7 @@ from cdsproxy.core import (  # noqa: E402
     S_COLUMN,
     MarketPanel,
 )
-from cdsproxy.errors import BadK, EmptyClass, RangeViolation, SchemaViolation  # noqa: E402
+from cdsproxy.errors import EmptyClass, RangeViolation, SchemaViolation  # noqa: E402
 from cdsproxy.evaluation import FoldPlan  # noqa: E402
 
 _PANEL_HEADER = ("counterparty", "date") + PANEL_COLUMNS
@@ -490,7 +490,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
     """Per-class seeded shuffle, then one global round-robin dealing pass."""
     n = dataset.n
     if k < 2 or k > n:
-        raise BadK(f"fold count must satisfy 2 <= K <= {n}, got {k}")
+        raise BadConfig(f"fold count must satisfy 2 <= K <= {n}, got {k}")
     rng = np.random.default_rng(seed)
     assignment = np.full(n, -1, dtype=int)
     counter = 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import make_blobs, random_dataset
+from conftest import identical_rows, make_blobs, random_dataset
 from cdsproxy import numerics as nm
 from cdsproxy.bayes import (
     DEFAULT_BANDWIDTH,
@@ -18,11 +18,7 @@ from cdsproxy.bayes import (
     kernel_values,
 )
 from cdsproxy.core import Dataset
-from cdsproxy.errors import (
-    ClassTooSmall,
-    NonpositiveBandwidth,
-    SingleClassInput,
-)
+from cdsproxy.errors import BadConfig, EmptyClass, NotPositiveDefinite, TooFewSamples
 
 KERNELS = list(KernelKind)
 
@@ -136,8 +132,12 @@ class TestLda:
         ds = Dataset(x=np.random.default_rng(0).normal(size=(8, 2)),
                      y=np.zeros(8, dtype=int), class_names=("a",),
                      feature_names=("f0", "f1"))
-        with pytest.raises(SingleClassInput):
+        with pytest.raises(EmptyClass, match="training data holds a single class"):
             fit_lda(ds)
+
+    def test_zero_covariance_rejected(self):
+        with pytest.raises(NotPositiveDefinite, match="shared covariance not invertible"):
+            fit_lda(identical_rows())
 
 
 class TestQda:
@@ -193,8 +193,12 @@ class TestQda:
     def test_class_too_small(self):
         ds = Dataset(x=np.array([[0.0], [1.0], [2.0]]), y=np.array([0, 0, 1]),
                      class_names=("a", "b"), feature_names=("f",))
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(TooFewSamples, match="class 1 has 1 samples; need >= 2"):
             fit_qda(ds)
+
+    def test_zero_class_covariance_rejected(self):
+        with pytest.raises(NotPositiveDefinite, match="class 0 covariance not invertible"):
+            fit_qda(identical_rows())
 
 
 def kde_log_densities(class_samples, kind, b, x):
@@ -289,7 +293,7 @@ class TestNaiveBayes:
     @pytest.mark.parametrize("bandwidth", [-0.1, 0.0])
     def test_bad_bandwidth(self, bandwidth):
         train = make_blobs([[0.0], [2.0]], 5, scale=0.2, seed=7)
-        with pytest.raises(NonpositiveBandwidth):
+        with pytest.raises(BadConfig, match="bandwidth must be > 0"):
             fit_nb(train, bandwidth=bandwidth)
 
 

@@ -8,7 +8,6 @@ from cdsproxy.core import (
     ALL_SELECTIONS,
     PANEL_COLUMNS,
     ClassifierModel,
-    Dataset,
     FeatureSelection,
     MarketPanel,
     build_dataset,
@@ -19,12 +18,10 @@ from cdsproxy.core import (
 )
 from cdsproxy.errors import (
     EmptyClass,
-    EmptyTrainingSet,
-    InsufficientObservedRates,
     MissingFiveYearRate,
     RangeViolation,
     SchemaViolation,
-    SingleClassInput,
+    TooFewSamples,
 )
 
 FS = FeatureSelection
@@ -201,13 +198,13 @@ class TestColumnRules:
 class TestTrainingSetCheck:
     def test_empty_training_set_rejected(self, blob3):
         for two_classes in (True, False):
-            with pytest.raises(EmptyTrainingSet):
+            with pytest.raises(TooFewSamples, match="cannot fit on zero samples"):
                 check_training_set(blob3.subset(np.arange(0)), two_classes)
 
     def test_single_class_rejected_only_where_two_are_needed(self, blob3):
         one_class = blob3.subset(np.flatnonzero(blob3.y == 2))
         check_training_set(one_class, two_classes=False)
-        with pytest.raises(SingleClassInput):
+        with pytest.raises(EmptyClass, match="training data holds a single class"):
             check_training_set(one_class)
         check_training_set(blob3)
 
@@ -286,7 +283,7 @@ class TestImputation:
     def test_insufficient_observed(self):
         panel = tiny_panel(seed=10, n_cp=1, n_days=5,
                            missing_s=[(0, t) for t in range(4)])
-        with pytest.raises(InsufficientObservedRates):
+        with pytest.raises(TooFewSamples, match="1 observed rates < 5 needed for basis FS5"):
             impute_five_year_rate(panel)
 
     def test_no_missing_returns_same_panel(self):

@@ -58,8 +58,6 @@ class TestGeneratorConfig:
         {"n_days": 0},
         {"factor_loading": 1.0},
         {"factor_loading": -0.1},
-        {"idiosyncratic_scale": 0.0},
-        {"base_spacing": -1.0},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(BadConfig):

@@ -11,22 +11,18 @@ import math
 import numpy as np
 import pytest
 
-import cdsproxy.numerics as nm
-from cdsproxy.bayes import fit_lda
 from cdsproxy.neighbors import fit_knn
 from cdsproxy.trees import fit_bagged
 from cdsproxy.core import ClassifierModel, Dataset, FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import (
     BadConfig,
-    BadK,
     DimensionMismatch,
     EmptyClass,
-    EmptyTrainingSet,
     FitFailure,
     MissingCell,
+    NotPositiveDefinite,
     SchemaViolation,
-    SingleClassInput,
     TooFewSamples,
 )
 from cdsproxy.evaluation import (
@@ -51,7 +47,7 @@ from cdsproxy.evaluation import (
 )
 
 import loop_reference as ref
-from conftest import make_blobs
+from conftest import identical_rows, make_blobs
 
 
 def label_dataset(y, n_classes, d=2, seed=0):
@@ -132,9 +128,9 @@ class TestStratifiedFolds:
 
     def test_bad_fold_counts_rejected(self):
         ds = label_dataset([0, 0, 1, 1], 2)
-        with pytest.raises(BadK):
+        with pytest.raises(BadConfig, match="fold count must satisfy 2 <= K <= 4, got 1"):
             stratified_folds(ds, 1)
-        with pytest.raises(BadK):
+        with pytest.raises(BadConfig, match="fold count must satisfy 2 <= K <= 4, got 5"):
             stratified_folds(ds, 5)
 
     def test_class_without_samples_rejected(self):
@@ -271,6 +267,11 @@ class TestCvStatistics:
             assert "FS2" in message
             assert "fold 0" in message
 
+    def test_singular_fold_fit_keeps_its_cause(self):
+        with pytest.raises(FitFailure, match="LDA-FullCov on FS5 fold 0: ") as caught:
+            cross_validate(make_classifier_spec("LDA-FullCov"), identical_rows(), k=2)
+        assert isinstance(caught.value.__cause__, NotPositiveDefinite)
+
     def test_separable_blobs_are_nearly_perfect_for_lda(self):
         ds = make_blobs(centers=[(0, 0), (8, 8), (-8, 8)], n_per_class=15,
                         scale=0.5, seed=21)
@@ -345,14 +346,14 @@ class TestClassifierGrid:
         ds = make_blobs(centers=[(0, 0), (4, 4), (-4, 4)], n_per_class=12,
                         scale=0.6, seed=13)
         spec = make_classifier_spec(label)
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(TooFewSamples, match="cannot fit on zero samples"):
             spec.fit(ds.subset(np.arange(0)), seed=1)
         one_class = ds.subset(np.flatnonzero(ds.y == 1))
         if spec.family in ("KNN", "DT", "BaggedTree"):
             assert np.all(spec.fit(one_class, seed=1)
                           .classify_batch(one_class.x) == 1)
         else:
-            with pytest.raises(SingleClassInput):
+            with pytest.raises(EmptyClass, match="training data holds a single class"):
                 spec.fit(one_class, seed=1)
 
     def test_unknown_label_rejected(self):

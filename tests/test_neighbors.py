@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import make_blobs, random_dataset
+from conftest import identical_rows, make_blobs, random_dataset
 from cdsproxy import numerics as nm
 from cdsproxy.core import Dataset
-from cdsproxy.errors import BadK
+from cdsproxy.errors import BadConfig, NotPositiveDefinite
 from cdsproxy.neighbors import DEFAULT_K, KnnClassifier, Metric, fit_knn
 
 
@@ -92,15 +92,19 @@ class TestValidationAndPolicy:
 
     def test_even_k_rejected(self):
         train = make_blobs([[0.0], [4.0]], 6, scale=0.3, seed=2)
-        with pytest.raises(BadK):
+        with pytest.raises(BadConfig, match="k must be odd to avoid vote ties, got 4"):
             fit_knn(train, k=4)
 
     def test_k_out_of_range(self):
         train = make_blobs([[0.0], [4.0]], 3, scale=0.3, seed=3)
-        with pytest.raises(BadK):
+        with pytest.raises(BadConfig, match=r"k=0 outside 1\.\.6"):
             fit_knn(train, k=0)
-        with pytest.raises(BadK):
+        with pytest.raises(BadConfig, match=r"k=7 outside 1\.\.6"):
             fit_knn(train, k=train.n + 1)
+
+    def test_zero_mahalanobis_covariance_rejected(self):
+        with pytest.raises(NotPositiveDefinite, match="training covariance not invertible"):
+            fit_knn(identical_rows(), metric=Metric.MAHALANOBIS)
 
     def test_standardization_policy_defaults(self):
         train = make_blobs([[0.0, 0.0], [2.0, 2.0]], 8, scale=0.4, seed=4)

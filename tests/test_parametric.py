@@ -15,8 +15,8 @@ from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import (
     BadConfig,
     DimensionMismatch,
+    EmptyClass,
     NoConvergence,
-    SingleClassInput,
 )
 from cdsproxy.evaluation import fold_seed, make_classifier_spec, stratified_folds
 from cdsproxy.logistic import (
@@ -255,7 +255,7 @@ class TestMulticlassLogistic:
     def test_single_class_rejected(self):
         train = Dataset(x=np.zeros((4, 1)), y=np.zeros(4, dtype=int),
                         class_names=("only",), feature_names=("f",))
-        with pytest.raises(SingleClassInput):
+        with pytest.raises(EmptyClass, match="training data holds a single class"):
             fit_logistic_multiclass(train)
 
     def test_describe_and_shapes(self):
@@ -710,5 +710,5 @@ class TestTraining:
     def test_single_class_rejected(self):
         train = Dataset(x=np.zeros((3, 1)), y=np.zeros(3, dtype=int),
                         class_names=("only",), feature_names=("f",))
-        with pytest.raises(SingleClassInput):
+        with pytest.raises(EmptyClass, match="training data holds a single class"):
             fit_neural_net(train)

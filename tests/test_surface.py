@@ -125,3 +125,27 @@ def test_every_parameter_with_a_default_is_set_outside_the_tests():
             unset.setdefault(function, []).append(name)
     assert sorted(f"{function}({', '.join(names)})"
                   for function, names in unset.items()) == []
+
+
+def _bound_by_imports(tree):
+    """Names that the module's import statements bind, but for __future__."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound
+
+
+def test_every_imported_name_is_used():
+    """An import that nothing reads is a dependency nobody has; every name
+    an import binds is read as a Name, or as the root of an attribute."""
+    unused = []
+    for directory in (ROOT / "src" / "cdsproxy", ROOT / "tests"):
+        for path, tree in _trees(directory):
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.relative_to(ROOT)}: {name}"
+                       for name in sorted(_bound_by_imports(tree) - read)]
+    assert unused == []

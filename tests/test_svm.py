@@ -9,7 +9,7 @@ from qp_reference import dual_objective, project_box_simplex, reference_dual_sol
 from cdsproxy import numerics, svm
 from cdsproxy.core import FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
-from cdsproxy.errors import BadConfig, NoConvergence, SingleClassInput
+from cdsproxy.errors import BadConfig, EmptyClass, NoConvergence
 from cdsproxy.evaluation import stratified_folds
 from cdsproxy.svm import (
     DEFAULT_COST,
@@ -205,7 +205,7 @@ class TestBinarySvm:
         with pytest.raises(BadConfig):
             fit_svm_binary(x, np.array([0.0, 1.0, 1.0, 0.0]),
                            KernelSpec(SvmKernel.LINEAR))
-        with pytest.raises(SingleClassInput):
+        with pytest.raises(EmptyClass, match="binary fit needs both labels present"):
             fit_svm_binary(x, np.ones(4), KernelSpec(SvmKernel.LINEAR))
 
 
@@ -608,5 +608,5 @@ class TestMulticlass:
         from cdsproxy.core import Dataset
         train = Dataset(x=np.ones((5, 2)), y=np.zeros(5, dtype=int),
                         class_names=("only",), feature_names=("a", "b"))
-        with pytest.raises(SingleClassInput):
+        with pytest.raises(EmptyClass, match="training data holds a single class"):
             fit_svm_multiclass(train)

@@ -7,8 +7,8 @@ from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     BadConfig,
     DimensionMismatch,
-    EmptyTrainingSet,
     NegativeGain,
+    TooFewSamples,
 )
 from cdsproxy.trees import (
     DEFAULT_BAG_SIZE,
@@ -466,7 +466,7 @@ class TestFitTree:
         train = make_blobs([[0.0], [2.0]], 4, scale=0.3, seed=11)
         empty = Dataset(x=np.empty((0, 1)), y=np.empty(0, dtype=int),
                         class_names=("a", "b"), feature_names=("f",))
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(TooFewSamples, match="cannot fit on zero samples"):
             fit_tree(empty)
         with pytest.raises(BadConfig):
             fit_tree(train, max_splits=0)
