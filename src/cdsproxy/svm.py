@@ -10,13 +10,13 @@ feasible ascent direction, the second maximises the second-order gain, the
 pair is solved in closed form and clipped to the box. The multiclass model
 trains one machine per class against the rest on standardised rows.
 
-Each multiclass machine is solved by a Mehrotra predictor-corrector
-interior-point method (Mehrotra, SIAM J. Optim. 2(4), 1992) through the
-kernel's exact feature map when that map is small (linear, low-degree
-polynomial), and otherwise by pairwise ascent under an update budget, with
-a dense interior-point solve for a machine that stalls within it; either
-solve is polished by the same ascent. fit_svm_multiclass states that
-policy.
+The kernel picks each multiclass machine's route. Linear and polynomial
+machines are solved by a Mehrotra predictor-corrector interior-point
+method (Mehrotra, SIAM J. Optim. 2(4), 1992), through the kernel's exact
+feature map when it is small and densely otherwise; gaussian machines run
+pairwise ascent under an update budget, and one that stalls takes the
+dense interior point. Every interior-point solve is polished by the same
+ascent. fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
@@ -414,9 +414,9 @@ class SvmClassifier(ClassifierModel):
     """One-vs-rest machines; scores are the raw decision values.
 
     gram_rank is the rank r of the Gram factor the interior point solved
-    through: the column count of the kernel's feature map when every
-    machine went through it, n when machines fell back to dense solves,
-    0 when pairwise ascent alone solved every machine.
+    through: the column count of the kernel's feature map when the machines
+    went through it, n when they took dense solves, 0 when pairwise ascent
+    alone solved every (gaussian) machine.
     """
 
     family = "SVM"
@@ -443,29 +443,29 @@ def fit_svm_multiclass(train: Dataset,
                        kernel: KernelSpec = KernelSpec()) -> SvmClassifier:
     """Train one machine per class against the rest on standardised rows.
 
-    When the kernel's feature map gives an exact Gram factor G of r
-    columns that passes the flop rule of _kernel_factor (linear, and
-    polynomial with C(d + p, p) low enough: with p = 3, r = 35, 10, 20 and
-    10 on FS2, FS3, FS5 and FS6), every machine is solved by the interior
-    point on K, whose Newton systems go through G by the Sherman-Morrison-
-    Woodbury identity in O(n r^2), then polished by pairwise ascent from
-    that alpha. Otherwise (gaussian, and polynomial on FS1 and FS4, whose
-    969 and 816 monomials exceed the rows) every machine first runs
-    pairwise ascent with a budget of min(DEFAULT_MAX_UPDATES,
-    n * max(10, n // 100)) updates for n rows, and one that stalls within
-    it is solved by the interior point with dense LU solves in O(n^3), then
-    polished the same way. The polish ends at DEFAULT_KKT_TOL or raises
+    The kernel picks one route for every machine. Linear and polynomial
+    machines are solved by the interior point on K, then polished by
+    pairwise ascent from that alpha. Its Newton systems go through the
+    exact Gram factor G of r columns when _kernel_factor's flop rule
+    passes it (linear, and polynomial with C(d + p, p) low enough: with
+    p = 3, r = 35, 10, 20 and 10 on FS2, FS3, FS5 and FS6), by the
+    Sherman-Morrison-Woodbury identity in O(n r^2), and are dense LU solves
+    in O(n^3) otherwise (polynomial on FS1 and FS4, whose 969 and 816
+    monomials exceed the rows). Gaussian machines run pairwise ascent with a
+    budget of min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n
+    rows, and one that stalls within it takes the dense interior point and
+    the same polish. The polish ends at DEFAULT_KKT_TOL or raises
     NoConvergence after DEFAULT_MAX_UPDATES updates. The machines are
     independent, so solving the stalled ones last changes no result.
 
-    The budget was set near the break-even of ascent and a dense
+    The gaussian budget was set near the break-even of ascent and a dense
     interior-point solve at n = 450, the size of the study's fold fits
     (timings in CHANGES.md), and is kept, as a change would move machines
     that converge within it. From n ~ 3,200 the budget is
     DEFAULT_MAX_UPDATES, so the interior point runs only for machines
-    ascent alone would fail. A machine that converges within its budget
-    is the one fit_svm_binary returns; one over it, or one solved through
-    G, may end at another alpha inside the same tolerance.
+    ascent alone would fail. A gaussian machine that converges within its
+    budget is the one fit_svm_binary returns; any other machine may end at
+    another alpha inside the same tolerance.
     """
     check_training_set(train)
     standardizer = nm.standardizer_fit(train.x)
@@ -475,7 +475,7 @@ def fit_svm_multiclass(train: Dataset,
     factor = _kernel_factor(kernel, x)
     labels = [np.where(train.y == j, 1.0, -1.0) for j in range(train.n_classes)]
     machines = [None] * train.n_classes
-    if factor is None:
+    if kernel.kind is SvmKernel.GAUSSIAN:
         budget = min(DEFAULT_MAX_UPDATES, train.n * max(10, train.n // 100))
         for j, y in enumerate(labels):
             try:
@@ -484,12 +484,12 @@ def fit_svm_multiclass(train: Dataset,
                                              max_updates=budget)
             except NoConvergence:
                 pass
-    stalled = [j for j, machine in enumerate(machines) if machine is None]
+    unsolved = [j for j, machine in enumerate(machines) if machine is None]
     if factor is not None:
         gram_rank = factor.shape[1]
     else:
-        gram_rank = train.n if stalled else 0
-    for j in stalled:
+        gram_rank = train.n if unsolved else 0
+    for j in unsolved:
         y = labels[j]
         alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor)
         # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
