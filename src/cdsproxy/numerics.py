@@ -1,17 +1,18 @@
 """Dense numerical kernels used by the classifiers.
 
-Everything here is written against small dimensions (d <= a few dozen):
-unbiased covariance estimation, the symmetric eigendecomposition, Cholesky
+Unbiased covariance estimation, the symmetric eigendecomposition, Cholesky
 factorisation and SPD solves (all three by numpy's LAPACK routines, behind
 this module's NotSymmetric / NotPositiveDefinite / DimensionMismatch
 checks), principal-component analysis and feature standardisation, plus
 the query-row checks and the block slicing that the instance-based
 classifiers (kNN, kernel naive Bayes) use to keep their temporaries small.
+The classifiers call most of these on d x d matrices, d <= a few dozen;
+spd_solver also serves the SVM interior point's n x n Newton matrices.
 """
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
 
 RIDGE_FACTOR = 1e-8
 BLOCK_BYTES = 1 << 18  # 256 KB: budget of one per-block scoring temporary
+_SOLVE_BLOCK = 32      # rows per diagonal block of spd_solver's substitutions
 
 
 class CovMode(str, enum.Enum):
@@ -160,14 +162,43 @@ def cholesky_spd(matrix: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
 
 
+def spd_solver(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor A = LL' once and return a function solving A x = b for a
+    vector or matrix b; NotPositiveDefinite if the factorisation fails.
+    LAPACK reads only A's lower triangle; A is not checked for symmetry.
+    numpy has no triangular solve, so the diagonal blocks of L are inverted
+    once, and each solve substitutes block by block through matmuls.
+    """
+    try:
+        lower = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+    n = lower.shape[0]
+    blocks = [slice(i, min(i + _SOLVE_BLOCK, n)) for i in range(0, n, _SOLVE_BLOCK)]
+    inverses = [np.linalg.inv(lower[k, k]) for k in blocks]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = np.array(rhs, dtype=float)
+        for k, inverse in zip(blocks, inverses):
+            if k.start:
+                x[k] -= lower[k, :k.start] @ x[:k.start]
+            x[k] = inverse @ x[k]
+        for k, inverse in zip(reversed(blocks), reversed(inverses)):
+            if k.stop < n:
+                x[k] -= lower[k.stop:, k].T @ x[k.stop:]
+            x[k] = inverse.T @ x[k]
+        return x
+
+    return solve
+
+
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = b for SPD A via Cholesky. Callers ridge A beforehand."""
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix order {a.shape[0]}")
-    lower = cholesky_spd(a)
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+    return spd_solver(_check_symmetric(a))(b)
 
 
 def pca_fit(vectors: np.ndarray) -> PrincipalComponentBasis:

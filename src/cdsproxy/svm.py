@@ -272,17 +272,18 @@ def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     x^a with |a| <= p, scaled by sqrt(p! / ((p - |a|)! a!)), the root of
     its coefficient in the expansion of (1 + x'y)^p, so r = C(d + p, p)
     (Schoelkopf and Smola, Learning with Kernels, 2002). An interior-point
-    iteration costs about n r^2 + 4/3 r^3 flops through G (the product P'P
-    and two r x r LU solves) against 4/3 n^3 for its two dense LU solves,
-    so G is returned only while 3 n r^2 + 4 r^3 < 4 n^3, that is r below
-    about 0.8 n; r is counted before any column is built.
+    iteration through G costs about n r^2 + 4/3 r^3 flops (P'P and two
+    r x r LU solves), a dense one a Cholesky of n^3 / 3 run at a lower
+    rate; timed at n = 450, the study's fold size, the two break even near
+    r = 0.6 n, so G is returned only while r < 0.6 n; r is counted before
+    any column is built.
     """
     if kernel.kind is SvmKernel.GAUSSIAN:
         return None
     n, d = x.shape
     p = int(kernel.degree)
     r = d if kernel.kind is SvmKernel.LINEAR else math.comb(d + p, p)
-    if 3 * n * r * r + 4 * r ** 3 >= 4 * n ** 3:
+    if 5 * r >= 3 * n:
         return None
     if kernel.kind is SvmKernel.LINEAR:
         return x
@@ -306,9 +307,10 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
     D = diag(z/a + w/s) once, as (K + D) [y*u, y*v] = [y*g, 1], which
     rounds to the same u and v as y = +-1, and takes
     db = (y'u + y'a) / y'v, da = u - v db, so the step toward y'a = 0 is
-    eliminated in closed form. With factor = None the two solves of an
-    iteration are dense, D going onto k_mat's own diagonal and coming off
-    it again; with a factor G, GG' = K, they go through the
+    eliminated in closed form. The predictor and the corrector share one
+    factorisation per iteration: with factor = None a dense Cholesky of
+    K + D (numerics.spd_solver), D going onto k_mat's diagonal for it
+    only; with a factor G, GG' = K, the solves go through the
     Sherman-Morrison-Woodbury identity on the scaled P = D^-1/2 G,
     (K + D)^-1 = D^-1/2 (I - P (I + P'P)^-1 P') D^-1/2, and share one
     r x r matrix I + P'P (Fine and Scheinberg, JMLR 2, 2001; Ferris and
@@ -319,7 +321,8 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
     while a clip leaves |y'alpha| above 1e-12 C n, the shift is repeated
     over the alphas still strictly inside the box. Raises NoConvergence if
     _IP_MAX_ITERATIONS pass first, or if no alpha is left inside the box
-    to restore y'alpha = 0.
+    to restore y'alpha = 0, and NotPositiveDefinite if the Cholesky of
+    K + D fails.
     """
     n = y.size
     k_diag = k_mat.diagonal().copy()
@@ -345,17 +348,22 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
             raise NoConvergence(f"interior point residual {residual:.3e} > "
                                 f"{_IP_TOL} after {iterations} iterations")
         diag = z / alpha + w / s
+        # one n x n factor alive at a time: drop the last one first
+        solve = None
         if factor is None:
             k_mat.flat[::n + 1] += diag
-
-            def solve(rhs):
-                return np.linalg.solve(k_mat, rhs)
+            try:
+                solve = nm.spd_solver(k_mat)
+            finally:
+                k_mat.flat[::n + 1] = k_diag
         else:
             scale = (1.0 / np.sqrt(diag))[:, None]
             p = factor * scale
             m_mat = p.T @ p
             m_mat.flat[::m_mat.shape[0] + 1] += 1.0
 
+            # pivoted LU, not Cholesky: a small share of the iteration, and
+            # a Cholesky of I + P'P failed on SVM-Linear FS1 by rounding
             def solve(rhs):
                 rhs = rhs * scale
                 return (rhs - p @ np.linalg.solve(m_mat, p.T @ rhs)) * scale
@@ -374,15 +382,11 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
             return min(_max_step(alpha, da), _max_step(s, -da),
                        _max_step(z, dz), _max_step(w, dw))
 
-        try:
-            da, db, dz, dw = direction(0.0, 0.0, 0.0)
-            t = min(1.0, step(da, dz, dw))
-            mu_aff = float((alpha + t * da) @ (z + t * dz)
-                           + (s - t * da) @ (w + t * dw)) / (2 * n)
-            da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
-        finally:
-            if factor is None:
-                k_mat.flat[::n + 1] = k_diag
+        da, db, dz, dw = direction(0.0, 0.0, 0.0)
+        t = min(1.0, step(da, dz, dw))
+        mu_aff = float((alpha + t * da) @ (z + t * dz)
+                       + (s - t * da) @ (w + t * dw)) / (2 * n)
+        da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
         t = min(1.0, _IP_STEP * step(da, dz, dw))
         alpha += t * da
         s -= t * da
@@ -446,22 +450,24 @@ def fit_svm_multiclass(train: Dataset,
     The kernel picks one route for every machine. Linear and polynomial
     machines are solved by the interior point on K, then polished by
     pairwise ascent from that alpha. Its Newton systems go through the
-    exact Gram factor G of r columns when _kernel_factor's flop rule
-    passes it (linear, and polynomial with C(d + p, p) low enough: with
-    p = 3, r = 35, 10, 20 and 10 on FS2, FS3, FS5 and FS6), by the
-    Sherman-Morrison-Woodbury identity in O(n r^2), and are dense LU solves
-    in O(n^3) otherwise (polynomial on FS1 and FS4, whose 969 and 816
-    monomials exceed the rows). Gaussian machines run pairwise ascent with a
-    budget of min(DEFAULT_MAX_UPDATES, n * max(10, n // 100)) updates for n
-    rows, and one that stalls within it takes the dense interior point and
-    the same polish. The polish ends at DEFAULT_KKT_TOL or raises
-    NoConvergence after DEFAULT_MAX_UPDATES updates. The machines are
-    independent, so solving the stalled ones last changes no result.
+    exact Gram factor G of r columns when _kernel_factor's rule passes it
+    (linear, and polynomial with C(d + p, p) low enough: with p = 3,
+    r = 35, 10, 20 and 10 on FS2, FS3, FS5 and FS6), by the
+    Sherman-Morrison-Woodbury identity in O(n r^2), and through one dense
+    Cholesky per iteration in O(n^3) otherwise (polynomial on FS1 and FS4,
+    whose 969 and 816 monomials exceed the rows). Gaussian machines run
+    pairwise ascent with a budget of min(DEFAULT_MAX_UPDATES,
+    n * max(10, n // 100)) updates for n rows, and one that stalls within
+    it takes the dense interior point and the same polish. The polish ends
+    at DEFAULT_KKT_TOL or raises NoConvergence after DEFAULT_MAX_UPDATES
+    updates. The machines are independent, so solving the stalled ones
+    last changes no result.
 
-    The gaussian budget was set near the break-even of ascent and a dense
-    interior-point solve at n = 450, the size of the study's fold fits
-    (timings in CHANGES.md), and is kept, as a change would move machines
-    that converge within it. From n ~ 3,200 the budget is
+    The gaussian budget, 10 n updates at the study's n = 450, was set near
+    the break-even of ascent and a dense interior-point solve, then 13-15 n
+    updates; with one Cholesky per iteration the solve costs 7-8 n
+    (CHANGES.md). It is kept, as a change would move machines that
+    converge within it. From n ~ 3,200 the budget is
     DEFAULT_MAX_UPDATES, so the interior point runs only for machines
     ascent alone would fail. A gaussian machine that converges within its
     budget is the one fit_svm_binary returns; any other machine may end at

@@ -135,9 +135,10 @@ def label_product(y, k_mat):
 
 
 def interior_point(q, y, cost):
-    """The dense interior point on Q: each direction solves
-    (Q + diag(z/a + w/s)) [u, v] = [g, y], the diagonal going onto q's own
-    for the two solves of an iteration."""
+    """The dense interior point on Q: each iteration factors
+    Q + diag(z/a + w/s) once through numerics.spd_solver, the diagonal going
+    onto q's own for the factorisation only, and each direction solves
+    (Q + diag(z/a + w/s)) [u, v] = [g, y] through that factor."""
     n = y.size
     q_diag = q.diagonal().copy()
     r_scale = 1.0 + cost * float(q_diag.max())
@@ -158,11 +159,13 @@ def interior_point(q, y, cost):
             raise NoConvergence(f"interior point residual {residual:.3e} > "
                                 f"{_IP_TOL} after {iterations} iterations")
         q.flat[::n + 1] += z / alpha + w / s
+        solve = nm.spd_solver(q)
+        q.flat[::n + 1] = q_diag
 
         def direction(sigma_mu, c_z, c_w):
             t_z, t_w = (sigma_mu - c_z) / alpha, (sigma_mu - c_w) / s
             g = -r_dual + t_z - z - t_w + w
-            u, v = np.linalg.solve(q, np.column_stack([g, y])).T
+            u, v = solve(np.column_stack([g, y])).T
             db = (y @ u + r_eq) / (y @ v)
             da = u - v * db
             return da, db, t_z - z - z / alpha * da, t_w - w + w / s * da
@@ -176,7 +179,6 @@ def interior_point(q, y, cost):
         mu_aff = float((alpha + t * da) @ (z + t * dz)
                        + (s - t * da) @ (w + t * dw)) / (2 * n)
         da, db, dz, dw = direction((mu_aff / mu) ** 3 * mu, da * dz, -da * dw)
-        q.flat[::n + 1] = q_diag
         t = min(1.0, _IP_STEP * step(da, dz, dw))
         alpha += t * da
         s -= t * da

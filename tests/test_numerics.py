@@ -95,6 +95,29 @@ class TestJacobi:
             nm.eigen_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestSpdSolver:
+    @pytest.mark.parametrize("n", [1, nm._SOLVE_BLOCK - 1, nm._SOLVE_BLOCK,
+                                   nm._SOLVE_BLOCK + 1, 450])
+    def test_matches_the_lu_solve(self, n):
+        # a diagonal from 1e-6 to 1e6, as the interior point's Newton
+        # matrices have; agreement within 1e-12 of the largest entry
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n))
+        a = g @ g.T / n + np.diag(rng.permutation(np.logspace(-6, 6, n)))
+        solve = nm.spd_solver(a)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            kept = b.copy()
+            want = np.linalg.solve(a, b)
+            got = solve(b)
+            assert got.shape == b.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(b, kept)
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            nm.spd_solver(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 class TestSpdSolve:
     def test_identity_exact(self):
         b = np.array([3.0, 4.0])

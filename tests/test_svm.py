@@ -9,7 +9,7 @@ from qp_reference import dual_objective, project_box_simplex, reference_dual_sol
 from cdsproxy import numerics, svm
 from cdsproxy.core import FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
-from cdsproxy.errors import BadConfig, EmptyClass, NoConvergence
+from cdsproxy.errors import BadConfig, EmptyClass, NoConvergence, NotPositiveDefinite
 from cdsproxy.evaluation import stratified_folds
 from cdsproxy.svm import (
     DEFAULT_COST,
@@ -257,6 +257,40 @@ class TestInteriorPoint:
         ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         assert np.array_equal(model.alpha, ascent.alpha)
 
+    def test_dense_iteration_factors_once_for_both_directions(self, monkeypatch):
+        # the predictor and the corrector solve through one Cholesky of K + D
+        x, y = binary_problem(90, 40, 3, 0.3)
+        gram = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
+        calls = []
+        cholesky, solve = np.linalg.cholesky, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append("cholesky") or cholesky(a))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: calls.append("solve") or solve(a, b))
+        _, iterations = svm._interior_point(gram, y, DEFAULT_COST)
+        assert iterations > 0
+        assert calls == ["cholesky"] * iterations
+
+    def test_failed_factorisation_raises_and_restores_the_gram_matrix(
+            self, monkeypatch):
+        x, y = binary_problem(91, 40, 3, 0.3)
+        gram = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
+        before = gram.copy()
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def second_fails(a):
+            calls.append(a.shape)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", second_fails)
+        with pytest.raises(NotPositiveDefinite):
+            svm._interior_point(gram, y, DEFAULT_COST)
+        assert calls == [gram.shape] * 2
+        assert np.array_equal(gram, before)
+
     @pytest.mark.parametrize("factored", [False, True])
     def test_restore_repeats_its_shift_after_a_clip(self, factored):
         # machine 4 on FS6 fold 4 of the default panel, on rows scaled by
@@ -384,11 +418,11 @@ class TestFeatureMapFactor:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_polynomial_map_reproduces_the_gram_matrix(self, degree, d):
         # (1 + x'y)^p over the C(d + p, p) scaled monomials of degree <= p
-        x = np.random.default_rng(80 + d).normal(size=(200, d))
+        x = np.random.default_rng(80 + d).normal(size=(250, d))
         spec = KernelSpec(SvmKernel.POLYNOMIAL, degree=degree)
         gram = spec.gram(x, x)
         factor = svm._kernel_factor(spec, x)
-        assert factor.shape == (200, math.comb(d + degree, degree))
+        assert factor.shape == (250, math.comb(d + degree, degree))
         assert np.abs(factor @ factor.T - gram).max() <= 1e-12 * gram.max()
 
     def test_linear_map_is_the_rows(self):
@@ -444,15 +478,15 @@ class TestFeatureMapFactor:
             assert svm._kernel_factor(KernelSpec(SvmKernel.POLYNOMIAL), x) is None
 
     def test_factor_only_below_the_flop_break_even(self):
-        # n = 10: 3 n r^2 + 4 r^3 = 3,968 < 4 n^3 at r = 8, 5,346 at r = 9
-        x = np.random.default_rng(88).normal(size=(13, 9))
+        # a factor only while r < 0.6 n: at n = 10, r = 5 but not r = 6
+        x = np.random.default_rng(88).normal(size=(17, 6))
         linear = KernelSpec(SvmKernel.LINEAR)
-        assert svm._kernel_factor(linear, x[:10, :8]).shape == (10, 8)
+        assert svm._kernel_factor(linear, x[:10, :5]).shape == (10, 5)
         assert svm._kernel_factor(linear, x[:10]) is None
-        # d = 2, p = 3, r = 10: 7,600 >= 6,912 at n = 12, 7,900 < 8,788 at 13
+        # d = 2, p = 3, r = 10: none at n = 16, one at n = 17
         poly = KernelSpec(SvmKernel.POLYNOMIAL)
-        assert svm._kernel_factor(poly, x[:12, :2]) is None
-        assert svm._kernel_factor(poly, x[:, :2]).shape == (13, 10)
+        assert svm._kernel_factor(poly, x[:16, :2]) is None
+        assert svm._kernel_factor(poly, x[:, :2]).shape == (17, 10)
 
     def test_factor_made_once_per_fit_before_any_solve(self, monkeypatch):
         calls = []
@@ -524,7 +558,8 @@ class TestFeatureMapFactor:
         (FeatureSelection.FS4, SvmKernel.LINEAR, 15),
         (FeatureSelection.FS5, SvmKernel.LINEAR, 3),
         (FeatureSelection.FS6, SvmKernel.LINEAR, 2),
-        (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, 35),
+        # 35 monomials for the golden fold's 45 rows: dense, r = n
+        (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, 45),
         (FeatureSelection.FS3, SvmKernel.POLYNOMIAL, 10),
         (FeatureSelection.FS5, SvmKernel.POLYNOMIAL, 20),
         (FeatureSelection.FS6, SvmKernel.POLYNOMIAL, 10)])
