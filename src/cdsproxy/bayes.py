@@ -9,6 +9,7 @@ estimates, i.e. assumes feature independence within a class.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,31 +30,36 @@ class KernelKind(str, enum.Enum):
     EPANECHNIKOV = "epanechnikov"
 
 
-def kernel_values(kind: KernelKind, u: np.ndarray) -> np.ndarray:
-    """Evaluate a unit-integral kernel at scaled distances u, in place: the
-    float array u is overwritten with the values and returned.
-
-    The normal kernel is exp(-u^2 / 2) / sqrt(2 pi), with u^2 halved after
-    the square: halving is exact, so this rounds as -0.5 * u * u does
-    wherever u^2 / 2 is a normal number, and elsewhere exp gives 1 or 0
-    from either form.
-    """
-    kind = KernelKind(kind)
+def _kernel_terms(kind: KernelKind, bandwidth: float, t: np.ndarray) -> np.ndarray:
+    """Overwrite the differences t with the kernel's terms in the bandwidth's
+    units, with no division: exp(t^2 * (-1 / (2 h^2))) for the normal
+    kernel, max(h - |t|, 0) for the triangular and max(h^2 - t^2, 0) for
+    the Epanechnikov. A compact kernel's term at |t| = h is exactly 0, and
+    by Sterbenz's lemma h - |t| is exact wherever |t| is within a factor 2
+    of h, where 1 - |t| / h first rounds the quotient."""
+    h = bandwidth
     if kind is KernelKind.NORMAL:
-        np.multiply(u, u, out=u)
-        u *= -0.5
-        np.exp(u, out=u)
-        u /= np.sqrt(2.0 * np.pi)
-        return u
+        np.multiply(t, t, out=t)
+        t *= -1.0 / (2.0 * h * h)
+        return np.exp(t, out=t)
     if kind is KernelKind.TRIANGULAR:
-        np.abs(u, out=u)
-        np.subtract(1.0, u, out=u)
-        return np.maximum(u, 0.0, out=u)
-    np.multiply(u, u, out=u)
-    np.subtract(1.0, u, out=u)
-    np.maximum(u, 0.0, out=u)
-    u *= 0.75
-    return u
+        np.abs(t, out=t)
+        np.subtract(h, t, out=t)
+    else:
+        np.multiply(t, t, out=t)
+        np.subtract(h * h, t, out=t)
+    return np.maximum(t, 0.0, out=t)
+
+
+def _density_scale(kind: KernelKind, bandwidth: float, n: int) -> float:
+    """The factor that turns a sum of n `_kernel_terms` into a unit-integral
+    kernel density: 1 / (n h sqrt(2 pi)), 1 / (n h^2) or 3 / (4 n h^3)."""
+    h = bandwidth
+    if kind is KernelKind.NORMAL:
+        return 1.0 / (n * h * math.sqrt(2.0 * math.pi))
+    if kind is KernelKind.TRIANGULAR:
+        return 1.0 / (n * h * h)
+    return 3.0 / (4.0 * n * h * h * h)
 
 
 @dataclass
@@ -160,15 +166,19 @@ class NbClassifier(ClassifierModel):
     most numerics.BLOCK_BYTES (256 KB), or one query where a single query
     needs more. Per predict, each class's rows are tiled once along the
     query axis, (class rows, block queries x d), so that a block's
-    differences are one subtract whose inner loop runs over its queries x d
-    flattened features. They land in one temporary, laid out as (class
-    rows, queries, d), which is scaled and where the kernel is evaluated in
-    place (`kernel_values`). Its mean over the class rows is then a
-    sequential sum, row after row, and lands as a contiguous (queries x d)
-    array, whose logs numpy sums pairwise over the features. A lone
-    feature's class rows are made contiguous first, so that numpy sums
-    them pairwise. These are the sums of the earlier (queries x class rows
-    x d) layout, so every score is the same bit for bit.
+    differences t = query - row are one subtract whose inner loop runs over
+    its queries x d flattened features. They land in one temporary, laid
+    out as (class rows, queries, d), where each term is made in place in
+    the bandwidth's units, with no division (`_kernel_terms`): a square or
+    an abs, one multiply or reverse subtract by a constant, then exp or
+    max(., 0). The terms are summed over the class rows, row after row in
+    the order of the training rows, into a contiguous (queries x d) array;
+    a lone feature's class rows are made contiguous first, so that numpy
+    sums each of its columns pairwise instead. Only then are h and the
+    kernel's constant applied, as one multiply of each (query, feature)
+    sum by `_density_scale`. The floored logs of those densities are summed
+    pairwise over the features and added to the class's log prior. No
+    step depends on the block size, so neither does any score.
     """
 
     family = "NB"
@@ -183,19 +193,19 @@ class NbClassifier(ClassifierModel):
         x = nm.as_rows(x, d)
         out = np.empty((x.shape[0], len(self.class_samples)))
         for j, samples in enumerate(self.class_samples):
+            scale = _density_scale(self.kernel, self.bandwidth, len(samples))
             tiled = None
             for rows in nm.row_blocks(x.shape[0], samples.nbytes):
                 block = x[rows]
                 if tiled is None:  # the first block is the widest
                     tiled = np.tile(samples, (1, len(block)))
-                u = np.subtract(block.ravel(), tiled[:, :block.size]).reshape(
+                t = np.subtract(block.ravel(), tiled[:, :block.size]).reshape(
                     len(samples), *block.shape)
-                u /= self.bandwidth
-                kernel_values(self.kernel, u)
+                _kernel_terms(self.kernel, self.bandwidth, t)
                 if d == 1:
-                    u = np.ascontiguousarray(u.T).T
-                dens = u.mean(axis=0)
-                dens /= self.bandwidth
+                    t = np.ascontiguousarray(t.T).T
+                dens = t.sum(axis=0)
+                dens *= scale
                 with np.errstate(divide="ignore"):
                     logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
                 out[rows, j] = logs.sum(axis=1) + self.log_priors[j]
@@ -213,7 +223,7 @@ def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
     if not bandwidth > 0.0:
         raise BadConfig(f"bandwidth must be > 0, got {bandwidth}")
     log_priors = class_log_priors(train.y, train.n_classes)
-    samples = [train.x[train.y == j].copy() for j in range(train.n_classes)]
+    samples = [train.x[train.y == j] for j in range(train.n_classes)]
     return NbClassifier(class_samples=samples, kernel=KernelKind(kernel),
                         bandwidth=float(bandwidth), log_priors=log_priors,
                         class_names=train.class_names)

@@ -11,10 +11,12 @@ feature at every node and evaluate the float score of every candidate, as
 `cdsproxy.trees` did before it presorted once per fit and screened the
 candidates by integer counts. `nb_scores_batch` scores naive Bayes on a
 (queries x class rows x d) tensor with a new array for every operation,
-as `cdsproxy.bayes` did before it evaluated its kernel in place in one
-temporary. `knn_distances` and `knn_scores_batch` form the kNN distances
-row-major, as a (queries x training rows x d) difference whose last axis
-is summed in ascending feature order by an explicit loop, where
+where `cdsproxy.bayes` tiles the class rows and makes each block's kernel
+terms in place in one (class rows x queries x d) temporary; both work in
+the bandwidth's units and apply h and the kernel's constant after the sum
+over the class rows. `knn_distances` and `knn_scores_batch` form the kNN
+distances row-major, as a (queries x training rows x d) difference whose
+last axis is summed in ascending feature order by an explicit loop, where
 `cdsproxy.neighbors` works on feature-major rows, and rank every training
 row by a stable sort. The tests swap them in and require the fitted
 models, or the scores, to agree bit for bit.
@@ -24,6 +26,8 @@ models, or the scores, to agree bit for bit.
 Hessian; the two round differently, so the tests require the directions
 to agree to a relative 1e-12.
 """
+import math
+
 import numpy as np
 
 from cdsproxy import numerics as nm
@@ -507,23 +511,34 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
     return FoldPlan(k=k, assignment=assignment, seed=seed)
 
 
-def _kernel_values(kind, u):
+def _kernel_values(kind, h, t):
     if kind is KernelKind.NORMAL:
-        return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+        return np.exp(t * t * (-1.0 / (2.0 * h * h)))
     if kind is KernelKind.TRIANGULAR:
-        return np.maximum(0.0, 1.0 - np.abs(u))
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+        return np.maximum(h - np.abs(t), 0.0)
+    return np.maximum(h * h - t * t, 0.0)
+
+
+def _density_scale(kind, h, n):
+    if kind is KernelKind.NORMAL:
+        return 1.0 / (n * h * math.sqrt(2.0 * math.pi))
+    if kind is KernelKind.TRIANGULAR:
+        return 1.0 / (n * h * h)
+    return 3.0 / (4.0 * n * h * h * h)
 
 
 def nb_scores_batch(model, x):
     """Kernel naive Bayes scores of an NbClassifier, block by block over a
-    (queries x class rows x d) tensor."""
+    (queries x class rows x d) tensor of differences in the bandwidth's
+    units, summed over the class rows and then scaled."""
     x = nm.as_rows(x, model.class_samples[0].shape[1])
+    h = model.bandwidth
     out = np.empty((x.shape[0], len(model.class_samples)))
     for j, samples in enumerate(model.class_samples):
+        scale = _density_scale(model.kernel, h, len(samples))
         for rows in nm.row_blocks(x.shape[0], samples.nbytes):
-            u = (x[rows, None, :] - samples[None, :, :]) / model.bandwidth
-            dens = _kernel_values(model.kernel, u).mean(axis=1) / model.bandwidth
+            t = x[rows, None, :] - samples[None, :, :]
+            dens = _kernel_values(model.kernel, h, t).sum(axis=1) * scale
             with np.errstate(divide="ignore"):
                 logs = np.maximum(np.log(dens), LOG_DENSITY_FLOOR)
             out[rows, j] = logs.sum(axis=1) + model.log_priors[j]

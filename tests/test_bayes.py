@@ -12,10 +12,11 @@ from cdsproxy.bayes import (
     LOG_DENSITY_FLOOR,
     KernelKind,
     QdaClassifier,
+    _density_scale,
+    _kernel_terms,
     fit_lda,
     fit_nb,
     fit_qda,
-    kernel_values,
 )
 from cdsproxy.core import Dataset
 from cdsproxy.errors import BadConfig, EmptyClass, NotPositiveDefinite, TooFewSamples
@@ -201,15 +202,20 @@ class TestQda:
             fit_qda(identical_rows())
 
 
-def kde_log_densities(class_samples, kind, b, x):
-    """Each class's log KDE at the scalar x, read off the scores of a
-    one-feature naive Bayes model whose class j holds class_samples[j]."""
+def one_feature_nb(class_samples, kind, b):
+    """A one-feature naive Bayes model whose class j holds class_samples[j]."""
     sizes = [len(samples) for samples in class_samples]
     train = Dataset(x=np.concatenate(class_samples)[:, None],
                     y=np.repeat(np.arange(len(sizes)), sizes),
                     class_names=tuple(f"c{j}" for j in range(len(sizes))),
                     feature_names=("f",))
-    model = fit_nb(train, kernel=kind, bandwidth=b)
+    return fit_nb(train, kernel=kind, bandwidth=b)
+
+
+def kde_log_densities(class_samples, kind, b, x):
+    """Each class's log KDE at the scalar x, read off the scores of
+    `one_feature_nb`."""
+    model = one_feature_nb(class_samples, kind, b)
     return model.scores_batch(np.array([[x]]))[0] - model.log_priors
 
 
@@ -237,18 +243,60 @@ class TestKde:
                 want = kde_oracle(samples, kind, b, x)
                 assert got[j] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("bandwidth", [0.2, 1.0, 3.0])
     @pytest.mark.parametrize("kind", KERNELS)
-    def test_unit_integral(self, kind):
-        lim = 12.0 if kind is KernelKind.NORMAL else 1.0
-        u = np.linspace(-lim, lim, 200_001)
-        integral = np.trapezoid(kernel_values(kind, u.copy()), u)
-        assert integral == pytest.approx(1.0, abs=1e-6)
+    def test_unit_integral(self, kind, bandwidth):
+        lim = (12.0 if kind is KernelKind.NORMAL else 1.0) * bandwidth
+        t = np.linspace(-lim, lim, 200_001)
+        density = _kernel_terms(kind, bandwidth, t.copy()) * _density_scale(
+            kind, bandwidth, 1)
+        assert np.trapezoid(density, t) == pytest.approx(1.0, abs=1e-6)
 
     def test_floor_outside_support(self):
         classes = [np.array([0.0]), np.array([10.0])]
         got = kde_log_densities(classes, KernelKind.TRIANGULAR, 0.5, 10.0)
         assert got[0] == pytest.approx(LOG_DENSITY_FLOOR, rel=1e-15)
         assert got[1] == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+class TestSupportEdge:
+    """The compact kernels at and beyond |query - row| = h. At the query 0,
+    the difference to a row r is exactly -r; every class has the same size
+    and so the same prior, and the scores compare bit for bit."""
+
+    COMPACT = [KernelKind.TRIANGULAR, KernelKind.EPANECHNIKOV]
+
+    @staticmethod
+    def scores_at_zero(class_samples, kind, h):
+        model = one_feature_nb(class_samples, kind, h)
+        return model.scores_batch(np.zeros((1, 1)))[0], model.log_priors
+
+    # at 0.41, |t| * (1 / h) rounds below 1; at 0.3, t^2 * (1 / h^2) does
+    @pytest.mark.parametrize("h", [0.2, 0.3, 0.41, 1.7])
+    @pytest.mark.parametrize("kind", COMPACT)
+    def test_row_one_bandwidth_away_adds_exactly_zero(self, kind, h):
+        rows = [np.array([0.1, h]), np.array([0.1, -h]), np.array([0.1, 5.0 * h])]
+        scores, _ = self.scores_at_zero(rows, kind, h)
+        assert scores[0] == scores[1] == scores[2] > LOG_DENSITY_FLOOR
+        scores, log_priors = self.scores_at_zero([np.array([h]), np.array([-h])],
+                                                 kind, h)
+        assert np.array_equal(scores, LOG_DENSITY_FLOOR + log_priors)
+
+    @pytest.mark.parametrize("kind", COMPACT)
+    def test_mirrored_rows_give_the_same_density(self, kind):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            h = float(rng.uniform(0.05, 2.0))
+            dist = rng.uniform(0.0, 1.5 * h, size=7)
+            scores, _ = self.scores_at_zero([dist, -dist], kind, h)
+            assert scores[0] == scores[1]
+
+    @pytest.mark.parametrize("kind", COMPACT)
+    def test_query_outside_every_support_scores_the_floor(self, kind):
+        h = 0.2
+        rows = [np.array([-h, h, 0.75]), np.array([1.5 * h, -3.0, 1.0])]
+        scores, log_priors = self.scores_at_zero(rows, kind, h)
+        assert np.array_equal(scores, LOG_DENSITY_FLOOR + log_priors)
 
 
 class TestNaiveBayes:
@@ -376,8 +424,30 @@ class TestAgainstFrozenLoop:
             assert np.array_equal(model.scores_batch(q), ref.nb_scores_batch(model, q))
 
     def test_rate_column_underflows(self):
-        u = (self.rate_like(43, seed=28)[:, None, 0]
-             - self.rate_like(600, seed=27)[None, :, 0]) / DEFAULT_BANDWIDTH
-        terms = kernel_values(KernelKind.NORMAL, u)
+        t = (self.rate_like(43, seed=28)[:, None, 0]
+             - self.rate_like(600, seed=27)[None, :, 0])
+        terms = _kernel_terms(KernelKind.NORMAL, DEFAULT_BANDWIDTH, t)
         assert np.mean(terms < np.finfo(float).tiny) > 0.5
         assert np.any((terms > 0.0) & (terms < np.finfo(float).tiny))
+
+    def test_argmax_matches_the_kde_oracle_outside_ties(self):
+        # the benchmark's naive Bayes check: wherever the oracle's top two
+        # scores differ by more than 1e-9 relative, the model's arg-max
+        # must be the oracle's
+        y = random_dataset(600, 5, 3, seed=26).y
+        x_train = self.rate_like(600, seed=27)
+        queries = self.rate_like(43, seed=28)
+        train = Dataset(x=x_train, y=y, class_names=("c0", "c1", "c2"),
+                        feature_names=tuple(f"f{i}" for i in range(5)))
+        for kind in KERNELS:
+            model = fit_nb(train, kernel=kind)
+            want = np.array([[
+                sum(kde_oracle(x_train[y == j, v], kind, DEFAULT_BANDWIDTH, q[v])
+                    for v in range(5)) + model.log_priors[j]
+                for j in range(3)] for q in queries])
+            top2 = np.sort(want, axis=1)[:, -2:]
+            clear = top2[:, 1] - top2[:, 0] > 1e-9 * np.maximum(
+                1.0, np.abs(top2).max(axis=1))
+            assert clear.sum() >= 30, kind
+            got = np.argmax(model.scores_batch(queries), axis=1)
+            assert np.array_equal(got[clear], np.argmax(want, axis=1)[clear]), kind
