@@ -10,7 +10,7 @@ from cdsproxy import numerics, svm
 from cdsproxy.core import FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import BadConfig, EmptyClass, NoConvergence, NotPositiveDefinite
-from cdsproxy.evaluation import stratified_folds
+from cdsproxy.evaluation import FoldPlan, stratified_folds
 from cdsproxy.svm import (
     DEFAULT_COST,
     DEFAULT_KKT_TOL,
@@ -121,6 +121,25 @@ class TestBinarySvm:
         w_got = dual_objective(model.alpha, gram, y)
         assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
 
+    def test_rank_deficient_gaussian_gram_matches_reference(self):
+        # two cumulative hazards of one time, as pd_1y and pd_5y on FS6:
+        # the points lie on a curve and the gaussian Gram is numerically
+        # singular, its smallest eigenvalue below zero by rounding
+        rng = np.random.default_rng(1)
+        t = np.sort(rng.uniform(0.0, 3.0, size=40))
+        x = np.column_stack([1.0 - np.exp(-t), 1.0 - np.exp(-5.0 * t)])
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        y = np.where(rng.random(40) < 0.5 + 0.3 * np.sin(3.0 * t), 1.0, -1.0)
+        spec = KernelSpec(SvmKernel.GAUSSIAN).resolve(2)
+        gram = spec.gram(x, x)
+        assert np.linalg.eigvalsh(gram).min() < 1e-12
+        model = fit_svm_binary(x, y, spec)
+        assert model.kkt_gap <= DEFAULT_KKT_TOL
+        w_ref = dual_objective(reference_dual_solution(gram, y, DEFAULT_COST),
+                               gram, y)
+        w_got = dual_objective(model.alpha, gram, y)
+        assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
+
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_constraints_feasible(self, seed):
         x, y = binary_problem(seed, 15, 4, 0.7)
@@ -152,11 +171,11 @@ class TestBinarySvm:
         assert a.bias == b.bias
         assert a.n_updates == b.n_updates
 
-    def test_update_cap_raises(self):
+    def test_update_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(svm, "DEFAULT_MAX_UPDATES", 3)
         x, y = binary_problem(51, 30, 3, 0.2)
-        with pytest.raises(NoConvergence):
-            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR),
-                           max_updates=3)
+        with pytest.raises(NoConvergence, match="after 3 pair updates"):
+            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
 
     def test_non_finite_kernel_values_raise(self):
         # (1 + 1e200^2)^3 overflows, so the gradient and the KKT gap are
@@ -325,36 +344,6 @@ class TestInteriorPoint:
         with pytest.raises(NoConvergence):
             fit_svm_multiclass(train)
 
-    def test_machine_over_its_budget_matches_pairwise_ascent(self):
-        # the gaussian kernel has no feature-map factor, so every machine
-        # first runs pairwise ascent: machine 1 converges after 825
-        # updates, over its budget of 10 n = 600 but under
-        # DEFAULT_MAX_UPDATES, so it takes the interior point; machines 0
-        # and 2 converge after 112 and 81 and keep the ascent path bit for bit
-        train = random_dataset(60, 2, 3, seed=6)
-        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.GAUSSIAN))
-        x = model.standardizer.apply(train.x)
-        gram = model.kernel.gram(x, x)
-        ascent = [fit_svm_binary(x, m.y_train, model.kernel)
-                  for m in model.machines]
-        assert 10 * train.n < ascent[1].n_updates < DEFAULT_MAX_UPDATES
-        over = model.machines[1]
-        assert over.ip_iterations > 0 and over.kkt_gap <= DEFAULT_KKT_TOL
-        # the interior point's alpha is the nearer to the optimum: here its
-        # dual objective exceeds the ascent's by 1.4e-6, and it may not fall
-        # short of it by more than 1e-6
-        y = over.y_train
-        assert (dual_objective(over.alpha, gram, y)
-                >= dual_objective(ascent[1].alpha, gram, y) - 1e-6)
-        f_ip, f_ascent = over.decision_batch(x), ascent[1].decision_batch(x)
-        assert np.abs(f_ip - f_ascent).max() <= 1e-3
-        assert np.array_equal(np.sign(f_ip), np.sign(f_ascent))
-        for j in (0, 2):
-            assert model.machines[j].ip_iterations == 0
-            assert np.array_equal(model.machines[j].alpha, ascent[j].alpha)
-            assert model.machines[j].bias == ascent[j].bias
-            assert model.machines[j].n_updates == ascent[j].n_updates
-
     def test_machines_through_the_feature_map_match_pairwise_ascent(self):
         # under pairwise ascent alone the first linear machine converges
         # after 1,036 updates and the second after 114; through the
@@ -503,12 +492,12 @@ class TestFeatureMapFactor:
         assert all(m.ip_iterations > 0 for m in model.machines)
         assert calls == [(90, 3)]
         calls.clear()
-        # no gaussian factor: every machine converges by pairwise ascent
+        # a gaussian fit runs pairwise ascent alone and makes no factor
         model = fit_svm_multiclass(make_blobs([[0.0, 0.0], [4.0, 4.0]], 10,
                                               scale=0.5, seed=87),
                                    kernel=KernelSpec(SvmKernel.GAUSSIAN))
         assert all(m.ip_iterations == 0 for m in model.machines)
-        assert calls == [(20, 2)]
+        assert calls == []
 
     @pytest.mark.parametrize("kind,selection", [
         pytest.param(SvmKernel.LINEAR, None, id="linear"),
@@ -534,22 +523,28 @@ class TestFeatureMapFactor:
         if selection is not None:
             assert model.gram_rank == train.n
 
-    def test_only_gaussian_machines_run_the_budgeted_ascent(self, monkeypatch):
+    def test_only_gaussian_machines_run_the_ascent_alone(self, monkeypatch):
         train = golden_fold(FeatureSelection.FS1, 0)
-        budget = min(DEFAULT_MAX_UPDATES, train.n * max(10, train.n // 100))
-        calls = []
+        ascents, solves = [], []
 
-        def recorded(*args, **kwargs):
-            calls.append((args[2].kind, len(args), kwargs.get("max_updates")))
+        def recorded_ascent(*args, **kwargs):
+            ascents.append((args[2].kind, len(args), sorted(kwargs)))
             return fit(*args, **kwargs)
 
-        fit = svm.fit_svm_binary
-        monkeypatch.setattr(svm, "fit_svm_binary", recorded)
+        def recorded_solve(*args):
+            solves.append(kind)
+            return solve(*args)
+
+        fit, solve = svm.fit_svm_binary, svm._interior_point
+        monkeypatch.setattr(svm, "fit_svm_binary", recorded_ascent)
+        monkeypatch.setattr(svm, "_interior_point", recorded_solve)
         for kind in SvmKernel:
             fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        # one call per gaussian machine, with the budget by keyword:
-        # perfbench's tracer reads max_updates from kwargs
-        assert calls == [(SvmKernel.GAUSSIAN, 3, budget)] * train.n_classes
+        # one ascent per gaussian machine, capped at DEFAULT_MAX_UPDATES,
+        # and one interior point per linear and polynomial machine only
+        assert ascents == [(SvmKernel.GAUSSIAN, 3, ["gram"])] * train.n_classes
+        assert sorted(solves) == sorted(
+            [SvmKernel.LINEAR, SvmKernel.POLYNOMIAL] * train.n_classes)
 
     @pytest.mark.parametrize("selection,kind,rank", [
         (FeatureSelection.FS1, SvmKernel.LINEAR, 16),
@@ -577,9 +572,12 @@ class TestFeatureMapFactor:
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
             assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
 
-    def test_gaussian_fit_keeps_the_ascent_machines_bit_for_bit(self):
-        train = make_blobs([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 15,
-                           scale=0.8, seed=89)
+    @pytest.mark.parametrize("train", [
+        pytest.param(make_blobs([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 15,
+                                scale=0.8, seed=89), id="blobs"),
+        # machine 1 needs 825 updates, more than 10 n
+        pytest.param(random_dataset(60, 2, 3, seed=6), id="over-10n")])
+    def test_gaussian_fit_keeps_the_ascent_machines_bit_for_bit(self, train):
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.GAUSSIAN))
         x = model.standardizer.apply(train.x)
         for j, machine in enumerate(model.machines):
@@ -590,6 +588,29 @@ class TestFeatureMapFactor:
             assert machine.bias == ascent.bias
             assert machine.n_updates == ascent.n_updates
             assert machine.kkt_gap == ascent.kkt_gap
+
+    @pytest.mark.parametrize("case", ["permuted-rows", "date-fold"])
+    def test_gaussian_fold_on_a_near_singular_gram_converges(self, case):
+        # SVM-Gaussian on FS6 of the default panel, whose two columns lie
+        # near a curve: the Gram matrix is numerically singular, and the
+        # dense interior point cannot stop on these folds, so every machine
+        # must converge by pairwise ascent alone
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS6)
+        if case == "permuted-rows":
+            rows = stratified_folds(dataset, 10, seed=0).training_rows(1)
+            rows = rows[np.random.default_rng(2).permutation(rows.size)]
+        else:
+            # ten folds of ten consecutive days each; fold 9 holds the last
+            day = np.tile(np.arange(100), 5)
+            plan = FoldPlan(k=10, assignment=day * 10 // 100, seed=0)
+            rows = plan.training_rows(9)
+        assert rows.size == 450
+        model = fit_svm_multiclass(dataset.subset(rows),
+                                   kernel=KernelSpec(SvmKernel.GAUSSIAN))
+        for machine in model.machines:
+            assert machine.ip_iterations == 0
+            assert machine.kkt_gap <= DEFAULT_KKT_TOL
 
     def test_describe_reports_the_rank_the_interior_point_used(self):
         blobs = make_blobs([[0.0, 0.0], [4.0, 4.0]], 10, scale=0.5, seed=87)
