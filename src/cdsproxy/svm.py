@@ -12,9 +12,11 @@ trains one machine per class against the rest on standardised rows.
 
 The kernel picks each multiclass machine's route. Linear and polynomial
 machines are solved by a Mehrotra predictor-corrector interior-point
-method (Mehrotra, SIAM J. Optim. 2(4), 1992), through the kernel's exact
-feature map when it is small and densely otherwise, then polished by the
-same ascent; gaussian machines run pairwise ascent alone.
+method (Mehrotra, SIAM J. Optim. 2(4), 1992) through the kernel's exact
+feature map when it is small. Otherwise they are solved densely, by a
+primal-dual active-set iteration, with the interior point on K as its
+fallback. Either way the same ascent polishes the result and checks its
+KKT conditions. Gaussian machines run pairwise ascent alone.
 fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
@@ -28,7 +30,13 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import BadConfig, EmptyClass, NoConvergence, TooFewSamples
+from .errors import (
+    BadConfig,
+    EmptyClass,
+    NoConvergence,
+    NotPositiveDefinite,
+    TooFewSamples,
+)
 
 DEFAULT_COST = 1.0
 DEFAULT_POLY_DEGREE = 3
@@ -39,6 +47,7 @@ _IP_TOL = 1e-9             # interior-point stop on scaled residuals and mu / C
 _IP_MAX_ITERATIONS = 100
 _IP_STEP = 0.995           # share of the way to the boundary per step
 _SNAP = 1e-7               # alphas this share of C from a bound go onto it
+_AS_MAX_ROUNDS = 100       # active-set rounds before the interior point takes over
 
 
 class SvmKernel(str, enum.Enum):
@@ -97,6 +106,7 @@ class BinarySvm:
     kkt_gap: float
     n_updates: int             # pair updates that produced alpha
     ip_iterations: int         # interior-point iterations; 0 on pure ascent
+    active_set_rounds: int     # active-set rounds; 0 when alpha came otherwise
 
     def decision_batch(self, x: np.ndarray) -> np.ndarray:
         sv = self.alpha > 0.0
@@ -139,10 +149,11 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
 def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                      cost: float, tol: float, max_updates: int,
                      k_mat: np.ndarray, minus_yg: np.ndarray,
-                     alpha: np.ndarray, ip_iterations: int) -> BinarySvm:
+                     alpha: np.ndarray, ip_iterations: int,
+                     active_set_rounds: int = 0) -> BinarySvm:
     """Run pairwise ascent from a feasible alpha, which it updates in place,
     and minus_yg = -y * grad at that alpha, and build the machine;
-    ip_iterations records how that alpha was found.
+    ip_iterations and active_set_rounds record how that alpha was found.
 
     grad is the gradient of 1/2 a'Qa - sum a, with Q = yy' * K. As y = +-1
     and Q_ki = y_k y_i K_ki, adding the step -y_i da_i K[:, i] - y_j da_j K[:, j]
@@ -248,7 +259,8 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
             bias = 0.0
     return BinarySvm(alpha=alpha, bias=bias, x_train=x, y_train=y, kernel=kernel,
                      cost=cost, kkt_gap=float(gap), n_updates=updates,
-                     ip_iterations=ip_iterations)
+                     ip_iterations=ip_iterations,
+                     active_set_rounds=active_set_rounds)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -258,10 +270,10 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
-    """G (n x r) with GG' = kernel.gram(x, x) up to rounding, built from the
-    kernel's exact feature map, or None for the gaussian kernel, whose map
-    has no finite r, and when r is too large for the Sherman-Morrison-
-    Woodbury solve to pay.
+    """G (n x r) with GG' = kernel.gram(x, x) up to rounding, built from a
+    linear or polynomial kernel's exact feature map, or None when r is too
+    large for the Sherman-Morrison-Woodbury solve to pay. The gaussian
+    kernel's map has no finite r, and no caller passes that kernel.
 
     Linear: G = x, r = d. Polynomial of degree p: one column per monomial
     x^a with |a| <= p, scaled by sqrt(p! / ((p - |a|)! a!)), the root of
@@ -273,8 +285,6 @@ def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     r = 0.6 n, so G is returned only while r < 0.6 n; r is counted before
     any column is built.
     """
-    if kernel.kind is SvmKernel.GAUSSIAN:
-        return None
     n, d = x.shape
     p = int(kernel.degree)
     r = d if kernel.kind is SvmKernel.LINEAR else math.comb(d + p, p)
@@ -408,14 +418,69 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
     return alpha, iterations
 
 
+def _active_set(k_mat: np.ndarray, y: np.ndarray,
+                cost: float) -> tuple[np.ndarray, int]:
+    """Solve the dual by a primal-dual active-set iteration from every index
+    free; return alpha, on the box with y'alpha = 0 up to rounding, and the
+    rounds.
+
+    In beta = y * alpha the dual is min 1/2 beta'K beta - y'beta subject to
+    1'beta = 0 and alpha in the box. With the free set F, the set U at C
+    and the rest at 0, the optimum over F solves
+    [K_FF 1; 1' 0][beta_F; b] = [y_F - K_FU beta_U; -1'beta_U]: one
+    Cholesky of K_FF (numerics.spd_solver) solves for both right-hand sides
+    [y_F - K_FU beta_U, 1], u and v, and then b = (1'u + 1'beta_U) / 1'v
+    and beta_F = u - b v. Each round moves every free index whose alpha
+    left [0, C] onto the bound it crossed, and frees every bound index
+    whose gradient y * (K beta + b) - 1 has the wrong sign, negative at 0
+    or positive at C; the sets are right, and alpha optimal, when no index
+    moves (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13(3), 2003; for
+    the SVM dual, Scheinberg, JMLR 7, 2006). Raises NotPositiveDefinite if
+    a Cholesky of K_FF fails, and NoConvergence if a solve is not finite,
+    no index is left free, or the sets still move after _AS_MAX_ROUNDS
+    rounds.
+    """
+    free, at_cost = np.ones(y.size, dtype=bool), np.zeros(y.size, dtype=bool)
+    rounds = 0
+    while True:
+        if rounds == _AS_MAX_ROUNDS:
+            raise NoConvergence(f"active sets still move after {rounds} rounds")
+        if not free.any():
+            raise NoConvergence(f"no free index left after {rounds} rounds")
+        beta = np.where(at_cost, cost * y, 0.0)
+        # beta is 0 on F, so (K beta)_F = K_FU beta_U
+        rhs = np.column_stack([y[free] - (k_mat @ beta)[free],
+                               np.ones(np.count_nonzero(free))])
+        # K itself while every index is free, so that no copy of K is alive
+        # next to its factor in the first and largest round
+        k_free = k_mat if free.all() else k_mat[np.ix_(free, free)]
+        u, v = nm.spd_solver(k_free)(rhs).T
+        b = (u.sum() + beta.sum()) / v.sum()
+        beta[free] = u - b * v
+        rounds += 1
+        if not (math.isfinite(b) and np.isfinite(beta).all()):
+            raise NoConvergence(f"active-set solve is not finite in round {rounds}")
+        alpha = y * beta
+        grad = y * (k_mat @ beta + b) - 1.0
+        below, above = free & (alpha < 0.0), free & (alpha > cost)
+        freed = np.where(at_cost, grad > 0.0, ~free & (grad < 0.0))
+        if not (below.any() or above.any() or freed.any()):
+            return alpha, rounds
+        free = (free & ~below & ~above) | freed
+        at_cost = (at_cost & ~freed) | above
+
+
 @dataclass
 class SvmClassifier(ClassifierModel):
     """One-vs-rest machines; scores are the raw decision values.
 
-    gram_rank is the rank r of the Gram factor the interior point solved
-    through: the column count of the kernel's feature map when the machines
-    went through it, n when they took dense solves, and 0 for the gaussian
-    kernel, whose machines pairwise ascent alone solves.
+    gram_rank is the rank r of the Gram factor the machines were solved
+    through: the column count of the kernel's feature map when the interior
+    point went through it, n on the dense route (the active set, or the
+    dense interior point where it falls back), and 0 for the gaussian
+    kernel, whose machines pairwise ascent alone solves. describe() sums
+    the machines' interior-point iterations and active-set rounds, so a
+    dense fit with interior-point iterations had a machine fall back.
     """
 
     family = "SVM"
@@ -435,6 +500,8 @@ class SvmClassifier(ClassifierModel):
                 "kkt_gap": max(m.kkt_gap for m in self.machines),
                 "n_updates": sum(m.n_updates for m in self.machines),
                 "ip_iterations": sum(m.ip_iterations for m in self.machines),
+                "active_set_rounds": sum(m.active_set_rounds
+                                         for m in self.machines),
                 "gram_rank": self.gram_rank}
 
 
@@ -443,14 +510,24 @@ def fit_svm_multiclass(train: Dataset,
     """Train one machine per class against the rest on standardised rows.
 
     The kernel picks one route for every machine. Linear and polynomial
-    machines are solved by the interior point on K, then polished by
-    pairwise ascent from that alpha. Its Newton systems go through the
-    exact Gram factor G of r columns when _kernel_factor's rule passes it
-    (linear, and polynomial with C(d + p, p) low enough: with p = 3,
-    r = 35, 10, 20 and 10 on FS2, FS3, FS5 and FS6), by the
-    Sherman-Morrison-Woodbury identity in O(n r^2), and through one dense
-    Cholesky per iteration in O(n^3) otherwise (polynomial on FS1 and FS4,
-    whose 969 and 816 monomials exceed the rows).
+    machines take the exact Gram factor G of r columns when
+    _kernel_factor's rule passes it (linear, and polynomial with
+    C(d + p, p) low enough: with p = 3, r = 35, 10, 20 and 10 on FS2, FS3,
+    FS5 and FS6). There the interior point on K solves them, its Newton
+    systems going through G by the Sherman-Morrison-Woodbury identity in
+    O(n r^2).
+
+    Otherwise they take the dense route (polynomial on FS1 and FS4, whose
+    969 and 816 monomials exceed the rows): _active_set solves each
+    machine from every index free, through one Cholesky of the free block
+    K_FF per round, with no interior point. A machine falls back to the
+    dense interior point, one O(n^3) Cholesky per iteration, unchanged,
+    when a Cholesky of K_FF fails (K singular, as where the map has fewer
+    columns than the rows), a solve is not finite, or the sets still move
+    after _AS_MAX_ROUNDS = 100 rounds. That cap is about twice the most
+    rounds measured on those cells: at most 53 over their 10 folds at cv
+    seeds 0-2 (FS4, cv seed 2; CHANGES.md). Either alpha is then polished
+    by pairwise ascent at DEFAULT_KKT_TOL, which also checks it.
 
     Gaussian machines are solved by pairwise ascent alone, as
     fit_svm_binary solves them. Its second-order choice of the working
@@ -477,12 +554,19 @@ def fit_svm_multiclass(train: Dataset,
         gram_rank = train.n if factor is None else factor.shape[1]
         machines = []
         for y in labels:
-            alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor)
+            alpha, iterations, rounds = None, 0, 0
+            if factor is None:
+                try:
+                    alpha, rounds = _active_set(gram, y, DEFAULT_COST)
+                except (NotPositiveDefinite, NoConvergence):
+                    pass
+            if alpha is None:
+                alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor)
             # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
             machines.append(_pairwise_ascent(
                 x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
                 DEFAULT_MAX_UPDATES, gram, y - gram @ (y * alpha), alpha,
-                iterations))
+                iterations, rounds))
     return SvmClassifier(machines=machines, class_names=train.class_names,
                          kernel=kernel, standardizer=standardizer,
                          gram_rank=gram_rank)

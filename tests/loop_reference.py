@@ -59,7 +59,7 @@ from cdsproxy.trees import (
 
 
 def pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat, minus_yg,
-                    alpha, ip_iterations):
+                    alpha, ip_iterations, active_set_rounds=0):
     """Pairwise ascent that forms Q = yy' * K and updates the gradient
     through it, and rebuilds the gradient sign, the index sets and
     -y * grad with whole-vector numpy calls on every update."""
@@ -130,7 +130,8 @@ def pairwise_ascent(x, y, kernel, cost, tol, max_updates, k_mat, minus_yg,
             bias = 0.0
     return BinarySvm(alpha=alpha, bias=bias, x_train=x, y_train=y, kernel=kernel,
                      cost=cost, kkt_gap=float(gap), n_updates=updates,
-                     ip_iterations=ip_iterations)
+                     ip_iterations=ip_iterations,
+                     active_set_rounds=active_set_rounds)
 
 
 def label_product(y, k_mat):

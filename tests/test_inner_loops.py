@@ -90,12 +90,15 @@ class TestPairwiseAscent:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_interior_point_start_matches_reference(self, kind):
-        # from the dense solve's alpha, then from the one through the
-        # kernel's feature-map factor, which is None for the gaussian kernel
+        # from the dense solve's alpha, then, for a kernel with a finite
+        # feature map, from the one through its factor
         x, y = overlapping_problem(3)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        for factor in (None, svm._kernel_factor(spec, x)):
+        factors = [None]
+        if kind is not SvmKernel.GAUSSIAN:
+            factors.append(svm._kernel_factor(spec, x))
+        for factor in factors:
             alpha, _ = svm._interior_point(gram, y, DEFAULT_COST, factor)
             # a tolerance below the interior point's leaves polishing to do
             args = (x, y, spec, DEFAULT_COST, 1e-9, 100_000, gram)
@@ -162,16 +165,23 @@ class TestDenseInteriorPoint:
         # the polish starts from y - K (y * alpha) = -y * (Q alpha - 1)
         assert np.array_equal(y - gram @ (y * alpha), -y * (q @ alpha - 1.0))
 
+    @pytest.mark.parametrize("selection,cap", [
+        # 35 monomials for 45 rows: K is singular, and the active set's
+        # first Cholesky fails on every machine
+        pytest.param(FeatureSelection.FS2, svm._AS_MAX_ROUNDS, id="FS2-singular"),
+        # K has full rank; a cap of one round sends every machine back
+        pytest.param(FeatureSelection.FS1, 1, id="FS1-capped")])
     def test_fold_fit_with_dense_fallback_machines_matches_reference(
-            self, monkeypatch):
-        # SVM-Poly on FS1 fold 0 of the 3-name x 30-day panel: K has full
-        # rank, and every machine takes the dense solve
+            self, monkeypatch, selection, cap):
+        # SVM-Poly on fold 0 of the 3-name x 30-day panel: no feature-map
+        # factor, and every machine falls back to the dense interior point
         panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30,
                                                seed=0))
-        dataset = build_dataset(panel, FeatureSelection.FS1)
+        dataset = build_dataset(panel, selection)
         train = dataset.subset(
             evaluation.stratified_folds(dataset, 2, seed=0).training_rows(0))
         spec = KernelSpec(SvmKernel.POLYNOMIAL)
+        monkeypatch.setattr(svm, "_AS_MAX_ROUNDS", cap)
         got = svm.fit_svm_multiclass(train, kernel=spec)
         monkeypatch.setattr(
             svm, "_interior_point",
@@ -181,6 +191,7 @@ class TestDenseInteriorPoint:
         want = svm.fit_svm_multiclass(train, kernel=spec)
         assert got.gram_rank == train.n
         assert all(m.ip_iterations > 0 for m in got.machines)
+        assert all(m.active_set_rounds == 0 for m in got.machines)
         for a, b in zip(got.machines, want.machines):
             assert_same_machine(a, b)
             assert a.ip_iterations == b.ip_iterations

@@ -230,9 +230,9 @@ class TestBinarySvm:
 
 def interior_point_then_ascent(x, y, spec, cost, factored=False):
     """The interior-point path of one multiclass machine, on a binary
-    problem; factored passes the interior point the kernel's feature-map
-    factor, which is None for the gaussian kernel and for a map with too
-    many columns for the rows."""
+    problem; factored passes the interior point the feature-map factor of a
+    linear or polynomial kernel, which is None for a map with too many
+    columns for the rows."""
     gram = spec.gram(x, x)
     factor = svm._kernel_factor(spec, x) if factored else None
     alpha, iterations = svm._interior_point(gram, y, cost, factor)
@@ -252,8 +252,10 @@ class TestInteriorPoint:
         ref = reference_dual_solution(gram, y, DEFAULT_COST)
         w_ref = dual_objective(ref, gram, y)
         # dense solves, then solves through the feature-map factor where
-        # the kernel has a small one (linear, and polynomial at n = 40)
-        for factored in (False, True):
+        # the kernel has a small one (linear, and polynomial at n = 40);
+        # the gaussian kernel has no finite map
+        for factored in ((False,) if kind is SvmKernel.GAUSSIAN
+                         else (False, True)):
             model = interior_point_then_ascent(x, y, spec, DEFAULT_COST, factored)
             assert model.ip_iterations > 0
             w_got = dual_objective(model.alpha, gram, y)
@@ -345,20 +347,20 @@ class TestInteriorPoint:
             fit_svm_multiclass(train)
 
     def test_machines_through_the_feature_map_match_pairwise_ascent(self):
-        # under pairwise ascent alone the first linear machine converges
-        # after 1,036 updates and the second after 114; through the
-        # feature map both take the interior point and end at the same
-        # optimum within the tolerance
+        # through the feature map, here the two standardised columns, both
+        # linear machines take the interior point, and they end at the
+        # optimum that pairwise ascent alone reaches, within the tolerance
         train = random_dataset(60, 2, 2, seed=0)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.LINEAR))
         x = model.standardizer.apply(train.x)
         gram = model.kernel.gram(x, x)
+        assert svm._kernel_factor(model.kernel, x) is x
+        assert model.gram_rank == train.d == 2
         ascent = [fit_svm_binary(x, m.y_train, model.kernel)
                   for m in model.machines]
-        assert 10 * train.n < ascent[0].n_updates < DEFAULT_MAX_UPDATES
-        assert ascent[1].n_updates <= 10 * train.n
         for machine, reference in zip(model.machines, ascent):
             assert machine.ip_iterations > 0
+            assert machine.active_set_rounds == 0
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
             y = machine.y_train
             assert abs(dual_objective(machine.alpha, gram, y)
@@ -384,6 +386,7 @@ class TestInteriorPoint:
         assert summary["n_updates"] == sum(m.n_updates for m in model.machines)
         assert summary["ip_iterations"] == sum(m.ip_iterations
                                                for m in model.machines)
+        assert summary["active_set_rounds"] == 0
 
 
 def golden_fold(selection, fold):
@@ -449,11 +452,8 @@ class TestFeatureMapFactor:
         svm._interior_point(gram, y, DEFAULT_COST)
         assert np.array_equal(gram, kept)
 
-    def test_gaussian_and_large_maps_take_the_dense_solve(self, monkeypatch):
+    def test_large_maps_take_the_dense_solve(self, monkeypatch):
         rng = np.random.default_rng(86)
-        x = rng.normal(size=(120, 4))
-        assert svm._kernel_factor(KernelSpec(SvmKernel.GAUSSIAN).resolve(4),
-                                  x) is None
 
         def no_monomials(*args):
             raise AssertionError("a map over the flop rule was built")
@@ -509,7 +509,8 @@ class TestFeatureMapFactor:
     def test_routed_fit_makes_no_ascent_attempt_and_no_eigendecomposition(
             self, monkeypatch, kind, selection):
         # on FS1 and FS4, 969 and 816 monomials for 45 rows: no factor, so
-        # every machine takes the dense interior point
+        # every machine takes the dense active set; the others take the
+        # interior point through the feature map
         train = (random_dataset(90, 3, 3, seed=1) if selection is None
                  else golden_fold(selection, 0))
         calls = []
@@ -519,9 +520,13 @@ class TestFeatureMapFactor:
                             lambda *args: calls.append("eigen"))
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
         assert calls == []
-        assert all(m.ip_iterations > 0 for m in model.machines)
-        if selection is not None:
+        if selection is None:
+            assert all(m.ip_iterations > 0 for m in model.machines)
+            assert all(m.active_set_rounds == 0 for m in model.machines)
+        else:
             assert model.gram_rank == train.n
+            assert all(m.ip_iterations == 0 for m in model.machines)
+            assert all(m.active_set_rounds > 0 for m in model.machines)
 
     def test_only_gaussian_machines_run_the_ascent_alone(self, monkeypatch):
         train = golden_fold(FeatureSelection.FS1, 0)
@@ -531,20 +536,26 @@ class TestFeatureMapFactor:
             ascents.append((args[2].kind, len(args), sorted(kwargs)))
             return fit(*args, **kwargs)
 
-        def recorded_solve(*args):
-            solves.append(kind)
-            return solve(*args)
+        def recorded(solver):
+            def solve(*args):
+                solves.append((solver.__name__, kind))
+                return solver(*args)
+            return solve
 
-        fit, solve = svm.fit_svm_binary, svm._interior_point
+        fit = svm.fit_svm_binary
         monkeypatch.setattr(svm, "fit_svm_binary", recorded_ascent)
-        monkeypatch.setattr(svm, "_interior_point", recorded_solve)
+        for name in ("_interior_point", "_active_set"):
+            monkeypatch.setattr(svm, name, recorded(getattr(svm, name)))
         for kind in SvmKernel:
             fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        # one ascent per gaussian machine, capped at DEFAULT_MAX_UPDATES,
-        # and one interior point per linear and polynomial machine only
+        # one ascent per gaussian machine, capped at DEFAULT_MAX_UPDATES;
+        # per linear machine one interior point through the 16 columns, and
+        # per polynomial machine one dense active set, 969 monomials being
+        # more than the 45 rows
         assert ascents == [(SvmKernel.GAUSSIAN, 3, ["gram"])] * train.n_classes
         assert sorted(solves) == sorted(
-            [SvmKernel.LINEAR, SvmKernel.POLYNOMIAL] * train.n_classes)
+            [("_interior_point", SvmKernel.LINEAR),
+             ("_active_set", SvmKernel.POLYNOMIAL)] * train.n_classes)
 
     @pytest.mark.parametrize("selection,kind,rank", [
         (FeatureSelection.FS1, SvmKernel.LINEAR, 16),
@@ -621,11 +632,82 @@ class TestFeatureMapFactor:
                                  kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert low.describe()["gram_rank"] == 20
         # SVM-Poly on FS1: 969 monomials for 45 rows, so every machine
-        # takes the dense interior point
+        # takes the dense active set
         train = golden_fold(FeatureSelection.FS1, 0)
         dense = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
-        assert all(m.ip_iterations > 0 for m in dense.machines)
-        assert dense.describe()["gram_rank"] == train.n == 45
+        summary = dense.describe()
+        assert summary["gram_rank"] == train.n == 45
+        assert summary["ip_iterations"] == 0
+        assert summary["active_set_rounds"] == sum(
+            m.active_set_rounds for m in dense.machines) > 0
+
+
+class TestActiveSet:
+    def test_matches_projected_gradient_reference(self):
+        # d = 5, p = 3: 56 monomials for 40 rows, so K has full rank; the
+        # optimum has 24 free alphas and one at C
+        x, y = binary_problem(30, 20, 5, 0.3)
+        gram = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
+        kept = gram.copy()
+        alpha, rounds = svm._active_set(gram, y, DEFAULT_COST)
+        assert np.array_equal(gram, kept)
+        assert 1 < rounds < svm._AS_MAX_ROUNDS
+        assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
+        assert abs(float(alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
+        assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
+        w_ref = dual_objective(reference_dual_solution(gram, y, DEFAULT_COST),
+                               gram, y)
+        assert abs(dual_objective(alpha, gram, y) - w_ref) <= 1e-6 * max(
+            1.0, abs(w_ref))
+
+    def test_study_fold_takes_no_interior_point(self, monkeypatch):
+        # SVM-Poly on FS1 fold 0 of the default panel: 969 monomials for
+        # 450 rows, and K has full rank
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS1)
+        train = dataset.subset(stratified_folds(dataset, 10, seed=0)
+                               .training_rows(0))
+
+        def no_interior_point(*args):
+            raise AssertionError("a machine reached the interior point")
+
+        monkeypatch.setattr(svm, "_interior_point", no_interior_point)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        assert model.gram_rank == train.n == 450
+        for machine in model.machines:
+            assert machine.ip_iterations == 0
+            assert 0 < machine.active_set_rounds < svm._AS_MAX_ROUNDS
+            assert machine.kkt_gap <= DEFAULT_KKT_TOL
+            # the sets were right: the ascent's check needs no update
+            assert machine.n_updates == 0
+
+    @pytest.mark.parametrize("selection,cap,error", [
+        # 35 monomials for 45 rows: K is singular, so is its Cholesky
+        pytest.param(FeatureSelection.FS2, svm._AS_MAX_ROUNDS,
+                     NotPositiveDefinite, id="FS2-singular"),
+        # the sets of these machines settle in 5-9 rounds, not in 1
+        pytest.param(FeatureSelection.FS1, 1, NoConvergence, id="FS1-capped")])
+    def test_fallback_machines_equal_the_interior_point_bit_for_bit(
+            self, monkeypatch, selection, cap, error):
+        train = golden_fold(selection, 0)
+        monkeypatch.setattr(svm, "_AS_MAX_ROUNDS", cap)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        assert model.gram_rank == train.n
+        summary = model.describe()
+        assert summary["active_set_rounds"] == 0 < summary["ip_iterations"]
+        x = model.standardizer.apply(train.x)
+        gram = model.kernel.gram(x, x)
+        for machine in model.machines:
+            y = machine.y_train
+            with pytest.raises(error):
+                svm._active_set(gram, y, DEFAULT_COST)
+            want = interior_point_then_ascent(x, y, model.kernel, DEFAULT_COST)
+            assert machine.active_set_rounds == 0
+            assert machine.ip_iterations == want.ip_iterations > 0
+            assert np.array_equal(machine.alpha, want.alpha)
+            assert machine.bias == want.bias
+            assert machine.n_updates == want.n_updates
+            assert machine.kkt_gap == want.kkt_gap
 
 
 class TestMulticlass:
