@@ -15,16 +15,16 @@ machines are solved by a Mehrotra predictor-corrector interior-point
 method (Mehrotra, SIAM J. Optim. 2(4), 1992) through the kernel's exact
 feature map when it is small. Otherwise they are solved densely, by a
 primal-dual active-set iteration, with the interior point on K as its
-fallback. Either way the same ascent polishes the result and checks its
-KKT conditions. Gaussian machines run pairwise ascent alone.
-fit_svm_multiclass states that policy.
+fallback. Every machine then ends in fit_svm_binary's ascent, which
+polishes that alpha, or starts from 0 for a gaussian machine, and checks
+its KKT conditions. fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
 from .errors import (
     BadConfig,
+    DimensionMismatch,
     EmptyClass,
     NoConvergence,
     NotPositiveDefinite,
@@ -105,8 +106,8 @@ class BinarySvm:
     cost: float
     kkt_gap: float
     n_updates: int             # pair updates that produced alpha
-    ip_iterations: int         # interior-point iterations; 0 on pure ascent
-    active_set_rounds: int     # active-set rounds; 0 when alpha came otherwise
+    ip_iterations: int = 0       # interior-point iterations that found the start
+    active_set_rounds: int = 0   # active-set rounds that found the start
 
     def decision_batch(self, x: np.ndarray) -> np.ndarray:
         sv = self.alpha > 0.0
@@ -117,55 +118,54 @@ class BinarySvm:
 
 
 def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                   gram: np.ndarray | None = None) -> BinarySvm:
+                   gram: np.ndarray | None = None,
+                   alpha: np.ndarray | None = None) -> BinarySvm:
     """Solve the soft-margin dual with C = DEFAULT_COST by second-order
-    pairwise ascent.
+    pairwise ascent from a feasible alpha, or from 0, until the maximal KKT
+    violation is at most DEFAULT_KKT_TOL.
 
-    Stops when the maximal KKT violation falls below DEFAULT_KKT_TOL;
-    raises NoConvergence if DEFAULT_MAX_UPDATES pair updates do not get
-    there. A precomputed Gram matrix of the rows may be passed to share
-    work across machines trained on the same features.
+    gram, the rows' Gram matrix, shares work across machines on the same
+    features. alpha, another solver's point, is finished and checked; a
+    float array is updated in place, as LIBSVM's solver updates its start.
+    Raises DimensionMismatch when y, gram or alpha does not match the rows,
+    BadConfig when alpha leaves [0, C] or |y'alpha| > 1e-9 C n, and
+    NoConvergence at DEFAULT_MAX_UPDATES updates, or when the gap is not
+    finite (as on a Gram matrix that is not) or no index pairs with the
+    steepest.
+
+    grad is the gradient of 1/2 a'Qa - sum a, with Q = yy' * K, and the
+    loop runs on minus_yg = -y * grad, which rounds to y - K (y * alpha)
+    as y = +-1. Adding the step -y_i da_i K[:, i] - y_j da_j K[:, j] to it
+    rounds to exactly -y times the updated gradient, so grad itself is
+    never formed. The loop keeps minus_yg only as two masked copies,
+    up_vals on the up set (-inf off it) and low_vals on the low set (+inf
+    off it): both take the same step, which leaves the infinities as they
+    are, and the sets change only at the two updated indices. Every other
+    per-update vector is written into a buffer made once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     n = x.shape[0]
     if n == 0:
         raise TooFewSamples("cannot fit on zero samples")
+    alpha = np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float)
+    if (y.size != n or alpha.shape != (n,)
+            or (gram is not None and np.shape(gram) != (n, n))):
+        raise DimensionMismatch(
+            f"{n} rows need {n} labels, {n} alphas and an {n} x {n} Gram matrix, "
+            f"not {y.size}, {alpha.shape} and {None if gram is None else np.shape(gram)}")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise BadConfig("binary labels must be -1 or +1")
     if np.all(y == y[0]):
         raise EmptyClass("binary fit needs both labels present")
+    cost, tol = DEFAULT_COST, DEFAULT_KKT_TOL
+    if not (np.all((alpha >= 0.0) & (alpha <= cost))
+            and abs(float(y @ alpha)) <= 1e-9 * cost * n):
+        raise BadConfig(f"a start alpha must lie in [0, {cost}] with "
+                        f"|y'alpha| <= 1e-9 C n")
     kernel = kernel.resolve(x.shape[1])
     k_mat = kernel.gram(x, x) if gram is None else gram
-    if not np.isfinite(k_mat).all():
-        # the gradient Q 0 - 1 is NaN on any row of K that is not finite
-        raise NoConvergence("KKT gap nan is not finite after 0 pair updates")
-    # at alpha = 0, grad = Q 0 - 1 = -1 and so -y * grad = y
-    return _pairwise_ascent(x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
-                            DEFAULT_MAX_UPDATES, k_mat, y, np.zeros(n),
-                            ip_iterations=0)
-
-
-def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                     cost: float, tol: float, max_updates: int,
-                     k_mat: np.ndarray, minus_yg: np.ndarray,
-                     alpha: np.ndarray, ip_iterations: int,
-                     active_set_rounds: int = 0) -> BinarySvm:
-    """Run pairwise ascent from a feasible alpha, which it updates in place,
-    and minus_yg = -y * grad at that alpha, and build the machine;
-    ip_iterations and active_set_rounds record how that alpha was found.
-
-    grad is the gradient of 1/2 a'Qa - sum a, with Q = yy' * K. As y = +-1
-    and Q_ki = y_k y_i K_ki, adding the step -y_i da_i K[:, i] - y_j da_j K[:, j]
-    to minus_yg rounds to exactly -y times the updated gradient, so grad
-    itself is never formed. The loop keeps minus_yg only as two masked
-    copies, up_vals on the up set (-inf off it) and low_vals on the low set
-    (+inf off it): both take the same step, which leaves the infinities as
-    they are, and the sets change only at the two updated indices. Every
-    other per-update vector is written into a buffer made once. Raises
-    NoConvergence at max_updates updates, and when the gap is not finite
-    or no partner index exists.
-    """
+    minus_yg = y - k_mat @ (y * alpha)
     k_diag = np.diag(k_mat).copy()
     pos = y > 0.0
     eps = 1e-12 * cost
@@ -187,9 +187,9 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                 f"KKT gap {gap} is not finite after {updates} pair updates")
         if gap <= tol:
             break
-        if updates >= max_updates:
-            raise NoConvergence(
-                f"KKT gap {gap:.3e} > {tol} after {max_updates} pair updates")
+        if updates >= DEFAULT_MAX_UPDATES:
+            raise NoConvergence(f"KKT gap {gap:.3e} > {tol} after "
+                                f"{DEFAULT_MAX_UPDATES} pair updates")
         # second-order choice of the partner index; a gain over max(b, 0)
         # is 0 off the candidates and positive on them
         np.add(k_diag, k_diag.item(i), out=a_vec)
@@ -258,9 +258,7 @@ def _pairwise_ascent(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         else:
             bias = 0.0
     return BinarySvm(alpha=alpha, bias=bias, x_train=x, y_train=y, kernel=kernel,
-                     cost=cost, kkt_gap=float(gap), n_updates=updates,
-                     ip_iterations=ip_iterations,
-                     active_set_rounds=active_set_rounds)
+                     cost=cost, kkt_gap=float(gap), n_updates=updates)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -301,10 +299,11 @@ def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     return np.column_stack(columns)
 
 
-def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
+def _interior_point(k_mat: np.ndarray, y: np.ndarray,
                     factor: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Solve the dual by Mehrotra's predictor-corrector interior-point
-    method; return alpha on the box with y'alpha = 0, and the iterations.
+    """Solve the dual with C = DEFAULT_COST by Mehrotra's predictor-corrector
+    interior-point method; return alpha on the box with y'alpha = 0, and
+    the iterations.
 
     Minimises 1/2 a'Qa - sum a, Q = yy' * K, with slacks s = C - a and
     multipliers z of a >= 0, w of a <= C and b of y'a = 0, all of a, s, z,
@@ -329,7 +328,7 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
     to restore y'alpha = 0, and NotPositiveDefinite if the Cholesky of
     K + D fails.
     """
-    n = y.size
+    n, cost = y.size, DEFAULT_COST
     k_diag = k_mat.diagonal().copy()
     # the dual residual is measured against the size of its terms, as
     # |K_ij| <= max_i K_ii for a positive semidefinite K, so that rounding
@@ -418,11 +417,10 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray, cost: float,
     return alpha, iterations
 
 
-def _active_set(k_mat: np.ndarray, y: np.ndarray,
-                cost: float) -> tuple[np.ndarray, int]:
-    """Solve the dual by a primal-dual active-set iteration from every index
-    free; return alpha, on the box with y'alpha = 0 up to rounding, and the
-    rounds.
+def _active_set(k_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve the dual with C = DEFAULT_COST by a primal-dual active-set
+    iteration from every index free; return alpha, on the box with
+    y'alpha = 0 up to rounding, and the rounds.
 
     In beta = y * alpha the dual is min 1/2 beta'K beta - y'beta subject to
     1'beta = 0 and alpha in the box. With the free set F, the set U at C
@@ -440,6 +438,7 @@ def _active_set(k_mat: np.ndarray, y: np.ndarray,
     no index is left free, or the sets still move after _AS_MAX_ROUNDS
     rounds.
     """
+    cost = DEFAULT_COST
     free, at_cost = np.ones(y.size, dtype=bool), np.zeros(y.size, dtype=bool)
     rounds = 0
     while True:
@@ -526,12 +525,13 @@ def fit_svm_multiclass(train: Dataset,
     columns than the rows), a solve is not finite, or the sets still move
     after _AS_MAX_ROUNDS = 100 rounds. That cap is about twice the most
     rounds measured on those cells: at most 53 over their 10 folds at cv
-    seeds 0-2 (FS4, cv seed 2; CHANGES.md). Either alpha is then polished
-    by pairwise ascent at DEFAULT_KKT_TOL, which also checks it.
+    seeds 0-2 (FS4, cv seed 2; CHANGES.md). fit_svm_binary then polishes
+    either alpha by pairwise ascent at DEFAULT_KKT_TOL, which also checks
+    it, and the machine records the iterations or rounds that found it.
 
-    Gaussian machines are solved by pairwise ascent alone, as
-    fit_svm_binary solves them. Its second-order choice of the working
-    pair converges for any positive semidefinite kernel (Fan, Chen and Lin,
+    Gaussian machines take no start: fit_svm_binary solves them by
+    pairwise ascent alone, from alpha = 0. Its second-order choice of the
+    working pair converges for any positive semidefinite kernel (Fan, Chen and Lin,
     JMLR 6, 2005), and LIBSVM solves this kernel with it alone (Chang and
     Lin, ACM TIST 2(3), 2011). Measured on the study's panels, no gaussian
     machine needs more than 6,224 updates at n = 450, rows permuted or
@@ -545,28 +545,23 @@ def fit_svm_multiclass(train: Dataset,
     x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)
     gram = kernel.gram(x, x)
-    labels = [np.where(train.y == j, 1.0, -1.0) for j in range(train.n_classes)]
-    if kernel.kind is SvmKernel.GAUSSIAN:
-        machines = [fit_svm_binary(x, y, kernel, gram=gram) for y in labels]
-        gram_rank = 0
-    else:
-        factor = _kernel_factor(kernel, x)
-        gram_rank = train.n if factor is None else factor.shape[1]
-        machines = []
-        for y in labels:
-            alpha, iterations, rounds = None, 0, 0
-            if factor is None:
-                try:
-                    alpha, rounds = _active_set(gram, y, DEFAULT_COST)
-                except (NotPositiveDefinite, NoConvergence):
-                    pass
-            if alpha is None:
-                alpha, iterations = _interior_point(gram, y, DEFAULT_COST, factor)
-            # -y * (Q alpha - 1) rounds to y - K (y * alpha), as y = +-1
-            machines.append(_pairwise_ascent(
-                x, y, kernel, DEFAULT_COST, DEFAULT_KKT_TOL,
-                DEFAULT_MAX_UPDATES, gram, y - gram @ (y * alpha), alpha,
-                iterations, rounds))
+    gaussian = kernel.kind is SvmKernel.GAUSSIAN
+    factor = None if gaussian else _kernel_factor(kernel, x)
+    machines = []
+    for j in range(train.n_classes):
+        y = np.where(train.y == j, 1.0, -1.0)
+        alpha, iterations, rounds = None, 0, 0
+        if not gaussian and factor is None:
+            try:
+                alpha, rounds = _active_set(gram, y)
+            except (NotPositiveDefinite, NoConvergence):
+                pass
+        if not gaussian and alpha is None:
+            alpha, iterations = _interior_point(gram, y, factor)
+        machines.append(replace(
+            fit_svm_binary(x, y, kernel, gram=gram, alpha=alpha),
+            ip_iterations=iterations, active_set_rounds=rounds))
+    gram_rank = 0 if gaussian else train.n if factor is None else factor.shape[1]
     return SvmClassifier(machines=machines, class_names=train.class_names,
                          kernel=kernel, standardizer=standardizer,
                          gram_rank=gram_rank)

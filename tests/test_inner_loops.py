@@ -24,7 +24,13 @@ from cdsproxy.neuralnet import (
     TrainConfig,
     fit_neural_net,
 )
-from cdsproxy.svm import DEFAULT_COST, DEFAULT_KKT_TOL, KernelSpec, SvmKernel
+from cdsproxy.svm import (
+    DEFAULT_COST,
+    DEFAULT_KKT_TOL,
+    DEFAULT_MAX_UPDATES,
+    KernelSpec,
+    SvmKernel,
+)
 from cdsproxy.trees import SplitCriterion, bootstrap_rows, fit_bagged, fit_tree
 
 
@@ -38,15 +44,22 @@ def overlapping_problem(seed, n_per_side=40, d=3):
     return x[order], y[order]
 
 
-def run_both(ascent_args, alpha):
-    """Both loops from copies of one alpha: (result or error) per loop."""
-    y, gram = ascent_args[1], ascent_args[6]
+def reference_fit(x, y, kernel, gram, alpha):
+    """fit_svm_binary on the reference loop: from alpha, at the module's C,
+    KKT tolerance and update cap, with -y * grad formed through Q."""
     minus_yg = -y * (ref.label_product(y, gram) @ alpha - 1.0)
+    return ref.pairwise_ascent(x, y, kernel, svm.DEFAULT_COST,
+                               svm.DEFAULT_KKT_TOL, svm.DEFAULT_MAX_UPDATES,
+                               gram, minus_yg, alpha, 0)
+
+
+def run_both(x, y, spec, gram, alpha):
+    """Both loops from copies of one alpha: (result or error) per loop."""
     outcomes = []
-    for loop in (svm._pairwise_ascent, ref.pairwise_ascent):
+    for fit in (svm.fit_svm_binary, reference_fit):
         start = alpha.copy()
         try:
-            outcomes.append(loop(*ascent_args, minus_yg.copy(), start, 0))
+            outcomes.append(fit(x, y, spec, gram=gram, alpha=start))
         except NoConvergence as exc:
             outcomes.append((str(exc), start))
     return outcomes
@@ -69,27 +82,27 @@ class TestPairwiseAscent:
         x, y = overlapping_problem(seed)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 100_000, gram)
-        got, want = run_both(args, np.zeros(y.size))
+        got, want = run_both(x, y, spec, gram, np.zeros(y.size))
         assert got.n_updates > 50
         assert_same_machine(got, want)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cold_start_from_y_matches_the_start_through_q(self, kind):
-        # fit_svm_binary starts from minus_yg = y, which -y * (Q 0 - 1)
-        # equals bit for bit on a finite Gram matrix
+        # with no start, fit_svm_binary starts from y - K (y * 0), which
+        # is y and -y * (Q 0 - 1) bit for bit on a finite Gram matrix
         x, y = overlapping_problem(5)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
         alpha = np.zeros(y.size)
         start = -y * (ref.label_product(y, gram) @ alpha - 1.0)
         assert np.array_equal(start, y)
-        want = svm._pairwise_ascent(x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL,
-                                    100_000, gram, start, alpha, 0)
+        assert np.array_equal(y - gram @ (y * alpha), y)
+        want = ref.pairwise_ascent(x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL,
+                                   DEFAULT_MAX_UPDATES, gram, start, alpha, 0)
         assert_same_machine(svm.fit_svm_binary(x, y, spec), want)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_interior_point_start_matches_reference(self, kind):
+    def test_interior_point_start_matches_reference(self, monkeypatch, kind):
         # from the dense solve's alpha, then, for a kernel with a finite
         # feature map, from the one through its factor
         x, y = overlapping_problem(3)
@@ -98,27 +111,27 @@ class TestPairwiseAscent:
         factors = [None]
         if kind is not SvmKernel.GAUSSIAN:
             factors.append(svm._kernel_factor(spec, x))
+        # a tolerance below the interior point's leaves polishing to do
+        monkeypatch.setattr(svm, "DEFAULT_KKT_TOL", 1e-9)
         for factor in factors:
-            alpha, _ = svm._interior_point(gram, y, DEFAULT_COST, factor)
-            # a tolerance below the interior point's leaves polishing to do
-            args = (x, y, spec, DEFAULT_COST, 1e-9, 100_000, gram)
-            got, want = run_both(args, alpha)
+            alpha, _ = svm._interior_point(gram, y, factor)
+            got, want = run_both(x, y, spec, gram, alpha)
             assert got.n_updates > 0
             assert_same_machine(got, want)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_capped_attempt_raises_at_the_same_update(self, kind):
+    def test_capped_attempt_raises_at_the_same_update(self, monkeypatch, kind):
         x, y = overlapping_problem(4)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 37, gram)
+        monkeypatch.setattr(svm, "DEFAULT_MAX_UPDATES", 37)
         (got_msg, got_alpha), (want_msg, want_alpha) = run_both(
-            args, np.zeros(y.size))
+            x, y, spec, gram, np.zeros(y.size))
         assert got_msg == want_msg
         assert "after 37 pair updates" in got_msg
         assert np.array_equal(got_alpha, want_alpha)
 
-    def test_partners_tied_on_gain_go_to_the_lower_index(self):
+    def test_partners_tied_on_gain_go_to_the_lower_index(self, monkeypatch):
         # from alpha = 0 the steepest index is 0, and rows 1 and 2 mirror
         # each other about it: the same b and the same curvature, so the
         # same gain, and the first update must pair 0 with 1
@@ -126,13 +139,14 @@ class TestPairwiseAscent:
         y = np.array([1.0, -1.0, -1.0, 1.0])
         spec = KernelSpec(SvmKernel.LINEAR)
         gram = spec.gram(x, x)
-        args = (x, y, spec, DEFAULT_COST, DEFAULT_KKT_TOL, 1, gram)
+        monkeypatch.setattr(svm, "DEFAULT_MAX_UPDATES", 1)
         (got_msg, got_alpha), (want_msg, want_alpha) = run_both(
-            args, np.zeros(y.size))
+            x, y, spec, gram, np.zeros(y.size))
         assert got_msg == want_msg
         assert np.array_equal(got_alpha, want_alpha)
         assert got_alpha[1] > 0.0 and got_alpha[2] == 0.0
-        got, want = run_both(args[:5] + (1_000,) + args[6:], np.zeros(y.size))
+        monkeypatch.setattr(svm, "DEFAULT_MAX_UPDATES", 1_000)
+        got, want = run_both(x, y, spec, gram, np.zeros(y.size))
         assert_same_machine(got, want)
 
     def test_multiclass_fit_with_fallback_machines_matches_reference(
@@ -142,7 +156,7 @@ class TestPairwiseAscent:
         train = random_dataset(60, 2, 2, seed=0)
         spec = KernelSpec(SvmKernel.LINEAR)
         got = svm.fit_svm_multiclass(train, kernel=spec)
-        monkeypatch.setattr(svm, "_pairwise_ascent", ref.pairwise_ascent)
+        monkeypatch.setattr(svm, "fit_svm_binary", reference_fit)
         want = svm.fit_svm_multiclass(train, kernel=spec)
         assert all(m.ip_iterations > 0 for m in got.machines)
         for a, b in zip(got.machines, want.machines):
@@ -158,7 +172,7 @@ class TestDenseInteriorPoint:
         x, y = overlapping_problem(seed)
         gram = KernelSpec(kind).resolve(x.shape[1]).gram(x, x)
         q = ref.label_product(y, gram)
-        alpha, iterations = svm._interior_point(gram, y, DEFAULT_COST)
+        alpha, iterations = svm._interior_point(gram, y)
         want_alpha, want_iterations = ref.interior_point(q, y, DEFAULT_COST)
         assert iterations == want_iterations > 0
         assert np.array_equal(alpha, want_alpha)
@@ -185,9 +199,9 @@ class TestDenseInteriorPoint:
         got = svm.fit_svm_multiclass(train, kernel=spec)
         monkeypatch.setattr(
             svm, "_interior_point",
-            lambda k_mat, y, cost, factor: ref.interior_point(
-                ref.label_product(y, k_mat), y, cost))
-        monkeypatch.setattr(svm, "_pairwise_ascent", ref.pairwise_ascent)
+            lambda k_mat, y, factor: ref.interior_point(
+                ref.label_product(y, k_mat), y, svm.DEFAULT_COST))
+        monkeypatch.setattr(svm, "fit_svm_binary", reference_fit)
         want = svm.fit_svm_multiclass(train, kernel=spec)
         assert got.gram_rank == train.n
         assert all(m.ip_iterations > 0 for m in got.machines)

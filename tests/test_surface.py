@@ -2,7 +2,8 @@
 tests: a name in src/cdsproxy, or a name or string in perfbench's code, whose
 tracer names the entry points it wraps as strings. A helper that only tests
 call is a second code path to keep in step; delete it instead. Likewise
-every parameter with a default is set by some caller outside the tests.
+every parameter with a default is set by some caller outside the tests,
+and no parameter without one is always passed the same module constant.
 """
 import ast
 from pathlib import Path
@@ -51,9 +52,9 @@ SWEPT = {"k", "bandwidth", "max_splits", "n_trees", "hidden_units", "degree",
          "scale"}
 
 
-def _defaulted(src):
-    """(function, parameter, position) of every parameter with a default, in
-    the order declared; a method's positions do not count self, and a
+def _parameters(src):
+    """(function, parameter, position, defaulted) of every parameter, in the
+    order declared; a method's positions do not count self, and a
     keyword-only parameter has position None."""
     found = []
     for _, tree in src:
@@ -69,11 +70,10 @@ def _defaulted(src):
                     for d in node.decorator_list):
                 positional = positional[1:]
             first = len(positional) - len(args.defaults)
-            found += [(node.name, a.arg, i) for i, a in enumerate(positional)
-                      if i >= first]
-            found += [(node.name, a.arg, None)
-                      for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                      if d is not None]
+            found += [(node.name, a.arg, i, i >= first)
+                      for i, a in enumerate(positional)]
+            found += [(node.name, a.arg, None, d is not None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults)]
     return found
 
 
@@ -84,7 +84,7 @@ def _passed(trees):
     for _, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                name = _call_name(node)
                 count, keywords = passed.get(name, (0, set()))
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
                 passed[name] = (
@@ -117,7 +117,9 @@ def test_every_parameter_with_a_default_is_set_outside_the_tests():
     passed = _passed(src + _trees(ROOT / "perfbench"))
     fit_settings = _fit_settings(src)
     unset = {}
-    for function, name, position in _defaulted(src):
+    for function, name, position, defaulted in _parameters(src):
+        if not defaulted:
+            continue
         count, keywords = passed.get(function, (0, set()))
         if not (name in SWEPT or name in keywords
                 or (position is not None and position < count)
@@ -125,6 +127,47 @@ def test_every_parameter_with_a_default_is_set_outside_the_tests():
             unset.setdefault(function, []).append(name)
     assert sorted(f"{function}({', '.join(names)})"
                   for function, names in unset.items()) == []
+
+
+def _call_name(node):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _argument(call, name, position):
+    """The expression a call passes for a parameter, or None when it passes
+    none or a starred argument may cover it."""
+    if position is not None and position < len(call.args):
+        if any(isinstance(a, ast.Starred) for a in call.args[:position + 1]):
+            return None
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def test_no_parameter_is_always_passed_the_same_module_constant():
+    """A parameter without a default that every call in src/cdsproxy and
+    perfbench fills with one module-level UPPER_CASE constant is that
+    constant passed around: let the function read it instead."""
+    src = _trees(ROOT / "src" / "cdsproxy")
+    trees = src + _trees(ROOT / "perfbench")
+    constants = {target.id for _, tree in trees for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()}
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    fixed = {}
+    for function, name, position, defaulted in _parameters(src):
+        passed = {getattr(value, "id", getattr(value, "attr", None))
+                  for value in (_argument(call, name, position)
+                                for call in calls.get(function, []))}
+        if not defaulted and len(passed) == 1 and passed <= constants:
+            fixed.setdefault(function, []).append(name)
+    assert sorted(f"{function}({', '.join(names)})"
+                  for function, names in fixed.items()) == []
 
 
 def _bound_by_imports(tree):

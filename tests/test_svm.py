@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,19 @@ import pytest
 from conftest import make_blobs, random_dataset
 from qp_reference import dual_objective, project_box_simplex, reference_dual_solution
 from cdsproxy import numerics, svm
-from cdsproxy.core import FeatureSelection, build_dataset
+from cdsproxy.core import Dataset, FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
-from cdsproxy.errors import BadConfig, EmptyClass, NoConvergence, NotPositiveDefinite
+from cdsproxy.errors import (
+    BadConfig,
+    DimensionMismatch,
+    EmptyClass,
+    NoConvergence,
+    NotPositiveDefinite,
+)
 from cdsproxy.evaluation import FoldPlan, stratified_folds
 from cdsproxy.svm import (
     DEFAULT_COST,
     DEFAULT_KKT_TOL,
-    DEFAULT_MAX_UPDATES,
     KernelSpec,
     SvmKernel,
     default_gaussian_scale,
@@ -227,18 +233,64 @@ class TestBinarySvm:
         with pytest.raises(EmptyClass, match="binary fit needs both labels present"):
             fit_svm_binary(x, np.ones(4), KernelSpec(SvmKernel.LINEAR))
 
+    @pytest.mark.parametrize("labels,gram_shape,alpha_size", [
+        pytest.param(5, None, None, id="5-labels"),
+        pytest.param(7, None, None, id="7-labels"),
+        pytest.param(6, (5, 5), None, id="gram-5x5"),
+        pytest.param(6, (7, 7), None, id="gram-7x7"),
+        pytest.param(6, (6, 4), None, id="gram-6x4"),
+        pytest.param(6, None, 5, id="5-alphas"),
+        pytest.param(6, None, 7, id="7-alphas")])
+    def test_arrays_that_do_not_match_the_rows_raise(self, labels, gram_shape,
+                                                     alpha_size):
+        # these used to raise numpy's untyped broadcast ValueError
+        x, _ = binary_problem(53, 3, 2, 1.0)
+        y = np.resize([1.0, -1.0], labels)
+        gram = None if gram_shape is None else np.ones(gram_shape)
+        alpha = None if alpha_size is None else np.zeros(alpha_size)
+        with pytest.raises(DimensionMismatch, match="6 rows need 6 labels"):
+            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), gram=gram,
+                           alpha=alpha)
 
-def interior_point_then_ascent(x, y, spec, cost, factored=False):
+    @pytest.mark.parametrize("alpha", [
+        pytest.param([-1e-3, 0.0, 0.0, -1e-3, 0.0, 0.0], id="below-0"),
+        pytest.param([1.5, 0.0, 0.0, 1.5, 0.0, 0.0], id="above-C"),
+        pytest.param([np.nan, 0.0, 0.0, np.nan, 0.0, 0.0], id="nan"),
+        # y = (-1, -1, -1, 1, 1, 1): |y'alpha| = 1e-8 > 1e-9 C n = 6e-9
+        pytest.param([0.5, 0.0, 0.0, 0.5 + 1e-8, 0.0, 0.0], id="y'alpha")])
+    def test_start_off_the_feasible_set_raises(self, alpha):
+        x, y = binary_problem(54, 3, 2, 1.0)
+        start = np.array(alpha)
+        with pytest.raises(BadConfig, match="a start alpha must lie in"):
+            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), alpha=start)
+        assert np.array_equal(start, alpha, equal_nan=True)
+
+    def test_start_on_the_feasible_set_is_finished_in_place(self):
+        # within 1e-9 C n of y'alpha = 0, the ascent takes the start and
+        # ends at the optimum
+        x, y = binary_problem(55, 3, 2, 1.0)
+        spec = KernelSpec(SvmKernel.LINEAR)
+        start = np.array([0.5, 0.0, 0.0, 0.5 + 1e-10, 0.0, 0.0])
+        model = fit_svm_binary(x, y, spec, alpha=start)
+        assert model.alpha is start
+        assert model.n_updates > 0 and model.kkt_gap <= DEFAULT_KKT_TOL
+        gram = spec.gram(x, x)
+        w_ref = dual_objective(reference_dual_solution(gram, y, DEFAULT_COST),
+                               gram, y)
+        assert abs(dual_objective(start, gram, y) - w_ref) <= 1e-4 * max(
+            1.0, abs(w_ref))
+
+
+def interior_point_then_ascent(x, y, spec, factored=False):
     """The interior-point path of one multiclass machine, on a binary
     problem; factored passes the interior point the feature-map factor of a
     linear or polynomial kernel, which is None for a map with too many
     columns for the rows."""
     gram = spec.gram(x, x)
     factor = svm._kernel_factor(spec, x) if factored else None
-    alpha, iterations = svm._interior_point(gram, y, cost, factor)
-    return svm._pairwise_ascent(x, y, spec, cost, DEFAULT_KKT_TOL,
-                                DEFAULT_MAX_UPDATES, gram, y - gram @ (y * alpha),
-                                alpha, iterations)
+    alpha, iterations = svm._interior_point(gram, y, factor)
+    return replace(fit_svm_binary(x, y, spec, gram=gram, alpha=alpha),
+                   ip_iterations=iterations)
 
 
 class TestInteriorPoint:
@@ -256,7 +308,7 @@ class TestInteriorPoint:
         # the gaussian kernel has no finite map
         for factored in ((False,) if kind is SvmKernel.GAUSSIAN
                          else (False, True)):
-            model = interior_point_then_ascent(x, y, spec, DEFAULT_COST, factored)
+            model = interior_point_then_ascent(x, y, spec, factored)
             assert model.ip_iterations > 0
             w_got = dual_objective(model.alpha, gram, y)
             assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
@@ -269,12 +321,12 @@ class TestInteriorPoint:
         # to zero, and no division in the solve may warn on the way
         x, y = binary_problem(71, 12, 2, 0.3)
         cost = 1e-3
-        model = interior_point_then_ascent(x, y, KernelSpec(SvmKernel.LINEAR), cost)
+        monkeypatch.setattr(svm, "DEFAULT_COST", cost)
+        model = interior_point_then_ascent(x, y, KernelSpec(SvmKernel.LINEAR))
         assert model.ip_iterations > 0
         assert np.all(model.alpha == cost)
         assert model.n_updates == 0
         assert model.kkt_gap <= DEFAULT_KKT_TOL
-        monkeypatch.setattr(svm, "DEFAULT_COST", cost)
         ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         assert np.array_equal(model.alpha, ascent.alpha)
 
@@ -288,7 +340,7 @@ class TestInteriorPoint:
                             lambda a: calls.append("cholesky") or cholesky(a))
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: calls.append("solve") or solve(a, b))
-        _, iterations = svm._interior_point(gram, y, DEFAULT_COST)
+        _, iterations = svm._interior_point(gram, y)
         assert iterations > 0
         assert calls == ["cholesky"] * iterations
 
@@ -308,7 +360,7 @@ class TestInteriorPoint:
 
         monkeypatch.setattr(np.linalg, "cholesky", second_fails)
         with pytest.raises(NotPositiveDefinite):
-            svm._interior_point(gram, y, DEFAULT_COST)
+            svm._interior_point(gram, y)
         assert calls == [gram.shape] * 2
         assert np.array_equal(gram, before)
 
@@ -324,7 +376,7 @@ class TestInteriorPoint:
         x = numerics.standardizer_fit(train.x).apply(train.x) / math.sqrt(train.d)
         y = np.where(train.y == 4, 1.0, -1.0)
         model = interior_point_then_ascent(
-            x, y, KernelSpec(SvmKernel.POLYNOMIAL), DEFAULT_COST, factored)
+            x, y, KernelSpec(SvmKernel.POLYNOMIAL), factored)
         assert model.ip_iterations > 0
         assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
         assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
@@ -334,8 +386,7 @@ class TestInteriorPoint:
         monkeypatch.setattr(svm, "_IP_MAX_ITERATIONS", 2)
         x, y = binary_problem(11, 12, 3, 1.0)
         with pytest.raises(NoConvergence):
-            interior_point_then_ascent(x, y, KernelSpec(SvmKernel.LINEAR),
-                                       DEFAULT_COST)
+            interior_point_then_ascent(x, y, KernelSpec(SvmKernel.LINEAR))
 
     def test_fallback_still_raises_at_the_update_cap(self, monkeypatch):
         # with no updates allowed and a tolerance no alpha meets, the
@@ -438,8 +489,8 @@ class TestFeatureMapFactor:
         gram = spec.gram(x, x)
         factor = svm._kernel_factor(spec, x)
         assert factor is not None
-        dense, dense_iterations = svm._interior_point(gram, y, DEFAULT_COST)
-        alpha, iterations = svm._interior_point(gram, y, DEFAULT_COST, factor)
+        dense, dense_iterations = svm._interior_point(gram, y)
+        alpha, iterations = svm._interior_point(gram, y, factor)
         assert iterations == dense_iterations
         assert np.array_equal(alpha == 0.0, dense == 0.0)
         assert np.array_equal(alpha == DEFAULT_COST, dense == DEFAULT_COST)
@@ -449,7 +500,7 @@ class TestFeatureMapFactor:
         x, y = binary_problem(85, 20, 3, 0.3)
         gram = KernelSpec(SvmKernel.GAUSSIAN).resolve(3).gram(x, x)
         kept = gram.copy()
-        svm._interior_point(gram, y, DEFAULT_COST)
+        svm._interior_point(gram, y)
         assert np.array_equal(gram, kept)
 
     def test_large_maps_take_the_dense_solve(self, monkeypatch):
@@ -506,20 +557,38 @@ class TestFeatureMapFactor:
                      id="polynomial-FS1"),
         pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS4,
                      id="polynomial-FS4")])
-    def test_routed_fit_makes_no_ascent_attempt_and_no_eigendecomposition(
+    def test_routed_fit_warm_starts_each_ascent_and_makes_no_eigendecomposition(
             self, monkeypatch, kind, selection):
         # on FS1 and FS4, 969 and 816 monomials for 45 rows: no factor, so
         # every machine takes the dense active set; the others take the
-        # interior point through the feature map
+        # interior point through the feature map. Each machine then makes
+        # one ascent, from the alpha its solve returned
         train = (random_dataset(90, 3, 3, seed=1) if selection is None
                  else golden_fold(selection, 0))
         calls = []
-        monkeypatch.setattr(svm, "fit_svm_binary",
-                            lambda *args, **kwargs: calls.append("ascent"))
+        fit = svm.fit_svm_binary
+
+        def recorded_fit(*args, **kwargs):
+            calls.append(("ascent", kwargs["alpha"]))
+            return fit(*args, **kwargs)
+
+        def recorded(solver):
+            def solve(*args):
+                alpha, count = solver(*args)
+                calls.append(("solve", alpha))
+                return alpha, count
+            return solve
+
+        monkeypatch.setattr(svm, "fit_svm_binary", recorded_fit)
+        for name in ("_interior_point", "_active_set"):
+            monkeypatch.setattr(svm, name, recorded(getattr(svm, name)))
         monkeypatch.setattr(svm.nm, "eigen_symmetric",
-                            lambda *args: calls.append("eigen"))
+                            lambda *args: calls.append(("eigen", None)))
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        assert calls == []
+        assert [call for call, _ in calls] == ["solve", "ascent"] * train.n_classes
+        for (_, solved), (_, start), machine in zip(calls[::2], calls[1::2],
+                                                    model.machines):
+            assert start is solved is machine.alpha
         if selection is None:
             assert all(m.ip_iterations > 0 for m in model.machines)
             assert all(m.active_set_rounds == 0 for m in model.machines)
@@ -533,7 +602,7 @@ class TestFeatureMapFactor:
         ascents, solves = [], []
 
         def recorded_ascent(*args, **kwargs):
-            ascents.append((args[2].kind, len(args), sorted(kwargs)))
+            ascents.append((args[2].kind, sorted(kwargs), kwargs["alpha"] is None))
             return fit(*args, **kwargs)
 
         def recorded(solver):
@@ -548,11 +617,13 @@ class TestFeatureMapFactor:
             monkeypatch.setattr(svm, name, recorded(getattr(svm, name)))
         for kind in SvmKernel:
             fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        # one ascent per gaussian machine, capped at DEFAULT_MAX_UPDATES;
-        # per linear machine one interior point through the 16 columns, and
-        # per polynomial machine one dense active set, 969 monomials being
+        # one ascent per machine on the shared Gram matrix: from 0 per
+        # gaussian machine, capped at DEFAULT_MAX_UPDATES; per linear
+        # machine from one interior point through the 16 columns, and per
+        # polynomial machine from one dense active set, 969 monomials being
         # more than the 45 rows
-        assert ascents == [(SvmKernel.GAUSSIAN, 3, ["gram"])] * train.n_classes
+        assert ascents == [(kind, ["alpha", "gram"], kind is SvmKernel.GAUSSIAN)
+                           for kind in SvmKernel for _ in range(train.n_classes)]
         assert sorted(solves) == sorted(
             [("_interior_point", SvmKernel.LINEAR),
              ("_active_set", SvmKernel.POLYNOMIAL)] * train.n_classes)
@@ -649,7 +720,7 @@ class TestActiveSet:
         x, y = binary_problem(30, 20, 5, 0.3)
         gram = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
         kept = gram.copy()
-        alpha, rounds = svm._active_set(gram, y, DEFAULT_COST)
+        alpha, rounds = svm._active_set(gram, y)
         assert np.array_equal(gram, kept)
         assert 1 < rounds < svm._AS_MAX_ROUNDS
         assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
@@ -681,6 +752,34 @@ class TestActiveSet:
             # the sets were right: the ascent's check needs no update
             assert machine.n_updates == 0
 
+    def test_duplicated_rows_fall_back_to_the_dense_interior_point(self):
+        # SVM-Poly on FS1 fold 0 of the default panel with its first five
+        # training rows repeated, as stale quotes repeat a name's row: K is
+        # singular, the first Cholesky of K_FF fails on every machine, and
+        # the dense interior point solves each in 15-18 iterations
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS1)
+        train = dataset.subset(stratified_folds(dataset, 10, seed=0)
+                               .training_rows(0))
+        train = Dataset(x=np.vstack([train.x, train.x[:5]]),
+                        y=np.concatenate([train.y, train.y[:5]]),
+                        class_names=train.class_names,
+                        feature_names=train.feature_names)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        assert model.gram_rank == train.n == 455
+        x = model.standardizer.apply(train.x)
+        gram = model.kernel.gram(x, x)
+        for machine in model.machines:
+            alpha, y = machine.alpha, machine.y_train
+            with pytest.raises(NotPositiveDefinite):
+                svm._active_set(gram, y)
+            assert machine.active_set_rounds == 0
+            assert machine.ip_iterations > 0
+            assert machine.kkt_gap <= DEFAULT_KKT_TOL
+            assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
+            assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
+            assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
+
     @pytest.mark.parametrize("selection,cap,error", [
         # 35 monomials for 45 rows: K is singular, so is its Cholesky
         pytest.param(FeatureSelection.FS2, svm._AS_MAX_ROUNDS,
@@ -700,8 +799,8 @@ class TestActiveSet:
         for machine in model.machines:
             y = machine.y_train
             with pytest.raises(error):
-                svm._active_set(gram, y, DEFAULT_COST)
-            want = interior_point_then_ascent(x, y, model.kernel, DEFAULT_COST)
+                svm._active_set(gram, y)
+            want = interior_point_then_ascent(x, y, model.kernel)
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
             assert np.array_equal(machine.alpha, want.alpha)
@@ -751,14 +850,13 @@ class TestMulticlass:
             y_pm = np.where(train.y == j, 1.0, -1.0)
             if kind is SvmKernel.LINEAR:
                 machine = interior_point_then_ascent(scale(train.x), y_pm, kernel,
-                                                     DEFAULT_COST, factored=True)
+                                                     factored=True)
             else:
                 machine = fit_svm_binary(scale(train.x), y_pm, kernel)
             assert np.array_equal(scores[:, j], machine.decision_batch(scale(queries)))
 
     def test_standardization_default_makes_scaling_irrelevant(self):
         train = make_blobs([[0.0, 0.0], [2.0, 1.0]], 12, scale=0.5, seed=68)
-        from cdsproxy.core import Dataset
         scaled = Dataset(x=train.x * np.array([1000.0, 0.01]), y=train.y,
                          class_names=train.class_names,
                          feature_names=train.feature_names)
@@ -769,7 +867,6 @@ class TestMulticlass:
                               b.classify_batch(queries * np.array([1000.0, 0.01])))
 
     def test_single_class_rejected(self):
-        from cdsproxy.core import Dataset
         train = Dataset(x=np.ones((5, 2)), y=np.zeros(5, dtype=int),
                         class_names=("only",), feature_names=("a", "b"))
         with pytest.raises(EmptyClass, match="training data holds a single class"):
