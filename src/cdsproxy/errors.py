@@ -23,7 +23,7 @@ structured failure. There is one class per kind of failure:
 - ``RangeViolation``: a panel value or spread outside its admissible range.
 - ``MissingFiveYearRate``: the five-year rate is missing where it is needed.
 - ``UnknownCategoryLevel``: a category level absent at fit time.
-- ``NegativeGain``: a tree split's purity gain fell below zero.
+- ``NegativeGain``: a tree split's score fell below zero.
 - ``FitFailure``: a per-fold fit failed; wraps the cause.
 - ``MissingCell``: a ranking over an incomplete grid of results.
 """
@@ -78,7 +78,7 @@ class UnknownCategoryLevel(CdsProxyError):
 
 
 class NegativeGain(CdsProxyError):
-    """A tree split's purity gain fell below zero during growth."""
+    """A tree split's score fell below zero during growth."""
 
 
 class FitFailure(CdsProxyError):

@@ -245,18 +245,18 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     if free.any():
         bias = float((y[free] - u[free]).mean())
     else:
+        # with no free index every alpha is within eps of 0 or C, so
+        # y'alpha = C (k+ - k-) up to n eps and the updates' rounding, for
+        # the k+ positive and k- negative indices at C. The start's
+        # |y'alpha| <= 1e-9 C n, which every update keeps, then forces
+        # k+ = k- for n below about 1e8: the lower set (positives at 0,
+        # negatives at C) holds as many indices as there are positives,
+        # the upper set as many as there are negatives, and neither is empty
         at_zero, at_cost = alpha <= eps, alpha >= top
         b_vals = y - u
-        lower = b_vals[np.where(pos, at_zero, at_cost)].max(initial=-np.inf)
-        upper = b_vals[np.where(pos, at_cost, at_zero)].min(initial=np.inf)
-        if np.isfinite(lower) and np.isfinite(upper):
-            bias = 0.5 * (lower + upper)
-        elif np.isfinite(lower):
-            bias = lower
-        elif np.isfinite(upper):
-            bias = upper
-        else:
-            bias = 0.0
+        lower = b_vals[np.where(pos, at_zero, at_cost)].max()
+        upper = b_vals[np.where(pos, at_cost, at_zero)].min()
+        bias = 0.5 * (lower + upper)
     return BinarySvm(alpha=alpha, bias=bias, x_train=x, y_train=y, kernel=kernel,
                      cost=cost, kkt_gap=float(gap), n_updates=updates)
 

@@ -36,7 +36,8 @@ of every feature of every node, a proxy from exact integer class counts
 that in real arithmetic is an increasing function of the split score. It
 then evaluates the float score, by the same expressions as a full scan,
 only for candidates whose proxy lies within a margin of the best proxy of
-their node. The margin is twice a written bound on the float score's
+their node. One margin serves every node of a screen run under every
+criterion: it is at least twice a written bound on the float score's
 rounding error plus twice a written bound on the proxy's, so every
 candidate whose float score could be the largest survives the screen, and
 the rule chosen among them (largest score, then lowest feature, then
@@ -58,7 +59,7 @@ from .errors import BadConfig, DimensionMismatch, NegativeGain
 
 DEFAULT_MAX_SPLITS = 20
 DEFAULT_BAG_SIZE = 30
-_GAIN_SLACK = 1e-9          # float slack on the gain >= 0 growth check
+_GAIN_SLACK = 1e-9          # float slack on the score >= 0 growth check
 _U = np.finfo(float).eps / 2    # unit roundoff 2^-53
 _LOG_ERROR = 8              # np.log's relative error in units of _U (4 ulps)
 # added to a proxy: -inf where a feature's value does not change, else 0
@@ -88,51 +89,41 @@ def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
             + np.arange(size.sum()))
 
 
-def _score_error(n_classes: int) -> float:
-    """Bound on a float split score's rounding error, less an error that
-    all candidates of a node share (the parent term's).
+def _margin(columns: int, n_classes: int) -> float:
+    """How far below the best proxy of its node a candidate may lie and
+    still have the largest float score, for every node of a screen run of
+    the given number of columns, whose nodes share one cumulative sum.
 
     Standard error analysis (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3-4) of the expressions in `_float_scores` gives
-    (K + 9)u for Gini, (2K + 8)u for Twoing and ((K + 5 + L) log K + 1.02)u
-    for Entropy, with u the unit roundoff and L u the relative error of
-    np.log; this one formula covers all three.
-    """
-    return (2 * n_classes + 10 + _LOG_ERROR) * (1.0 + math.log(n_classes)) * _U
-
-
-def _proxy_error(criterion: SplitCriterion, m):
-    """Bound on a proxy's rounding error at a node of m rows alone in its
-    cumulative sum; see the _*_proxy methods of `_Run` for each derivation."""
-    if criterion is SplitCriterion.GINI:
-        return 3 * _U * m
-    if criterion is SplitCriterion.TWOING:
-        return 3 * _U * m * m
-    return (4 * _LOG_ERROR + 9) * _U * m * m * np.log(m)
-
-
-def _margin(criterion: SplitCriterion, size: np.ndarray,
-            n_classes: int) -> np.ndarray:
-    """How far below the best proxy of its node a candidate may lie and
-    still have the largest float score, for nodes of the given sizes whose
-    columns share one cumulative sum: two score errors and two proxy
-    errors.
+    Algorithms, ch. 3-4) of the expressions in `_float_scores` bounds a
+    float score's rounding error, less an error that all candidates of a
+    node share (the parent term's), by (K + 9)u for Gini, (2K + 8)u for
+    Twoing and ((K + 5 + L) log K + 1.02)u for Entropy, with u the unit
+    roundoff and L u the relative error of np.log; E = (2K + 10 + L)
+    (1 + log K)u covers all three. At a node of m rows a proxy is the
+    score times s = m (Gini, Entropy) or m^2 (Twoing) plus a constant, and
+    it is within A(m) of its real value: 3u m for Gini, 3u m^2 for Twoing
+    and (4L + 9)u m^2 log m for Entropy (see the _*_proxy methods of
+    `_Run`). So the node needs a margin of 2 s E + 2 A(m).
 
     The Entropy cumsum runs on from one node into the next. Each node's
     increments sum to 0 in real arithmetic, so a node starts from the
     rounding error of the nodes before it, P, which enters its proxies
-    once and their roundings as u m P: its proxy error is within its own
-    bound plus 2P, and P, with the same factor on each earlier node, is
-    within twice the sum of their bounds (for u times the rows summed
-    below log 2).
+    once and their roundings as u m P: its proxy error is within A(m) plus
+    2P, and P, with the same factor on each earlier node, is within twice
+    the sum of their A (for u times the rows summed below log 2). So an
+    Entropy node needs 2 m E plus at most 8 times the sum of A over the
+    run.
+
+    A run of M columns holds nodes of m >= 2 rows, so s <= m^2 <= M^2 and
+    sum m^2 <= M^2: under every criterion each node needs at most
+    2 M^2 E + 8 (4L + 9)u M^2 log M, below the 2 M^2 (E + 5 (4L + 9)u
+    log M) returned. A wider margin only sends more candidates to the
+    float stage.
     """
-    size = np.asarray(size, dtype=float)
-    # proxy units per unit of score: m for Gini and Entropy, m^2 for Twoing
-    scale = size * size if criterion is SplitCriterion.TWOING else size
-    error = _proxy_error(criterion, size)
-    if criterion is SplitCriterion.ENTROPY:
-        error = error + 4 * (np.cumsum(error) - error)
-    return scale * 2 * _score_error(n_classes) + 2 * error
+    score = (2 * n_classes + 10 + _LOG_ERROR) * (1.0 + math.log(n_classes))
+    proxy = 5 * (4 * _LOG_ERROR + 9) * math.log(columns)
+    return 2.0 * columns * columns * (score + proxy) * _U
 
 
 class _Run:
@@ -248,7 +239,7 @@ class _Run:
         s(N_k - 1 - r), so Q is one cumulative sum of s(r) - s(N_k - 1 - r)
         less the table terms of nL and nR. A whole node's increments sum
         to 0 in real arithmetic, so the sum runs on from one node into the
-        next (`_margin` bounds what it carries). With the table j log j
+        next (`_margin` covers what it carries). With the table j log j
         within (L + 1)u of itself, each s is within (2L + 3)u (j + 1) log m,
         and the j + 1 of the two table entries a row looks up add up to
         N_k + 1, so the tables bring (2L + 3)u (m^2 + m) log m; the
@@ -318,21 +309,20 @@ def _screen(criterion: SplitCriterion, xt: np.ndarray, labels_of: np.ndarray,
     after the b-th row of the feature's order), in (node, feature,
     boundary) order. The proxies are built for runs of whole nodes, a
     block of features at a time, so that one (features x columns) float64
-    temporary of a block holds about numerics.BLOCK_BYTES (as does
-    Twoing's K x columns count matrix); a block keeps the candidates
-    within the margin of each node's best proxy so far.
+    temporary of a block, and Twoing's (K x columns) count matrix, hold
+    about numerics.BLOCK_BYTES; a block keeps the candidates within the
+    run's margin of each node's best proxy so far.
     """
     d, n = xt.shape
     n_classes = class_n.shape[1]
-    wide = max(d, n_classes) if criterion is SplitCriterion.TWOING else d
     first = np.cumsum(size) - size
     best = np.full(size.size, -np.inf)
     margin = np.empty(size.size)
     found = []
-    for a, b in _groups(size, 8 * wide):
+    for a, b in _groups(size, 8 * max(d, n_classes)):
         run = _Run(class_n[a:b])
-        margin[a:b] = _margin(criterion, run.size, n_classes)
         run_cols = cols[first[a]:first[b - 1] + size[b - 1]]
+        margin[a:b] = _margin(run_cols.size, n_classes)
         for feats in nm.row_blocks(d, 8 * run_cols.size):
             block = np.take(order[feats], run_cols, axis=1)
             values = xt.take(block
@@ -394,18 +384,16 @@ def best_split(x: np.ndarray, y: np.ndarray, n_classes: int,
     increasing function of the split score within its node: sum c^2 per
     side for Gini, sum c log c per side for Entropy, and D^2 / (nL nR)
     with D = sum_k |N_k nL - m cL_k| for Twoing (see the _*_proxy
-    methods of `_Run`). Second, the float score is evaluated only for candidates
-    whose proxy is within a margin of their node's best proxy, and the
-    rule above picks among them. If every float score is within E of its
-    real value (up to an error shared by the node, `_score_error`) and
-    every proxy within A of its real value (`_proxy_error`, `_margin`), a
-    candidate whose float score reaches that of the best proxy's candidate
-    has a real score at most 2E below it, and so a proxy at most 2E (in
-    proxy units) + 2A below the best proxy. The margin is that sum, so the
-    screen keeps every candidate a full float scan could pick, ties
-    included. In proxy units A grows with m: as m u for Gini,
-    m^2 log m u for Entropy and m^2 u for Twoing, whose proxies are the
-    score times m, m and m^2 plus a constant.
+    methods of `_Run`). Second, the float score is evaluated only for
+    candidates whose proxy is within a margin of their node's best proxy,
+    and the rule above picks among them. If every float score is within E
+    of its real value (up to an error shared by the node) and every proxy
+    within A of its real value, a candidate whose float score reaches that
+    of the best proxy's candidate has a real score at most 2E below it, and
+    so a proxy at most 2E (in proxy units) + 2A below the best proxy. The
+    margin of a screen run, `_margin`, is at least that sum at each of its
+    nodes under every criterion, so the screen keeps every candidate a full
+    float scan could pick, ties included.
     """
     criterion = SplitCriterion(criterion)
     x = np.asarray(x, dtype=float)
@@ -573,11 +561,10 @@ def _grow(train: Dataset, criterion: SplitCriterion, max_splits: int,
                                                train.n_classes, criterion,
                                                order, ranges)
         split = np.flatnonzero(feature >= 0)
-        if criterion is not SplitCriterion.TWOING:
-            low = score[split] < -_GAIN_SLACK
-            if low.any():
-                raise NegativeGain(
-                    f"negative purity gain {score[split][low][0]} during growth")
+        low = score[split] < -_GAIN_SLACK
+        if low.any():
+            raise NegativeGain(
+                f"negative split score {score[split][low][0]} during growth")
         start, stop = ranges[split].T
         owner = np.array([t for t, _, _, _ in taken])[split]
         n_left = _partition(x.T, order, start, stop - start,

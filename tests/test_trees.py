@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from cdsproxy import trees
+from cdsproxy import core, datagen, evaluation, trees
 from cdsproxy.core import Dataset
 from cdsproxy.errors import (
     BadConfig,
@@ -225,6 +225,32 @@ def mirrored_labels(rng, m, n_classes):
     return np.concatenate([half, sigma[half][::-1]])
 
 
+def proxy_bound(criterion, m):
+    """The written bound on a proxy's rounding error at a node of m rows
+    alone in its cumulative sum (the _*_proxy methods of trees._Run)."""
+    u = trees._U
+    if criterion is SplitCriterion.GINI:
+        return 3 * u * m
+    if criterion is SplitCriterion.TWOING:
+        return 3 * u * m * m
+    return (4 * trees._LOG_ERROR + 9) * u * m * m * np.log(m)
+
+
+def node_margins(criterion, sizes, n_classes):
+    """Each node's margin by its own criterion: two score errors, at
+    (2K + 10 + L)(1 + log K)u per unit of score, and two proxy errors, the
+    Entropy ones with four times the bounds of the nodes before them in
+    the run, which its cumulative sum carries."""
+    sizes = np.asarray(sizes, dtype=float)
+    score = ((2 * n_classes + 10 + trees._LOG_ERROR)
+             * (1.0 + np.log(n_classes)) * trees._U)
+    scale = sizes * sizes if criterion is SplitCriterion.TWOING else sizes
+    error = proxy_bound(criterion, sizes)
+    if criterion is SplitCriterion.ENTROPY:
+        error = error + 4 * (np.cumsum(error) - error)
+    return 2 * scale * score + 2 * error
+
+
 class TestSplitScreen:
     def assert_full_scan_choice(self, x, y, n_classes, criterion):
         """best_split picks the first float maximum in (feature, position)
@@ -341,28 +367,73 @@ class TestSplitScreen:
             for criterion, want in exact.items():
                 got = run.proxy(criterion, y[None, :].astype(np.uint8))[0, :-1]
                 worst = float(np.abs(got - want).max())
-                assert 0.0 < worst <= trees._proxy_error(criterion, m)
-                assert 2.0 * worst < trees._margin(criterion, [m], n_classes)[0]
+                assert 0.0 < worst <= proxy_bound(criterion, m)
+                assert 2.0 * worst < trees._margin(m, n_classes)
 
     @pytest.mark.parametrize("criterion", list(SplitCriterion))
     def test_nodes_laid_end_to_end_stay_within_their_margins(self, criterion):
         # the Entropy cumsum of a run carries each node's rounding into the
-        # next; every node's proxies stay within half its margin of the
-        # proxies it has alone
+        # next; every node's proxies stay within half its own criterion's
+        # margin, and so half the run's, of the proxies it has alone
         rng = np.random.default_rng(34)
         sizes = [3000, 40, 5000, 2, 700]
         labels = [rng.integers(0, 6, size=m) for m in sizes]
         class_n = np.array([np.bincount(y, minlength=6) for y in labels])
         together = trees._Run(class_n).proxy(
             criterion, np.concatenate(labels)[None, :].astype(np.uint8))[0]
-        margin = trees._margin(criterion, class_n.sum(axis=1), 6)
+        margin = node_margins(criterion, sizes, 6)
+        run_margin = trees._margin(sum(sizes), 6)
         at = 0
         for j, y in enumerate(labels):
             alone = trees._Run(class_n[j:j + 1]).proxy(
                 criterion, y[None, :].astype(np.uint8))[0]
             drift = np.abs(together[at:at + y.size - 1] - alone[:-1])
             assert drift.max(initial=0.0) <= margin[j] / 2
+            assert drift.max(initial=0.0) <= run_margin / 2
             at += y.size
+
+    @pytest.mark.parametrize("n_classes", [2, 5, 20])
+    def test_run_margin_covers_every_node_under_every_criterion(
+            self, n_classes):
+        rng = np.random.default_rng(35)
+        runs = [[2], [5000], [2, 5000], [5000, 2], [2] * 2500]
+        runs += [rng.integers(2, 5001, size=rng.integers(1, 12)).tolist()
+                 for _ in range(200)]
+        for sizes in runs:
+            margin = trees._margin(sum(sizes), n_classes)
+            for criterion in SplitCriterion:
+                assert node_margins(criterion, sizes, n_classes).max() <= margin
+
+
+# Candidates the float stage scored on FS1 fold 0, per label: of
+# GeneratorConfig() with cv seed 0, and of the 20-name x 250-day panel at
+# seed 1 with cv seed 1. A margin that floods the float stage shows here.
+SCREEN_WORK = {
+    (datagen.GeneratorConfig(), 0): {
+        "DT-Gini": 47, "DT-Entropy": 78, "DT-Twoing": 61, "BaggedTree": 1251},
+    (datagen.GeneratorConfig(n_counterparties=20, n_days=250, seed=1), 1): {
+        "DT-Gini": 20, "DT-Entropy": 20, "DT-Twoing": 20, "BaggedTree": 619},
+}
+
+
+class TestScreenWork:
+    @pytest.mark.parametrize("config, seed", list(SCREEN_WORK),
+                             ids=["GeneratorConfig", "20x250"])
+    def test_float_stage_scores_few_candidates(self, monkeypatch, config,
+                                               seed):
+        scored = []
+        float_scores = trees._float_scores
+        monkeypatch.setattr(trees, "_float_scores", lambda c, left, *rest: (
+            scored.append(left.shape[0]) or float_scores(c, left, *rest)))
+        dataset = core.build_dataset(datagen.generate_panel(config),
+                                     core.FeatureSelection.FS1)
+        train = dataset.subset(
+            evaluation.stratified_folds(dataset, 10, seed).training_rows(0))
+        for label, count in SCREEN_WORK[(config, seed)].items():
+            scored.clear()
+            evaluation.make_classifier_spec(label).fit(
+                train, evaluation.fold_seed(seed, 0))
+            assert 0 < sum(scored) <= 1.01 * count, label
 
 
 class TestFitTree:
@@ -446,21 +517,18 @@ class TestFitTree:
 
     @pytest.mark.parametrize("criterion", list(SplitCriterion))
     def test_negative_gain_raises_a_typed_error(self, monkeypatch, criterion):
-        # a purity gain below zero can only come from a fault in the
-        # search; Twoing's score has no parent term and is not checked
+        # a split score below zero can only come from a fault in the
+        # search: purity gains and Twoing scores are both non-negative
         train = make_blobs([[0.0], [2.0]], 6, scale=0.3, seed=18)
         found = trees.best_split
 
         def lowered(*args):
             feature, threshold, score = found(*args)
-            return feature, threshold, score - 1.0
+            return feature, threshold, score - 2.0
 
         monkeypatch.setattr(trees, "best_split", lowered)
-        if criterion is SplitCriterion.TWOING:
-            assert fit_tree(train, criterion=criterion).internal_count() > 0
-        else:
-            with pytest.raises(NegativeGain, match="negative purity gain"):
-                fit_tree(train, criterion=criterion)
+        with pytest.raises(NegativeGain, match="negative split score"):
+            fit_tree(train, criterion=criterion)
 
     def test_empty_and_bad_budget(self):
         train = make_blobs([[0.0], [2.0]], 4, scale=0.3, seed=11)
