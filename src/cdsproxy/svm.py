@@ -433,17 +433,22 @@ def _active_set(k_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     whose gradient y * (K beta + b) - 1 has the wrong sign, negative at 0
     or positive at C; the sets are right, and alpha optimal, when no index
     moves (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13(3), 2003; for
-    the SVM dual, Scheinberg, JMLR 7, 2006). Raises NotPositiveDefinite if
-    a Cholesky of K_FF fails, and NoConvergence if a solve is not finite,
-    no index is left free, or the sets still move after _AS_MAX_ROUNDS
-    rounds.
+    the SVM dual, Scheinberg, JMLR 7, 2006). A round depends on the sets
+    alone, so sets met before mean an endless cycle. Raises
+    NotPositiveDefinite if a Cholesky of K_FF fails, and NoConvergence if
+    a solve is not finite, no index is left free, the sets repeat, or they
+    still move after _AS_MAX_ROUNDS rounds.
     """
     cost = DEFAULT_COST
     free, at_cost = np.ones(y.size, dtype=bool), np.zeros(y.size, dtype=bool)
-    rounds = 0
+    rounds, seen = 0, set()
     while True:
         if rounds == _AS_MAX_ROUNDS:
             raise NoConvergence(f"active sets still move after {rounds} rounds")
+        sets = (free.tobytes(), at_cost.tobytes())
+        if sets in seen:
+            raise NoConvergence(f"active sets repeat after {rounds} rounds")
+        seen.add(sets)
         if not free.any():
             raise NoConvergence(f"no free index left after {rounds} rounds")
         beta = np.where(at_cost, cost * y, 0.0)
@@ -522,12 +527,13 @@ def fit_svm_multiclass(train: Dataset,
     K_FF per round, with no interior point. A machine falls back to the
     dense interior point, one O(n^3) Cholesky per iteration, unchanged,
     when a Cholesky of K_FF fails (K singular, as where the map has fewer
-    columns than the rows), a solve is not finite, or the sets still move
-    after _AS_MAX_ROUNDS = 100 rounds. That cap is about twice the most
-    rounds measured on those cells: at most 53 over their 10 folds at cv
-    seeds 0-2 (FS4, cv seed 2; CHANGES.md). fit_svm_binary then polishes
-    either alpha by pairwise ascent at DEFAULT_KKT_TOL, which also checks
-    it, and the machine records the iterations or rounds that found it.
+    columns than the rows), a solve is not finite, the sets repeat (a
+    cycle), or they still move after _AS_MAX_ROUNDS = 100 rounds. That cap
+    is about twice the most rounds measured on those cells: at most 53
+    over their 10 folds at cv seeds 0-2 (FS4, cv seed 2; CHANGES.md).
+    fit_svm_binary then polishes either alpha by pairwise ascent at
+    DEFAULT_KKT_TOL, which also checks it, and the machine records the
+    iterations or rounds that found it.
 
     Gaussian machines take no start: fit_svm_binary solves them by
     pairwise ascent alone, from alpha = 0. Its second-order choice of the

@@ -33,9 +33,10 @@ budget and tie rules.
 
 `best_split` scores in two stages. It first computes, for every boundary
 of every feature of every node, a proxy from exact integer class counts
-that in real arithmetic is an increasing function of the split score. It
-then evaluates the float score, by the same expressions as a full scan,
-only for candidates whose proxy lies within a margin of the best proxy of
+that in real arithmetic is an increasing function of the split score, in
+O(columns) work per feature whatever the number of classes. It then
+evaluates the float score, by the same expressions as a full scan, only
+for candidates whose proxy lies within a margin of the best proxy of
 their node. One margin serves every node of a screen run under every
 criterion: it is at least twice a written bound on the float score's
 rounding error plus twice a written bound on the proxy's, so every
@@ -138,7 +139,9 @@ class _Run:
     class and node, and its node's count N_k of that class, are the same
     for every row; the Gini and Entropy increments, which depend on those
     alone, are laid out in that order once per run and put back in feature
-    order by each row's sort.
+    order by each row's sort, and Twoing reads from the sort the column of
+    every class's rows in turn. So every proxy takes O(columns) work per
+    row, whatever K is.
     """
 
     def __init__(self, class_n: np.ndarray):
@@ -256,29 +259,59 @@ class _Run:
         return proxy
 
     @cached_property
-    def _twoing_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        # N_k nL - m cL_k is the sum over the left rows of N_k, less m for
-        # each row of class k; over a whole node it returns to 0, and the
-        # dtype holds every such value
-        dtype = np.min_scalar_type(-int(self.size.max()) ** 2)
-        steps = np.take(self.class_n.T, self.node, axis=1).astype(dtype)
-        return steps, steps - self.size[self.node].astype(dtype)
+    def _twoing_steps(self) -> tuple[np.ndarray, np.ndarray,
+                                     tuple[np.ndarray, np.ndarray]]:
+        rank, count = self._by_class
+        groups = self.class_n.T.ravel()
+        node = np.repeat(np.arange(groups.size) % self.size.size, groups)
+        # the first column at which the class, with r rows on the left, is
+        # ahead of its share N_k nL / m: first + floor(m r / N_k)
+        ahead = self.first[node] + self.size[node] * rank // count
+        return ahead, np.flatnonzero(rank == 0), (count.astype(float),
+                                                  rank.astype(float))
 
     def _twoing_proxy(self, labels: np.ndarray) -> np.ndarray:
         """R = D^2 / (nL nR) with D = sum_k |N_k nL - m cL_k| at every
         column; the Twoing score is R / m^2.
 
-        D = nL nR sum_k |pi_kR - pi_kL| is exact in int64 and in float64
-        for m < 6e7, and R takes a square and a division of exact
-        integers, so it is within 3u m^2, as R <= m^2.
+        With a_k = N_k nL - m cL_k, sum_k a_k = 0, so D = 2 sum_k
+        max(a_k, 0) = 2 (nL A - m B), where A sums N_k and B sums cL_k
+        over the classes with a_k > 0. Between a class's r-th and
+        (r + 1)-th row of a node cL_k = r and a_k rises with nL, so the
+        class is ahead on one interval: from the later of the r-th row's
+        column and the column of nL = floor(m r / N_k) + 1 up to the
+        column before the (r + 1)-th row. After its last row a_k <= 0. So
+        each place of the row's order by class opens at most one interval
+        and closes it at its own column, and A and B are the cumulative
+        sums of N_k and r added where an interval opens and taken back
+        where it closes; an empty interval opens at its closing column.
+        Every sum is an integer at most m^2, so D is exact in float64 for
+        m < 9e7, and R takes a square and a division of exact integers:
+        it is within 3u m^2, as R <= m^2.
         """
-        steps, own_steps = self._twoing_steps
-        classes = np.arange(self.class_n.shape[1])[:, None]
-        spread = np.empty(labels.shape)
-        for f in range(labels.shape[0]):
-            dev = np.where(labels[f] == classes, own_steps, steps)
-            np.cumsum(dev, axis=1, out=dev)
-            spread[f] = np.abs(dev, out=dev).sum(axis=0, dtype=np.int64)
+        ahead, restart, per_place = self._twoing_steps
+        closes = np.argsort(labels, axis=1, kind="stable")
+        opens = np.empty_like(closes)
+        opens[:, 1:] = closes[:, :-1]       # the class's previous row
+        opens[:, restart] = 0
+        np.maximum(opens, ahead, out=opens)
+        np.minimum(opens, closes, out=opens)
+        rows = labels.shape[1] * np.arange(labels.shape[0])[:, None]
+        opens += rows
+        closes += rows
+        weights = np.empty(labels.shape)
+        sums = []
+        for step in per_place:
+            weights[:] = step
+            added = np.zeros(labels.shape)
+            np.add.at(added.ravel(), opens.ravel(), weights.ravel())
+            np.subtract.at(added.ravel(), closes.ravel(), weights.ravel())
+            sums.append(np.cumsum(added, axis=1, out=added))
+        spread, behind = sums
+        spread *= self.n_left
+        behind *= self.size[self.node]
+        spread -= behind
+        spread *= 2.0
         spread *= spread
         spread /= self.n_left * self.n_right
         return spread
@@ -309,9 +342,9 @@ def _screen(criterion: SplitCriterion, xt: np.ndarray, labels_of: np.ndarray,
     after the b-th row of the feature's order), in (node, feature,
     boundary) order. The proxies are built for runs of whole nodes, a
     block of features at a time, so that one (features x columns) float64
-    temporary of a block, and Twoing's (K x columns) count matrix, hold
-    about numerics.BLOCK_BYTES; a block keeps the candidates within the
-    run's margin of each node's best proxy so far.
+    temporary of a block holds about numerics.BLOCK_BYTES; a block keeps
+    the candidates within the run's margin of each node's best proxy so
+    far.
     """
     d, n = xt.shape
     n_classes = class_n.shape[1]
@@ -319,7 +352,7 @@ def _screen(criterion: SplitCriterion, xt: np.ndarray, labels_of: np.ndarray,
     best = np.full(size.size, -np.inf)
     margin = np.empty(size.size)
     found = []
-    for a, b in _groups(size, 8 * max(d, n_classes)):
+    for a, b in _groups(size, 8 * d):
         run = _Run(class_n[a:b])
         run_cols = cols[first[a]:first[b - 1] + size[b - 1]]
         margin[a:b] = _margin(run_cols.size, n_classes)
@@ -384,16 +417,18 @@ def best_split(x: np.ndarray, y: np.ndarray, n_classes: int,
     increasing function of the split score within its node: sum c^2 per
     side for Gini, sum c log c per side for Entropy, and D^2 / (nL nR)
     with D = sum_k |N_k nL - m cL_k| for Twoing (see the _*_proxy
-    methods of `_Run`). Second, the float score is evaluated only for
-    candidates whose proxy is within a margin of their node's best proxy,
-    and the rule above picks among them. If every float score is within E
-    of its real value (up to an error shared by the node) and every proxy
-    within A of its real value, a candidate whose float score reaches that
-    of the best proxy's candidate has a real score at most 2E below it, and
-    so a proxy at most 2E (in proxy units) + 2A below the best proxy. The
-    margin of a screen run, `_margin`, is at least that sum at each of its
-    nodes under every criterion, so the screen keeps every candidate a full
-    float scan could pick, ties included.
+    methods of `_Run`), each from the feature's order by class, so in
+    O(rows) work per feature whatever the number of classes. Second, the
+    float score is evaluated only for candidates whose proxy is within a
+    margin of their node's best proxy, and the rule above picks among
+    them. If every float score is within E of its real value (up to an
+    error shared by the node) and every proxy within A of its real value,
+    a candidate whose float score reaches that of the best proxy's
+    candidate has a real score at most 2E below it, and so a proxy at most
+    2E (in proxy units) + 2A below the best proxy. The margin of a screen
+    run, `_margin`, is at least that sum at each of its nodes under every
+    criterion, so the screen keeps every candidate a full float scan could
+    pick, ties included.
     """
     criterion = SplitCriterion(criterion)
     x = np.asarray(x, dtype=float)

@@ -9,7 +9,10 @@ systems against Q = yy' * K (`label_product`), as `cdsproxy.svm` did before
 it solved them against K. `best_split` and `fit_tree` sort every
 feature at every node and evaluate the float score of every candidate, as
 `cdsproxy.trees` did before it presorted once per fit and screened the
-candidates by integer counts. `nb_scores_batch` scores naive Bayes on a
+candidates by integer counts. `twoing_proxy` keeps a running (K x columns)
+count of every class for each feature, as `cdsproxy.trees` did before it
+read the columns on which each class is ahead of its share from the
+feature's order by class. `nb_scores_batch` scores naive Bayes on a
 (queries x class rows x d) tensor with a new array for every operation,
 where `cdsproxy.bayes` tiles the class rows and makes each block's kernel
 terms in place in one (class rows x queries x d) temporary; both work in
@@ -362,6 +365,31 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
                              max_splits=max_splits, n_classes=train.n_classes,
                              class_names=train.class_names,
                              n_features=train.d)
+
+
+def twoing_proxy(class_n: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """R = D^2 / (nL nR) with D = sum_k |N_k nL - m cL_k| at every column
+    of every row of labels, for nodes laid end to end with the given
+    (nodes x K) class counts; the last column of a node divides by nR = 1.
+    Each row takes K passes: N_k nL - m cL_k is the running sum of N_k over
+    the left rows less m for each row of class k."""
+    size = class_n.sum(axis=1)
+    first = np.cumsum(size) - size
+    node = np.repeat(np.arange(size.size), size)
+    n_left = np.arange(1, size.sum() + 1) - first[node]
+    n_right = size[node] - n_left
+    n_right[first + size - 1] = 1
+    steps = np.take(class_n.T, node, axis=1).astype(np.int64)
+    own_steps = steps - size[node]
+    classes = np.arange(class_n.shape[1])[:, None]
+    spread = np.empty(labels.shape)
+    for f in range(labels.shape[0]):
+        dev = np.where(labels[f] == classes, own_steps, steps)
+        np.cumsum(dev, axis=1, out=dev)
+        spread[f] = np.abs(dev).sum(axis=0)
+    spread *= spread
+    spread /= n_left * n_right
+    return spread
 
 
 # ------------------------------------------------ panel CSV and fold dealing

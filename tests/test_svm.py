@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -98,6 +99,17 @@ class TestKernels:
                 np.ones((2, 2)), np.ones((2, 2)))
 
 
+@functools.cache
+def reference_objective(kind, seed, n_per_side, separation):
+    """The reference solution's dual objective on the binary problem of a
+    test_matches_projected_gradient_reference case, computed once for the
+    classes that share the case."""
+    x, y = binary_problem(seed, n_per_side, 3, separation)
+    gram = KernelSpec(kind, degree=3).resolve(3).gram(x, x)
+    return dual_objective(reference_dual_solution(gram, y, DEFAULT_COST),
+                          gram, y)
+
+
 class TestBinarySvm:
     def test_two_point_hard_margin(self):
         x = np.array([[-1.0], [1.0]])
@@ -122,8 +134,7 @@ class TestBinarySvm:
         spec = KernelSpec(kind, degree=3).resolve(3)
         model = fit_svm_binary(x, y, spec)
         gram = spec.gram(x, x)
-        ref = reference_dual_solution(gram, y, DEFAULT_COST)
-        w_ref = dual_objective(ref, gram, y)
+        w_ref = reference_objective(kind, seed, n_per_side, separation)
         w_got = dual_objective(model.alpha, gram, y)
         assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
 
@@ -301,8 +312,7 @@ class TestInteriorPoint:
         x, y = binary_problem(seed, n_per_side, 3, separation)
         spec = KernelSpec(kind, degree=3).resolve(3)
         gram = spec.gram(x, x)
-        ref = reference_dual_solution(gram, y, DEFAULT_COST)
-        w_ref = dual_objective(ref, gram, y)
+        w_ref = reference_objective(kind, seed, n_per_side, separation)
         # dense solves, then solves through the feature-map factor where
         # the kernel has a small one (linear, and polynomial at n = 40);
         # the gaussian kernel has no finite map
@@ -779,6 +789,52 @@ class TestActiveSet:
             assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
             assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
+
+    def test_repeated_sets_hand_over_to_the_interior_point_at_once(
+            self, monkeypatch):
+        # SVM-Poly on FS1 fold 0 of the default panel with training row 0
+        # repeated at the end. On one BLAS thread the sets that round 31 of
+        # machine 0 leaves come back after round 55, and the other
+        # machines settle in 20-53 rounds; the rounding of other thread
+        # counts can make other machines cycle too. A machine that cycles
+        # gets the dense interior point's alpha, as it did after all
+        # _AS_MAX_ROUNDS rounds.
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS1)
+        train = dataset.subset(stratified_folds(dataset, 10, seed=0)
+                               .training_rows(0))
+        train = Dataset(x=np.vstack([train.x, train.x[:1]]),
+                        y=np.concatenate([train.y, train.y[:1]]),
+                        class_names=train.class_names,
+                        feature_names=train.feature_names)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        x = model.standardizer.apply(train.x)
+        gram = model.kernel.gram(x, x)
+        solves = []
+        spd_solver = numerics.spd_solver
+        monkeypatch.setattr(numerics, "spd_solver", lambda k_mat: (
+            solves.append(1) or spd_solver(k_mat)))
+        for j, machine in enumerate(model.machines):
+            y = machine.y_train
+            solves.clear()
+            try:
+                _, rounds = svm._active_set(gram, y)
+            except NoConvergence as exc:
+                assert "repeat" in str(exc)
+                rounds = None
+            if j == 0:
+                assert rounds is None and len(solves) <= 56
+            if rounds is not None:
+                assert machine.active_set_rounds == rounds
+                assert machine.ip_iterations == 0
+                continue
+            want = interior_point_then_ascent(x, y, model.kernel)
+            assert machine.active_set_rounds == 0
+            assert machine.ip_iterations == want.ip_iterations > 0
+            assert np.array_equal(machine.alpha, want.alpha)
+            assert machine.bias == want.bias
+            assert machine.n_updates == want.n_updates
+            assert machine.kkt_gap == want.kkt_gap
 
     @pytest.mark.parametrize("selection,cap,error", [
         # 35 monomials for 45 rows: K is singular, so is its Cholesky

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from conftest import make_blobs
 from cdsproxy import core, datagen, evaluation, trees
 from cdsproxy.core import Dataset
@@ -434,6 +437,80 @@ class TestScreenWork:
             evaluation.make_classifier_spec(label).fit(
                 train, evaluation.fold_seed(seed, 0))
             assert 0 < sum(scored) <= 1.01 * count, label
+
+
+def node_labels(rng, m, n_classes, kind):
+    """m labels of one node: drawn from every class, from a random subset
+    of the classes, or all of one class but one row."""
+    if kind == "every class":
+        return rng.integers(0, n_classes, size=m)
+    if kind == "some classes":
+        classes = rng.choice(n_classes, size=rng.integers(1, n_classes + 1),
+                             replace=False)
+        return rng.choice(classes, size=m)
+    y = np.full(m, rng.integers(0, n_classes))
+    y[rng.integers(0, m)] = (y[0] + 1) % n_classes
+    return y
+
+
+def random_run(rng, sizes, n_classes, rows):
+    """(class_n, labels) of nodes of the given sizes laid end to end, each
+    of the rows of labels listing every node's labels in a random order."""
+    kinds = ["every class", "some classes", "all but one"]
+    nodes = [node_labels(rng, m, n_classes, kinds[rng.integers(0, 3)])
+             for m in sizes]
+    class_n = np.array([np.bincount(y, minlength=n_classes) for y in nodes])
+    labels = np.array([np.concatenate([rng.permutation(y) for y in nodes])
+                       for _ in range(rows)], dtype=np.uint8)
+    return class_n, labels
+
+
+def twoing_bits(class_n, labels):
+    return trees._Run(class_n).proxy(SplitCriterion.TWOING, labels).tobytes()
+
+
+class TestTwoingProxy:
+    @pytest.mark.parametrize("n_classes", [2, 5, 20])
+    def test_matches_the_k_pass_reference(self, n_classes):
+        rng = np.random.default_rng(36)
+        runs = [[2], [2] * 40, [5000], [2, 5000, 3], [5000, 2]]
+        runs += [rng.integers(2, 300, size=rng.integers(1, 12)).tolist()
+                 for _ in range(40)]
+        for sizes in runs:
+            rows = 2 if sum(sizes) >= 5000 else 6
+            class_n, labels = random_run(rng, sizes, n_classes, rows)
+            assert twoing_bits(class_n, labels) == ref.twoing_proxy(
+                class_n, labels).tobytes()
+
+    @pytest.mark.parametrize("n_classes", [2, 5, 20])
+    def test_relabelling_the_classes_keeps_every_bit(self, n_classes):
+        # the proxy is a square and a division of an exact integer D, so
+        # the order in which the classes' terms are summed cannot show
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            sizes = rng.integers(2, 400, size=rng.integers(1, 8)).tolist()
+            class_n, labels = random_run(rng, sizes, n_classes, 4)
+            sigma = rng.permutation(n_classes)
+            relabelled = np.empty_like(class_n)
+            relabelled[:, sigma] = class_n
+            assert twoing_bits(class_n, labels) == twoing_bits(
+                relabelled, sigma[labels].astype(np.uint8))
+
+    def test_fit_peaks_below_the_k_pass_proxy(self):
+        # DT-Twoing on FS1 fold 0 of the 20 x 250 panel (K = 20) peaked at
+        # 3.28 MiB under tracemalloc with the K-pass proxy
+        config, seed = list(SCREEN_WORK)[1]
+        dataset = core.build_dataset(datagen.generate_panel(config),
+                                     core.FeatureSelection.FS1)
+        train = dataset.subset(
+            evaluation.stratified_folds(dataset, 10, seed).training_rows(0))
+        tracemalloc.start()
+        try:
+            fit_tree(train, SplitCriterion.TWOING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.28 * 2 ** 20
 
 
 class TestFitTree:
