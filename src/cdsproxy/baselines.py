@@ -3,10 +3,11 @@
 Curve mapping assigns every counterparty in a (region, sector, rating)
 bucket the same summary spread (mean or median of the bucket). The
 cross-sectional regression fits ordinary least squares to log spreads on
-dummy-coded region/sector/rating/seniority levels and predicts the
-exponential of the fitted log spread. Both produce one value per category
-cell — every member of a cell receives an identical proxy, which is
-exactly the homogeneity the per-counterparty classifiers are built to beat.
+dummy-coded region/sector/rating/seniority levels, keeps an intercept and
+one table of level effects per category, and predicts the exponential of
+the fitted log spread. Both produce one value per category cell — every
+member of a cell receives an identical proxy, which is exactly the
+homogeneity the per-counterparty classifiers are built to beat.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import enum
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,20 +80,15 @@ def bucket_key(record: CdsContractRecord) -> tuple[str, ...]:
     return tuple(getattr(record, field) for field in BUCKET_FIELDS)
 
 
-def group_buckets(records: Iterable[CdsContractRecord],
-                  ) -> dict[tuple[str, ...], list[float]]:
-    buckets: dict[tuple[str, ...], list[float]] = {}
-    for record in records:
-        buckets.setdefault(bucket_key(record), []).append(record.spread)
-    return buckets
-
-
 def curve_mapping_table(records: Sequence[CdsContractRecord],
                         statistic: ProxyStatistic = ProxyStatistic.MEAN,
                         ) -> dict[tuple[str, ...], float]:
     """Proxy spread for every (region, sector, rating) bucket present."""
+    buckets: dict[tuple[str, ...], list[float]] = {}
+    for record in records:
+        buckets.setdefault(bucket_key(record), []).append(record.spread)
     return {key: curve_mapping_proxy(spreads, statistic)
-            for key, spreads in sorted(group_buckets(records).items())}
+            for key, spreads in sorted(buckets.items())}
 
 
 # ------------------------------------------------- cross-sectional regression
@@ -101,45 +98,36 @@ def curve_mapping_table(records: Sequence[CdsContractRecord],
 class CrossSectionalModel:
     """Log-linear spread model on dummy-coded category levels.
 
-    The first (sorted) level of each category is the reference and carries
-    no coefficient; its effect lives in the intercept.
+    effects[field][level], read-only, is the coefficient of every level seen
+    in training. Each field's first sorted level is the reference: it has no
+    dummy, so its effect lives in the intercept and its coefficient is 0.0.
     """
 
     intercept: float
-    coefficients: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
-    references: tuple[tuple[str, str], ...]
+    effects: Mapping[str, Mapping[str, float]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "effects", MappingProxyType(
+            {f: MappingProxyType(dict(t)) for f, t in self.effects.items()}))
 
     def coefficient(self, field: str, level: str) -> float:
-        references = dict(self.references)
-        if field not in references:
+        if field not in self.effects:
             raise BadConfig(f"{field!r} is not a category field; the fields "
                             f"are {', '.join(CATEGORY_FIELDS)}")
-        if level == references[field]:
-            return 0.0
-        levels = dict(dict(self.coefficients)[field])
+        levels = self.effects[field]
         if level not in levels:
-            known = sorted([references[field], *levels])
             raise UnknownCategoryLevel(
                 f"{field} level {level!r} was not in the training records; "
-                f"known levels: {', '.join(known)}")
+                f"known levels: {', '.join(sorted(levels))}")
         return levels[level]
 
-    def log_spread(self, categories: Mapping[str, str]) -> float:
+    def predict(self, categories: Mapping[str, str]) -> float:
         total = self.intercept
         for field in CATEGORY_FIELDS:
             if field not in categories:
                 raise BadConfig(f"categories lack the {field!r} field")
             total += self.coefficient(field, categories[field])
-        return total
-
-    def predict(self, categories: Mapping[str, str]) -> float:
-        return math.exp(self.log_spread(categories))
-
-
-def _level_table(records: Sequence[CdsContractRecord],
-                 ) -> dict[str, list[str]]:
-    return {field: sorted({getattr(r, field) for r in records})
-            for field in CATEGORY_FIELDS}
+        return math.exp(total)
 
 
 def fit_cross_sectional(records: Sequence[CdsContractRecord],
@@ -147,13 +135,11 @@ def fit_cross_sectional(records: Sequence[CdsContractRecord],
     """Least squares on log spreads over intercept + level dummies."""
     if not records:
         raise TooFewSamples("regression needs at least one record")
-    levels = _level_table(records)
-    columns: list[tuple[str, str]] = []       # (field, level) per dummy
-    for field in CATEGORY_FIELDS:
-        columns.extend((field, level) for level in levels[field][1:])
-    n, p = len(records), 1 + len(columns)
-    design = np.zeros((n, p))
-    design[:, 0] = 1.0
+    levels = {field: sorted({getattr(r, field) for r in records})
+              for field in CATEGORY_FIELDS}
+    columns = [(field, level)                 # a dummy per non-reference level
+               for field in CATEGORY_FIELDS for level in levels[field][1:]]
+    design = np.ones((len(records), 1 + len(columns)))
     for j, (field, level) in enumerate(columns, start=1):
         design[:, j] = [getattr(r, field) == level for r in records]
     target = np.log([r.spread for r in records])
@@ -164,10 +150,7 @@ def fit_cross_sectional(records: Sequence[CdsContractRecord],
         raise NotPositiveDefinite(
             "category dummies are collinear after dropping reference "
             "levels; merge or drop the aliased levels") from exc
-    grouped: dict[str, list[tuple[str, float]]] = {f: [] for f in CATEGORY_FIELDS}
+    effects = {field: {levels[field][0]: 0.0} for field in CATEGORY_FIELDS}
     for (field, level), value in zip(columns, beta[1:]):
-        grouped[field].append((level, float(value)))
-    return CrossSectionalModel(
-        intercept=float(beta[0]),
-        coefficients=tuple((f, tuple(grouped[f])) for f in CATEGORY_FIELDS),
-        references=tuple((f, levels[f][0]) for f in CATEGORY_FIELDS))
+        effects[field][level] = float(value)
+    return CrossSectionalModel(intercept=float(beta[0]), effects=effects)

@@ -7,7 +7,8 @@ checks), principal-component analysis and feature standardisation, plus
 the query-row checks and the block slicing that the instance-based
 classifiers (kNN, kernel naive Bayes) use to keep their temporaries small.
 The classifiers call most of these on d x d matrices, d <= a few dozen;
-spd_solver also serves the SVM interior point's n x n Newton matrices.
+spd_solver also serves the SVM interior point's n x n Newton matrices
+and the SVM active set's K_FF blocks over its free indices.
 """
 from __future__ import annotations
 

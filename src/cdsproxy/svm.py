@@ -311,14 +311,16 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
     D = diag(z/a + w/s) once, as (K + D) [y*u, y*v] = [y*g, 1], which
     rounds to the same u and v as y = +-1, and takes
     db = (y'u + y'a) / y'v, da = u - v db, so the step toward y'a = 0 is
-    eliminated in closed form. The predictor and the corrector share one
-    factorisation per iteration: with factor = None a dense Cholesky of
+    eliminated in closed form. With factor = None the predictor and the
+    corrector share one factorisation per iteration, a dense Cholesky of
     K + D (numerics.spd_solver), D going onto k_mat's diagonal for it
-    only; with a factor G, GG' = K, the solves go through the
+    only. With a factor G, GG' = K, the solves go through the
     Sherman-Morrison-Woodbury identity on the scaled P = D^-1/2 G,
-    (K + D)^-1 = D^-1/2 (I - P (I + P'P)^-1 P') D^-1/2, and share one
-    r x r matrix I + P'P (Fine and Scheinberg, JMLR 2, 2001; Ferris and
-    Munson, SIAM J. Optim. 13(3), 2002). The residuals, and so the stop
+    (K + D)^-1 = D^-1/2 (I - P (I + P'P)^-1 P') D^-1/2 (Fine and
+    Scheinberg, JMLR 2, 2001; Ferris and Munson, SIAM J. Optim. 13(3),
+    2002): they share the r x r matrix I + P'P, formed once per iteration,
+    but each solve's np.linalg.solve LU-factors it anew, so it is factored
+    twice per iteration. The residuals, and so the stop
     test, are always taken on k_mat itself. At the end every alpha within
     _SNAP * C of a bound goes onto it, and y'alpha = 0 is restored by one
     equal shift of the free alphas along y, clipped back into the box;

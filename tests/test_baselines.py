@@ -9,12 +9,12 @@ import pytest
 from cdsproxy.baselines import (
     CATEGORY_FIELDS,
     CdsContractRecord,
+    CrossSectionalModel,
     ProxyStatistic,
     bucket_key,
     curve_mapping_proxy,
     curve_mapping_table,
     fit_cross_sectional,
-    group_buckets,
 )
 from cdsproxy.errors import (
     BadConfig,
@@ -78,7 +78,7 @@ class TestCurveMapping:
         a = record("A", seniority="Senior")
         b = record("B", seniority="Subordinated")
         assert bucket_key(a) == bucket_key(b)
-        assert len(group_buckets([a, b])) == 1
+        assert len(curve_mapping_table([a, b])) == 1
 
     def test_nonpositive_spread_rejected(self):
         with pytest.raises(RangeViolation):
@@ -153,14 +153,37 @@ class TestCrossSectional:
             0.25, abs=1e-8)
 
     def test_reference_levels_are_first_sorted_and_carry_zero(self):
-        records = self.factorial_records({}, intercept=5.0)
+        coef = {"Europe": 0.4, "Utilities": -0.3, "BB": 0.8,
+                "Subordinated": 0.25}
+        records = self.factorial_records(coef, intercept=5.0, noise=0.1)
         model = fit_cross_sectional(records)
-        assert dict(model.references) == {"region": "Asia",
-                                          "sector": "Energy",
-                                          "rating": "AA",
-                                          "seniority": "Senior"}
-        for field, reference in model.references:
+        references = {"region": "Asia", "sector": "Energy", "rating": "AA",
+                      "seniority": "Senior"}
+        assert list(model.effects) == list(CATEGORY_FIELDS)
+        for field, reference in references.items():
+            assert min(model.effects[field]) == reference
+            assert model.effects[field][reference] == 0.0
             assert model.coefficient(field, reference) == 0.0
+            assert all(value != 0.0 for level, value in
+                       model.effects[field].items() if level != reference)
+
+    def test_effects_are_read_only(self):
+        model = fit_cross_sectional([record("A", 100.0),
+                                     record("B", 200.0, rating="BB")])
+        with pytest.raises(TypeError):
+            model.effects["rating"] = {"AA": 1.0}
+        with pytest.raises(TypeError):
+            model.effects["rating"]["BB"] = 1.0
+        with pytest.raises(TypeError):
+            del model.effects["rating"]["AA"]
+        assert model.coefficient("rating", "AA") == 0.0
+
+    def test_effects_copy_the_given_tables(self):
+        table = {"AA": 0.0, "BB": 0.5}
+        model = CrossSectionalModel(intercept=1.0, effects={
+            field: table for field in CATEGORY_FIELDS})
+        table["BB"] = 9.0
+        assert model.coefficient("rating", "BB") == 0.5
 
     def test_noisy_fit_matches_least_squares_oracle(self):
         coef = {"Europe": 0.2, "Utilities": 0.5, "BB": -0.4,
@@ -189,6 +212,9 @@ class TestCrossSectional:
         query = records[0].categories() | {"rating": "CCC"}
         with pytest.raises(UnknownCategoryLevel, match="rating"):
             model.predict(query)
+        with pytest.raises(UnknownCategoryLevel,
+                           match="known levels: AA, BB$"):
+            model.coefficient("rating", "CCC")
 
     def test_missing_field_rejected_at_prediction(self):
         records = [record("A", 100.0), record("B", 200.0, rating="BB")]
