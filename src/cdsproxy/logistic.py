@@ -115,7 +115,7 @@ class LogisticClassifier(ClassifierModel):
     newton_iterations: tuple[int, ...]     # Newton updates of each machine
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
+        q = self.standardizer.apply(x)
         z = np.column_stack([np.ones(q.shape[0]), q])
         return sigmoid(z @ self.coefficients.T)
 

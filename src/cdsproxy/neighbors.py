@@ -67,9 +67,8 @@ class KnnClassifier(ClassifierModel):
     sq_norms: np.ndarray | None = None     # |s|^2 of each row; not for city-block
 
     def _query_matrix(self, x: np.ndarray) -> np.ndarray:
-        q = nm.as_rows(x, self.x_train.shape[0])
-        if self.standardizer is not None:
-            q = self.standardizer.apply(q)
+        q = (nm.as_rows(x, self.x_train.shape[0]) if self.standardizer is None
+             else self.standardizer.apply(x))
         if self.chol_factor is not None:
             q = np.linalg.solve(self.chol_factor, q.T).T
         return q

@@ -196,7 +196,7 @@ class NeuralNetClassifier(ClassifierModel):
     loss_history: tuple = field(default=(), repr=False)
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
+        q = self.standardizer.apply(x)
         _, _, _, expd, norm = _forward(self.params, self.activation, q.T)
         return (expd / norm).T
 

@@ -73,11 +73,9 @@ class Standardizer:
     scales: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != self.means.shape:
-            raise DimensionMismatch(
-                f"rows of shape {x.shape} do not have {self.means.size} features")
-        return (x - self.means) / self.scales
+        """x standardised as an (n, d) array, checked as as_rows checks
+        query rows."""
+        return (as_rows(x, self.means.size) - self.means) / self.scales
 
 
 def as_rows(x: np.ndarray, d: int) -> np.ndarray:

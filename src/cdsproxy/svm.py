@@ -8,7 +8,8 @@ subject to 0 <= alpha_i <= C and sum_i alpha_i y_i = 0, by pairwise
 coordinate ascent: the first index of each working pair is the steepest
 feasible ascent direction, the second maximises the second-order gain, the
 pair is solved in closed form and clipped to the box. The multiclass model
-trains one machine per class against the rest on standardised rows.
+trains one machine per class against the rest on standardised rows, which
+every machine shares, and scores queries with one kernel product over them.
 
 The kernel picks each multiclass machine's route. Linear and polynomial
 machines are solved by a Mehrotra predictor-corrector interior-point
@@ -70,10 +71,16 @@ class KernelSpec:
     scale: float | None = None     # gaussian c; None resolves to 1/(2d) at fit
     degree: int = DEFAULT_POLY_DEGREE
 
+    def __post_init__(self):
+        object.__setattr__(self, "kind", SvmKernel(self.kind))
+        if self.kind is SvmKernel.POLYNOMIAL and not 1 <= self.degree == int(self.degree):
+            raise BadConfig(f"polynomial degree must be a positive integer, got {self.degree}")
+        if self.kind is SvmKernel.GAUSSIAN and not (self.scale is None or self.scale > 0.0):
+            raise BadConfig(f"gaussian kernel scale must be > 0, got {self.scale}")
+
     def resolve(self, d: int) -> "KernelSpec":
         if self.kind is SvmKernel.GAUSSIAN and self.scale is None:
-            return KernelSpec(kind=self.kind, scale=default_gaussian_scale(d),
-                              degree=self.degree)
+            return replace(self, scale=default_gaussian_scale(d))
         return self
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -82,13 +89,9 @@ class KernelSpec:
         if self.kind is SvmKernel.LINEAR:
             return x @ y.T
         if self.kind is SvmKernel.POLYNOMIAL:
-            if self.degree < 1 or int(self.degree) != self.degree:
-                raise BadConfig(f"polynomial degree must be a positive integer, got {self.degree}")
             return (1.0 + x @ y.T) ** int(self.degree)
         if self.scale is None:
             raise BadConfig("gaussian kernel scale unresolved; call resolve(d) first")
-        if not self.scale > 0.0:
-            raise BadConfig(f"gaussian kernel scale must be > 0, got {self.scale}")
         sq = ((x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
               - 2.0 * (x @ y.T))
         return np.exp(-self.scale * np.maximum(sq, 0.0))
@@ -108,14 +111,6 @@ class BinarySvm:
     n_updates: int             # pair updates that produced alpha
     ip_iterations: int = 0       # interior-point iterations that found the start
     active_set_rounds: int = 0   # active-set rounds that found the start
-
-    def decision_batch(self, x: np.ndarray) -> np.ndarray:
-        sv = self.alpha > 0.0
-        if not sv.any():
-            return np.full(np.atleast_2d(x).shape[0], self.bias)
-        k = self.kernel.gram(np.atleast_2d(x), self.x_train[sv])
-        return k @ (self.alpha[sv] * self.y_train[sv]) + self.bias
-
 
 def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                    gram: np.ndarray | None = None,
@@ -478,7 +473,9 @@ def _active_set(k_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
 
 @dataclass
 class SvmClassifier(ClassifierModel):
-    """One-vs-rest machines; scores are the raw decision values.
+    """One-vs-rest machines; scores are the raw decision values, all from one
+    Gram block of the queries against the rows X every machine shares:
+    k(q, X) C + b, column j of C being machine j's alpha * y, b the biases.
 
     gram_rank is the rank r of the Gram factor the machines were solved
     through: the column count of the kernel's feature map when the interior
@@ -497,8 +494,9 @@ class SvmClassifier(ClassifierModel):
     gram_rank: int
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        q = self.standardizer.apply(nm.as_rows(x, self.standardizer.means.size))
-        return np.column_stack([m.decision_batch(q) for m in self.machines])
+        coef = np.column_stack([m.alpha * m.y_train for m in self.machines])
+        k = self.kernel.gram(self.standardizer.apply(x), self.machines[0].x_train)
+        return k @ coef + np.array([m.bias for m in self.machines])
 
     def describe(self) -> dict:
         return {"family": self.family, "kernel": self.kernel.kind.value,

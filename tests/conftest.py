@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,24 @@ def tiny_panel(seed=0, n_cp=3, n_days=10, missing_s=()):
 def blob3():
     """Three well-separated 2-d classes, 30 points each."""
     return make_blobs([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], 30, scale=0.6, seed=42)
+
+
+# the settings as the BLAS read them when numpy loaded it: perfbench's run.py,
+# which the perfbench tests import later in the same run, sets both to 1
+BLAS_THREAD_SETTINGS = ", ".join(
+    f"{name}={os.environ.get(name, 'unset')}"
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the numpy and BLAS the run used, and the BLAS thread settings it
+    started with, on one line that -q still shows: SVM results can follow
+    the thread count, and this line reports it without setting it."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 has no mode="dicts"
+        blas = {}
+    terminalreporter.write_line(
+        f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
+        f"{blas.get('version', 'unknown')}, {BLAS_THREAD_SETTINGS}, "
+        f"cpu_count={os.cpu_count()}")

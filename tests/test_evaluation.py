@@ -319,6 +319,13 @@ class TestClassifierGrid:
         assert model.classify_batch(np.empty((0, ds.d))).shape == (0,)
 
     @pytest.mark.parametrize("label", DEFAULT_GRID)
+    def test_every_default_label_scores_a_flat_row_as_one_row(self, label):
+        ds = make_blobs(centers=[(0, 0, 0), (4, 4, 1), (-4, 4, -1)], n_per_class=12,
+                        scale=0.6, seed=13)
+        model = make_classifier_spec(label).fit(ds, seed=1)
+        assert np.array_equal(model.scores_batch(ds.x[0]), model.scores_batch(ds.x[:1]))
+
+    @pytest.mark.parametrize("label", DEFAULT_GRID)
     def test_every_default_label_rejects_rows_of_another_width(self, label):
         ds = make_blobs(centers=[(0, 0, 0), (4, 4, 1), (-4, 4, -1)], n_per_class=12,
                         scale=0.6, seed=13)

@@ -44,8 +44,8 @@ class TestKnnAgainstOracle:
             # Euclidean and city-block compare standardised rows
             scale = model.standardizer.apply if model.standardizer else np.asarray
             got = model.classify_batch(queries)
-            want = [knn_oracle(scale(train.x), train.y, 3, k, metric, scale(q), cov)
-                    for q in queries]
+            want = [knn_oracle(scale(train.x), train.y, 3, k, metric, q, cov)
+                    for q in scale(queries)]
             assert np.array_equal(got, np.array(want))
 
     def test_standardized_euclidean_matches_oracle_on_scaled_rows(self):

@@ -7,6 +7,7 @@ from cdsproxy.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     NotSymmetric,
+    SchemaViolation,
     TooFewSamples,
 )
 
@@ -214,6 +215,15 @@ class TestStandardizer:
         z = nm.standardizer_fit(x).apply(x)
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-12)
+
+    def test_apply_checks_rows_as_as_rows_does(self):
+        s = nm.standardizer_fit(np.array([[1.0, 2.0], [3.0, 5.0]]))
+        assert s.apply([1.0, 2.0]).shape == (1, 2)
+        with pytest.raises(DimensionMismatch,
+                           match=r"rows of shape \(1, 3\) do not have 2 features"):
+            s.apply(np.ones(3))
+        with pytest.raises(SchemaViolation, match="row 1, column 0 is nan"):
+            s.apply([[0.0, 0.0], [np.nan, 0.0]])
 
     def test_needs_two_rows(self):
         with pytest.raises(TooFewSamples, match="standardizer needs >= 2 samples, got 1"):

@@ -40,6 +40,14 @@ def binary_problem(seed, n_per_side, d, separation):
     return x, y
 
 
+def decision(machine, x):
+    """One machine's decision values at rows x, summed over its support
+    vectors alone."""
+    sv = machine.alpha > 0.0
+    k = machine.kernel.gram(x, machine.x_train[sv])
+    return k @ (machine.alpha[sv] * machine.y_train[sv]) + machine.bias
+
+
 class TestReferenceProjection:
     def test_matches_bisection_and_is_feasible(self):
         rng = np.random.default_rng(99)
@@ -98,6 +106,19 @@ class TestKernels:
             KernelSpec(SvmKernel.POLYNOMIAL, degree=0).gram(
                 np.ones((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("kind,fields,message", [
+        pytest.param(SvmKernel.POLYNOMIAL, {"degree": 0}, "positive integer, got 0",
+                     id="degree-0"),
+        pytest.param("polynomial", {"degree": 2.5}, "positive integer, got 2.5",
+                     id="degree-2.5"),
+        pytest.param(SvmKernel.GAUSSIAN, {"scale": -1.0}, "must be > 0, got -1.0",
+                     id="scale-negative"),
+        pytest.param("gaussian", {"scale": np.nan}, "must be > 0, got nan",
+                     id="scale-nan")])
+    def test_bad_fields_raise_when_the_spec_is_built(self, kind, fields, message):
+        with pytest.raises(BadConfig, match=message):
+            KernelSpec(kind, **fields)
+
 
 @functools.cache
 def reference_objective(kind, seed, n_per_side, separation):
@@ -117,14 +138,14 @@ class TestBinarySvm:
         model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         assert model.alpha == pytest.approx([0.5, 0.5], abs=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
-        dec = model.decision_batch(np.array([[-1.0], [0.0], [1.0], [3.0]]))
+        dec = decision(model, np.array([[-1.0], [0.0], [1.0], [3.0]]))
         assert dec == pytest.approx([-1.0, 0.0, 1.0, 3.0], abs=1e-8)
 
     def test_xor_with_polynomial_kernel(self):
         x = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         model = fit_svm_binary(x, y, KernelSpec(SvmKernel.POLYNOMIAL, degree=3))
-        assert np.all(np.sign(model.decision_batch(x)) == y)
+        assert np.all(np.sign(decision(model, x)) == y)
 
     @pytest.mark.parametrize("kind", list(SvmKernel))
     @pytest.mark.parametrize("seed,n_per_side,separation", [(11, 12, 1.0), (12, 20, 0.4)])
@@ -169,7 +190,7 @@ class TestBinarySvm:
     def test_kkt_conditions_pointwise(self):
         x, y = binary_problem(31, 18, 2, 0.6)
         model = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
-        margins = y * model.decision_batch(x)
+        margins = y * decision(model, x)
         tol = 5e-4
         for i in range(len(y)):
             if model.alpha[i] <= 1e-8:
@@ -226,7 +247,7 @@ class TestBinarySvm:
         at_zero = model.alpha <= 1e-12 * cost
         at_cost = model.alpha >= cost - 1e-12 * cost
         assert np.all(at_zero | at_cost)
-        u = model.decision_batch(x) - model.bias
+        u = decision(model, x) - model.bias
         lower, upper = -np.inf, np.inf
         for t in range(len(y)):
             if (y[t] > 0 and at_zero[t]) or (y[t] < 0 and at_cost[t]):
@@ -426,7 +447,7 @@ class TestInteriorPoint:
             y = machine.y_train
             assert abs(dual_objective(machine.alpha, gram, y)
                        - dual_objective(reference.alpha, gram, y)) <= 1e-6
-            f_ip, f_ascent = machine.decision_batch(x), reference.decision_batch(x)
+            f_ip, f_ascent = decision(machine, x), decision(reference, x)
             assert np.abs(f_ip - f_ascent).max() <= 1e-3
             assert np.array_equal(np.sign(f_ip), np.sign(f_ascent))
 
@@ -874,7 +895,7 @@ class TestMulticlass:
         y_pm = np.where(train.y == 0, 1.0, -1.0)
         binary = fit_svm_binary(scale(train.x), y_pm, spec)
         queries = np.random.default_rng(62).normal(size=(30, 2)) * 2 + 1.5
-        dec = binary.decision_batch(scale(queries))
+        dec = decision(binary, scale(queries))
         got = model.classify_batch(queries)
         want = np.where(dec > 0, 0, 1)
         both = model.scores_batch(queries)
@@ -893,23 +914,67 @@ class TestMulticlass:
         # column j is machine j's decision: class j against the other three,
         # trained and queried on the model's standardised rows; a linear
         # machine is the interior point through the rows, polished by
-        # ascent, a gaussian one the plain ascent
+        # ascent, a gaussian one the plain ascent. The columns come from one
+        # Gram block of the queries against the shared rows
         train = make_blobs([[0.0], [2.0], [4.0], [6.0]], 6, scale=0.2, seed=66)
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
         assert len(model.machines) == train.n_classes
         scale = model.standardizer.apply
+        x = scale(train.x)
         kernel = KernelSpec(kind).resolve(train.d)
         queries = np.random.default_rng(67).normal(size=(25, 1)) * 3 + 3
         scores = model.scores_batch(queries)
         assert scores.shape == (25, train.n_classes)
-        for j in range(train.n_classes):
+        references = []
+        for j, machine in enumerate(model.machines):
             y_pm = np.where(train.y == j, 1.0, -1.0)
             if kind is SvmKernel.LINEAR:
-                machine = interior_point_then_ascent(scale(train.x), y_pm, kernel,
-                                                     factored=True)
+                reference = interior_point_then_ascent(x, y_pm, kernel, factored=True)
             else:
-                machine = fit_svm_binary(scale(train.x), y_pm, kernel)
-            assert np.array_equal(scores[:, j], machine.decision_batch(scale(queries)))
+                reference = fit_svm_binary(x, y_pm, kernel)
+            assert np.array_equal(machine.alpha, reference.alpha)
+            assert machine.bias == reference.bias
+            assert np.array_equal(machine.x_train, x)
+            assert np.array_equal(machine.y_train, y_pm)
+            references.append(reference)
+        coef = np.column_stack([r.alpha * r.y_train for r in references])
+        bias = np.array([r.bias for r in references])
+        assert np.array_equal(scores, kernel.gram(scale(queries), x) @ coef + bias)
+
+    @pytest.mark.parametrize("kind", list(SvmKernel))
+    def test_one_product_matches_the_per_machine_support_vector_sums(self, kind):
+        # FS1 fold 0 of the default panel: the product over every row moves
+        # each score by rounding alone from the sum over that machine's
+        # support vectors, and no class on a row that is not a near-tie
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS1)
+        plan = stratified_folds(dataset, 10, seed=0)
+        train = dataset.subset(plan.training_rows(0))
+        queries = dataset.x[plan.holdout_rows(0)]
+        model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
+        q = model.standardizer.apply(queries)
+        want = np.column_stack([decision(m, q) for m in model.machines])
+        got = model.scores_batch(queries)
+        assert np.abs(got - want).max() <= 1e-8
+        top_two = np.sort(want, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-6
+        assert clear.mean() > 0.5
+        assert np.array_equal(model.classify_batch(queries)[clear],
+                              want.argmax(axis=1)[clear])
+
+    def test_kinds_given_as_strings_fit_and_score_as_their_enums(self):
+        train = make_blobs([[0.0, 0.0], [2.0, 1.0], [0.0, 2.0]], 8, scale=0.6,
+                           seed=70)
+        queries = np.random.default_rng(71).normal(size=(15, 2))
+        for kind in SvmKernel:
+            spec = KernelSpec(kind.value)
+            assert spec.kind is kind
+            a = fit_svm_multiclass(train, kernel=spec)
+            b = fit_svm_multiclass(train, kernel=KernelSpec(kind))
+            assert a.kernel == b.kernel
+            for ma, mb in zip(a.machines, b.machines):
+                assert np.array_equal(ma.alpha, mb.alpha) and ma.bias == mb.bias
+            assert np.array_equal(a.scores_batch(queries), b.scores_batch(queries))
 
     def test_standardization_default_makes_scaling_irrelevant(self):
         train = make_blobs([[0.0, 0.0], [2.0, 1.0]], 12, scale=0.5, seed=68)
