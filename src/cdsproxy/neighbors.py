@@ -13,8 +13,9 @@ distance (difference, square or absolute value, sum over the features in
 ascending feature order, square root), distance ties resolved to the
 lower training index; class scores are the vote counts among them, label
 ties to the lower class index. The fit stores the training rows once,
-feature-major, as a contiguous (d, n) array, so a block's differences are
-a (d, queries, n) array whose inner loop runs over the n training rows.
+feature-major, as a contiguous (d, n) array, so a block's distances are
+one (queries, n) array that takes one feature's terms at a time, each
+pass's inner loop running over the n training rows.
 City-block evaluates the elementwise distance for every pair.
 Euclidean and Mahalanobis screen first: one matrix product gives every
 squared distance as G = |q|^2 + |s|^2 - 2 q.s from the squared row norms
@@ -74,17 +75,22 @@ class KnnClassifier(ClassifierModel):
         return q
 
     def _distances(self, q: np.ndarray) -> np.ndarray:
-        """Elementwise distances from query rows q to every training row,
-        each pair's d terms added in ascending feature order."""
-        terms = np.subtract(q.T[:, :, None], self.x_train[:, None, :])
-        if self.metric is Metric.CITYBLOCK:
-            np.abs(terms, out=terms)
-        else:
-            np.multiply(terms, terms, out=terms)
-        total = terms[0].copy()
-        for layer in terms[1:]:
-            total += layer
-        return total if self.metric is Metric.CITYBLOCK else np.sqrt(total, out=total)
+        """Elementwise distances from query rows q to every training row, a
+        (queries, n) sum taken one feature at a time in ascending feature
+        order."""
+        cityblock = self.metric is Metric.CITYBLOCK
+        total = np.empty((q.shape[0], self.x_train.shape[1]))
+        term = np.empty_like(total)
+        for f, row in enumerate(self.x_train):
+            out = term if f else total
+            np.subtract(q[:, f, None], row, out=out)
+            if cityblock:
+                np.abs(out, out=out)
+            else:
+                np.multiply(out, out, out=out)
+            if f:
+                total += term
+        return total if cityblock else np.sqrt(total, out=total)
 
     def _screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared distances G = |q|^2 + |s|^2 - 2 q.s from query rows q to
@@ -129,9 +135,8 @@ class KnnClassifier(ClassifierModel):
         k = self.k
         out = np.empty((q.shape[0], self.n_classes))
         screened = self.sq_norms is not None
-        # a block's largest temporary: its keys, or its distance tensor
-        row_bytes = self.sq_norms.nbytes if screened else self.x_train.nbytes
-        for rows in nm.row_blocks(q.shape[0], row_bytes):
+        # a block's largest temporary: its (queries, n) keys or distances
+        for rows in nm.row_blocks(q.shape[0], self.x_train[0].nbytes):
             block = q[rows]
             keys, margin = (self._screen(block) if screened
                             else (self._distances(block), 0.0))

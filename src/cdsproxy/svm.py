@@ -262,6 +262,14 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((-v[down] / dv[down]).min(initial=np.inf))
 
 
+def _map_columns(kernel: KernelSpec, d: int) -> int:
+    """The column count r of a linear or polynomial kernel's feature map on
+    d features: d, or C(d + p, p) for degree p."""
+    if kernel.kind is SvmKernel.LINEAR:
+        return d
+    return math.comb(d + int(kernel.degree), int(kernel.degree))
+
+
 def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     """G (n x r) with GG' = kernel.gram(x, x) up to rounding, built from a
     linear or polynomial kernel's exact feature map, or None when r is too
@@ -279,12 +287,11 @@ def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     any column is built.
     """
     n, d = x.shape
-    p = int(kernel.degree)
-    r = d if kernel.kind is SvmKernel.LINEAR else math.comb(d + p, p)
-    if 5 * r >= 3 * n:
+    if 5 * _map_columns(kernel, d) >= 3 * n:
         return None
     if kernel.kind is SvmKernel.LINEAR:
         return x
+    p = int(kernel.degree)
     columns = []
     for k in range(p + 1):
         for a in itertools.combinations_with_replacement(range(d), k):
@@ -526,11 +533,14 @@ def fit_svm_multiclass(train: Dataset,
     machine from every index free, through one Cholesky of the free block
     K_FF per round, with no interior point. A machine falls back to the
     dense interior point, one O(n^3) Cholesky per iteration, unchanged,
-    when a Cholesky of K_FF fails (K singular, as where the map has fewer
-    columns than the rows), a solve is not finite, the sets repeat (a
-    cycle), or they still move after _AS_MAX_ROUNDS = 100 rounds. That cap
-    is about twice the most rounds measured on those cells: at most 53
+    when a Cholesky of K_FF fails, a solve is not finite, the sets repeat
+    (a cycle), or they still move after _AS_MAX_ROUNDS = 100 rounds. That
+    cap is about twice the most rounds measured on those cells: at most 53
     over their 10 folds at cv seeds 0-2 (FS4, cv seed 2; CHANGES.md).
+    Where the map has r < n columns (as on FS2 folds of 36 to 58 rows,
+    r = 35), K has rank r at most and the active set's first round, with
+    every index free, would factor all of that singular K, so those
+    machines go to the dense interior point directly.
     fit_svm_binary then polishes either alpha by pairwise ascent at
     DEFAULT_KKT_TOL, which also checks it, and the machine records the
     iterations or rounds that found it.
@@ -553,11 +563,13 @@ def fit_svm_multiclass(train: Dataset,
     gram = kernel.gram(x, x)
     gaussian = kernel.kind is SvmKernel.GAUSSIAN
     factor = None if gaussian else _kernel_factor(kernel, x)
+    dense_active_set = (not gaussian and factor is None
+                        and _map_columns(kernel, train.d) >= train.n)
     machines = []
     for j in range(train.n_classes):
         y = np.where(train.y == j, 1.0, -1.0)
         alpha, iterations, rounds = None, 0, 0
-        if not gaussian and factor is None:
+        if dense_active_set:
             try:
                 alpha, rounds = _active_set(gram, y)
             except (NotPositiveDefinite, NoConvergence):

@@ -19,6 +19,7 @@ from cdsproxy.core import Dataset, FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
 from cdsproxy.errors import NoConvergence
 from cdsproxy.neuralnet import (
+    CONVEX_LBFGS_MEMORY,
     LBFGS_MEMORY,
     Activation,
     TrainConfig,
@@ -252,7 +253,8 @@ class TestNetworkTraining:
 
 
 class TestCompactDirection:
-    def test_matches_the_two_loop_recursion(self):
+    @pytest.mark.parametrize("kept", [LBFGS_MEMORY, CONVEX_LBFGS_MEMORY])
+    def test_matches_the_two_loop_recursion(self, kept):
         # pairs from a convex quadratic, with steps of very different
         # lengths; pairs the s'y <= eps y'y rule rejects (negative and zero
         # curvature); and enough accepted ones to drop the oldest many
@@ -262,8 +264,8 @@ class TestCompactDirection:
         size = 40
         a = rng.normal(size=(size, size))
         hessian = a @ a.T / size + 0.1 * np.eye(size)
-        memory = neuralnet._CompactMemory(size)
-        pairs = deque(maxlen=LBFGS_MEMORY)
+        memory = neuralnet._CompactMemory(size, kept)
+        pairs = deque(maxlen=kept)
         fed = []
         for i in range(2 * memory.sy.size + 3):
             s = rng.normal(size=size) * 10.0 ** rng.uniform(-4, 1)
@@ -286,7 +288,8 @@ class TestCompactDirection:
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert rel <= 1e-12, (len(pairs), rel)
                 checked += 1
-        assert len(pairs) == LBFGS_MEMORY and checked == 3 * (len(fed) + 1)
+        assert len(pairs) == kept and checked == 3 * (len(fed) + 1)
+        assert memory.sy.size == 4 * kept
         memory.clear()
         g = rng.normal(size=size)
         assert np.array_equal(memory.direction(g), -g)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import make_blobs, random_dataset
 from cdsproxy import logistic, neuralnet
 from cdsproxy.core import ALL_SELECTIONS, Dataset, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
@@ -712,3 +712,89 @@ class TestTraining:
                         class_names=("only",), feature_names=("f",))
         with pytest.raises(EmptyClass, match="training data holds a single class"):
             fit_neural_net(train)
+
+
+def golden_linear_folds():
+    """(train, holdout rows' x, fold seed) of the NN-Linear fold fits of
+    tests/test_golden.py, FS1-FS6 of the 3-name x 30-day panel, two folds
+    at cv seed 0, and of GeneratorConfig() FS2 fold 8 at cv seed 0, whose
+    fit took the most iterations of the full grid at LBFGS_MEMORY."""
+    cases = [(GeneratorConfig(n_counterparties=3, n_days=30, seed=0), 2,
+              ALL_SELECTIONS, (0, 1)),
+             (GeneratorConfig(), 10, ALL_SELECTIONS[1:2], (8,))]
+    for config, k, selections, folds in cases:
+        panel = generate_panel(config)
+        for selection in selections:
+            dataset = build_dataset(panel, selection)
+            plan = stratified_folds(dataset, k, seed=0)
+            for fold in folds:
+                yield (dataset.subset(plan.training_rows(fold)),
+                       dataset.x[plan.holdout_rows(fold)], fold_seed(0, fold))
+
+
+class TestConvexLinearFit:
+    """With the identity activation and hidden_units >= n_classes the fit
+    minimises a convex problem in W = W2 W1, so neither its L-BFGS memory
+    nor its start decides where it ends."""
+
+    def test_every_fold_meets_the_optimality_certificate(self):
+        spec = make_classifier_spec("NN-Linear")
+        for train, _, seed in golden_linear_folds():
+            model = spec.fit(train, seed)
+            summary = model.describe()
+            assert model.warning is None
+            assert abs(summary["grad_ratio"] - 1.0) <= 1e-2
+            assert 1 <= summary["weight_rank"] <= min(train.d,
+                                                      train.n_classes)
+            assert summary["rank_rtol"] == neuralnet.RANK_RTOL
+            assert summary["rank_limited"] is False
+
+    def test_memory_and_seed_move_no_prediction(self, monkeypatch):
+        spec = make_classifier_spec("NN-Linear")
+        folds = list(golden_linear_folds())
+        at_memory = [spec.fit(train, seed).classify_batch(x)
+                     for train, x, seed in folds]
+        other_seed = [spec.fit(train, seed + 1).classify_batch(x)
+                      for train, x, seed in folds]
+        monkeypatch.setattr(neuralnet, "CONVEX_LBFGS_MEMORY",
+                            neuralnet.LBFGS_MEMORY)
+        short_memory = [spec.fit(train, seed).classify_batch(x)
+                        for train, x, seed in folds]
+        for got, again, short in zip(at_memory, other_seed, short_memory):
+            assert np.array_equal(got, again)
+            assert np.array_equal(got, short)
+
+    def test_rank_limited_fit_keeps_the_short_memory(self, monkeypatch):
+        kept = []
+
+        class Recording(neuralnet._CompactMemory):
+            def __init__(self, dim, size):
+                kept.append(size)
+                super().__init__(dim, size)
+
+        monkeypatch.setattr(neuralnet, "_CompactMemory", Recording)
+        train = random_dataset(60, 4, 6, seed=3)
+
+        def fit(hidden_units):
+            return fit_neural_net(train, hidden_units=hidden_units,
+                                  activation=Activation.LINEAR,
+                                  config=TrainConfig(seed=3))
+
+        limited = fit(3)
+        summary = limited.describe()
+        # W has rank 3 at most, and the certificate of the convex problem
+        # fails by far: the rank limit binds
+        assert summary["rank_limited"] is True
+        assert summary["weight_rank"] == 3 and summary["grad_ratio"] > 2.0
+        assert limited.epochs_run > neuralnet.LBFGS_MEMORY
+        fit(6)
+        assert kept == [neuralnet.LBFGS_MEMORY, neuralnet.CONVEX_LBFGS_MEMORY]
+        # a rank-limited fit reads LBFGS_MEMORY alone, and a longer memory
+        # would have moved it
+        monkeypatch.setattr(neuralnet, "CONVEX_LBFGS_MEMORY", 80)
+        again = fit(3)
+        assert np.array_equal(again.params.flat, limited.params.flat)
+        assert again.loss_history == limited.loss_history
+        monkeypatch.setattr(neuralnet, "LBFGS_MEMORY",
+                            neuralnet.CONVEX_LBFGS_MEMORY)
+        assert fit(3).loss_history != limited.loss_history

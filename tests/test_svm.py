@@ -857,6 +857,39 @@ class TestActiveSet:
             assert machine.n_updates == want.n_updates
             assert machine.kkt_gap == want.kkt_gap
 
+    @pytest.mark.parametrize("fold", [0, 1])
+    def test_maps_with_fewer_columns_than_rows_skip_the_active_set(
+            self, monkeypatch, fold):
+        # 35 monomials for the 45 rows of each golden FS2 fold: K is
+        # singular, so the active set's first Cholesky, of all of K, fails
+        train = golden_fold(FeatureSelection.FS2, fold)
+        failed = []
+        spd_solver = numerics.spd_solver
+
+        def counted(k_mat):
+            try:
+                return spd_solver(k_mat)
+            except NotPositiveDefinite:
+                failed.append(k_mat.shape[0])
+                raise
+
+        monkeypatch.setattr(numerics, "spd_solver", counted)
+        kernel = KernelSpec(SvmKernel.POLYNOMIAL)
+        model = fit_svm_multiclass(train, kernel=kernel)
+        assert failed == []
+        # a map counted as wide as the rows sends every machine to the
+        # active set first, which fails at once and hands over
+        monkeypatch.setattr(svm, "_map_columns", lambda kernel, d: train.n)
+        tried = fit_svm_multiclass(train, kernel=kernel)
+        assert failed == [train.n] * train.n_classes
+        assert model.gram_rank == tried.gram_rank == train.n
+        for got, want in zip(model.machines, tried.machines):
+            assert np.array_equal(got.alpha, want.alpha)
+            assert got.bias == want.bias
+            assert got.ip_iterations == want.ip_iterations > 0
+            assert got.active_set_rounds == want.active_set_rounds == 0
+            assert got.n_updates == want.n_updates
+
     @pytest.mark.parametrize("selection,cap,error", [
         # 35 monomials for 45 rows: K is singular, so is its Cholesky
         pytest.param(FeatureSelection.FS2, svm._AS_MAX_ROUNDS,
