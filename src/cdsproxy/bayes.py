@@ -220,9 +220,10 @@ class NbClassifier(ClassifierModel):
 
 def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
            bandwidth: float = DEFAULT_BANDWIDTH) -> NbClassifier:
-    """Fit kernel naive Bayes; the same bandwidth is used for every feature."""
+    """Fit kernel naive Bayes; the same bandwidth is used for every feature.
+    Raises BadConfig unless the bandwidth is finite and > 0."""
     check_training_set(train)
-    if not bandwidth > 0.0:
+    if not 0.0 < bandwidth < math.inf:
         raise BadConfig(f"bandwidth must be > 0, got {bandwidth}")
     log_priors = class_log_priors(train.y, train.n_classes)
     samples = [train.x[train.y == j] for j in range(train.n_classes)]

@@ -265,12 +265,14 @@ def read_panel(path) -> MarketPanel:
 
     A file without the s column still loads (its five-year rates are
     simply missing); any other absent column is a schema violation, as is
-    an incomplete (counterparty, date) grid.
+    a column the header names twice and an incomplete (counterparty, date)
+    grid.
 
-    Faults are raised in file order: the header's; then, row by row, a
-    row's field count, its (counterparty, date) key if already seen, and
-    its cells in PANEL_COLUMNS order; then a file without rows; then the
-    first missing (counterparty, date) in sorted order.
+    Faults are raised in file order: the header's (absent, unknown, then
+    repeated columns); then, row by row, a row's field count, its
+    (counterparty, date) key if already seen, and its cells in
+    PANEL_COLUMNS order; then a file without rows; then the first missing
+    (counterparty, date) in sorted order.
     """
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
@@ -284,7 +286,10 @@ def read_panel(path) -> MarketPanel:
         extra = [c for c in header if c not in _PANEL_HEADER]
         if extra:
             raise SchemaViolation(f"panel file has unknown columns: {extra}")
-        position = {c: header.index(c) for c in header}
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise SchemaViolation(f"panel file repeats columns: {repeated}")
+        position = {c: i for i, c in enumerate(header)}
         fields = [position.get(col) for col in PANEL_COLUMNS]
         # each column's parsed cells in row order, and each (name, date)
         # key's row in them; rows wait, numbered, in block until converted

@@ -11,14 +11,15 @@ pair is solved in closed form and clipped to the box. The multiclass model
 trains one machine per class against the rest on standardised rows, which
 every machine shares, and scores queries with one kernel product over them.
 
-The kernel picks each multiclass machine's route. Linear and polynomial
-machines are solved by a Mehrotra predictor-corrector interior-point
-method (Mehrotra, SIAM J. Optim. 2(4), 1992) through the kernel's exact
-feature map when it is small. Otherwise they are solved densely, by a
-primal-dual active-set iteration, with the interior point on K as its
-fallback. Every machine then ends in fit_svm_binary's ascent, which
-polishes that alpha, or starts from 0 for a gaussian machine, and checks
-its KKT conditions. fit_svm_multiclass states that policy.
+The kernel picks each multiclass machine's route. A linear or polynomial
+machine whose kernel has an exact feature map G of r < n columns, for n
+rows, is solved by a Mehrotra predictor-corrector interior-point method
+(Mehrotra, SIAM J. Optim. 2(4), 1992) through G: there K = GG' cannot
+have full rank. Otherwise it is solved densely, by a primal-dual
+active-set iteration, with the interior point on K as its fallback.
+Every machine then ends in fit_svm_binary's ascent, which polishes that
+alpha, or starts from 0 for a gaussian machine, and checks its KKT
+conditions. fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
@@ -73,10 +74,12 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SvmKernel(self.kind))
-        if self.kind is SvmKernel.POLYNOMIAL and not 1 <= self.degree == int(self.degree):
+        if self.kind is SvmKernel.POLYNOMIAL and not (
+                math.isfinite(self.degree) and 1 <= self.degree == int(self.degree)):
             raise BadConfig(f"polynomial degree must be a positive integer, got {self.degree}")
-        if self.kind is SvmKernel.GAUSSIAN and not (self.scale is None or self.scale > 0.0):
-            raise BadConfig(f"gaussian kernel scale must be > 0, got {self.scale}")
+        if self.kind is SvmKernel.GAUSSIAN and not (
+                self.scale is None or 0.0 < self.scale < math.inf):
+            raise BadConfig(f"gaussian kernel scale must be finite and > 0, got {self.scale}")
 
     def resolve(self, d: int) -> "KernelSpec":
         if self.kind is SvmKernel.GAUSSIAN and self.scale is None:
@@ -262,36 +265,24 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((-v[down] / dv[down]).min(initial=np.inf))
 
 
-def _map_columns(kernel: KernelSpec, d: int) -> int:
-    """The column count r of a linear or polynomial kernel's feature map on
-    d features: d, or C(d + p, p) for degree p."""
-    if kernel.kind is SvmKernel.LINEAR:
-        return d
-    return math.comb(d + int(kernel.degree), int(kernel.degree))
-
-
 def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     """G (n x r) with GG' = kernel.gram(x, x) up to rounding, built from a
-    linear or polynomial kernel's exact feature map, or None when r is too
-    large for the Sherman-Morrison-Woodbury solve to pay. The gaussian
-    kernel's map has no finite r, and no caller passes that kernel.
+    linear or polynomial kernel's exact feature map, or None when r >= n,
+    where K can have full rank; r is counted before any column is built.
+    The gaussian kernel's map has no finite r, and no caller passes that
+    kernel.
 
     Linear: G = x, r = d. Polynomial of degree p: one column per monomial
     x^a with |a| <= p, scaled by sqrt(p! / ((p - |a|)! a!)), the root of
     its coefficient in the expansion of (1 + x'y)^p, so r = C(d + p, p)
-    (Schoelkopf and Smola, Learning with Kernels, 2002). An interior-point
-    iteration through G costs about n r^2 + 4/3 r^3 flops (P'P and two
-    r x r LU solves), a dense one a Cholesky of n^3 / 3 run at a lower
-    rate; timed at n = 450, the study's fold size, the two break even near
-    r = 0.6 n, so G is returned only while r < 0.6 n; r is counted before
-    any column is built.
+    (Schoelkopf and Smola, Learning with Kernels, 2002).
     """
     n, d = x.shape
-    if 5 * _map_columns(kernel, d) >= 3 * n:
-        return None
     if kernel.kind is SvmKernel.LINEAR:
-        return x
+        return x if d < n else None
     p = int(kernel.degree)
+    if math.comb(d + p, p) >= n:
+        return None
     columns = []
     for k in range(p + 1):
         for a in itertools.combinations_with_replacement(range(d), k):
@@ -485,12 +476,13 @@ class SvmClassifier(ClassifierModel):
     k(q, X) C + b, column j of C being machine j's alpha * y, b the biases.
 
     gram_rank is the rank r of the Gram factor the machines were solved
-    through: the column count of the kernel's feature map when the interior
-    point went through it, n on the dense route (the active set, or the
-    dense interior point where it falls back), and 0 for the gaussian
-    kernel, whose machines pairwise ascent alone solves. describe() sums
-    the machines' interior-point iterations and active-set rounds, so a
-    dense fit with interior-point iterations had a machine fall back.
+    through: the column count r < n of the kernel's feature map when the
+    interior point went through it, n on the dense route (the active set,
+    or the dense interior point where it falls back), and 0 for the
+    gaussian kernel, whose machines pairwise ascent alone solves.
+    describe() sums the machines' interior-point iterations and active-set
+    rounds, so a dense fit with interior-point iterations had a machine
+    fall back.
     """
 
     family = "SVM"
@@ -520,27 +512,24 @@ def fit_svm_multiclass(train: Dataset,
                        kernel: KernelSpec = KernelSpec()) -> SvmClassifier:
     """Train one machine per class against the rest on standardised rows.
 
-    The kernel picks one route for every machine. Linear and polynomial
-    machines take the exact Gram factor G of r columns when
-    _kernel_factor's rule passes it (linear, and polynomial with
-    C(d + p, p) low enough: with p = 3, r = 35, 10, 20 and 10 on FS2, FS3,
-    FS5 and FS6). There the interior point on K solves them, its Newton
-    systems going through G by the Sherman-Morrison-Woodbury identity in
-    O(n r^2).
+    The kernel picks one route for every machine. A linear or polynomial
+    kernel whose feature map has r < n columns for the n rows (linear, and
+    polynomial with C(d + p, p) < n: with p = 3 at the study's n = 450,
+    r = 35, 10, 20 and 10 on FS2, FS3, FS5 and FS6) gives K = GG' rank r
+    at most, so K cannot have full rank. There the interior point on K
+    solves every machine, its Newton systems going through G by the
+    Sherman-Morrison-Woodbury identity in O(n r^2).
 
-    Otherwise they take the dense route (polynomial on FS1 and FS4, whose
-    969 and 816 monomials exceed the rows): _active_set solves each
-    machine from every index free, through one Cholesky of the free block
-    K_FF per round, with no interior point. A machine falls back to the
-    dense interior point, one O(n^3) Cholesky per iteration, unchanged,
-    when a Cholesky of K_FF fails, a solve is not finite, the sets repeat
+    Where r >= n (polynomial on FS1 and FS4, whose 969 and 816 monomials
+    exceed the rows), K can have full rank, and the machines take the
+    dense route: _active_set solves each machine from every index free,
+    through one Cholesky of the free block K_FF per round, with no
+    interior point. A machine falls back to the dense interior point, one
+    O(n^3) Cholesky per iteration, unchanged, when a Cholesky of K_FF
+    fails (as on repeated rows), a solve is not finite, the sets repeat
     (a cycle), or they still move after _AS_MAX_ROUNDS = 100 rounds. That
     cap is about twice the most rounds measured on those cells: at most 53
     over their 10 folds at cv seeds 0-2 (FS4, cv seed 2; CHANGES.md).
-    Where the map has r < n columns (as on FS2 folds of 36 to 58 rows,
-    r = 35), K has rank r at most and the active set's first round, with
-    every index free, would factor all of that singular K, so those
-    machines go to the dense interior point directly.
     fit_svm_binary then polishes either alpha by pairwise ascent at
     DEFAULT_KKT_TOL, which also checks it, and the machine records the
     iterations or rounds that found it.
@@ -563,13 +552,11 @@ def fit_svm_multiclass(train: Dataset,
     gram = kernel.gram(x, x)
     gaussian = kernel.kind is SvmKernel.GAUSSIAN
     factor = None if gaussian else _kernel_factor(kernel, x)
-    dense_active_set = (not gaussian and factor is None
-                        and _map_columns(kernel, train.d) >= train.n)
     machines = []
     for j in range(train.n_classes):
         y = np.where(train.y == j, 1.0, -1.0)
         alpha, iterations, rounds = None, 0, 0
-        if dense_active_set:
+        if not gaussian and factor is None:
             try:
                 alpha, rounds = _active_set(gram, y)
             except (NotPositiveDefinite, NoConvergence):

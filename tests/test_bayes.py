@@ -338,7 +338,7 @@ class TestNaiveBayes:
         for i, x in enumerate(grid):
             assert np.allclose(batch[i], model.scores_batch(x[None])[0], rtol=1e-12)
 
-    @pytest.mark.parametrize("bandwidth", [-0.1, 0.0])
+    @pytest.mark.parametrize("bandwidth", [-0.1, 0.0, np.inf, np.nan])
     def test_bad_bandwidth(self, bandwidth):
         train = make_blobs([[0.0], [2.0]], 5, scale=0.2, seed=7)
         with pytest.raises(BadConfig, match="bandwidth must be > 0"):

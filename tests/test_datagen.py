@@ -230,6 +230,15 @@ class TestPanelCsv:
         with pytest.raises(SchemaViolation, match="mystery"):
             read_panel(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        # a second s column would otherwise load, its cells never read
+        path = tmp_path / "bad.csv"
+        header = ",".join(("counterparty", "date", *PANEL_COLUMNS, "s"))
+        self.write_grid(path, [self.good_row() + ",0.01"], header=header)
+        with pytest.raises(SchemaViolation,
+                           match=r"panel file repeats columns: \['s'\]"):
+            read_panel(path)
+
     def test_wrong_field_count_names_the_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         self.write_grid(path, [self.good_row(),

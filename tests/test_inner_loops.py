@@ -180,21 +180,26 @@ class TestDenseInteriorPoint:
         # the polish starts from y - K (y * alpha) = -y * (Q alpha - 1)
         assert np.array_equal(y - gram @ (y * alpha), -y * (q @ alpha - 1.0))
 
-    @pytest.mark.parametrize("selection,cap", [
-        # 35 monomials for 45 rows: K is singular, and the active set's
+    @pytest.mark.parametrize("repeated,cap", [
+        # the first 5 rows again: K is singular, and the active set's
         # first Cholesky fails on every machine
-        pytest.param(FeatureSelection.FS2, svm._AS_MAX_ROUNDS, id="FS2-singular"),
+        pytest.param(5, svm._AS_MAX_ROUNDS, id="FS1-repeated-rows"),
         # K has full rank; a cap of one round sends every machine back
-        pytest.param(FeatureSelection.FS1, 1, id="FS1-capped")])
+        pytest.param(0, 1, id="FS1-capped")])
     def test_fold_fit_with_dense_fallback_machines_matches_reference(
-            self, monkeypatch, selection, cap):
-        # SVM-Poly on fold 0 of the 3-name x 30-day panel: no feature-map
-        # factor, and every machine falls back to the dense interior point
+            self, monkeypatch, repeated, cap):
+        # SVM-Poly on FS1 fold 0 of the 3-name x 30-day panel: 969
+        # monomials, no feature-map factor, and every machine falls back
+        # to the dense interior point
         panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30,
                                                seed=0))
-        dataset = build_dataset(panel, selection)
+        dataset = build_dataset(panel, FeatureSelection.FS1)
         train = dataset.subset(
             evaluation.stratified_folds(dataset, 2, seed=0).training_rows(0))
+        train = Dataset(x=np.vstack([train.x, train.x[:repeated]]),
+                        y=np.concatenate([train.y, train.y[:repeated]]),
+                        class_names=train.class_names,
+                        feature_names=train.feature_names)
         spec = KernelSpec(SvmKernel.POLYNOMIAL)
         monkeypatch.setattr(svm, "_AS_MAX_ROUNDS", cap)
         got = svm.fit_svm_multiclass(train, kernel=spec)

@@ -111,10 +111,15 @@ class TestKernels:
                      id="degree-0"),
         pytest.param("polynomial", {"degree": 2.5}, "positive integer, got 2.5",
                      id="degree-2.5"),
-        pytest.param(SvmKernel.GAUSSIAN, {"scale": -1.0}, "must be > 0, got -1.0",
-                     id="scale-negative"),
-        pytest.param("gaussian", {"scale": np.nan}, "must be > 0, got nan",
-                     id="scale-nan")])
+        pytest.param(SvmKernel.POLYNOMIAL, {"degree": math.inf},
+                     "positive integer, got inf", id="degree-inf"),
+        pytest.param(SvmKernel.GAUSSIAN, {"scale": -1.0},
+                     "must be finite and > 0, got -1.0", id="scale-negative"),
+        pytest.param("gaussian", {"scale": np.nan},
+                     "must be finite and > 0, got nan", id="scale-nan"),
+        # an infinite scale leaves the Gram diagonal exp(-inf * 0) = nan
+        pytest.param("gaussian", {"scale": math.inf},
+                     "must be finite and > 0, got inf", id="scale-inf")])
     def test_bad_fields_raise_when_the_spec_is_built(self, kind, fields, message):
         with pytest.raises(BadConfig, match=message):
             KernelSpec(kind, **fields)
@@ -334,9 +339,9 @@ class TestInteriorPoint:
         spec = KernelSpec(kind, degree=3).resolve(3)
         gram = spec.gram(x, x)
         w_ref = reference_objective(kind, seed, n_per_side, separation)
-        # dense solves, then solves through the feature-map factor where
-        # the kernel has a small one (linear, and polynomial at n = 40);
-        # the gaussian kernel has no finite map
+        # dense solves, then solves through the feature-map factor, whose
+        # 3 or 20 columns are fewer than the 24 or 40 rows; the gaussian
+        # kernel has no finite map
         for factored in ((False,) if kind is SvmKernel.GAUSSIAN
                          else (False, True)):
             model = interior_point_then_ascent(x, y, spec, factored)
@@ -478,6 +483,15 @@ def golden_fold(selection, fold):
     return dataset.subset(stratified_folds(dataset, 2, seed=0).training_rows(fold))
 
 
+def with_first_rows_repeated(train, count):
+    """train with its first count rows appended again, as stale quotes
+    repeat a name's row."""
+    return Dataset(x=np.vstack([train.x, train.x[:count]]),
+                   y=np.concatenate([train.y, train.y[:count]]),
+                   class_names=train.class_names,
+                   feature_names=train.feature_names)
+
+
 def kkt_gap_from_alpha(alpha, y, gram, cost):
     """The maximal KKT violation of alpha, recomputed from K alone."""
     minus_yg = y - gram @ (y * alpha)
@@ -538,7 +552,7 @@ class TestFeatureMapFactor:
         rng = np.random.default_rng(86)
 
         def no_monomials(*args):
-            raise AssertionError("a map over the flop rule was built")
+            raise AssertionError("a map as wide as the rows was built")
 
         # C(16 + 3, 3) = 969 and C(15 + 3, 3) = 816 monomials for 450
         # rows, FS1 and FS4 of the study: r is counted, no column is built
@@ -548,16 +562,16 @@ class TestFeatureMapFactor:
             x = rng.normal(size=(450, d))
             assert svm._kernel_factor(KernelSpec(SvmKernel.POLYNOMIAL), x) is None
 
-    def test_factor_only_below_the_flop_break_even(self):
-        # a factor only while r < 0.6 n: at n = 10, r = 5 but not r = 6
-        x = np.random.default_rng(88).normal(size=(17, 6))
+    def test_factor_only_with_fewer_columns_than_rows(self):
+        # a factor only while r < n: at n = 6, r = 5 but not r = 6
+        x = np.random.default_rng(88).normal(size=(11, 6))
         linear = KernelSpec(SvmKernel.LINEAR)
-        assert svm._kernel_factor(linear, x[:10, :5]).shape == (10, 5)
-        assert svm._kernel_factor(linear, x[:10]) is None
-        # d = 2, p = 3, r = 10: none at n = 16, one at n = 17
+        assert svm._kernel_factor(linear, x[:6, :5]).shape == (6, 5)
+        assert svm._kernel_factor(linear, x[:6]) is None
+        # d = 2, p = 3, r = 10: none at n = 10, one at n = 11
         poly = KernelSpec(SvmKernel.POLYNOMIAL)
-        assert svm._kernel_factor(poly, x[:16, :2]) is None
-        assert svm._kernel_factor(poly, x[:, :2]).shape == (17, 10)
+        assert svm._kernel_factor(poly, x[:10, :2]) is None
+        assert svm._kernel_factor(poly, x[:, :2]).shape == (11, 10)
 
     def test_factor_made_once_per_fit_before_any_solve(self, monkeypatch):
         calls = []
@@ -666,8 +680,8 @@ class TestFeatureMapFactor:
         (FeatureSelection.FS4, SvmKernel.LINEAR, 15),
         (FeatureSelection.FS5, SvmKernel.LINEAR, 3),
         (FeatureSelection.FS6, SvmKernel.LINEAR, 2),
-        # 35 monomials for the golden fold's 45 rows: dense, r = n
-        (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, 45),
+        # 35 monomials for the golden fold's 45 rows: through the map
+        (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, 35),
         (FeatureSelection.FS3, SvmKernel.POLYNOMIAL, 10),
         (FeatureSelection.FS5, SvmKernel.POLYNOMIAL, 20),
         (FeatureSelection.FS6, SvmKernel.POLYNOMIAL, 10)])
@@ -792,10 +806,7 @@ class TestActiveSet:
         dataset = build_dataset(panel, FeatureSelection.FS1)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
                                .training_rows(0))
-        train = Dataset(x=np.vstack([train.x, train.x[:5]]),
-                        y=np.concatenate([train.y, train.y[:5]]),
-                        class_names=train.class_names,
-                        feature_names=train.feature_names)
+        train = with_first_rows_repeated(train, 5)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert model.gram_rank == train.n == 455
         x = model.standardizer.apply(train.x)
@@ -824,10 +835,7 @@ class TestActiveSet:
         dataset = build_dataset(panel, FeatureSelection.FS1)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
                                .training_rows(0))
-        train = Dataset(x=np.vstack([train.x, train.x[:1]]),
-                        y=np.concatenate([train.y, train.y[:1]]),
-                        class_names=train.class_names,
-                        feature_names=train.feature_names)
+        train = with_first_rows_repeated(train, 1)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         x = model.standardizer.apply(train.x)
         gram = model.kernel.gram(x, x)
@@ -860,45 +868,39 @@ class TestActiveSet:
     @pytest.mark.parametrize("fold", [0, 1])
     def test_maps_with_fewer_columns_than_rows_skip_the_active_set(
             self, monkeypatch, fold):
-        # 35 monomials for the 45 rows of each golden FS2 fold: K is
-        # singular, so the active set's first Cholesky, of all of K, fails
+        # 35 monomials for the 45 rows of each golden FS2 fold: K has rank
+        # 35 at most, so every machine takes the interior point through
+        # the map, and no dense Cholesky is tried
         train = golden_fold(FeatureSelection.FS2, fold)
-        failed = []
+        calls = []
         spd_solver = numerics.spd_solver
+        monkeypatch.setattr(numerics, "spd_solver", lambda k_mat: (
+            calls.append(k_mat.shape) or spd_solver(k_mat)))
+        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        assert calls == []
+        assert model.gram_rank == 35 < train.n == 45
+        x = model.standardizer.apply(train.x)
+        for machine in model.machines:
+            want = interior_point_then_ascent(x, machine.y_train, model.kernel,
+                                              factored=True)
+            assert machine.active_set_rounds == 0
+            assert machine.ip_iterations == want.ip_iterations > 0
+            assert np.array_equal(machine.alpha, want.alpha)
+            assert machine.bias == want.bias
+            assert machine.n_updates == want.n_updates
+            assert machine.kkt_gap == want.kkt_gap
 
-        def counted(k_mat):
-            try:
-                return spd_solver(k_mat)
-            except NotPositiveDefinite:
-                failed.append(k_mat.shape[0])
-                raise
-
-        monkeypatch.setattr(numerics, "spd_solver", counted)
-        kernel = KernelSpec(SvmKernel.POLYNOMIAL)
-        model = fit_svm_multiclass(train, kernel=kernel)
-        assert failed == []
-        # a map counted as wide as the rows sends every machine to the
-        # active set first, which fails at once and hands over
-        monkeypatch.setattr(svm, "_map_columns", lambda kernel, d: train.n)
-        tried = fit_svm_multiclass(train, kernel=kernel)
-        assert failed == [train.n] * train.n_classes
-        assert model.gram_rank == tried.gram_rank == train.n
-        for got, want in zip(model.machines, tried.machines):
-            assert np.array_equal(got.alpha, want.alpha)
-            assert got.bias == want.bias
-            assert got.ip_iterations == want.ip_iterations > 0
-            assert got.active_set_rounds == want.active_set_rounds == 0
-            assert got.n_updates == want.n_updates
-
-    @pytest.mark.parametrize("selection,cap,error", [
-        # 35 monomials for 45 rows: K is singular, so is its Cholesky
-        pytest.param(FeatureSelection.FS2, svm._AS_MAX_ROUNDS,
-                     NotPositiveDefinite, id="FS2-singular"),
+    @pytest.mark.parametrize("repeated,cap,error", [
+        # the first 5 rows again: K is singular, and so is the first
+        # Cholesky of K_FF, with every index free
+        pytest.param(5, svm._AS_MAX_ROUNDS, NotPositiveDefinite,
+                     id="FS1-repeated-rows"),
         # the sets of these machines settle in 5-9 rounds, not in 1
-        pytest.param(FeatureSelection.FS1, 1, NoConvergence, id="FS1-capped")])
+        pytest.param(0, 1, NoConvergence, id="FS1-capped")])
     def test_fallback_machines_equal_the_interior_point_bit_for_bit(
-            self, monkeypatch, selection, cap, error):
-        train = golden_fold(selection, 0)
+            self, monkeypatch, repeated, cap, error):
+        train = with_first_rows_repeated(golden_fold(FeatureSelection.FS1, 0),
+                                         repeated)
         monkeypatch.setattr(svm, "_AS_MAX_ROUNDS", cap)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert model.gram_rank == train.n
