@@ -11,7 +11,6 @@ homogeneity the per-counterparty classifiers are built to beat.
 """
 from __future__ import annotations
 
-import enum
 import math
 import statistics
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ import numpy as np
 from . import numerics as nm
 from .errors import (
     BadConfig,
-    NotPositiveDefinite,
     RangeViolation,
+    Setting,
     TooFewSamples,
     UnknownCategoryLevel,
 )
@@ -33,7 +32,7 @@ CATEGORY_FIELDS = ("region", "sector", "rating", "seniority")
 BUCKET_FIELDS = ("region", "sector", "rating")
 
 
-class ProxyStatistic(str, enum.Enum):
+class ProxyStatistic(Setting):
     MEAN = "mean"
     MEDIAN = "median"
 
@@ -144,12 +143,8 @@ def fit_cross_sectional(records: Sequence[CdsContractRecord],
         design[:, j] = [getattr(r, field) == level for r in records]
     target = np.log([r.spread for r in records])
     gram = design.T @ design
-    try:
-        beta = nm.solve_spd(gram, design.T @ target)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(
-            "category dummies are collinear after dropping reference "
-            "levels; merge or drop the aliased levels") from exc
+    beta = nm.solve_spd(gram, design.T @ target, "category dummies are collinear after "
+                        "dropping reference levels; merge or drop the aliased levels")
     effects = {field: {levels[field][0]: 0.0} for field in CATEGORY_FIELDS}
     for (field, level), value in zip(columns, beta[1:]):
         effects[field][level] = float(value)

@@ -8,7 +8,6 @@ estimates, i.e. assumes feature independence within a class.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -16,13 +15,13 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set, class_log_priors
-from .errors import BadConfig, NotPositiveDefinite, TooFewSamples
+from .errors import BadConfig, Setting, TooFewSamples
 
 LOG_DENSITY_FLOOR = -745.0
 DEFAULT_BANDWIDTH = 0.2
 
 
-class KernelKind(str, enum.Enum):
+class KernelKind(Setting):
     """Smoothing kernels for the per-feature density estimates."""
 
     NORMAL = "normal"
@@ -93,10 +92,7 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier
     log_priors = class_log_priors(train.y, train.n_classes)
     means = np.stack([train.x[train.y == j].mean(axis=0) for j in range(train.n_classes)])
     cov = nm.add_ridge(nm.sample_mean_covariance(train.x, mode).matrix)
-    try:
-        weights = nm.solve_spd(cov, means.T).T
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"shared covariance not invertible: {exc}") from exc
+    weights = nm.solve_spd(cov, means.T, "shared covariance not invertible").T
     offsets = -0.5 * (weights * means).sum(axis=1) + log_priors
     return LdaClassifier(means=means, covariance=cov, log_priors=log_priors,
                          mode=mode, weights=weights, offsets=offsets,
@@ -150,10 +146,7 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier
         est = nm.sample_mean_covariance(rows, mode)
         means[j] = est.mean
         covs[j] = nm.add_ridge(est.matrix)
-        try:
-            chols[j] = nm.cholesky_spd(covs[j])
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(f"class {j} covariance not invertible: {exc}") from exc
+        chols[j] = nm.cholesky_spd(covs[j], f"class {j} covariance not invertible")
         log_dets[j] = 2.0 * float(np.log(chols[j].diagonal()).sum())
     return QdaClassifier(means=means, covariances=covs, log_priors=log_priors,
                          mode=mode, chol_factors=chols, log_dets=log_dets,

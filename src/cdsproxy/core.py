@@ -9,7 +9,6 @@ of every (counterparty, date) row is the counterparty itself.
 from __future__ import annotations
 
 import abc
-import enum
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -20,9 +19,9 @@ from . import numerics as nm
 from .errors import (
     EmptyClass,
     MissingFiveYearRate,
-    NotPositiveDefinite,
     RangeViolation,
     SchemaViolation,
+    Setting,
     TooFewSamples,
 )
 
@@ -33,7 +32,7 @@ HV_COLUMNS = ("hv_1m", "hv_2m", "hv_3m", "hv_4m", "hv_6m")
 PANEL_COLUMNS = (S_COLUMN,) + PD_COLUMNS + IV_COLUMNS + HV_COLUMNS
 
 
-class FeatureSelection(str, enum.Enum):
+class FeatureSelection(Setting):
     """The six benchmark feature selections."""
 
     FS1 = "FS1"
@@ -260,10 +259,7 @@ def impute_five_year_rate(panel: MarketPanel) -> MarketPanel:
     target = np.log(np.maximum(svals[obs], 1e-12))
     xo = design[obs]
     normal = xo.T @ xo + IMPUTATION_RIDGE * np.eye(n_coef)
-    try:
-        beta = nm.solve_spd(normal, xo.T @ target)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"imputation design is singular: {exc}") from exc
+    beta = nm.solve_spd(normal, xo.T @ target, "imputation design is singular")
     filled = svals.copy()
     filled[flat_miss] = np.exp(design[flat_miss] @ beta)
     values = dict(panel.values)

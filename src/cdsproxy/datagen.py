@@ -59,7 +59,7 @@ from .core import (
     MarketPanel,
     first_inadmissible,
 )
-from .errors import BadConfig, MissingFiveYearRate, SchemaViolation
+from .errors import BadConfig, MissingFiveYearRate, SchemaViolation, positive_integer
 
 REGIONS = ("Asia", "Europe", "LatinAmerica", "NorthAmerica")
 SECTORS = ("Energy", "Financials", "Industrials", "Technology", "Utilities")
@@ -113,10 +113,10 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_counterparties", "n_days"):
+            object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
         if self.n_counterparties < 2:
             raise BadConfig("need at least two counterparties")
-        if self.n_days < 1:
-            raise BadConfig("need at least one day")
         if not 0.0 <= self.factor_loading < 1.0:
             raise BadConfig("factor_loading must lie in [0, 1)")
 

@@ -1,21 +1,20 @@
-"""Exception types shared across the toolkit.
+"""Exception types, and the setting checks that raise them, shared across the toolkit.
 
 Every error raised by the library derives from :class:`CdsProxyError` so
 callers (in particular the CLI) can catch one base class and report a
 structured failure. There is one class per kind of failure:
 
-- ``BadConfig``: a setting outside its documented range (generator
-  settings, neighbour, fold and component counts, kernel bandwidth and
-  scale, tree and network sizes, classifier labels, category fields).
+- ``BadConfig``: a setting out of its documented range (generator settings,
+  non-integral or out-of-range counts and sizes, kernel bandwidth and scale,
+  classifier labels, category fields) or an unknown setting enum value.
 - ``TooFewSamples``: an estimate was given fewer rows than it needs
   (sample covariance and standardiser, the imputation regression, a QDA
   class, a fit on zero rows, a bucket or regression without records,
   correlations).
 - ``EmptyClass``: a class the method needs has no rows (a fold plan or
   class prior over an empty class, a two-class fit given one class).
-- ``NotPositiveDefinite``: a matrix that must be positive definite is
-  not (a Cholesky pivot, a discriminant or Mahalanobis covariance, the
-  logistic Hessian, the imputation and cross-sectional designs).
+- ``NotPositiveDefinite``: a matrix that must be positive definite is not;
+  the message names it (a covariance, a Hessian, a design, an SVM system).
 - ``DimensionMismatch`` and ``NotSymmetric``: an operand of the wrong
   shape, or a matrix argument that is not symmetric.
 - ``NoConvergence``: an iterative routine hit its cap before tolerance.
@@ -27,6 +26,9 @@ structured failure. There is one class per kind of failure:
 - ``FitFailure``: a per-fold fit failed; wraps the cause.
 - ``MissingCell``: a ranking over an incomplete grid of results.
 """
+import enum
+import math
+import numbers
 
 
 class CdsProxyError(Exception):
@@ -87,3 +89,22 @@ class FitFailure(CdsProxyError):
 
 class MissingCell(CdsProxyError):
     """A ranking was requested from an incomplete grid of results."""
+
+
+def _reject_unknown(cls, value):
+    raise BadConfig(f"unknown {cls.__name__} {value!r}; "
+                    f"known values: {', '.join(member.value for member in cls)}")
+
+
+class Setting(str, enum.Enum):
+    """Base of the setting enums: an unknown value raises BadConfig."""
+
+    _missing_ = classmethod(_reject_unknown)
+
+
+def positive_integer(name: str, value) -> int:
+    """A count setting as an int; BadConfig unless a finite integral number >= 1."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and 1 <= value < math.inf and value == int(value)):
+        raise BadConfig(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

@@ -27,6 +27,7 @@ from .errors import (
     FitFailure,
     MissingCell,
     TooFewSamples,
+    positive_integer,
 )
 from .logistic import fit_logistic_multiclass
 from .neighbors import Metric, fit_knn
@@ -59,6 +60,7 @@ class FoldPlan:
 def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
     """Per-class seeded shuffle, then one global round-robin dealing pass."""
     n = dataset.n
+    k = positive_integer("fold count", k)
     if k < 2 or k > n:
         raise BadConfig(f"fold count must satisfy 2 <= K <= {n}, got {k}")
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import NoConvergence
 
 DEFAULT_RIDGE = 1e-4
 DEFAULT_MAX_ITER = 100
@@ -80,10 +80,7 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
                 f"after {max_iter} Newton updates")
         w = np.maximum(p * (1.0 - p), 0.0)
         hess = (z * w[:, None]).T @ z + np.diag(penalty)
-        try:
-            step = nm.solve_spd(hess, grad)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite("logistic Hessian is singular") from exc
+        step = nm.solve_spd(hess, grad, "logistic Hessian is singular")
         if float(grad @ step) <= np.finfo(float).eps * abs(ll):
             # the step's gain is below what ll resolves, so the halving test
             # cannot judge it; the quadratic model can, and it ends the fit

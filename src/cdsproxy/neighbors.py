@@ -30,14 +30,13 @@ training rows.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import BadConfig, NotPositiveDefinite
+from .errors import BadConfig, Setting, positive_integer
 
 DEFAULT_K = 9
 
@@ -46,7 +45,7 @@ _TINY = np.finfo(float).tiny       # smallest normal number
 _SAFE = np.finfo(float).max / 8    # below this no screen quantity overflows
 
 
-class Metric(str, enum.Enum):
+class Metric(Setting):
     EUCLIDEAN = "euclidean"
     CITYBLOCK = "cityblock"
     MAHALANOBIS = "mahalanobis"
@@ -170,18 +169,15 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K,
     """
     check_training_set(train, two_classes=False)
     metric = Metric(metric)
-    k = int(k)
-    if k < 1 or k > train.n:
+    k = positive_integer("k", k)
+    if k > train.n:
         raise BadConfig(f"k={k} outside 1..{train.n}")
     if k % 2 == 0:
         raise BadConfig(f"k must be odd to avoid vote ties, got {k}")
     standardizer = chol = None
     if metric is Metric.MAHALANOBIS:
         cov = nm.add_ridge(nm.sample_mean_covariance(train.x).matrix)
-        try:
-            chol = nm.cholesky_spd(cov)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(f"training covariance not invertible: {exc}") from exc
+        chol = nm.cholesky_spd(cov, "training covariance not invertible")
         x = np.linalg.solve(chol, train.x.T)
     else:
         standardizer = nm.standardizer_fit(train.x)

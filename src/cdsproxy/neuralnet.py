@@ -53,14 +53,13 @@ softmax its cross-entropy was computed from.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import BadConfig
+from .errors import Setting, positive_integer
 
 DEFAULT_HIDDEN_UNITS = 10
 # the L-BFGS iteration cap, a guard: the slowest of the 900 fold fits
@@ -80,7 +79,7 @@ _ARMIJO = 1e-4              # sufficient-decrease constant
 _EPS = float(np.finfo(float).eps)
 
 
-class Activation(str, enum.Enum):
+class Activation(Setting):
     TAN_SIGMOID = "tan-sigmoid"
     LINEAR = "linear"
     ELLIOT_SIGMOID = "elliot-sigmoid"
@@ -411,8 +410,7 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     (_linear_certificate), at the returned parameters.
     """
     check_training_set(train)
-    if hidden_units < 1:
-        raise BadConfig(f"hidden_units must be >= 1, got {hidden_units}")
+    hidden_units = positive_integer("hidden_units", hidden_units)
     activation = Activation(activation)
     standardizer = nm.standardizer_fit(train.x)
     xt = np.ascontiguousarray(standardizer.apply(train.x).T, dtype=float)

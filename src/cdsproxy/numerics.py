@@ -3,7 +3,8 @@
 Unbiased covariance estimation, the symmetric eigendecomposition, Cholesky
 factorisation and SPD solves (all three by numpy's LAPACK routines, behind
 this module's NotSymmetric / NotPositiveDefinite / DimensionMismatch
-checks), principal-component analysis and feature standardisation, plus
+checks; a failed factorisation names its matrix by the caller's phrase),
+principal-component analysis and feature standardisation, plus
 the query-row checks and the block slicing that the instance-based
 classifiers (kNN, kernel naive Bayes) use to keep their temporaries small.
 The classifiers call most of these on d x d matrices, d <= a few dozen;
@@ -12,7 +13,6 @@ and the SVM active set's K_FF blocks over its free indices.
 """
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -24,7 +24,9 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     SchemaViolation,
+    Setting,
     TooFewSamples,
+    positive_integer,
 )
 
 RIDGE_FACTOR = 1e-8
@@ -32,7 +34,7 @@ BLOCK_BYTES = 1 << 18  # 256 KB: budget of one per-block scoring temporary
 _SOLVE_BLOCK = 32      # rows per diagonal block of spd_solver's substitutions
 
 
-class CovMode(str, enum.Enum):
+class CovMode(Setting):
     """Covariance estimation mode: full matrix or diagonal only."""
 
     FULL = "full"
@@ -152,26 +154,26 @@ def eigen_symmetric(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def cholesky_spd(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix; NotPositiveDefinite otherwise."""
-    a = _check_symmetric(matrix)
+def _lower_factor(matrix: np.ndarray, what: str) -> np.ndarray:
     try:
-        return np.linalg.cholesky(a)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+        raise NotPositiveDefinite(f"{what}: matrix is not positive definite: {exc}") from exc
 
 
-def spd_solver(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def cholesky_spd(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of an SPD matrix; NotPositiveDefinite led by what."""
+    return _lower_factor(_check_symmetric(matrix), what)
+
+
+def spd_solver(matrix: np.ndarray, what: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor A = LL' once and return a function solving A x = b for a
-    vector or matrix b; NotPositiveDefinite if the factorisation fails.
+    vector or matrix b; NotPositiveDefinite led by what if that fails.
     LAPACK reads only A's lower triangle; A is not checked for symmetry.
     numpy has no triangular solve, so the diagonal blocks of L are inverted
     once, and each solve substitutes block by block through matmuls.
     """
-    try:
-        lower = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+    lower = _lower_factor(matrix, what)
     n = lower.shape[0]
     blocks = [slice(i, min(i + _SOLVE_BLOCK, n)) for i in range(0, n, _SOLVE_BLOCK)]
     inverses = [np.linalg.inv(lower[k, k]) for k in blocks]
@@ -191,13 +193,13 @@ def spd_solver(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = b for SPD A via Cholesky. Callers ridge A beforehand."""
+def solve_spd(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve A x = b for SPD A as spd_solver does. Callers ridge A beforehand."""
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix order {a.shape[0]}")
-    return spd_solver(_check_symmetric(a))(b)
+    return spd_solver(_check_symmetric(a), what)(b)
 
 
 def pca_fit(vectors: np.ndarray) -> PrincipalComponentBasis:
@@ -227,12 +229,13 @@ def pca_fit(vectors: np.ndarray) -> PrincipalComponentBasis:
 def pca_transform(basis: PrincipalComponentBasis, x: np.ndarray, m: int) -> np.ndarray:
     """Coordinates of x (a vector or rows) on the first m components."""
     d = basis.components.shape[0]
-    if not 1 <= int(m) <= d:
+    m = positive_integer("component count", m)
+    if m > d:
         raise BadConfig(f"component count {m} outside 1..{d}")
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1] != d:
         raise DimensionMismatch(f"vector length {arr.shape[-1]} != basis dimension {d}")
-    return (arr - basis.center) @ basis.components[:, :int(m)]
+    return (arr - basis.center) @ basis.components[:, :m]
 
 
 SCALE_FLOOR = 1e-12

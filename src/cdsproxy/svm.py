@@ -23,7 +23,6 @@ conditions. fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -38,7 +37,9 @@ from .errors import (
     EmptyClass,
     NoConvergence,
     NotPositiveDefinite,
+    Setting,
     TooFewSamples,
+    positive_integer,
 )
 
 DEFAULT_COST = 1.0
@@ -53,7 +54,7 @@ _SNAP = 1e-7               # alphas this share of C from a bound go onto it
 _AS_MAX_ROUNDS = 100       # active-set rounds before the interior point takes over
 
 
-class SvmKernel(str, enum.Enum):
+class SvmKernel(Setting):
     LINEAR = "linear"
     GAUSSIAN = "gaussian"
     POLYNOMIAL = "polynomial"
@@ -74,9 +75,8 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SvmKernel(self.kind))
-        if self.kind is SvmKernel.POLYNOMIAL and not (
-                math.isfinite(self.degree) and 1 <= self.degree == int(self.degree)):
-            raise BadConfig(f"polynomial degree must be a positive integer, got {self.degree}")
+        if self.kind is SvmKernel.POLYNOMIAL:
+            object.__setattr__(self, "degree", positive_integer("polynomial degree", self.degree))
         if self.kind is SvmKernel.GAUSSIAN and not (
                 self.scale is None or 0.0 < self.scale < math.inf):
             raise BadConfig(f"gaussian kernel scale must be finite and > 0, got {self.scale}")
@@ -92,7 +92,7 @@ class KernelSpec:
         if self.kind is SvmKernel.LINEAR:
             return x @ y.T
         if self.kind is SvmKernel.POLYNOMIAL:
-            return (1.0 + x @ y.T) ** int(self.degree)
+            return (1.0 + x @ y.T) ** self.degree
         if self.scale is None:
             raise BadConfig("gaussian kernel scale unresolved; call resolve(d) first")
         sq = ((x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
@@ -280,7 +280,7 @@ def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     n, d = x.shape
     if kernel.kind is SvmKernel.LINEAR:
         return x if d < n else None
-    p = int(kernel.degree)
+    p = kernel.degree
     if math.comb(d + p, p) >= n:
         return None
     columns = []
@@ -352,7 +352,7 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
         if factor is None:
             k_mat.flat[::n + 1] += diag
             try:
-                solve = nm.spd_solver(k_mat)
+                solve = nm.spd_solver(k_mat, "interior-point K + D")
             finally:
                 k_mat.flat[::n + 1] = k_diag
         else:
@@ -453,7 +453,7 @@ def _active_set(k_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         # K itself while every index is free, so that no copy of K is alive
         # next to its factor in the first and largest round
         k_free = k_mat if free.all() else k_mat[np.ix_(free, free)]
-        u, v = nm.spd_solver(k_free)(rhs).T
+        u, v = nm.spd_solver(k_free, "active-set K_FF")(rhs).T
         b = (u.sum() + beta.sum()) / v.sum()
         beta[free] = u - b * v
         rounds += 1

@@ -46,7 +46,6 @@ lowest threshold) and its score are those of a full float scan.
 """
 from __future__ import annotations
 
-import enum
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -56,7 +55,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import BadConfig, DimensionMismatch, NegativeGain
+from .errors import DimensionMismatch, NegativeGain, Setting, positive_integer
 
 DEFAULT_MAX_SPLITS = 20
 DEFAULT_BAG_SIZE = 30
@@ -67,7 +66,7 @@ _LOG_ERROR = 8              # np.log's relative error in units of _U (4 ulps)
 _NO_BOUNDARY = np.array([-np.inf, 0.0])
 
 
-class SplitCriterion(str, enum.Enum):
+class SplitCriterion(Setting):
     GINI = "gini"
     ENTROPY = "entropy"
     TWOING = "twoing"
@@ -565,8 +564,6 @@ def _grow(train: Dataset, criterion: SplitCriterion, max_splits: int,
     """Grow one tree per row of draws, the (trees x n) counts of each
     training row in the tree's sample, under a budget of max_splits
     internal nodes each, in lockstep rounds."""
-    if max_splits < 1:
-        raise BadConfig(f"max_splits must be >= 1, got {max_splits}")
     n_trees = draws.shape[0]
     # stored a column at a time, so that best_split's x.T is no copy
     x = np.asfortranarray(train.x, dtype=float)
@@ -636,6 +633,7 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
     committee of one tree, drawn from every training row once."""
     check_training_set(train, two_classes=False)
     criterion = SplitCriterion(criterion)
+    max_splits = positive_integer("max_splits", max_splits)
     (nodes,) = _grow(train, criterion, max_splits,
                      np.ones((1, train.n), dtype=np.intp))
     return DecisionTreeModel(nodes=nodes, criterion=criterion,
@@ -679,8 +677,8 @@ def fit_bagged(train: Dataset, n_trees: int = DEFAULT_BAG_SIZE,
     """Fit n_trees Gini trees on independent seeded bootstrap draws, grown
     together from one sorted array of all the draws."""
     check_training_set(train, two_classes=False)
-    if n_trees < 1:
-        raise BadConfig(f"n_trees must be >= 1, got {n_trees}")
+    n_trees = positive_integer("n_trees", n_trees)
+    max_splits = positive_integer("max_splits", max_splits)
     draws = np.array([np.bincount(bootstrap_rows(train.n, seed, t),
                                   minlength=train.n) for t in range(n_trees)])
     gini = SplitCriterion.GINI

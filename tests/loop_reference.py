@@ -167,7 +167,7 @@ def interior_point(q, y, cost):
             raise NoConvergence(f"interior point residual {residual:.3e} > "
                                 f"{_IP_TOL} after {iterations} iterations")
         q.flat[::n + 1] += z / alpha + w / s
-        solve = nm.spd_solver(q)
+        solve = nm.spd_solver(q, "K + D")
         q.flat[::n + 1] = q_diag
 
         def direction(sigma_mu, c_z, c_w):

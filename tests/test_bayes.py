@@ -179,7 +179,7 @@ class TestQda:
             lda = fit_lda(train)
             qda = fit_qda(train)
             shared = np.repeat(lda.covariance[None, :, :], train.n_classes, axis=0)
-            chol = nm.cholesky_spd(lda.covariance)
+            chol = nm.cholesky_spd(lda.covariance, "shared covariance")
             log_det = 2.0 * float(np.log(chol.diagonal()).sum())
             equalized = QdaClassifier(
                 means=qda.means, covariances=shared, log_priors=qda.log_priors,

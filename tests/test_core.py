@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from cdsproxy.core import (
     ALL_SELECTIONS,
     PANEL_COLUMNS,
     ClassifierModel,
+    Dataset,
     FeatureSelection,
     MarketPanel,
     build_dataset,
@@ -165,6 +168,41 @@ class TestPanelValidation:
     def test_columns_constant(self):
         assert len(PANEL_COLUMNS) == 16
         assert PANEL_COLUMNS[0] == "s"
+
+
+def _panel(counterparties=None, dates=None, **columns):
+    """tiny_panel's names, dates and columns, with the given ones replaced."""
+    base = tiny_panel(seed=14)
+    return MarketPanel(base.counterparties if counterparties is None else counterparties,
+                       base.dates if dates is None else dates,
+                       {**base.values, **columns})
+
+
+def _dataset(x=((0.0, 1.0), (2.0, 3.0), (4.0, 5.0)), y=(0, 1, 1), names=("f0", "f1")):
+    return Dataset(x=np.array(x), y=np.array(y), class_names=("A", "B"),
+                   feature_names=names)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: _panel(counterparties=()),
+                 "panel needs at least one counterparty", id="no-counterparty"),
+    pytest.param(lambda: _panel(dates=tuple(reversed(tiny_panel().dates))),
+                 "dates must be unique and ascending", id="dates-descending"),
+    pytest.param(lambda: _panel(dates=("2008-06-01",) * 10),
+                 "dates must be unique and ascending", id="dates-repeated"),
+    pytest.param(lambda: _panel(hv_6m=np.ones((3, 9))),
+                 "column 'hv_6m' has shape (3, 9), expected (3, 10)", id="column-shape"),
+    pytest.param(lambda: _dataset(y=(0, 1)), "dataset arrays are inconsistent",
+                 id="x-and-y-sizes"),
+    pytest.param(lambda: _dataset(names=("f0",)),
+                 "feature name count != feature dimension", id="feature-names"),
+    pytest.param(lambda: _dataset(x=((0.0, 1.0), (np.inf, 3.0), (4.0, 5.0))),
+                 "dataset features must be finite", id="x-not-finite"),
+    pytest.param(lambda: _dataset(y=(0, 1, 2)), "labels outside class range",
+                 id="label-out-of-range")])
+def test_schema_violations_name_their_rule(build, message):
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestColumnRules:

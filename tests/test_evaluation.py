@@ -6,6 +6,7 @@ shapes; the CV statistics are checked against exact rational cases (a
 constant predictor on balanced folds) and against reconstruction from the
 stored per-fold errors.
 """
+import json
 import math
 
 import numpy as np
@@ -48,6 +49,14 @@ from cdsproxy.evaluation import (
 
 import loop_reference as ref
 from conftest import identical_rows, make_blobs
+
+
+@pytest.fixture(scope="module")
+def golden_fs2_fold():
+    """The FS2 training rows of fold 0 of test_golden.py's grid."""
+    panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30, seed=0))
+    dataset = build_dataset(panel, FeatureSelection.FS2)
+    return dataset.subset(stratified_folds(dataset, 2, seed=0).training_rows(0))
 
 
 def label_dataset(y, n_classes, d=2, seed=0):
@@ -366,6 +375,15 @@ class TestClassifierGrid:
     def test_unknown_label_rejected(self):
         with pytest.raises(BadConfig, match="unknown classifier label"):
             make_classifier_spec("SVM-Quadratic")
+
+    @pytest.mark.parametrize("label", DEFAULT_GRID)
+    def test_every_default_label_describes_its_model_as_json(self, label, golden_fs2_fold):
+        """describe() names the fitted model's family, the spec's, in a
+        dict that JSON takes as it is."""
+        spec = make_classifier_spec(label)
+        record = spec.fit(golden_fs2_fold, seed=1).describe()
+        assert record["family"] == spec.family
+        json.dumps(record)
 
     def test_describe_includes_label_and_parameters(self):
         spec = ClassifierSpec(

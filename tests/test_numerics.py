@@ -105,7 +105,7 @@ class TestSpdSolver:
         rng = np.random.default_rng(n)
         g = rng.normal(size=(n, n))
         a = g @ g.T / n + np.diag(rng.permutation(np.logspace(-6, 6, n)))
-        solve = nm.spd_solver(a)
+        solve = nm.spd_solver(a, "a")
         for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
             kept = b.copy()
             want = np.linalg.solve(a, b)
@@ -116,13 +116,13 @@ class TestSpdSolver:
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
-            nm.spd_solver(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            nm.spd_solver(np.array([[1.0, 2.0], [2.0, 1.0]]), "a")
 
 
 class TestSpdSolve:
     def test_identity_exact(self):
         b = np.array([3.0, 4.0])
-        assert np.array_equal(nm.solve_spd(np.eye(2), b), b)
+        assert np.array_equal(nm.solve_spd(np.eye(2), b, "I"), b)
 
     def test_residual_small(self):
         rng = np.random.default_rng(11)
@@ -130,24 +130,34 @@ class TestSpdSolve:
             d = int(rng.integers(1, 12))
             a = random_spd(rng, d, scale=rng.uniform(0.1, 10.0))
             b = rng.normal(size=d)
-            x = nm.solve_spd(a, b)
+            x = nm.solve_spd(a, b, "a")
             assert np.linalg.norm(a @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(13)
         a = random_spd(rng, 5)
         b = rng.normal(size=(5, 3))
-        x = nm.solve_spd(a, b)
+        x = nm.solve_spd(a, b, "a")
         assert np.abs(a @ x - b).max() < 1e-10
 
     def test_indefinite_rejected(self):
         a = np.diag([1.0, -1.0])
         with pytest.raises(NotPositiveDefinite):
-            nm.solve_spd(a, np.ones(2))
+            nm.solve_spd(a, np.ones(2), "a")
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            nm.solve_spd(np.eye(3), np.ones(2))
+            nm.solve_spd(np.eye(3), np.ones(2), "I")
+
+    @pytest.mark.parametrize("factor", [
+        pytest.param(lambda a: nm.cholesky_spd(a, "the test matrix"), id="cholesky_spd"),
+        pytest.param(lambda a: nm.spd_solver(a, "the test matrix"), id="spd_solver"),
+        pytest.param(lambda a: nm.solve_spd(a, np.ones(2), "the test matrix"),
+                     id="solve_spd")])
+    def test_failed_factorisation_names_its_matrix(self, factor):
+        with pytest.raises(NotPositiveDefinite,
+                           match="^the test matrix: matrix is not positive definite: "):
+            factor(np.diag([1.0, -1.0]))
 
     def test_add_ridge(self):
         assert np.array_equal(nm.add_ridge(np.eye(4)), np.eye(4) * (1.0 + 1e-8))
@@ -187,7 +197,7 @@ class TestPca:
     def test_component_count_bounds(self):
         x = np.random.default_rng(8).normal(size=(10, 3))
         basis = nm.pca_fit(x)
-        with pytest.raises(BadConfig, match=r"component count 0 outside 1\.\.3"):
+        with pytest.raises(BadConfig, match="component count must be a positive integer, got 0"):
             nm.pca_transform(basis, x[0], 0)
         with pytest.raises(BadConfig, match=r"component count 4 outside 1\.\.3"):
             nm.pca_transform(basis, x[0], 4)

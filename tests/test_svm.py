@@ -841,8 +841,8 @@ class TestActiveSet:
         gram = model.kernel.gram(x, x)
         solves = []
         spd_solver = numerics.spd_solver
-        monkeypatch.setattr(numerics, "spd_solver", lambda k_mat: (
-            solves.append(1) or spd_solver(k_mat)))
+        monkeypatch.setattr(numerics, "spd_solver", lambda k_mat, what: (
+            solves.append(1) or spd_solver(k_mat, what)))
         for j, machine in enumerate(model.machines):
             y = machine.y_train
             solves.clear()
@@ -874,8 +874,8 @@ class TestActiveSet:
         train = golden_fold(FeatureSelection.FS2, fold)
         calls = []
         spd_solver = numerics.spd_solver
-        monkeypatch.setattr(numerics, "spd_solver", lambda k_mat: (
-            calls.append(k_mat.shape) or spd_solver(k_mat)))
+        monkeypatch.setattr(numerics, "spd_solver", lambda k_mat, what: (
+            calls.append(k_mat.shape) or spd_solver(k_mat, what)))
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert calls == []
         assert model.gram_rank == 35 < train.n == 45
