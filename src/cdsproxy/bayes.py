@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set, class_log_priors
-from .errors import BadConfig, Setting, TooFewSamples
+from .errors import Setting, TooFewSamples, real_number
 
 LOG_DENSITY_FLOOR = -745.0
 DEFAULT_BANDWIDTH = 0.2
@@ -91,7 +91,7 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier
     mode = nm.CovMode(mode)
     log_priors = class_log_priors(train.y, train.n_classes)
     means = np.stack([train.x[train.y == j].mean(axis=0) for j in range(train.n_classes)])
-    cov = nm.add_ridge(nm.sample_mean_covariance(train.x, mode).matrix)
+    cov = nm.add_ridge(nm.sample_mean_covariance(train.x, mode)[1])
     weights = nm.solve_spd(cov, means.T, "shared covariance not invertible").T
     offsets = -0.5 * (weights * means).sum(axis=1) + log_priors
     return LdaClassifier(means=means, covariance=cov, log_priors=log_priors,
@@ -143,9 +143,8 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier
         rows = train.x[train.y == j]
         if rows.shape[0] < 2:
             raise TooFewSamples(f"class {j} has {rows.shape[0]} samples; need >= 2")
-        est = nm.sample_mean_covariance(rows, mode)
-        means[j] = est.mean
-        covs[j] = nm.add_ridge(est.matrix)
+        means[j], cov = nm.sample_mean_covariance(rows, mode)
+        covs[j] = nm.add_ridge(cov)
         chols[j] = nm.cholesky_spd(covs[j], f"class {j} covariance not invertible")
         log_dets[j] = 2.0 * float(np.log(chols[j].diagonal()).sum())
     return QdaClassifier(means=means, covariances=covs, log_priors=log_priors,
@@ -213,13 +212,11 @@ class NbClassifier(ClassifierModel):
 
 def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,
            bandwidth: float = DEFAULT_BANDWIDTH) -> NbClassifier:
-    """Fit kernel naive Bayes; the same bandwidth is used for every feature.
-    Raises BadConfig unless the bandwidth is finite and > 0."""
+    """Fit kernel naive Bayes, one bandwidth for every feature; BadConfig unless it is > 0."""
     check_training_set(train)
-    if not 0.0 < bandwidth < math.inf:
-        raise BadConfig(f"bandwidth must be > 0, got {bandwidth}")
+    bandwidth = real_number("bandwidth", bandwidth, 0.0)
     log_priors = class_log_priors(train.y, train.n_classes)
     samples = [train.x[train.y == j] for j in range(train.n_classes)]
     return NbClassifier(class_samples=samples, kernel=KernelKind(kernel),
-                        bandwidth=float(bandwidth), log_priors=log_priors,
+                        bandwidth=bandwidth, log_priors=log_priors,
                         class_names=train.class_names)

@@ -59,7 +59,14 @@ from .core import (
     MarketPanel,
     first_inadmissible,
 )
-from .errors import BadConfig, MissingFiveYearRate, SchemaViolation, positive_integer
+from .errors import (
+    BadConfig,
+    MissingFiveYearRate,
+    SchemaViolation,
+    non_negative_integer,
+    positive_integer,
+    real_number,
+)
 
 REGIONS = ("Asia", "Europe", "LatinAmerica", "NorthAmerica")
 SECTORS = ("Energy", "Financials", "Industrials", "Technology", "Utilities")
@@ -117,8 +124,9 @@ class GeneratorConfig:
             object.__setattr__(self, name, positive_integer(name, getattr(self, name)))
         if self.n_counterparties < 2:
             raise BadConfig("need at least two counterparties")
-        if not 0.0 <= self.factor_loading < 1.0:
-            raise BadConfig("factor_loading must lie in [0, 1)")
+        object.__setattr__(self, "factor_loading", real_number(
+            "factor_loading", self.factor_loading, 0.0, 1.0, include_low=True))
+        object.__setattr__(self, "seed", non_negative_integer("seed", self.seed))
 
     def settings(self) -> dict:
         return asdict(self)

@@ -5,8 +5,9 @@ callers (in particular the CLI) can catch one base class and report a
 structured failure. There is one class per kind of failure:
 
 - ``BadConfig``: a setting out of its documented range (generator settings,
-  non-integral or out-of-range counts and sizes, kernel bandwidth and scale,
-  classifier labels, category fields) or an unknown setting enum value.
+  non-integral or out-of-range counts, sizes and seeds, a non-real or
+  out-of-range bandwidth, kernel scale or factor loading, classifier labels,
+  category fields) or an unknown setting enum value.
 - ``TooFewSamples``: an estimate was given fewer rows than it needs
   (sample covariance and standardiser, the imputation regression, a QDA
   class, a fit on zero rows, a bucket or regression without records,
@@ -108,3 +109,22 @@ def positive_integer(name: str, value) -> int:
     if not (number and 1 <= value < math.inf and value == int(value)):
         raise BadConfig(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def non_negative_integer(name: str, value) -> int:
+    """A seed as an int; BadConfig unless a finite integral number >= 0."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and 0 <= value < math.inf and value == int(value)):
+        raise BadConfig(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def real_number(name: str, value, low: float, high: float = math.inf,
+                include_low: bool = False) -> float:
+    """A real setting as a float; BadConfig unless a number, not bool, in the
+    interval from low (open unless include_low) to high (open)."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and low <= value < high and (include_low or value > low)):
+        interval = f"{'[' if include_low else '('}{low:g}, {high:g})"
+        raise BadConfig(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)

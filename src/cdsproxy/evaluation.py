@@ -27,11 +27,12 @@ from .errors import (
     FitFailure,
     MissingCell,
     TooFewSamples,
+    non_negative_integer,
     positive_integer,
 )
 from .logistic import fit_logistic_multiclass
 from .neighbors import Metric, fit_knn
-from .neuralnet import Activation, TrainConfig, fit_neural_net
+from .neuralnet import Activation, fit_neural_net
 from .svm import KernelSpec, SvmKernel, fit_svm_multiclass
 from .trees import SplitCriterion, fit_bagged, fit_tree
 
@@ -63,7 +64,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
     k = positive_integer("fold count", k)
     if k < 2 or k > n:
         raise BadConfig(f"fold count must satisfy 2 <= K <= {n}, got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(non_negative_integer("seed", seed))
     dealt = []          # every class's rows, each class shuffled, in class order
     for j in range(dataset.n_classes):
         rows = np.flatnonzero(dataset.y == j)
@@ -134,9 +135,7 @@ def _fit_entry(family: str, fit: Callable[..., ClassifierModel], params: dict,
     wrapper installed on that name (perfbench's tracer) sees every fit.
     """
     fit = globals()[fit.__name__]
-    if family == "NN":
-        return fit(train, config=TrainConfig(seed=seed), **params)
-    if family == "BaggedTree":
+    if family in ("NN", "BaggedTree"):
         return fit(train, seed=seed, **params)
     return fit(train, **params)
 
@@ -202,20 +201,14 @@ def _holdout_error(spec: ClassifierSpec, train: Dataset, holdout_x: np.ndarray,
 
 
 def cross_validate(spec: ClassifierSpec, dataset: Dataset,
-                   k: int = DEFAULT_FOLDS, seed: int = 0,
-                   plan: FoldPlan | None = None) -> CvResult:
-    """Fit on each K-1 training split, score its holdout fold.
+                   k: int = DEFAULT_FOLDS, seed: int = 0) -> CvResult:
+    """Score each holdout fold of stratified_folds(dataset, k, seed), fit on the rest.
 
     Any error raised while fitting a fold is re-raised as FitFailure naming
     the label, the feature selection and the fold index; no partial result
-    is returned. A given plan must assign every row of the dataset
-    (BadConfig otherwise).
+    is returned.
     """
-    if plan is None:
-        plan = stratified_folds(dataset, k, seed)
-    elif plan.assignment.size != dataset.n:
-        raise BadConfig(f"fold plan assigns {plan.assignment.size} rows, "
-                        f"the dataset has {dataset.n}")
+    plan = stratified_folds(dataset, k, seed)
     selection = dataset.selection.value if dataset.selection else ""
     errors = []
     for fold in range(plan.k):
@@ -297,8 +290,8 @@ def pca_study(spec: ClassifierSpec, dataset: Dataset,
     """Accuracy as a function of the number of leading components.
 
     The component basis is refit on every training fold so holdout rows
-    never influence the transform; the raw-feature column reuses the same
-    fold plan, making it exactly comparable.
+    never influence the transform; the raw-feature column, cross_validate
+    at the same k and seed, deals the same folds and so compares exactly.
     """
     if dataset.d < 2:
         raise BadConfig("component study needs at least two features")
@@ -325,7 +318,7 @@ def pca_study(spec: ClassifierSpec, dataset: Dataset,
                 dataset.y[holdout], fold_seed(seed, fold),
                 f"{selection} with {m} components, fold {fold}"))
         component_errors.append(summarize_errors(errors)[0])
-    raw = cross_validate(spec, dataset, k=k, seed=seed, plan=plan)
+    raw = cross_validate(spec, dataset, k=k, seed=seed)
     full_basis = nm.pca_fit(dataset.x)
     return PcaStudyResult(label=spec.label, k=plan.k, seed=seed,
                           component_errors=tuple(component_errors),

@@ -176,7 +176,7 @@ def fit_knn(train: Dataset, k: int = DEFAULT_K,
         raise BadConfig(f"k must be odd to avoid vote ties, got {k}")
     standardizer = chol = None
     if metric is Metric.MAHALANOBIS:
-        cov = nm.add_ridge(nm.sample_mean_covariance(train.x).matrix)
+        cov = nm.add_ridge(nm.sample_mean_covariance(train.x)[1])
         chol = nm.cholesky_spd(cov, "training covariance not invertible")
         x = np.linalg.solve(chol, train.x.T)
     else:

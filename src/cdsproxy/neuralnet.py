@@ -47,9 +47,9 @@ prediction moved.
 
 The network always trains on standardised rows, and a predict
 standardises its queries with the same map. All randomness (weight
-initialisation) comes from the seed in TrainConfig. Training and scoring
-run the same forward pass, so a model's class probabilities are the
-softmax its cross-entropy was computed from.
+initialisation) comes from fit_neural_net's seed, kept in the model's
+TrainConfig. Training and scoring run the same forward pass, so a model's
+class probabilities are the softmax its cross-entropy was computed from.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import Setting, positive_integer
+from .errors import Setting, non_negative_integer, positive_integer
 
 DEFAULT_HIDDEN_UNITS = 10
 # the L-BFGS iteration cap, a guard: the slowest of the 900 fold fits
@@ -391,8 +391,8 @@ def _armijo_step(theta: np.ndarray, direction: np.ndarray, slope: float,
 
 def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
                    activation: Activation = Activation.TAN_SIGMOID,
-                   config: TrainConfig = TrainConfig()) -> NeuralNetClassifier:
-    """Minimise the penalised objective by L-BFGS from the seeded start.
+                   seed: int = 0) -> NeuralNetClassifier:
+    """Minimise the penalised objective by L-BFGS from initial_params at seed.
 
     Each iteration steps along the L-BFGS direction of the last
     LBFGS_MEMORY curvature pairs, or of the last CONVEX_LBFGS_MEMORY for a
@@ -412,12 +412,13 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     check_training_set(train)
     hidden_units = positive_integer("hidden_units", hidden_units)
     activation = Activation(activation)
+    seed = non_negative_integer("seed", seed)
     standardizer = nm.standardizer_fit(train.x)
     xt = np.ascontiguousarray(standardizer.apply(train.x).T, dtype=float)
     picks = _true_class_picks(train.y)
     shape = (train.d, hidden_units, train.n_classes)
     data = (activation, xt, picks)
-    start = initial_params(*shape, config.seed).flat
+    start = initial_params(*shape, seed).flat
     loss, params, state = _objective(start, shape, *data)
     grad = _objective_gradient(params, state, *data)
     grad_norm = float(np.sqrt(grad @ grad))
@@ -461,7 +462,7 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
     return NeuralNetClassifier(params=params, activation=activation,
                                hidden_units=hidden_units,
                                n_classes=train.n_classes,
-                               class_names=train.class_names, config=config,
+                               class_names=train.class_names, config=TrainConfig(seed),
                                standardizer=standardizer, epochs_run=iteration,
                                final_grad_norm=grad_norm, warning=warning,
                                loss_history=tuple(history),

@@ -42,22 +42,6 @@ class CovMode(Setting):
 
 
 @dataclass(frozen=True)
-class CovarianceEstimate:
-    """Sample mean and unbiased (n-1) covariance of a set of row vectors."""
-
-    mean: np.ndarray
-    matrix: np.ndarray  # d x d; off-diagonal zero in DIAGONAL mode
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class PrincipalComponentBasis:
     """PCA basis: center, component columns and explained-variance profile."""
 
@@ -110,11 +94,11 @@ def _as_matrix(vectors: np.ndarray) -> np.ndarray:
     return x
 
 
-def sample_mean_covariance(vectors: np.ndarray, mode: CovMode = CovMode.FULL) -> CovarianceEstimate:
-    """Unbiased sample mean/covariance of row vectors.
-
-    Raises TooFewSamples when n < 2 (the n-1 denominator needs two rows).
-    """
+def sample_mean_covariance(vectors: np.ndarray,
+                           mode: CovMode = CovMode.FULL) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, matrix) of row vectors: the sample mean and the unbiased (n-1)
+    d x d covariance, off-diagonal zero in DIAGONAL mode. Raises
+    TooFewSamples when n < 2 (the n-1 denominator needs two rows)."""
     x = _as_matrix(vectors)
     n, d = x.shape
     if n < 2:
@@ -127,7 +111,7 @@ def sample_mean_covariance(vectors: np.ndarray, mode: CovMode = CovMode.FULL) ->
         matrix = 0.5 * (matrix + matrix.T)
     else:
         matrix = np.diag((centered * centered).sum(axis=0) / (n - 1))
-    return CovarianceEstimate(mean=mean, matrix=matrix)
+    return mean, matrix
 
 
 def add_ridge(matrix: np.ndarray) -> np.ndarray:
@@ -148,10 +132,9 @@ def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def eigen_symmetric(matrix: np.ndarray) -> EigenDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix."""
-    values, vectors = np.linalg.eigh(_check_symmetric(matrix))
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+def eigen_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's eigh of a symmetric matrix: (ascending eigenvalues, eigenvector columns)."""
+    return np.linalg.eigh(_check_symmetric(matrix))
 
 
 def _lower_factor(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -208,21 +191,17 @@ def pca_fit(vectors: np.ndarray) -> PrincipalComponentBasis:
     Sign convention: the largest-magnitude entry of each component is
     positive. variance_explained holds cumulative eigenvalue fractions.
     """
-    x = _as_matrix(vectors)
-    est = sample_mean_covariance(x, CovMode.FULL)
-    eig = eigen_symmetric(est.matrix)
-    order = np.argsort(-eig.eigenvalues, kind="stable")
-    values = np.clip(eig.eigenvalues[order], 0.0, None)
-    components = eig.eigenvectors[:, order]
+    center, covariance = sample_mean_covariance(vectors)
+    eigenvalues, eigenvectors = eigen_symmetric(covariance)
+    order = np.argsort(-eigenvalues, kind="stable")
+    values = np.clip(eigenvalues[order], 0.0, None)
+    components = eigenvectors[:, order]
     anchors = np.argmax(np.abs(components), axis=0)
     flip = components[anchors, np.arange(components.shape[1])] < 0.0
     components = np.where(flip, -components, components)
     total = float(values.sum())
-    if total > 0.0:
-        explained = np.cumsum(values) / total
-    else:
-        explained = np.ones_like(values)
-    return PrincipalComponentBasis(center=est.mean, components=components,
+    explained = np.cumsum(values) / total if total > 0.0 else np.ones_like(values)
+    return PrincipalComponentBasis(center=center, components=components,
                                    eigenvalues=values, variance_explained=explained)
 
 

@@ -40,6 +40,7 @@ from .errors import (
     Setting,
     TooFewSamples,
     positive_integer,
+    real_number,
 )
 
 DEFAULT_COST = 1.0
@@ -77,9 +78,8 @@ class KernelSpec:
         object.__setattr__(self, "kind", SvmKernel(self.kind))
         if self.kind is SvmKernel.POLYNOMIAL:
             object.__setattr__(self, "degree", positive_integer("polynomial degree", self.degree))
-        if self.kind is SvmKernel.GAUSSIAN and not (
-                self.scale is None or 0.0 < self.scale < math.inf):
-            raise BadConfig(f"gaussian kernel scale must be finite and > 0, got {self.scale}")
+        if self.kind is SvmKernel.GAUSSIAN and self.scale is not None:
+            object.__setattr__(self, "scale", real_number("gaussian kernel scale", self.scale, 0.0))
 
     def resolve(self, d: int) -> "KernelSpec":
         if self.kind is SvmKernel.GAUSSIAN and self.scale is None:

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import numerics as nm
 from .core import ClassifierModel, Dataset, check_training_set
-from .errors import DimensionMismatch, NegativeGain, Setting, positive_integer
+from .errors import DimensionMismatch, NegativeGain, Setting, non_negative_integer, positive_integer
 
 DEFAULT_MAX_SPLITS = 20
 DEFAULT_BAG_SIZE = 30
@@ -679,6 +679,7 @@ def fit_bagged(train: Dataset, n_trees: int = DEFAULT_BAG_SIZE,
     check_training_set(train, two_classes=False)
     n_trees = positive_integer("n_trees", n_trees)
     max_splits = positive_integer("max_splits", max_splits)
+    seed = non_negative_integer("seed", seed)
     draws = np.array([np.bincount(bootstrap_rows(train.n, seed, t),
                                   minlength=train.n) for t in range(n_trees)])
     gini = SplitCriterion.GINI

@@ -1,8 +1,10 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdsproxy
 from cdsproxy.core import (
     HV_COLUMNS,
     IV_COLUMNS,
@@ -83,12 +85,16 @@ BLAS_THREAD_SETTINGS = ", ".join(
 def pytest_terminal_summary(terminalreporter):
     """Name the numpy and BLAS the run used, and the BLAS thread settings it
     started with, on one line that -q still shows: SVM results can follow
-    the thread count, and this line reports it without setting it."""
+    the thread count, and this line reports it without setting it. The
+    line also counts the lines of the package's modules (as wc -l does),
+    the size that a change meant to simplify the code reports."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy before 1.26 has no mode="dicts"
         blas = {}
+    source_lines = sum(path.read_bytes().count(b"\n")
+                       for path in Path(cdsproxy.__file__).parent.glob("*.py"))
     terminalreporter.write_line(
         f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
         f"{blas.get('version', 'unknown')}, {BLAS_THREAD_SETTINGS}, "
-        f"cpu_count={os.cpu_count()}")
+        f"cpu_count={os.cpu_count()}, src/cdsproxy/*.py {source_lines} lines")

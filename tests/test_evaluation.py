@@ -199,16 +199,6 @@ class TestCvStatistics:
         assert abs(res.mean_error - mean) <= 1e-12
         assert abs(res.sd_error - math.sqrt(var)) <= 1e-12
 
-    @pytest.mark.parametrize("per_class", [20, 40])
-    def test_plan_for_another_row_count_rejected(self, blob3, per_class):
-        # a 60-row plan would cross-validate only 60 of blob3's 90 rows,
-        # a 120-row plan would index past its end
-        other = make_blobs([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], per_class, seed=42)
-        plan = stratified_folds(other, 5, seed=7)
-        with pytest.raises(BadConfig, match=f"assigns {3 * per_class} rows, the dataset has 90"):
-            cross_validate(make_classifier_spec("KNN-Euclidean"), blob3, k=5, seed=7,
-                           plan=plan)
-
     def test_population_sd_convention(self):
         mean, sd = summarize_errors([0.0, 1.0])
         assert mean == 0.5
@@ -240,7 +230,7 @@ class TestCvStatistics:
         spec = ClassifierSpec(label="Probe", family="probe",
                               fitter=probe_fitter)
         plan = stratified_folds(blob3, 5, seed=7)
-        cross_validate(spec, blob3, k=5, seed=7, plan=plan)
+        cross_validate(spec, blob3, k=5, seed=7)
         for fold, train_x in enumerate(seen):
             holdout = blob3.x[plan.holdout_rows(fold)]
             expected = blob3.x[plan.training_rows(fold)]
@@ -463,6 +453,18 @@ class TestPcaStudy:
         spec = make_classifier_spec("KNN-Mahalanobis")
         study = pca_study(spec, ds, k=4, seed=6)
         assert study.component_errors[-1] == study.raw_error
+
+    def test_raw_column_is_cross_validate_at_the_same_k_and_seed(self):
+        # axis-aligned tree splits change under a rotation, so the raw
+        # column differs from the full-dimension one; and another seed's
+        # folds give another raw error, so equality pins the fold plan.
+        ds = make_blobs(centers=[(0, 0), (3, 3), (-3, 3)], n_per_class=12,
+                        scale=1.5, seed=31)
+        spec = make_classifier_spec("DT-Gini")
+        study = pca_study(spec, ds, k=4, seed=2)
+        assert study.raw_error == cross_validate(spec, ds, k=4, seed=2).mean_error
+        assert study.raw_error != study.component_errors[-1]
+        assert study.raw_error != cross_validate(spec, ds, k=4, seed=0).mean_error
 
     def test_curve_has_one_entry_per_dimension(self, blob3):
         spec = make_classifier_spec("LDA-FullCov")

@@ -22,7 +22,6 @@ from cdsproxy.neuralnet import (
     CONVEX_LBFGS_MEMORY,
     LBFGS_MEMORY,
     Activation,
-    TrainConfig,
     fit_neural_net,
 )
 from cdsproxy.svm import (
@@ -224,12 +223,11 @@ class TestNetworkTraining:
                                         activation):
         train = random_dataset(6 * n_classes, 4, n_classes, seed=n_classes)
         monkeypatch.setattr(neuralnet, "DEFAULT_EPOCHS", 60)
-        config = TrainConfig(seed=n_classes)
-        got = fit_neural_net(train, activation=activation, config=config)
+        got = fit_neural_net(train, activation=activation, seed=n_classes)
         monkeypatch.setattr(neuralnet, "_forward_state", ref.forward_state)
         monkeypatch.setattr(neuralnet, "_gradient_from_state",
                             ref.gradient_from_state)
-        want = fit_neural_net(train, activation=activation, config=config)
+        want = fit_neural_net(train, activation=activation, seed=n_classes)
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(got.params, name),
                                   getattr(want.params, name))
@@ -244,12 +242,11 @@ class TestNetworkTraining:
         train = make_blobs([[-6.0, 0.0], [6.0, 0.0], [0.0, 6.0]], 5,
                            scale=0.1, seed=5)
         monkeypatch.setattr(neuralnet, "DEFAULT_GRAD_TOL", 1e-3)
-        config = TrainConfig(seed=5)
-        got = fit_neural_net(train, activation=activation, config=config)
+        got = fit_neural_net(train, activation=activation, seed=5)
         monkeypatch.setattr(neuralnet, "_forward_state", ref.forward_state)
         monkeypatch.setattr(neuralnet, "_gradient_from_state",
                             ref.gradient_from_state)
-        want = fit_neural_net(train, activation=activation, config=config)
+        want = fit_neural_net(train, activation=activation, seed=5)
         assert got.epochs_run == want.epochs_run < neuralnet.DEFAULT_EPOCHS
         assert got.loss_history == want.loss_history
         assert got.final_grad_norm == want.final_grad_norm

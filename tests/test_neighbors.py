@@ -37,7 +37,7 @@ class TestKnnAgainstOracle:
         train = make_blobs(rng.normal(size=(3, 4)) * 2.0, 9, scale=1.0, seed=3)
         cov = None
         if metric is Metric.MAHALANOBIS:
-            cov = nm.add_ridge(nm.sample_mean_covariance(train.x).matrix)
+            cov = nm.add_ridge(nm.sample_mean_covariance(train.x)[1])
         queries = rng.normal(size=(20, 4)) * 2.0
         for k in range(1, train.n + 1, 2):
             model = fit_knn(train, k=k, metric=metric)

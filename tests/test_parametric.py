@@ -564,13 +564,12 @@ class TestTraining:
     def test_deterministic_per_seed(self, monkeypatch):
         monkeypatch.setattr(neuralnet, "DEFAULT_EPOCHS", 50)
         train = make_blobs([[0.0, 0.0], [2.0, 2.0]], 10, scale=0.8, seed=42)
-        cfg = TrainConfig(seed=7)
-        a = fit_neural_net(train, config=cfg)
-        b = fit_neural_net(train, config=cfg)
+        a = fit_neural_net(train, seed=7)
+        b = fit_neural_net(train, seed=7)
         assert np.array_equal(a.params.w1, b.params.w1)
         assert np.array_equal(a.params.w2, b.params.w2)
         assert a.loss_history == b.loss_history
-        c = fit_neural_net(train, config=TrainConfig(seed=8))
+        c = fit_neural_net(train, seed=8)
         assert not np.array_equal(a.params.w1, c.params.w1)
 
     def test_standardization_makes_feature_scaling_irrelevant(self, monkeypatch):
@@ -584,9 +583,8 @@ class TestTraining:
         # fit takes its own path to the same optimum and stops within the
         # gradient tolerance of it (here at 1e-8, 9.4e-7 apart in score)
         monkeypatch.setattr(neuralnet, "DEFAULT_GRAD_TOL", 1e-8)
-        cfg = TrainConfig(seed=8)
-        a = fit_neural_net(train, config=cfg)
-        b = fit_neural_net(scaled, config=cfg)
+        a = fit_neural_net(train, seed=8)
+        b = fit_neural_net(scaled, seed=8)
         assert a.warning is None and b.warning is None
         queries = np.random.default_rng(44).normal(size=(40, 2)) * 1.5 + 1.0
         assert np.allclose(a.scores_batch(queries),
@@ -599,7 +597,7 @@ class TestTraining:
         train = make_blobs([[0.0, 0.0], [1.5, 0.5], [0.5, 1.5]], 12,
                            scale=0.7, seed=43)
         model = fit_neural_net(train, activation=activation,
-                               config=TrainConfig(seed=1))
+                               seed=1)
         history = np.array(model.loss_history)
         assert history.size == model.epochs_run + 1
         # the Armijo condition keeps every accepted step from raising it
@@ -616,7 +614,7 @@ class TestTraining:
         train = Dataset(x=x, y=np.array([0, 1]), class_names=("a", "b"),
                         feature_names=("f",))
         model = fit_neural_net(train, hidden_units=2,
-                               config=TrainConfig(seed=2))
+                               seed=2)
         assert model.epochs_run < DEFAULT_EPOCHS
         assert model.final_grad_norm <= 1e-6
         assert model.warning is None
@@ -628,7 +626,7 @@ class TestTraining:
         h = max(d, k)
         model = fit_neural_net(train, hidden_units=h,
                                activation=Activation.LINEAR,
-                               config=TrainConfig(seed=4))
+                               seed=4)
         # the network trains on standardised rows, so the oracle does too
         z = model.standardizer.apply(train.x)
         coef, opt_loss = multinomial_logit_oracle(z, train.y, k)
@@ -649,7 +647,7 @@ class TestTraining:
 
     def test_describe_reports_the_convergence_diagnostics(self):
         train = make_blobs([[0.0, 0.0], [2.0, 2.0]], 10, scale=0.8, seed=42)
-        model = fit_neural_net(train, config=TrainConfig(seed=7))
+        model = fit_neural_net(train, seed=7)
         assert 0 < model.epochs_run < DEFAULT_EPOCHS
         assert model.describe() == {
             "family": "NN", "activation": "tan-sigmoid",
@@ -682,7 +680,7 @@ class TestTraining:
     def test_fit_at_the_iteration_cap_keeps_a_warning(self, monkeypatch):
         monkeypatch.setattr(neuralnet, "DEFAULT_EPOCHS", 20)
         train = make_blobs([[0.0, 0.0], [2.0, 2.0]], 10, scale=0.8, seed=42)
-        model = fit_neural_net(train, config=TrainConfig(seed=7))
+        model = fit_neural_net(train, seed=7)
         summary = model.describe()
         assert summary["epochs_run"] == 20
         assert summary["final_grad_norm"] > DEFAULT_GRAD_TOL
@@ -693,7 +691,7 @@ class TestTraining:
         # gradient norm, the tolerance here, is met
         monkeypatch.setattr(neuralnet, "DEFAULT_GRAD_TOL", 0.0)
         train = make_blobs([[-2.0], [2.0]], 6, scale=0.3, seed=44)
-        model = fit_neural_net(train, config=TrainConfig(seed=3))
+        model = fit_neural_net(train, seed=3)
         assert model.epochs_run < DEFAULT_EPOCHS
         assert "line search cannot lower" in model.describe()["warning"]
         assert np.all(np.diff(np.array(model.loss_history)) <= 0.0)
@@ -778,7 +776,7 @@ class TestConvexLinearFit:
         def fit(hidden_units):
             return fit_neural_net(train, hidden_units=hidden_units,
                                   activation=Activation.LINEAR,
-                                  config=TrainConfig(seed=3))
+                                  seed=3)
 
         limited = fit(3)
         summary = limited.describe()

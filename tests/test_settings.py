@@ -1,6 +1,8 @@
 """Settings checks shared by every module: an unknown value of a setting
-enum and a count that is not a positive integer both raise BadConfig, at
-the call that is given them, naming the setting."""
+enum, a count that is not a positive integer, a seed that is not a
+non-negative integer and a real setting that is not a real number in its
+range all raise BadConfig, at the call that is given them, naming the
+setting."""
 import enum
 import importlib
 import pkgutil
@@ -110,6 +112,66 @@ def test_integral_float_counts_are_used_as_ints():
     assert type(model.k) is int and model.k == 3
     assert stratified_folds(blobs(), np.int64(3)).k == 3
     assert KernelSpec("polynomial", degree=2.0).degree == 2
+
+
+BAD_SEEDS = [
+    pytest.param(lambda: GeneratorConfig(seed=-1), -1, id="generator-negative"),
+    pytest.param(lambda: GeneratorConfig(seed=1.5), 1.5, id="generator-fraction"),
+    pytest.param(lambda: GeneratorConfig(seed=True), True, id="generator-bool"),
+    pytest.param(lambda: stratified_folds(blobs(), 2, seed=-1), -1, id="folds"),
+    pytest.param(lambda: stratified_folds(blobs(), 2, seed=0.5), 0.5, id="folds-fraction"),
+    pytest.param(lambda: cross_validate(make_classifier_spec("LDA-FullCov"), blobs(), k=2,
+                                        seed=-1), -1, id="cross-validate"),
+    pytest.param(lambda: fit_bagged(blobs(), seed=-3), -3, id="bagged"),
+    pytest.param(lambda: fit_bagged(blobs(), seed=np.nan), np.nan, id="bagged-nan"),
+    pytest.param(lambda: fit_neural_net(blobs(), seed=-3), -3, id="nn"),
+    pytest.param(lambda: fit_neural_net(blobs(), seed="3"), "3", id="nn-text")]
+
+
+@pytest.mark.parametrize("call, seed", BAD_SEEDS)
+def test_seed_that_is_not_a_non_negative_integer_raises_bad_config(call, seed):
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(BadConfig, match=f"^{re.escape(message)}$"):
+        call()
+
+
+BAD_REALS = [
+    pytest.param(lambda: fit_nb(blobs(), bandwidth="0.2"),
+                 "bandwidth must be a real number in (0, inf), got '0.2'", id="nb-bandwidth-text"),
+    pytest.param(lambda: fit_nb(blobs(), bandwidth=True),
+                 "bandwidth must be a real number in (0, inf), got True", id="nb-bandwidth-bool"),
+    pytest.param(lambda: KernelSpec("gaussian", scale="1"),
+                 "gaussian kernel scale must be a real number in (0, inf), got '1'",
+                 id="svm-scale-text"),
+    pytest.param(lambda: KernelSpec("gaussian", scale=True),
+                 "gaussian kernel scale must be a real number in (0, inf), got True",
+                 id="svm-scale-bool"),
+    pytest.param(lambda: GeneratorConfig(factor_loading="0.5"),
+                 "factor_loading must be a real number in [0, 1), got '0.5'",
+                 id="generator-factor-loading-text"),
+    pytest.param(lambda: GeneratorConfig(factor_loading=1.0),
+                 "factor_loading must be a real number in [0, 1), got 1.0",
+                 id="generator-factor-loading-one"),
+    pytest.param(lambda: GeneratorConfig(factor_loading=np.nan),
+                 "factor_loading must be a real number in [0, 1), got nan",
+                 id="generator-factor-loading-nan")]
+
+
+@pytest.mark.parametrize("call, message", BAD_REALS)
+def test_real_setting_outside_its_range_raises_bad_config(call, message):
+    with pytest.raises(BadConfig, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integral_seeds_and_real_settings_are_stored_as_int_and_float():
+    config = GeneratorConfig(n_days=20, factor_loading=0, seed=3.0)
+    assert type(config.seed) is int and type(config.factor_loading) is float
+    assert config.settings() == GeneratorConfig(n_days=20, factor_loading=0.0,
+                                                seed=3).settings()
+    assert stratified_folds(blobs(), 3, seed=np.int64(4)).seed == 4
+    assert fit_bagged(blobs(), n_trees=2, seed=2.0).seed == 2
+    assert type(KernelSpec("gaussian", scale=np.float32(0.5)).scale) is float
+    assert type(fit_nb(blobs(), bandwidth=1).bandwidth) is float
 
 
 def _subclasses(cls):

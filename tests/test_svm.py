@@ -114,12 +114,12 @@ class TestKernels:
         pytest.param(SvmKernel.POLYNOMIAL, {"degree": math.inf},
                      "positive integer, got inf", id="degree-inf"),
         pytest.param(SvmKernel.GAUSSIAN, {"scale": -1.0},
-                     "must be finite and > 0, got -1.0", id="scale-negative"),
+                     r"must be a real number in \(0, inf\), got -1.0", id="scale-negative"),
         pytest.param("gaussian", {"scale": np.nan},
-                     "must be finite and > 0, got nan", id="scale-nan"),
+                     r"must be a real number in \(0, inf\), got nan", id="scale-nan"),
         # an infinite scale leaves the Gram diagonal exp(-inf * 0) = nan
         pytest.param("gaussian", {"scale": math.inf},
-                     "must be finite and > 0, got inf", id="scale-inf")])
+                     r"must be a real number in \(0, inf\), got inf", id="scale-inf")])
     def test_bad_fields_raise_when_the_spec_is_built(self, kind, fields, message):
         with pytest.raises(BadConfig, match=message):
             KernelSpec(kind, **fields)
