@@ -63,12 +63,10 @@ def _density_scale(kind: KernelKind, bandwidth: float, n: int) -> float:
 
 @dataclass
 class LdaClassifier(ClassifierModel):
-    """Linear discriminant scores x'V^-1 mu_j - mu_j'V^-1 mu_j / 2 + log pi_j."""
+    """Linear discriminant scores x'V^-1 mu_j - mu_j'V^-1 mu_j / 2 + log pi_j,
+    one affine map: the means, the ridged covariance V and the log priors
+    stay fit_lda's locals."""
 
-    family = "DA"
-    means: np.ndarray            # (N, d)
-    covariance: np.ndarray       # ridged, shared by all classes
-    log_priors: np.ndarray       # (N,)
     mode: nm.CovMode
     weights: np.ndarray          # (N, d) rows V^-1 mu_j
     offsets: np.ndarray          # (N,)
@@ -78,7 +76,7 @@ class LdaClassifier(ClassifierModel):
         return nm.as_rows(x, self.weights.shape[1]) @ self.weights.T + self.offsets
 
     def describe(self) -> dict:
-        return {"family": self.family, "kind": "linear", "mode": self.mode.value}
+        return {"kind": "linear", "mode": self.mode.value}
 
 
 def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier:
@@ -94,8 +92,7 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier
     cov = nm.add_ridge(nm.sample_mean_covariance(train.x, mode)[1])
     weights = nm.solve_spd(cov, means.T, "shared covariance not invertible").T
     offsets = -0.5 * (weights * means).sum(axis=1) + log_priors
-    return LdaClassifier(means=means, covariance=cov, log_priors=log_priors,
-                         mode=mode, weights=weights, offsets=offsets,
+    return LdaClassifier(mode=mode, weights=weights, offsets=offsets,
                          class_names=train.class_names)
 
 
@@ -103,9 +100,7 @@ def fit_lda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> LdaClassifier
 class QdaClassifier(ClassifierModel):
     """Quadratic discriminant with one ridged covariance matrix per class."""
 
-    family = "DA"
     means: np.ndarray                  # (N, d)
-    covariances: np.ndarray            # (N, d, d), ridged
     log_priors: np.ndarray             # (N,)
     mode: nm.CovMode
     chol_factors: np.ndarray           # (N, d, d) lower factors
@@ -126,17 +121,18 @@ class QdaClassifier(ClassifierModel):
         return out
 
     def describe(self) -> dict:
-        return {"family": self.family, "kind": "quadratic", "mode": self.mode.value}
+        return {"kind": "quadratic", "mode": self.mode.value}
 
 
 def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier:
-    """Fit quadratic discriminant analysis (class-specific covariances)."""
+    """Fit quadratic discriminant analysis (class-specific covariances);
+    the model keeps each ridged covariance only as its lower Cholesky
+    factor and log determinant, all that its scores read."""
     check_training_set(train)
     mode = nm.CovMode(mode)
     log_priors = class_log_priors(train.y, train.n_classes)
     n_classes, d = train.n_classes, train.d
     means = np.empty((n_classes, d))
-    covs = np.empty((n_classes, d, d))
     chols = np.empty((n_classes, d, d))
     log_dets = np.empty(n_classes)
     for j in range(n_classes):
@@ -144,12 +140,10 @@ def fit_qda(train: Dataset, mode: nm.CovMode = nm.CovMode.FULL) -> QdaClassifier
         if rows.shape[0] < 2:
             raise TooFewSamples(f"class {j} has {rows.shape[0]} samples; need >= 2")
         means[j], cov = nm.sample_mean_covariance(rows, mode)
-        covs[j] = nm.add_ridge(cov)
-        chols[j] = nm.cholesky_spd(covs[j], f"class {j} covariance not invertible")
+        chols[j] = nm.cholesky_spd(nm.add_ridge(cov), f"class {j} covariance not invertible")
         log_dets[j] = 2.0 * float(np.log(chols[j].diagonal()).sum())
-    return QdaClassifier(means=means, covariances=covs, log_priors=log_priors,
-                         mode=mode, chol_factors=chols, log_dets=log_dets,
-                         class_names=train.class_names)
+    return QdaClassifier(means=means, log_priors=log_priors, mode=mode, chol_factors=chols,
+                         log_dets=log_dets, class_names=train.class_names)
 
 
 @dataclass
@@ -175,7 +169,6 @@ class NbClassifier(ClassifierModel):
     step depends on the block size, so neither does any score.
     """
 
-    family = "NB"
     class_samples: list[np.ndarray]    # per class (n_j, d)
     kernel: KernelKind
     bandwidth: float
@@ -206,8 +199,7 @@ class NbClassifier(ClassifierModel):
         return out
 
     def describe(self) -> dict:
-        return {"family": self.family, "kernel": self.kernel.value,
-                "bandwidth": self.bandwidth}
+        return {"kernel": self.kernel.value, "bandwidth": self.bandwidth}
 
 
 def fit_nb(train: Dataset, kernel: KernelKind = KernelKind.NORMAL,

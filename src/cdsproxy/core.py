@@ -61,13 +61,14 @@ ALL_SELECTIONS = tuple(FeatureSelection)
 
 def first_inadmissible(column: str, values: np.ndarray) -> tuple[int, type, str] | None:
     """The first value of a panel column, in C order, that the column does
-    not admit, as (flat index, exception class, message), or None: every
-    column admits finite values >= 0, probabilities only those in [0, 1],
-    and s also NaN (a missing rate). Elsewhere NaN or +-inf is a missing
-    value, a SchemaViolation; any other fault is a RangeViolation."""
+    not admit, as (flat index, exception class, message), or None: s admits
+    NaN (a missing rate) and, like a contract record, finite rates > 0, the
+    others finite values >= 0, probabilities only those <= 1. Elsewhere NaN
+    or +-inf is a missing value, a SchemaViolation; any other is a RangeViolation."""
     flat = np.asarray(values, dtype=float).reshape(-1)
     upper = 1.0 if column in PD_COLUMNS else np.finfo(float).max
-    bad = ~((flat >= 0.0) & (flat <= upper))
+    lower = flat > 0.0 if column == S_COLUMN else flat >= 0.0
+    bad = ~(lower & (flat <= upper))
     if column == S_COLUMN:
         bad &= ~np.isnan(flat)
     hits = np.flatnonzero(bad)
@@ -75,7 +76,7 @@ def first_inadmissible(column: str, values: np.ndarray) -> tuple[int, type, str]
         return None
     at, value = int(hits[0]), float(flat[hits[0]])
     if column == S_COLUMN:
-        rule = "must be finite" if np.isinf(value) else "must be >= 0"
+        rule = "must be finite" if np.isinf(value) else "must be > 0"
         return at, RangeViolation, f"spread {rule}, got {value}"
     if not np.isfinite(value):
         return at, SchemaViolation, f"missing value: {value}"
@@ -214,12 +215,12 @@ def class_log_priors(y: np.ndarray, n_classes: int) -> np.ndarray:
 class ClassifierModel(abc.ABC):
     """Contract shared by every trained classifier.
 
-    A family implements one method, scores_batch, mapping an (n, d) array of
-    rows to an (n, N) array of real class scores. classify_batch derives
-    from it and picks, per row, the lowest index among the maximal scores.
+    scores_batch maps an (n, d) array of rows to an (n, N) array of real
+    class scores; classify_batch picks, per row, the lowest index among the
+    maximal scores. A model keeps only what scores_batch and describe(), a
+    JSON-ready dict of its fit settings and diagnostics, read; the
+    classifier registry (evaluation.ClassifierSpec) names its family.
     """
-
-    family: str = "base"
 
     @abc.abstractmethod
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
@@ -227,9 +228,6 @@ class ClassifierModel(abc.ABC):
 
     def classify_batch(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores_batch(x), axis=1)
-
-    def describe(self) -> dict:
-        return {"family": self.family}
 
 
 IMPUTATION_RIDGE = 1e-8
@@ -256,7 +254,7 @@ def impute_five_year_rate(panel: MarketPanel) -> MarketPanel:
     if n_obs < n_coef + 1:
         raise TooFewSamples(
             f"{n_obs} observed rates < {n_coef + 1} needed for basis FS5")
-    target = np.log(np.maximum(svals[obs], 1e-12))
+    target = np.log(svals[obs])
     xo = design[obs]
     normal = xo.T @ xo + IMPUTATION_RIDGE * np.eye(n_coef)
     beta = nm.solve_spd(normal, xo.T @ target, "imputation design is singular")

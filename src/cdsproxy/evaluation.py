@@ -49,7 +49,6 @@ class FoldPlan:
 
     k: int
     assignment: np.ndarray
-    seed: int
 
     def holdout_rows(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold)
@@ -74,7 +73,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
         dealt.append(rows[rng.permutation(rows.size)])
     assignment = np.empty(n, dtype=int)
     assignment[np.concatenate(dealt)] = np.arange(n) % k
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    return FoldPlan(k=k, assignment=assignment)
 
 
 # ------------------------------------------------------------ classifier grid
@@ -82,7 +81,10 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """A named entry of the classifier grid: label plus a fit callable."""
+    """A grid entry: label, family, fit callable and fixed parameters. The
+    spec is the one place that names a family; describe() gives the label,
+    the family and the parameters, and a fitted model's describe() its fit
+    diagnostics."""
 
     label: str
     family: str
@@ -245,11 +247,14 @@ def rank_classifiers(results: Iterable[CvResult],
                      ) -> RankingTable:
     """Mean/sd of accuracy over the feature selections, best row first.
 
-    BadConfig when two results share a label and a feature selection.
+    BadConfig for a selection listed twice or two results in one cell.
     """
     wanted = tuple(FeatureSelection(s).value for s in selections)
     if not wanted:
         raise BadConfig("ranking needs at least one feature selection")
+    for sel in wanted:
+        if wanted.count(sel) > 1:
+            raise BadConfig(f"feature selection {sel} is listed twice")
     cells: dict[tuple[str, str], CvResult] = {}
     labels: list[str] = []
     for res in results:
@@ -278,8 +283,6 @@ def rank_classifiers(results: Iterable[CvResult],
 @dataclass(frozen=True)
 class PcaStudyResult:
     label: str
-    k: int
-    seed: int
     component_errors: tuple[float, ...]     # mean error using m = 1..d PCs
     raw_error: float                        # untransformed features
     variance_explained: tuple[float, ...]   # cumulative share, full data
@@ -320,8 +323,7 @@ def pca_study(spec: ClassifierSpec, dataset: Dataset,
         component_errors.append(summarize_errors(errors)[0])
     raw = cross_validate(spec, dataset, k=k, seed=seed)
     full_basis = nm.pca_fit(dataset.x)
-    return PcaStudyResult(label=spec.label, k=plan.k, seed=seed,
-                          component_errors=tuple(component_errors),
+    return PcaStudyResult(label=spec.label, component_errors=tuple(component_errors),
                           raw_error=raw.mean_error,
                           variance_explained=tuple(full_basis.variance_explained))
 
@@ -368,8 +370,13 @@ def format_float(v: float) -> str:
 
 
 def config_header(settings: dict) -> list[str]:
-    """Sorted `# key=value` comment lines embedded in every output file."""
-    return [f"# {key}={settings[key]}" for key in sorted(settings)]
+    """Sorted `# key=value` comment lines embedded in every output file;
+    BadConfig for a key with '=', or a key or value that str.splitlines splits."""
+    lines = [f"{key}={settings[key]}" for key in sorted(settings)]
+    for key, line in zip(sorted(settings), lines):
+        if "=" in str(key) or line.splitlines() != [line]:
+            raise BadConfig(f"setting {key!r}={settings[key]!r} breaks its header line")
+    return [f"# {line}" for line in lines]
 
 
 def render_csv(header_settings: dict, columns: Sequence[str],

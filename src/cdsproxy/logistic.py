@@ -105,7 +105,6 @@ def fit_logistic_binary(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
 class LogisticClassifier(ClassifierModel):
     """One-vs-rest logistic machines; scores are class probabilities."""
 
-    family = "LR"
     coefficients: np.ndarray       # (n_classes, d + 1); column 0 = intercept
     class_names: tuple[str, ...]
     standardizer: nm.Standardizer
@@ -117,8 +116,7 @@ class LogisticClassifier(ClassifierModel):
         return sigmoid(z @ self.coefficients.T)
 
     def describe(self) -> dict:
-        return {"family": self.family, "ridge": DEFAULT_RIDGE,
-                "newton_iterations": self.newton_iterations}
+        return {"ridge": DEFAULT_RIDGE, "newton_iterations": self.newton_iterations}
 
 
 def fit_logistic_multiclass(train: Dataset) -> LogisticClassifier:

@@ -55,7 +55,6 @@ class Metric(Setting):
 class KnnClassifier(ClassifierModel):
     """Lazy nearest-neighbour model; stores the standardised or whitened rows."""
 
-    family = "KNN"
     k: int
     metric: Metric
     x_train: np.ndarray          # (d, n): the standardised or whitened rows, feature-major
@@ -154,7 +153,7 @@ class KnnClassifier(ClassifierModel):
         return out
 
     def describe(self) -> dict:
-        return {"family": self.family, "k": self.k, "metric": self.metric.value,
+        return {"k": self.k, "metric": self.metric.value,
                 "standardized": self.standardizer is not None}
 
 

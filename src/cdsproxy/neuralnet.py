@@ -213,7 +213,6 @@ def _gradient_from_state(params: NetParams, activation: Activation,
 class NeuralNetClassifier(ClassifierModel):
     """Trained network; scores are the output-layer class probabilities."""
 
-    family = "NN"
     params: NetParams
     activation: Activation
     hidden_units: int
@@ -240,8 +239,7 @@ class NeuralNetClassifier(ClassifierModel):
         singular values of W above rank_rtol times the largest.
         rank_limited is hidden_units < n_classes, where the rank of W is
         capped, the problem is not convex and the fit keeps LBFGS_MEMORY."""
-        summary = {"family": self.family, "activation": self.activation.value,
-                   "hidden_units": self.hidden_units,
+        summary = {"activation": self.activation.value, "hidden_units": self.hidden_units,
                    "epochs_run": self.epochs_run,
                    "final_grad_norm": self.final_grad_norm,
                    "warning": self.warning}

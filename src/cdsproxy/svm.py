@@ -485,7 +485,6 @@ class SvmClassifier(ClassifierModel):
     fall back.
     """
 
-    family = "SVM"
     machines: list
     class_names: tuple[str, ...]
     kernel: KernelSpec
@@ -498,8 +497,7 @@ class SvmClassifier(ClassifierModel):
         return k @ coef + np.array([m.bias for m in self.machines])
 
     def describe(self) -> dict:
-        return {"family": self.family, "kernel": self.kernel.kind.value,
-                "cost": DEFAULT_COST,
+        return {"kernel": self.kernel.kind.value, "cost": DEFAULT_COST,
                 "kkt_gap": max(m.kkt_gap for m in self.machines),
                 "n_updates": sum(m.n_updates for m in self.machines),
                 "ip_iterations": sum(m.ip_iterations for m in self.machines),

@@ -490,7 +490,6 @@ class TreeNode:
 class DecisionTreeModel(ClassifierModel):
     """Fitted tree; scores are the one-hot vector of the leaf label."""
 
-    family = "DT"
     nodes: list
     criterion: SplitCriterion
     max_splits: int
@@ -521,8 +520,7 @@ class DecisionTreeModel(ClassifierModel):
         return sum(1 for node in self.nodes if not node.is_leaf)
 
     def describe(self) -> dict:
-        return {"family": self.family, "criterion": self.criterion.value,
-                "max_splits": self.max_splits,
+        return {"criterion": self.criterion.value, "max_splits": self.max_splits,
                 "internal_nodes": self.internal_count()}
 
 
@@ -646,7 +644,6 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
 class BaggedTreeClassifier(ClassifierModel):
     """Committee of trees fit on bootstrap draws; scores are vote counts."""
 
-    family = "BaggedTree"
     trees: list
     max_splits: int
     n_classes: int
@@ -661,7 +658,7 @@ class BaggedTreeClassifier(ClassifierModel):
                            ).reshape(q, self.n_classes).astype(float)
 
     def describe(self) -> dict:
-        return {"family": self.family, "criterion": SplitCriterion.GINI.value,
+        return {"criterion": SplitCriterion.GINI.value,
                 "trees": len(self.trees), "max_splits": self.max_splits}
 
 

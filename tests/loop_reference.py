@@ -442,9 +442,9 @@ def _parse_cell(text: str, row_number: int, column: str) -> float:
             f"row {row_number}, column {column}: not a number: {text!r}"
         ) from exc
     if column == S_COLUMN:
-        if not np.isnan(value) and value < 0.0:
+        if not np.isnan(value) and value <= 0.0:
             raise RangeViolation(
-                f"row {row_number}, column {column}: spread must be >= 0, "
+                f"row {row_number}, column {column}: spread must be > 0, "
                 f"got {value}")
     elif column in PD_COLUMNS:
         if not 0.0 <= value <= 1.0:
@@ -537,7 +537,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
         for row in rows[rng.permutation(rows.size)]:
             assignment[row] = counter % k
             counter += 1
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    return FoldPlan(k=k, assignment=assignment)
 
 
 def _kernel_values(kind, h, t):

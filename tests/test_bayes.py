@@ -24,6 +24,13 @@ from cdsproxy.errors import BadConfig, EmptyClass, NotPositiveDefinite, TooFewSa
 KERNELS = list(KernelKind)
 
 
+def lda_log_priors(model, train):
+    """LDA keeps its log priors only as the last term of its offsets,
+    -mu_j'V^-1 mu_j / 2 + log pi_j, with mu_j the training class means."""
+    means = np.stack([train.x[train.y == j].mean(axis=0) for j in range(train.n_classes)])
+    return model.offsets + 0.5 * (model.weights * means).sum(axis=1)
+
+
 @pytest.mark.parametrize("fitter", [fit_lda, fit_qda, fit_nb])
 def test_priors_are_training_class_frequencies(fitter):
     train = make_blobs([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 12, scale=0.6, seed=5)
@@ -31,7 +38,14 @@ def test_priors_are_training_class_frequencies(fitter):
     counts = np.bincount(skewed.y, minlength=3)
     assert counts.tolist() == [12, 9, 5]
     model = fitter(skewed)
-    assert np.allclose(model.log_priors, np.log(counts / skewed.n), rtol=0, atol=1e-14)
+    log_priors = (lda_log_priors(model, skewed) if fitter is fit_lda
+                  else model.log_priors)
+    assert np.allclose(log_priors, np.log(counts / skewed.n), rtol=0, atol=1e-14)
+
+
+def ridged_covariance(rows):
+    """The ridged full sample covariance the discriminant fits factor."""
+    return nm.add_ridge(nm.sample_mean_covariance(rows)[1])
 
 
 def ridged(matrix):
@@ -122,7 +136,7 @@ class TestLda:
                         y=np.repeat([0, 1], [18, 2]), class_names=("a", "b"),
                         feature_names=("f",))
         model = fit_lda(train)
-        v = float(model.covariance[0, 0])
+        v = float(ridged_covariance(train.x)[0, 0])
         xstar = v * math.log(9.0) / 2.0
         s = model.scores_batch(np.array([[xstar]]))[0]
         assert abs(s[0] - s[1]) < 1e-9
@@ -163,7 +177,7 @@ class TestQda:
                         y=np.repeat([0, 1], 4), class_names=("lo", "hi"),
                         feature_names=("f",))
         model = fit_qda(train)
-        v0, v1 = model.covariances[0, 0, 0], model.covariances[1, 0, 0]
+        v0, v1 = (float(ridged_covariance(train.x[train.y == j])[0, 0]) for j in (0, 1))
         xstar = math.sqrt(math.log(v1 / v0) * v0 * v1 / (v1 - v0))
         s = model.scores_batch(np.array([[xstar]]))[0]
         assert abs(s[0] - s[1]) < 1e-9
@@ -178,12 +192,10 @@ class TestQda:
                                seed=100 + trial)
             lda = fit_lda(train)
             qda = fit_qda(train)
-            shared = np.repeat(lda.covariance[None, :, :], train.n_classes, axis=0)
-            chol = nm.cholesky_spd(lda.covariance, "shared covariance")
+            chol = nm.cholesky_spd(ridged_covariance(train.x), "shared covariance")
             log_det = 2.0 * float(np.log(chol.diagonal()).sum())
             equalized = QdaClassifier(
-                means=qda.means, covariances=shared, log_priors=qda.log_priors,
-                mode=qda.mode,
+                means=qda.means, log_priors=qda.log_priors, mode=qda.mode,
                 chol_factors=np.repeat(chol[None, :, :], train.n_classes, axis=0),
                 log_dets=np.full(train.n_classes, log_det),
                 class_names=qda.class_names)

@@ -136,6 +136,19 @@ class TestPanelValidation:
                 r"must be finite, got -?inf$")):
             MarketPanel(panel.counterparties, panel.dates, values)
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_rate_not_above_zero_rejected_with_its_cell(self, value):
+        # a contract record takes no such rate, and imputation takes its log
+        panel = tiny_panel(seed=10)
+        values = dict(panel.values)
+        bad = values["s"].copy()
+        bad[2, 4] = value
+        values["s"] = bad
+        with pytest.raises(RangeViolation, match=(
+                rf"^column 's', counterparty 'CP02', date 2008-06-05: spread "
+                rf"must be > 0, got {value}$")):
+            MarketPanel(panel.counterparties, panel.dates, values)
+
     def test_fault_names_column_counterparty_date_and_value(self):
         panel = tiny_panel(seed=11)
         values = dict(panel.values)
@@ -207,7 +220,7 @@ def test_schema_violations_name_their_rule(build, message):
 
 class TestColumnRules:
     @pytest.mark.parametrize("column, values", [
-        ("s", [0.0, 150.0, np.nan]),
+        ("s", [5e-324, 150.0, np.nan]),
         ("pd_6m", [0.0, 0.5, 1.0]),
         ("iv_3m", [0.0, 0.3, 1e300]),
         ("hv_6m", [0.0, 2.0, 0.3]),
@@ -216,7 +229,8 @@ class TestColumnRules:
         assert first_inadmissible(column, np.array(values)) is None
 
     @pytest.mark.parametrize("column, value, kind, message", [
-        ("s", -1.0, RangeViolation, "spread must be >= 0, got -1.0"),
+        ("s", 0.0, RangeViolation, "spread must be > 0, got 0.0"),
+        ("s", -1.0, RangeViolation, "spread must be > 0, got -1.0"),
         ("s", np.inf, RangeViolation, "spread must be finite, got inf"),
         ("s", -np.inf, RangeViolation, "spread must be finite, got -inf"),
         ("pd_1y", 1.5, RangeViolation, "probability outside [0, 1]: 1.5"),

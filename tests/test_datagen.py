@@ -291,6 +291,15 @@ class TestPanelCsv:
                            r"must be finite, got -?inf$"):
             read_panel(path)
 
+    @pytest.mark.parametrize("text", ["0", "0.0", "-0.0", "-2.5"])
+    def test_rate_not_above_zero_rejected_with_its_cell(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        self.write_grid(path, [self.good_row(), self.good_row(
+            date="2023-01-03", s=text)])
+        with pytest.raises(RangeViolation, match=rf"^row 3, column s: spread "
+                           rf"must be > 0, got {float(text)}$"):
+            read_panel(path)
+
     @pytest.mark.parametrize("column", ["pd_1y", "iv_12m", "hv_2m"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_probability_or_volatility_is_a_missing_value(
@@ -385,7 +394,7 @@ class TestPanelCsvAgainstLoopReference:
     @pytest.mark.parametrize("row", [2, 513, 514, 1501])
     @pytest.mark.parametrize("column, text", [
         ("iv_3m", "oops"), ("pd_6m", ""), ("hv_6m", ""), ("pd_1y", "1.5"),
-        ("pd_5y", "-0.1"), ("hv_2m", "-0.4"), ("s", "-3.0"), ("s", "1e"),
+        ("pd_5y", "-0.1"), ("hv_2m", "-0.4"), ("s", "-3.0"), ("s", "0"), ("s", "1e"),
     ])
     def test_bad_cell_raises_the_same_fault(self, tmp_path, row, column, text):
         lines = self.lines(tmp_path)

@@ -71,8 +71,6 @@ def label_dataset(y, n_classes, d=2, seed=0):
 class ConstantModel(ClassifierModel):
     """Always predicts class 0."""
 
-    family = "probe"
-
     def __init__(self, n_classes):
         self.n_classes = n_classes
 
@@ -368,11 +366,12 @@ class TestClassifierGrid:
 
     @pytest.mark.parametrize("label", DEFAULT_GRID)
     def test_every_default_label_describes_its_model_as_json(self, label, golden_fs2_fold):
-        """describe() names the fitted model's family, the spec's, in a
-        dict that JSON takes as it is."""
+        """A fitted model's describe() is a dict that JSON takes as it is,
+        and leaves the family to the spec, the one place that names it."""
         spec = make_classifier_spec(label)
         record = spec.fit(golden_fs2_fold, seed=1).describe()
-        assert record["family"] == spec.family
+        assert "family" not in record
+        assert spec.describe()["family"] == spec.family
         json.dumps(record)
 
     def test_describe_includes_label_and_parameters(self):
@@ -435,6 +434,15 @@ class TestRanking:
         table = rank_classifiers(results, selections=("FS1", "FS2"))
         assert table.selections == ("FS1", "FS2")
         assert table.rows[0].accuracies == (0.6, 0.8)
+
+    @pytest.mark.parametrize("selections, repeated", [
+        (("FS1", "FS1"), "FS1"), (("FS2", "FS1", "FS2"), "FS2"),
+        ((FeatureSelection.FS4, "FS5", "FS4"), "FS4")])
+    def test_repeated_selection_rejected(self, selections, repeated):
+        results = [self.result("A", sel, 0.1) for sel in self.selections()]
+        with pytest.raises(BadConfig, match=f"^feature selection {repeated} "
+                           "is listed twice$"):
+            rank_classifiers(results, selections=selections)
 
     @pytest.mark.parametrize("with_results", [True, False])
     def test_no_selections_rejected(self, with_results):
@@ -552,6 +560,19 @@ class TestCsvRendering:
         assert lines[2] == "# seed=3"
         assert lines[3] == "a,b"
         assert lines[4] == "1,2.5"
+
+    @pytest.mark.parametrize("settings", [
+        {"panel": "x\ny"}, {"panel": "x\r\n"}, {"panel": "x\u2028y"},
+        {"pa\nnel": "x"}, {"a=b": "x"}, {"seed": 0, "panel": "\n"}])
+    def test_setting_that_breaks_its_header_line_rejected(self, settings):
+        res = CvResult(label="LR", selection="FS1", k=2, seed=0,
+                       fold_errors=(0.0, 0.5), mean_error=0.25, sd_error=0.25)
+        with pytest.raises(BadConfig, match="breaks its header line"):
+            render_cv_csv(res, settings)
+
+    def test_value_may_hold_an_equals_sign(self):
+        text = render_csv({"panel": "a=b.csv"}, ["v"], [(1,)])
+        assert text.splitlines() == ["# panel=a=b.csv", "v", "1"]
 
     def test_floats_rendered_with_full_precision(self):
         value = 1.0 / 3.0

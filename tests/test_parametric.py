@@ -263,7 +263,7 @@ class TestMulticlassLogistic:
         model = fit_logistic_multiclass(train)
         assert isinstance(model, LogisticClassifier)
         assert model.coefficients.shape == (2, 2)
-        assert model.describe() == {"family": "LR", "ridge": DEFAULT_RIDGE,
+        assert model.describe() == {"ridge": DEFAULT_RIDGE,
                                     "newton_iterations": model.newton_iterations}
 
     def test_describe_reports_each_machines_newton_updates(self):
@@ -650,7 +650,7 @@ class TestTraining:
         model = fit_neural_net(train, seed=7)
         assert 0 < model.epochs_run < DEFAULT_EPOCHS
         assert model.describe() == {
-            "family": "NN", "activation": "tan-sigmoid",
+            "activation": "tan-sigmoid",
             "hidden_units": DEFAULT_HIDDEN_UNITS,
             "epochs_run": model.epochs_run,
             "final_grad_norm": model.final_grad_norm, "warning": None}

@@ -168,7 +168,8 @@ def test_integral_seeds_and_real_settings_are_stored_as_int_and_float():
     assert type(config.seed) is int and type(config.factor_loading) is float
     assert config.settings() == GeneratorConfig(n_days=20, factor_loading=0.0,
                                                 seed=3).settings()
-    assert stratified_folds(blobs(), 3, seed=np.int64(4)).seed == 4
+    assert np.array_equal(stratified_folds(blobs(), 3, seed=np.int64(4)).assignment,
+                          stratified_folds(blobs(), 3, seed=4).assignment)
     assert fit_bagged(blobs(), n_trees=2, seed=2.0).seed == 2
     assert type(KernelSpec("gaussian", scale=np.float32(0.5)).scale) is float
     assert type(fit_nb(blobs(), bandwidth=1).bandwidth) is float

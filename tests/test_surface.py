@@ -3,7 +3,8 @@ tests: a name in src/cdsproxy, or a name or string in perfbench's code, whose
 tracer names the entry points it wraps as strings. A helper that only tests
 call is a second code path to keep in step; delete it instead. Likewise
 every parameter with a default is set by some caller outside the tests,
-and no parameter without one is always passed the same module constant.
+no parameter without one is always passed the same module constant, and
+every dataclass field is read outside the tests.
 """
 import ast
 from pathlib import Path
@@ -44,6 +45,46 @@ def test_every_definition_in_src_has_a_caller_outside_the_tests():
     unused = sorted((module, name) for module, name in defined
                     if name not in used and name not in EXEMPT)
     assert unused == []
+
+
+# (class, field) -> why the field stays although only tests read it
+UNREAD_FIELDS = {
+    ("NeuralNetClassifier", "loss_history"):
+        "the frozen-loop reference tests compare the whole training path "
+        "through it, and without it they would check only the end point",
+}
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None))
+               == "dataclass" for d in node.decorator_list)
+
+
+def _attributes_read(tree, on_self):
+    """Attribute names loaded from the name self (on_self) or from anything else."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and (getattr(node.value, "id", None) == "self") == on_self}
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    """A field is read as self.<field> in its own class, as <expr>.<field>
+    on anything but self elsewhere in src/cdsproxy or perfbench, or through
+    a string holding its name there (getattr, perfbench's names). A field
+    that nothing reads is state to keep in step for no reader: delete it."""
+    src = _trees(ROOT / "src" / "cdsproxy")
+    trees = src + _trees(ROOT / "perfbench")
+    read = set().union(*(_attributes_read(tree, on_self=False) for _, tree in trees))
+    strings = {node.value for _, tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = sorted(
+        (cls.name, item.target.id)
+        for _, tree in src for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for item in cls.body if isinstance(item, ast.AnnAssign)
+        and item.target.id not in _attributes_read(cls, on_self=True) | read | strings)
+    assert [f for f in unread if f not in UNREAD_FIELDS] == []
+    assert sorted(UNREAD_FIELDS) == unread, "an exemption names a field that is read"
 
 
 # the model parameters the paper varies to make its 156 classifiers; the

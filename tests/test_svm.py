@@ -730,7 +730,7 @@ class TestFeatureMapFactor:
         else:
             # ten folds of ten consecutive days each; fold 9 holds the last
             day = np.tile(np.arange(100), 5)
-            plan = FoldPlan(k=10, assignment=day * 10 // 100, seed=0)
+            plan = FoldPlan(k=10, assignment=day * 10 // 100)
             rows = plan.training_rows(9)
         assert rows.size == 450
         model = fit_svm_multiclass(dataset.subset(rows),
