@@ -217,9 +217,10 @@ class ClassifierModel(abc.ABC):
 
     scores_batch maps an (n, d) array of rows to an (n, N) array of real
     class scores; classify_batch picks, per row, the lowest index among the
-    maximal scores. A model keeps only what scores_batch and describe(), a
-    JSON-ready dict of its fit settings and diagnostics, read; the
-    classifier registry (evaluation.ClassifierSpec) names its family.
+    maximal scores. A model keeps only what scores_batch, describe() (a
+    JSON-ready dict of its fit settings and diagnostics) and perfbench's
+    reference checks read; the fold's Dataset names the classes, and the
+    classifier registry (evaluation.ClassifierSpec) the family.
     """
 
     @abc.abstractmethod

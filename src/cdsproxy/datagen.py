@@ -362,8 +362,7 @@ def assign_categories(names: Sequence[str]) -> dict[str, dict[str, str]]:
         region, rest = REGIONS[rest % len(REGIONS)], rest // len(REGIONS)
         sector, rest = SECTORS[rest % len(SECTORS)], rest // len(SECTORS)
         seniority = SENIORITIES[rest % len(SENIORITIES)]
-        table[name] = {"region": region, "sector": sector,
-                       "rating": rating, "seniority": seniority}
+        table[name] = dict(zip(CATEGORY_FIELDS, (region, sector, rating, seniority)))
     return table
 
 
@@ -391,6 +390,5 @@ def records_from_panel(panel: MarketPanel,
                             f"fields {sorted(missing)}")
         records.append(CdsContractRecord(
             counterparty=name, spread=float(rates[observed[-1]]),
-            region=cats["region"], sector=cats["sector"],
-            rating=cats["rating"], seniority=cats["seniority"]))
+            **{field: cats[field] for field in CATEGORY_FIELDS}))
     return records

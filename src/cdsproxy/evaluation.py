@@ -10,9 +10,11 @@ mean and population standard deviation.
 """
 from __future__ import annotations
 
+import csv
 import functools
 import math
-from dataclasses import dataclass
+import types
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,8 +85,8 @@ def stratified_folds(dataset: Dataset, k: int, seed: int = 0) -> FoldPlan:
 class ClassifierSpec:
     """A grid entry: label, family, fit callable and fixed parameters. The
     spec is the one place that names a family; describe() gives the label,
-    the family and the parameters, and a fitted model's describe() its fit
-    diagnostics."""
+    the family and the parameters as JSON values, a KernelSpec as a dict of
+    its fields, and a fitted model's describe() its fit diagnostics."""
 
     label: str
     family: str
@@ -96,7 +98,7 @@ class ClassifierSpec:
 
     def describe(self) -> dict:
         return {"label": self.label, "family": self.family,
-                **dict(self.params)}
+                **{name: asdict(v) if is_dataclass(v) else v for name, v in self.params}}
 
 
 # label -> (family, fit function, fixed parameters)
@@ -371,31 +373,33 @@ def format_float(v: float) -> str:
 
 def config_header(settings: dict) -> list[str]:
     """Sorted `# key=value` comment lines embedded in every output file;
-    BadConfig for a key with '=', or a key or value that str.splitlines splits."""
+    BadConfig for a non-str key, a key with '=', or a key or value str.splitlines splits."""
+    if not all(isinstance(key, str) for key in settings):
+        raise BadConfig(f"setting keys must be str, got {list(settings)!r}")
     lines = [f"{key}={settings[key]}" for key in sorted(settings)]
     for key, line in zip(sorted(settings), lines):
-        if "=" in str(key) or line.splitlines() != [line]:
+        if "=" in key or line.splitlines() != [line]:
             raise BadConfig(f"setting {key!r}={settings[key]!r} breaks its header line")
     return [f"# {line}" for line in lines]
 
 
 def render_csv(header_settings: dict, columns: Sequence[str],
                rows: Iterable[Sequence]) -> str:
+    """Header lines, then CSV records: written with the terminator '\\r\\n',
+    then cut off, so that the csv module quotes either line break."""
     lines = config_header(header_settings)
-    lines.append(",".join(columns))
-    for row in rows:
-        rendered = [format_float(v) if isinstance(v, float) else str(v)
-                    for v in row]
-        lines.append(",".join(rendered))
-    return "\n".join(lines) + "\n"
+    records: list[str] = []
+    writer = csv.writer(types.SimpleNamespace(write=records.append), lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows([format_float(v) if isinstance(v, float) else str(v)
+                      for v in row] for row in rows)
+    return "\n".join(lines + [r[:-2] for r in records]) + "\n"
 
 
 def render_cv_csv(result: CvResult, settings: dict) -> str:
-    columns = ["fold", "misclassification_rate"]
-    rows: list[Sequence] = [(i, e) for i, e in enumerate(result.fold_errors)]
-    rows.append(("mean", result.mean_error))
-    rows.append(("sd", result.sd_error))
-    return render_csv(settings, columns, rows)
+    rows = [*enumerate(result.fold_errors), ("mean", result.mean_error),
+            ("sd", result.sd_error)]
+    return render_csv(settings, ["fold", "misclassification_rate"], rows)
 
 
 def render_ranking_csv(table: RankingTable, settings: dict) -> str:
@@ -416,20 +420,17 @@ def render_family_csv(results: Sequence[CvResult], settings: dict) -> str:
 def render_pca_csv(study: PcaStudyResult, settings: dict) -> str:
     columns = ["components", "accuracy", "variance_explained",
                "accuracy_minus_raw"]
-    rows: list[Sequence] = []
     raw_accuracy = 1.0 - study.raw_error
-    for i, err in enumerate(study.component_errors):
-        acc = 1.0 - err
-        rows.append((i + 1, acc, study.variance_explained[i],
-                     acc - raw_accuracy))
+    accuracies = [1.0 - err for err in study.component_errors]
+    rows: list[Sequence] = [
+        (m, acc, explained, acc - raw_accuracy) for m, (acc, explained)
+        in enumerate(zip(accuracies, study.variance_explained), start=1)]
     rows.append(("raw", raw_accuracy, 1.0, 0.0))
     return render_csv(settings, columns, rows)
 
 
 def render_histogram_csv(hist: CorrelationHistogram, settings: dict) -> str:
-    columns = ["bin_low", "bin_high", "count"]
-    rows: list[Sequence] = [
-        (hist.bin_edges[i], hist.bin_edges[i + 1], hist.counts[i])
-        for i in range(len(hist.counts))]
-    rows.append(("undefined", "undefined", hist.undefined_pairs))
-    return render_csv(settings, columns, rows)
+    edges = hist.bin_edges
+    rows = [*zip(edges, edges[1:], hist.counts),
+            ("undefined", "undefined", hist.undefined_pairs)]
+    return render_csv(settings, ["bin_low", "bin_high", "count"], rows)

@@ -217,7 +217,6 @@ class NeuralNetClassifier(ClassifierModel):
     activation: Activation
     hidden_units: int
     n_classes: int
-    class_names: tuple[str, ...]
     config: TrainConfig
     standardizer: nm.Standardizer
     epochs_run: int = 0
@@ -459,8 +458,7 @@ def fit_neural_net(train: Dataset, hidden_units: int = DEFAULT_HIDDEN_UNITS,
         grad_ratio, weight_rank = _linear_certificate(params, state, xt, picks)
     return NeuralNetClassifier(params=params, activation=activation,
                                hidden_units=hidden_units,
-                               n_classes=train.n_classes,
-                               class_names=train.class_names, config=TrainConfig(seed),
+                               n_classes=train.n_classes, config=TrainConfig(seed),
                                standardizer=standardizer, epochs_run=iteration,
                                final_grad_norm=grad_norm, warning=warning,
                                loss_history=tuple(history),

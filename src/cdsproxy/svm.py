@@ -68,7 +68,9 @@ def default_gaussian_scale(d: int) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel descriptor: linear, gaussian exp(-c ||x-y||^2), or (1 + x'y)^p."""
+    """Kernel descriptor: linear, gaussian exp(-c ||x-y||^2), or (1 + x'y)^p.
+    BadConfig for a scale on a kernel that is not gaussian, or a degree
+    other than DEFAULT_POLY_DEGREE on one that is not polynomial."""
 
     kind: SvmKernel = SvmKernel.LINEAR
     scale: float | None = None     # gaussian c; None resolves to 1/(2d) at fit
@@ -78,7 +80,11 @@ class KernelSpec:
         object.__setattr__(self, "kind", SvmKernel(self.kind))
         if self.kind is SvmKernel.POLYNOMIAL:
             object.__setattr__(self, "degree", positive_integer("polynomial degree", self.degree))
-        if self.kind is SvmKernel.GAUSSIAN and self.scale is not None:
+        elif self.degree != DEFAULT_POLY_DEGREE:
+            raise BadConfig(f"a {self.kind.value} kernel has no degree, got {self.degree!r}")
+        if self.scale is not None and self.kind is not SvmKernel.GAUSSIAN:
+            raise BadConfig(f"a {self.kind.value} kernel has no scale, got {self.scale!r}")
+        if self.scale is not None:
             object.__setattr__(self, "scale", real_number("gaussian kernel scale", self.scale, 0.0))
 
     def resolve(self, d: int) -> "KernelSpec":
@@ -474,6 +480,8 @@ class SvmClassifier(ClassifierModel):
     """One-vs-rest machines; scores are the raw decision values, all from one
     Gram block of the queries against the rows X every machine shares:
     k(q, X) C + b, column j of C being machine j's alpha * y, b the biases.
+    The machines share one resolved kernel object too, so the first one's
+    kernel and rows give the block; the fold's Dataset names the classes.
 
     gram_rank is the rank r of the Gram factor the machines were solved
     through: the column count r < n of the kernel's feature map when the
@@ -486,18 +494,17 @@ class SvmClassifier(ClassifierModel):
     """
 
     machines: list
-    class_names: tuple[str, ...]
-    kernel: KernelSpec
     standardizer: nm.Standardizer
     gram_rank: int
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
         coef = np.column_stack([m.alpha * m.y_train for m in self.machines])
-        k = self.kernel.gram(self.standardizer.apply(x), self.machines[0].x_train)
+        first = self.machines[0]
+        k = first.kernel.gram(self.standardizer.apply(x), first.x_train)
         return k @ coef + np.array([m.bias for m in self.machines])
 
     def describe(self) -> dict:
-        return {"kernel": self.kernel.kind.value, "cost": DEFAULT_COST,
+        return {"kernel": self.machines[0].kernel.kind.value, "cost": DEFAULT_COST,
                 "kkt_gap": max(m.kkt_gap for m in self.machines),
                 "n_updates": sum(m.n_updates for m in self.machines),
                 "ip_iterations": sum(m.ip_iterations for m in self.machines),
@@ -565,6 +572,5 @@ def fit_svm_multiclass(train: Dataset,
             fit_svm_binary(x, y, kernel, gram=gram, alpha=alpha),
             ip_iterations=iterations, active_set_rounds=rounds))
     gram_rank = 0 if gaussian else train.n if factor is None else factor.shape[1]
-    return SvmClassifier(machines=machines, class_names=train.class_names,
-                         kernel=kernel, standardizer=standardizer,
+    return SvmClassifier(machines=machines, standardizer=standardizer,
                          gram_rank=gram_rank)

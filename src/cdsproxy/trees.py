@@ -494,7 +494,6 @@ class DecisionTreeModel(ClassifierModel):
     criterion: SplitCriterion
     max_splits: int
     n_classes: int
-    class_names: tuple[str, ...]
     n_features: int
 
     def leaf_labels(self, x: np.ndarray) -> np.ndarray:
@@ -636,7 +635,6 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
                      np.ones((1, train.n), dtype=np.intp))
     return DecisionTreeModel(nodes=nodes, criterion=criterion,
                              max_splits=max_splits, n_classes=train.n_classes,
-                             class_names=train.class_names,
                              n_features=train.d)
 
 
@@ -647,7 +645,6 @@ class BaggedTreeClassifier(ClassifierModel):
     trees: list
     max_splits: int
     n_classes: int
-    class_names: tuple[str, ...]
     seed: int = 0
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
@@ -683,9 +680,7 @@ def fit_bagged(train: Dataset, n_trees: int = DEFAULT_BAG_SIZE,
     trees = [DecisionTreeModel(nodes=nodes, criterion=gini,
                                max_splits=max_splits,
                                n_classes=train.n_classes,
-                               class_names=train.class_names,
                                n_features=train.d)
              for nodes in _grow(train, gini, max_splits, draws)]
     return BaggedTreeClassifier(trees=trees, max_splits=max_splits,
-                                n_classes=train.n_classes,
-                                class_names=train.class_names, seed=seed)
+                                n_classes=train.n_classes, seed=seed)

@@ -363,7 +363,6 @@ def fit_tree(train: Dataset, criterion: SplitCriterion = SplitCriterion.GINI,
         nodes[node_id] = TreeNode(label=_majority_label(y_node, train.n_classes))
     return DecisionTreeModel(nodes=nodes, criterion=criterion,
                              max_splits=max_splits, n_classes=train.n_classes,
-                             class_names=train.class_names,
                              n_features=train.d)
 
 

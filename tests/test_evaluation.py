@@ -6,6 +6,8 @@ shapes; the CV statistics are checked against exact rational cases (a
 constant predictor on balanced folds) and against reconstruction from the
 stored per-fold errors.
 """
+import csv
+import io
 import json
 import math
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from cdsproxy.neighbors import fit_knn
+from cdsproxy.svm import KernelSpec
 from cdsproxy.trees import fit_bagged
 from cdsproxy.core import ClassifierModel, Dataset, FeatureSelection, build_dataset
 from cdsproxy.datagen import GeneratorConfig, generate_panel
@@ -30,7 +33,11 @@ from cdsproxy.evaluation import (
     DEFAULT_FOLDS,
     DEFAULT_GRID,
     ClassifierSpec,
+    CorrelationHistogram,
     CvResult,
+    PcaStudyResult,
+    RankingRow,
+    RankingTable,
     correlation_histogram,
     cross_validate,
     fold_seed,
@@ -382,6 +389,18 @@ class TestClassifierGrid:
         assert desc["label"] == "KNN-Euclidean"
         assert desc["k"] == 7
 
+    @pytest.mark.parametrize("label", DEFAULT_GRID)
+    def test_every_default_spec_describes_itself_as_json(self, label):
+        """The record the spec gives is plain JSON: a setting enum as its
+        value, a kernel as its kind, scale and degree."""
+        spec = make_classifier_spec(label)
+        params = {name: {"kind": value.kind.value, "scale": value.scale,
+                         "degree": value.degree}
+                  if isinstance(value, KernelSpec) else value.value
+                  for name, value in spec.params}
+        assert json.loads(json.dumps(spec.describe())) == {
+            "label": label, "family": spec.family, **params}
+
 
 class TestRanking:
     @staticmethod
@@ -569,6 +588,54 @@ class TestCsvRendering:
                        fold_errors=(0.0, 0.5), mean_error=0.25, sd_error=0.25)
         with pytest.raises(BadConfig, match="breaks its header line"):
             render_cv_csv(res, settings)
+
+    @pytest.mark.parametrize("settings", [{1: "a", "b": 2}, {1: "a"}, {None: "x"}])
+    def test_setting_key_that_is_not_a_str_rejected(self, settings):
+        with pytest.raises(BadConfig, match="setting keys must be str"):
+            render_csv(settings, ["v"], [(1,)])
+
+    def test_cell_holding_a_comma_quote_or_line_break_round_trips(self):
+        label = 'a,b "c"\r\nd\re\nf'
+        res = CvResult(label=label, selection="FS1", k=2, seed=0,
+                       fold_errors=(0.1, 0.2), mean_error=0.15, sd_error=0.05)
+        text = render_family_csv([res], {})
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            ["classifier", "feature_selection", "mean_error", "sd_error"],
+            [label, "FS1", "0.15", "0.05"]]
+
+    def test_rows_without_such_cells_are_joined_by_commas(self):
+        """Every renderer writes the bytes it wrote before cells were
+        quoted: a plain comma-joined line per row, floats by repr."""
+        settings = {"seed": 0, "command": "grid"}
+        head = "# command=grid\n# seed=0\n"
+        res = CvResult(label="LR", selection="", k=3, seed=0,
+                       fold_errors=(0.0, 0.5, 0.25), mean_error=0.25,
+                       sd_error=0.2041241452319315)
+        assert render_cv_csv(res, settings) == head + (
+            "fold,misclassification_rate\n0,0.0\n1,0.5\n2,0.25\n"
+            "mean,0.25\nsd,0.2041241452319315\n")
+        assert render_family_csv([res, res], settings) == head + (
+            "classifier,feature_selection,mean_error,sd_error\n"
+            + "LR,,0.25,0.2041241452319315\n" * 2)
+        table = RankingTable(selections=("FS1", "FS3"), rows=(
+            RankingRow("NB-norm-kernel", (0.9, 1.0 / 3.0), 0.6, 0.1),
+            RankingRow("LR", (np.float64(0.5), 0.25), 0.375, 2.0 ** -40)))
+        assert render_ranking_csv(table, settings) == head + (
+            "classifier,accuracy_FS1,accuracy_FS3,mean_accuracy,sd_accuracy\n"
+            "NB-norm-kernel,0.9,0.3333333333333333,0.6,0.1\n"
+            "LR,0.5,0.25,0.375,9.094947017729282e-13\n")
+        study = PcaStudyResult(label="LR", component_errors=(0.5, 0.25),
+                               raw_error=0.25,
+                               variance_explained=(np.float64(0.75), 1.0))
+        assert render_pca_csv(study, settings) == head + (
+            "components,accuracy,variance_explained,accuracy_minus_raw\n"
+            "1,0.5,0.75,-0.25\n2,0.75,1.0,0.0\nraw,0.75,1.0,0.0\n")
+        hist = CorrelationHistogram(bin_edges=(-1.0, 0.0, 1.0),
+                                    counts=(2, np.int64(1)), values=(),
+                                    undefined_pairs=3)
+        assert render_histogram_csv(hist, settings) == head + (
+            "bin_low,bin_high,count\n-1.0,0.0,2\n0.0,1.0,1\n"
+            "undefined,undefined,3\n")
 
     def test_value_may_hold_an_equals_sign(self):
         text = render_csv({"panel": "a=b.csv"}, ["v"], [(1,)])

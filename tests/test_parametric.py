@@ -290,8 +290,7 @@ def net_model(params, activation):
     d, k = params.w1.shape[1], params.b2.size
     return NeuralNetClassifier(
         params=params, activation=activation, hidden_units=params.b1.size,
-        n_classes=k, class_names=tuple(f"c{j}" for j in range(k)),
-        config=TrainConfig(),
+        n_classes=k, config=TrainConfig(),
         standardizer=Standardizer(means=np.zeros(d), scales=np.ones(d)))
 
 

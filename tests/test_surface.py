@@ -4,10 +4,25 @@ tracer names the entry points it wraps as strings. A helper that only tests
 call is a second code path to keep in step; delete it instead. Likewise
 every parameter with a default is set by some caller outside the tests,
 no parameter without one is always passed the same module constant, and
-every dataclass field is read outside the tests.
+every dataclass field is read outside the tests: by name in the source,
+and, for the classifier modules' dataclasses, when the grid runs.
 """
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
+
+from cdsproxy import (
+    bayes,
+    core,
+    datagen,
+    evaluation,
+    logistic,
+    neighbors,
+    neuralnet,
+    svm,
+    trees,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +98,54 @@ def test_every_dataclass_field_is_read_outside_the_tests():
         if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
         for item in cls.body if isinstance(item, ast.AnnAssign)
         and item.target.id not in _attributes_read(cls, on_self=True) | read | strings)
+    assert [f for f in unread if f not in UNREAD_FIELDS] == []
+    assert sorted(UNREAD_FIELDS) == unread, "an exemption names a field that is read"
+
+
+def test_every_model_field_is_read_when_the_grid_runs(monkeypatch):
+    """The rule above matches names across the package, so a read of
+    Dataset.class_names passes every model's class_names. This one runs
+    the grid on a small panel, fold 0 of two on FS1-FS6, with every
+    dataclass of the classifier modules recording the attributes read from
+    it: each label is fitted, classifies the holdout rows, describes
+    itself and passes perfbench's reference check of its family. Every
+    field must be read on the way, but for the UNREAD_FIELDS exemptions."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    references = importlib.import_module("references")
+    classes = [cls for module in (bayes, neighbors, logistic, trees, svm, neuralnet)
+               for cls in vars(module).values()
+               if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
+    read, patched = set(), []
+
+    def recording(cls):
+        def getattribute(self, name):
+            read.add((cls.__name__, name))
+            return object.__getattribute__(self, name)
+        return getattribute
+
+    panel = datagen.generate_panel(
+        datagen.GeneratorConfig(n_counterparties=3, n_days=30, seed=0))
+    try:
+        for cls in classes:
+            assert "__getattribute__" not in vars(cls)
+            cls.__getattribute__ = recording(cls)
+            patched.append(cls)
+        for selection in core.ALL_SELECTIONS:
+            dataset = core.build_dataset(panel, selection)
+            plan = evaluation.stratified_folds(dataset, 2, 0)
+            train = dataset.subset(plan.training_rows(0))
+            x = dataset.x[plan.holdout_rows(0)]
+            for label in evaluation.DEFAULT_GRID:
+                model = evaluation.make_classifier_spec(label).fit(train, 0)
+                predicted = model.classify_batch(x)
+                model.describe()
+                assert references.check_model(model, train.x, train.y, x, predicted,
+                                              f"{label} {selection.value}") == []
+    finally:
+        for cls in patched:
+            del cls.__getattribute__
+    unread = sorted((cls.__name__, f.name) for cls in classes
+                    for f in dataclasses.fields(cls) if (cls.__name__, f.name) not in read)
     assert [f for f in unread if f not in UNREAD_FIELDS] == []
     assert sorted(UNREAD_FIELDS) == unread, "an exemption names a field that is read"
 

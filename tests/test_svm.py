@@ -119,7 +119,18 @@ class TestKernels:
                      r"must be a real number in \(0, inf\), got nan", id="scale-nan"),
         # an infinite scale leaves the Gram diagonal exp(-inf * 0) = nan
         pytest.param("gaussian", {"scale": math.inf},
-                     r"must be a real number in \(0, inf\), got inf", id="scale-inf")])
+                     r"must be a real number in \(0, inf\), got inf", id="scale-inf"),
+        # a setting the kind never reads would be dropped without a word
+        pytest.param(SvmKernel.LINEAR, {"scale": 5.0},
+                     "a linear kernel has no scale, got 5.0", id="linear-scale"),
+        pytest.param("polynomial", {"scale": 0.5},
+                     "a polynomial kernel has no scale, got 0.5", id="polynomial-scale"),
+        pytest.param(SvmKernel.LINEAR, {"degree": -3},
+                     "a linear kernel has no degree, got -3", id="linear-degree"),
+        pytest.param(SvmKernel.GAUSSIAN, {"degree": 0},
+                     "a gaussian kernel has no degree, got 0", id="gaussian-degree"),
+        pytest.param("gaussian", {"scale": 1.0, "degree": 2},
+                     "a gaussian kernel has no degree, got 2", id="gaussian-scale-degree")])
     def test_bad_fields_raise_when_the_spec_is_built(self, kind, fields, message):
         with pytest.raises(BadConfig, match=message):
             KernelSpec(kind, **fields)
@@ -440,10 +451,10 @@ class TestInteriorPoint:
         train = random_dataset(60, 2, 2, seed=0)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.LINEAR))
         x = model.standardizer.apply(train.x)
-        gram = model.kernel.gram(x, x)
-        assert svm._kernel_factor(model.kernel, x) is x
+        gram = model.machines[0].kernel.gram(x, x)
+        assert svm._kernel_factor(model.machines[0].kernel, x) is x
         assert model.gram_rank == train.d == 2
-        ascent = [fit_svm_binary(x, m.y_train, model.kernel)
+        ascent = [fit_svm_binary(x, m.y_train, model.machines[0].kernel)
                   for m in model.machines]
         for machine, reference in zip(model.machines, ascent):
             assert machine.ip_iterations > 0
@@ -691,7 +702,7 @@ class TestFeatureMapFactor:
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
         assert model.gram_rank == rank
         x = model.standardizer.apply(train.x)
-        gram = model.kernel.gram(x, x)
+        gram = model.machines[0].kernel.gram(x, x)
         for machine in model.machines:
             alpha, y = machine.alpha, machine.y_train
             assert machine.ip_iterations > 0
@@ -709,7 +720,7 @@ class TestFeatureMapFactor:
         x = model.standardizer.apply(train.x)
         for j, machine in enumerate(model.machines):
             y = np.where(train.y == j, 1.0, -1.0)
-            ascent = fit_svm_binary(x, y, model.kernel)
+            ascent = fit_svm_binary(x, y, model.machines[0].kernel)
             assert machine.ip_iterations == 0
             assert np.array_equal(machine.alpha, ascent.alpha)
             assert machine.bias == ascent.bias
@@ -810,7 +821,7 @@ class TestActiveSet:
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert model.gram_rank == train.n == 455
         x = model.standardizer.apply(train.x)
-        gram = model.kernel.gram(x, x)
+        gram = model.machines[0].kernel.gram(x, x)
         for machine in model.machines:
             alpha, y = machine.alpha, machine.y_train
             with pytest.raises(NotPositiveDefinite):
@@ -838,7 +849,7 @@ class TestActiveSet:
         train = with_first_rows_repeated(train, 1)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         x = model.standardizer.apply(train.x)
-        gram = model.kernel.gram(x, x)
+        gram = model.machines[0].kernel.gram(x, x)
         solves = []
         spd_solver = numerics.spd_solver
         monkeypatch.setattr(numerics, "spd_solver", lambda k_mat, what: (
@@ -857,7 +868,7 @@ class TestActiveSet:
                 assert machine.active_set_rounds == rounds
                 assert machine.ip_iterations == 0
                 continue
-            want = interior_point_then_ascent(x, y, model.kernel)
+            want = interior_point_then_ascent(x, y, model.machines[0].kernel)
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
             assert np.array_equal(machine.alpha, want.alpha)
@@ -881,7 +892,8 @@ class TestActiveSet:
         assert model.gram_rank == 35 < train.n == 45
         x = model.standardizer.apply(train.x)
         for machine in model.machines:
-            want = interior_point_then_ascent(x, machine.y_train, model.kernel,
+            want = interior_point_then_ascent(x, machine.y_train,
+                                              model.machines[0].kernel,
                                               factored=True)
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
@@ -907,12 +919,12 @@ class TestActiveSet:
         summary = model.describe()
         assert summary["active_set_rounds"] == 0 < summary["ip_iterations"]
         x = model.standardizer.apply(train.x)
-        gram = model.kernel.gram(x, x)
+        gram = model.machines[0].kernel.gram(x, x)
         for machine in model.machines:
             y = machine.y_train
             with pytest.raises(error):
                 svm._active_set(gram, y)
-            want = interior_point_then_ascent(x, y, model.kernel)
+            want = interior_point_then_ascent(x, y, model.machines[0].kernel)
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
             assert np.array_equal(machine.alpha, want.alpha)
@@ -1006,7 +1018,7 @@ class TestMulticlass:
             assert spec.kind is kind
             a = fit_svm_multiclass(train, kernel=spec)
             b = fit_svm_multiclass(train, kernel=KernelSpec(kind))
-            assert a.kernel == b.kernel
+            assert a.machines[0].kernel == b.machines[0].kernel
             for ma, mb in zip(a.machines, b.machines):
                 assert np.array_equal(ma.alpha, mb.alpha) and ma.bias == mb.bias
             assert np.array_equal(a.scores_batch(queries), b.scores_batch(queries))
