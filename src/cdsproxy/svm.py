@@ -8,17 +8,20 @@ subject to 0 <= alpha_i <= C and sum_i alpha_i y_i = 0, by pairwise
 coordinate ascent: the first index of each working pair is the steepest
 feasible ascent direction, the second maximises the second-order gain, the
 pair is solved in closed form and clipped to the box. The multiclass model
-trains one machine per class against the rest on standardised rows, which
-every machine shares, and scores queries with one kernel product over them.
+is one-vs-one: one machine per pair of classes, trained on that pair's rows
+alone and standardised on them (which lifts SVM-Gaussian's study accuracy
+from 0.621 with fold-wide standardisation to 0.731), and a query's score
+for each class is minus its mean hinge loss over the class's machines.
 
-The kernel picks each multiclass machine's route. A linear or polynomial
-machine whose kernel has an exact feature map G of r < n columns, for n
-rows, is solved by a Mehrotra predictor-corrector interior-point method
-(Mehrotra, SIAM J. Optim. 2(4), 1992) through G: there K = GG' cannot
-have full rank. Otherwise it is solved densely, by a primal-dual
-active-set iteration, with the interior point on K as its fallback.
-Every machine then ends in fit_svm_binary's ascent, which polishes that
-alpha, or starts from 0 for a gaussian machine, and checks its KKT
+The kernel and the pair's rows pick each machine's route. A linear or
+polynomial machine whose kernel has an exact feature map G of r < n
+columns, for the pair's n rows, is solved by a Mehrotra predictor-corrector
+interior-point method (Mehrotra, SIAM J. Optim. 2(4), 1992) through G:
+there K = GG' cannot have full rank. Otherwise it is solved densely, by a
+primal-dual active-set iteration, with the interior point on K as its
+fallback. Every machine then ends in fit_svm_binary's ascent, which
+polishes that alpha, or starts from 0 for a gaussian machine or one whose
+interior point stopped at its iteration cap, and checks its KKT
 conditions. fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
@@ -61,6 +64,15 @@ class SvmKernel(Setting):
     POLYNOMIAL = "polynomial"
 
 
+class SvmRoute(Setting):
+    """The solver that finds a machine's start for the ascent's polish."""
+
+    ASCENT = "ascent"                  # none: the ascent from alpha = 0
+    FEATURE_MAP_IP = "feature_map_ip"  # the interior point through G
+    ACTIVE_SET = "active_set"          # the dense active set
+    DENSE_IP = "dense_ip"              # the interior point on K
+
+
 def default_gaussian_scale(d: int) -> float:
     """Default width parameter c = 1/(2d) for d features."""
     return 1.0 / (2.0 * d)
@@ -98,7 +110,13 @@ class KernelSpec:
         if self.kind is SvmKernel.LINEAR:
             return x @ y.T
         if self.kind is SvmKernel.POLYNOMIAL:
-            return (1.0 + x @ y.T) ** self.degree
+            # repeated products, not **, which numpy leaves to the C pow()
+            # for a degree above 2, about 70 times as slow per entry
+            base = 1.0 + x @ y.T
+            power = base.copy()
+            for _ in range(self.degree - 1):
+                power *= base
+            return power
         if self.scale is None:
             raise BadConfig("gaussian kernel scale unresolved; call resolve(d) first")
         sq = ((x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
@@ -120,6 +138,7 @@ class BinarySvm:
     n_updates: int             # pair updates that produced alpha
     ip_iterations: int = 0       # interior-point iterations that found the start
     active_set_rounds: int = 0   # active-set rounds that found the start
+    route: SvmRoute = SvmRoute.ASCENT   # the solver that found the start
 
 def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                    gram: np.ndarray | None = None,
@@ -128,9 +147,10 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     pairwise ascent from a feasible alpha, or from 0, until the maximal KKT
     violation is at most DEFAULT_KKT_TOL.
 
-    gram, the rows' Gram matrix, shares work across machines on the same
-    features. alpha, another solver's point, is finished and checked; a
-    float array is updated in place, as LIBSVM's solver updates its start.
+    gram, the rows' Gram matrix, saves making again the one a start's
+    solver used. alpha, another solver's point, is finished and checked;
+    a float array is updated in place, as LIBSVM's solver updates its
+    start.
     Raises DimensionMismatch when y, gram or alpha does not match the rows,
     BadConfig when alpha leaves [0, C] or |y'alpha| > 1e-9 C n, and
     NoConvergence at DEFAULT_MAX_UPDATES updates, or when the gap is not
@@ -275,8 +295,6 @@ def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     """G (n x r) with GG' = kernel.gram(x, x) up to rounding, built from a
     linear or polynomial kernel's exact feature map, or None when r >= n,
     where K can have full rank; r is counted before any column is built.
-    The gaussian kernel's map has no finite r, and no caller passes that
-    kernel.
 
     Linear: G = x, r = d. Polynomial of degree p: one column per monomial
     x^a with |a| <= p, scaled by sqrt(p! / ((p - |a|)! a!)), the root of
@@ -323,11 +341,10 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
     test, are always taken on k_mat itself. At the end every alpha within
     _SNAP * C of a bound goes onto it, and y'alpha = 0 is restored by one
     equal shift of the free alphas along y, clipped back into the box;
-    while a clip leaves |y'alpha| above 1e-12 C n, the shift is repeated
-    over the alphas still strictly inside the box. Raises NoConvergence if
-    _IP_MAX_ITERATIONS pass first, or if no alpha is left inside the box
-    to restore y'alpha = 0, and NotPositiveDefinite if the Cholesky of
-    K + D fails.
+    fit_svm_binary checks the result as it checks any start (on the
+    study's grid the largest |y'alpha| left is 1.5e-17 n, where it accepts
+    1e-9 C n). Raises NoConvergence if _IP_MAX_ITERATIONS pass first, and
+    NotPositiveDefinite if the Cholesky of K + D fails.
     """
     n, cost = y.size, DEFAULT_COST
     k_diag = k_mat.diagonal().copy()
@@ -401,20 +418,10 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
         iterations += 1
     at_zero, at_cost = alpha <= _SNAP * cost, s <= _SNAP * cost
     alpha[at_zero], alpha[at_cost] = 0.0, cost
-    bound = 1e-12 * cost * n
     free = ~(at_zero | at_cost)
-    while free.any():
+    if free.any():
         alpha[free] -= y[free] * (float(y @ alpha) / np.count_nonzero(free))
-        np.clip(alpha, 0.0, cost, out=alpha)
-        inside = (alpha > 0.0) & (alpha < cost)
-        # only a clip can leave |y'alpha| above the bound, and it moves at
-        # least one free alpha onto the box, so the free set shrinks
-        if abs(float(y @ alpha)) <= bound or np.array_equal(inside, free):
-            break
-        free = inside
-    if abs(float(y @ alpha)) > bound:
-        raise NoConvergence(f"interior point alpha breaks y'alpha = 0 by "
-                            f"{float(y @ alpha):.3e} after snapping to the box")
+    np.clip(alpha, 0.0, cost, out=alpha)
     return alpha, iterations
 
 
@@ -437,8 +444,9 @@ def _active_set(k_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     the SVM dual, Scheinberg, JMLR 7, 2006). A round depends on the sets
     alone, so sets met before mean an endless cycle. Raises
     NotPositiveDefinite if a Cholesky of K_FF fails, and NoConvergence if
-    a solve is not finite, no index is left free, the sets repeat, or they
-    still move after _AS_MAX_ROUNDS rounds.
+    no index is left free, the sets repeat, or they still move after
+    _AS_MAX_ROUNDS rounds; fit_svm_binary checks the alpha it returns, as
+    it checks any start.
     """
     cost = DEFAULT_COST
     free, at_cost = np.ones(y.size, dtype=bool), np.zeros(y.size, dtype=bool)
@@ -463,8 +471,6 @@ def _active_set(k_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         b = (u.sum() + beta.sum()) / v.sum()
         beta[free] = u - b * v
         rounds += 1
-        if not (math.isfinite(b) and np.isfinite(beta).all()):
-            raise NoConvergence(f"active-set solve is not finite in round {rounds}")
         alpha = y * beta
         grad = y * (k_mat @ beta + b) - 1.0
         below, above = free & (alpha < 0.0), free & (alpha > cost)
@@ -475,33 +481,67 @@ def _active_set(k_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         at_cost = (at_cost & ~freed) | above
 
 
+def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> BinarySvm:
+    """One pair machine on its standardised rows, by the route its kernel
+    and rows pick (fit_svm_multiclass states the policy)."""
+    if kernel.kind is SvmKernel.GAUSSIAN:
+        return fit_svm_binary(x, y, kernel)
+    gram = kernel.gram(x, x)
+    factor = _kernel_factor(kernel, x)
+    route, alpha, iterations, rounds = SvmRoute.FEATURE_MAP_IP, None, 0, 0
+    if factor is None:
+        route = SvmRoute.ACTIVE_SET
+        try:
+            alpha, rounds = _active_set(gram, y)
+        except (NotPositiveDefinite, NoConvergence):
+            route = SvmRoute.DENSE_IP
+    if alpha is None:
+        try:
+            alpha, iterations = _interior_point(gram, y, factor)
+        except NoConvergence:
+            route = SvmRoute.ASCENT
+    return replace(fit_svm_binary(x, y, kernel, gram=gram, alpha=alpha),
+                   ip_iterations=iterations, active_set_rounds=rounds,
+                   route=route)
+
+
 @dataclass
 class SvmClassifier(ClassifierModel):
-    """One-vs-rest machines; scores are the raw decision values, all from one
-    Gram block of the queries against the rows X every machine shares:
-    k(q, X) C + b, column j of C being machine j's alpha * y, b the biases.
-    The machines share one resolved kernel object too, so the first one's
-    kernel and rows give the block; the fold's Dataset names the classes.
+    """One-vs-one machines, machine m for the m-th class pair (a, b), a < b,
+    in itertools.combinations order, with class a as +1. Each machine
+    keeps the standardisation of its own pair's rows, standardizers[m],
+    since a fold-wide one cut SVM-Gaussian's study accuracy from 0.731 to
+    0.621 (fit_svm_multiclass). It scores a query q, standardised by
+    standardizers[m], against its support vectors, the rows of x_train with
+    alpha > 0, as f = k(q, x_sv) (alpha * y)_sv + bias: 20-32 % of a study
+    pair's rows, which cut the full grid's SVM scoring from 72 to 58 ms
+    against all rows, with no prediction moved (CHANGES.md). The score
+    of class c is minus its mean hinge loss over its K - 1 machines:
+    max(0, 1 - f) for class a and max(0, 1 + f) for class b (Allwein,
+    Schapire and Singer, JMLR 1, 2000), so the arg-max is the class with
+    the least loss.
 
-    gram_rank is the rank r of the Gram factor the machines were solved
-    through: the column count r < n of the kernel's feature map when the
-    interior point went through it, n on the dense route (the active set,
-    or the dense interior point where it falls back), and 0 for the
-    gaussian kernel, whose machines pairwise ascent alone solves.
-    describe() sums the machines' interior-point iterations and active-set
-    rounds, so a dense fit with interior-point iterations had a machine
-    fall back.
+    describe() counts the machines by the route that found their start
+    (SvmRoute) and sums their interior-point iterations and active-set
+    rounds.
     """
 
     machines: list
-    standardizer: nm.Standardizer
-    gram_rank: int
+    standardizers: list
+    n_classes: int
 
     def scores_batch(self, x: np.ndarray) -> np.ndarray:
-        coef = np.column_stack([m.alpha * m.y_train for m in self.machines])
-        first = self.machines[0]
-        k = first.kernel.gram(self.standardizer.apply(x), first.x_train)
-        return k @ coef + np.array([m.bias for m in self.machines])
+        x = nm.as_rows(x, self.standardizers[0].means.size)
+        losses = np.zeros((x.shape[0], self.n_classes))
+        pairs = itertools.combinations(range(self.n_classes), 2)
+        for (a, b), machine, standardizer in zip(pairs, self.machines,
+                                                 self.standardizers):
+            sv = machine.alpha > 0.0
+            k = machine.kernel.gram(standardizer.apply(x), machine.x_train[sv])
+            f = k @ (machine.alpha[sv] * machine.y_train[sv]) + machine.bias
+            losses[:, a] += np.maximum(0.0, 1.0 - f)
+            losses[:, b] += np.maximum(0.0, 1.0 + f)
+        return -losses / (self.n_classes - 1)
 
     def describe(self) -> dict:
         return {"kernel": self.machines[0].kernel.kind.value, "cost": DEFAULT_COST,
@@ -510,67 +550,67 @@ class SvmClassifier(ClassifierModel):
                 "ip_iterations": sum(m.ip_iterations for m in self.machines),
                 "active_set_rounds": sum(m.active_set_rounds
                                          for m in self.machines),
-                "gram_rank": self.gram_rank}
+                "routes": {route.value: sum(m.route is route for m in self.machines)
+                           for route in SvmRoute}}
 
 
 def fit_svm_multiclass(train: Dataset,
                        kernel: KernelSpec = KernelSpec()) -> SvmClassifier:
-    """Train one machine per class against the rest on standardised rows.
+    """Train one machine per class pair (a, b), a < b, on that pair's rows
+    alone, with class a as +1 (one-vs-one, as LIBSVM and MATLAB's fitcecoc
+    train: Hsu and Lin, IEEE TNN 13(2), 2002). Raises EmptyClass when a
+    class has no training rows.
 
-    The kernel picks one route for every machine. A linear or polynomial
-    kernel whose feature map has r < n columns for the n rows (linear, and
-    polynomial with C(d + p, p) < n: with p = 3 at the study's n = 450,
-    r = 35, 10, 20 and 10 on FS2, FS3, FS5 and FS6) gives K = GG' rank r
-    at most, so K cannot have full rank. There the interior point on K
-    solves every machine, its Newton systems going through G by the
-    Sherman-Morrison-Woodbury identity in O(n r^2).
+    Each pair is standardised on its own rows, not on the fold's. Measured
+    on the study's grid (GeneratorConfig(), cv seed 0), SVM-Gaussian
+    reaches an accuracy of 0.731 this way, against 0.621 with one
+    fold-wide standardisation (CHANGES.md). The gaussian scale resolves
+    from d once, for every machine.
 
-    Where r >= n (polynomial on FS1 and FS4, whose 969 and 816 monomials
-    exceed the rows), K can have full rank, and the machines take the
-    dense route: _active_set solves each machine from every index free,
-    through one Cholesky of the free block K_FF per round, with no
-    interior point. A machine falls back to the dense interior point, one
-    O(n^3) Cholesky per iteration, unchanged, when a Cholesky of K_FF
-    fails (as on repeated rows), a solve is not finite, the sets repeat
-    (a cycle), or they still move after _AS_MAX_ROUNDS = 100 rounds. That
-    cap is about twice the most rounds measured on those cells: at most 53
-    over their 10 folds at cv seeds 0-2 (FS4, cv seed 2; CHANGES.md).
-    fit_svm_binary then polishes either alpha by pairwise ascent at
-    DEFAULT_KKT_TOL, which also checks it, and the machine records the
-    iterations or rounds that found it.
+    The kernel and the pair's n rows pick the machine's route (SvmRoute).
+    A linear or polynomial kernel whose feature map has r < n columns
+    (linear, and polynomial with C(d + p, p) < n: with p = 3 at the
+    study's n = 180 rows per pair, r = 35, 10, 20 and 10 on FS2, FS3, FS5
+    and FS6) gives K = GG' rank r at most, so K cannot have full rank.
+    There the interior point on K solves the machine, its Newton systems
+    going through G by the Sherman-Morrison-Woodbury identity in
+    O(n r^2). Where r >= n (polynomial on FS1 and FS4, whose 969 and 816
+    monomials exceed the rows), K can have full rank, and _active_set
+    solves the machine from every index free, through one Cholesky of the
+    free block K_FF per round. It falls back to the dense interior point,
+    one O(n^3) Cholesky per iteration, when a Cholesky of K_FF fails (as
+    on repeated rows), no index is left free, the sets repeat (a cycle),
+    or they still move after _AS_MAX_ROUNDS = 100 rounds, against at most
+    23 rounds measured over the study's 10 folds at cv seeds 0-2
+    (CHANGES.md). fit_svm_binary then polishes either alpha by pairwise
+    ascent at DEFAULT_KKT_TOL, which also checks it, and the machine
+    records the iterations or rounds that found it.
 
-    Gaussian machines take no start: fit_svm_binary solves them by
-    pairwise ascent alone, from alpha = 0. Its second-order choice of the
-    working pair converges for any positive semidefinite kernel (Fan, Chen and Lin,
-    JMLR 6, 2005), and LIBSVM solves this kernel with it alone (Chang and
-    Lin, ACM TIST 2(3), 2011). Measured on the study's panels, no gaussian
-    machine needs more than 6,224 updates at n = 450, rows permuted or
-    not, nor more than 15,481 at n = 900 and 1,800, against a cap of
-    DEFAULT_MAX_UPDATES (CHANGES.md), so none needs a fallback. Every
-    machine ends at DEFAULT_KKT_TOL or raises NoConvergence after
-    DEFAULT_MAX_UPDATES updates.
+    A machine whose interior point, either one, stops at
+    _IP_MAX_ITERATIONS takes no start, as a gaussian machine takes none:
+    fit_svm_binary solves it by pairwise ascent from alpha = 0, at the
+    same DEFAULT_KKT_TOL and DEFAULT_MAX_UPDATES. One study machine needs
+    this, SVM-Linear's pair (1, 3) on FS1 fold 7 at cv seed 0: its dual
+    and equality residuals reach rounding level while mu / C swings
+    between 9.2e-8 and 2.6e-8, above _IP_TOL, and the ascent solves it in
+    649 updates. The ascent's second-order choice of the working pair
+    converges for any positive semidefinite kernel (Fan, Chen and Lin,
+    JMLR 6, 2005), and LIBSVM solves the gaussian kernel with it alone
+    (Chang and Lin, ACM TIST 2(3), 2011); no gaussian pair machine of the
+    study needs more than 305 updates at cv seeds 0-2. Every machine ends
+    at DEFAULT_KKT_TOL or raises NoConvergence.
     """
     check_training_set(train)
-    standardizer = nm.standardizer_fit(train.x)
-    x = standardizer.apply(train.x)
     kernel = kernel.resolve(train.d)
-    gram = kernel.gram(x, x)
-    gaussian = kernel.kind is SvmKernel.GAUSSIAN
-    factor = None if gaussian else _kernel_factor(kernel, x)
-    machines = []
-    for j in range(train.n_classes):
-        y = np.where(train.y == j, 1.0, -1.0)
-        alpha, iterations, rounds = None, 0, 0
-        if not gaussian and factor is None:
-            try:
-                alpha, rounds = _active_set(gram, y)
-            except (NotPositiveDefinite, NoConvergence):
-                pass
-        if not gaussian and alpha is None:
-            alpha, iterations = _interior_point(gram, y, factor)
-        machines.append(replace(
-            fit_svm_binary(x, y, kernel, gram=gram, alpha=alpha),
-            ip_iterations=iterations, active_set_rounds=rounds))
-    gram_rank = 0 if gaussian else train.n if factor is None else factor.shape[1]
-    return SvmClassifier(machines=machines, standardizer=standardizer,
-                         gram_rank=gram_rank)
+    empty = np.flatnonzero(np.bincount(train.y, minlength=train.n_classes) == 0)
+    if empty.size:
+        raise EmptyClass(f"classes with no training rows: {empty.tolist()}")
+    machines, standardizers = [], []
+    for a, b in itertools.combinations(range(train.n_classes), 2):
+        rows = (train.y == a) | (train.y == b)
+        y = np.where(train.y[rows] == a, 1.0, -1.0)
+        standardizer = nm.standardizer_fit(train.x[rows])
+        machines.append(_fit_machine(standardizer.apply(train.x[rows]), y, kernel))
+        standardizers.append(standardizer)
+    return SvmClassifier(machines=machines, standardizers=standardizers,
+                         n_classes=train.n_classes)

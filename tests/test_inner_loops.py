@@ -30,6 +30,7 @@ from cdsproxy.svm import (
     DEFAULT_MAX_UPDATES,
     KernelSpec,
     SvmKernel,
+    SvmRoute,
 )
 from cdsproxy.trees import SplitCriterion, bootstrap_rows, fit_bagged, fit_tree
 
@@ -151,8 +152,8 @@ class TestPairwiseAscent:
 
     def test_multiclass_fit_with_fallback_machines_matches_reference(
             self, monkeypatch):
-        # a linear fit: every machine takes the interior point through the
-        # rows, then the polish
+        # a linear fit: every pair machine takes the interior point through
+        # its rows, then the polish
         train = random_dataset(60, 2, 2, seed=0)
         spec = KernelSpec(SvmKernel.LINEAR)
         got = svm.fit_svm_multiclass(train, kernel=spec)
@@ -179,17 +180,18 @@ class TestDenseInteriorPoint:
         # the polish starts from y - K (y * alpha) = -y * (Q alpha - 1)
         assert np.array_equal(y - gram @ (y * alpha), -y * (q @ alpha - 1.0))
 
-    @pytest.mark.parametrize("repeated,cap", [
-        # the first 5 rows again: K is singular, and the active set's
-        # first Cholesky fails on every machine
-        pytest.param(5, svm._AS_MAX_ROUNDS, id="FS1-repeated-rows"),
+    @pytest.mark.parametrize("repeated,cap,fallbacks", [
+        # the first 5 rows, of class 0, again: K is singular on the pairs
+        # of class 0, and the active set's first Cholesky fails on their
+        # machines
+        pytest.param(5, svm._AS_MAX_ROUNDS, 2, id="FS1-repeated-rows"),
         # K has full rank; a cap of one round sends every machine back
-        pytest.param(0, 1, id="FS1-capped")])
+        pytest.param(0, 1, 3, id="FS1-capped")])
     def test_fold_fit_with_dense_fallback_machines_matches_reference(
-            self, monkeypatch, repeated, cap):
+            self, monkeypatch, repeated, cap, fallbacks):
         # SVM-Poly on FS1 fold 0 of the 3-name x 30-day panel: 969
-        # monomials, no feature-map factor, and every machine falls back
-        # to the dense interior point
+        # monomials, no feature-map factor, and the machines the active set
+        # fails fall back to the dense interior point
         panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30,
                                                seed=0))
         dataset = build_dataset(panel, FeatureSelection.FS1)
@@ -208,9 +210,10 @@ class TestDenseInteriorPoint:
                 ref.label_product(y, k_mat), y, svm.DEFAULT_COST))
         monkeypatch.setattr(svm, "fit_svm_binary", reference_fit)
         want = svm.fit_svm_multiclass(train, kernel=spec)
-        assert got.gram_rank == train.n
-        assert all(m.ip_iterations > 0 for m in got.machines)
-        assert all(m.active_set_rounds == 0 for m in got.machines)
+        dense = [m for m in got.machines if m.route is SvmRoute.DENSE_IP]
+        assert len(dense) == fallbacks
+        assert all(m.ip_iterations > 0 for m in dense)
+        assert all(m.active_set_rounds == 0 for m in dense)
         for a, b in zip(got.machines, want.machines):
             assert_same_machine(a, b)
             assert a.ip_iterations == b.ip_iterations

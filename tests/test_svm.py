@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from cdsproxy.svm import (
     DEFAULT_KKT_TOL,
     KernelSpec,
     SvmKernel,
+    SvmRoute,
     default_gaussian_scale,
     fit_svm_binary,
     fit_svm_multiclass,
@@ -82,6 +84,18 @@ class TestKernels:
         spec = KernelSpec(SvmKernel.POLYNOMIAL, degree=3)
         want = (1.0 + x @ x.T) ** 3
         assert np.allclose(spec.gram(x, x), want)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_polynomial_gram_is_the_power_up_to_rounding(self, degree):
+        # degree - 1 products in place of **: each rounds once, so the
+        # entries stay within degree ulps of the power
+        rng = np.random.default_rng(4)
+        x, z = rng.normal(size=(30, 4)), rng.normal(size=(20, 4))
+        want = (1.0 + x @ z.T) ** degree
+        got = KernelSpec(SvmKernel.POLYNOMIAL, degree=degree).gram(x, z)
+        assert np.all(np.abs(got - want) <= degree * np.finfo(float).eps * np.abs(want))
+        if degree == 1:
+            assert np.array_equal(got, want)
 
     def test_gaussian_gram_and_default_scale(self):
         rng = np.random.default_rng(2)
@@ -412,22 +426,29 @@ class TestInteriorPoint:
         assert np.array_equal(gram, before)
 
     @pytest.mark.parametrize("factored", [False, True])
-    def test_restore_repeats_its_shift_after_a_clip(self, factored):
-        # machine 4 on FS6 fold 4 of the default panel, on rows scaled by
-        # 1/sqrt(d): one equal shift of the free alphas, clipped back into
-        # the box, left y'alpha at 1.2e-8, above the bound 4.5e-10
+    def test_a_clip_after_the_shift_leaves_a_start_the_ascent_takes(
+            self, factored):
+        # class 4 against the rest on FS6 fold 4 of the default panel, on
+        # rows scaled by 1/sqrt(d): the equal shift of the free alphas,
+        # clipped back into the box, leaves y'alpha at 1.2e-8, within the
+        # 1e-9 C n that fit_svm_binary accepts of a start
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS6)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
                                .training_rows(4))
         x = numerics.standardizer_fit(train.x).apply(train.x) / math.sqrt(train.d)
         y = np.where(train.y == 4, 1.0, -1.0)
-        model = interior_point_then_ascent(
-            x, y, KernelSpec(SvmKernel.POLYNOMIAL), factored)
+        spec = KernelSpec(SvmKernel.POLYNOMIAL)
+        gram = spec.gram(x, x)
+        factor = svm._kernel_factor(spec, x) if factored else None
+        alpha, _ = svm._interior_point(gram, y, factor)
+        assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
+        assert (1e-12 * DEFAULT_COST * y.size < abs(float(alpha @ y))
+                <= 1e-9 * DEFAULT_COST * y.size)
+        model = interior_point_then_ascent(x, y, spec, factored)
         assert model.ip_iterations > 0
-        assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
-        assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
         assert model.kkt_gap <= DEFAULT_KKT_TOL
+        assert kkt_gap_from_alpha(model.alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
 
     def test_interior_point_raises_at_its_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(svm, "_IP_MAX_ITERATIONS", 2)
@@ -445,32 +466,32 @@ class TestInteriorPoint:
             fit_svm_multiclass(train)
 
     def test_machines_through_the_feature_map_match_pairwise_ascent(self):
-        # through the feature map, here the two standardised columns, both
-        # linear machines take the interior point, and they end at the
-        # optimum that pairwise ascent alone reaches, within the tolerance
-        train = random_dataset(60, 2, 2, seed=0)
+        # through the feature map, here each pair's two standardised
+        # columns, every linear machine takes the interior point, and they
+        # end at the optimum that pairwise ascent alone reaches, within the
+        # tolerance
+        train = random_dataset(90, 2, 3, seed=0)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.LINEAR))
-        x = model.standardizer.apply(train.x)
-        gram = model.machines[0].kernel.gram(x, x)
-        assert svm._kernel_factor(model.machines[0].kernel, x) is x
-        assert model.gram_rank == train.d == 2
-        ascent = [fit_svm_binary(x, m.y_train, model.machines[0].kernel)
-                  for m in model.machines]
-        for machine, reference in zip(model.machines, ascent):
+        assert len(model.machines) == 3
+        for machine in model.machines:
+            x, y = machine.x_train, machine.y_train
+            gram = machine.kernel.gram(x, x)
+            assert svm._kernel_factor(machine.kernel, x) is x
+            assert machine.route is SvmRoute.FEATURE_MAP_IP
+            reference = fit_svm_binary(x, y, machine.kernel)
             assert machine.ip_iterations > 0
             assert machine.active_set_rounds == 0
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
-            y = machine.y_train
             assert abs(dual_objective(machine.alpha, gram, y)
                        - dual_objective(reference.alpha, gram, y)) <= 1e-6
             f_ip, f_ascent = decision(machine, x), decision(reference, x)
             assert np.abs(f_ip - f_ascent).max() <= 1e-3
             assert np.array_equal(np.sign(f_ip), np.sign(f_ascent))
 
-    def test_fold_fit_that_stalls_pairwise_ascent_converges(self):
+    def test_fold_fit_that_slows_pairwise_ascent_converges(self):
         # SVM-Linear on FS4 fold 0 of the default panel: under pairwise
-        # ascent alone a machine stops at DEFAULT_MAX_UPDATES with a KKT
-        # gap of 7.1e-4
+        # ascent alone, the machine of pair (0, 1) needs 9,216 updates (a
+        # one-vs-rest machine stopped at DEFAULT_MAX_UPDATES there)
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS4)
         plan = stratified_folds(dataset, 10, seed=0)
@@ -485,11 +506,65 @@ class TestInteriorPoint:
         assert summary["ip_iterations"] == sum(m.ip_iterations
                                                for m in model.machines)
         assert summary["active_set_rounds"] == 0
+        assert summary["routes"] == {"ascent": 0, "feature_map_ip": 10,
+                                     "active_set": 0, "dense_ip": 0}
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_interior_point_that_stalls_hands_the_machine_to_the_ascent(
+            self, factored):
+        # SVM-Linear on FS1 fold 7 of the default panel, pair (1, 3): n =
+        # 180, d = 16. Both interior points, through the map and on K, end
+        # at _IP_MAX_ITERATIONS with residual 9.24e-8: the dual and
+        # equality residuals are at rounding level, while mu / C swings
+        # between 9.2e-8 and 2.6e-8. The machine is solved from alpha = 0
+        # instead, at the same tolerance and cap as every other
+        panel = generate_panel(GeneratorConfig())
+        dataset = build_dataset(panel, FeatureSelection.FS1)
+        train = dataset.subset(stratified_folds(dataset, 10, seed=0)
+                               .training_rows(7))
+        x, y = pair_rows(train, 1, 3)
+        assert x.shape == (180, 16)
+        kernel = KernelSpec(SvmKernel.LINEAR)
+        gram = x @ x.T
+        with pytest.raises(NoConvergence, match="residual 9.240e-08 > 1e-09 "
+                                                "after 100 iterations"):
+            svm._interior_point(gram, y, x if factored else None)
+        model = fit_svm_multiclass(train, kernel=kernel)
+        machine = model.machines[PAIRS_OF_5.index((1, 3))]
+        assert machine.route is SvmRoute.ASCENT
+        assert machine.ip_iterations == machine.active_set_rounds == 0
+        assert np.array_equal(machine.x_train, x)
+        assert np.array_equal(machine.y_train, y)
+        ascent = fit_svm_binary(x, y, kernel)
+        assert np.array_equal(machine.alpha, ascent.alpha)
+        assert machine.bias == ascent.bias
+        assert machine.n_updates == ascent.n_updates == 649
+        # the gap recomputed from a plain Gram matrix, not the loop's own
+        assert kkt_gap_from_alpha(machine.alpha, y, plain_gram(kernel, x),
+                                  DEFAULT_COST) <= DEFAULT_KKT_TOL
+        assert machine.alpha.min() >= 0.0 and machine.alpha.max() <= DEFAULT_COST
+        assert abs(float(y @ machine.alpha)) <= 1e-9 * DEFAULT_COST * y.size
+        assert model.describe()["routes"] == {"ascent": 1, "feature_map_ip": 9,
+                                              "active_set": 0, "dense_ip": 0}
+
+
+PAIRS_OF_5 = list(itertools.combinations(range(5), 2))
+
+
+def pair_rows(train, a, b):
+    """The rows of classes a and b, standardised on those rows alone, and
+    their labels, +1 for a and -1 for b."""
+    rows = (train.y == a) | (train.y == b)
+    x = numerics.standardizer_fit(train.x[rows]).apply(train.x[rows])
+    return x, np.where(train.y[rows] == a, 1.0, -1.0)
+
+
+GOLDEN_CONFIG = GeneratorConfig(n_counterparties=3, n_days=30, seed=0)
 
 
 def golden_fold(selection, fold):
     """A training fold of the 3-name x 30-day panel of test_golden.py."""
-    panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30, seed=0))
+    panel = generate_panel(GOLDEN_CONFIG)
     dataset = build_dataset(panel, selection)
     return dataset.subset(stratified_folds(dataset, 2, seed=0).training_rows(fold))
 
@@ -501,6 +576,17 @@ def with_first_rows_repeated(train, count):
                    y=np.concatenate([train.y, train.y[:count]]),
                    class_names=train.class_names,
                    feature_names=train.feature_names)
+
+
+def plain_gram(kernel, x):
+    """kernel's Gram matrix of the rows x, entry by entry in Python floats."""
+    def entry(u, v):
+        if kernel.kind is SvmKernel.LINEAR:
+            return math.fsum(u * v)
+        if kernel.kind is SvmKernel.POLYNOMIAL:
+            return (1.0 + math.fsum(u * v)) ** kernel.degree
+        return math.exp(-kernel.scale * math.fsum((u - v) ** 2))
+    return np.array([[entry(u, v) for v in x] for u in x])
 
 
 def kkt_gap_from_alpha(alpha, y, gram, cost):
@@ -584,7 +670,7 @@ class TestFeatureMapFactor:
         assert svm._kernel_factor(poly, x[:10, :2]) is None
         assert svm._kernel_factor(poly, x[:, :2]).shape == (11, 10)
 
-    def test_factor_made_once_per_fit_before_any_solve(self, monkeypatch):
+    def test_factor_made_once_per_machine_before_its_solve(self, monkeypatch):
         calls = []
 
         def counted(kernel, x):
@@ -593,11 +679,12 @@ class TestFeatureMapFactor:
 
         factor = svm._kernel_factor
         monkeypatch.setattr(svm, "_kernel_factor", counted)
-        # every one of the three machines goes through the 20 monomials
+        # every one of the three pair machines goes through the 20
+        # monomials of its own 60 rows
         model = fit_svm_multiclass(random_dataset(90, 3, 3, seed=1),
                                    kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert all(m.ip_iterations > 0 for m in model.machines)
-        assert calls == [(90, 3)]
+        assert calls == [(60, 3)] * 3
         calls.clear()
         # a gaussian fit runs pairwise ascent alone and makes no factor
         model = fit_svm_multiclass(make_blobs([[0.0, 0.0], [4.0, 4.0]], 10,
@@ -615,10 +702,10 @@ class TestFeatureMapFactor:
                      id="polynomial-FS4")])
     def test_routed_fit_warm_starts_each_ascent_and_makes_no_eigendecomposition(
             self, monkeypatch, kind, selection):
-        # on FS1 and FS4, 969 and 816 monomials for 45 rows: no factor, so
-        # every machine takes the dense active set; the others take the
-        # interior point through the feature map. Each machine then makes
-        # one ascent, from the alpha its solve returned
+        # on FS1 and FS4, 969 and 816 monomials for a pair's 30 rows: no
+        # factor, so every machine takes the dense active set; the others
+        # take the interior point through the feature map. Each machine
+        # then makes one ascent, from the alpha its solve returned
         train = (random_dataset(90, 3, 3, seed=1) if selection is None
                  else golden_fold(selection, 0))
         calls = []
@@ -641,15 +728,17 @@ class TestFeatureMapFactor:
         monkeypatch.setattr(svm.nm, "eigen_symmetric",
                             lambda *args: calls.append(("eigen", None)))
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        assert [call for call, _ in calls] == ["solve", "ascent"] * train.n_classes
+        assert len(model.machines) == 3
+        assert [call for call, _ in calls] == ["solve", "ascent"] * 3
         for (_, solved), (_, start), machine in zip(calls[::2], calls[1::2],
                                                     model.machines):
             assert start is solved is machine.alpha
         if selection is None:
+            assert all(m.route is SvmRoute.FEATURE_MAP_IP for m in model.machines)
             assert all(m.ip_iterations > 0 for m in model.machines)
             assert all(m.active_set_rounds == 0 for m in model.machines)
         else:
-            assert model.gram_rank == train.n
+            assert all(m.route is SvmRoute.ACTIVE_SET for m in model.machines)
             assert all(m.ip_iterations == 0 for m in model.machines)
             assert all(m.active_set_rounds > 0 for m in model.machines)
 
@@ -658,7 +747,8 @@ class TestFeatureMapFactor:
         ascents, solves = [], []
 
         def recorded_ascent(*args, **kwargs):
-            ascents.append((args[2].kind, sorted(kwargs), kwargs["alpha"] is None))
+            ascents.append((args[2].kind, sorted(kwargs),
+                            kwargs.get("alpha") is None))
             return fit(*args, **kwargs)
 
         def recorded(solver):
@@ -673,16 +763,19 @@ class TestFeatureMapFactor:
             monkeypatch.setattr(svm, name, recorded(getattr(svm, name)))
         for kind in SvmKernel:
             fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        # one ascent per machine on the shared Gram matrix: from 0 per
-        # gaussian machine, capped at DEFAULT_MAX_UPDATES; per linear
-        # machine from one interior point through the 16 columns, and per
-        # polynomial machine from one dense active set, 969 monomials being
-        # more than the 45 rows
-        assert ascents == [(kind, ["alpha", "gram"], kind is SvmKernel.GAUSSIAN)
-                           for kind in SvmKernel for _ in range(train.n_classes)]
+        # one ascent per pair machine: from 0 per gaussian machine, on the
+        # Gram matrix it makes itself, capped at DEFAULT_MAX_UPDATES; per
+        # linear machine from one interior point through the 16 columns,
+        # and per polynomial machine from one dense active set, 969
+        # monomials being more than a pair's 30 rows, both on the Gram
+        # matrix their solve used
+        assert ascents == [
+            (kind, [] if kind is SvmKernel.GAUSSIAN else ["alpha", "gram"],
+             kind is SvmKernel.GAUSSIAN)
+            for kind in SvmKernel for _ in range(3)]
         assert sorted(solves) == sorted(
             [("_interior_point", SvmKernel.LINEAR),
-             ("_active_set", SvmKernel.POLYNOMIAL)] * train.n_classes)
+             ("_active_set", SvmKernel.POLYNOMIAL)] * 3)
 
     @pytest.mark.parametrize("selection,kind,rank", [
         (FeatureSelection.FS1, SvmKernel.LINEAR, 16),
@@ -691,8 +784,10 @@ class TestFeatureMapFactor:
         (FeatureSelection.FS4, SvmKernel.LINEAR, 15),
         (FeatureSelection.FS5, SvmKernel.LINEAR, 3),
         (FeatureSelection.FS6, SvmKernel.LINEAR, 2),
-        # 35 monomials for the golden fold's 45 rows: through the map
-        (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, 35),
+        # 35 monomials for a golden pair's 30 rows: no map, so the dense
+        # active set, whose first round leaves no index free on machines
+        # 1 and 2; the dense interior point solves those
+        (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, None),
         (FeatureSelection.FS3, SvmKernel.POLYNOMIAL, 10),
         (FeatureSelection.FS5, SvmKernel.POLYNOMIAL, 20),
         (FeatureSelection.FS6, SvmKernel.POLYNOMIAL, 10)])
@@ -700,12 +795,22 @@ class TestFeatureMapFactor:
                                                      rank):
         train = golden_fold(selection, 0)
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        assert model.gram_rank == rank
-        x = model.standardizer.apply(train.x)
-        gram = model.machines[0].kernel.gram(x, x)
+        if rank is None:
+            assert [m.route for m in model.machines] == [
+                SvmRoute.ACTIVE_SET, SvmRoute.DENSE_IP, SvmRoute.DENSE_IP]
         for machine in model.machines:
-            alpha, y = machine.alpha, machine.y_train
-            assert machine.ip_iterations > 0
+            alpha, y, x = machine.alpha, machine.y_train, machine.x_train
+            factor = svm._kernel_factor(machine.kernel, x)
+            gram = machine.kernel.gram(x, x)
+            if rank is None:
+                assert factor is None
+                dense_ip = machine.route is SvmRoute.DENSE_IP
+                assert (machine.ip_iterations > 0) is dense_ip
+                assert (machine.active_set_rounds > 0) is not dense_ip
+            else:
+                assert factor.shape == (30, rank)
+                assert machine.route is SvmRoute.FEATURE_MAP_IP
+                assert machine.ip_iterations > 0
             assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
             assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
@@ -713,14 +818,15 @@ class TestFeatureMapFactor:
     @pytest.mark.parametrize("train", [
         pytest.param(make_blobs([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 15,
                                 scale=0.8, seed=89), id="blobs"),
-        # machine 1 needs 825 updates, more than 10 n
-        pytest.param(random_dataset(60, 2, 3, seed=6), id="over-10n")])
+        # random labels: pair machines of 27-30 updates on 40 rows
+        pytest.param(random_dataset(60, 2, 3, seed=6), id="random-labels")])
     def test_gaussian_fit_keeps_the_ascent_machines_bit_for_bit(self, train):
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.GAUSSIAN))
-        x = model.standardizer.apply(train.x)
-        for j, machine in enumerate(model.machines):
-            y = np.where(train.y == j, 1.0, -1.0)
+        for (a, b), machine in zip(itertools.combinations(range(3), 2),
+                                   model.machines):
+            x, y = pair_rows(train, a, b)
             ascent = fit_svm_binary(x, y, model.machines[0].kernel)
+            assert machine.route is SvmRoute.ASCENT
             assert machine.ip_iterations == 0
             assert np.array_equal(machine.alpha, ascent.alpha)
             assert machine.bias == ascent.bias
@@ -750,20 +856,25 @@ class TestFeatureMapFactor:
             assert machine.ip_iterations == 0
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
 
-    def test_describe_reports_the_rank_the_interior_point_used(self):
+    def test_describe_counts_the_machines_by_route(self):
+        def routes(ascent=0, feature_map_ip=0, active_set=0, dense_ip=0):
+            return {"ascent": ascent, "feature_map_ip": feature_map_ip,
+                    "active_set": active_set, "dense_ip": dense_ip}
+
         blobs = make_blobs([[0.0, 0.0], [4.0, 4.0]], 10, scale=0.5, seed=87)
         gaussian = fit_svm_multiclass(blobs, kernel=KernelSpec(SvmKernel.GAUSSIAN))
-        assert gaussian.describe()["gram_rank"] == 0
-        assert fit_svm_multiclass(blobs).describe()["gram_rank"] == 2
+        assert gaussian.describe()["routes"] == routes(ascent=1)
+        assert fit_svm_multiclass(blobs).describe()["routes"] == routes(
+            feature_map_ip=1)
         low = fit_svm_multiclass(random_dataset(90, 3, 3, seed=1),
                                  kernel=KernelSpec(SvmKernel.POLYNOMIAL))
-        assert low.describe()["gram_rank"] == 20
-        # SVM-Poly on FS1: 969 monomials for 45 rows, so every machine
-        # takes the dense active set
+        assert low.describe()["routes"] == routes(feature_map_ip=3)
+        # SVM-Poly on FS1: 969 monomials for a pair's 30 rows, so every
+        # machine takes the dense active set
         train = golden_fold(FeatureSelection.FS1, 0)
         dense = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         summary = dense.describe()
-        assert summary["gram_rank"] == train.n == 45
+        assert summary["routes"] == routes(active_set=3)
         assert summary["ip_iterations"] == 0
         assert summary["active_set_rounds"] == sum(
             m.active_set_rounds for m in dense.machines) > 0
@@ -788,8 +899,8 @@ class TestActiveSet:
             1.0, abs(w_ref))
 
     def test_study_fold_takes_no_interior_point(self, monkeypatch):
-        # SVM-Poly on FS1 fold 0 of the default panel: 969 monomials for
-        # 450 rows, and K has full rank
+        # SVM-Poly on FS1 fold 0 of the default panel: 969 monomials for a
+        # pair's 180 rows, and K has full rank
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS1)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
@@ -800,8 +911,10 @@ class TestActiveSet:
 
         monkeypatch.setattr(svm, "_interior_point", no_interior_point)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
-        assert model.gram_rank == train.n == 450
+        assert len(model.machines) == 10
         for machine in model.machines:
+            assert machine.y_train.size == 180
+            assert machine.route is SvmRoute.ACTIVE_SET
             assert machine.ip_iterations == 0
             assert 0 < machine.active_set_rounds < svm._AS_MAX_ROUNDS
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
@@ -810,65 +923,73 @@ class TestActiveSet:
 
     def test_duplicated_rows_fall_back_to_the_dense_interior_point(self):
         # SVM-Poly on FS1 fold 0 of the default panel with its first five
-        # training rows repeated, as stale quotes repeat a name's row: K is
-        # singular, the first Cholesky of K_FF fails on every machine, and
-        # the dense interior point solves each in 15-18 iterations
+        # training rows repeated, as stale quotes repeat a name's row. The
+        # five are of class 0, so K is singular on the four pairs of class
+        # 0: the first Cholesky of K_FF fails on their machines, and the
+        # dense interior point solves each in 11-15 iterations. The other
+        # six pairs hold no repeated row and take the active set
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS1)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
                                .training_rows(0))
+        assert np.array_equal(train.y[:5], np.zeros(5))
         train = with_first_rows_repeated(train, 5)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
-        assert model.gram_rank == train.n == 455
-        x = model.standardizer.apply(train.x)
-        gram = model.machines[0].kernel.gram(x, x)
-        for machine in model.machines:
-            alpha, y = machine.alpha, machine.y_train
+        for (a, b), machine in zip(PAIRS_OF_5, model.machines):
+            alpha, y, x = machine.alpha, machine.y_train, machine.x_train
+            gram = machine.kernel.gram(x, x)
+            if a > 0:
+                assert y.size == 180
+                assert machine.route is SvmRoute.ACTIVE_SET
+                assert machine.active_set_rounds > 0
+                continue
+            assert y.size == 185
             with pytest.raises(NotPositiveDefinite):
                 svm._active_set(gram, y)
+            assert machine.route is SvmRoute.DENSE_IP
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations > 0
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
             assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
-            assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
+            assert abs(float(y @ alpha)) <= 1e-9 * DEFAULT_COST * y.size
 
     def test_repeated_sets_hand_over_to_the_interior_point_at_once(
             self, monkeypatch):
-        # SVM-Poly on FS1 fold 0 of the default panel with training row 0
-        # repeated at the end. On one BLAS thread the sets that round 31 of
-        # machine 0 leaves come back after round 55, and the other
-        # machines settle in 20-53 rounds; the rounding of other thread
-        # counts can make other machines cycle too. A machine that cycles
-        # gets the dense interior point's alpha, as it did after all
+        # SVM-Poly on golden FS1 fold 1 with training row 0, of class 0,
+        # repeated at the end. On one and two BLAS threads the machine of
+        # pair (0, 1) meets sets it met before after 5 solves, and the
+        # other two settle in 7 rounds; the rounding of other thread counts
+        # can make other machines cycle too. A machine that cycles gets the
+        # dense interior point's alpha, as it would after all
         # _AS_MAX_ROUNDS rounds.
-        panel = generate_panel(GeneratorConfig())
-        dataset = build_dataset(panel, FeatureSelection.FS1)
-        train = dataset.subset(stratified_folds(dataset, 10, seed=0)
-                               .training_rows(0))
-        train = with_first_rows_repeated(train, 1)
+        train = with_first_rows_repeated(golden_fold(FeatureSelection.FS1, 1), 1)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
-        x = model.standardizer.apply(train.x)
-        gram = model.machines[0].kernel.gram(x, x)
         solves = []
         spd_solver = numerics.spd_solver
         monkeypatch.setattr(numerics, "spd_solver", lambda k_mat, what: (
             solves.append(1) or spd_solver(k_mat, what)))
         for j, machine in enumerate(model.machines):
-            y = machine.y_train
+            x, y = machine.x_train, machine.y_train
+            gram = machine.kernel.gram(x, x)
             solves.clear()
             try:
                 _, rounds = svm._active_set(gram, y)
             except NoConvergence as exc:
                 assert "repeat" in str(exc)
                 rounds = None
+            except NotPositiveDefinite:
+                assert machine.route is SvmRoute.DENSE_IP
+                continue
             if j == 0:
-                assert rounds is None and len(solves) <= 56
+                assert rounds is None and len(solves) <= 6
             if rounds is not None:
+                assert machine.route is SvmRoute.ACTIVE_SET
                 assert machine.active_set_rounds == rounds
                 assert machine.ip_iterations == 0
                 continue
-            want = interior_point_then_ascent(x, y, model.machines[0].kernel)
+            want = interior_point_then_ascent(x, y, machine.kernel)
+            assert machine.route is SvmRoute.DENSE_IP
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
             assert np.array_equal(machine.alpha, want.alpha)
@@ -879,22 +1000,22 @@ class TestActiveSet:
     @pytest.mark.parametrize("fold", [0, 1])
     def test_maps_with_fewer_columns_than_rows_skip_the_active_set(
             self, monkeypatch, fold):
-        # 35 monomials for the 45 rows of each golden FS2 fold: K has rank
-        # 35 at most, so every machine takes the interior point through
+        # 20 monomials for the 30 rows of each golden FS5 pair: K has rank
+        # 20 at most, so every machine takes the interior point through
         # the map, and no dense Cholesky is tried
-        train = golden_fold(FeatureSelection.FS2, fold)
+        train = golden_fold(FeatureSelection.FS5, fold)
         calls = []
         spd_solver = numerics.spd_solver
         monkeypatch.setattr(numerics, "spd_solver", lambda k_mat, what: (
             calls.append(k_mat.shape) or spd_solver(k_mat, what)))
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
         assert calls == []
-        assert model.gram_rank == 35 < train.n == 45
-        x = model.standardizer.apply(train.x)
         for machine in model.machines:
+            x = machine.x_train
+            assert svm._kernel_factor(machine.kernel, x).shape == (30, 20)
             want = interior_point_then_ascent(x, machine.y_train,
-                                              model.machines[0].kernel,
-                                              factored=True)
+                                              machine.kernel, factored=True)
+            assert machine.route is SvmRoute.FEATURE_MAP_IP
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
             assert np.array_equal(machine.alpha, want.alpha)
@@ -902,29 +1023,31 @@ class TestActiveSet:
             assert machine.n_updates == want.n_updates
             assert machine.kkt_gap == want.kkt_gap
 
-    @pytest.mark.parametrize("repeated,cap,error", [
-        # the first 5 rows again: K is singular, and so is the first
-        # Cholesky of K_FF, with every index free
-        pytest.param(5, svm._AS_MAX_ROUNDS, NotPositiveDefinite,
+    @pytest.mark.parametrize("repeated,cap,error,fallbacks", [
+        # the first 5 rows, of class 0, again: K is singular on the pairs
+        # of class 0, and so is the first Cholesky of K_FF, with every
+        # index free
+        pytest.param(5, svm._AS_MAX_ROUNDS, NotPositiveDefinite, [0, 1],
                      id="FS1-repeated-rows"),
-        # the sets of these machines settle in 5-9 rounds, not in 1
-        pytest.param(0, 1, NoConvergence, id="FS1-capped")])
+        # the sets of these machines settle in 4-6 rounds, not in 1
+        pytest.param(0, 1, NoConvergence, [0, 1, 2], id="FS1-capped")])
     def test_fallback_machines_equal_the_interior_point_bit_for_bit(
-            self, monkeypatch, repeated, cap, error):
+            self, monkeypatch, repeated, cap, error, fallbacks):
         train = with_first_rows_repeated(golden_fold(FeatureSelection.FS1, 0),
                                          repeated)
         monkeypatch.setattr(svm, "_AS_MAX_ROUNDS", cap)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
-        assert model.gram_rank == train.n
+        assert [j for j, m in enumerate(model.machines)
+                if m.route is SvmRoute.DENSE_IP] == fallbacks
         summary = model.describe()
-        assert summary["active_set_rounds"] == 0 < summary["ip_iterations"]
-        x = model.standardizer.apply(train.x)
-        gram = model.machines[0].kernel.gram(x, x)
-        for machine in model.machines:
-            y = machine.y_train
+        assert summary["routes"]["dense_ip"] == len(fallbacks)
+        assert 0 < summary["ip_iterations"]
+        for j in fallbacks:
+            machine = model.machines[j]
+            x, y = machine.x_train, machine.y_train
             with pytest.raises(error):
-                svm._active_set(gram, y)
-            want = interior_point_then_ascent(x, y, model.machines[0].kernel)
+                svm._active_set(machine.kernel.gram(x, x), y)
+            want = interior_point_then_ascent(x, y, machine.kernel)
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
             assert np.array_equal(machine.alpha, want.alpha)
@@ -933,11 +1056,86 @@ class TestActiveSet:
             assert machine.kkt_gap == want.kkt_gap
 
 
+def per_pair_scores(model, queries):
+    """Minus each class's mean hinge loss, by a plain loop over the class
+    pairs: machine m, of pair (a, b), adds max(0, 1 - f) to class a's
+    losses and max(0, 1 + f) to class b's, f being its decision values on
+    the queries standardised as its rows were."""
+    k = model.n_classes
+    losses = [[] for _ in range(k)]
+    for m, (a, b) in enumerate(itertools.combinations(range(k), 2)):
+        f = decision(model.machines[m], model.standardizers[m].apply(queries))
+        losses[a].append(np.maximum(0.0, 1.0 - f))
+        losses[b].append(np.maximum(0.0, 1.0 + f))
+    columns = []
+    for c in range(k):
+        total = np.zeros(queries.shape[0])
+        for loss in losses[c]:
+            total = total + loss
+        columns.append(-total / (k - 1))
+    return np.column_stack(columns)
+
+
+class TestOneVsOneCoding:
+    @pytest.mark.parametrize("kind", list(SvmKernel))
+    @pytest.mark.parametrize("selection", [FeatureSelection.FS1,
+                                           FeatureSelection.FS2])
+    def test_golden_fold_has_one_checked_machine_per_pair(self, kind, selection):
+        # the 3 classes of the golden fold make 3 pairs; each machine sees
+        # its pair's 30 rows alone, standardised on them, and meets the
+        # KKT conditions recomputed from a Gram matrix built entry by entry
+        train = golden_fold(selection, 0)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
+        k = train.n_classes
+        assert len(model.machines) == len(model.standardizers) == k * (k - 1) // 2
+        for (a, b), machine, standardizer in zip(
+                itertools.combinations(range(k), 2), model.machines,
+                model.standardizers):
+            in_pair = (train.y == a) | (train.y == b)
+            rows = train.x[in_pair]
+            assert rows.shape[0] == 30
+            mean = rows.mean(axis=0)
+            spread = np.sqrt(((rows - mean) ** 2).sum(axis=0) / (len(rows) - 1))
+            assert np.allclose(machine.x_train, (rows - mean) / spread,
+                               rtol=0.0, atol=1e-12)
+            x, y = pair_rows(train, a, b)
+            assert np.array_equal(machine.x_train, x)
+            assert np.array_equal(standardizer.apply(rows), x)
+            assert np.array_equal(machine.y_train, y)
+            assert np.array_equal(y, np.where(train.y[in_pair] == a, 1.0, -1.0))
+            gram = plain_gram(machine.kernel, x)
+            alpha = machine.alpha
+            assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
+            assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
+            assert abs(float(y @ alpha)) <= 1e-9 * DEFAULT_COST * y.size
+
+    @pytest.mark.parametrize("kind", list(SvmKernel))
+    def test_scores_are_minus_the_mean_hinge_loss_bit_for_bit(self, kind):
+        dataset = build_dataset(generate_panel(GOLDEN_CONFIG), FeatureSelection.FS1)
+        plan = stratified_folds(dataset, 2, seed=0)
+        model = fit_svm_multiclass(dataset.subset(plan.training_rows(0)),
+                                   kernel=KernelSpec(kind))
+        queries = dataset.x[plan.holdout_rows(0)]
+        assert np.array_equal(model.scores_batch(queries),
+                              per_pair_scores(model, queries))
+
+    def test_a_class_without_rows_is_rejected(self):
+        train = make_blobs([[0.0, 0.0], [3.0, 3.0]], 10, scale=0.6, seed=61,
+                           names=("a", "b"))
+        train = Dataset(x=train.x, y=train.y, class_names=("a", "b", "c"),
+                        feature_names=train.feature_names)
+        with pytest.raises(EmptyClass, match=r"classes with no training rows: \[2\]"):
+            fit_svm_multiclass(train)
+
+
 class TestMulticlass:
-    def test_one_vs_rest_two_classes_matches_binary(self):
+    def test_two_classes_match_one_binary_machine(self):
+        # two classes make one pair: one machine on every row, whose hinge
+        # losses are the two classes' scores
         train = make_blobs([[0.0, 0.0], [3.0, 3.0]], 10, scale=0.6, seed=61)
         model = fit_svm_multiclass(train)
-        scale = model.standardizer.apply
+        assert len(model.machines) == 1
+        scale = model.standardizers[0].apply
         spec = KernelSpec(SvmKernel.LINEAR)
         y_pm = np.where(train.y == 0, 1.0, -1.0)
         binary = fit_svm_binary(scale(train.x), y_pm, spec)
@@ -946,7 +1144,8 @@ class TestMulticlass:
         got = model.classify_batch(queries)
         want = np.where(dec > 0, 0, 1)
         both = model.scores_batch(queries)
-        assert np.allclose(both[:, 0], -both[:, 1], atol=1e-9)
+        assert np.allclose(both, -np.maximum(0.0, np.column_stack([1.0 - dec, 1.0 + dec])),
+                           atol=1e-9)
         assert np.array_equal(got[np.abs(dec) > 1e-9], want[np.abs(dec) > 1e-9])
 
     def test_three_class_blobs_high_accuracy(self):
@@ -957,24 +1156,21 @@ class TestMulticlass:
         assert acc >= 0.95
 
     @pytest.mark.parametrize("kind", [SvmKernel.LINEAR, SvmKernel.GAUSSIAN])
-    def test_scores_are_one_vs_rest_decision_columns(self, kind):
-        # column j is machine j's decision: class j against the other three,
-        # trained and queried on the model's standardised rows; a linear
-        # machine is the interior point through the rows, polished by
-        # ascent, a gaussian one the plain ascent. The columns come from one
-        # Gram block of the queries against the shared rows
+    def test_machines_are_the_pairs_binary_fits(self, kind):
+        # machine m is the m-th pair (a, b) in combinations order, class a
+        # against class b, trained and queried on the pair's standardised
+        # rows; a linear machine is the interior point through the rows,
+        # polished by ascent, a gaussian one the plain ascent
         train = make_blobs([[0.0], [2.0], [4.0], [6.0]], 6, scale=0.2, seed=66)
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        assert len(model.machines) == train.n_classes
-        scale = model.standardizer.apply
-        x = scale(train.x)
+        pairs = list(itertools.combinations(range(4), 2))
+        assert len(model.machines) == len(model.standardizers) == len(pairs)
         kernel = KernelSpec(kind).resolve(train.d)
         queries = np.random.default_rng(67).normal(size=(25, 1)) * 3 + 3
         scores = model.scores_batch(queries)
         assert scores.shape == (25, train.n_classes)
-        references = []
-        for j, machine in enumerate(model.machines):
-            y_pm = np.where(train.y == j, 1.0, -1.0)
+        for (a, b), machine in zip(pairs, model.machines):
+            x, y_pm = pair_rows(train, a, b)
             if kind is SvmKernel.LINEAR:
                 reference = interior_point_then_ascent(x, y_pm, kernel, factored=True)
             else:
@@ -983,24 +1179,28 @@ class TestMulticlass:
             assert machine.bias == reference.bias
             assert np.array_equal(machine.x_train, x)
             assert np.array_equal(machine.y_train, y_pm)
-            references.append(reference)
-        coef = np.column_stack([r.alpha * r.y_train for r in references])
-        bias = np.array([r.bias for r in references])
-        assert np.array_equal(scores, kernel.gram(scale(queries), x) @ coef + bias)
+        assert np.array_equal(scores, per_pair_scores(model, queries))
 
     @pytest.mark.parametrize("kind", list(SvmKernel))
-    def test_one_product_matches_the_per_machine_support_vector_sums(self, kind):
-        # FS1 fold 0 of the default panel: the product over every row moves
-        # each score by rounding alone from the sum over that machine's
-        # support vectors, and no class on a row that is not a near-tie
+    def test_scores_match_the_sums_over_all_rows(self, kind):
+        # FS1 fold 0 of the default panel: each machine's sum over its
+        # support vectors alone moves its decision values by rounding alone
+        # from the product over all its rows, and no class on a row that is
+        # not a near-tie
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS1)
         plan = stratified_folds(dataset, 10, seed=0)
         train = dataset.subset(plan.training_rows(0))
         queries = dataset.x[plan.holdout_rows(0)]
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
-        q = model.standardizer.apply(queries)
-        want = np.column_stack([decision(m, q) for m in model.machines])
+        losses = np.zeros((queries.shape[0], 5))
+        for (a, b), machine, standardizer in zip(PAIRS_OF_5, model.machines,
+                                                 model.standardizers):
+            f = (machine.kernel.gram(standardizer.apply(queries), machine.x_train)
+                 @ (machine.alpha * machine.y_train) + machine.bias)
+            losses[:, a] += np.maximum(0.0, 1.0 - f)
+            losses[:, b] += np.maximum(0.0, 1.0 + f)
+        want = -losses / 4
         got = model.scores_batch(queries)
         assert np.abs(got - want).max() <= 1e-8
         top_two = np.sort(want, axis=1)[:, -2:]
@@ -1039,3 +1239,25 @@ class TestMulticlass:
                         class_names=("only",), feature_names=("a", "b"))
         with pytest.raises(EmptyClass, match="training data holds a single class"):
             fit_svm_multiclass(train)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("kind", list(SvmKernel))
+    def test_fit_peak_stays_below_one_gram_matrix_of_the_fold(self, kind):
+        # FS1 fold 0 of a 5-name x 220-day panel: 990 rows, 198 of each
+        # class, so every pair machine sees 396 rows. One n x n float64
+        # array of the fold, 7.8 MB, is what a Gram matrix over all its
+        # rows would take; the pair machines' peak was 3.2-4.4 MB
+        panel = generate_panel(GeneratorConfig(n_days=220))
+        dataset = build_dataset(panel, FeatureSelection.FS1)
+        train = dataset.subset(stratified_folds(dataset, 10, seed=0)
+                               .training_rows(0))
+        assert train.n == 990
+        tracemalloc.start()
+        try:
+            model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(m.y_train.size == 396 for m in model.machines)
+        assert peak < train.n * train.n * np.dtype(float).itemsize
