@@ -202,13 +202,19 @@ def check_training_set(train: Dataset, two_classes: bool = True) -> None:
         raise EmptyClass("training data holds a single class")
 
 
+def class_counts(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Samples per class, n_j; raises EmptyClass when a class has none."""
+    counts = np.bincount(np.asarray(y, dtype=int), minlength=n_classes)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptyClass(f"classes with no samples: {empty.tolist()}")
+    return counts
+
+
 def class_log_priors(y: np.ndarray, n_classes: int) -> np.ndarray:
     """Logs of the empirical priors n_j / n; raises EmptyClass when a
     class has no samples."""
-    counts = np.bincount(np.asarray(y, dtype=int), minlength=n_classes)
-    if np.any(counts == 0):
-        empty = [j for j, c in enumerate(counts) if c == 0]
-        raise EmptyClass(f"classes with no samples: {empty}")
+    counts = class_counts(y, n_classes)
     return np.log(counts / counts.sum())
 
 

@@ -21,8 +21,7 @@ there K = GG' cannot have full rank. Otherwise it is solved densely, by a
 primal-dual active-set iteration, with the interior point on K as its
 fallback. Every machine then ends in fit_svm_binary's ascent, which
 polishes that alpha, or starts from 0 for a gaussian machine or one whose
-interior point stopped at its iteration cap, and checks its KKT
-conditions. fit_svm_multiclass states that policy.
+interior point raised NoConvergence, and checks its KKT conditions. fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .core import ClassifierModel, Dataset, check_training_set
+from .core import ClassifierModel, Dataset, check_training_set, class_counts
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -340,11 +339,12 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
     twice per iteration. The residuals, and so the stop
     test, are always taken on k_mat itself. At the end every alpha within
     _SNAP * C of a bound goes onto it, and y'alpha = 0 is restored by one
-    equal shift of the free alphas along y, clipped back into the box;
-    fit_svm_binary checks the result as it checks any start (on the
-    study's grid the largest |y'alpha| left is 1.5e-17 n, where it accepts
-    1e-9 C n). Raises NoConvergence if _IP_MAX_ITERATIONS pass first, and
-    NotPositiveDefinite if the Cholesky of K + D fails.
+    equal shift of the free alphas along y, clipped back into the box.
+    The alpha returned is on the box with |y'alpha| <= 1e-12 C n, inside
+    the 1e-9 C n fit_svm_binary accepts of a start (on the study's grid
+    the largest |y'alpha| left is 1.5e-17 n). Raises NoConvergence if
+    _IP_MAX_ITERATIONS pass first, or if the clip leaves |y'alpha| above
+    1e-12 C n, and NotPositiveDefinite if the Cholesky of K + D fails.
     """
     n, cost = y.size, DEFAULT_COST
     k_diag = k_mat.diagonal().copy()
@@ -422,6 +422,9 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
     if free.any():
         alpha[free] -= y[free] * (float(y @ alpha) / np.count_nonzero(free))
     np.clip(alpha, 0.0, cost, out=alpha)
+    if abs(float(y @ alpha)) > 1e-12 * cost * n:
+        raise NoConvergence(f"interior point alpha breaks y'alpha = 0 by "
+                            f"{float(y @ alpha):.3e} after snapping to the box")
     return alpha, iterations
 
 
@@ -512,11 +515,8 @@ class SvmClassifier(ClassifierModel):
     keeps the standardisation of its own pair's rows, standardizers[m],
     since a fold-wide one cut SVM-Gaussian's study accuracy from 0.731 to
     0.621 (fit_svm_multiclass). It scores a query q, standardised by
-    standardizers[m], against its support vectors, the rows of x_train with
-    alpha > 0, as f = k(q, x_sv) (alpha * y)_sv + bias: 20-32 % of a study
-    pair's rows, which cut the full grid's SVM scoring from 72 to 58 ms
-    against all rows, with no prediction moved (CHANGES.md). The score
-    of class c is minus its mean hinge loss over its K - 1 machines:
+    standardizers[m], with one kernel product over its rows,
+    f = k(q, x_train) (alpha * y_train) + bias. The score of class c is minus its mean hinge loss over its K - 1 machines:
     max(0, 1 - f) for class a and max(0, 1 + f) for class b (Allwein,
     Schapire and Singer, JMLR 1, 2000), so the arg-max is the class with
     the least loss.
@@ -536,9 +536,8 @@ class SvmClassifier(ClassifierModel):
         pairs = itertools.combinations(range(self.n_classes), 2)
         for (a, b), machine, standardizer in zip(pairs, self.machines,
                                                  self.standardizers):
-            sv = machine.alpha > 0.0
-            k = machine.kernel.gram(standardizer.apply(x), machine.x_train[sv])
-            f = k @ (machine.alpha[sv] * machine.y_train[sv]) + machine.bias
+            k = machine.kernel.gram(standardizer.apply(x), machine.x_train)
+            f = k @ (machine.alpha * machine.y_train) + machine.bias
             losses[:, a] += np.maximum(0.0, 1.0 - f)
             losses[:, b] += np.maximum(0.0, 1.0 + f)
         return -losses / (self.n_classes - 1)
@@ -586,14 +585,15 @@ def fit_svm_multiclass(train: Dataset,
     ascent at DEFAULT_KKT_TOL, which also checks it, and the machine
     records the iterations or rounds that found it.
 
-    A machine whose interior point, either one, stops at
-    _IP_MAX_ITERATIONS takes no start, as a gaussian machine takes none:
-    fit_svm_binary solves it by pairwise ascent from alpha = 0, at the
-    same DEFAULT_KKT_TOL and DEFAULT_MAX_UPDATES. One study machine needs
-    this, SVM-Linear's pair (1, 3) on FS1 fold 7 at cv seed 0: its dual
-    and equality residuals reach rounding level while mu / C swings
-    between 9.2e-8 and 2.6e-8, above _IP_TOL, and the ascent solves it in
-    649 updates. The ascent's second-order choice of the working pair
+    A machine whose interior point, either one, raises NoConvergence,
+    stopping at _IP_MAX_ITERATIONS or leaving |y'alpha| above 1e-12 C n
+    after its clip to the box, takes no start, as a gaussian machine takes
+    none: fit_svm_binary solves it by pairwise ascent from alpha = 0, at
+    the same DEFAULT_KKT_TOL and DEFAULT_MAX_UPDATES. One machine of the
+    study's grid needs this, SVM-Linear's pair (1, 3) on FS1 fold 7 at cv
+    seed 0, which stalls: its dual and equality residuals reach rounding
+    level while mu / C swings between 9.2e-8 and 2.6e-8, above _IP_TOL,
+    and the ascent solves it in 649 updates. The ascent's second-order choice of the working pair
     converges for any positive semidefinite kernel (Fan, Chen and Lin,
     JMLR 6, 2005), and LIBSVM solves the gaussian kernel with it alone
     (Chang and Lin, ACM TIST 2(3), 2011); no gaussian pair machine of the
@@ -602,9 +602,7 @@ def fit_svm_multiclass(train: Dataset,
     """
     check_training_set(train)
     kernel = kernel.resolve(train.d)
-    empty = np.flatnonzero(np.bincount(train.y, minlength=train.n_classes) == 0)
-    if empty.size:
-        raise EmptyClass(f"classes with no training rows: {empty.tolist()}")
+    class_counts(train.y, train.n_classes)
     machines, standardizers = [], []
     for a, b in itertools.combinations(range(train.n_classes), 2):
         rows = (train.y == a) | (train.y == b)

@@ -425,13 +425,13 @@ class TestInteriorPoint:
         assert calls == [gram.shape] * 2
         assert np.array_equal(gram, before)
 
-    @pytest.mark.parametrize("factored", [False, True])
-    def test_a_clip_after_the_shift_leaves_a_start_the_ascent_takes(
-            self, factored):
+    def test_a_clip_that_breaks_the_equality_hands_the_machine_to_the_ascent(
+            self):
         # class 4 against the rest on FS6 fold 4 of the default panel, on
         # rows scaled by 1/sqrt(d): the equal shift of the free alphas,
-        # clipped back into the box, leaves y'alpha at 1.2e-8, within the
-        # 1e-9 C n that fit_svm_binary accepts of a start
+        # clipped back into the box, leaves |y'alpha| at 1.2e-8, above
+        # 1e-12 C n, on both interior points. The machine is solved from
+        # alpha = 0 instead, as one whose interior point stalls
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS6)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
@@ -440,13 +440,17 @@ class TestInteriorPoint:
         y = np.where(train.y == 4, 1.0, -1.0)
         spec = KernelSpec(SvmKernel.POLYNOMIAL)
         gram = spec.gram(x, x)
-        factor = svm._kernel_factor(spec, x) if factored else None
-        alpha, _ = svm._interior_point(gram, y, factor)
-        assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
-        assert (1e-12 * DEFAULT_COST * y.size < abs(float(alpha @ y))
-                <= 1e-9 * DEFAULT_COST * y.size)
-        model = interior_point_then_ascent(x, y, spec, factored)
-        assert model.ip_iterations > 0
+        for factor in (None, svm._kernel_factor(spec, x)):
+            with pytest.raises(NoConvergence, match="breaks y'alpha = 0 by "):
+                svm._interior_point(gram, y, factor)
+        model = svm._fit_machine(x, y, spec)
+        assert model.route is SvmRoute.ASCENT
+        assert model.ip_iterations == 0
+        ascent = fit_svm_binary(x, y, spec)
+        assert np.array_equal(model.alpha, ascent.alpha)
+        assert model.n_updates == ascent.n_updates
+        assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
+        assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
         assert model.kkt_gap <= DEFAULT_KKT_TOL
         assert kkt_gap_from_alpha(model.alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
 
@@ -543,7 +547,7 @@ class TestInteriorPoint:
         assert kkt_gap_from_alpha(machine.alpha, y, plain_gram(kernel, x),
                                   DEFAULT_COST) <= DEFAULT_KKT_TOL
         assert machine.alpha.min() >= 0.0 and machine.alpha.max() <= DEFAULT_COST
-        assert abs(float(y @ machine.alpha)) <= 1e-9 * DEFAULT_COST * y.size
+        assert abs(float(y @ machine.alpha)) <= 1e-12 * DEFAULT_COST * y.size
         assert model.describe()["routes"] == {"ascent": 1, "feature_map_ip": 9,
                                               "active_set": 0, "dense_ip": 0}
 
@@ -952,7 +956,7 @@ class TestActiveSet:
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
             assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
-            assert abs(float(y @ alpha)) <= 1e-9 * DEFAULT_COST * y.size
+            assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
 
     def test_repeated_sets_hand_over_to_the_interior_point_at_once(
             self, monkeypatch):
@@ -979,6 +983,8 @@ class TestActiveSet:
                 assert "repeat" in str(exc)
                 rounds = None
             except NotPositiveDefinite:
+                # pair (0, 1) holds the repeated row; its sets must cycle
+                assert j != 0
                 assert machine.route is SvmRoute.DENSE_IP
                 continue
             if j == 0:
@@ -1059,12 +1065,15 @@ class TestActiveSet:
 def per_pair_scores(model, queries):
     """Minus each class's mean hinge loss, by a plain loop over the class
     pairs: machine m, of pair (a, b), adds max(0, 1 - f) to class a's
-    losses and max(0, 1 + f) to class b's, f being its decision values on
-    the queries standardised as its rows were."""
+    losses and max(0, 1 + f) to class b's, f being its decision values,
+    over all its rows, on the queries standardised as its rows were."""
     k = model.n_classes
     losses = [[] for _ in range(k)]
     for m, (a, b) in enumerate(itertools.combinations(range(k), 2)):
-        f = decision(model.machines[m], model.standardizers[m].apply(queries))
+        machine = model.machines[m]
+        gram = machine.kernel.gram(model.standardizers[m].apply(queries),
+                                   machine.x_train)
+        f = gram @ (machine.alpha * machine.y_train) + machine.bias
         losses[a].append(np.maximum(0.0, 1.0 - f))
         losses[b].append(np.maximum(0.0, 1.0 + f))
     columns = []
@@ -1107,7 +1116,7 @@ class TestOneVsOneCoding:
             alpha = machine.alpha
             assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
-            assert abs(float(y @ alpha)) <= 1e-9 * DEFAULT_COST * y.size
+            assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
 
     @pytest.mark.parametrize("kind", list(SvmKernel))
     def test_scores_are_minus_the_mean_hinge_loss_bit_for_bit(self, kind):
@@ -1124,7 +1133,7 @@ class TestOneVsOneCoding:
                            names=("a", "b"))
         train = Dataset(x=train.x, y=train.y, class_names=("a", "b", "c"),
                         feature_names=train.feature_names)
-        with pytest.raises(EmptyClass, match=r"classes with no training rows: \[2\]"):
+        with pytest.raises(EmptyClass, match=r"classes with no samples: \[2\]"):
             fit_svm_multiclass(train)
 
 
@@ -1182,11 +1191,11 @@ class TestMulticlass:
         assert np.array_equal(scores, per_pair_scores(model, queries))
 
     @pytest.mark.parametrize("kind", list(SvmKernel))
-    def test_scores_match_the_sums_over_all_rows(self, kind):
-        # FS1 fold 0 of the default panel: each machine's sum over its
-        # support vectors alone moves its decision values by rounding alone
-        # from the product over all its rows, and no class on a row that is
-        # not a near-tie
+    def test_scores_match_the_per_machine_support_vector_sums(self, kind):
+        # FS1 fold 0 of the default panel: each machine's product over all
+        # its rows moves its decision values by rounding alone from the sum
+        # over its support vectors, and no class on a row that is not a
+        # near-tie
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS1)
         plan = stratified_folds(dataset, 10, seed=0)
@@ -1196,8 +1205,7 @@ class TestMulticlass:
         losses = np.zeros((queries.shape[0], 5))
         for (a, b), machine, standardizer in zip(PAIRS_OF_5, model.machines,
                                                  model.standardizers):
-            f = (machine.kernel.gram(standardizer.apply(queries), machine.x_train)
-                 @ (machine.alpha * machine.y_train) + machine.bias)
+            f = decision(machine, standardizer.apply(queries))
             losses[:, a] += np.maximum(0.0, 1.0 - f)
             losses[:, b] += np.maximum(0.0, 1.0 + f)
         want = -losses / 4
