@@ -21,7 +21,8 @@ there K = GG' cannot have full rank. Otherwise it is solved densely, by a
 primal-dual active-set iteration, with the interior point on K as its
 fallback. Every machine then ends in fit_svm_binary's ascent, which
 polishes that alpha, or starts from 0 for a gaussian machine or one whose
-interior point raised NoConvergence, and checks its KKT conditions. fit_svm_multiclass states that policy.
+interior point raised NoConvergence, and checks its KKT conditions.
+fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
@@ -516,7 +517,8 @@ class SvmClassifier(ClassifierModel):
     since a fold-wide one cut SVM-Gaussian's study accuracy from 0.731 to
     0.621 (fit_svm_multiclass). It scores a query q, standardised by
     standardizers[m], with one kernel product over its rows,
-    f = k(q, x_train) (alpha * y_train) + bias. The score of class c is minus its mean hinge loss over its K - 1 machines:
+    f = k(q, x_train) (alpha * y_train) + bias. The score of class c is
+    minus its mean hinge loss over its K - 1 machines:
     max(0, 1 - f) for class a and max(0, 1 + f) for class b (Allwein,
     Schapire and Singer, JMLR 1, 2000), so the arg-max is the class with
     the least loss.
@@ -593,12 +595,13 @@ def fit_svm_multiclass(train: Dataset,
     study's grid needs this, SVM-Linear's pair (1, 3) on FS1 fold 7 at cv
     seed 0, which stalls: its dual and equality residuals reach rounding
     level while mu / C swings between 9.2e-8 and 2.6e-8, above _IP_TOL,
-    and the ascent solves it in 649 updates. The ascent's second-order choice of the working pair
-    converges for any positive semidefinite kernel (Fan, Chen and Lin,
-    JMLR 6, 2005), and LIBSVM solves the gaussian kernel with it alone
-    (Chang and Lin, ACM TIST 2(3), 2011); no gaussian pair machine of the
-    study needs more than 305 updates at cv seeds 0-2. Every machine ends
-    at DEFAULT_KKT_TOL or raises NoConvergence.
+    and the ascent solves it in 649 updates. The ascent's second-order
+    choice of the working pair converges for any positive semidefinite
+    kernel (Fan, Chen and Lin, JMLR 6, 2005), and LIBSVM solves the
+    gaussian kernel with it alone (Chang and Lin, ACM TIST 2(3), 2011); no
+    gaussian pair machine of the study needs more than 305 updates at cv
+    seeds 0-2. Every machine ends at DEFAULT_KKT_TOL or raises
+    NoConvergence.
     """
     check_training_set(train)
     kernel = kernel.resolve(train.d)
