@@ -8,8 +8,8 @@ principal-component analysis and feature standardisation, plus
 the query-row checks and the block slicing that the instance-based
 classifiers (kNN, kernel naive Bayes) use to keep their temporaries small.
 The classifiers call most of these on d x d matrices, d <= a few dozen;
-spd_solver also serves the SVM interior point's n x n Newton matrices
-and the SVM active set's K_FF blocks over its free indices.
+spd_solver also serves the SVM active set's K_FF blocks over its free
+indices. No caller solves more than once per factor.
 """
 from __future__ import annotations
 
@@ -154,7 +154,10 @@ def spd_solver(matrix: np.ndarray, what: str) -> Callable[[np.ndarray], np.ndarr
     vector or matrix b; NotPositiveDefinite led by what if that fails.
     LAPACK reads only A's lower triangle; A is not checked for symmetry.
     numpy has no triangular solve, so the diagonal blocks of L are inverted
-    once, and each solve substitutes block by block through matmuls.
+    once, and each solve substitutes block by block through matmuls. The
+    inverses pay only where one factor serves many solves, but no caller
+    solves more than once per factor: solve_spd solves once, and the SVM
+    active set once per round, for its two right-hand sides together.
     """
     lower = _lower_factor(matrix, what)
     n = lower.shape[0]

@@ -13,16 +13,16 @@ alone and standardised on them (which lifts SVM-Gaussian's study accuracy
 from 0.621 with fold-wide standardisation to 0.731), and a query's score
 for each class is minus its mean hinge loss over the class's machines.
 
-The kernel and the pair's rows pick each machine's route. A linear or
+The kernel and the pair's rows pick each machine's start solver, one of
+three routes (SvmRoute). A gaussian machine has none. A linear or
 polynomial machine whose kernel has an exact feature map G of r < n
 columns, for the pair's n rows, is solved by a Mehrotra predictor-corrector
 interior-point method (Mehrotra, SIAM J. Optim. 2(4), 1992) through G:
-there K = GG' cannot have full rank. Otherwise it is solved densely, by a
-primal-dual active-set iteration, with the interior point on K as its
-fallback. Every machine then ends in fit_svm_binary's ascent, which
-polishes that alpha, or starts from 0 for a gaussian machine or one whose
-interior point raised NoConvergence, and checks its KKT conditions.
-fit_svm_multiclass states that policy.
+there K = GG' cannot have full rank. Otherwise K can have full rank, and a
+primal-dual active-set iteration on K solves the machine. Every machine
+then ends in fit_svm_binary's ascent, which polishes that alpha, or starts
+from alpha = 0 for a gaussian machine or one whose start solver failed,
+and checks its KKT conditions. fit_svm_multiclass states that policy.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ _IP_TOL = 1e-9             # interior-point stop on scaled residuals and mu / C
 _IP_MAX_ITERATIONS = 100
 _IP_STEP = 0.995           # share of the way to the boundary per step
 _SNAP = 1e-7               # alphas this share of C from a bound go onto it
-_AS_MAX_ROUNDS = 100       # active-set rounds before the interior point takes over
+_AS_MAX_ROUNDS = 100       # active-set rounds before the ascent from 0 takes over
 
 
 class SvmKernel(Setting):
@@ -70,7 +70,6 @@ class SvmRoute(Setting):
     ASCENT = "ascent"                  # none: the ascent from alpha = 0
     FEATURE_MAP_IP = "feature_map_ip"  # the interior point through G
     ACTIVE_SET = "active_set"          # the dense active set
-    DENSE_IP = "dense_ip"              # the interior point on K
 
 
 def default_gaussian_scale(d: int) -> float:
@@ -154,8 +153,7 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     Raises DimensionMismatch when y, gram or alpha does not match the rows,
     BadConfig when alpha leaves [0, C] or |y'alpha| > 1e-9 C n, and
     NoConvergence at DEFAULT_MAX_UPDATES updates, or when the gap is not
-    finite (as on a Gram matrix that is not) or no index pairs with the
-    steepest.
+    finite (as on a Gram matrix that is not).
 
     grad is the gradient of 1/2 a'Qa - sum a, with Q = yy' * K, and the
     loop runs on minus_yg = -y * grad, which rounds to y - K (y * alpha)
@@ -215,7 +213,8 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
             raise NoConvergence(f"KKT gap {gap:.3e} > {tol} after "
                                 f"{DEFAULT_MAX_UPDATES} pair updates")
         # second-order choice of the partner index; a gain over max(b, 0)
-        # is 0 off the candidates and positive on them
+        # is 0 off the candidates and positive on them, and the gap > tol
+        # > 0 is a candidate's b, so the arg-max is a candidate
         np.add(k_diag, k_diag.item(i), out=a_vec)
         np.multiply(k_mat[i], 2.0, out=term)
         np.subtract(a_vec, term, out=a_vec)
@@ -224,9 +223,6 @@ def fit_svm_binary(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         np.multiply(gain, gain, out=gain)
         np.divide(gain, a_vec, out=gain)
         j = int(gain.argmax())
-        if not b_vec.item(j) > 0.0:
-            raise NoConvergence(f"KKT gap {gap:.3e} > {tol} but no index pairs "
-                                f"with {i} after {updates} pair updates")
         # the pair's scalars as Python floats, which round as numpy's do;
         # i is on the up set and j, a candidate, on the low set
         ai_old, aj_old = alpha.item(i), alpha.item(j)
@@ -317,42 +313,37 @@ def _kernel_factor(kernel: KernelSpec, x: np.ndarray) -> np.ndarray | None:
 
 
 def _interior_point(k_mat: np.ndarray, y: np.ndarray,
-                    factor: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                    factor: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve the dual with C = DEFAULT_COST by Mehrotra's predictor-corrector
-    interior-point method; return alpha on the box with y'alpha = 0, and
-    the iterations.
+    interior-point method through a factor G, GG' = k_mat, of r < n
+    columns; return alpha on the box with |y'alpha| <= 1e-12 C n, and the
+    iterations.
 
     Minimises 1/2 a'Qa - sum a, Q = yy' * K, with slacks s = C - a and
     multipliers z of a >= 0, w of a <= C and b of y'a = 0, all of a, s, z,
     w kept positive. Each direction solves (Q + D) [u, v] = [g, y] for
-    D = diag(z/a + w/s) once, as (K + D) [y*u, y*v] = [y*g, 1], which
-    rounds to the same u and v as y = +-1, and takes
-    db = (y'u + y'a) / y'v, da = u - v db, so the step toward y'a = 0 is
-    eliminated in closed form. With factor = None the predictor and the
-    corrector share one factorisation per iteration, a dense Cholesky of
-    K + D (numerics.spd_solver), D going onto k_mat's diagonal for it
-    only. With a factor G, GG' = K, the solves go through the
-    Sherman-Morrison-Woodbury identity on the scaled P = D^-1/2 G,
-    (K + D)^-1 = D^-1/2 (I - P (I + P'P)^-1 P') D^-1/2 (Fine and
-    Scheinberg, JMLR 2, 2001; Ferris and Munson, SIAM J. Optim. 13(3),
-    2002): they share the r x r matrix I + P'P, formed once per iteration,
-    but each solve's np.linalg.solve LU-factors it anew, so it is factored
-    twice per iteration. The residuals, and so the stop
-    test, are always taken on k_mat itself. At the end every alpha within
+    D = diag(z/a + w/s), as (K + D) [y*u, y*v] = [y*g, 1], which rounds
+    to the same u and v as y = +-1, and takes db = (y'u + y'a) / y'v,
+    da = u - v db, so the step toward y'a = 0 is eliminated in closed
+    form. The solves go through the Sherman-Morrison-Woodbury identity on
+    the scaled P = D^-1/2 G, (K + D)^-1 = D^-1/2 (I - P (I + P'P)^-1 P')
+    D^-1/2 (Fine and Scheinberg, JMLR 2, 2001; Ferris and Munson, SIAM J.
+    Optim. 13(3), 2002): the predictor and the corrector share the r x r
+    matrix I + P'P, formed once per iteration, but each solve's
+    np.linalg.solve LU-factors it anew. k_mat is only read, for the
+    residuals and so the stop test. At the end every alpha within
     _SNAP * C of a bound goes onto it, and y'alpha = 0 is restored by one
-    equal shift of the free alphas along y, clipped back into the box.
-    The alpha returned is on the box with |y'alpha| <= 1e-12 C n, inside
-    the 1e-9 C n fit_svm_binary accepts of a start (on the study's grid
-    the largest |y'alpha| left is 1.5e-17 n). Raises NoConvergence if
-    _IP_MAX_ITERATIONS pass first, or if the clip leaves |y'alpha| above
-    1e-12 C n, and NotPositiveDefinite if the Cholesky of K + D fails.
+    equal shift of the free alphas along y, clipped back into the box;
+    1e-12 C n is well inside the 1e-9 C n fit_svm_binary accepts of a
+    start (on the study's grid the largest |y'alpha| left is 1.5e-17 n).
+    Raises NoConvergence if _IP_MAX_ITERATIONS pass first, or if the clip
+    leaves |y'alpha| above 1e-12 C n.
     """
     n, cost = y.size, DEFAULT_COST
-    k_diag = k_mat.diagonal().copy()
     # the dual residual is measured against the size of its terms, as
     # |K_ij| <= max_i K_ii for a positive semidefinite K, so that rounding
     # in Q alpha at large n or large kernel values cannot hold it above tol
-    r_scale = 1.0 + cost * float(k_diag.max())
+    r_scale = 1.0 + cost * float(k_mat.diagonal().max())
     ones = np.ones(n)
     alpha = np.full(n, 0.5 * cost)
     s = alpha.copy()
@@ -370,26 +361,16 @@ def _interior_point(k_mat: np.ndarray, y: np.ndarray,
         if iterations == _IP_MAX_ITERATIONS:
             raise NoConvergence(f"interior point residual {residual:.3e} > "
                                 f"{_IP_TOL} after {iterations} iterations")
-        diag = z / alpha + w / s
-        # one n x n factor alive at a time: drop the last one first
-        solve = None
-        if factor is None:
-            k_mat.flat[::n + 1] += diag
-            try:
-                solve = nm.spd_solver(k_mat, "interior-point K + D")
-            finally:
-                k_mat.flat[::n + 1] = k_diag
-        else:
-            scale = (1.0 / np.sqrt(diag))[:, None]
-            p = factor * scale
-            m_mat = p.T @ p
-            m_mat.flat[::m_mat.shape[0] + 1] += 1.0
+        scale = (1.0 / np.sqrt(z / alpha + w / s))[:, None]
+        p = factor * scale
+        m_mat = p.T @ p
+        m_mat.flat[::m_mat.shape[0] + 1] += 1.0
 
-            # pivoted LU, not Cholesky: a small share of the iteration, and
-            # a Cholesky of I + P'P failed on SVM-Linear FS1 by rounding
-            def solve(rhs):
-                rhs = rhs * scale
-                return (rhs - p @ np.linalg.solve(m_mat, p.T @ rhs)) * scale
+        # pivoted LU, not Cholesky: a small share of the iteration, and
+        # a Cholesky of I + P'P failed on SVM-Linear FS1 by rounding
+        def solve(rhs):
+            rhs = rhs * scale
+            return (rhs - p @ np.linalg.solve(m_mat, p.T @ rhs)) * scale
 
         def direction(sigma_mu, c_z, c_w):
             # complementarity targets alpha*z = s*w = sigma_mu, less the
@@ -492,18 +473,16 @@ def _fit_machine(x: np.ndarray, y: np.ndarray, kernel: KernelSpec) -> BinarySvm:
         return fit_svm_binary(x, y, kernel)
     gram = kernel.gram(x, x)
     factor = _kernel_factor(kernel, x)
-    route, alpha, iterations, rounds = SvmRoute.FEATURE_MAP_IP, None, 0, 0
-    if factor is None:
-        route = SvmRoute.ACTIVE_SET
-        try:
+    iterations = rounds = 0
+    try:
+        if factor is None:
+            route = SvmRoute.ACTIVE_SET
             alpha, rounds = _active_set(gram, y)
-        except (NotPositiveDefinite, NoConvergence):
-            route = SvmRoute.DENSE_IP
-    if alpha is None:
-        try:
+        else:
+            route = SvmRoute.FEATURE_MAP_IP
             alpha, iterations = _interior_point(gram, y, factor)
-        except NoConvergence:
-            route = SvmRoute.ASCENT
+    except (NotPositiveDefinite, NoConvergence):
+        return fit_svm_binary(x, y, kernel, gram=gram)
     return replace(fit_svm_binary(x, y, kernel, gram=gram, alpha=alpha),
                    ip_iterations=iterations, active_set_rounds=rounds,
                    route=route)
@@ -568,40 +547,43 @@ def fit_svm_multiclass(train: Dataset,
     fold-wide standardisation (CHANGES.md). The gaussian scale resolves
     from d once, for every machine.
 
-    The kernel and the pair's n rows pick the machine's route (SvmRoute).
-    A linear or polynomial kernel whose feature map has r < n columns
-    (linear, and polynomial with C(d + p, p) < n: with p = 3 at the
-    study's n = 180 rows per pair, r = 35, 10, 20 and 10 on FS2, FS3, FS5
-    and FS6) gives K = GG' rank r at most, so K cannot have full rank.
-    There the interior point on K solves the machine, its Newton systems
-    going through G by the Sherman-Morrison-Woodbury identity in
-    O(n r^2). Where r >= n (polynomial on FS1 and FS4, whose 969 and 816
-    monomials exceed the rows), K can have full rank, and _active_set
-    solves the machine from every index free, through one Cholesky of the
-    free block K_FF per round. It falls back to the dense interior point,
-    one O(n^3) Cholesky per iteration, when a Cholesky of K_FF fails (as
-    on repeated rows), no index is left free, the sets repeat (a cycle),
-    or they still move after _AS_MAX_ROUNDS = 100 rounds, against at most
-    23 rounds measured over the study's 10 folds at cv seeds 0-2
-    (CHANGES.md). fit_svm_binary then polishes either alpha by pairwise
-    ascent at DEFAULT_KKT_TOL, which also checks it, and the machine
-    records the iterations or rounds that found it.
+    The kernel and the pair's n rows pick the machine's start solver, its
+    route (SvmRoute):
+    - gaussian: none, the ascent alone, as LIBSVM solves that kernel
+      (Chang and Lin, ACM TIST 2(3), 2011); no gaussian pair machine of
+      the study needs more than 305 updates at cv seeds 0-2;
+    - linear or polynomial with a feature map of r < n columns (linear,
+      and polynomial with C(d + p, p) < n: with p = 3 at the study's
+      n = 180 rows per pair, r = 35, 10, 20 and 10 on FS2, FS3, FS5 and
+      FS6): K = GG' has rank r at most, so K cannot have full rank, and
+      the interior point solves the machine, its Newton systems going
+      through G by the Sherman-Morrison-Woodbury identity in O(n r^2);
+    - otherwise (polynomial on FS1 and FS4, whose 969 and 816 monomials
+      exceed the rows): K can have full rank, and _active_set solves the
+      machine from every index free, through one Cholesky of the free
+      block K_FF per round.
+    fit_svm_binary then polishes that alpha by pairwise ascent at
+    DEFAULT_KKT_TOL, which also checks it, and the machine records the
+    iterations or rounds that found it.
 
-    A machine whose interior point, either one, raises NoConvergence,
-    stopping at _IP_MAX_ITERATIONS or leaving |y'alpha| above 1e-12 C n
-    after its clip to the box, takes no start, as a gaussian machine takes
-    none: fit_svm_binary solves it by pairwise ascent from alpha = 0, at
-    the same DEFAULT_KKT_TOL and DEFAULT_MAX_UPDATES. One machine of the
-    study's grid needs this, SVM-Linear's pair (1, 3) on FS1 fold 7 at cv
-    seed 0, which stalls: its dual and equality residuals reach rounding
+    One fallback serves both start solvers. Where the solver raises
+    NotPositiveDefinite or NoConvergence, the machine takes no start, as a
+    gaussian machine takes none: fit_svm_binary solves it by pairwise
+    ascent from alpha = 0, at the same DEFAULT_KKT_TOL and
+    DEFAULT_MAX_UPDATES, and its route is the ascent. The active set fails
+    when a Cholesky of K_FF fails (as on repeated rows), no index is left
+    free, the sets repeat (a cycle), or they still move after
+    _AS_MAX_ROUNDS = 100 rounds, against at most 23 rounds measured over
+    the study's 10 folds at cv seeds 0-2 (CHANGES.md). The interior point
+    fails when it stops at _IP_MAX_ITERATIONS or its clip to the box
+    leaves |y'alpha| above 1e-12 C n. One machine of the study's grid
+    falls back, SVM-Linear's pair (1, 3) on FS1 fold 7 at cv seed 0, whose
+    interior point stalls: its dual and equality residuals reach rounding
     level while mu / C swings between 9.2e-8 and 2.6e-8, above _IP_TOL,
     and the ascent solves it in 649 updates. The ascent's second-order
     choice of the working pair converges for any positive semidefinite
-    kernel (Fan, Chen and Lin, JMLR 6, 2005), and LIBSVM solves the
-    gaussian kernel with it alone (Chang and Lin, ACM TIST 2(3), 2011); no
-    gaussian pair machine of the study needs more than 305 updates at cv
-    seeds 0-2. Every machine ends at DEFAULT_KKT_TOL or raises
-    NoConvergence.
+    kernel (Fan, Chen and Lin, JMLR 6, 2005). Every machine ends at
+    DEFAULT_KKT_TOL or raises NoConvergence.
     """
     check_training_set(train)
     kernel = kernel.resolve(train.d)

@@ -4,9 +4,11 @@ by tests.
 `pairwise_ascent` rebuilds its whole state on every iteration, as the
 loop in `cdsproxy.svm` did before it was made to update only what
 changes. The NN passes make a new array for every operation, where
-`cdsproxy.neuralnet` works in place. `interior_point` solves its Newton
-systems against Q = yy' * K (`label_product`), as `cdsproxy.svm` did before
-it solved them against K. `best_split` and `fit_tree` sort every
+`cdsproxy.neuralnet` works in place. `interior_point` is the interior
+point on the dense Q = yy' * K (`label_product`), the reference for
+`cdsproxy.svm`'s interior point through a feature map, which has no dense
+twin in `cdsproxy`: the two take the same iterations to the same bound
+sets, with alphas within 1e-6 C. `best_split` and `fit_tree` sort every
 feature at every node and evaluate the float score of every candidate, as
 `cdsproxy.trees` did before it presorted once per fit and screened the
 candidates by integer counts. `twoing_proxy` keeps a running (K x columns)
@@ -143,10 +145,12 @@ def label_product(y, k_mat):
 
 
 def interior_point(q, y, cost):
-    """The dense interior point on Q: each iteration factors
-    Q + diag(z/a + w/s) once through numerics.spd_solver, the diagonal going
-    onto q's own for the factorisation only, and each direction solves
-    (Q + diag(z/a + w/s)) [u, v] = [g, y] through that factor."""
+    """The dense interior point on Q, the reference for svm._interior_point,
+    which solves through a feature-map factor of K instead: each iteration
+    factors Q + diag(z/a + w/s) once through numerics.spd_solver, the
+    diagonal going onto q's own for the factorisation only, and each
+    direction solves (Q + diag(z/a + w/s)) [u, v] = [g, y] through that
+    factor."""
     n = y.size
     q_diag = q.diagonal().copy()
     r_scale = 1.0 + cost * float(q_diag.max())

@@ -1,11 +1,11 @@
 """The SVM, NN and tree inner loops against their straightforward versions.
 
-`loop_reference` rebuilds every vector on every iteration, solves the
-interior point's Newton systems on Q = yy' * K, and sorts and scores every
-split candidate at every tree node; the loops in `cdsproxy` update only
-what changes, solve on K, and trees presort once per fit and screen
+`loop_reference` rebuilds every vector on every iteration, and sorts and
+scores every split candidate at every tree node; the loops in `cdsproxy`
+update only what changes, and trees presort once per fit and screen
 candidates by integer counts. Swapped in, the reference must give the same
-fitted models bit for bit.
+fitted models bit for bit. Its dense interior point on Q = yy' * K serves
+here as a start for the pairwise ascent.
 """
 from collections import deque
 
@@ -45,9 +45,11 @@ def overlapping_problem(seed, n_per_side=40, d=3):
     return x[order], y[order]
 
 
-def reference_fit(x, y, kernel, gram, alpha):
-    """fit_svm_binary on the reference loop: from alpha, at the module's C,
-    KKT tolerance and update cap, with -y * grad formed through Q."""
+def reference_fit(x, y, kernel, gram, alpha=None):
+    """fit_svm_binary on the reference loop: from alpha, or from 0, at the
+    module's C, KKT tolerance and update cap, with -y * grad formed through
+    Q."""
+    alpha = np.zeros(y.size) if alpha is None else alpha
     minus_yg = -y * (ref.label_product(y, gram) @ alpha - 1.0)
     return ref.pairwise_ascent(x, y, kernel, svm.DEFAULT_COST,
                                svm.DEFAULT_KKT_TOL, svm.DEFAULT_MAX_UPDATES,
@@ -104,18 +106,17 @@ class TestPairwiseAscent:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_interior_point_start_matches_reference(self, monkeypatch, kind):
-        # from the dense solve's alpha, then, for a kernel with a finite
-        # feature map, from the one through its factor
+        # from the alpha of the reference's dense solve on Q, then, for a
+        # kernel with a finite feature map, from the one through its factor
         x, y = overlapping_problem(3)
         spec = KernelSpec(kind).resolve(x.shape[1])
         gram = spec.gram(x, x)
-        factors = [None]
+        starts = [ref.interior_point(ref.label_product(y, gram), y, DEFAULT_COST)[0]]
         if kind is not SvmKernel.GAUSSIAN:
-            factors.append(svm._kernel_factor(spec, x))
+            starts.append(svm._interior_point(gram, y, svm._kernel_factor(spec, x))[0])
         # a tolerance below the interior point's leaves polishing to do
         monkeypatch.setattr(svm, "DEFAULT_KKT_TOL", 1e-9)
-        for factor in factors:
-            alpha, _ = svm._interior_point(gram, y, factor)
+        for alpha in starts:
             got, want = run_both(x, y, spec, gram, alpha)
             assert got.n_updates > 0
             assert_same_machine(got, want)
@@ -164,22 +165,6 @@ class TestPairwiseAscent:
             assert_same_machine(a, b)
             assert a.ip_iterations == b.ip_iterations
 
-
-class TestDenseInteriorPoint:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_solve_on_k_matches_the_solve_on_q(self, kind, seed):
-        # (Q + D) u = g and (K + D)(y * u) = y * g round alike for y = +-1
-        x, y = overlapping_problem(seed)
-        gram = KernelSpec(kind).resolve(x.shape[1]).gram(x, x)
-        q = ref.label_product(y, gram)
-        alpha, iterations = svm._interior_point(gram, y)
-        want_alpha, want_iterations = ref.interior_point(q, y, DEFAULT_COST)
-        assert iterations == want_iterations > 0
-        assert np.array_equal(alpha, want_alpha)
-        # the polish starts from y - K (y * alpha) = -y * (Q alpha - 1)
-        assert np.array_equal(y - gram @ (y * alpha), -y * (q @ alpha - 1.0))
-
     @pytest.mark.parametrize("repeated,cap,fallbacks", [
         # the first 5 rows, of class 0, again: K is singular on the pairs
         # of class 0, and the active set's first Cholesky fails on their
@@ -187,11 +172,11 @@ class TestDenseInteriorPoint:
         pytest.param(5, svm._AS_MAX_ROUNDS, 2, id="FS1-repeated-rows"),
         # K has full rank; a cap of one round sends every machine back
         pytest.param(0, 1, 3, id="FS1-capped")])
-    def test_fold_fit_with_dense_fallback_machines_matches_reference(
+    def test_fold_fit_with_ascent_fallback_machines_matches_reference(
             self, monkeypatch, repeated, cap, fallbacks):
         # SVM-Poly on FS1 fold 0 of the 3-name x 30-day panel: 969
         # monomials, no feature-map factor, and the machines the active set
-        # fails fall back to the dense interior point
+        # fails fall back to the ascent from alpha = 0
         panel = generate_panel(GeneratorConfig(n_counterparties=3, n_days=30,
                                                seed=0))
         dataset = build_dataset(panel, FeatureSelection.FS1)
@@ -204,19 +189,14 @@ class TestDenseInteriorPoint:
         spec = KernelSpec(SvmKernel.POLYNOMIAL)
         monkeypatch.setattr(svm, "_AS_MAX_ROUNDS", cap)
         got = svm.fit_svm_multiclass(train, kernel=spec)
-        monkeypatch.setattr(
-            svm, "_interior_point",
-            lambda k_mat, y, factor: ref.interior_point(
-                ref.label_product(y, k_mat), y, svm.DEFAULT_COST))
         monkeypatch.setattr(svm, "fit_svm_binary", reference_fit)
         want = svm.fit_svm_multiclass(train, kernel=spec)
-        dense = [m for m in got.machines if m.route is SvmRoute.DENSE_IP]
-        assert len(dense) == fallbacks
-        assert all(m.ip_iterations > 0 for m in dense)
-        assert all(m.active_set_rounds == 0 for m in dense)
+        ascent = [m for m in got.machines if m.route is SvmRoute.ASCENT]
+        assert len(ascent) == fallbacks
+        assert all(m.n_updates > 0 for m in ascent)
         for a, b in zip(got.machines, want.machines):
             assert_same_machine(a, b)
-            assert a.ip_iterations == b.ip_iterations
+            assert a.active_set_rounds == b.active_set_rounds
 
 
 class TestNetworkTraining:

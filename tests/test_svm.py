@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from conftest import make_blobs, random_dataset
 from qp_reference import dual_objective, project_box_simplex, reference_dual_solution
 from cdsproxy import numerics, svm
@@ -259,15 +260,6 @@ class TestBinarySvm:
             with pytest.raises(NoConvergence, match="KKT gap nan is not finite"):
                 fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR), gram=gram)
 
-    def test_no_partner_index_raises(self, monkeypatch):
-        # below a negative tolerance the ascent runs on to a point where no
-        # index can pair with the steepest one; it used to return there
-        monkeypatch.setattr(svm, "DEFAULT_KKT_TOL", -1.0)
-        x = np.array([[0.0], [1.0], [3.0], [4.0]])
-        y = np.array([1.0, 1.0, -1.0, -1.0])
-        with pytest.raises(NoConvergence, match="but no index pairs with"):
-            fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
-
     def test_bias_without_free_vectors_is_the_feasible_midpoint(self, monkeypatch):
         # a cost this small puts every alpha at C, so no vector is free
         x, y = binary_problem(71, 12, 2, 0.3)
@@ -343,39 +335,34 @@ class TestBinarySvm:
             1.0, abs(w_ref))
 
 
-def interior_point_then_ascent(x, y, spec, factored=False):
+def interior_point_then_ascent(x, y, spec):
     """The interior-point path of one multiclass machine, on a binary
-    problem; factored passes the interior point the feature-map factor of a
-    linear or polynomial kernel, which is None for a map with too many
-    columns for the rows."""
+    problem whose linear or polynomial kernel has a feature map of fewer
+    columns than rows."""
     gram = spec.gram(x, x)
-    factor = svm._kernel_factor(spec, x) if factored else None
-    alpha, iterations = svm._interior_point(gram, y, factor)
+    alpha, iterations = svm._interior_point(gram, y, svm._kernel_factor(spec, x))
     return replace(fit_svm_binary(x, y, spec, gram=gram, alpha=alpha),
                    ip_iterations=iterations)
 
 
 class TestInteriorPoint:
-    @pytest.mark.parametrize("kind", list(SvmKernel))
+    @pytest.mark.parametrize("kind", [SvmKernel.LINEAR, SvmKernel.POLYNOMIAL])
     @pytest.mark.parametrize("seed,n_per_side,separation", [(11, 12, 1.0), (12, 20, 0.4)])
     def test_matches_projected_gradient_reference(self, kind, seed, n_per_side,
                                                   separation):
+        # solves through the feature-map factor, whose 3 or 20 columns are
+        # fewer than the 24 or 40 rows
         x, y = binary_problem(seed, n_per_side, 3, separation)
         spec = KernelSpec(kind, degree=3).resolve(3)
         gram = spec.gram(x, x)
         w_ref = reference_objective(kind, seed, n_per_side, separation)
-        # dense solves, then solves through the feature-map factor, whose
-        # 3 or 20 columns are fewer than the 24 or 40 rows; the gaussian
-        # kernel has no finite map
-        for factored in ((False,) if kind is SvmKernel.GAUSSIAN
-                         else (False, True)):
-            model = interior_point_then_ascent(x, y, spec, factored)
-            assert model.ip_iterations > 0
-            w_got = dual_objective(model.alpha, gram, y)
-            assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
-            assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
-            assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
-            assert model.kkt_gap <= DEFAULT_KKT_TOL
+        model = interior_point_then_ascent(x, y, spec)
+        assert model.ip_iterations > 0
+        w_got = dual_objective(model.alpha, gram, y)
+        assert abs(w_got - w_ref) <= 1e-4 * max(1.0, abs(w_ref))
+        assert model.alpha.min() >= 0.0 and model.alpha.max() <= DEFAULT_COST
+        assert abs(float(model.alpha @ y)) <= 1e-12 * DEFAULT_COST * y.size
+        assert model.kkt_gap <= DEFAULT_KKT_TOL
 
     def test_every_alpha_at_cost_raises_no_warning(self, monkeypatch):
         # a cost this small puts every alpha at C; s = C - alpha and z head
@@ -391,47 +378,13 @@ class TestInteriorPoint:
         ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         assert np.array_equal(model.alpha, ascent.alpha)
 
-    def test_dense_iteration_factors_once_for_both_directions(self, monkeypatch):
-        # the predictor and the corrector solve through one Cholesky of K + D
-        x, y = binary_problem(90, 40, 3, 0.3)
-        gram = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
-        calls = []
-        cholesky, solve = np.linalg.cholesky, np.linalg.solve
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: calls.append("cholesky") or cholesky(a))
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: calls.append("solve") or solve(a, b))
-        _, iterations = svm._interior_point(gram, y)
-        assert iterations > 0
-        assert calls == ["cholesky"] * iterations
-
-    def test_failed_factorisation_raises_and_restores_the_gram_matrix(
-            self, monkeypatch):
-        x, y = binary_problem(91, 40, 3, 0.3)
-        gram = KernelSpec(SvmKernel.POLYNOMIAL).gram(x, x)
-        before = gram.copy()
-        calls = []
-        cholesky = np.linalg.cholesky
-
-        def second_fails(a):
-            calls.append(a.shape)
-            if len(calls) == 2:
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", second_fails)
-        with pytest.raises(NotPositiveDefinite):
-            svm._interior_point(gram, y)
-        assert calls == [gram.shape] * 2
-        assert np.array_equal(gram, before)
-
     def test_a_clip_that_breaks_the_equality_hands_the_machine_to_the_ascent(
             self):
         # class 4 against the rest on FS6 fold 4 of the default panel, on
         # rows scaled by 1/sqrt(d): the equal shift of the free alphas,
         # clipped back into the box, leaves |y'alpha| at 1.2e-8, above
-        # 1e-12 C n, on both interior points. The machine is solved from
-        # alpha = 0 instead, as one whose interior point stalls
+        # 1e-12 C n. The machine is solved from alpha = 0 instead, as one
+        # whose interior point stalls
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS6)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
@@ -440,9 +393,8 @@ class TestInteriorPoint:
         y = np.where(train.y == 4, 1.0, -1.0)
         spec = KernelSpec(SvmKernel.POLYNOMIAL)
         gram = spec.gram(x, x)
-        for factor in (None, svm._kernel_factor(spec, x)):
-            with pytest.raises(NoConvergence, match="breaks y'alpha = 0 by "):
-                svm._interior_point(gram, y, factor)
+        with pytest.raises(NoConvergence, match="breaks y'alpha = 0 by "):
+            svm._interior_point(gram, y, svm._kernel_factor(spec, x))
         model = svm._fit_machine(x, y, spec)
         assert model.route is SvmRoute.ASCENT
         assert model.ip_iterations == 0
@@ -511,14 +463,12 @@ class TestInteriorPoint:
                                                for m in model.machines)
         assert summary["active_set_rounds"] == 0
         assert summary["routes"] == {"ascent": 0, "feature_map_ip": 10,
-                                     "active_set": 0, "dense_ip": 0}
+                                     "active_set": 0}
 
-    @pytest.mark.parametrize("factored", [True, False])
-    def test_interior_point_that_stalls_hands_the_machine_to_the_ascent(
-            self, factored):
+    def test_interior_point_that_stalls_hands_the_machine_to_the_ascent(self):
         # SVM-Linear on FS1 fold 7 of the default panel, pair (1, 3): n =
-        # 180, d = 16. Both interior points, through the map and on K, end
-        # at _IP_MAX_ITERATIONS with residual 9.24e-8: the dual and
+        # 180, d = 16. The interior point through the rows ends at
+        # _IP_MAX_ITERATIONS with residual 9.24e-8: the dual and
         # equality residuals are at rounding level, while mu / C swings
         # between 9.2e-8 and 2.6e-8. The machine is solved from alpha = 0
         # instead, at the same tolerance and cap as every other
@@ -532,7 +482,7 @@ class TestInteriorPoint:
         gram = x @ x.T
         with pytest.raises(NoConvergence, match="residual 9.240e-08 > 1e-09 "
                                                 "after 100 iterations"):
-            svm._interior_point(gram, y, x if factored else None)
+            svm._interior_point(gram, y, x)
         model = fit_svm_multiclass(train, kernel=kernel)
         machine = model.machines[PAIRS_OF_5.index((1, 3))]
         assert machine.route is SvmRoute.ASCENT
@@ -549,7 +499,7 @@ class TestInteriorPoint:
         assert machine.alpha.min() >= 0.0 and machine.alpha.max() <= DEFAULT_COST
         assert abs(float(y @ machine.alpha)) <= 1e-12 * DEFAULT_COST * y.size
         assert model.describe()["routes"] == {"ascent": 1, "feature_map_ip": 9,
-                                              "active_set": 0, "dense_ip": 0}
+                                              "active_set": 0}
 
 
 PAIRS_OF_5 = list(itertools.combinations(range(5), 2))
@@ -630,24 +580,21 @@ class TestFeatureMapFactor:
                                                             (84, 100, 1.0)])
     def test_factored_solve_matches_the_dense_one(self, kind, d, seed,
                                                   n_per_side, separation):
+        # the dense one is loop_reference's, which factors Q + D; the
+        # factored solve only reads K, so K is made read-only for it
         x, y = binary_problem(seed, n_per_side, d, separation)
         spec = KernelSpec(kind).resolve(d)
         gram = spec.gram(x, x)
         factor = svm._kernel_factor(spec, x)
         assert factor is not None
-        dense, dense_iterations = svm._interior_point(gram, y)
+        dense, dense_iterations = ref.interior_point(ref.label_product(y, gram),
+                                                     y, DEFAULT_COST)
+        gram.flags.writeable = False
         alpha, iterations = svm._interior_point(gram, y, factor)
         assert iterations == dense_iterations
         assert np.array_equal(alpha == 0.0, dense == 0.0)
         assert np.array_equal(alpha == DEFAULT_COST, dense == DEFAULT_COST)
         assert np.abs(alpha - dense).max() <= 1e-6 * DEFAULT_COST
-
-    def test_dense_solve_leaves_the_gram_matrix_as_it_was(self):
-        x, y = binary_problem(85, 20, 3, 0.3)
-        gram = KernelSpec(SvmKernel.GAUSSIAN).resolve(3).gram(x, x)
-        kept = gram.copy()
-        svm._interior_point(gram, y)
-        assert np.array_equal(gram, kept)
 
     def test_large_maps_take_the_dense_solve(self, monkeypatch):
         rng = np.random.default_rng(86)
@@ -790,7 +737,7 @@ class TestFeatureMapFactor:
         (FeatureSelection.FS6, SvmKernel.LINEAR, 2),
         # 35 monomials for a golden pair's 30 rows: no map, so the dense
         # active set, whose first round leaves no index free on machines
-        # 1 and 2; the dense interior point solves those
+        # 1 and 2; the ascent from alpha = 0 solves those
         (FeatureSelection.FS2, SvmKernel.POLYNOMIAL, None),
         (FeatureSelection.FS3, SvmKernel.POLYNOMIAL, 10),
         (FeatureSelection.FS5, SvmKernel.POLYNOMIAL, 20),
@@ -801,16 +748,16 @@ class TestFeatureMapFactor:
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
         if rank is None:
             assert [m.route for m in model.machines] == [
-                SvmRoute.ACTIVE_SET, SvmRoute.DENSE_IP, SvmRoute.DENSE_IP]
+                SvmRoute.ACTIVE_SET, SvmRoute.ASCENT, SvmRoute.ASCENT]
         for machine in model.machines:
             alpha, y, x = machine.alpha, machine.y_train, machine.x_train
             factor = svm._kernel_factor(machine.kernel, x)
             gram = machine.kernel.gram(x, x)
             if rank is None:
                 assert factor is None
-                dense_ip = machine.route is SvmRoute.DENSE_IP
-                assert (machine.ip_iterations > 0) is dense_ip
-                assert (machine.active_set_rounds > 0) is not dense_ip
+                assert machine.ip_iterations == 0
+                assert ((machine.active_set_rounds > 0)
+                        is (machine.route is SvmRoute.ACTIVE_SET))
             else:
                 assert factor.shape == (30, rank)
                 assert machine.route is SvmRoute.FEATURE_MAP_IP
@@ -840,9 +787,8 @@ class TestFeatureMapFactor:
     @pytest.mark.parametrize("case", ["permuted-rows", "date-fold"])
     def test_gaussian_fold_on_a_near_singular_gram_converges(self, case):
         # SVM-Gaussian on FS6 of the default panel, whose two columns lie
-        # near a curve: the Gram matrix is numerically singular, and the
-        # dense interior point cannot stop on these folds, so every machine
-        # must converge by pairwise ascent alone
+        # near a curve: the Gram matrix is numerically singular, and every
+        # machine must converge by pairwise ascent alone
         panel = generate_panel(GeneratorConfig())
         dataset = build_dataset(panel, FeatureSelection.FS6)
         if case == "permuted-rows":
@@ -861,9 +807,9 @@ class TestFeatureMapFactor:
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
 
     def test_describe_counts_the_machines_by_route(self):
-        def routes(ascent=0, feature_map_ip=0, active_set=0, dense_ip=0):
+        def routes(ascent=0, feature_map_ip=0, active_set=0):
             return {"ascent": ascent, "feature_map_ip": feature_map_ip,
-                    "active_set": active_set, "dense_ip": dense_ip}
+                    "active_set": active_set}
 
         blobs = make_blobs([[0.0, 0.0], [4.0, 4.0]], 10, scale=0.5, seed=87)
         gaussian = fit_svm_multiclass(blobs, kernel=KernelSpec(SvmKernel.GAUSSIAN))
@@ -925,15 +871,19 @@ class TestActiveSet:
             # the sets were right: the ascent's check needs no update
             assert machine.n_updates == 0
 
-    def test_duplicated_rows_fall_back_to_the_dense_interior_point(self):
-        # SVM-Poly on FS1 fold 0 of the default panel with its first five
+    @pytest.mark.parametrize("selection,updates", [
+        pytest.param(FeatureSelection.FS1, [4976, 111, 84, 36], id="FS1"),
+        pytest.param(FeatureSelection.FS4, [4603, 105, 92, 46], id="FS4")])
+    def test_duplicated_rows_fall_back_to_the_ascent(self, selection, updates):
+        # SVM-Poly on fold 0 of the default panel with its first five
         # training rows repeated, as stale quotes repeat a name's row. The
         # five are of class 0, so K is singular on the four pairs of class
         # 0: the first Cholesky of K_FF fails on their machines, and the
-        # dense interior point solves each in 11-15 iterations. The other
-        # six pairs hold no repeated row and take the active set
+        # ascent from alpha = 0 solves each (the same updates on one and
+        # two BLAS threads). The other six pairs hold no repeated row and
+        # take the active set
         panel = generate_panel(GeneratorConfig())
-        dataset = build_dataset(panel, FeatureSelection.FS1)
+        dataset = build_dataset(panel, selection)
         train = dataset.subset(stratified_folds(dataset, 10, seed=0)
                                .training_rows(0))
         assert np.array_equal(train.y[:5], np.zeros(5))
@@ -950,22 +900,21 @@ class TestActiveSet:
             assert y.size == 185
             with pytest.raises(NotPositiveDefinite):
                 svm._active_set(gram, y)
-            assert machine.route is SvmRoute.DENSE_IP
-            assert machine.active_set_rounds == 0
-            assert machine.ip_iterations > 0
+            assert machine.route is SvmRoute.ASCENT
+            assert machine.active_set_rounds == machine.ip_iterations == 0
+            assert machine.n_updates == updates[b - 1]
             assert machine.kkt_gap <= DEFAULT_KKT_TOL
             assert kkt_gap_from_alpha(alpha, y, gram, DEFAULT_COST) <= DEFAULT_KKT_TOL
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
             assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
 
-    def test_repeated_sets_hand_over_to_the_interior_point_at_once(
-            self, monkeypatch):
+    def test_repeated_sets_hand_over_to_the_ascent_at_once(self, monkeypatch):
         # SVM-Poly on golden FS1 fold 1 with training row 0, of class 0,
         # repeated at the end. On one and two BLAS threads the machine of
         # pair (0, 1) meets sets it met before after 5 solves, and the
         # other two settle in 7 rounds; the rounding of other thread counts
-        # can make other machines cycle too. A machine that cycles gets the
-        # dense interior point's alpha, as it would after all
+        # can make other machines cycle too. A machine that cycles is
+        # solved by the ascent from alpha = 0, as it would be after all
         # _AS_MAX_ROUNDS rounds.
         train = with_first_rows_repeated(golden_fold(FeatureSelection.FS1, 1), 1)
         model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
@@ -985,7 +934,7 @@ class TestActiveSet:
             except NotPositiveDefinite:
                 # pair (0, 1) holds the repeated row; its sets must cycle
                 assert j != 0
-                assert machine.route is SvmRoute.DENSE_IP
+                assert machine.route is SvmRoute.ASCENT
                 continue
             if j == 0:
                 assert rounds is None and len(solves) <= 6
@@ -994,10 +943,9 @@ class TestActiveSet:
                 assert machine.active_set_rounds == rounds
                 assert machine.ip_iterations == 0
                 continue
-            want = interior_point_then_ascent(x, y, machine.kernel)
-            assert machine.route is SvmRoute.DENSE_IP
-            assert machine.active_set_rounds == 0
-            assert machine.ip_iterations == want.ip_iterations > 0
+            want = fit_svm_binary(x, y, machine.kernel)
+            assert machine.route is SvmRoute.ASCENT
+            assert machine.active_set_rounds == machine.ip_iterations == 0
             assert np.array_equal(machine.alpha, want.alpha)
             assert machine.bias == want.bias
             assert machine.n_updates == want.n_updates
@@ -1019,8 +967,7 @@ class TestActiveSet:
         for machine in model.machines:
             x = machine.x_train
             assert svm._kernel_factor(machine.kernel, x).shape == (30, 20)
-            want = interior_point_then_ascent(x, machine.y_train,
-                                              machine.kernel, factored=True)
+            want = interior_point_then_ascent(x, machine.y_train, machine.kernel)
             assert machine.route is SvmRoute.FEATURE_MAP_IP
             assert machine.active_set_rounds == 0
             assert machine.ip_iterations == want.ip_iterations > 0
@@ -1029,37 +976,54 @@ class TestActiveSet:
             assert machine.n_updates == want.n_updates
             assert machine.kkt_gap == want.kkt_gap
 
-    @pytest.mark.parametrize("repeated,cap,error,fallbacks", [
+
+class TestFallback:
+    @pytest.mark.parametrize("kind,repeated,caps,error,fallbacks", [
         # the first 5 rows, of class 0, again: K is singular on the pairs
         # of class 0, and so is the first Cholesky of K_FF, with every
         # index free
-        pytest.param(5, svm._AS_MAX_ROUNDS, NotPositiveDefinite, [0, 1],
-                     id="FS1-repeated-rows"),
+        pytest.param(SvmKernel.POLYNOMIAL, 5, {}, NotPositiveDefinite, [0, 1],
+                     id="active-set-cholesky"),
         # the sets of these machines settle in 4-6 rounds, not in 1
-        pytest.param(0, 1, NoConvergence, [0, 1, 2], id="FS1-capped")])
-    def test_fallback_machines_equal_the_interior_point_bit_for_bit(
-            self, monkeypatch, repeated, cap, error, fallbacks):
+        pytest.param(SvmKernel.POLYNOMIAL, 0, {"_AS_MAX_ROUNDS": 1},
+                     NoConvergence, [0, 1, 2], id="active-set-round-cap"),
+        # 16 columns for a pair's 30 rows: every linear machine takes the
+        # interior point through its rows, which needs more than 2
+        # iterations
+        pytest.param(SvmKernel.LINEAR, 0, {"_IP_MAX_ITERATIONS": 2},
+                     NoConvergence, [0, 1, 2], id="interior-point-iteration-cap")])
+    def test_a_failed_start_solver_hands_the_machine_to_the_ascent(
+            self, monkeypatch, kind, repeated, caps, error, fallbacks):
+        # SVM-Linear and SVM-Poly on golden FS1 fold 0, whose 969
+        # monomials leave polynomial machines no feature map
         train = with_first_rows_repeated(golden_fold(FeatureSelection.FS1, 0),
                                          repeated)
-        monkeypatch.setattr(svm, "_AS_MAX_ROUNDS", cap)
-        model = fit_svm_multiclass(train, kernel=KernelSpec(SvmKernel.POLYNOMIAL))
+        for name, value in caps.items():
+            monkeypatch.setattr(svm, name, value)
+        model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
         assert [j for j, m in enumerate(model.machines)
-                if m.route is SvmRoute.DENSE_IP] == fallbacks
-        summary = model.describe()
-        assert summary["routes"]["dense_ip"] == len(fallbacks)
-        assert 0 < summary["ip_iterations"]
+                if m.route is SvmRoute.ASCENT] == fallbacks
+        assert model.describe()["routes"]["ascent"] == len(fallbacks)
         for j in fallbacks:
             machine = model.machines[j]
-            x, y = machine.x_train, machine.y_train
+            x, y, alpha = machine.x_train, machine.y_train, machine.alpha
+            gram = machine.kernel.gram(x, x)
             with pytest.raises(error):
-                svm._active_set(machine.kernel.gram(x, x), y)
-            want = interior_point_then_ascent(x, y, machine.kernel)
-            assert machine.active_set_rounds == 0
-            assert machine.ip_iterations == want.ip_iterations > 0
-            assert np.array_equal(machine.alpha, want.alpha)
+                if kind is SvmKernel.LINEAR:
+                    svm._interior_point(gram, y, x)
+                else:
+                    svm._active_set(gram, y)
+            want = fit_svm_binary(x, y, machine.kernel)
+            assert machine.ip_iterations == machine.active_set_rounds == 0
+            assert np.array_equal(alpha, want.alpha)
             assert machine.bias == want.bias
             assert machine.n_updates == want.n_updates
             assert machine.kkt_gap == want.kkt_gap
+            # the gap recomputed from a plain Gram matrix, not the loop's own
+            assert kkt_gap_from_alpha(alpha, y, plain_gram(machine.kernel, x),
+                                      DEFAULT_COST) <= DEFAULT_KKT_TOL
+            assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
+            assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
 
 
 def per_pair_scores(model, queries):
@@ -1181,7 +1145,7 @@ class TestMulticlass:
         for (a, b), machine in zip(pairs, model.machines):
             x, y_pm = pair_rows(train, a, b)
             if kind is SvmKernel.LINEAR:
-                reference = interior_point_then_ascent(x, y_pm, kernel, factored=True)
+                reference = interior_point_then_ascent(x, y_pm, kernel)
             else:
                 reference = fit_svm_binary(x, y_pm, kernel)
             assert np.array_equal(machine.alpha, reference.alpha)
