@@ -199,6 +199,28 @@ class TestPairwiseAscent:
             assert a.active_set_rounds == b.active_set_rounds
 
 
+class TestFeatureMapInteriorPoint:
+    @pytest.mark.parametrize("kind", [SvmKernel.LINEAR, SvmKernel.POLYNOMIAL])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solve_through_the_map_matches_the_solve_on_q(self, kind, seed):
+        # the reference factors the 80 x 80 Q + D each iteration; the solve
+        # through G's 3 or 20 columns, by the Woodbury identity, rounds
+        # otherwise, and must reach the same bound sets in as many
+        # iterations, reading K only
+        x, y = overlapping_problem(seed)
+        spec = KernelSpec(kind).resolve(x.shape[1])
+        gram = spec.gram(x, x)
+        want, want_iterations = ref.interior_point(ref.label_product(y, gram),
+                                                   y, DEFAULT_COST)
+        gram.flags.writeable = False
+        alpha, iterations = svm._interior_point(gram, y,
+                                                svm._kernel_factor(spec, x))
+        assert iterations == want_iterations > 0
+        assert np.array_equal(alpha == 0.0, want == 0.0)
+        assert np.array_equal(alpha == DEFAULT_COST, want == DEFAULT_COST)
+        assert np.abs(alpha - want).max() <= 1e-6 * DEFAULT_COST
+
+
 class TestNetworkTraining:
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("n_classes", [2, 3, 5, 8, 12, 20])

@@ -378,6 +378,33 @@ class TestInteriorPoint:
         ascent = fit_svm_binary(x, y, KernelSpec(SvmKernel.LINEAR))
         assert np.array_equal(model.alpha, ascent.alpha)
 
+    @pytest.mark.parametrize("kind", [SvmKernel.LINEAR, SvmKernel.POLYNOMIAL])
+    def test_each_iteration_solves_twice_through_one_small_matrix(
+            self, monkeypatch, kind):
+        # the predictor and the corrector both solve with the r x r matrix
+        # I + P'P formed once per iteration, r = 3 or 20 columns for 80
+        # rows; nothing n x n is factored or solved
+        x, y = binary_problem(90, 40, 3, 0.3)
+        spec = KernelSpec(kind)
+        gram = spec.gram(x, x)
+        factor = svm._kernel_factor(spec, x)
+        r = factor.shape[1]
+        assert r < y.size
+        matrices, factored = [], []
+        cholesky, solve = np.linalg.cholesky, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(a.shape) or cholesky(a))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: matrices.append(a) or solve(a, b))
+        _, iterations = svm._interior_point(gram, y, factor)
+        assert iterations > 0
+        assert factored == []
+        assert len(matrices) == 2 * iterations
+        assert all(m.shape == (r, r) for m in matrices)
+        assert all(matrices[2 * i] is matrices[2 * i + 1]
+                   for i in range(iterations))
+        assert len({id(m) for m in matrices[::2]}) == iterations
+
     def test_a_clip_that_breaks_the_equality_hands_the_machine_to_the_ascent(
             self):
         # class 4 against the rest on FS6 fold 4 of the default panel, on
@@ -977,27 +1004,44 @@ class TestActiveSet:
             assert machine.kkt_gap == want.kkt_gap
 
 
+def start_solver(kernel, x, y, gram):
+    """The start solver _fit_machine picks for a linear or polynomial
+    machine, as a call: the interior point through the feature map where
+    there is one, else the active set."""
+    factor = svm._kernel_factor(kernel, x)
+    if factor is None:
+        return lambda: svm._active_set(gram, y)
+    return lambda: svm._interior_point(gram, y, factor)
+
+
 class TestFallback:
-    @pytest.mark.parametrize("kind,repeated,caps,error,fallbacks", [
+    @pytest.mark.parametrize("kind,selection,repeated,caps,error,fallbacks", [
         # the first 5 rows, of class 0, again: K is singular on the pairs
         # of class 0, and so is the first Cholesky of K_FF, with every
         # index free
-        pytest.param(SvmKernel.POLYNOMIAL, 5, {}, NotPositiveDefinite, [0, 1],
-                     id="active-set-cholesky"),
+        pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS1, 5, {},
+                     NotPositiveDefinite, [0, 1], id="active-set-cholesky"),
         # the sets of these machines settle in 4-6 rounds, not in 1
-        pytest.param(SvmKernel.POLYNOMIAL, 0, {"_AS_MAX_ROUNDS": 1},
-                     NoConvergence, [0, 1, 2], id="active-set-round-cap"),
+        pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS1, 0,
+                     {"_AS_MAX_ROUNDS": 1}, NoConvergence, [0, 1, 2],
+                     id="active-set-round-cap"),
         # 16 columns for a pair's 30 rows: every linear machine takes the
         # interior point through its rows, which needs more than 2
         # iterations
-        pytest.param(SvmKernel.LINEAR, 0, {"_IP_MAX_ITERATIONS": 2},
-                     NoConvergence, [0, 1, 2], id="interior-point-iteration-cap")])
+        pytest.param(SvmKernel.LINEAR, FeatureSelection.FS1, 0,
+                     {"_IP_MAX_ITERATIONS": 2}, NoConvergence, [0, 1, 2],
+                     id="interior-point-iteration-cap"),
+        # 10 monomials for a pair's 30 rows on FS3: every polynomial
+        # machine takes the interior point through its map
+        pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS3, 0,
+                     {"_IP_MAX_ITERATIONS": 2}, NoConvergence, [0, 1, 2],
+                     id="polynomial-interior-point-iteration-cap")])
     def test_a_failed_start_solver_hands_the_machine_to_the_ascent(
-            self, monkeypatch, kind, repeated, caps, error, fallbacks):
-        # SVM-Linear and SVM-Poly on golden FS1 fold 0, whose 969
-        # monomials leave polynomial machines no feature map
-        train = with_first_rows_repeated(golden_fold(FeatureSelection.FS1, 0),
-                                         repeated)
+            self, monkeypatch, kind, selection, repeated, caps, error,
+            fallbacks):
+        # SVM-Linear and SVM-Poly on golden fold 0; FS1's 969 monomials
+        # leave polynomial machines no feature map
+        train = with_first_rows_repeated(golden_fold(selection, 0), repeated)
         for name, value in caps.items():
             monkeypatch.setattr(svm, name, value)
         model = fit_svm_multiclass(train, kernel=KernelSpec(kind))
@@ -1009,10 +1053,7 @@ class TestFallback:
             x, y, alpha = machine.x_train, machine.y_train, machine.alpha
             gram = machine.kernel.gram(x, x)
             with pytest.raises(error):
-                if kind is SvmKernel.LINEAR:
-                    svm._interior_point(gram, y, x)
-                else:
-                    svm._active_set(gram, y)
+                start_solver(machine.kernel, x, y, gram)()
             want = fit_svm_binary(x, y, machine.kernel)
             assert machine.ip_iterations == machine.active_set_rounds == 0
             assert np.array_equal(alpha, want.alpha)
@@ -1024,6 +1065,48 @@ class TestFallback:
                                       DEFAULT_COST) <= DEFAULT_KKT_TOL
             assert alpha.min() >= 0.0 and alpha.max() <= DEFAULT_COST
             assert abs(float(y @ alpha)) <= 1e-12 * DEFAULT_COST * y.size
+
+    @pytest.mark.parametrize("kind,selection,repeated,caps,route", [
+        pytest.param(SvmKernel.LINEAR, FeatureSelection.FS1, 0, {},
+                     SvmRoute.FEATURE_MAP_IP, id="linear-interior-point"),
+        pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS3, 0, {},
+                     SvmRoute.FEATURE_MAP_IP, id="polynomial-interior-point"),
+        pytest.param(SvmKernel.LINEAR, FeatureSelection.FS1, 0,
+                     {"_IP_MAX_ITERATIONS": 2}, SvmRoute.ASCENT,
+                     id="interior-point-iteration-cap"),
+        pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS1, 0, {},
+                     SvmRoute.ACTIVE_SET, id="active-set"),
+        pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS1, 5, {},
+                     SvmRoute.ASCENT, id="active-set-cholesky"),
+        pytest.param(SvmKernel.POLYNOMIAL, FeatureSelection.FS1, 0,
+                     {"_AS_MAX_ROUNDS": 1}, SvmRoute.ASCENT,
+                     id="active-set-round-cap")])
+    def test_start_solvers_leave_the_gram_matrix_to_the_ascent(
+            self, monkeypatch, kind, selection, repeated, caps, route):
+        # _fit_machine hands its one Gram matrix from the start solver on
+        # to the ascent, which starts from the solver's alpha or, after a
+        # failure, from 0; so neither start solver may write into it,
+        # failing or not. Read-only here, a write would raise ValueError,
+        # which no fallback catches
+        train = with_first_rows_repeated(golden_fold(selection, 0), repeated)
+        for name, value in caps.items():
+            monkeypatch.setattr(svm, name, value)
+        machine = fit_svm_multiclass(train, kernel=KernelSpec(kind)).machines[0]
+        assert machine.route is route
+        x, y = machine.x_train, machine.y_train
+        gram = machine.kernel.gram(x, x)
+        kept = gram.copy()
+        gram.flags.writeable = False
+        solve = start_solver(machine.kernel, x, y, gram)
+        if route is SvmRoute.ASCENT:
+            with pytest.raises((NotPositiveDefinite, NoConvergence)):
+                solve()
+        else:
+            alpha, _ = solve()
+            assert np.array_equal(
+                fit_svm_binary(x, y, machine.kernel, gram=gram, alpha=alpha).alpha,
+                machine.alpha)
+        assert np.array_equal(gram, kept)
 
 
 def per_pair_scores(model, queries):
